@@ -165,10 +165,10 @@ func routeRF(opts Options, unrolled *harness.Unrolled) routeDecision {
 	return routeDecision{useRF: true, prog: p, reason: "rf"}
 }
 
-// runCheckRF performs mining and the inclusion check on the reads-from
-// engine, mirroring the SAT path's contract: done=true when a
-// counterexample was found. Fragment programs cannot reach runtime
-// errors, so the sequential-bug phase is vacuous here.
+// runCheckRF performs mining and the inclusion check of res.Model on
+// the reads-from engine, mirroring the SAT round's contract: done=true
+// when a validated counterexample decided res. Fragment programs cannot
+// reach runtime errors, so the sequential-bug phase is vacuous here.
 func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 	p *rf.Program, opts Options) (bool, error) {
 
@@ -197,21 +197,19 @@ func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 
 	refuteStart := time.Now()
 	names, _ := trace.HarnessNames(built, unrolled)
-	cex, st, err := p.CheckInclusion(opts.Model, built.Entries, theSpec, names, budget)
+	cex, st, err := p.CheckInclusion(res.Model, built.Entries, theSpec, names, budget)
 	est.Add(st)
 	res.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
 		return false, fmt.Errorf("rf inclusion: %w", err)
 	}
 	if cex == nil {
-		res.Pass = true
 		return false, nil // passed at these bounds; caller probes
 	}
-	res.Pass = false
-	res.Cex = cex
 	if err := validateCex(cex, built, unrolled, opts); err != nil {
 		return false, err
 	}
+	res.fail(cex)
 	return true, nil
 }
 
@@ -224,11 +222,18 @@ func rfFallbackable(err error) bool {
 	return errors.Is(err, rf.ErrNotApplicable) || errors.Is(err, rf.ErrBudget)
 }
 
-// solveStrategy maps the parallelism options onto a spec.Strategy like
-// Options.strategy, additionally applying the auto backend's
-// small-instance guard against the encoder's post-encode formula size.
+// solveStrategy maps the parallelism options onto a spec.Strategy
+// accumulating into ps, applying the auto backend's small-instance
+// guard against the encoder's post-encode formula size.
 func (o Options) solveStrategy(e *encode.Encoder, ps *spec.ParStats, res *Result) spec.Strategy {
-	strat := o.strategy(ps)
+	strat := spec.Strategy{
+		Portfolio:         o.Portfolio,
+		ShareClauses:      o.ShareClauses,
+		Cube:              o.Cube,
+		MaxMineIterations: o.MaxMineIterations,
+		Stats:             ps,
+		Faults:            o.Faults,
+	}
 	if o.Backend != BackendAuto || (strat.Portfolio <= 1 && strat.Cube <= 1) {
 		return strat
 	}

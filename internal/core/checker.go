@@ -205,19 +205,6 @@ func (o Options) encodeConfig() encode.Config {
 	return cfg
 }
 
-// strategy maps the parallelism options onto a spec.Strategy
-// accumulating into ps.
-func (o Options) strategy(ps *spec.ParStats) spec.Strategy {
-	return spec.Strategy{
-		Portfolio:         o.Portfolio,
-		ShareClauses:      o.ShareClauses,
-		Cube:              o.Cube,
-		MaxMineIterations: o.MaxMineIterations,
-		Stats:             ps,
-		Faults:            o.Faults,
-	}
-}
-
 // Stats quantifies one check, mirroring the columns of the paper's
 // Fig. 10 table plus the phase breakdown of Fig. 11b.
 type Stats struct {
@@ -391,9 +378,6 @@ func Check(implName, testName string, opts Options) (*Result, error) {
 func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = opts.normalizeBackend()
-	if opts.MaxBoundRounds <= 0 {
-		opts.MaxBoundRounds = 12
-	}
 	var deadline time.Time
 	if opts.Deadline > 0 {
 		deadline = time.Now().Add(opts.Deadline)
@@ -404,8 +388,9 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 			break // no wall-clock left to retry with
 		}
 		attemptStart := time.Now()
-		res, err := checkAttempt(impl, test, rung.apply(opts), deadline)
+		results, err := checkAttempt(impl, test, []memmodel.Model{opts.Model}, rung.apply(opts), deadline)
 		if err == nil {
+			res := results[0]
 			if len(reports) > 0 {
 				// The verdict came from a degraded rung; record the
 				// path that led there.
@@ -427,244 +412,396 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 	return res, nil
 }
 
-// checkAttempt runs one full pipeline pass (unroll, probe bounds,
-// mine, inclusion check) under a single ladder rung's strategy.
-func checkAttempt(impl *harness.Impl, test *harness.Test, opts Options,
-	deadline time.Time) (res *Result, err error) {
+// checkAttempt is the one attempt loop of the pipeline: it decides the
+// given models (strongest first) under a single ladder rung's strategy
+// — one model for CheckImpl, a sweep group's models for RunSuite.
+//
+// Lazy loop unrolling follows the paper's §3.3 order: a round (mine,
+// encode, error and inclusion phases) runs at the current bounds
+// first, and a counterexample decides its model whatever the loop
+// bounds. Only if models pass does the loop probe for executions that
+// exceed the bounds; bounds grow until the probe is refuted, and one
+// more round runs for the still-pending models at the converged bounds
+// (intermediate bound levels need no round: they only add executions,
+// which the final round covers).
+//
+// Each model keeps one Result across rounds: sizes (unrolling,
+// formula, observation set) come from its final round, while times and
+// counters add up. Costs a round shares land on its leader, the
+// strongest model still pending; probe time and the attempt's heap
+// growth land on models[0]. The returned slice parallels models; on
+// error it holds the models decided before the error and nil elsewhere.
+func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Model,
+	opts Options, deadline time.Time) (results []*Result, err error) {
 
 	start := time.Now()
-	res = &Result{Impl: impl.Name, Test: test.Name, Model: opts.Model}
-	defer func() {
-		if res == nil {
-			return // error paths return a nil result
-		}
-		if err == nil {
-			if res.Pass {
-				res.Verdict = VerdictPass
-			} else {
-				res.Verdict = VerdictFail
-			}
-		}
-	}()
-	// TotalTime is set here, once, so every return path (early
-	// counterexample, bounds-already-sufficient, converged re-check)
-	// reports it consistently.
-	defer func() {
-		if res != nil {
-			res.Stats.TotalTime = time.Since(start)
-		}
-	}()
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	defer func() {
-		if res == nil {
-			return
+	results = make([]*Result, len(models))
+	for i, m := range models {
+		res := &Result{Impl: impl.Name, Test: test.Name, Model: m, Verdict: VerdictUnknown}
+		if len(models) > 1 {
+			res.Stats.SweepGroups, res.Stats.SweepModels = 1, len(models)
 		}
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		res.Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
+		results[i] = res
+	}
+	// TotalTime and AllocBytes are set here, once, so every return path
+	// (early counterexample, bounds already sufficient, converged
+	// re-check, error) reports them consistently. A result still
+	// undecided is only possible on error, and is dropped.
+	defer func() {
+		total := time.Since(start)
+		for i, res := range results {
+			if res.Verdict == VerdictUnknown {
+				results[i] = nil
+				continue
+			}
+			res.Stats.TotalTime = total
+		}
+		if results[0] != nil {
+			var memAfter runtime.MemStats
+			runtime.ReadMemStats(&memAfter)
+			results[0].Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
+		}
 	}()
 
-	built, err := opts.buildHarness(impl, test)
-	if err != nil {
-		return nil, err
+	a := &attempt{impl: impl, test: test, opts: opts, deadline: deadline}
+	if err := a.start(); err != nil {
+		return results, err
 	}
-
-	// Lazy loop unrolling, in the paper's §3.3 order: run the regular
-	// check restricted to the current bounds first. If it finds a
-	// counterexample, report it — the loop bounds are irrelevant in
-	// that case. Only if the check passes, probe for executions that
-	// exceed the bounds; bounds grow until the probe is refuted, and
-	// the full check then runs once more at the converged bounds
-	// (intermediate bound levels need no full check: they only add
-	// executions, which the final check covers).
-	bounds := map[string]int{}
-	for k, v := range opts.InitialBounds {
-		bounds[k] = v
+	pending, err := a.round(results)
+	if err != nil || len(pending) == 0 {
+		return results, err
 	}
-	unrolled, err := opts.unrollHarness(built, bounds)
-	if err != nil {
-		return nil, err
+	maxRounds := opts.MaxBoundRounds
+	if maxRounds <= 0 {
+		maxRounds = 12
 	}
-	info := analysisFor(unrolled, opts)
-	res.Stats.BoundRounds = 1
-	done, err := runCheck(res, impl, test, built, unrolled, info, bounds, opts, deadline)
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return res, nil
-	}
-
 	grewAny := false
 	for round := 0; ; round++ {
-		if round >= opts.MaxBoundRounds {
-			return nil, fmt.Errorf("core: loop bounds did not converge after %d rounds", round)
+		if round >= maxRounds {
+			return results, fmt.Errorf("core: loop bounds did not converge after %d rounds", round)
 		}
+		// Every pending model probes under the same model (probeModel
+		// maps everything at or below SC to SC), so one probe sequence
+		// serves a whole sweep.
 		probeStart := time.Now()
-		grew, err := probeBounds(unrolled, info, probeModel(opts.Model), bounds, opts, deadline)
-		res.Stats.ProbeTime += time.Since(probeStart)
+		grew, err := a.probeBounds(probeModel(pending[0].Model))
+		results[0].Stats.ProbeTime += time.Since(probeStart)
 		if err != nil {
-			return nil, err
+			return results, err
 		}
 		if !grew {
 			break
 		}
 		grewAny = true
-		res.Stats.BoundRounds = round + 2
-		unrolled, err = opts.unrollHarness(built, bounds)
+		if err := a.unroll(); err != nil {
+			return results, err
+		}
+	}
+	if grewAny {
+		if pending, err = a.round(pending); err != nil {
+			return results, err
+		}
+	}
+	// Whatever is still pending passed at the converged bounds.
+	for _, res := range pending {
+		res.Pass, res.Verdict = true, VerdictPass
+	}
+	return results, nil
+}
+
+// attempt is the state of one checkAttempt pass: the check, its
+// strategy and deadline, and the model-independent front end at the
+// current loop bounds.
+type attempt struct {
+	impl     *harness.Impl
+	test     *harness.Test
+	opts     Options
+	deadline time.Time
+
+	built    *harness.Built
+	bounds   map[string]int
+	unrolled *harness.Unrolled
+	info     *ranges.Info
+	// boundRounds counts the unrollings so far (1 at the initial
+	// bounds).
+	boundRounds int
+}
+
+// start builds the harness and unrolls it at the initial bounds.
+func (a *attempt) start() error {
+	built, err := a.opts.buildHarness(a.impl, a.test)
+	if err != nil {
+		return err
+	}
+	a.built = built
+	a.bounds = map[string]int{}
+	for k, v := range a.opts.InitialBounds {
+		a.bounds[k] = v
+	}
+	return a.unroll()
+}
+
+// unroll unrolls the harness at the current bounds and reruns the
+// range analysis (§3.4) on the result.
+func (a *attempt) unroll() error {
+	u, err := a.opts.unrollHarness(a.built, a.bounds)
+	if err != nil {
+		return err
+	}
+	a.unrolled = u
+	a.info = ranges.Disabled()
+	if !a.opts.DisableRangeAnalysis {
+		a.info = ranges.Analyze(u.Bodies)
+	}
+	a.boundRounds++
+	return nil
+}
+
+// encode builds the formula of the unrolled program for the given
+// models — a single-model encoder for one, a selector-guarded sweep
+// encoder for several — under the check's resource limits. The caller
+// asserts the overflow condition it needs.
+func (a *attempt) encode(models []memmodel.Model) (*encode.Encoder, error) {
+	var enc *encode.Encoder
+	if len(models) == 1 {
+		enc = encode.NewWithConfig(models[0], a.info, a.opts.encodeConfig())
+	} else {
+		var err error
+		if enc, err = encode.NewSweepWithConfig(models, a.info, a.opts.encodeConfig()); err != nil {
+			return nil, err
+		}
+	}
+	applyLimits(enc, a.opts, a.deadline)
+	if err := enc.Encode(a.unrolled.Threads); err != nil {
+		return nil, err
+	}
+	return enc, nil
+}
+
+// round mines the specification and runs both inclusion phases for the
+// pending models (strongest first) at the current bounds, on one
+// encoding shared by all of them. Failing models are decided in place;
+// the returned models passed at these bounds and stay pending. Costs
+// the round shares — mining, encoding, preprocessing, solver counters —
+// land on its leader (pending[0]); each model's own solves land on its
+// own result.
+func (a *attempt) round(pending []*Result) ([]*Result, error) {
+	lead, sweep := pending[0], len(pending) > 1
+	for _, res := range pending {
+		st := &res.Stats
+		st.Instrs, st.Loads, st.Stores = a.unrolled.Instrs, a.unrolled.Loads, a.unrolled.Stores
+		st.BoundRounds = a.boundRounds
+	}
+
+	// Multi-backend routing, once per round: routeRF inspects the
+	// backend selection and the unrolled program, never the model. The
+	// reads-from engine is per-model, so a sweep routed to it has no
+	// SAT work to amortize and falls back to independent checks. For
+	// one model, an rf budget failure under auto falls back to SAT
+	// within this same round (no ladder hop); under a forced rf backend
+	// the error propagates so the ladder's SAT rungs take over.
+	dec := routeRF(a.opts, a.unrolled)
+	switch {
+	case sweep && dec.useRF:
+		return nil, errSweepFallback
+	case sweep:
+		dec.reason = "sat (model sweep)"
+	case a.opts.Backend == BackendRF && !dec.useRF:
+		return nil, dec.err
+	case dec.useRF:
+		done, rfErr := runCheckRF(lead, a.built, a.unrolled, dec.prog, a.opts)
+		if rfErr == nil {
+			lead.Stats.Backend, lead.Stats.RouterDecision = "rf", dec.reason
+			if done {
+				return nil, nil
+			}
+			return pending, nil
+		}
+		if a.opts.Backend == BackendRF || !rfFallbackable(rfErr) {
+			return nil, rfErr
+		}
+		dec.reason = "sat (rf fell back: " + rfErr.Error() + ")"
+	}
+	for _, res := range pending {
+		res.Stats.Backend, res.Stats.RouterDecision = "sat", dec.reason
+	}
+
+	var pstats spec.ParStats
+	defer func() { lead.Stats.addPar(pstats) }()
+
+	// Specification: mined once for every pending model (the
+	// observation set is model-independent, §3.2).
+	mineStart := time.Now()
+	set, seqTrace, err := a.mineSpec(&pstats, lead)
+	lead.Stats.MineTime += time.Since(mineStart)
+	if err != nil {
+		return nil, err
+	}
+	if seqTrace != nil {
+		// A sequential bug is model-independent: every pending model
+		// fails with the same serial trace, validated once.
+		if err := validateCex(seqTrace, a.built, a.unrolled, a.opts); err != nil {
+			return nil, err
+		}
+		for _, res := range pending {
+			res.SeqBug = true
+			res.fail(seqTrace)
+		}
+		return nil, nil
+	}
+
+	// Inclusion check. The formula is encoded and preprocessed once for
+	// every pending model; any configured parallelism (portfolio,
+	// cube-and-conquer) solves CloneFormula snapshots of it, so encoding
+	// cost never scales with the worker count. On a sweep, every
+	// non-leader reuses the leader's encoding and the specification's
+	// exclusion clauses.
+	models := make([]memmodel.Model, len(pending))
+	for i, res := range pending {
+		models[i] = res.Model
+	}
+	encodeStart := time.Now()
+	enc, err := a.encode(models)
+	if err != nil {
+		return nil, err
+	}
+	enc.AssertNoOverflow()
+	lead.Stats.EncodeTime += time.Since(encodeStart)
+	for i, res := range pending {
+		st := &res.Stats
+		res.Spec, st.ObsSetSize = set, set.Len()
+		st.SelectorVars, st.SelectorUnits = len(enc.SweepModels()), enc.SelectorUnits
+		st.EncodesReused, st.SeededObs = 0, 0
+		if i > 0 {
+			st.EncodesReused, st.SeededObs = 1, set.Len()
+		}
+	}
+
+	refuteStart := time.Now()
+	strat := a.opts.solveStrategy(enc, &pstats, lead)
+	if len(a.opts.Assume) > 0 {
+		strat.Assume = assumeLits(enc, a.opts.Assume)
+		lead.Stats.AssumedLits = len(strat.Assume)
+		lead.Stats.AssumeDropped = len(a.opts.Assume) - len(strat.Assume)
+	}
+	sc, err := spec.NewSweepCheck(enc, a.built.Entries)
+	lead.Stats.RefuteTime += time.Since(refuteStart)
+	if err != nil {
+		return nil, err
+	}
+	// Phase 1 for every pending model before any exclusion clause
+	// exists (see spec.SweepCheck), then phase 2 for the rest.
+	open, err := a.solvePhase(pending, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
+		return sc.ErrorCheck(m, strat)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var passed []*Result
+	if len(open) > 0 {
+		beginStart := time.Now()
+		err := sc.BeginInclusion(set)
+		lead.Stats.RefuteTime += time.Since(beginStart)
 		if err != nil {
 			return nil, err
 		}
-		info = analysisFor(unrolled, opts)
+		passed, err = a.solvePhase(open, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
+			return sc.Inclusion(m, strat)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	if !grewAny {
-		return res, nil // initial bounds were already sufficient
-	}
-	if _, err := runCheck(res, impl, test, built, unrolled, info, bounds, opts, deadline); err != nil {
-		return nil, err
-	}
-	return res, nil
+	lead.Stats.recordFormula(enc)
+	return passed, nil
 }
 
-// runCheck performs mining and the inclusion check at the current
-// bounds, filling res. It reports done=true when a counterexample (or
-// sequential bug) was found, in which case bounds need not grow.
-func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
-	built *harness.Built, unrolled *harness.Unrolled, info *ranges.Info,
-	bounds map[string]int, opts Options, deadline time.Time) (bool, error) {
+// solvePhase runs one inclusion phase for each model, strongest first,
+// and returns the models it left undecided. A counterexample of a
+// stronger model that replays under a weaker model's axioms decides the
+// weaker model without touching the solver (the monotonic early exit
+// of a sweep).
+func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
+	solve func(memmodel.Model) (*spec.Counterexample, error)) ([]*Result, error) {
 
-	res.Stats.Instrs = unrolled.Instrs
-	res.Stats.Loads = unrolled.Loads
-	res.Stats.Stores = unrolled.Stores
-
-	// Parallel-work counters accumulated across mining and the
-	// inclusion check of this invocation.
-	var pstats spec.ParStats
-	defer func() {
-		res.Stats.Cubes += pstats.Cubes
-		res.Stats.CubesRefuted += pstats.CubesRefuted
-		res.Stats.SharedExported += pstats.SharedExported
-		res.Stats.SharedImported += pstats.SharedImported
-		res.Stats.SharedUseful += pstats.SharedUseful
-		res.Stats.VivifiedClauses += pstats.VivifiedClauses
-		res.Stats.VivifiedLits += pstats.VivifiedLits
-		res.Stats.SubsumedLearnts += pstats.SubsumedLearnts
-		res.Stats.ChronoBacktracks += pstats.ChronoBacktracks
-	}()
-
-	// Multi-backend routing: run the reads-from engine when the
-	// backend selection and cost model pick it. Under auto, an rf
-	// budget failure falls back to SAT within this same attempt (no
-	// ladder hop); under a forced rf backend the error propagates so
-	// the ladder's SAT rungs take over.
-	dec := routeRF(opts, unrolled)
-	res.Stats.RouterDecision = dec.reason
-	if opts.Backend == BackendRF && !dec.useRF {
-		return false, dec.err
-	}
-	if dec.useRF {
-		done, rfErr := runCheckRF(res, built, unrolled, dec.prog, opts)
-		if rfErr == nil {
-			res.Stats.Backend = "rf"
-			return done, nil
+	var traces []*trace.Trace
+	var open []*Result
+	for _, res := range models {
+		if t := replayUnder(res.Model, traces, a.built, a.unrolled); t != nil {
+			res.fail(t)
+			res.Stats.SweepEarlyExit = 1
+			continue
 		}
-		if opts.Backend == BackendRF || !rfFallbackable(rfErr) {
-			return false, rfErr
+		solveStart := time.Now()
+		cex, err := solve(res.Model)
+		res.Stats.RefuteTime += time.Since(solveStart)
+		if err != nil {
+			return nil, err
 		}
-		res.Stats.RouterDecision = "sat (rf fell back: " + rfErr.Error() + ")"
-	}
-	res.Stats.Backend = "sat"
-
-	// Specification: mined once per (impl, test, bounds, source) via
-	// mineSpec (shared with the sweep scheduler).
-	mineStart := time.Now()
-	theSpec, seqTrace, err := mineSpec(impl, test, built, unrolled, info, bounds,
-		opts, deadline, &pstats, res)
-	if err != nil {
-		return false, err
-	}
-	if seqTrace != nil {
-		res.SeqBug = true
-		res.Pass = false
-		res.Cex = seqTrace
-		res.Stats.MineTime += time.Since(mineStart)
-		if err := validateCex(res.Cex, built, unrolled, opts); err != nil {
-			return false, err
+		if cex == nil {
+			open = append(open, res)
+			continue
 		}
-		return true, nil
+		t := trace.Build(enc, a.built, a.unrolled, cex)
+		t.Model = res.Model
+		if err := validateCex(t, a.built, a.unrolled, a.opts); err != nil {
+			return nil, err
+		}
+		traces = append(traces, t)
+		res.fail(t)
 	}
-	res.Spec = theSpec
-	res.Stats.ObsSetSize = theSpec.Len()
-	res.Stats.MineTime += time.Since(mineStart)
+	return open, nil
+}
 
-	// Inclusion check. The formula is encoded and preprocessed once;
-	// any configured parallelism (portfolio, cube-and-conquer) solves
-	// CloneFormula snapshots of it, so encoding cost never scales with
-	// the worker count.
-	encodeStart := time.Now()
-	enc := encode.NewWithConfig(opts.Model, info, opts.encodeConfig())
-	applyLimits(enc, opts, deadline)
-	if err := enc.Encode(unrolled.Threads); err != nil {
-		return false, err
-	}
-	enc.AssertNoOverflow()
-	res.Stats.EncodeTime += time.Since(encodeStart)
+// fail decides r as a failure with counterexample t.
+func (r *Result) fail(t *trace.Trace) {
+	r.Pass, r.Verdict, r.Cex = false, VerdictFail, t
+}
 
-	refuteStart := time.Now()
-	strat := opts.solveStrategy(enc, &pstats, res)
-	if len(opts.Assume) > 0 {
-		strat.Assume = assumeLits(enc, opts.Assume)
-		res.Stats.AssumedLits = len(strat.Assume)
-		res.Stats.AssumeDropped = len(opts.Assume) - len(strat.Assume)
-	}
-	cex, err := spec.CheckInclusionWith(enc, built.Entries, theSpec, strat)
-	res.Stats.RefuteTime += time.Since(refuteStart)
-	if err != nil {
-		return false, err
-	}
-	st := enc.S.Stats()
-	res.Stats.CNFVars = st.Vars
-	res.Stats.CNFClauses = st.Clauses
-	res.Stats.SolverStats = st
-	res.Stats.Gates = enc.B.NumGates()
-	res.Stats.PreCNFVars = st.PreVars
-	res.Stats.PreCNFClauses = st.PreClauses
-	res.Stats.VarsEliminated = st.VarsEliminated
-	res.Stats.ClausesSubsumed = st.ClausesSubsumed
-	res.Stats.ClausesStrengthened = st.ClausesStrengthened
-	res.Stats.PreprocessTime = st.PreprocessTime
-	// Base-solver inprocessing work; the parallel workers' share is
-	// folded in from pstats when runCheck returns.
-	res.Stats.VivifiedClauses += st.VivifiedClauses
-	res.Stats.VivifiedLits += st.VivifiedLits
-	res.Stats.SubsumedLearnts += st.SubsumedLearnts
-	res.Stats.ChronoBacktracks += st.ChronoBacktracks
-	res.Stats.TierCore = st.TierCore
-	res.Stats.TierMid = st.TierMid
-	res.Stats.TierLocal = st.TierLocal
-	res.Stats.OrderVarsFixed = enc.OrderVarsFixed
-	res.Stats.OrderVarsMerged = enc.OrderVarsMerged
-	if st.PreClauses == 0 {
+// recordFormula copies the inclusion formula's size and the base
+// solver's counters into st. Sizes overwrite — a check reports its
+// final round's formula — while inprocessing work adds up across
+// rounds (the parallel workers' share arrives through addPar).
+func (st *Stats) recordFormula(enc *encode.Encoder) {
+	s := enc.S.Stats()
+	st.SolverStats = s
+	st.CNFVars, st.CNFClauses = s.Vars, s.Clauses
+	st.Gates = enc.B.NumGates()
+	st.PreCNFVars, st.PreCNFClauses = s.PreVars, s.PreClauses
+	if s.PreClauses == 0 {
 		// Preprocessing did not run; pre-minimization size is the
 		// final size.
-		res.Stats.PreCNFVars = st.Vars
-		res.Stats.PreCNFClauses = st.Clauses
+		st.PreCNFVars, st.PreCNFClauses = s.Vars, s.Clauses
 	}
-
-	if cex == nil {
-		res.Pass = true
-		return false, nil // passed at these bounds; caller probes
-	}
-	res.Pass = false
-	res.Cex = trace.Build(enc, built, unrolled, cex)
-	if err := validateCex(res.Cex, built, unrolled, opts); err != nil {
-		return false, err
-	}
-	return true, nil
+	st.VarsEliminated = s.VarsEliminated
+	st.ClausesSubsumed = s.ClausesSubsumed
+	st.ClausesStrengthened = s.ClausesStrengthened
+	st.PreprocessTime = s.PreprocessTime
+	st.VivifiedClauses += s.VivifiedClauses
+	st.VivifiedLits += s.VivifiedLits
+	st.SubsumedLearnts += s.SubsumedLearnts
+	st.ChronoBacktracks += s.ChronoBacktracks
+	st.TierCore, st.TierMid, st.TierLocal = s.TierCore, s.TierMid, s.TierLocal
+	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
 }
 
-// mineSpec obtains the observation set for a check at the given
+// addPar folds a round's parallel-work counters (mining and the
+// inclusion check) into st.
+func (st *Stats) addPar(ps spec.ParStats) {
+	st.Cubes += ps.Cubes
+	st.CubesRefuted += ps.CubesRefuted
+	st.SharedExported += ps.SharedExported
+	st.SharedImported += ps.SharedImported
+	st.SharedUseful += ps.SharedUseful
+	st.VivifiedClauses += ps.VivifiedClauses
+	st.VivifiedLits += ps.VivifiedLits
+	st.SubsumedLearnts += ps.SubsumedLearnts
+	st.ChronoBacktracks += ps.ChronoBacktracks
+}
+
+// mineSpec obtains the observation set for a check at the current
 // bounds: Options.Spec verbatim, the refset enumeration, or the §3.2
 // SAT mine — through the spec cache when one is configured (the
 // mining closure is single-flighted across concurrent checks, and the
@@ -673,25 +810,21 @@ func runCheck(res *Result, impl *harness.Impl, test *harness.Test,
 // count land in res.Stats. When a serial execution reaches a runtime
 // error, the decoded sequential-bug trace is returned instead of a
 // set; the caller owns its validation.
-func mineSpec(impl *harness.Impl, test *harness.Test, built *harness.Built,
-	unrolled *harness.Unrolled, info *ranges.Info, bounds map[string]int,
-	opts Options, deadline time.Time, pstats *spec.ParStats,
-	res *Result) (*spec.Set, *trace.Trace, error) {
-
+func (a *attempt) mineSpec(pstats *spec.ParStats, res *Result) (*spec.Set, *trace.Trace, error) {
+	opts := a.opts
 	if opts.Spec != nil {
 		return opts.Spec, nil, nil
 	}
-	key := specKey(impl, test, bounds, opts.SpecSource)
+	key := specKey(a.impl, a.test, a.bounds, opts.SpecSource)
 	var serialEnc *encode.Encoder
 	mine := func(resume *spec.Set, resumeIters int) (*spec.Set, int, error) {
 		switch opts.SpecSource {
 		case SpecRef:
-			set, err := refimpl.Enumerate(impl, test)
+			set, err := refimpl.Enumerate(a.impl, a.test)
 			return set, 0, err
 		default:
-			serialEnc = encode.NewWithConfig(memmodel.Serial, info, opts.encodeConfig())
-			applyLimits(serialEnc, opts, deadline)
-			if err := serialEnc.Encode(unrolled.Threads); err != nil {
+			var err error
+			if serialEnc, err = a.encode([]memmodel.Model{memmodel.Serial}); err != nil {
 				return nil, 0, err
 			}
 			serialEnc.AssertNoOverflow()
@@ -706,7 +839,7 @@ func mineSpec(impl *harness.Impl, test *harness.Test, built *harness.Built,
 					cache.StoreCheckpoint(key, partial, iterations)
 				}
 			}
-			mined, stats, err := spec.MineWith(serialEnc, built.Entries, strat)
+			mined, stats, err := spec.MineWith(serialEnc, a.built.Entries, strat)
 			return mined, stats.Iterations, err
 		}
 	}
@@ -736,7 +869,7 @@ func mineSpec(impl *harness.Impl, test *harness.Test, built *harness.Built,
 		if seqBug, ok := err.(*spec.SeqBugError); ok && serialEnc != nil {
 			cex := &spec.Counterexample{Obs: seqBug.Obs, IsErr: true,
 				Err: "runtime error in serial execution"}
-			return nil, trace.Build(serialEnc, built, unrolled, cex), nil
+			return nil, trace.Build(serialEnc, a.built, a.unrolled, cex), nil
 		}
 		return nil, nil, err
 	}
@@ -827,13 +960,6 @@ func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
 	}
 }
 
-func analysisFor(unrolled *harness.Unrolled, opts Options) *ranges.Info {
-	if opts.DisableRangeAnalysis {
-		return ranges.Disabled()
-	}
-	return ranges.Analyze(unrolled.Bodies)
-}
-
 // probeModel selects the model loop-bound probes run under. Probing
 // under Relaxed does not generally terminate: its same-address
 // load-load reordering lets a retry loop re-read a stale value in
@@ -856,12 +982,9 @@ func probeModel(m memmodel.Model) memmodel.Model {
 // probeBounds checks whether any loop can exceed its current bound
 // under the given model; if so it increments those bounds and reports
 // growth.
-func probeBounds(unrolled *harness.Unrolled,
-	info *ranges.Info, model memmodel.Model, bounds map[string]int,
-	opts Options, deadline time.Time) (bool, error) {
-
+func (a *attempt) probeBounds(model memmodel.Model) (bool, error) {
 	hasMarkers := false
-	for _, li := range unrolled.Loops {
+	for _, li := range a.unrolled.Loops {
 		if !li.Spin {
 			hasMarkers = true
 			break
@@ -870,9 +993,8 @@ func probeBounds(unrolled *harness.Unrolled,
 	if !hasMarkers {
 		return false, nil
 	}
-	probe := encode.NewWithConfig(model, info, opts.encodeConfig())
-	applyLimits(probe, opts, deadline)
-	if err := probe.Encode(unrolled.Threads); err != nil {
+	probe, err := a.encode([]memmodel.Model{model})
+	if err != nil {
 		return false, err
 	}
 	probe.AssertSomeOverflow()
@@ -888,11 +1010,11 @@ func probeBounds(unrolled *harness.Unrolled,
 	}
 	grew := false
 	for _, id := range probe.OverflowingLoops() {
-		key, ok := unrolled.LoopKey(id)
+		key, ok := a.unrolled.LoopKey(id)
 		if !ok {
 			return false, fmt.Errorf("core: unknown loop id %d", id)
 		}
-		bounds[key] = unrolled.BoundFor(id) + 1
+		a.bounds[key] = a.unrolled.BoundFor(id) + 1
 		grew = true
 	}
 	if !grew {

@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"time"
 
-	"checkfence/internal/encode"
 	"checkfence/internal/harness"
+	"checkfence/internal/memmodel"
 	"checkfence/internal/sat"
 )
 
@@ -37,21 +37,14 @@ func CubeAssumptions(impl *harness.Impl, test *harness.Test, opts Options, depth
 	if opts.Deadline > 0 {
 		deadline = time.Now().Add(opts.Deadline)
 	}
-	built, err := opts.buildHarness(impl, test)
-	if err != nil {
+	// The same front end and encoder a check attempt starts from, so
+	// the ordinals index the order variables a worker's check encodes.
+	a := &attempt{impl: impl, test: test, opts: opts, deadline: deadline}
+	if err := a.start(); err != nil {
 		return nil, err
 	}
-	bounds := map[string]int{}
-	for k, v := range opts.InitialBounds {
-		bounds[k] = v
-	}
-	unrolled, err := opts.unrollHarness(built, bounds)
+	enc, err := a.encode([]memmodel.Model{opts.Model})
 	if err != nil {
-		return nil, err
-	}
-	enc := encode.NewWithConfig(opts.Model, analysisFor(unrolled, opts), opts.encodeConfig())
-	applyLimits(enc, opts, deadline)
-	if err := enc.Encode(unrolled.Threads); err != nil {
 		return nil, err
 	}
 	enc.AssertNoOverflow()

@@ -1,9 +1,10 @@
 package core
 
 // This file implements model-sweep groups: RunSuite jobs that are
-// identical in everything but Model are checked on one shared
+// identical in everything but Model are checked together by one
+// checkAttempt over all their models, whose rounds share one
 // selector-guarded encoding (encode.NewSweepWithConfig +
-// spec.SweepCheck) instead of independently. Everything
+// spec.SweepCheck) instead of encoding per model. Everything
 // model-independent is paid once per group — harness build, loop
 // unrolling, range analysis, specification mining, circuit
 // construction, CNF translation and preprocessing, bound probing —
@@ -16,18 +17,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"checkfence/internal/encode"
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
-	"checkfence/internal/ranges"
 	"checkfence/internal/sat"
-	"checkfence/internal/spec"
 	"checkfence/internal/trace"
 	"checkfence/internal/validate"
 )
@@ -191,7 +188,7 @@ type sweepGroup struct {
 	implRef *harness.Impl
 	testRef *harness.Test
 	// models holds the group's distinct models, strongest-first —
-	// the sweep order monotonic seeding and early-exit rely on.
+	// the sweep order the counterexample-replay early exit relies on.
 	models []memmodel.Model
 	// jobs maps each model to the suite job indices it serves (more
 	// than one when a suite repeats a job verbatim).
@@ -310,32 +307,27 @@ func (g *sweepGroup) memberJob() Job {
 	return Job{Impl: g.implName, Test: g.testName, ImplRef: g.implRef, TestRef: g.testRef}
 }
 
-// safeCheckMember runs one fallback member independently under the
-// group's front cache and panic isolation.
-func (g *sweepGroup) safeCheckMember(opts Options) (*Result, error) {
-	return safeCheck(g.memberJob(), opts)
-}
-
 // errSweepFallback routes a whole group to independent checks without
 // signalling a failure: the router picked the polynomial reads-from
 // path, which is per-model and has no SAT work to amortize.
 var errSweepFallback = errors.New("core: sweep group routed to independent checks")
 
-// run checks every model of the group. Models the shared attempt
-// cannot decide — a degradable failure (budget, solver Unknown,
-// recovered panic) or the rf routing — fall back to independent
-// CheckImpl runs with the full degradation ladder, still sharing the
-// group's front cache; a non-degradable failure becomes every
-// undecided model's error.
+// run checks every model of the group in one checkAttempt. Models the
+// shared attempt cannot decide — a degradable failure (budget, solver
+// Unknown, recovered panic) or the rf routing — fall back to
+// independent CheckImpl runs with the full degradation ladder, still
+// sharing the group's front cache; a non-degradable failure becomes
+// every undecided model's error.
 func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 	start := time.Now()
-	outs := make(map[memmodel.Model]*modelOutcome, len(g.models))
 	front := &frontCache{}
 	g.opts.front = front
+	var deadline time.Time
+	if g.opts.Deadline > 0 {
+		deadline = start.Add(g.opts.Deadline)
+	}
 
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-
+	var results []*Result
 	err := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -343,25 +335,20 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 					g.implName, g.testName, sat.RecoverAsError(p))
 			}
 		}()
-		return g.attempt(outs, start)
+		impl, test, err := g.memberJob().resolve()
+		if err != nil {
+			return err
+		}
+		results, err = checkAttempt(impl, test, g.models, g.opts, deadline)
+		return err
 	}()
 
-	// Every sweep-produced result reports the group's wall-clock time:
-	// the models were decided together, so per-model attribution of the
-	// shared phases would be arbitrary. The heap growth of the whole
-	// group lands on the leader with the other shared costs.
-	wall := time.Since(start)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	for _, o := range outs {
-		if o.res != nil && o.res.Stats.SweepGroups == 1 {
-			o.res.Stats.TotalTime = wall
+	outs := make(map[memmodel.Model]*modelOutcome, len(g.models))
+	for _, res := range results {
+		if res != nil {
+			outs[res.Model] = &modelOutcome{res: res}
 		}
 	}
-	if o := outs[g.models[0]]; o != nil && o.res != nil && o.res.Stats.SweepGroups == 1 {
-		o.res.Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
-	}
-
 	if err != nil {
 		fallback := errors.Is(err, errSweepFallback) || degradable(err, g.opts)
 		for _, m := range g.models {
@@ -389,7 +376,7 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 				}
 				o.Deadline = remaining
 			}
-			res, cerr := g.safeCheckMember(o)
+			res, cerr := safeCheck(g.memberJob(), o)
 			outs[m] = &modelOutcome{res: res, err: cerr}
 		}
 	}
@@ -397,123 +384,6 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 		o.res.Stats.FrontCacheHits = front.hits
 	}
 	return outs
-}
-
-// attempt runs the shared pipeline once with the configured strategy,
-// mirroring checkAttempt's structure: check at the initial bounds,
-// probe bounds under the shared probe model, and re-check the still
-// undecided models at the converged bounds. Decided models are
-// recorded in outs as the rounds progress.
-func (g *sweepGroup) attempt(outs map[memmodel.Model]*modelOutcome, start time.Time) error {
-	opts := g.opts
-	if opts.MaxBoundRounds <= 0 {
-		opts.MaxBoundRounds = 12
-	}
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = start.Add(opts.Deadline)
-	}
-	impl, test, err := g.memberJob().resolve()
-	if err != nil {
-		return err
-	}
-	built, err := opts.buildHarness(impl, test)
-	if err != nil {
-		return err
-	}
-	bounds := map[string]int{}
-	for k, v := range opts.InitialBounds {
-		bounds[k] = v
-	}
-	unrolled, err := opts.unrollHarness(built, bounds)
-	if err != nil {
-		return err
-	}
-	info := analysisFor(unrolled, opts)
-
-	// One routing decision serves the whole group: routeRF inspects
-	// the backend selection and the unrolled program, never the model.
-	// When the polynomial path wins there is no SAT work to amortize.
-	if dec := routeRF(opts, unrolled); dec.useRF {
-		return errSweepFallback
-	}
-
-	pending := append([]memmodel.Model(nil), g.models...)
-	provisional, err := g.sweepRound(outs, pending, impl, test, built, unrolled, info,
-		bounds, opts, deadline, 1)
-	if err != nil {
-		return err
-	}
-	pending = pendingModels(pending, outs)
-	if len(pending) == 0 {
-		return nil
-	}
-
-	// Bound probing, shared: every non-Serial swept model probes under
-	// the same model (probeModel maps everything at or below SC to SC),
-	// so one probe sequence serves the whole group.
-	var probeTime time.Duration
-	grewAny := false
-	boundRounds := 1
-	for round := 0; ; round++ {
-		if round >= opts.MaxBoundRounds {
-			return fmt.Errorf("core: loop bounds did not converge after %d rounds", round)
-		}
-		probeStart := time.Now()
-		grew, err := probeBounds(unrolled, info, probeModel(pending[0]), bounds, opts, deadline)
-		probeTime += time.Since(probeStart)
-		if err != nil {
-			return err
-		}
-		if !grew {
-			break
-		}
-		grewAny = true
-		boundRounds = round + 2
-		unrolled, err = opts.unrollHarness(built, bounds)
-		if err != nil {
-			return err
-		}
-		info = analysisFor(unrolled, opts)
-	}
-	if grewAny {
-		provisional, err = g.sweepRound(outs, pending, impl, test, built, unrolled, info,
-			bounds, opts, deadline, boundRounds)
-		if err != nil {
-			return err
-		}
-		pending = pendingModels(pending, outs)
-	}
-	// Whatever is still undecided passed at the converged bounds; its
-	// provisional result is final (exactly checkAttempt's "initial
-	// bounds were already sufficient" path when no bound grew).
-	for _, m := range pending {
-		res := provisional[m]
-		res.Verdict = VerdictPass
-		res.Stats.ProbeTime = 0
-		outs[m] = &modelOutcome{res: res}
-	}
-	// Shared probe time is a group cost like mining and encoding:
-	// attribute it once, to the group leader (the strongest model).
-	// Landing it on the first still-pending model instead would make
-	// the carrier depend on early-exit order and let suite-level
-	// aggregation double-count or drop it across groups; every model
-	// of the group is in outs by this point, so the leader always
-	// carries it.
-	if o := outs[g.models[0]]; o != nil && o.res != nil {
-		o.res.Stats.ProbeTime += probeTime
-	}
-	return nil
-}
-
-func pendingModels(models []memmodel.Model, outs map[memmodel.Model]*modelOutcome) []memmodel.Model {
-	var out []memmodel.Model
-	for _, m := range models {
-		if _, ok := outs[m]; !ok {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // replayUnder re-checks previously decoded counterexample traces of
@@ -533,231 +403,4 @@ func replayUnder(m memmodel.Model, traces []*trace.Trace,
 		}
 	}
 	return nil
-}
-
-// sweepRound mines, encodes, and runs both inclusion phases for the
-// pending models at the current bounds. Models that fail are recorded
-// in outs; models that pass at these bounds are returned provisionally
-// (the caller decides whether bounds must still grow). Shared costs —
-// mining, encoding, preprocessing, solver counters — are attributed to
-// the round's leader (the strongest pending model); per-model solve
-// time lands on each model's own result.
-func (g *sweepGroup) sweepRound(outs map[memmodel.Model]*modelOutcome,
-	pending []memmodel.Model, impl *harness.Impl, test *harness.Test,
-	built *harness.Built, unrolled *harness.Unrolled, info *ranges.Info,
-	bounds map[string]int, opts Options, deadline time.Time,
-	boundRounds int) (map[memmodel.Model]*Result, error) {
-
-	results := make(map[memmodel.Model]*Result, len(pending))
-	for i, m := range pending {
-		res := &Result{Impl: impl.Name, Test: test.Name, Model: m}
-		st := &res.Stats
-		st.Instrs, st.Loads, st.Stores = unrolled.Instrs, unrolled.Loads, unrolled.Stores
-		st.BoundRounds = boundRounds
-		st.Backend = "sat"
-		st.RouterDecision = "sat (model sweep)"
-		st.SweepGroups = 1
-		st.SweepModels = len(g.models)
-		if i > 0 {
-			st.EncodesReused = 1
-		}
-		results[m] = res
-	}
-	leader := pending[0]
-	leaderRes := results[leader]
-
-	var pstats spec.ParStats
-	defer func() {
-		st := &leaderRes.Stats
-		st.Cubes += pstats.Cubes
-		st.CubesRefuted += pstats.CubesRefuted
-		st.SharedExported += pstats.SharedExported
-		st.SharedImported += pstats.SharedImported
-		st.SharedUseful += pstats.SharedUseful
-		st.VivifiedClauses += pstats.VivifiedClauses
-		st.VivifiedLits += pstats.VivifiedLits
-		st.SubsumedLearnts += pstats.SubsumedLearnts
-		st.ChronoBacktracks += pstats.ChronoBacktracks
-	}()
-
-	// Specification: mined once for the whole group (the observation
-	// set is model-independent, §3.2).
-	mineStart := time.Now()
-	set, seqTrace, err := mineSpec(impl, test, built, unrolled, info, bounds,
-		opts, deadline, &pstats, leaderRes)
-	leaderRes.Stats.MineTime += time.Since(mineStart)
-	if err != nil {
-		return nil, err
-	}
-	if seqTrace != nil {
-		// A sequential bug is model-independent: every member fails
-		// with the same serial trace, validated once.
-		if err := validateCex(seqTrace, built, unrolled, opts); err != nil {
-			return nil, err
-		}
-		for _, m := range pending {
-			res := results[m]
-			res.SeqBug = true
-			res.Pass = false
-			res.Verdict = VerdictFail
-			res.Cex = seqTrace
-			outs[m] = &modelOutcome{res: res}
-		}
-		return map[memmodel.Model]*Result{}, nil
-	}
-	for i, m := range pending {
-		res := results[m]
-		res.Spec = set
-		res.Stats.ObsSetSize = set.Len()
-		if i > 0 {
-			// The spec's exclusion clauses are shared, not re-encoded:
-			// each non-leader model reuses all of them.
-			res.Stats.SeededObs = set.Len()
-		}
-	}
-
-	// Shared encoding: one circuit and one preprocessed CNF for every
-	// pending model, selector-guarded.
-	encodeStart := time.Now()
-	enc, err := encode.NewSweepWithConfig(pending, info, opts.encodeConfig())
-	if err != nil {
-		return nil, err
-	}
-	applyLimits(enc, opts, deadline)
-	if err := enc.Encode(unrolled.Threads); err != nil {
-		return nil, err
-	}
-	enc.AssertNoOverflow()
-	leaderRes.Stats.EncodeTime += time.Since(encodeStart)
-
-	strat := opts.solveStrategy(enc, &pstats, leaderRes)
-	ppStart := time.Now()
-	sc, err := spec.NewSweepCheck(enc, built.Entries)
-	leaderRes.Stats.RefuteTime += time.Since(ppStart)
-	if err != nil {
-		return nil, err
-	}
-
-	fail := func(m memmodel.Model, t *trace.Trace, earlyExit bool) {
-		res := results[m]
-		res.Pass = false
-		res.Verdict = VerdictFail
-		res.Cex = t
-		if earlyExit {
-			res.Stats.SweepEarlyExit = 1
-		}
-		outs[m] = &modelOutcome{res: res}
-	}
-
-	// Phase 1 for every pending model, strongest-first, before any
-	// exclusion clause exists (see spec.SweepCheck). An error trace of
-	// a stronger model that replays under a weaker model's axioms
-	// decides the weaker model without touching the solver.
-	var errTraces []*trace.Trace
-	decided := map[memmodel.Model]bool{}
-	for _, m := range pending {
-		if t := replayUnder(m, errTraces, built, unrolled); t != nil {
-			fail(m, t, true)
-			decided[m] = true
-			continue
-		}
-		solveStart := time.Now()
-		cex, err := sc.ErrorCheck(m, strat)
-		results[m].Stats.RefuteTime += time.Since(solveStart)
-		if err != nil {
-			return nil, err
-		}
-		if cex == nil {
-			continue
-		}
-		t := trace.Build(enc, built, unrolled, cex)
-		t.Model = m
-		if err := validateCex(t, built, unrolled, opts); err != nil {
-			return nil, err
-		}
-		errTraces = append(errTraces, t)
-		fail(m, t, false)
-		decided[m] = true
-	}
-
-	if len(decided) < len(pending) {
-		bi := time.Now()
-		if err := sc.BeginInclusion(set); err != nil {
-			return nil, err
-		}
-		leaderRes.Stats.RefuteTime += time.Since(bi)
-
-		// Phase 2, strongest-first, with the same monotonic early
-		// exit: a stronger model's out-of-spec execution that replays
-		// under a weaker model is that model's counterexample.
-		var cexTraces []*trace.Trace
-		for _, m := range pending {
-			if decided[m] {
-				continue
-			}
-			if t := replayUnder(m, cexTraces, built, unrolled); t != nil {
-				fail(m, t, true)
-				decided[m] = true
-				continue
-			}
-			solveStart := time.Now()
-			cex, err := sc.Inclusion(m, strat)
-			results[m].Stats.RefuteTime += time.Since(solveStart)
-			if err != nil {
-				return nil, err
-			}
-			if cex == nil {
-				results[m].Pass = true // provisional: bounds may grow
-				continue
-			}
-			t := trace.Build(enc, built, unrolled, cex)
-			t.Model = m
-			if err := validateCex(t, built, unrolled, opts); err != nil {
-				return nil, err
-			}
-			cexTraces = append(cexTraces, t)
-			fail(m, t, false)
-			decided[m] = true
-		}
-	}
-
-	// Solver and formula statistics of the shared encoding land on the
-	// leader; the selector instrumentation sizes land on every member.
-	st := enc.S.Stats()
-	ls := &leaderRes.Stats
-	ls.CNFVars = st.Vars
-	ls.CNFClauses = st.Clauses
-	ls.SolverStats = st
-	ls.Gates = enc.B.NumGates()
-	ls.PreCNFVars = st.PreVars
-	ls.PreCNFClauses = st.PreClauses
-	ls.VarsEliminated = st.VarsEliminated
-	ls.ClausesSubsumed = st.ClausesSubsumed
-	ls.ClausesStrengthened = st.ClausesStrengthened
-	ls.PreprocessTime = st.PreprocessTime
-	ls.VivifiedClauses += st.VivifiedClauses
-	ls.VivifiedLits += st.VivifiedLits
-	ls.SubsumedLearnts += st.SubsumedLearnts
-	ls.ChronoBacktracks += st.ChronoBacktracks
-	ls.TierCore = st.TierCore
-	ls.TierMid = st.TierMid
-	ls.TierLocal = st.TierLocal
-	ls.OrderVarsFixed = enc.OrderVarsFixed
-	ls.OrderVarsMerged = enc.OrderVarsMerged
-	if st.PreClauses == 0 {
-		ls.PreCNFVars = st.Vars
-		ls.PreCNFClauses = st.Clauses
-	}
-	for _, m := range pending {
-		results[m].Stats.SelectorVars = len(pending)
-		results[m].Stats.SelectorUnits = enc.SelectorUnits
-	}
-
-	provisional := make(map[memmodel.Model]*Result, len(pending))
-	for _, m := range pending {
-		if !decided[m] {
-			provisional[m] = results[m]
-		}
-	}
-	return provisional, nil
 }

@@ -167,3 +167,36 @@ func TestSweepDuplicateModels(t *testing.T) {
 		t.Error("duplicate jobs diverge")
 	}
 }
+
+// TestSweepKeepsRoundCosts: a group whose loop bounds grow keeps each
+// model's Result across rounds, so the first round's mining and
+// encoding stay on the leader. msn/T0 mines at its initial bounds and
+// again at the converged ones; the group, mining once per round for
+// all four models, must report the same two cache misses as an
+// independent SC check.
+func TestSweepKeepsRoundCosts(t *testing.T) {
+	group := RunSuite(fourModelJobs("msn", "T0", Options{}), SuiteOptions{Parallelism: 1})
+	requireAllRan(t, group)
+	alone := RunSuite(fourModelJobs("msn", "T0", Options{})[:1], SuiteOptions{Parallelism: 1})
+	requireAllRan(t, alone)
+	want := alone[0].Res.Stats.SpecCacheMisses
+	if want != 2 {
+		t.Fatalf("independent SC check: %d cache misses, want 2 (one per bound level)", want)
+	}
+	var misses int
+	for _, r := range group {
+		misses += r.Res.Stats.SpecCacheMisses
+	}
+	if misses != want {
+		t.Errorf("group cache misses summed to %d, want %d as for the independent check", misses, want)
+	}
+	lead := group[0].Res.Stats
+	if lead.BoundRounds < 2 {
+		t.Fatalf("leader: BoundRounds=%d; msn/T0 must grow its bounds", lead.BoundRounds)
+	}
+	// The leader carries every round's mining: both misses are its.
+	if lead.SpecCacheMisses != want || lead.MineTime <= 0 || lead.EncodeTime <= 0 {
+		t.Errorf("leader: misses=%d mine=%v encode=%v; round 1 costs dropped",
+			lead.SpecCacheMisses, lead.MineTime, lead.EncodeTime)
+	}
+}

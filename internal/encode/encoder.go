@@ -831,11 +831,12 @@ func (e *Encoder) assertSweepUnits() {
 // sweep encoder: m's selector positive, every other selector negative.
 // The negative literals matter — leaving another model's selector free
 // would let the solver enable its guarded units and over-constrain the
-// query. Panics when m was not in the sweep (a driver bug, not an
-// input condition).
+// query. A single-model encoder has no selectors and returns nil: its
+// formula is its one model's query unassumed. Panics when m was not in
+// the sweep (a driver bug, not an input condition).
 func (e *Encoder) SelectorLits(m memmodel.Model) []sat.Lit {
 	if len(e.sweep) == 0 {
-		panic("encode: SelectorLits on a single-model encoder")
+		return nil
 	}
 	lits := make([]sat.Lit, len(e.sweep))
 	found := false

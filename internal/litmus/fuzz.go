@@ -17,8 +17,6 @@
 //     generated program, reproduce the interpreter's serial set, and
 //     match the SAT-mined observation set and inclusion verdict
 //     bit-identically on every model;
-//   - mining seeded with a stronger model's observation set (the
-//     sweep's monotonic warm start) must reproduce the unseeded set;
 //   - the selector-guarded sweep encoder, driven through the two-phase
 //     SweepCheck protocol, must reproduce every per-model verdict;
 //   - every counterexample trace must survive the full validate
@@ -272,7 +270,6 @@ func RunDifferential(data []byte) error {
 	// configurations, and every counterexample must validate.
 	models := memmodel.All()
 	fail := map[memmodel.Model]bool{}
-	mined := map[memmodel.Model]*spec.Set{}
 	for _, model := range models {
 		verdicts := make([]bool, 0, 4)
 		for _, cfg := range diffConfigs() {
@@ -321,7 +318,6 @@ func RunDifferential(data []byte) error {
 			return fmt.Errorf("divergence: rf observation set != SAT-mined set on %s\nprogram:\n%s\nrf:  %v\nsat: %v",
 				model, p.Desc(), rfSet.All(), satSet.All())
 		}
-		mined[model] = satSet
 		rfCex, _, err := rfProg.CheckInclusion(model, p.Entries, want, p.Names, rf.Budget{})
 		if err != nil {
 			return fmt.Errorf("rf inclusion %s: %v\nprogram:\n%s", model, err, p.Desc())
@@ -355,32 +351,7 @@ func RunDifferential(data []byte) error {
 		}
 	}
 
-	// Stage 3: monotonic warm-started mining. memmodel.All() is
-	// strongest-first, so seeding each model's mine with the next
-	// stronger model's full set — exactly what a strongest-first sweep
-	// does — must reproduce the unseeded enumeration and report the
-	// seed as work skipped.
-	for i := 1; i < len(models); i++ {
-		weak, seed := models[i], mined[models[i-1]]
-		e := encode.New(weak, info)
-		if err := e.Encode(p.Threads); err != nil {
-			return fmt.Errorf("encode %s [seeded]: %v\nprogram:\n%s", weak, err, p.Desc())
-		}
-		seeded, stats, err := spec.MineWith(e, p.Entries, spec.Strategy{Seed: seed})
-		if err != nil {
-			return fmt.Errorf("seeded mine %s: %v\nprogram:\n%s", weak, err, p.Desc())
-		}
-		if !seeded.Equal(mined[weak]) {
-			return fmt.Errorf("divergence: %s mine seeded by %s != unseeded set\nprogram:\n%s\nseeded:   %v\nunseeded: %v",
-				weak, models[i-1], p.Desc(), seeded.All(), mined[weak].All())
-		}
-		if stats.Seeded != seed.Len() {
-			return fmt.Errorf("divergence: %s seeded mine reports Seeded=%d, want %d\nprogram:\n%s",
-				weak, stats.Seeded, seed.Len(), p.Desc())
-		}
-	}
-
-	// Stage 4: the sweep encoder. One selector-guarded encoding over
+	// Stage 3: the sweep encoder. One selector-guarded encoding over
 	// every non-Serial model, driven through the two-phase SweepCheck
 	// protocol, must reproduce the per-model inclusion verdicts of the
 	// independent encoders, and its counterexamples must validate.

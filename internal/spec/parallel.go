@@ -80,18 +80,6 @@ type Strategy struct {
 	// in the result, so an interrupted mine continues instead of
 	// restarting.
 	Resume *Set
-	// Seed warm-starts the enumeration with observations already known
-	// to belong to the result. The canonical source is a model sweep
-	// run strongest-first: every execution a stronger model allows is
-	// also allowed by any weaker model (memmodel.StrongerThan), so the
-	// stronger model's full observation set is a sound seed for the
-	// weaker model's mine. Seeded observations are excluded up front
-	// and included in the result exactly like Resume's, skipping
-	// len(Seed) solver iterations; the count is reported in
-	// MineStats.Seeded. Unlike Resume, Seed does not represent work
-	// already billed to this enumeration, so it leaves the iteration
-	// budget untouched.
-	Seed *Set
 	// ResumeIterations is the iteration count already spent producing
 	// Resume; the continued run's count and the iteration limit are
 	// cumulative across it.
@@ -291,16 +279,12 @@ func MineWith(e *encode.Encoder, entries []Entry, strat Strategy) (*Set, MineSta
 
 	// Enumerate error-free serial observations.
 	e.S.AddClause(errLit.Not())
-	// Exclude everything a checkpoint or a stronger-model seed already
-	// established. Each exclusion blocks all models of its observation
-	// — a superset of the per-model blocking clauses a direct
-	// enumeration would have added — so seed ∪ continued enumeration
-	// is the full set.
-	for _, pre := range []*Set{strat.Resume, strat.Seed} {
-		if pre == nil {
-			continue
-		}
-		for _, o := range pre.All() {
+	// Exclude everything a resumed checkpoint already established. Each
+	// exclusion blocks all models of its observation — a superset of
+	// the per-model blocking clauses a direct enumeration would have
+	// added — so checkpoint ∪ continued enumeration is the full set.
+	if strat.Resume != nil {
+		for _, o := range strat.Resume.All() {
 			if err := assertNotObservation(e, svs, o); err != nil {
 				return nil, MineStats{}, err
 			}
@@ -313,32 +297,21 @@ func MineWith(e *encode.Encoder, entries []Entry, strat Strategy) (*Set, MineSta
 }
 
 // seedSet returns the set mining accumulates into, pre-populated with
-// the resumed checkpoint's and the monotonic seed's observations.
+// the resumed checkpoint's observations.
 func (st Strategy) seedSet() *Set {
 	set := NewSet()
-	for _, pre := range []*Set{st.Resume, st.Seed} {
-		if pre == nil {
-			continue
-		}
-		for _, o := range pre.All() {
+	if st.Resume != nil {
+		for _, o := range st.Resume.All() {
 			set.Add(o)
 		}
 	}
 	return set
 }
 
-// seededCount is the number of observations Strategy.Seed contributed.
-func (st Strategy) seededCount() int {
-	if st.Seed == nil {
-		return 0
-	}
-	return st.Seed.Len()
-}
-
 // mineSerial is the classical blocking-clause enumeration on e.S.
 func mineSerial(e *encode.Encoder, svs []encode.SymVal, lits []sat.Lit, strat Strategy) (*Set, MineStats, error) {
 	set := strat.seedSet()
-	stats := MineStats{Iterations: strat.ResumeIterations, Seeded: strat.seededCount()}
+	stats := MineStats{Iterations: strat.ResumeIterations}
 	limit := strat.maxIter()
 	every := strat.checkpointEvery()
 	for {
@@ -526,7 +499,7 @@ func minePartitioned(e *encode.Encoder, svs []encode.SymVal, lits []sat.Lit, str
 		}(clones[w])
 	}
 	wg.Wait()
-	stats := MineStats{Iterations: int(iters.Load()), Seeded: strat.seededCount()}
+	stats := MineStats{Iterations: int(iters.Load())}
 	if strat.Stats != nil {
 		strat.Stats.Cubes += len(cubes)
 		strat.Stats.CubesRefuted += int(refuted.Load())
@@ -539,59 +512,22 @@ func minePartitioned(e *encode.Encoder, svs []encode.SymVal, lits []sat.Lit, str
 	return set, stats, nil
 }
 
-// CheckInclusionWith is CheckInclusion under a parallelism strategy.
-// The verdict and counterexample semantics are identical to the serial
-// check for every strategy; on Sat the encoder's solver is positioned
-// at the counterexample model (adopted from the winning clone when a
-// parallel path found it).
+// CheckInclusionWith is CheckInclusion under a parallelism strategy:
+// the one-model case of the SweepCheck protocol. The verdict and
+// counterexample semantics are identical to the serial check for every
+// strategy; on Sat the encoder's solver is positioned at the
+// counterexample model (adopted from the winning clone when a parallel
+// path found it).
 func CheckInclusionWith(e *encode.Encoder, entries []Entry, set *Set, strat Strategy) (*Counterexample, error) {
-	svs, err := obsVals(e, entries)
+	c, err := NewSweepCheck(e, entries)
 	if err != nil {
 		return nil, err
 	}
-	// Materialize the error literal and the observation bits (phase 2's
-	// exclusion clauses reference them in both polarities), then
-	// preprocess with those frozen.
-	errLit := e.B.Lit(e.ErrorNode())
-	roots := []sat.Lit{errLit}
-	for _, b := range obsBits(e, svs) {
-		roots = append(roots, e.B.Lit(b))
+	if cex, err := c.ErrorCheck(e.Model, strat); cex != nil || err != nil {
+		return cex, err
 	}
-	e.PreprocessCNF(roots...)
-
-	// Phase 1: any execution with a runtime error is a counterexample.
-	// A cube restriction (Strategy.Assume) applies here too: the cubes
-	// of a fan-out are jointly exhaustive, so an erroneous execution
-	// exists iff some cube contains one.
-	switch st, cause := solveOne(e, strat, append([]sat.Lit{errLit}, strat.Assume...)...); st {
-	case sat.Sat:
-		obs := decodeObs(e, e.S, svs)
-		msg := ""
-		for _, ec := range e.Errors {
-			if e.B.Eval(ec.Cond) {
-				msg = ec.Msg
-				break
-			}
-		}
-		return &Counterexample{Obs: obs, IsErr: true, Err: msg}, nil
-	case sat.Unsat:
-	default:
-		return nil, unknownErr("error check", st, cause)
+	if err := c.BeginInclusion(set); err != nil {
+		return nil, err
 	}
-
-	// Phase 2: exclude the specification's observations and solve.
-	e.S.AddClause(errLit.Not())
-	for _, o := range set.All() {
-		if err := assertNotObservation(e, svs, o); err != nil {
-			return nil, err
-		}
-	}
-	switch st, cause := solvePhase2(e, strat, strat.Assume...); st {
-	case sat.Unsat:
-		return nil, nil
-	case sat.Sat:
-		return &Counterexample{Obs: decodeObs(e, e.S, svs)}, nil
-	default:
-		return nil, unknownErr("inclusion check", st, cause)
-	}
+	return c.Inclusion(e.Model, strat)
 }

@@ -158,9 +158,6 @@ func (e *SeqBugError) Error() string {
 // MineStats reports mining work.
 type MineStats struct {
 	Iterations int
-	// Seeded counts observations contributed by Strategy.Seed — solver
-	// iterations a monotonic warm start skipped.
-	Seeded int
 }
 
 // Mine enumerates the observation set of the encoder's executions

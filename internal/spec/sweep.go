@@ -1,20 +1,19 @@
 package spec
 
-// This file drives the inclusion check of §3.2 across a model sweep:
-// one selector-guarded encoding (encode.NewSweepWithConfig) solved
-// once per model under assumption literals, so the circuit, the CNF
-// translation, the preprocessing pass, and every clause the solver
+// This file drives the two-phase inclusion check of §3.2 over one
+// encoding: a single-model encoder (CheckInclusionWith is exactly that
+// case) or a selector-guarded model sweep (encode.NewSweepWithConfig)
+// solved once per model under assumption literals, so the circuit, the
+// CNF translation, the preprocessing pass, and every clause the solver
 // learns are shared by the whole sweep instead of rebuilt per model.
 //
-// The phase structure differs from the single-model CheckInclusionWith
-// in one load-bearing way: ALL phase-1 (error) solves must complete
-// before ANY phase-2 exclusion clause is added. Phase 1 asks "is an
-// erroneous execution reachable" — an erroneous execution may well
-// produce an in-spec observation, so the exclusion clauses would
-// wrongly mask it. CheckInclusionWith gets the ordering for free by
-// interleaving; SweepCheck makes it an explicit two-stage protocol:
-// ErrorCheck per model, then one BeginInclusion, then Inclusion per
-// model.
+// The protocol's one load-bearing rule: ALL phase-1 (error) solves
+// must complete before ANY phase-2 exclusion clause is added. Phase 1
+// asks "is an erroneous execution reachable" — an erroneous execution
+// may well produce an in-spec observation, so the exclusion clauses
+// would wrongly mask it. SweepCheck makes the ordering an explicit
+// two-stage protocol: ErrorCheck per model, then one BeginInclusion,
+// then Inclusion per model.
 
 import (
 	"fmt"
@@ -24,10 +23,10 @@ import (
 	"checkfence/internal/sat"
 )
 
-// SweepCheck runs the per-model phases of an inclusion check over a
-// sweep encoder. The protocol is: NewSweepCheck, ErrorCheck for every
-// model of interest, BeginInclusion once, Inclusion for every model
-// still undecided. Learned clauses accumulate in the shared solver
+// SweepCheck runs the per-model phases of an inclusion check over an
+// encoder — one model's, or a sweep's. The protocol is: NewSweepCheck,
+// ErrorCheck for every model of interest, BeginInclusion once,
+// Inclusion for every model still undecided. Learned clauses accumulate in the shared solver
 // across all calls — everything learned refuting one model's query is
 // implied by the common formula and so stays sound for the next.
 type SweepCheck struct {
@@ -38,14 +37,11 @@ type SweepCheck struct {
 }
 
 // NewSweepCheck materializes the error literal and observation bits of
-// a sweep encoder and preprocesses its CNF (selector variables are
-// frozen by the encoder). The encoder must come from
-// encode.NewSweepWithConfig with overflow excluded, exactly like a
-// CheckInclusionWith encoder.
+// an encoder and preprocesses its CNF with them frozen (phase 2's
+// exclusion clauses reference the bits in both polarities; a sweep's
+// selector variables are frozen by the encoder). The encoder must have
+// overflow excluded.
 func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
-	if len(e.SweepModels()) == 0 {
-		return nil, fmt.Errorf("spec: NewSweepCheck on a single-model encoder")
-	}
 	svs, err := obsVals(e, entries)
 	if err != nil {
 		return nil, err
@@ -63,17 +59,19 @@ func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
 // after a Sat verdict).
 func (c *SweepCheck) Encoder() *encode.Encoder { return c.e }
 
-// ErrorCheck runs phase 1 for one swept model: is an execution
-// reaching a runtime error possible under m's axioms? A non-nil
-// counterexample (IsErr=true) leaves the solver positioned at its
-// model for trace extraction. Panics if called after BeginInclusion —
+// ErrorCheck runs phase 1 for one model: is an execution reaching a
+// runtime error possible under m's axioms? A cube restriction
+// (Strategy.Assume) applies here too: the cubes of a fan-out are
+// jointly exhaustive, so an erroneous execution exists iff some cube
+// contains one. A non-nil counterexample (IsErr=true) leaves the
+// solver positioned at its model for trace extraction. Panics if called after BeginInclusion —
 // the error literal is permanently false by then, so the answer would
 // be a silent, unsound Unsat.
 func (c *SweepCheck) ErrorCheck(m memmodel.Model, strat Strategy) (*Counterexample, error) {
 	if c.began {
 		panic("spec: SweepCheck.ErrorCheck after BeginInclusion")
 	}
-	assum := append(c.e.SelectorLits(m), c.errLit)
+	assum := append(append(c.e.SelectorLits(m), c.errLit), strat.Assume...)
 	switch st, cause := solveOne(c.e, strat, assum...); st {
 	case sat.Sat:
 		obs := decodeObs(c.e, c.e.S, c.svs)
@@ -112,7 +110,7 @@ func (c *SweepCheck) BeginInclusion(set *Set) error {
 	return nil
 }
 
-// Inclusion runs phase 2 for one swept model: is an error-free
+// Inclusion runs phase 2 for one model: is an error-free
 // execution with an out-of-spec observation possible under m's axioms?
 // A nil counterexample means model m passes the inclusion check. On
 // Sat the solver is positioned at the counterexample model.
@@ -120,7 +118,7 @@ func (c *SweepCheck) Inclusion(m memmodel.Model, strat Strategy) (*Counterexampl
 	if !c.began {
 		panic("spec: SweepCheck.Inclusion before BeginInclusion")
 	}
-	switch st, cause := solvePhase2(c.e, strat, c.e.SelectorLits(m)...); st {
+	switch st, cause := solvePhase2(c.e, strat, append(c.e.SelectorLits(m), strat.Assume...)...); st {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Sat:

@@ -87,52 +87,6 @@ func mineModel(t *testing.T, m memmodel.Model, strat Strategy) (*Set, MineStats)
 	return set, stats
 }
 
-// TestSeededMiningMonotonic: seeding a weaker model's mine with the
-// full set of any stronger model yields a set identical to the unseeded
-// enumeration, skips exactly that many iterations, and reports the
-// seed count — the monotonic warm start of a strongest-first sweep.
-func TestSeededMiningMonotonic(t *testing.T) {
-	models := []memmodel.Model{
-		memmodel.Serial, memmodel.SequentialConsistency,
-		memmodel.TSO, memmodel.PSO, memmodel.Relaxed,
-	}
-	sets := make([]*Set, len(models))
-	iters := make([]int, len(models))
-	for i, m := range models {
-		sets[i], _ = mineModel(t, m, Strategy{})
-		_, st := mineModel(t, m, Strategy{})
-		iters[i] = st.Iterations
-	}
-	// Strength monotonicity must actually hold on this shape, and must
-	// be strict somewhere so the seeding below is not vacuous.
-	for i := 1; i < len(models); i++ {
-		for _, o := range sets[i-1].All() {
-			if !sets[i].Has(o) {
-				t.Fatalf("obs(%v) not within obs(%v): %v lost", models[i-1], models[i], o)
-			}
-		}
-	}
-	if sets[0].Len() == sets[len(sets)-1].Len() {
-		t.Fatal("serial and relaxed observation sets coincide; shape too weak for the test")
-	}
-	for i := 1; i < len(models); i++ {
-		for _, cube := range []int{0, 2} {
-			seeded, st := mineModel(t, models[i], Strategy{Seed: sets[i-1], Cube: cube})
-			if !seeded.Equal(sets[i]) {
-				t.Errorf("cube=%d %v seeded by %v: set differs from unseeded:\n  want %v\n  got  %v",
-					cube, models[i], models[i-1], sets[i].All(), seeded.All())
-			}
-			if st.Seeded != sets[i-1].Len() {
-				t.Errorf("cube=%d %v: Seeded = %d, want %d", cube, models[i], st.Seeded, sets[i-1].Len())
-			}
-			if want := iters[i] - sets[i-1].Len(); st.Iterations != want {
-				t.Errorf("cube=%d %v: iterations = %d, want %d (unseeded %d - seed %d)",
-					cube, models[i], st.Iterations, want, iters[i], sets[i-1].Len())
-			}
-		}
-	}
-}
-
 // TestSweepCheckMatchesIndependent: the shared-formula SweepCheck must
 // reproduce the single-model CheckInclusionWith verdicts and
 // counterexample observations exactly, across serial, portfolio, and
@@ -185,10 +139,15 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 	}
 }
 
-// TestSweepCheckProtocol: misuse of the two-stage protocol is caught.
+// TestSweepCheckProtocol: a single-model encoder runs the protocol
+// unassumed, and misuse of the two-stage protocol is caught.
 func TestSweepCheckProtocol(t *testing.T) {
-	if _, err := NewSweepCheck(encodeMP(t, memmodel.Relaxed), mpEntries()); err == nil {
-		t.Error("NewSweepCheck accepted a single-model encoder")
+	single := encodeMP(t, memmodel.Relaxed)
+	if lits := single.SelectorLits(memmodel.Relaxed); lits != nil {
+		t.Errorf("single-model encoder has selector literals %v", lits)
+	}
+	if _, err := NewSweepCheck(single, mpEntries()); err != nil {
+		t.Errorf("NewSweepCheck rejected a single-model encoder: %v", err)
 	}
 	sweep := []memmodel.Model{memmodel.SequentialConsistency, memmodel.Relaxed}
 	sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
