@@ -30,6 +30,8 @@
 package bitvec
 
 import (
+	"slices"
+
 	"checkfence/internal/sat"
 )
 
@@ -73,6 +75,9 @@ const (
 func flipPol(p uint8) uint8 { return (p&polPos)<<1 | (p&polNeg)>>1 }
 
 // Builder constructs circuits and lowers them to CNF in a sat.Solver.
+// Construction and lowering use builder-owned scratch buffers, so a
+// Builder is not safe for concurrent use and its methods are not
+// reentrant; EvalIn only reads the circuit and may run concurrently.
 type Builder struct {
 	gates   []gate
 	hash    map[[2]Node]Node
@@ -83,6 +88,12 @@ type Builder struct {
 	rewriteLevel  int  // 0 = hash/consts only, 1 = one-level, 2 = two-level rules
 	polarityAware bool // false = always emit full two-polarity Tseitin
 	rewrites      int64
+
+	// Scratch buffers: materialize's work stack and emit list, and
+	// AssertOr's clause (AddClause copies it).
+	stack []polItem
+	emit  []polItem
+	orTmp []sat.Lit
 }
 
 // NewBuilder returns a Builder that materializes CNF into the given
@@ -95,11 +106,24 @@ func NewBuilder(s *sat.Solver) *Builder {
 		rewriteLevel:  2,
 		polarityAware: true,
 	}
-	// Gate 0 is the constant true.
-	b.gates = append(b.gates, gate{})
+	b.addGate(gate{}) // gate 0 is the constant true
+	return b
+}
+
+// addGate appends a gate with unmaterialized per-gate state and returns
+// its index. The three per-gate slices double together instead of
+// letting append grow large slices by 1.25x.
+func (b *Builder) addGate(g gate) int32 {
+	idx := len(b.gates)
+	if idx == cap(b.gates) {
+		b.gates = slices.Grow(b.gates, idx)
+		b.satVars = slices.Grow(b.satVars, idx)
+		b.pols = slices.Grow(b.pols, idx)
+	}
+	b.gates = append(b.gates, g)
 	b.satVars = append(b.satVars, -1)
 	b.pols = append(b.pols, polNone)
-	return b
+	return int32(idx)
 }
 
 // SetRewriteLevel selects the AIG structural rewriting level applied
@@ -133,11 +157,7 @@ func (b *Builder) Rewrites() int64 { return b.rewrites }
 
 // Var introduces a fresh free boolean variable node.
 func (b *Builder) Var() Node {
-	idx := int32(len(b.gates))
-	b.gates = append(b.gates, gate{isVar: true})
-	b.satVars = append(b.satVars, -1)
-	b.pols = append(b.pols, polNone)
-	return Node(idx << 1)
+	return Node(b.addGate(gate{isVar: true}) << 1)
 }
 
 // Const returns the node for a boolean constant.
@@ -184,11 +204,7 @@ func (b *Builder) and(x, y Node, depth int) Node {
 			return n
 		}
 	}
-	idx := int32(len(b.gates))
-	b.gates = append(b.gates, gate{a: x, b: y})
-	b.satVars = append(b.satVars, -1)
-	b.pols = append(b.pols, polNone)
-	n := Node(idx << 1)
+	n := Node(b.addGate(gate{a: x, b: y}) << 1)
 	b.hash[key] = n
 	return n
 }
@@ -427,8 +443,8 @@ func (b *Builder) materialize(root int32, need uint8) int {
 	if v := b.satVars[root]; v >= 0 && b.pols[root]&need == need {
 		return v
 	}
-	stack := []polItem{{root, need}}
-	var emit []polItem
+	stack := append(b.stack[:0], polItem{root, need})
+	emit := b.emit[:0]
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -455,6 +471,7 @@ func (b *Builder) materialize(root int32, need uint8) int {
 			}
 		}
 	}
+	b.stack, b.emit = stack, emit
 	// Every cone variable now exists; emit the newly requested
 	// implication directions.
 	for _, it := range emit {
@@ -506,7 +523,7 @@ func (b *Builder) Assert(n Node) {
 // Every node occurs positively in the clause, so each cone is encoded
 // for that single polarity.
 func (b *Builder) AssertOr(ns ...Node) {
-	lits := make([]sat.Lit, 0, len(ns))
+	lits := b.orTmp[:0]
 	for _, n := range ns {
 		if n == True {
 			return // clause trivially satisfied
@@ -516,6 +533,7 @@ func (b *Builder) AssertOr(ns ...Node) {
 		}
 		lits = append(lits, b.litPol(n, polPos))
 	}
+	b.orTmp = lits
 	b.solver.AddClause(lits...)
 }
 

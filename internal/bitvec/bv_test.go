@@ -273,6 +273,34 @@ func TestAssertOr(t *testing.T) {
 	}
 }
 
+// TestAssertOrReusesScratch: AssertOr builds every clause in one
+// builder-owned buffer. Later, shorter clauses written into it must not
+// corrupt the clauses already handed to the solver.
+func TestAssertOrReusesScratch(t *testing.T) {
+	s := sat.New()
+	b := NewBuilder(s)
+	vars := make([]Node, 6)
+	for i := range vars {
+		vars[i] = b.Var()
+	}
+	b.AssertOr(vars...)
+	// Each unit clause overwrites the front of the buffer; only the
+	// last variable is left to satisfy the first clause.
+	for _, v := range vars[:len(vars)-1] {
+		b.AssertOr(v.Not())
+	}
+	if s.Solve() != sat.Sat {
+		t.Fatal("UNSAT")
+	}
+	if !b.Eval(vars[len(vars)-1]) {
+		t.Fatal("the six-literal clause was corrupted: its last literal is not forced")
+	}
+	b.AssertOr(vars[len(vars)-1].Not())
+	if s.Solve() != sat.Unsat {
+		t.Fatal("negating the last literal must make the formula unsat")
+	}
+}
+
 func TestEvalUnmaterialized(t *testing.T) {
 	s := sat.New()
 	b := NewBuilder(s)

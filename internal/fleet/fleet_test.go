@@ -428,6 +428,10 @@ func TestCrashRecoveryJournal(t *testing.T) {
 	if m := c2.Metrics(); m.JournalReplayed != 1 {
 		t.Fatalf("JournalReplayed = %d, want 1", m.JournalReplayed)
 	}
+	// The worker bumps Completed only after its result report returns,
+	// which can be after CheckDistributed has already aggregated it.
+	eventually(t, 2*time.Second, func() bool { return w2.Stats().Completed >= 1 },
+		"second-life worker never completed a cube")
 	if comp := w2.Stats().Completed; comp != 1 {
 		t.Fatalf("second life re-ran %d cubes, want 1 (the missing one)", comp)
 	}

@@ -47,14 +47,14 @@ func (s *Solver) CloneFormula() *Solver {
 		restartPolicy: s.restartPolicy,
 		lbdFast:       s.lbdFast,
 		lbdSlow:       s.lbdSlow,
-		inpro:         s.inpro, // value copy; vivification cadence restarts with the clone's counters
+		inpro:         s.inpro,     // value copy; vivification cadence restarts with the clone's counters
 		elimStack:     s.elimStack, // read-only after Preprocess
 		preStats:      s.preStats,
 	}
 	c.inpro.lastVivify = 0
 	c.assigns = append([]lbool(nil), s.assigns...)
 	c.phase = append([]bool(nil), s.phase...)
-	c.levels = append([]int(nil), s.levels...)
+	c.levels = append([]int32(nil), s.levels...)
 	c.frozen = append([]bool(nil), s.frozen...)
 	c.eliminated = append([]bool(nil), s.eliminated...)
 	c.extVals = append([]lbool(nil), s.extVals...)
@@ -65,11 +65,11 @@ func (s *Solver) CloneFormula() *Solver {
 	c.watches = make([][]watcher, 2*n)
 	c.stats = Stats{Vars: s.stats.Vars}
 	c.order.activity = append([]float64(nil), s.order.activity...)
-	c.order.indices = make([]int, n)
-	c.order.heap = make([]int, n)
-	for v := 0; v < n; v++ {
-		c.order.heap[v] = v
-		c.order.indices[v] = v
+	c.order.indices = make([]int32, n)
+	c.order.heap = make([]int32, n)
+	for v := range c.order.heap {
+		c.order.heap[v] = int32(v)
+		c.order.indices[v] = int32(v)
 	}
 	c.order.rebuild()
 	if !c.ok {
@@ -82,6 +82,8 @@ func (s *Solver) CloneFormula() *Solver {
 	// attached clause can be unit or empty under the root assignment,
 	// so copied clauses keep >= 2 literals; the defensive branches
 	// below preserve soundness even if that invariant were broken.
+	// Literals, clause structs and watch lists each come from one
+	// allocation sized up front.
 	total := 0
 	for _, cl := range s.clauses {
 		total += len(cl.lits)
@@ -90,6 +92,8 @@ func (s *Solver) CloneFormula() *Solver {
 		total += len(cl.lits)
 	}
 	arena := make([]Lit, 0, total)
+	structs := make([]clause, 0, len(s.clauses)+len(s.learnts))
+	c.clauses = make([]*clause, 0, len(s.clauses))
 	copyClause := func(cl *clause, learnt bool) {
 		if cl.deleted {
 			return
@@ -116,15 +120,15 @@ func (s *Solver) CloneFormula() *Solver {
 				c.uncheckedEnqueue(lits[0], nil)
 			}
 		default:
-			nc := &clause{lits: lits, learnt: learnt,
-				activity: cl.activity, lbd: cl.lbd, tier: cl.tier}
+			structs = append(structs, clause{lits: lits, learnt: learnt,
+				activity: cl.activity, lbd: cl.lbd, tier: cl.tier})
+			nc := &structs[len(structs)-1]
 			if learnt {
 				c.learnts = append(c.learnts, nc)
 			} else {
 				c.clauses = append(c.clauses, nc)
 				c.stats.Clauses++
 			}
-			c.attach(nc)
 		}
 	}
 	for _, cl := range s.clauses {
@@ -133,6 +137,7 @@ func (s *Solver) CloneFormula() *Solver {
 	for _, cl := range s.learnts {
 		copyClause(cl, true)
 	}
+	c.attachAll(c.clauses, c.learnts)
 	c.recountLearntLits()
 	return c
 }

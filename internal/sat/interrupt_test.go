@@ -107,7 +107,7 @@ func TestComputeLBDStamps(t *testing.T) {
 		lits = append(lits, Pos(s.NewVar()))
 	}
 	// Levels: 0,1,1,2,3,3 -> 4 distinct.
-	for i, lv := range []int{0, 1, 1, 2, 3, 3} {
+	for i, lv := range []int32{0, 1, 1, 2, 3, 3} {
 		s.levels[i] = lv
 	}
 	if got := s.computeLBD(lits); got != 4 {

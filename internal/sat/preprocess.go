@@ -23,7 +23,8 @@ package sat
 //     stack in reverse), so Value works uniformly.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -98,7 +99,7 @@ type prep struct {
 	s        *Solver
 	cls      [][]Lit
 	sig      []uint64
-	occ      [][]int
+	occ      [][]int32
 	units    []Lit
 	conflict bool
 
@@ -113,15 +114,25 @@ type prep struct {
 	// leaving a stale entry in occ[l]; liveOcc only pays for the
 	// per-entry membership re-check on such lists.
 	stale []bool
+
+	// res and resEnd hold the resolvents of the elimination candidate
+	// under test, flat (resolvent k ends at resEnd[k]); they are copied
+	// out only when the elimination commits. arena is the chunked store
+	// for committed resolvents and the clauses saved on elimStack, and
+	// savedArena for the elimStack entries' clause lists.
+	res        []Lit
+	resEnd     []int
+	arena      []Lit
+	savedArena [][]Lit
 }
 
 func newPrep(s *Solver) *prep {
 	p := &prep{
 		s:         s,
-		cls:       make([][]Lit, 0, len(s.clauses)),
-		sig:       make([]uint64, 0, len(s.clauses)),
+		cls:       make([][]Lit, 0, 2*len(s.clauses)),
+		sig:       make([]uint64, 0, 2*len(s.clauses)),
 		dirty:     make([]int, 0, len(s.clauses)),
-		occ:       make([][]int, 2*len(s.assigns)),
+		occ:       make([][]int32, 2*len(s.assigns)),
 		touchMark: make([]bool, len(s.assigns)),
 		stale:     make([]bool, 2*len(s.assigns)),
 	}
@@ -148,11 +159,14 @@ func newPrep(s *Solver) *prep {
 			}
 		}
 	}
-	occArena := make([]int, total)
+	// Each list gets a little headroom, so the first resolvents
+	// appended to it do not reallocate it.
+	occArena := make([]int32, total+occHeadroom*len(counts))
 	off := 0
 	for l, n := range counts {
-		p.occ[l] = occArena[off : off : off+n]
-		off += n
+		end := off + n + occHeadroom
+		p.occ[l] = occArena[off:off:end]
+		off = end
 	}
 	arena := make([]Lit, 0, total)
 	for _, c := range s.clauses {
@@ -175,6 +189,22 @@ func newPrep(s *Solver) *prep {
 		p.addClause(arena[start:len(arena):len(arena)])
 	}
 	return p
+}
+
+// occHeadroom is the spare capacity of every occurrence list.
+const occHeadroom = 2
+
+// Chunk bounds of the prep arenas (see carve).
+const (
+	minPrepChunk = 256
+	maxPrepChunk = 1 << 15
+)
+
+// alloc returns n literals from the prep arena. They outlive the prep:
+// committed resolvents become problem clauses and saved clauses stay on
+// elimStack.
+func (p *prep) alloc(n int) []Lit {
+	return carve(&p.arena, n, minPrepChunk, maxPrepChunk)
 }
 
 func sortLits(lits []Lit) {
@@ -213,10 +243,13 @@ func (p *prep) addClause(lits []Lit) {
 	}
 	sortLits(lits)
 	i := len(p.cls)
+	if i == cap(p.cls) {
+		p.cls, p.sig = growCap(p.cls, 2*i), growCap(p.sig, 2*i)
+	}
 	p.cls = append(p.cls, lits)
 	p.sig = append(p.sig, signature(lits))
 	for _, l := range lits {
-		p.occ[l] = append(p.occ[l], i)
+		p.occ[l] = append(p.occ[l], int32(i))
 	}
 	p.dirty = append(p.dirty, i)
 }
@@ -258,7 +291,7 @@ func containsLit(lits []Lit, l Lit) bool {
 // liveOcc filters occ[l] down to clauses that are alive and still
 // contain l, compacting the list in place. The membership re-check is
 // only needed after a strengthen left stale entries for l.
-func (p *prep) liveOcc(l Lit) []int {
+func (p *prep) liveOcc(l Lit) []int32 {
 	occ := p.occ[l]
 	out := occ[:0]
 	if p.stale[l] {
@@ -297,10 +330,10 @@ func (p *prep) applyUnits() bool {
 		}
 		s.uncheckedEnqueue(u, nil)
 		for _, i := range p.liveOcc(u) {
-			p.kill(i)
+			p.kill(int(i))
 		}
 		for _, i := range p.liveOcc(u.Not()) {
-			p.strengthen(i, u.Not())
+			p.strengthen(int(i), u.Not())
 			if p.conflict {
 				return false
 			}
@@ -392,7 +425,8 @@ func (p *prep) subsumePass() bool {
 			if pass == 1 {
 				lit = best.Not()
 			}
-			for _, j := range p.liveOcc(lit) {
+			for _, j32 := range p.liveOcc(lit) {
+				j := int(j32)
 				d := p.cls[j]
 				if j == i || d == nil || len(d) < len(c) || p.sig[i]&^p.sig[j] != 0 {
 					continue
@@ -422,11 +456,12 @@ func (p *prep) subsumePass() bool {
 	return true
 }
 
-// resolve returns the resolvent of a and b on variable v, reporting
-// whether it is a tautology. Both inputs are sorted and the result is
-// sorted.
-func resolve(a, b []Lit, v int) ([]Lit, bool) {
-	out := make([]Lit, 0, len(a)+len(b)-2)
+// resolve appends the resolvent of a and b on variable v to out,
+// reporting whether it is a tautology (out then comes back at its
+// original length). Both inputs are sorted and the appended resolvent
+// is sorted.
+func resolve(out, a, b []Lit, v int) ([]Lit, bool) {
+	start := len(out)
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		var l Lit
@@ -450,10 +485,10 @@ func resolve(a, b []Lit, v int) ([]Lit, bool) {
 		if l.Var() == v {
 			continue
 		}
-		if n := len(out); n > 0 && out[n-1] == l.Not() {
-			return nil, true
+		if n := len(out); n > start && out[n-1] == l.Not() {
+			return out[:start], true
 		}
-		if n := len(out); n > 0 && out[n-1] == l {
+		if n := len(out); n > start && out[n-1] == l {
 			continue
 		}
 		out = append(out, l)
@@ -483,11 +518,8 @@ func (p *prep) bvePass(vars []int) bool {
 	}
 	// Cheapest-first with the variable index as tie-breaker keeps the
 	// pass deterministic.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n < cands[j].n
-		}
-		return cands[i].v < cands[j].v
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.n, b.n), cmp.Compare(a.v, b.v))
 	})
 
 	changed := false
@@ -502,19 +534,21 @@ func (p *prep) bvePass(vars []int) bool {
 			continue
 		}
 		limit := len(pos) + len(neg)
-		resolvents := make([][]Lit, 0, limit)
+		p.res, p.resEnd = p.res[:0], p.resEnd[:0]
 		ok := true
 		for _, i := range pos {
 			for _, j := range neg {
-				r, taut := resolve(p.cls[i], p.cls[j], v)
+				start := len(p.res)
+				var taut bool
+				p.res, taut = resolve(p.res, p.cls[i], p.cls[j], v)
 				if taut {
 					continue
 				}
-				if len(r) > bveLenLimit || len(resolvents) == limit {
+				if len(p.res)-start > bveLenLimit || len(p.resEnd) == limit {
 					ok = false
 					break
 				}
-				resolvents = append(resolvents, r)
+				p.resEnd = append(p.resEnd, len(p.res))
 			}
 			if !ok {
 				break
@@ -524,20 +558,27 @@ func (p *prep) bvePass(vars []int) bool {
 			continue
 		}
 
-		entry := elimEntry{v: v}
-		for _, list := range [2][]int{pos, neg} {
+		entry := elimEntry{v: v, clauses: carve(&p.savedArena, limit, minPrepChunk, maxPrepChunk)[:0]}
+		for _, list := range [2][]int32{pos, neg} {
 			for _, i := range list {
-				saved := make([]Lit, len(p.cls[i]))
+				saved := p.alloc(len(p.cls[i]))
 				copy(saved, p.cls[i])
 				entry.clauses = append(entry.clauses, saved)
-				p.kill(i)
+				p.kill(int(i))
 			}
+		}
+		if len(s.elimStack) == cap(s.elimStack) {
+			s.elimStack = growCap(s.elimStack, max(2*len(s.elimStack), minPrepChunk))
 		}
 		s.elimStack = append(s.elimStack, entry)
 		s.eliminated[v] = true
 		s.preStats.varsEliminated++
-		for _, r := range resolvents {
+		start := 0
+		for _, end := range p.resEnd {
+			r := p.alloc(end - start)
+			copy(r, p.res[start:end])
 			p.addClause(r)
+			start = end
 		}
 		if len(p.units) > 0 && !p.applyUnits() {
 			return changed
@@ -548,22 +589,30 @@ func (p *prep) bvePass(vars []int) bool {
 }
 
 // rebuild replaces the solver's clause database and watcher lists
-// with the surviving working set.
+// with the surviving working set. Clause structs come from one
+// allocation and watch lists from another (attachAll); the solver's
+// problem-clause arenas are dropped, since no clause references them
+// any more.
 func (p *prep) rebuild() {
 	s := p.s
-	for i := range s.watches {
-		s.watches[i] = nil
+	n := 0
+	for _, lits := range p.cls {
+		if lits != nil {
+			n++
+		}
 	}
-	clauses := make([]*clause, 0, len(p.cls))
+	structs := make([]clause, 0, n)
+	clauses := make([]*clause, 0, n)
 	for _, lits := range p.cls {
 		if lits == nil {
 			continue
 		}
-		c := &clause{lits: lits}
-		clauses = append(clauses, c)
-		s.attach(c)
+		structs = append(structs, clause{lits: lits})
+		clauses = append(clauses, &structs[len(structs)-1])
 	}
+	s.attachAll(clauses)
 	s.clauses = clauses
+	s.clauseArena, s.litArena = nil, nil
 	s.stats.Clauses = len(clauses)
 	// Units derived during preprocessing were applied to the working
 	// set structurally, so their propagation over the new database is

@@ -4,18 +4,25 @@
 // CheckFence's PLDI'07 prototype delegated to zChaff; this package is
 // the from-scratch replacement. It provides the two capabilities the
 // paper's method needs: solving CNF formulas with models, and
-// incremental solving (clauses may be added between Solve calls, which
-// the specification-mining loop uses for blocking clauses, and solving
-// under assumptions, which the lazy loop-bound probes use).
+// incremental solving. Clauses may be added between Solve calls, which
+// the specification-mining loop uses for blocking clauses and the lazy
+// loop-bound probes for their overflow clause. Solving under
+// assumptions is what cube-and-conquer and the model sweep's per-model
+// selectors use.
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
-// with phase saving, Luby restarts, and LBD-based learned-clause
-// database reduction.
+// with phase saving, Glucose-style LBD-driven restarts (Luby restarts
+// remain as an ablation), and LBD-based learned-clause database
+// reduction. SatELite-style preprocessing (preprocess.go) simplifies
+// the formula once before search; inprocessing (inprocess.go) adds
+// vivification, on-the-fly subsumption, a tiered learnt database and
+// chronological backtracking during search.
 package sat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -102,9 +109,9 @@ func (s Status) String() string {
 
 type clause struct {
 	lits     []Lit
-	learnt   bool
 	activity float64
 	lbd      int
+	learnt   bool
 
 	// shared marks a clause imported from another portfolio member;
 	// sharedUsed latches once it participates in a conflict, so
@@ -127,19 +134,19 @@ type watcher struct {
 }
 
 type varOrder struct {
-	heap     []int // variable indices
-	indices  []int // position in heap, -1 if absent
+	heap     []int32 // variable indices
+	indices  []int32 // position in heap, -1 if absent
 	activity []float64
 }
 
-func (o *varOrder) less(a, b int) bool { return o.activity[a] > o.activity[b] }
+func (o *varOrder) less(a, b int32) bool { return o.activity[a] > o.activity[b] }
 
 func (o *varOrder) push(v int) {
 	if o.indices[v] >= 0 {
 		return
 	}
-	o.heap = append(o.heap, v)
-	o.indices[v] = len(o.heap) - 1
+	o.heap = append(o.heap, int32(v))
+	o.indices[v] = int32(len(o.heap) - 1)
 	o.up(len(o.heap) - 1)
 }
 
@@ -151,11 +158,11 @@ func (o *varOrder) up(i int) {
 			break
 		}
 		o.heap[i] = o.heap[p]
-		o.indices[o.heap[i]] = i
+		o.indices[o.heap[i]] = int32(i)
 		i = p
 	}
 	o.heap[i] = v
-	o.indices[v] = i
+	o.indices[v] = int32(i)
 }
 
 func (o *varOrder) down(i int) {
@@ -173,11 +180,11 @@ func (o *varOrder) down(i int) {
 			break
 		}
 		o.heap[i] = o.heap[c]
-		o.indices[o.heap[i]] = i
+		o.indices[o.heap[i]] = int32(i)
 		i = c
 	}
 	o.heap[i] = v
-	o.indices[v] = i
+	o.indices[v] = int32(i)
 }
 
 func (o *varOrder) pop() int {
@@ -190,7 +197,7 @@ func (o *varOrder) pop() int {
 		o.indices[last] = 0
 		o.down(0)
 	}
-	return v
+	return int(v)
 }
 
 func (o *varOrder) empty() bool { return len(o.heap) == 0 }
@@ -253,7 +260,7 @@ type Solver struct {
 
 	assigns  []lbool
 	phase    []bool // saved phases
-	levels   []int
+	levels   []int32
 	reasons  []*clause
 	trail    []Lit
 	trailLim []int
@@ -300,6 +307,13 @@ type Solver struct {
 	vivTmp    []Lit
 	vivOut    []Lit
 	reduceTmp []*clause
+
+	// Problem-clause storage (see allocClause): AddClause normalizes
+	// into addTmp, then takes each clause struct and its literals from
+	// the current chunks of clauseArena and litArena.
+	addTmp      []Lit
+	clauseArena []clause
+	litArena    []Lit
 
 	// interrupted is the asynchronous stop flag set by Interrupt();
 	// stop is an optional external stop predicate (e.g. a context
@@ -425,6 +439,9 @@ func (s *Solver) NewVar() int {
 		panic(faultinject.Injected{Site: faultinject.SolverAlloc})
 	}
 	v := len(s.assigns)
+	if v == cap(s.assigns) {
+		s.reserveVars(max(2*v, 64))
+	}
 	s.assigns = append(s.assigns, lUndef)
 	s.phase = append(s.phase, false)
 	s.levels = append(s.levels, 0)
@@ -439,6 +456,35 @@ func (s *Solver) NewVar() int {
 	s.extVals = append(s.extVals, lUndef)
 	s.stats.Vars++
 	return v
+}
+
+// reserveVars grows every per-variable slice to capacity n at once.
+// NewVar doubles the capacity this way, so a formula of n variables
+// allocates about 2n slots per slice in total, where append's 1.25x
+// growth of large slices would allocate about 5n along the way.
+func (s *Solver) reserveVars(n int) {
+	s.assigns = growCap(s.assigns, n)
+	s.phase = growCap(s.phase, n)
+	s.levels = growCap(s.levels, n)
+	s.reasons = growCap(s.reasons, n)
+	s.watches = growCap(s.watches, 2*n)
+	s.order.activity = growCap(s.order.activity, n)
+	s.order.indices = growCap(s.order.indices, n)
+	s.order.heap = growCap(s.order.heap, n)
+	s.seen = growCap(s.seen, n)
+	s.frozen = growCap(s.frozen, n)
+	s.eliminated = growCap(s.eliminated, n)
+	s.extVals = growCap(s.extVals, n)
+}
+
+// growCap returns xs with capacity at least n.
+func growCap[T any](xs []T, n int) []T {
+	if cap(xs) >= n {
+		return xs
+	}
+	out := make([]T, len(xs), n)
+	copy(out, xs)
+	return out
 }
 
 // Freeze exempts a variable from elimination during Preprocess.
@@ -533,17 +579,19 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // AddClause adds a clause. It may be called before or between Solve
 // calls (the solver backtracks to the root level first). Returns false
-// if the formula is now trivially unsatisfiable.
+// if the formula is now trivially unsatisfiable. AddClause copies lits,
+// so the caller may reuse the slice as soon as it returns.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
 	s.cancelUntil(0)
 
-	// Normalize: sort, drop duplicate/false literals, detect tautology.
-	ls := make([]Lit, len(lits))
-	copy(ls, lits)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Normalize in the scratch buffer: sort, drop duplicate/false
+	// literals, detect tautology.
+	ls := append(s.addTmp[:0], lits...)
+	s.addTmp = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -594,11 +642,49 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.allocClause(out)
+	if len(s.clauses) == cap(s.clauses) {
+		// Double rather than let append grow a large slice by 1.25x.
+		s.clauses = growCap(s.clauses, max(2*len(s.clauses), minClauseChunk))
+	}
 	s.clauses = append(s.clauses, c)
 	s.stats.Clauses++
 	s.attach(c)
 	return true
+}
+
+// Chunk bounds of the problem-clause arenas (see carve).
+const (
+	minClauseChunk = 32
+	maxClauseChunk = 4096
+	minLitChunk    = 128
+	maxLitChunk    = 1 << 15
+)
+
+// allocClause returns a problem clause holding a copy of lits, taking
+// the struct and the literals from the solver's chunk arenas instead of
+// allocating each. A chunk stays alive while any clause in it does;
+// Preprocess, which replaces the whole problem database, drops them.
+func (s *Solver) allocClause(lits []Lit) *clause {
+	c := &carve(&s.clauseArena, 1, minClauseChunk, maxClauseChunk)[0]
+	c.lits = carve(&s.litArena, len(lits), minLitChunk, maxLitChunk)
+	copy(c.lits, lits)
+	return c
+}
+
+// carve returns n zeroed elements from the chunk *arena, capped at
+// length n so appends to them never spill into a neighbour. When the
+// chunk is full a new one replaces it, twice the size of the last
+// within [lo, hi] and at least n, so small solvers stay small and large
+// ones take few chunks.
+func carve[T any](arena *[]T, n, lo, hi int) []T {
+	a := *arena
+	if len(a)+n > cap(a) {
+		a = make([]T, 0, max(min(max(2*cap(a), lo), hi), n))
+	}
+	start := len(a)
+	*arena = a[:start+n]
+	return a[start : start+n : start+n]
 }
 
 func (s *Solver) attach(c *clause) {
@@ -607,10 +693,39 @@ func (s *Solver) attach(c *clause) {
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
 }
 
+// attachAll builds every watch list from scratch over the given clause
+// lists, in order. The watchers, and their order, are exactly those of
+// attaching each clause in turn to empty lists, but a counting pass
+// first carves all lists from one backing array, so no list grows
+// one append at a time.
+func (s *Solver) attachAll(lists ...[]*clause) {
+	counts := make([]int32, len(s.watches))
+	total := 0
+	for _, cs := range lists {
+		for _, c := range cs {
+			counts[c.lits[0].Not()]++
+			counts[c.lits[1].Not()]++
+			total += 2
+		}
+	}
+	backing := make([]watcher, total)
+	off := 0
+	for l, n := range counts {
+		end := off + int(n)
+		s.watches[l] = backing[off:off:end]
+		off = end
+	}
+	for _, cs := range lists {
+		for _, c := range cs {
+			s.attach(c)
+		}
+	}
+}
+
 func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
 	v := l.Var()
 	s.assigns[v] = boolToLbool(!l.Sign())
-	s.levels[v] = s.decisionLevel()
+	s.levels[v] = int32(s.decisionLevel())
 	s.reasons[v] = reason
 	s.trail = append(s.trail, l)
 }
@@ -695,8 +810,8 @@ func (s *Solver) bumpVar(v int) {
 		}
 		s.varInc *= 1e-100
 	}
-	if s.order.indices[v] >= 0 {
-		s.order.up(s.order.indices[v])
+	if i := s.order.indices[v]; i >= 0 {
+		s.order.up(int(i))
 	}
 }
 
@@ -751,7 +866,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			if !s.seen[v] && s.levels[v] > 0 {
 				s.seen[v] = true
 				s.bumpVar(v)
-				if s.levels[v] >= s.decisionLevel() {
+				if int(s.levels[v]) >= s.decisionLevel() {
 					counter++
 				} else {
 					learnt = append(learnt, q)
@@ -813,7 +928,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			}
 		}
 		out[1], out[maxI] = out[maxI], out[1]
-		btLevel = s.levels[out[1].Var()]
+		btLevel = int(s.levels[out[1].Var()])
 	}
 	return out, btLevel
 }

@@ -106,7 +106,7 @@ func TestForcedImportCadence(t *testing.T) {
 			planted = true
 			// An already-true tautology-free clause over real variables:
 			// imported, attached, and harmless to the verdict.
-			add([]Lit{Pos(0), Neg(0+1), Pos(2)}, 2)
+			add([]Lit{Pos(0), Neg(0 + 1), Pos(2)}, 2)
 		}
 	})
 	if st := s.Solve(); st != Unsat {
