@@ -106,12 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		implName  = fs.String("impl", "", "implementation to check (see -list)")
 		testName  = fs.String("test", "", "symbolic test name or Fig. 8 notation")
 		specSrc   = fs.String("spec", "sat", "specification source: sat (mine from implementation) or refset")
-		backend   = fs.String("backend", "auto", "verdict engine: auto (cost-based routing), rf (polynomial reads-from), sat, portfolio, cube")
+		backend   = fs.String("backend", "auto", "verdict engine: auto (cost-based routing), rf (polynomial reads-from), sat")
 		noRanges  = fs.Bool("no-range-analysis", false, "disable the range analysis of paper §3.4")
 		jobs      = fs.Int("j", 1, "number of checks run concurrently (0 = GOMAXPROCS)")
-		portfolio = fs.Int("portfolio", 0, "race this many diversified SAT configurations per solve (shared formula)")
-		shareCls  = fs.Bool("share-clauses", false, "let portfolio members exchange low-LBD learned clauses")
-		cube      = fs.Int("cube", 0, "cube-and-conquer the inclusion check and partition mining on this many workers")
 		maxMine   = fs.Int("max-mine-iterations", 0, "cap mining enumeration iterations (0 = default)")
 		cacheDir  = fs.String("spec-cache-dir", "", "persist mined observation sets in this directory")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget per check; an exhausted check reports UNKNOWN, exit 3 (0 = none)")
@@ -167,9 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Model:                models[0],
 			Backend:              be,
 			DisableRangeAnalysis: *noRanges,
-			Portfolio:            *portfolio,
-			ShareClauses:         *shareCls,
-			Cube:                 *cube,
 			MaxMineIterations:    *maxMine,
 			SimplifyLevel:        *simplify,
 			NoPreprocess:         *noPreproc,
@@ -193,9 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Model:                model,
 			Backend:              be,
 			DisableRangeAnalysis: *noRanges,
-			Portfolio:            *portfolio,
-			ShareClauses:         *shareCls,
-			Cube:                 *cube,
 			MaxMineIterations:    *maxMine,
 			SimplifyLevel:        *simplify,
 			NoPreprocess:         *noPreproc,
@@ -267,9 +258,6 @@ func report(w io.Writer, res *core.Result, showSpec, stats bool) int {
 				fmt.Fprintf(w, "sweep sharing: %d build/unroll cache hits\n", s.FrontCacheHits)
 			}
 		}
-		if s.AutoSerial {
-			fmt.Fprintln(w, "auto guard: formula below parallelism thresholds, solved serially")
-		}
 		if s.RFSteps+s.RFExecs > 0 {
 			fmt.Fprintf(w, "rf engine: %d steps, %d consistent of %d executions, %d case splits\n",
 				s.RFSteps, s.RFConsistent, s.RFExecs, s.RFSplits)
@@ -293,13 +281,6 @@ func report(w io.Writer, res *core.Result, showSpec, stats bool) int {
 		}
 		if s.SpecCacheCorrupt > 0 {
 			fmt.Fprintf(w, "spec cache: %d corrupt entries quarantined\n", s.SpecCacheCorrupt)
-		}
-		if s.Cubes > 0 {
-			fmt.Fprintf(w, "cubes: %d issued, %d refuted\n", s.Cubes, s.CubesRefuted)
-		}
-		if s.SharedExported+s.SharedImported > 0 {
-			fmt.Fprintf(w, "clause sharing: %d exported, %d imported, %d useful\n",
-				s.SharedExported, s.SharedImported, s.SharedUseful)
 		}
 		if s.VivifiedLits+s.SubsumedLearnts+s.ChronoBacktracks > 0 {
 			fmt.Fprintf(w, "inprocessing: %d lits vivified from %d clauses, %d learnts subsumed, %d chrono backtracks\n",

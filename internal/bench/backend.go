@@ -3,8 +3,8 @@ package bench
 // This file measures the multi-backend router: litmus-scale rows (the
 // programs the cost model routes to the polynomial reads-from engine)
 // compare the rf solve against the serial SAT solve, and study-set rows
-// compare the auto backend's end-to-end time against each forced
-// backend, recording the router's decision per row. Every comparison
+// compare the auto backend's time against the forced SAT backend,
+// recording the router's decision per row. Every comparison
 // first asserts verdict and observation-set agreement — a backend that
 // wins by answering differently is a soundness bug, not a speedup. The
 // result is the BENCH_backend.json artifact.
@@ -57,7 +57,7 @@ var litmusBackendTests = []struct{ name, notation string }{
 }
 
 // backendHarnessPairs are the study-set rows of the auto-vs-forced
-// comparison; -quick keeps the cheap third.
+// comparison; -quick keeps the cheap half.
 var backendHarnessPairs = []struct{ impl, test string }{
 	{"msn", "T0"},
 	{"ms2", "T0"},
@@ -88,7 +88,7 @@ type BackendLitmusRow struct {
 }
 
 // BackendHarnessRow is one study-set measurement: the auto backend
-// against each forced backend, end to end.
+// against the forced SAT backend.
 type BackendHarnessRow struct {
 	Impl           string  `json:"impl"`
 	Test           string  `json:"test"`
@@ -97,13 +97,10 @@ type BackendHarnessRow struct {
 	RouterDecision string  `json:"router_decision"`
 	AutoSec        float64 `json:"auto_sec"`
 	SATSec         float64 `json:"sat_sec"`
-	PortfolioSec   float64 `json:"portfolio_sec"`
-	CubeSec        float64 `json:"cube_sec"`
-	BestBackend    string  `json:"best_backend"`
-	// AutoVsBest is auto_sec over the best forced backend's time: 1.0
-	// means auto matched the best single choice exactly, above 1.0 is
-	// routing overhead or a misrouting.
-	AutoVsBest float64 `json:"auto_vs_best"`
+	// AutoVsSAT is auto_sec over sat_sec: 1.0 means auto cost nothing
+	// over being told the backend, above 1.0 is routing overhead or a
+	// misrouting.
+	AutoVsSAT float64 `json:"auto_vs_sat"`
 }
 
 // BackendArtifact is the BENCH_backend.json schema.
@@ -114,10 +111,10 @@ type BackendArtifact struct {
 	LitmusRows      []BackendLitmusRow  `json:"litmus_rows"`
 	HarnessRows     []BackendHarnessRow `json:"harness_rows"`
 	MedianRFSpeedup float64             `json:"median_rf_speedup"`
-	// MaxAutoVsBest is the worst auto_vs_best ratio over the harness
+	// MaxAutoVsSAT is the worst auto_vs_sat ratio over the harness
 	// rows — the auto backend's worst-case cost of not being told the
-	// right backend in advance.
-	MaxAutoVsBest float64 `json:"max_auto_vs_best"`
+	// backend in advance.
+	MaxAutoVsSAT float64 `json:"max_auto_vs_sat"`
 }
 
 // solveSec is the comparable per-backend work of a check: mining,
@@ -201,17 +198,9 @@ func (r *Runner) BackendReport(jsonPath string) error {
 	art.MedianRFSpeedup = median(rfSpeedups)
 	r.printf("median rf speedup: %.1fx\n\n", art.MedianRFSpeedup)
 
-	r.printf("Auto backend vs forced backends on study-set rows (end-to-end, model: %s)\n", model)
-	r.printf("%-9s %-7s | %9s %9s %9s %9s | %-9s %7s | %s\n",
-		"impl", "test", "auto[s]", "sat[s]", "portf[s]", "cube[s]", "best", "a/best", "router")
-	backends := []struct {
-		name string
-		opts core.Options
-	}{
-		{"sat", core.Options{Model: model, Backend: core.BackendSAT}},
-		{"portfolio", core.Options{Model: model, Backend: core.BackendPortfolio}},
-		{"cube", core.Options{Model: model, Backend: core.BackendCube}},
-	}
+	r.printf("Auto backend vs forced SAT on study-set rows (model: %s)\n", model)
+	r.printf("%-9s %-7s | %9s %9s | %7s | %s\n",
+		"impl", "test", "auto[s]", "sat[s]", "a/sat", "router")
 	for _, pair := range backendHarnessPairs {
 		if r.Quick && !quickBackendPairs[pair.impl+"/"+pair.test] {
 			continue
@@ -238,21 +227,13 @@ func (r *Runner) BackendReport(jsonPath string) error {
 		if err != nil {
 			return fmt.Errorf("bench: %s/%s (auto): %w", pair.impl, pair.test, err)
 		}
-		secs := make([]float64, len(backends))
-		bestName, bestSec := "", 0.0
-		for i, be := range backends {
-			res, err := run(be.opts)
-			if err != nil {
-				return fmt.Errorf("bench: %s/%s (%s): %w", pair.impl, pair.test, be.name, err)
-			}
-			if err := checkAgreement(Row{Impl: pair.impl, Test: pair.test, Res: auto},
-				Row{Impl: pair.impl, Test: pair.test, Res: res}); err != nil {
-				return fmt.Errorf("%s backend disagrees: %w", be.name, err)
-			}
-			secs[i] = solveSec(res)
-			if bestName == "" || secs[i] < bestSec {
-				bestName, bestSec = be.name, secs[i]
-			}
+		sat, err := run(core.Options{Model: model, Backend: core.BackendSAT})
+		if err != nil {
+			return fmt.Errorf("bench: %s/%s (sat): %w", pair.impl, pair.test, err)
+		}
+		if err := checkAgreement(Row{Impl: pair.impl, Test: pair.test, Res: auto},
+			Row{Impl: pair.impl, Test: pair.test, Res: sat}); err != nil {
+			return fmt.Errorf("sat backend disagrees: %w", err)
 		}
 		verdict := "pass"
 		if !auto.Pass {
@@ -265,22 +246,20 @@ func (r *Runner) BackendReport(jsonPath string) error {
 			Impl: pair.impl, Test: pair.test, Model: model.String(), Verdict: verdict,
 			RouterDecision: auto.Stats.RouterDecision,
 			AutoSec:        solveSec(auto),
-			SATSec:         secs[0], PortfolioSec: secs[1], CubeSec: secs[2],
-			BestBackend: bestName,
+			SATSec:         solveSec(sat),
 		}
-		if bestSec > 0 {
-			row.AutoVsBest = row.AutoSec / bestSec
+		if row.SATSec > 0 {
+			row.AutoVsSAT = row.AutoSec / row.SATSec
 		}
-		if row.AutoVsBest > art.MaxAutoVsBest {
-			art.MaxAutoVsBest = row.AutoVsBest
+		if row.AutoVsSAT > art.MaxAutoVsSAT {
+			art.MaxAutoVsSAT = row.AutoVsSAT
 		}
 		art.HarnessRows = append(art.HarnessRows, row)
-		r.printf("%-9s %-7s | %9.3f %9.3f %9.3f %9.3f | %-9s %6.2fx | %s\n",
-			row.Impl, row.Test, row.AutoSec, row.SATSec, row.PortfolioSec, row.CubeSec,
-			row.BestBackend, row.AutoVsBest, row.RouterDecision)
+		r.printf("%-9s %-7s | %9.3f %9.3f | %6.2fx | %s\n",
+			row.Impl, row.Test, row.AutoSec, row.SATSec, row.AutoVsSAT, row.RouterDecision)
 	}
 	if len(art.HarnessRows) > 0 {
-		r.printf("worst auto-vs-best ratio: %.2fx\n", art.MaxAutoVsBest)
+		r.printf("worst auto-vs-sat ratio: %.2fx\n", art.MaxAutoVsSAT)
 	}
 
 	if jsonPath != "" {

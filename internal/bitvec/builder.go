@@ -77,7 +77,7 @@ func flipPol(p uint8) uint8 { return (p&polPos)<<1 | (p&polNeg)>>1 }
 // Builder constructs circuits and lowers them to CNF in a sat.Solver.
 // Construction and lowering use builder-owned scratch buffers, so a
 // Builder is not safe for concurrent use and its methods are not
-// reentrant; EvalIn only reads the circuit and may run concurrently.
+// reentrant.
 type Builder struct {
 	gates   []gate
 	hash    map[[2]Node]Node
@@ -544,31 +544,20 @@ func (b *Builder) AssertOr(ns ...Node) {
 // from the free-variable assignment; fully encoded gates and
 // variables read the solver model directly.
 func (b *Builder) Eval(n Node) bool {
-	return b.EvalIn(b.solver, n)
-}
-
-// EvalIn evaluates the node under s's current model instead of the
-// builder's own solver. s must hold the same formula — a CloneFormula
-// snapshot of the builder's solver (possibly extended with learned or
-// blocking clauses) — so the SAT variable indices line up. This is
-// what lets parallel mining workers decode observations from their
-// private clones concurrently: EvalIn only reads the builder's gate
-// structures, which are immutable during solving.
-func (b *Builder) EvalIn(s *sat.Solver, n Node) bool {
-	val := b.evalGate(s, n.index(), nil)
+	val := b.evalGate(n.index(), nil)
 	if n.negated() {
 		return !val
 	}
 	return val
 }
 
-func (b *Builder) evalGate(s *sat.Solver, idx int32, memo map[int32]bool) bool {
+func (b *Builder) evalGate(idx int32, memo map[int32]bool) bool {
 	if idx == 0 {
 		return true
 	}
 	g := b.gates[idx]
 	if v := b.satVars[idx]; v >= 0 && (g.isVar || b.pols[idx] == polBoth) {
-		return s.Value(v)
+		return b.solver.Value(v)
 	}
 	if g.isVar {
 		// Unmaterialized free variable: unconstrained, treat as false.
@@ -583,8 +572,8 @@ func (b *Builder) evalGate(s *sat.Solver, idx int32, memo map[int32]bool) bool {
 		memo = map[int32]bool{}
 	}
 	val := false
-	if b.evalGate(s, g.a.index(), memo) != g.a.negated() {
-		val = b.evalGate(s, g.b.index(), memo) != g.b.negated()
+	if b.evalGate(g.a.index(), memo) != g.a.negated() {
+		val = b.evalGate(g.b.index(), memo) != g.b.negated()
 	}
 	memo[idx] = val
 	return val

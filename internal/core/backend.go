@@ -13,11 +13,9 @@ import (
 	"fmt"
 	"time"
 
-	"checkfence/internal/encode"
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
 	"checkfence/internal/rf"
-	"checkfence/internal/spec"
 	"checkfence/internal/trace"
 )
 
@@ -27,20 +25,13 @@ type Backend int
 const (
 	// BackendAuto (the default) routes per check: the polynomial
 	// reads-from engine when the program is in its fragment and the
-	// static cost model predicts a win, otherwise SAT with the
-	// configured parallelism — stripped to a serial solve when the
-	// encoded formula is too small for portfolio or cube setup costs
-	// to amortize.
+	// static cost model predicts a win, otherwise SAT.
 	BackendAuto Backend = iota
 	// BackendRF forces the reads-from engine; if it cannot produce a
 	// verdict the degradation ladder falls back to SAT.
 	BackendRF
-	// BackendSAT forces a serial SAT solve (no portfolio, no cube).
+	// BackendSAT forces the SAT backend.
 	BackendSAT
-	// BackendPortfolio forces portfolio SAT solving.
-	BackendPortfolio
-	// BackendCube forces cube-and-conquer SAT solving.
-	BackendCube
 )
 
 func (b Backend) String() string {
@@ -51,10 +42,6 @@ func (b Backend) String() string {
 		return "rf"
 	case BackendSAT:
 		return "sat"
-	case BackendPortfolio:
-		return "portfolio"
-	case BackendCube:
-		return "cube"
 	}
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
@@ -68,33 +55,8 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendRF, nil
 	case "sat", "serial":
 		return BackendSAT, nil
-	case "portfolio":
-		return BackendPortfolio, nil
-	case "cube":
-		return BackendCube, nil
 	}
-	return 0, fmt.Errorf("core: unknown backend %q (auto, rf, sat, portfolio, cube)", s)
-}
-
-// normalizeBackend reconciles the Backend selection with the
-// parallelism knobs: explicit single-strategy backends override them.
-func (o Options) normalizeBackend() Options {
-	switch o.Backend {
-	case BackendSAT:
-		o.Portfolio, o.ShareClauses, o.Cube = 0, false, 0
-	case BackendPortfolio:
-		if o.Portfolio < 2 {
-			o.Portfolio = 4
-			o.ShareClauses = true
-		}
-		o.Cube = 0
-	case BackendCube:
-		if o.Cube < 2 {
-			o.Cube = 4
-		}
-		o.Portfolio, o.ShareClauses = 0, false
-	}
-	return o
+	return 0, fmt.Errorf("core: unknown backend %q (auto, rf, sat)", s)
 }
 
 // Static cost model of the router. The rf enumeration is worst-case
@@ -108,17 +70,6 @@ const (
 	rfMaxEvents     = 64
 	rfMaxLocs       = 16
 	rfMaxCandidates = 1 << 16
-)
-
-// Small-instance guard of the auto backend: below these post-encode
-// formula sizes, portfolio racing and cube-and-conquer lose more to
-// per-worker formula cloning and preprocessing than they recover
-// (BENCH_solve rows of the msn/Tpc2 class show 0.4-0.5x "speedups"),
-// so `auto` strips them and solves serially. Explicit backends are
-// never overridden.
-const (
-	autoSerialMaxClauses = 150_000
-	autoSerialMaxVars    = 40_000
 )
 
 // routeDecision is the router's choice for one check attempt.
@@ -220,27 +171,4 @@ func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 // would hide a bug in CheckFence itself.
 func rfFallbackable(err error) bool {
 	return errors.Is(err, rf.ErrNotApplicable) || errors.Is(err, rf.ErrBudget)
-}
-
-// solveStrategy maps the parallelism options onto a spec.Strategy
-// accumulating into ps, applying the auto backend's small-instance
-// guard against the encoder's post-encode formula size.
-func (o Options) solveStrategy(e *encode.Encoder, ps *spec.ParStats, res *Result) spec.Strategy {
-	strat := spec.Strategy{
-		Portfolio:         o.Portfolio,
-		ShareClauses:      o.ShareClauses,
-		Cube:              o.Cube,
-		MaxMineIterations: o.MaxMineIterations,
-		Stats:             ps,
-		Faults:            o.Faults,
-	}
-	if o.Backend != BackendAuto || (strat.Portfolio <= 1 && strat.Cube <= 1) {
-		return strat
-	}
-	st := e.S.Stats()
-	if st.Clauses < autoSerialMaxClauses && st.Vars < autoSerialMaxVars {
-		strat.Portfolio, strat.ShareClauses, strat.Cube = 0, false, 0
-		res.Stats.AutoSerial = true
-	}
-	return strat
 }

@@ -137,30 +137,3 @@ func TestBackendRFLadderFallback(t *testing.T) {
 		t.Fatalf("budget report must record the exhausted rf rung; got %+v", res.Budget)
 	}
 }
-
-// TestAutoSerialGuard: on a formula far below the parallelism
-// thresholds, the auto backend strips portfolio and cube (their setup
-// costs exceed the solve), records the decision, and does no parallel
-// work. Explicitly forced parallel backends are never overridden.
-func TestAutoSerialGuard(t *testing.T) {
-	auto := check(t, "msn", "Tpc2", Options{
-		Model: memmodel.SequentialConsistency, Portfolio: 4, ShareClauses: true,
-	})
-	if !auto.Stats.AutoSerial {
-		t.Errorf("auto guard did not engage (vars=%d clauses=%d)",
-			auto.Stats.CNFVars, auto.Stats.CNFClauses)
-	}
-	if auto.Stats.SharedExported != 0 || auto.Stats.Cubes != 0 {
-		t.Errorf("auto-serial check still did parallel work: exported=%d cubes=%d",
-			auto.Stats.SharedExported, auto.Stats.Cubes)
-	}
-	forced := check(t, "msn", "Tpc2", Options{
-		Model: memmodel.SequentialConsistency, Backend: BackendPortfolio, Portfolio: 4, ShareClauses: true,
-	})
-	if forced.Stats.AutoSerial {
-		t.Error("explicit portfolio backend must not be stripped by the guard")
-	}
-	if auto.Pass != forced.Pass {
-		t.Errorf("guard changed the verdict: auto pass=%v, portfolio pass=%v", auto.Pass, forced.Pass)
-	}
-}

@@ -61,9 +61,8 @@ type Options struct {
 	Model memmodel.Model
 	// Backend selects the verdict engine: BackendAuto (the default)
 	// routes per check between the polynomial reads-from engine and
-	// SAT via the static cost model; BackendRF/BackendSAT/
-	// BackendPortfolio/BackendCube force one strategy (rf still
-	// degrades to SAT when it cannot answer).
+	// SAT via the static cost model; BackendRF/BackendSAT force one
+	// engine (rf still degrades to SAT when it cannot answer).
 	Backend Backend
 	// DisableRangeAnalysis turns §3.4 off (Fig. 11c comparison).
 	DisableRangeAnalysis bool
@@ -83,22 +82,6 @@ type Options struct {
 	// mines once per key. RunSuite installs a shared cache
 	// automatically.
 	SpecCache *SpecCache
-	// Portfolio, when > 1, races that many diversified SAT solver
-	// configurations (restart policy, initial phase, branching
-	// permutation) on each single-verdict solve of mining and the
-	// inclusion check. Members solve CloneFormula snapshots of one
-	// encoded, preprocessed formula, so encoding cost does not scale
-	// with the portfolio width. Worth it for the hardest checks
-	// (snark, harris); overhead for easy ones.
-	Portfolio int
-	// ShareClauses lets portfolio members exchange low-LBD learned
-	// clauses at restart boundaries (glucose-syrup style).
-	ShareClauses bool
-	// Cube, when > 1, solves the final inclusion query
-	// cube-and-conquer style on that many workers (splitting on
-	// memory-order variables) and partitions specification mining
-	// over disjoint observation-bit cubes.
-	Cube int
 	// MaxMineIterations caps the mining enumeration (0 = the spec
 	// package default).
 	MaxMineIterations int
@@ -145,8 +128,8 @@ type Options struct {
 	// declaring the budget exhausted.
 	MemBudgetMB int
 	// Ladder overrides the degradation ladder. Empty selects the
-	// default derived from the configured strategy: configured →
-	// no-cube → serial → no-preprocess.
+	// default: configured → no-preprocess (after a leading rf rung
+	// when Backend is BackendRF).
 	Ladder []Rung
 	// Faults arms deterministic fault injection at the solver,
 	// encoder, and mining hook points (tests and chaos runs only).
@@ -232,13 +215,10 @@ type Stats struct {
 	BoundRounds    int
 
 	// Multi-backend routing: the backend that produced the verdict
-	// ("rf" or "sat"), the router's reasoning, whether the auto
-	// backend's small-instance guard stripped portfolio/cube from a
-	// SAT solve, and the rf engine's work counters (zero on pure SAT
-	// checks).
+	// ("rf" or "sat"), the router's reasoning, and the rf engine's
+	// work counters (zero on pure SAT checks).
 	Backend        string
 	RouterDecision string
-	AutoSerial     bool
 	RFSteps        int
 	RFExecs        int
 	RFConsistent   int
@@ -263,17 +243,8 @@ type Stats struct {
 	AssumedLits   int
 	AssumeDropped int
 
-	// Intra-check parallelism counters: cube-and-conquer cubes issued
-	// and refuted (phase 2 plus partitioned mining), and clause-sharing
-	// traffic summed over portfolio members. All zero on serial runs.
-	Cubes          int
-	CubesRefuted   int
-	SharedExported int64
-	SharedImported int64
-	SharedUseful   int64
-
-	// Inprocessing work of the inclusion check (base solver plus
-	// portfolio/cube workers): literals removed by clause vivification
+	// Inprocessing work of the inclusion check's solver, summed over
+	// bound rounds: literals removed by clause vivification
 	// (and the clauses they came from), learnt clauses deleted by
 	// on-the-fly subsumption, and conflicts resolved by a chronological
 	// backtrack. Zero with Options.NoInprocess.
@@ -281,8 +252,8 @@ type Stats struct {
 	VivifiedClauses  int64
 	SubsumedLearnts  int64
 	ChronoBacktracks int64
-	// Learnt-database tier sizes of the inclusion check's base solver
-	// at the end of the check.
+	// Learnt-database tier sizes of the inclusion check's solver at
+	// the end of the check.
 	TierCore  int
 	TierMid   int
 	TierLocal int
@@ -371,13 +342,12 @@ func Check(implName, testName string, opts Options) (*Result, error) {
 // structures. It executes the degradation ladder: the check is
 // attempted with the configured strategy and, when an attempt fails
 // degradably (budget exhausted, solver-internal Unknown, recovered
-// worker panic), retried with progressively cheaper strategies until
-// one produces a verdict, the deadline passes, or the ladder is
-// exhausted — in which case the result is VerdictUnknown with a
-// BudgetReport, not an error.
+// panic), retried with progressively cheaper strategies until one
+// produces a verdict, the deadline passes, or the ladder is exhausted —
+// in which case the result is VerdictUnknown with a BudgetReport, not
+// an error.
 func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, error) {
 	start := time.Now()
-	opts = opts.normalizeBackend()
 	var deadline time.Time
 	if opts.Deadline > 0 {
 		deadline = time.Now().Add(opts.Deadline)
@@ -628,13 +598,10 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 		res.Stats.Backend, res.Stats.RouterDecision = "sat", dec.reason
 	}
 
-	var pstats spec.ParStats
-	defer func() { lead.Stats.addPar(pstats) }()
-
 	// Specification: mined once for every pending model (the
 	// observation set is model-independent, §3.2).
 	mineStart := time.Now()
-	set, seqTrace, err := a.mineSpec(&pstats, lead)
+	set, seqTrace, err := a.mineSpec(lead)
 	lead.Stats.MineTime += time.Since(mineStart)
 	if err != nil {
 		return nil, err
@@ -653,9 +620,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	}
 
 	// Inclusion check. The formula is encoded and preprocessed once for
-	// every pending model; any configured parallelism (portfolio,
-	// cube-and-conquer) solves CloneFormula snapshots of it, so encoding
-	// cost never scales with the worker count. On a sweep, every
+	// every pending model and solved by one solver. On a sweep, every
 	// non-leader reuses the leader's encoding and the specification's
 	// exclusion clauses.
 	models := make([]memmodel.Model, len(pending))
@@ -680,7 +645,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	}
 
 	refuteStart := time.Now()
-	strat := a.opts.solveStrategy(enc, &pstats, lead)
+	var strat spec.Strategy
 	if len(a.opts.Assume) > 0 {
 		strat.Assume = assumeLits(enc, a.opts.Assume)
 		lead.Stats.AssumedLits = len(strat.Assume)
@@ -760,10 +725,9 @@ func (r *Result) fail(t *trace.Trace) {
 	r.Pass, r.Verdict, r.Cex = false, VerdictFail, t
 }
 
-// recordFormula copies the inclusion formula's size and the base
-// solver's counters into st. Sizes overwrite — a check reports its
-// final round's formula — while inprocessing work adds up across
-// rounds (the parallel workers' share arrives through addPar).
+// recordFormula copies the inclusion formula's size and its solver's
+// counters into st. Sizes overwrite — a check reports its final
+// round's formula — while inprocessing work adds up across rounds.
 func (st *Stats) recordFormula(enc *encode.Encoder) {
 	s := enc.S.Stats()
 	st.SolverStats = s
@@ -787,20 +751,6 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
 }
 
-// addPar folds a round's parallel-work counters (mining and the
-// inclusion check) into st.
-func (st *Stats) addPar(ps spec.ParStats) {
-	st.Cubes += ps.Cubes
-	st.CubesRefuted += ps.CubesRefuted
-	st.SharedExported += ps.SharedExported
-	st.SharedImported += ps.SharedImported
-	st.SharedUseful += ps.SharedUseful
-	st.VivifiedClauses += ps.VivifiedClauses
-	st.VivifiedLits += ps.VivifiedLits
-	st.SubsumedLearnts += ps.SubsumedLearnts
-	st.ChronoBacktracks += ps.ChronoBacktracks
-}
-
 // mineSpec obtains the observation set for a check at the current
 // bounds: Options.Spec verbatim, the refset enumeration, or the §3.2
 // SAT mine — through the spec cache when one is configured (the
@@ -810,7 +760,7 @@ func (st *Stats) addPar(ps spec.ParStats) {
 // count land in res.Stats. When a serial execution reaches a runtime
 // error, the decoded sequential-bug trace is returned instead of a
 // set; the caller owns its validation.
-func (a *attempt) mineSpec(pstats *spec.ParStats, res *Result) (*spec.Set, *trace.Trace, error) {
+func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 	opts := a.opts
 	if opts.Spec != nil {
 		return opts.Spec, nil, nil
@@ -828,9 +778,12 @@ func (a *attempt) mineSpec(pstats *spec.ParStats, res *Result) (*spec.Set, *trac
 				return nil, 0, err
 			}
 			serialEnc.AssertNoOverflow()
-			strat := opts.solveStrategy(serialEnc, pstats, res)
-			strat.Resume = resume
-			strat.ResumeIterations = resumeIters
+			strat := spec.Strategy{
+				MaxMineIterations: opts.MaxMineIterations,
+				Faults:            opts.Faults,
+				Resume:            resume,
+				ResumeIterations:  resumeIters,
+			}
 			if cache := opts.SpecCache; cache != nil {
 				// Periodically mirror the partial set to disk so an
 				// interrupted mine (budget, crash, ^C) resumes

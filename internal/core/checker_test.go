@@ -49,14 +49,11 @@ func TestMSNT0RelaxedUnfencedFails(t *testing.T) {
 // TestCexValidatesUnderAllConfigs: validation is on by default, so a
 // returned counterexample has already survived the axiom re-check and
 // the interpreter replay — under every solve configuration that could
-// pick a different SAT model (portfolio winner, cube, simplification
-// levels).
+// pick a different SAT model (simplification levels, preprocessing).
 func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	configs := map[string]Options{
-		"serial":    {Model: memmodel.Relaxed, ValidateTraces: ValidateOn},
-		"portfolio": {Model: memmodel.Relaxed, Backend: BackendPortfolio, Portfolio: 3},
-		"cube":      {Model: memmodel.Relaxed, Backend: BackendCube, Cube: 2},
-		"tseitin":   {Model: memmodel.Relaxed, SimplifyLevel: -1, NoPreprocess: true},
+		"serial":  {Model: memmodel.Relaxed, ValidateTraces: ValidateOn},
+		"tseitin": {Model: memmodel.Relaxed, SimplifyLevel: -1, NoPreprocess: true},
 	}
 	for name, opts := range configs {
 		res := check(t, "msn-nofence", "T0", opts)

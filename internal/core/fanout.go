@@ -19,12 +19,12 @@ import (
 
 // CubeAssumptions plans a fan-out of the check into up to 2^depth
 // cubes: it builds and encodes the check at its initial bounds, runs
-// the cube-and-conquer splitter biased to memory-order variables (the
-// same split the in-process solver uses, sat.CubeSplitter), and
-// renders the chosen variables as wire-format ordinals. The returned
-// cubes are jointly exhaustive and pairwise disjoint over the split
-// variables: a coordinator dispatching one description per cube and
-// aggregating any-FAIL / all-PASS reconstructs the undivided verdict.
+// the cube-and-conquer splitter (sat.CubeSplitter) biased to
+// memory-order variables, and renders the chosen variables as
+// wire-format ordinals. The returned cubes are jointly exhaustive and
+// pairwise disjoint over the split variables: a coordinator
+// dispatching one description per cube and aggregating any-FAIL /
+// all-PASS reconstructs the undivided verdict.
 //
 // A nil result (with nil error) means the check offers no useful
 // split (fewer than two cubes) and should run undivided.
@@ -32,7 +32,6 @@ func CubeAssumptions(impl *harness.Impl, test *harness.Test, opts Options, depth
 	if depth <= 0 {
 		return nil, fmt.Errorf("core: cube depth %d must be positive", depth)
 	}
-	opts = opts.normalizeBackend()
 	var deadline time.Time
 	if opts.Deadline > 0 {
 		deadline = time.Now().Add(opts.Deadline)

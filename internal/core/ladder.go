@@ -3,8 +3,9 @@ package core
 // This file implements the resource-governance layer of the driver:
 // per-check budgets (wall clock, conflicts, memory) and the
 // degradation ladder that steps a failing check down through cheaper
-// strategies — drop cube-and-conquer, drop the portfolio, disable CNF
-// preprocessing — before giving up with a structured VerdictUnknown.
+// strategies — from a forced reads-from engine to SAT, then from the
+// configured SAT solve to one without CNF preprocessing — before
+// giving up with a structured VerdictUnknown.
 // CheckFence's queries are worst-case intractable, so a production
 // suite needs every check to terminate with *some* answer: a verdict
 // when the budgets allow one, and an explanation when they do not.
@@ -46,24 +47,18 @@ func (v Verdict) String() string {
 }
 
 // Rung is one step of the degradation ladder: a named strategy the
-// check is attempted with. Later rungs are cheaper (less parallelism,
-// less preprocessing) and so more likely to fit a budget's constant
+// check is attempted with. Later rungs are cheaper (less
+// preprocessing) and so more likely to fit a budget's constant
 // factors, at the cost of raw speed on hard instances.
 type Rung struct {
 	Name         string
 	Backend      Backend
-	Portfolio    int
-	ShareClauses bool
-	Cube         int
 	NoPreprocess bool
 }
 
 // apply substitutes the rung's strategy into the options.
 func (r Rung) apply(opts Options) Options {
 	opts.Backend = r.Backend
-	opts.Portfolio = r.Portfolio
-	opts.ShareClauses = r.ShareClauses
-	opts.Cube = r.Cube
 	if r.NoPreprocess {
 		opts.NoPreprocess = true
 	}
@@ -101,11 +96,8 @@ func (o Options) budgetReport(rungs []RungReport) *BudgetReport {
 }
 
 // ladder returns the effective degradation ladder: Options.Ladder when
-// set, otherwise a default derived from the configured strategy —
-// configured → without cube-and-conquer → fully serial → serial
-// without CNF preprocessing. Rungs that would repeat the previous
-// strategy are skipped, so a fully serial configuration gets two rungs
-// (itself, then no-preprocess).
+// set, otherwise [rf →] configured → without CNF preprocessing. The
+// no-preprocess rung is skipped when preprocessing is already off.
 func (o Options) ladder() []Rung {
 	if len(o.Ladder) > 0 {
 		return o.Ladder
@@ -119,23 +111,9 @@ func (o Options) ladder() []Rung {
 		rungs = append(rungs, Rung{Name: "rf", Backend: BackendRF})
 		satBackend = BackendSAT
 	}
-	cur := Rung{Name: "configured", Backend: satBackend, Portfolio: o.Portfolio,
-		ShareClauses: o.ShareClauses, Cube: o.Cube, NoPreprocess: o.NoPreprocess}
-	rungs = append(rungs, cur)
-	if cur.Cube > 1 {
-		cur.Cube = 0
-		cur.Name = "no-cube"
-		rungs = append(rungs, cur)
-	}
-	if cur.Portfolio > 1 {
-		cur.Portfolio, cur.ShareClauses = 0, false
-		cur.Name = "serial"
-		rungs = append(rungs, cur)
-	}
-	if !cur.NoPreprocess {
-		cur.NoPreprocess = true
-		cur.Name = "no-preprocess"
-		rungs = append(rungs, cur)
+	rungs = append(rungs, Rung{Name: "configured", Backend: satBackend, NoPreprocess: o.NoPreprocess})
+	if !o.NoPreprocess {
+		rungs = append(rungs, Rung{Name: "no-preprocess", Backend: satBackend, NoPreprocess: true})
 	}
 	return rungs
 }
@@ -155,7 +133,7 @@ func (o Options) cancelled() bool {
 
 // degradable reports whether an attempt's error warrants stepping down
 // the ladder: budget exhaustion, a solver-internal Unknown, or a
-// recovered worker panic. External cancellation is never degradable —
+// recovered panic. External cancellation is never degradable —
 // the caller asked the check to stop, not to try harder with less.
 func degradable(err error, opts Options) bool {
 	if opts.cancelled() {

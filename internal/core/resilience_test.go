@@ -24,20 +24,23 @@ func TestLadderDefault(t *testing.T) {
 		}
 		return strings.Join(parts, ",")
 	}
-	full := Options{Portfolio: 4, ShareClauses: true, Cube: 8}
-	if got := names(full.ladder()); got != "configured,no-cube,serial,no-preprocess" {
-		t.Errorf("full ladder = %s", got)
-	}
 	if got := names(Options{}.ladder()); got != "configured,no-preprocess" {
-		t.Errorf("serial ladder = %s", got)
+		t.Errorf("default ladder = %s", got)
+	}
+	if got := names(Options{NoPreprocess: true}.ladder()); got != "configured" {
+		t.Errorf("no-preprocess ladder = %s", got)
+	}
+	rf := Options{Backend: BackendRF}
+	if got := names(rf.ladder()); got != "rf,configured,no-preprocess" {
+		t.Errorf("rf ladder = %s", got)
 	}
 	custom := Options{Ladder: []Rung{{Name: "only"}}}
 	if got := names(custom.ladder()); got != "only" {
 		t.Errorf("custom ladder = %s", got)
 	}
-	last := full.ladder()[3]
-	if !last.NoPreprocess || last.Portfolio != 0 || last.Cube != 0 {
-		t.Errorf("last rung = %+v, want serial no-preprocess", last)
+	last := rf.ladder()[2]
+	if !last.NoPreprocess || last.Backend != BackendSAT {
+		t.Errorf("last rung = %+v, want SAT without preprocessing", last)
 	}
 }
 

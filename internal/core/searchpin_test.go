@@ -35,3 +35,25 @@ func TestSearchPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedChecksIdentical: a check's formula and search must not
+// depend on which checks ran before it in the process. After a Relaxed
+// check of the same pair, repeated PSO checks of msn-nofence/T0 must
+// report identical stats, times aside. Asserting the loop-overflow
+// guards in map order would number their SAT variables differently
+// from run to run.
+func TestRepeatedChecksIdentical(t *testing.T) {
+	counts := func(st Stats) Stats {
+		st.ProbeTime, st.MineTime, st.EncodeTime, st.RefuteTime, st.TotalTime = 0, 0, 0, 0, 0
+		st.PreprocessTime, st.SolverStats.PreprocessTime = 0, 0
+		st.AllocBytes = 0
+		return st
+	}
+	check(t, "msn-nofence", "T0", Options{Model: memmodel.Relaxed})
+	first := counts(check(t, "msn-nofence", "T0", Options{Model: memmodel.PSO}).Stats)
+	for i := 1; i < 12; i++ {
+		if got := counts(check(t, "msn-nofence", "T0", Options{Model: memmodel.PSO}).Stats); got != first {
+			t.Fatalf("run %d: stats differ from run 0:\n got  %+v\n want %+v", i, got, first)
+		}
+	}
+}

@@ -4,16 +4,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"checkfence/internal/faultinject"
 	"checkfence/internal/harness"
-	"checkfence/internal/sat"
 )
 
 // Job is one check of a suite: an implementation, a test, and the
-// per-check options (model, spec source, portfolio width, ...).
+// per-check options (model, spec source, budgets, ...).
 type Job struct {
 	Impl string
 	Test string
@@ -278,16 +278,24 @@ func emitUnitErr(unit suiteUnit, jobs []Job, err error, emit func(int, SuiteResu
 	emit(unit.single, SuiteResult{Job: jobs[unit.single], Err: err})
 }
 
+// recoverAsError converts a recovered panic value into the typed error
+// the panic-isolation layers report (*faultinject.RecoveredPanic,
+// capturing the stack at the recovery point). Call it from a deferred
+// recover handler.
+func recoverAsError(p any) error {
+	return &faultinject.RecoveredPanic{Value: p, Stack: debug.Stack()}
+}
+
 // safeCheck isolates one check: a panic anywhere in its pipeline
-// (encoder, miner, a serial solve outside the workers' own recovery)
-// becomes that check's error — carrying the recovered value and stack
-// as a *faultinject.RecoveredPanic — instead of killing the suite.
+// (encoder, miner, solver) becomes that check's error — carrying the
+// recovered value and stack as a *faultinject.RecoveredPanic — instead
+// of killing the suite.
 func safeCheck(job Job, opts Options) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
 			err = fmt.Errorf("core: check %s/%s panicked: %w",
-				job.Impl, job.Test, sat.RecoverAsError(p))
+				job.Impl, job.Test, recoverAsError(p))
 		}
 	}()
 	impl, test, err := job.resolve()

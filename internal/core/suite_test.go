@@ -211,37 +211,6 @@ func TestRunSuiteResultCallback(t *testing.T) {
 	}
 }
 
-// TestPortfolioCheckParity: a portfolio check returns the same verdict
-// and observation set as the serial check, and the winner's solver
-// stats are recorded.
-func TestPortfolioCheckParity(t *testing.T) {
-	base := Options{Model: memmodel.Relaxed}
-	serial, err := Check("harris", "Sac", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := base
-	port.Backend = BackendPortfolio
-	port.Portfolio = 3
-	raced, err := Check("harris", "Sac", port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Pass != raced.Pass {
-		t.Errorf("portfolio verdict %v, serial %v", raced.Pass, serial.Pass)
-	}
-	if !serial.Spec.Equal(raced.Spec) {
-		t.Error("portfolio and serial observation sets differ")
-	}
-	if raced.Stats.CNFVars == 0 || raced.Stats.CNFClauses == 0 {
-		t.Error("portfolio check lost CNF stats")
-	}
-	if raced.Stats.TotalTime <= 0 || raced.Stats.RefuteTime <= 0 {
-		t.Errorf("portfolio timing not recorded: total %v refute %v",
-			raced.Stats.TotalTime, raced.Stats.RefuteTime)
-	}
-}
-
 // TestTotalTimeOnAllPaths: TotalTime must be recorded on a pass, on a
 // counterexample, and on a sequential bug (the early-return paths).
 func TestTotalTimeOnAllPaths(t *testing.T) {

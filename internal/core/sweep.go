@@ -24,7 +24,6 @@ import (
 
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
-	"checkfence/internal/sat"
 	"checkfence/internal/trace"
 	"checkfence/internal/validate"
 )
@@ -154,10 +153,10 @@ func sweepEligible(o Options) bool {
 // and therefore always sound.
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d pf=%d shc=%t cube=%d mmi=%d "+
+	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d mmi=%d "+
 		"simp=%d nopre=%t noinp=%t noord=%t vt=%d dl=%d cb=%d mem=%d cache=%p cancel=%p",
 		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxBoundRounds,
-		o.Portfolio, o.ShareClauses, o.Cube, o.MaxMineIterations,
+		o.MaxMineIterations,
 		o.SimplifyLevel, o.NoPreprocess, o.NoInprocess, o.NoOrderReduce,
 		o.ValidateTraces, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
 		o.SpecCache, o.Cancel)
@@ -332,7 +331,7 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("core: sweep group %s/%s panicked: %w",
-					g.implName, g.testName, sat.RecoverAsError(p))
+					g.implName, g.testName, recoverAsError(p))
 			}
 		}()
 		impl, test, err := g.memberJob().resolve()

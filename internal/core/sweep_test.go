@@ -129,7 +129,7 @@ func TestSweepFingerprintSeparates(t *testing.T) {
 	jobs := []Job{
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.SequentialConsistency}},
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.Relaxed}},
-		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.TSO, Cube: 2}},
+		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.TSO, NoInprocess: true}},
 	}
 	eff := make([]Options, len(jobs))
 	for i := range jobs {

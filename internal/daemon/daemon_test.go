@@ -180,6 +180,43 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 	}
 }
 
+// TestLegacyStrategyFieldsIgnored: a batch written for an older daemon
+// may still carry the removed in-process strategy fields ("portfolio",
+// "share_clauses", "cube"). The decoder ignores unknown fields, so the
+// batch is accepted and every verdict equals that of the same batch
+// without them.
+func TestLegacyStrategyFieldsIgnored(t *testing.T) {
+	srv := NewServer(Config{Parallelism: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	verdicts := func(extra string) map[string]string {
+		_, results, done := postBatch(t, ts, `{"jobs": [{"program": {"name": "msn-nofence"},
+			"test": "T0", "models": ["sc", "relaxed"]`+extra+`}]}`)
+		if done.Errors != 0 || len(results) != 2 {
+			t.Fatalf("batch%s: %d results, %d errors", extra, len(results), done.Errors)
+		}
+		out := map[string]string{}
+		for _, r := range results {
+			if r.Error != "" {
+				t.Fatalf("batch%s: %s errored: %s", extra, r.Model, r.Error)
+			}
+			out[r.Model] = r.Verdict
+		}
+		return out
+	}
+	plain := verdicts("")
+	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4`)
+	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
+		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
+	}
+	for m, v := range plain {
+		if legacy[m] != v {
+			t.Errorf("%s: legacy-field batch verdict %q, plain batch %q", m, legacy[m], v)
+		}
+	}
+}
+
 // TestConcurrentClientsSingleFlight: two clients concurrently
 // requesting the same mining problem must trigger exactly one miner —
 // the shared-tier hit shows up in /metrics.

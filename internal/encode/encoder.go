@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 
 	"checkfence/internal/bitvec"
 	"checkfence/internal/faultinject"
@@ -272,7 +273,7 @@ func (e *Encoder) PreprocessCNF(roots ...sat.Lit) {
 
 // OrderSatVars returns the SAT variables of every materialized,
 // non-constant memory-order node. PreprocessCNF freezes them; the
-// cube-and-conquer splitter prefers them as splitting variables, since
+// fleet's cube splitter prefers them as splitting variables, since
 // the memory order decides the interleaving structure of an execution
 // and both polarities of such a split carve out genuinely different
 // executions.
@@ -684,14 +685,21 @@ func (e *Encoder) assertFences() {
 // for accesses g, g' of one block and any access z outside it,
 // g <M z iff g' <M z. Chaining consecutive members suffices.
 func (e *Encoder) assertAtomicity() {
+	// Blocks are visited in order of first access, not map order: the
+	// first assertion mentioning an order variable allocates its SAT
+	// variable, so the visiting order fixes the formula's numbering.
 	groups := map[int][]int{}
+	var keys []int
 	for i, a := range e.Accesses {
 		if a.Group >= 0 {
+			if _, ok := groups[a.Group]; !ok {
+				keys = append(keys, a.Group)
+			}
 			groups[a.Group] = append(groups[a.Group], i)
 		}
 	}
-	for _, members := range groups {
-		e.assertContiguous(members, func(z *Access) bool { return true })
+	for _, k := range keys {
+		e.assertContiguous(groups[k], func(z *Access) bool { return true })
 	}
 }
 
@@ -700,16 +708,21 @@ func (e *Encoder) assertAtomicity() {
 // other threads. (Operations of the same thread are already separated
 // by program order.)
 func (e *Encoder) assertSeriality() {
+	// Operations in order of first access, as in assertAtomicity.
 	ops := map[[2]int][]int{}
+	var keys [][2]int
 	for i, a := range e.Accesses {
 		if a.OpID >= 0 && a.Thread != 0 {
 			k := [2]int{a.Thread, a.OpID}
+			if _, ok := ops[k]; !ok {
+				keys = append(keys, k)
+			}
 			ops[k] = append(ops[k], i)
 		}
 	}
-	for k, members := range ops {
+	for _, k := range keys {
 		thread := k[0]
-		e.assertContiguous(members, func(z *Access) bool { return z.Thread != thread })
+		e.assertContiguous(ops[k], func(z *Access) bool { return z.Thread != thread })
 	}
 }
 
@@ -857,9 +870,7 @@ func (e *Encoder) SelectorLits(m memmodel.Model) []sat.Lit {
 
 // SelectorSatVars returns the SAT variables of the sweep selectors
 // (nil on single-model encoders, or before Encode). PreprocessCNF
-// freezes them, and the cube splitter avoids them: a cube fixing a
-// selector contradicts half the per-model assumption sets and solves
-// trivially instead of usefully.
+// freezes them: the per-model assumptions name them.
 func (e *Encoder) SelectorSatVars() []int {
 	if len(e.selectors) == 0 {
 		return nil
@@ -957,8 +968,8 @@ func (e *Encoder) ErrorNode() bitvec.Node {
 // bound (used for regular checking; the lazy-bound probe asserts the
 // opposite in a fresh encoder).
 func (e *Encoder) AssertNoOverflow() {
-	for _, g := range e.Overflow {
-		e.B.Assert(g.Not())
+	for _, id := range e.overflowIDs() {
+		e.B.Assert(e.Overflow[id].Not())
 	}
 }
 
@@ -966,10 +977,24 @@ func (e *Encoder) AssertNoOverflow() {
 // bound (the probe of paper §3.3).
 func (e *Encoder) AssertSomeOverflow() {
 	nodes := make([]bitvec.Node, 0, len(e.Overflow))
-	for _, g := range e.Overflow {
-		nodes = append(nodes, g)
+	for _, id := range e.overflowIDs() {
+		nodes = append(nodes, e.Overflow[id])
 	}
 	e.B.AssertOr(nodes...)
+}
+
+// overflowIDs returns the loop ids of Overflow in ascending order.
+// Every walk over the guards goes through it: asserting a guard
+// allocates SAT variables for its cone, so walking the map in its
+// random order would number the variables — and shape the search —
+// differently from one check to the next.
+func (e *Encoder) overflowIDs() []int {
+	ids := make([]int, 0, len(e.Overflow))
+	for id := range e.Overflow {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // MemOrderNode exposes the circuit node for "access i precedes access
@@ -1012,8 +1037,8 @@ func (e *Encoder) MemOrderBefore(i, j int) bool {
 // the current model.
 func (e *Encoder) OverflowingLoops() []int {
 	var out []int
-	for id, g := range e.Overflow {
-		if e.B.Eval(g) {
+	for _, id := range e.overflowIDs() {
+		if e.B.Eval(e.Overflow[id]) {
 			out = append(out, id)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 
 	"checkfence/internal/bitvec"
 	"checkfence/internal/lsl"
-	"checkfence/internal/sat"
 )
 
 // SymVal is the circuit representation of an LSL value: a 2-bit kind
@@ -153,20 +152,12 @@ func (e *Encoder) AppendComp(a SymVal, comp bitvec.BV) (out SymVal, invalid bitv
 
 // EvalVal decodes a SymVal under the current SAT model.
 func (e *Encoder) EvalVal(v SymVal) lsl.Value {
-	return e.EvalValIn(e.S, v)
-}
-
-// EvalValIn decodes a SymVal under s's model, where s is a
-// CloneFormula snapshot of e.S (see bitvec.Builder.EvalIn). Parallel
-// mining workers use it to decode observations from their private
-// clones without touching the shared solver.
-func (e *Encoder) EvalValIn(s *sat.Solver, v SymVal) lsl.Value {
-	k1, k0 := e.B.EvalIn(s, v.K1), e.B.EvalIn(s, v.K0)
+	k1, k0 := e.B.Eval(v.K1), e.B.Eval(v.K0)
 	switch {
 	case !k1 && !k0:
 		return lsl.Undef()
 	case !k1 && k0:
-		raw := e.B.EvalBVIn(s, v.Comps[0])
+		raw := e.B.EvalBV(v.Comps[0])
 		// Sign-extend from width W.
 		if raw&(1<<uint(e.W-1)) != 0 {
 			raw -= 1 << uint(e.W)
@@ -175,7 +166,7 @@ func (e *Encoder) EvalValIn(s *sat.Solver, v SymVal) lsl.Value {
 	case k1 && !k0:
 		var comps []int64
 		for i := 0; i < e.D; i++ {
-			c := e.B.EvalBVIn(s, v.Comps[i])
+			c := e.B.EvalBV(v.Comps[i])
 			if c == 0 {
 				break
 			}

@@ -7,7 +7,7 @@
 // build tags — so production binaries pay one pointer comparison per
 // site and tests can sweep every site with a scripted Faults value:
 //
-//	sat.Solver (via SetFaults / sat.Config.Faults / encode.Config.Faults):
+//	sat.Solver (via SetFaults / encode.Config.Faults):
 //	    SolverAlloc  — panic while allocating a variable (NewVar)
 //	    SolverBudget — force a typed budget exhaustion out of Solve
 //	    SolvePanic   — panic inside the CDCL search loop
@@ -19,8 +19,7 @@
 //	    CacheCorrupt — flip a byte of an on-disk entry before parsing
 //
 // Every implementation of Faults must be safe for concurrent use: the
-// suite worker pool, portfolio members, and cube workers all consult
-// the same value.
+// suite worker pool's checks all consult the same value.
 package faultinject
 
 import (
@@ -116,10 +115,10 @@ func (i Injected) String() string {
 	return fmt.Sprintf("faultinject: injected panic at site %q", i.Site)
 }
 
-// RecoveredPanic is the typed error the panic-isolation layers (suite
-// workers, portfolio members, cube and mining workers) return when
-// they recover a panic: the recovered value plus the stack captured
-// at the recovery point. It is an internal error, never a verdict.
+// RecoveredPanic is the typed error the panic-isolation layer (suite
+// workers and sweep groups) returns when it recovers a panic: the
+// recovered value plus the stack captured at the recovery point. It is
+// an internal error, never a verdict.
 type RecoveredPanic struct {
 	Value any
 	Stack []byte

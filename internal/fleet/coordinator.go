@@ -333,11 +333,10 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 	if len(t.failedBy) >= c.cfg.poisonThreshold() {
 		// The cube has cost several distinct workers their lease:
 		// assume the formula (not the workers) is the problem and
-		// solve it here with a stripped serial strategy.
+		// solve it here.
 		t.state = "done" // claimed by the local solver
 		t.localCause = "quarantine"
 		c.metrics.Quarantines++
-		t.check = stripStrategy(t.check)
 		return t
 	}
 	if t.attempts > c.cfg.maxRetries() {
@@ -367,17 +366,6 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 		c.queue = append(c.queue, t)
 	}
 	return nil
-}
-
-// stripStrategy removes intra-check parallelism from a quarantined
-// cube's description: the local solve runs the plainest strategy that
-// can still answer.
-func stripStrategy(ck job.Check) job.Check {
-	ck.Portfolio, ck.ShareClauses, ck.Cube = 0, false, 0
-	if ck.Backend == "portfolio" || ck.Backend == "cube" {
-		ck.Backend = "sat"
-	}
-	return ck
 }
 
 // solveLocally runs a task in the coordinator process (retry budget

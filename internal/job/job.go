@@ -94,7 +94,7 @@ type Check struct {
 	// "serial".
 	Model string `json:"model"`
 	// Backend selects the verdict engine: "auto" (default), "rf",
-	// "sat", "portfolio", "cube".
+	// "sat".
 	Backend string `json:"backend,omitempty"`
 	// SpecSource is "sat" (default: mine from the implementation) or
 	// "refset".
@@ -105,9 +105,6 @@ type Check struct {
 	MaxBoundRounds int `json:"max_bound_rounds,omitempty"`
 
 	// Solver strategy.
-	Portfolio         int  `json:"portfolio,omitempty"`
-	ShareClauses      bool `json:"share_clauses,omitempty"`
-	Cube              int  `json:"cube,omitempty"`
 	MaxMineIterations int  `json:"max_mine_iterations,omitempty"`
 	SimplifyLevel     int  `json:"simplify_level,omitempty"`
 	NoPreprocess      bool `json:"no_preprocess,omitempty"`
@@ -217,9 +214,6 @@ func (c *Check) Options() (core.Options, error) {
 		SpecSource:           src,
 		DisableRangeAnalysis: c.NoRangeAnalysis,
 		MaxBoundRounds:       c.MaxBoundRounds,
-		Portfolio:            c.Portfolio,
-		ShareClauses:         c.ShareClauses,
-		Cube:                 c.Cube,
 		MaxMineIterations:    c.MaxMineIterations,
 		SimplifyLevel:        c.SimplifyLevel,
 		NoPreprocess:         c.NoPreprocess,
@@ -312,9 +306,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		Model:             o.Model.String(),
 		NoRangeAnalysis:   o.DisableRangeAnalysis,
 		MaxBoundRounds:    o.MaxBoundRounds,
-		Portfolio:         o.Portfolio,
-		ShareClauses:      o.ShareClauses,
-		Cube:              o.Cube,
 		MaxMineIterations: o.MaxMineIterations,
 		SimplifyLevel:     o.SimplifyLevel,
 		NoPreprocess:      o.NoPreprocess,
@@ -377,8 +368,7 @@ func (c *Check) Fingerprint() string {
 		write("bound", k, strconv.Itoa(c.Bounds[k]))
 	}
 	write("mbr", strconv.Itoa(c.MaxBoundRounds),
-		"pf", strconv.Itoa(c.Portfolio), "shc", strconv.FormatBool(c.ShareClauses),
-		"cube", strconv.Itoa(c.Cube), "mmi", strconv.Itoa(c.MaxMineIterations),
+		"mmi", strconv.Itoa(c.MaxMineIterations),
 		"simp", strconv.Itoa(c.SimplifyLevel),
 		"nopre", strconv.FormatBool(c.NoPreprocess),
 		"noinp", strconv.FormatBool(c.NoInprocess),

@@ -15,13 +15,10 @@ func TestRoundTrip(t *testing.T) {
 		Program:           Program{Name: "msn"},
 		Test:              "T0",
 		Model:             "tso",
-		Backend:           "portfolio",
+		Backend:           "sat",
 		SpecSource:        "refset",
 		Bounds:            map[string]int{"L0": 2},
 		MaxBoundRounds:    5,
-		Portfolio:         3,
-		ShareClauses:      true,
-		Cube:              8,
 		MaxMineIterations: 100,
 		SimplifyLevel:     2,
 		NoPreprocess:      true,
@@ -122,12 +119,11 @@ func TestOptionsMapping(t *testing.T) {
 func TestFromOptionsInverts(t *testing.T) {
 	orig := core.Options{
 		Model:          memmodel.TSO,
-		Backend:        core.BackendCube,
+		Backend:        core.BackendSAT,
 		SpecSource:     core.SpecRef,
 		Sweep:          core.SweepOff,
 		ValidateTraces: core.ValidateOff,
-		Portfolio:      2,
-		Cube:           16,
+		NoInprocess:    true,
 		Deadline:       time.Minute,
 		InitialBounds:  map[string]int{"L0": 4},
 	}
@@ -139,7 +135,7 @@ func TestFromOptionsInverts(t *testing.T) {
 	if got.Model != orig.Model || got.Backend != orig.Backend ||
 		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
 		got.ValidateTraces != orig.ValidateTraces ||
-		got.Portfolio != orig.Portfolio || got.Cube != orig.Cube ||
+		got.NoInprocess != orig.NoInprocess ||
 		got.Deadline != orig.Deadline {
 		t.Errorf("FromOptions . Options != identity:\norig %+v\ngot  %+v", orig, got)
 	}
@@ -294,7 +290,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Error("model change should change the fingerprint")
 	}
 	e := a
-	e.Cube = 4
+	e.MaxMineIterations = 4
 	if e.Fingerprint() == a.Fingerprint() {
 		t.Error("strategy change should change the fingerprint")
 	}

@@ -8,9 +8,8 @@
 //     enumerated by the reference interpreter over all thread
 //     interleavings (the serial model runs whole threads atomically,
 //     so these are exactly the thread permutations);
-//   - the inclusion verdict must agree across the encoder/solver
-//     configurations cmd/checkfence exposes (-simplify, -portfolio,
-//     -cube);
+//   - the inclusion verdict must agree across the encoder
+//     configurations cmd/checkfence exposes (-simplify);
 //   - verdicts must be monotone in model strength (an execution of a
 //     stronger model is an execution of every weaker one);
 //   - the polynomial reads-from engine (internal/rf) must accept every
@@ -204,20 +203,17 @@ func (p *GenProgram) SerialObservations() (*spec.Set, error) {
 	return set, nil
 }
 
-// diffConfig pairs an encoder configuration with a solve strategy —
-// the knobs cmd/checkfence exposes as -simplify, -portfolio and -cube.
+// diffConfig names an encoder configuration — the knob cmd/checkfence
+// exposes as -simplify.
 type diffConfig struct {
-	name  string
-	enc   encode.Config
-	strat spec.Strategy
+	name string
+	enc  encode.Config
 }
 
 func diffConfigs() []diffConfig {
 	return []diffConfig{
-		{"default", encode.DefaultConfig(), spec.Strategy{}},
-		{"tseitin", encode.Config{}, spec.Strategy{}},
-		{"portfolio", encode.DefaultConfig(), spec.Strategy{Portfolio: 2, ShareClauses: true}},
-		{"cube", encode.DefaultConfig(), spec.Strategy{Cube: 2}},
+		{"default", encode.DefaultConfig()},
+		{"tseitin", encode.Config{}},
 	}
 }
 
@@ -240,7 +236,7 @@ func RunDifferential(data []byte) error {
 		if err := e.Encode(p.Threads); err != nil {
 			return fmt.Errorf("encode serial [%s]: %v\nprogram:\n%s", cfg.name, err, p.Desc())
 		}
-		mined, _, err := spec.MineWith(e, p.Entries, cfg.strat)
+		mined, _, err := spec.Mine(e, p.Entries)
 		if err != nil {
 			return fmt.Errorf("mine [%s]: %v\nprogram:\n%s", cfg.name, err, p.Desc())
 		}
@@ -277,7 +273,7 @@ func RunDifferential(data []byte) error {
 			if err := e.Encode(p.Threads); err != nil {
 				return fmt.Errorf("encode %s [%s]: %v\nprogram:\n%s", model, cfg.name, err, p.Desc())
 			}
-			cex, err := spec.CheckInclusionWith(e, p.Entries, want, cfg.strat)
+			cex, err := spec.CheckInclusion(e, p.Entries, want)
 			if err != nil {
 				return fmt.Errorf("inclusion %s [%s]: %v\nprogram:\n%s", model, cfg.name, err, p.Desc())
 			}

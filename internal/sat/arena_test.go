@@ -61,10 +61,10 @@ func TestAddClauseAllocs(t *testing.T) {
 }
 
 // TestPreprocessCloneAgreesWithBruteForce: Preprocess rebuilds the
-// database into bulk-allocated clauses and watch lists, and
-// CloneFormula copies it the same way; solving the clone must agree
-// with exhaustive enumeration and with an unpreprocessed solver, and
-// its extended model must satisfy every original clause.
+// database into bulk-allocated clauses and watch lists; solving the
+// rebuilt formula must agree with exhaustive enumeration and with an
+// unpreprocessed solver, and its extended model must satisfy every
+// original clause.
 func TestPreprocessCloneAgreesWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 300; iter++ {
@@ -85,21 +85,20 @@ func TestPreprocessCloneAgreesWithBruteForce(t *testing.T) {
 			pre.AddClause(c...)
 		}
 		pre.Preprocess()
-		clone := pre.CloneFormula()
 
-		got := clone.Solve()
+		got := pre.Solve()
 		if want := bruteForce(numVars, clauses); (got == Sat) != want {
-			t.Fatalf("iter %d: clone=%v brute=%v (clauses=%v)", iter, got, want, clauses)
+			t.Fatalf("iter %d: preprocessed=%v brute=%v (clauses=%v)", iter, got, want, clauses)
 		}
 		if want := plain.Solve(); got != want {
-			t.Fatalf("iter %d: clone=%v unpreprocessed=%v", iter, got, want)
+			t.Fatalf("iter %d: preprocessed=%v unpreprocessed=%v", iter, got, want)
 		}
 		if got != Sat {
 			continue
 		}
 		for ci, c := range clauses {
-			if !slices.ContainsFunc(c, clone.ValueLit) {
-				t.Fatalf("iter %d: clone model falsifies original clause %d: %v", iter, ci, c)
+			if !slices.ContainsFunc(c, pre.ValueLit) {
+				t.Fatalf("iter %d: extended model falsifies original clause %d: %v", iter, ci, c)
 			}
 		}
 	}

@@ -21,8 +21,8 @@ package sat
 // such as mining shares them); each Solve call re-arms its own
 // counters. A Solve that stops on a budget returns Unknown and
 // records the typed cause, readable via BudgetErr until the next
-// Solve; a Solve stopped by Interrupt or the stop predicate leaves
-// BudgetErr nil, so callers can tell cancellation from exhaustion.
+// Solve; a Solve stopped by the stop predicate leaves BudgetErr nil,
+// so callers can tell cancellation from exhaustion.
 
 import (
 	"errors"
@@ -130,7 +130,7 @@ func (s *Solver) learntBytes() int64 {
 }
 
 // recountLearntLits recomputes the learnt-literal counter after a
-// bulk change to the learnt database (reduceDB, clone construction).
+// bulk change to the learnt database (reduceDB, purges).
 func (s *Solver) recountLearntLits() {
 	var n int64
 	for _, c := range s.learnts {

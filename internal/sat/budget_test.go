@@ -2,6 +2,7 @@ package sat
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,21 +100,24 @@ func TestMemBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetErrNilOnInterrupt: an interrupted solve is cancellation,
-// not exhaustion — BudgetErr must stay nil so callers can tell them
-// apart.
+// TestBudgetErrNilOnInterrupt: a solve stopped from another goroutine
+// (the stop predicate a context cancellation installs) is
+// cancellation, not exhaustion — BudgetErr must stay nil so callers
+// can tell them apart.
 func TestBudgetErrNilOnInterrupt(t *testing.T) {
 	s := New()
 	hardInstance(s)
+	var stopped atomic.Bool
+	s.SetStop(stopped.Load)
 	done := make(chan Status, 1)
 	go func() { done <- s.Solve() }()
 	time.Sleep(20 * time.Millisecond)
-	s.Interrupt()
+	stopped.Store(true)
 	if st := <-done; st != Unknown {
 		t.Fatalf("status = %v, want Unknown", st)
 	}
 	if be := s.BudgetErr(); be != nil {
-		t.Fatalf("BudgetErr() = %v after Interrupt, want nil", be)
+		t.Fatalf("BudgetErr() = %v after a stop, want nil", be)
 	}
 }
 
@@ -181,114 +185,4 @@ func TestInjectedAllocPanic(t *testing.T) {
 		}
 	}()
 	s.NewVar()
-}
-
-// TestSolveSharedBudget: when every portfolio member exhausts its
-// (clone-inherited) conflict budget, SolveShared reports the typed
-// cause instead of a bare Unknown.
-func TestSolveSharedBudget(t *testing.T) {
-	base := New()
-	hardInstance(base)
-	base.SetBudget(50)
-	p := Portfolio{Configs: PortfolioConfigs(3)}
-	run := p.SolveShared(base)
-	if run.Status != Unknown {
-		t.Fatalf("status = %v, want Unknown", run.Status)
-	}
-	if run.Budget == nil || run.Budget.Kind != BudgetConflicts {
-		t.Fatalf("Budget = %v, want conflicts cause", run.Budget)
-	}
-}
-
-// TestSolveSharedPanicLoses: a member whose solve panics loses the
-// race; the surviving members still deliver the verdict.
-func TestSolveSharedPanicLoses(t *testing.T) {
-	base := New()
-	pigeonholeInstance(base, 5)
-	configs := PortfolioConfigs(3)
-	// Arm only member 1: Script fires once globally, and each member
-	// has its own Faults value so exactly one member crashes.
-	configs[1].Faults = &faultinject.Always{Sites: []faultinject.Site{faultinject.SolvePanic}}
-	p := Portfolio{Configs: configs}
-	run := p.SolveShared(base)
-	if run.Status != Unsat {
-		t.Fatalf("status = %v, want Unsat despite one crashed member", run.Status)
-	}
-}
-
-// TestSolveSharedAllPanic: when every member crashes, the recovered
-// panic surfaces as SharedRun.Panic instead of killing the process.
-func TestSolveSharedAllPanic(t *testing.T) {
-	base := New()
-	pigeonholeInstance(base, 5)
-	configs := PortfolioConfigs(2)
-	f := &faultinject.Always{Sites: []faultinject.Site{faultinject.SolvePanic}}
-	configs[0].Faults = f
-	configs[1].Faults = f
-	p := Portfolio{Configs: configs}
-	run := p.SolveShared(base)
-	if run.Status != Unknown {
-		t.Fatalf("status = %v, want Unknown", run.Status)
-	}
-	if run.Panic == nil {
-		t.Fatal("Panic = nil; crashed members were not recorded")
-	}
-	var rp *faultinject.RecoveredPanic
-	if !errors.As(run.Panic, &rp) {
-		t.Fatalf("Panic = %v, want a *RecoveredPanic in the chain", run.Panic)
-	}
-}
-
-// TestSolveCubesBudget: cube workers inherit base's budget via
-// CloneFormula, and exhaustion surfaces as CubeRun.Budget.
-func TestSolveCubesBudget(t *testing.T) {
-	base := New()
-	hardInstance(base)
-	base.SetBudget(20)
-	cubes := CubeSplitter{Depth: 2}.Split(base)
-	if len(cubes) == 0 {
-		t.Fatal("no cubes")
-	}
-	run := SolveCubes(base, cubes, 2)
-	if run.Status != Unknown {
-		t.Fatalf("status = %v, want Unknown", run.Status)
-	}
-	if run.Budget == nil || run.Budget.Kind != BudgetConflicts {
-		t.Fatalf("Budget = %v, want conflicts cause", run.Budget)
-	}
-}
-
-// TestSolveCubesPanicRecovered: a panicking cube worker is recorded in
-// CubeRun.Err; the process survives.
-func TestSolveCubesPanicRecovered(t *testing.T) {
-	base := New()
-	pigeonholeInstance(base, 5)
-	base.SetFaults(&faultinject.Always{Sites: []faultinject.Site{faultinject.SolvePanic}})
-	cubes := CubeSplitter{Depth: 2}.Split(base)
-	run := SolveCubes(base, cubes, 2)
-	if run.Err == nil {
-		t.Fatal("Err = nil; worker panics were not recovered")
-	}
-	if site := faultinject.InjectedSite(run.Err.(*faultinject.RecoveredPanic)); site != faultinject.SolvePanic {
-		t.Fatalf("Err = %v, want injected solve-panic", run.Err)
-	}
-	if run.Status != Unknown {
-		t.Fatalf("status = %v, want Unknown when all workers crash", run.Status)
-	}
-}
-
-// TestCloneCarriesBudgets: CloneFormula copies the budget axes, so a
-// clone stops exactly like its source would.
-func TestCloneCarriesBudgets(t *testing.T) {
-	base := New()
-	hardInstance(base)
-	base.SetBudget(30)
-	base.SetPropagationBudget(1 << 40)
-	c := base.CloneFormula()
-	if st := c.Solve(); st != Unknown {
-		t.Fatalf("clone status = %v, want Unknown", st)
-	}
-	if be := c.BudgetErr(); be == nil || be.Kind != BudgetConflicts {
-		t.Fatalf("clone BudgetErr() = %v, want conflicts cause", be)
-	}
 }

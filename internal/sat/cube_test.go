@@ -54,81 +54,3 @@ func TestCubeSplitterPrefer(t *testing.T) {
 		t.Fatalf("split variable = %d, want preferred %d", cubes[0][0].Var(), v0)
 	}
 }
-
-// TestSolveCubesUnsat: Unsat requires draining every cube; the
-// verdict and the refuted count must both say so.
-func TestSolveCubesUnsat(t *testing.T) {
-	base := New()
-	pigeonholeInstance(base, 6)
-	cubes := CubeSplitter{Depth: 3}.Split(base)
-	run := SolveCubes(base, cubes, 4)
-	if run.Status != Unsat {
-		t.Fatalf("verdict = %v, want Unsat", run.Status)
-	}
-	if run.Refuted != run.Cubes || run.Cubes != len(cubes) {
-		t.Fatalf("refuted %d of %d cubes, want all %d", run.Refuted, run.Cubes, len(cubes))
-	}
-}
-
-// TestSolveCubesSat: the winner holds a genuine model.
-func TestSolveCubesSat(t *testing.T) {
-	base := New()
-	clauses := plantedInstance(base, 40, 160, 13)
-	cubes := CubeSplitter{Depth: 4}.Split(base)
-	run := SolveCubes(base, cubes, 4)
-	if run.Status != Sat {
-		t.Fatalf("verdict = %v, want Sat", run.Status)
-	}
-	if run.Winner == nil {
-		t.Fatal("Sat without a winner")
-	}
-	modelSatisfies(t, run.Winner, clauses)
-	base.AdoptModelFrom(run.Winner)
-	modelSatisfies(t, base, clauses)
-}
-
-// TestSolveCubesAssumptions: assumptions combine with cubes; an
-// assumption contradicting the planted solution space flips Sat to
-// Unsat without touching the base formula.
-func TestSolveCubesAssumptions(t *testing.T) {
-	base := New()
-	a := base.NewVar()
-	b := base.NewVar()
-	base.AddClause(Pos(a), Pos(b))
-	base.AddClause(Neg(a), Pos(b)) // forces b under either a
-	cubes := CubeSplitter{Depth: 1}.Split(base)
-	if run := SolveCubes(base, cubes, 2, Neg(b)); run.Status != Unsat {
-		t.Fatalf("verdict under contradicting assumption = %v, want Unsat", run.Status)
-	}
-	if run := SolveCubes(base, cubes, 2, Pos(b)); run.Status != Sat {
-		t.Fatalf("verdict under consistent assumption = %v, want Sat", run.Status)
-	}
-}
-
-// TestSolveCubesInterrupted: an interrupted base yields Unknown (the
-// interrupt flag carries into the solve via the cloned stop state).
-func TestSolveCubesInterrupted(t *testing.T) {
-	base := New()
-	pigeonholeInstance(base, 8)
-	stopped := true
-	base.SetStop(func() bool { return stopped })
-	cubes := CubeSplitter{Depth: 2}.Split(base)
-	run := SolveCubes(base, cubes, 2)
-	if run.Status != Unknown {
-		t.Fatalf("verdict = %v, want Unknown under a firing stop predicate", run.Status)
-	}
-}
-
-// TestSolveCubesNoCubes: the serial fallback solves base directly.
-func TestSolveCubesNoCubes(t *testing.T) {
-	base := New()
-	clauses := plantedInstance(base, 20, 80, 17)
-	run := SolveCubes(base, nil, 4)
-	if run.Status != Sat {
-		t.Fatalf("verdict = %v, want Sat", run.Status)
-	}
-	if run.Winner != base {
-		t.Fatal("serial fallback must return base as the winner")
-	}
-	modelSatisfies(t, base, clauses)
-}

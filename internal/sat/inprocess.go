@@ -156,7 +156,7 @@ func (s *Solver) vivify() bool {
 	// s.learnts is not appended to inside the loop (vivification learns
 	// nothing, it only shrinks), so ranging over it directly is safe.
 	for _, c := range s.learnts {
-		if s.stats.Propagations > budget || s.interrupted.Load() {
+		if s.stats.Propagations > budget {
 			break
 		}
 		if c.deleted || c.tier == tierLocal || len(c.lits) < 2 || s.locked(c) {

@@ -1,54 +1,53 @@
 package sat
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// TestInterruptBeforeSolveIsSticky: a stop raised before Solve stops
+// every Solve until it is lifted; the solver then runs normally.
 func TestInterruptBeforeSolveIsSticky(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(Pos(a), Pos(b))
-	s.Interrupt()
+	s.SetStop(func() bool { return true })
 	if got := s.Solve(); got != Unknown {
-		t.Fatalf("Solve with pending interrupt = %v, want Unknown", got)
+		t.Fatalf("Solve with pending stop = %v, want Unknown", got)
 	}
-	// Sticky: a second Solve is still interrupted.
 	if got := s.Solve(); got != Unknown {
-		t.Fatalf("second Solve = %v, want Unknown (flag is sticky)", got)
+		t.Fatalf("second Solve = %v, want Unknown (stop is still raised)", got)
 	}
-	s.ClearInterrupt()
+	s.SetStop(nil)
 	if got := s.Solve(); got != Sat {
-		t.Fatalf("Solve after ClearInterrupt = %v, want Sat", got)
+		t.Fatalf("Solve after lifting the stop = %v, want Sat", got)
 	}
 }
 
-// TestInterruptMidSolve interrupts a hard instance from within the
-// solve loop (via the stop predicate, so the interruption lands
-// deterministically mid-search), then verifies the solver remains
-// usable and that clauses learned before the interruption are sound:
-// re-solving the same UNSAT instance still returns Unsat.
+// TestInterruptMidSolve stops a hard instance from within the solve
+// loop (the stop predicate fires on its first in-loop poll, so the
+// interruption lands deterministically mid-search), then verifies the
+// solver remains usable and that clauses learned before the
+// interruption are sound: re-solving the same UNSAT instance still
+// returns Unsat.
 func TestInterruptMidSolve(t *testing.T) {
 	s := New()
 	pigeonholeInstance(s, 8)
-	fired := false
+	polls := 0
 	s.SetStop(func() bool {
-		if !fired {
-			fired = true
-			s.Interrupt()
-		}
-		return false
+		polls++
+		return polls > 1 // the first poll is Solve's entry check
 	})
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("interrupted Solve = %v, want Unknown", got)
 	}
-	if !fired {
-		t.Fatal("stop predicate was never polled")
+	if polls < 2 {
+		t.Fatal("stop predicate was never polled inside the search")
 	}
 	learnedBefore := s.Stats().Learnts
 
 	s.SetStop(nil)
-	s.ClearInterrupt()
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("re-Solve after interrupt = %v, want Unsat (learned clauses must stay sound)", got)
 	}
@@ -70,15 +69,18 @@ func TestSetStopPredicateStopsSolve(t *testing.T) {
 	}
 }
 
-// TestInterruptFromAnotherGoroutine exercises the asynchronous use:
-// Interrupt is called concurrently with Solve (run under -race).
+// TestInterruptFromAnotherGoroutine exercises the asynchronous use: the
+// stop predicate's flag is raised concurrently with Solve, as a context
+// cancellation does (run under -race).
 func TestInterruptFromAnotherGoroutine(t *testing.T) {
 	s := New()
 	pigeonholeInstance(s, 9)
+	var stopped atomic.Bool
+	s.SetStop(stopped.Load)
 	done := make(chan Status, 1)
 	go func() { done <- s.Solve() }()
 	time.Sleep(20 * time.Millisecond)
-	s.Interrupt()
+	stopped.Store(true)
 	select {
 	case got := <-done:
 		// The solve may legitimately have finished before the
@@ -87,13 +89,13 @@ func TestInterruptFromAnotherGoroutine(t *testing.T) {
 			t.Fatalf("Solve = %v, want Unknown or Unsat", got)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Solve did not return after Interrupt")
+		t.Fatal("Solve did not return after the stop")
 	}
-	// Usability after an async interrupt: a budgeted re-solve must
-	// run normally (soundness of the learned clauses on this instance
-	// is covered by TestInterruptMidSolve; solving PHP(9) to
-	// completion here would dominate the -race run).
-	s.ClearInterrupt()
+	// Usability after an async stop: a budgeted re-solve must run
+	// normally (soundness of the learned clauses on this instance is
+	// covered by TestInterruptMidSolve; solving PHP(9) to completion
+	// here would dominate the -race run).
+	stopped.Store(false)
 	s.SetBudget(500)
 	if got := s.Solve(); got == Sat {
 		t.Fatalf("Solve after async interrupt = %v on an UNSAT instance", got)

@@ -7,8 +7,10 @@
 // incremental solving. Clauses may be added between Solve calls, which
 // the specification-mining loop uses for blocking clauses and the lazy
 // loop-bound probes for their overflow clause. Solving under
-// assumptions is what cube-and-conquer and the model sweep's per-model
-// selectors use.
+// assumptions is what the model sweep's per-model selectors and the
+// fleet's cross-process cubes use. Each check runs one solver on one
+// encoding; parallelism lives above a check (suite workers, the
+// daemon, the fleet).
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"checkfence/internal/faultinject"
@@ -112,12 +113,6 @@ type clause struct {
 	activity float64
 	lbd      int
 	learnt   bool
-
-	// shared marks a clause imported from another portfolio member;
-	// sharedUsed latches once it participates in a conflict, so
-	// SharedUseful counts each imported clause at most once.
-	shared     bool
-	sharedUsed bool
 
 	// Inprocessing state (see inprocess.go): the clause's tier in the
 	// learnt database, whether it took part in a conflict since the
@@ -228,14 +223,6 @@ type Stats struct {
 	ClausesStrengthened int
 	PreprocessTime      time.Duration
 
-	// Clause-sharing traffic (see SetShare): learnt clauses offered
-	// to the pool, foreign clauses attached after root simplification,
-	// and attached foreign clauses that later took part in a conflict
-	// (each counted once).
-	SharedExported int64
-	SharedImported int64
-	SharedUseful   int64
-
 	// Inprocessing counters (see inprocess.go); zero when the layer is
 	// off. VivifiedLits counts literals removed from VivifiedClauses
 	// clauses; SubsumedLearnts counts learnt clauses deleted by
@@ -315,26 +302,9 @@ type Solver struct {
 	clauseArena []clause
 	litArena    []Lit
 
-	// interrupted is the asynchronous stop flag set by Interrupt();
 	// stop is an optional external stop predicate (e.g. a context
-	// check). Both are polled in the solve loop.
-	interrupted atomic.Bool
-	stop        func() bool
-
-	// adopted, when non-nil, overlays a foreign model (from
-	// AdoptModelFrom) over Value/ValueLit; the next Solve discards it.
-	adopted []lbool
-
-	// Clause-sharing hooks (see SetShare). shareExport receives each
-	// learnt clause with LBD <= shareLBD; shareImport is drained at
-	// restart boundaries and, because easy formulas may never satisfy a
-	// restart policy at all, at a forced cadence of shareEvery conflicts
-	// (the solver hops to the root for the import, which is just an
-	// extra restart).
-	shareLBD    int
-	shareEvery  int64
-	shareExport func(lits []Lit, lbd int)
-	shareImport func(add func(lits []Lit, lbd int))
+	// check), polled in the solve loop.
+	stop func() bool
 
 	maxLearnts   float64
 	learntGrowth float64
@@ -387,35 +357,6 @@ const (
 
 // SetRestartPolicy selects the restart schedule (ablation knob).
 func (s *Solver) SetRestartPolicy(p RestartPolicy) { s.restartPolicy = p }
-
-// SetDefaultPhase sets the saved phase of every current variable, so
-// the first decision on a variable assigns it this polarity. The
-// default is false; inverting it is one of the portfolio
-// diversification axes. Call after the formula is built and before
-// Solve (phase saving overwrites it as search proceeds).
-func (s *Solver) SetDefaultPhase(polarity bool) {
-	for i := range s.phase {
-		s.phase[i] = polarity
-	}
-}
-
-// RandomizeActivity assigns each variable a small pseudo-random
-// initial VSIDS activity (deterministic in seed), permuting the
-// initial branching order without outweighing real conflict activity.
-// A second portfolio diversification axis.
-func (s *Solver) RandomizeActivity(seed int64) {
-	// xorshift64*; any nonzero state works.
-	x := uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	for v := range s.order.activity {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		// Scale into [0, 1e-3): far below the first conflict bump
-		// (varInc starts at 1.0), so it only breaks ties.
-		s.order.activity[v] = float64(x>>11) / float64(1<<53) * 1e-3
-	}
-	s.order.rebuild()
-}
 
 // New returns an empty solver. Inprocessing (see inprocess.go) is on
 // by default; SetInprocess(false) disables it.
@@ -538,27 +479,13 @@ func (s *Solver) Stats() Stats {
 // (0 = unlimited). When exhausted, Solve returns Unknown.
 func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
 
-// Interrupt asynchronously stops the current (and any subsequent)
-// Solve, which returns Unknown at its next check point. It is safe to
-// call from another goroutine while Solve runs; the flag is sticky
-// until ClearInterrupt, so a multi-Solve procedure (mining, the
-// two-phase inclusion check) stops as a whole. All clauses learned
-// before the interruption remain attached and sound.
-func (s *Solver) Interrupt() { s.interrupted.Store(true) }
-
-// ClearInterrupt re-arms the solver after an Interrupt; following
-// Solve calls run normally.
-func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
-
-// Interrupted reports whether Interrupt has been called without a
-// matching ClearInterrupt.
-func (s *Solver) Interrupted() bool { return s.interrupted.Load() }
-
-// SetStop installs an external stop predicate polled periodically in
-// the solve loop (every few hundred iterations, so it may be modestly
-// expensive, e.g. a context or deadline check). A true return makes
-// Solve return Unknown. nil removes the predicate. Unlike Interrupt,
-// the predicate is consulted fresh on every Solve.
+// SetStop installs an external stop predicate, checked at Solve entry
+// and polled periodically in the solve loop (every few hundred
+// iterations, so it may be modestly expensive, e.g. a context or
+// deadline check). A true return makes Solve return Unknown; the
+// predicate may be raised from another goroutine, and all clauses
+// learned before the stop remain attached and sound. nil removes the
+// predicate.
 func (s *Solver) SetStop(stop func() bool) { s.stop = stop }
 
 func (s *Solver) value(l Lit) lbool {
@@ -836,10 +763,6 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	s.ante = s.ante[:0]
 	for {
 		s.bumpClause(confl)
-		if confl.shared && !confl.sharedUsed {
-			confl.sharedUsed = true
-			s.stats.SharedUseful++
-		}
 		if confl.learnt && s.inpro.on {
 			// Remember learnt antecedents for on-the-fly subsumption,
 			// mark them used (tier retention), and tighten their LBD —
@@ -999,10 +922,6 @@ func (s *Solver) record(lits []Lit) {
 	if len(lits) == 1 {
 		s.uncheckedEnqueue(lits[0], nil)
 		s.updateLBD(1)
-		if s.shareExport != nil {
-			s.stats.SharedExported++
-			s.shareExport([]Lit{lits[0]}, 1)
-		}
 		return
 	}
 	c := &clause{lits: lits, learnt: true, lbd: s.computeLBD(lits)}
@@ -1013,13 +932,6 @@ func (s *Solver) record(lits []Lit) {
 	s.bumpClause(c)
 	s.uncheckedEnqueue(lits[0], c)
 	s.updateLBD(float64(c.lbd))
-	if s.shareExport != nil && c.lbd <= s.shareLBD {
-		// The clause owns (and reorders) lits; hand the pool a copy.
-		cp := make([]Lit, len(lits))
-		copy(cp, lits)
-		s.stats.SharedExported++
-		s.shareExport(cp, c.lbd)
-	}
 }
 
 // updateLBD maintains the fast/slow LBD moving averages driving the
@@ -1098,10 +1010,9 @@ func luby(i int64) int64 {
 }
 
 // Solve searches for a model extending the given assumptions. It
-// returns Sat, Unsat, or Unknown (interrupted, stopped, or budget
-// exhausted — BudgetErr tells which).
+// returns Sat, Unsat, or Unknown (stopped or budget exhausted —
+// BudgetErr tells which).
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	s.adopted = nil
 	s.budgetErr = nil
 	if !s.ok {
 		return Unsat
@@ -1110,7 +1021,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// procedure (mining, the two-phase inclusion check) whose
 	// individual solves are too short to reach the periodic in-loop
 	// checkpoint still observes a cancellation raised between solves.
-	if s.interrupted.Load() || (s.stop != nil && s.stop()) {
+	if s.stop != nil && s.stop() {
 		return Unknown
 	}
 	var solveStart time.Time
@@ -1133,25 +1044,19 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.ok = false
 		return Unsat
 	}
-	if !s.importShared() {
-		s.ok = false
-		return Unsat
-	}
 
 	conflicts := int64(0)
 	sinceRestart := int64(0)
-	sinceImport := int64(0)
 	lubyIdx := int64(1)
 	lubyLimit := luby(lubyIdx) * 100
 	var ticks int64
 
 	for {
-		// Interruption check points: the atomic flag every iteration
-		// (one load); the external predicate, the slow budget axes
-		// (deadline, propagations, memory), and the fault hooks every
-		// 128 iterations.
+		// Interruption check points: the external predicate, the slow
+		// budget axes (deadline, propagations, memory), and the fault
+		// hooks every 128 iterations.
 		ticks++
-		if s.interrupted.Load() || (s.stop != nil && ticks&127 == 0 && s.stop()) {
+		if s.stop != nil && ticks&127 == 0 && s.stop() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -1166,7 +1071,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if confl != nil {
 			conflicts++
 			sinceRestart++
-			sinceImport++
 			s.stats.Conflicts++
 			if s.decisionLevel() == 0 {
 				s.ok = false
@@ -1212,28 +1116,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		default:
 			restart = sinceRestart >= 100 && s.lbdFast > 1.25*s.lbdSlow
 		}
-		if !restart && s.shareImport != nil && s.shareEvery > 0 && sinceImport >= s.shareEvery {
-			// Forced import cadence: the restart policies can go whole
-			// short solves without firing (glucose needs drifting LBDs,
-			// Luby needs 100+ conflicts), which used to starve portfolio
-			// members of their peers' exports entirely. An import needs
-			// the trail at the root, so this is simply an extra restart.
-			restart = true
-		}
 		if restart {
 			sinceRestart = 0
-			sinceImport = 0
 			s.stats.Restarts++
 			s.cancelUntil(0)
-			// Restart boundaries are the import points of clause
-			// sharing: the trail is at the root, so foreign clauses
-			// can be simplified and attached safely.
-			if !s.importShared() {
-				s.ok = false
-				return Unsat
-			}
-			// They are also the vivification points: distillation
-			// probes on a scratch decision level above the root.
+			// Restart boundaries are the vivification points:
+			// distillation probes on a scratch decision level above
+			// the root.
 			if s.inpro.on && s.stats.Conflicts-s.inpro.lastVivify >= s.inpro.vivifyInterval {
 				s.inpro.lastVivify = s.stats.Conflicts
 				if !s.vivify() {
@@ -1295,16 +1184,21 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 // Value returns the model value of variable v after a Sat result.
 // Values of eliminated variables are reconstructed by model
-// extension. When a foreign model has been adopted (AdoptModelFrom),
-// it is reported instead until the next Solve.
+// extension.
 func (s *Solver) Value(v int) bool {
-	if s.adopted != nil {
-		return s.adopted[v] == lTrue
-	}
 	if s.eliminated[v] {
 		return s.extVals[v] == lTrue
 	}
 	return s.assigns[v] == lTrue
+}
+
+// FixedAtRoot reports whether the variable is assigned at the root
+// decision level — its value is forced by the formula alone (unit
+// clauses and their propagation), independent of search decisions or
+// assumptions. Blocking-clause shrinking drops such bits: no model
+// can differ there.
+func (s *Solver) FixedAtRoot(v int) bool {
+	return s.assigns[v] != lUndef && s.levels[v] == 0
 }
 
 // ValueLit returns the model value of a literal after a Sat result.

@@ -21,9 +21,7 @@ import (
 )
 
 // ErrSolverUnknown is wrapped by Mine and CheckInclusion when the SAT
-// solver stops without a verdict (interrupted or budget-exhausted).
-// Portfolio racing uses it to tell a cancelled member from a
-// definitive one.
+// solver stops without a verdict (stopped or budget-exhausted).
 var ErrSolverUnknown = errors.New("spec: solver stopped without a verdict")
 
 // Entry identifies one observed value: a register of a thread

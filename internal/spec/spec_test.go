@@ -109,8 +109,13 @@ func TestMineDetectsSequentialBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err := Mine(e, []Entry{{Label: "R", Thread: 1, Reg: "r"}})
-	if _, ok := err.(*SeqBugError); !ok {
-		t.Errorf("expected SeqBugError, got %v", err)
+	bug, ok := err.(*SeqBugError)
+	if !ok {
+		t.Fatalf("expected SeqBugError, got %v", err)
+	}
+	// The reported observation is decoded from the erroneous model.
+	if len(bug.Obs) != 1 || !bug.Obs[0].Equal(lsl.Int(1)) {
+		t.Errorf("seq-bug observation = %v, want [1]", bug.Obs)
 	}
 }
 

@@ -72,9 +72,9 @@ func (c *SweepCheck) ErrorCheck(m memmodel.Model, strat Strategy) (*Counterexamp
 		panic("spec: SweepCheck.ErrorCheck after BeginInclusion")
 	}
 	assum := append(append(c.e.SelectorLits(m), c.errLit), strat.Assume...)
-	switch st, cause := solveOne(c.e, strat, assum...); st {
+	switch st, cause := solveOne(c.e, assum...); st {
 	case sat.Sat:
-		obs := decodeObs(c.e, c.e.S, c.svs)
+		obs := decodeObs(c.e, c.svs)
 		msg := ""
 		for _, ec := range c.e.Errors {
 			if c.e.B.Eval(ec.Cond) {
@@ -118,11 +118,11 @@ func (c *SweepCheck) Inclusion(m memmodel.Model, strat Strategy) (*Counterexampl
 	if !c.began {
 		panic("spec: SweepCheck.Inclusion before BeginInclusion")
 	}
-	switch st, cause := solvePhase2(c.e, strat, append(c.e.SelectorLits(m), strat.Assume...)...); st {
+	switch st, cause := solveOne(c.e, append(c.e.SelectorLits(m), strat.Assume...)...); st {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Sat:
-		return &Counterexample{Obs: decodeObs(c.e, c.e.S, c.svs)}, nil
+		return &Counterexample{Obs: decodeObs(c.e, c.svs)}, nil
 	default:
 		return nil, unknownErr("inclusion check", st, cause)
 	}

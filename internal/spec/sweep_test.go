@@ -89,8 +89,7 @@ func mineModel(t *testing.T, m memmodel.Model, strat Strategy) (*Set, MineStats)
 
 // TestSweepCheckMatchesIndependent: the shared-formula SweepCheck must
 // reproduce the single-model CheckInclusionWith verdicts and
-// counterexample observations exactly, across serial, portfolio, and
-// cube strategies.
+// counterexample observations exactly.
 func TestSweepCheckMatchesIndependent(t *testing.T) {
 	sweep := []memmodel.Model{
 		memmodel.SequentialConsistency, memmodel.TSO,
@@ -98,43 +97,37 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 	}
 	// The spec is the serial observation set, as in the real pipeline.
 	specSet, _ := mineModel(t, memmodel.Serial, Strategy{})
-	for _, strat := range []Strategy{
-		{},
-		{Portfolio: 2, ShareClauses: true},
-		{Cube: 2},
-	} {
-		sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
+	sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Phase 1 for every model, strongest-first, before any exclusion.
+	for _, m := range sweep {
+		cex, err := sc.ErrorCheck(m, Strategy{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v error check: %v", m, err)
 		}
-		// Phase 1 for every model, strongest-first, before any exclusion.
-		for _, m := range sweep {
-			cex, err := sc.ErrorCheck(m, strat)
-			if err != nil {
-				t.Fatalf("%v error check: %v", m, err)
-			}
-			if cex != nil {
-				t.Fatalf("%v: unexpected error-phase counterexample %v", m, cex.Obs)
-			}
+		if cex != nil {
+			t.Fatalf("%v: unexpected error-phase counterexample %v", m, cex.Obs)
 		}
-		if err := sc.BeginInclusion(specSet); err != nil {
-			t.Fatal(err)
+	}
+	if err := sc.BeginInclusion(specSet); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range sweep {
+		got, err := sc.Inclusion(m, Strategy{})
+		if err != nil {
+			t.Fatalf("%v inclusion: %v", m, err)
 		}
-		for _, m := range sweep {
-			got, err := sc.Inclusion(m, strat)
-			if err != nil {
-				t.Fatalf("%v inclusion: %v", m, err)
-			}
-			want, err := CheckInclusionWith(encodeMP(t, m), mpEntries(), specSet, strat)
-			if err != nil {
-				t.Fatalf("%v independent: %v", m, err)
-			}
-			if (got == nil) != (want == nil) {
-				t.Fatalf("strat=%+v %v: sweep cex %v, independent cex %v", strat, m, got, want)
-			}
-			if got != nil && specSet.Has(got.Obs) {
-				t.Fatalf("strat=%+v %v: sweep counterexample %v is inside the spec", strat, m, got.Obs)
-			}
+		want, err := CheckInclusionWith(encodeMP(t, m), mpEntries(), specSet, Strategy{})
+		if err != nil {
+			t.Fatalf("%v independent: %v", m, err)
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%v: sweep cex %v, independent cex %v", m, got, want)
+		}
+		if got != nil && specSet.Has(got.Obs) {
+			t.Fatalf("%v: sweep counterexample %v is inside the spec", m, got.Obs)
 		}
 	}
 }

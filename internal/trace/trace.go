@@ -139,8 +139,7 @@ func Decode(enc *encode.Encoder, cex *spec.Counterexample, entries []spec.Entry,
 	// In a consistent model the before-counts 0..n-1 are all distinct;
 	// a tie means the decoded order is not total. Record it (the
 	// validator rejects such traces) and break the tie deterministically
-	// on (thread, program index) so output stays stable across
-	// portfolio winners either way.
+	// on (thread, program index) so output stays stable either way.
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if a.before != b.before {

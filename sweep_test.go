@@ -5,8 +5,7 @@ package checkfence_test
 // identical verdicts, identical observation sets, and (on failures)
 // counterexample traces that the independent validator accepted —
 // the sweep is a pure performance transformation. The matrix covers a
-// passing and a failing implementation under all five models, plus
-// portfolio and cube solver strategies on the grouped jobs.
+// passing and a failing implementation under all five models.
 
 import (
 	"testing"
@@ -82,36 +81,6 @@ func runSweepAblation(t *testing.T, jobs []checkfence.Job, parallelism int) {
 
 func TestSweepAblation(t *testing.T) {
 	runSweepAblation(t, sweepAblationJobs(checkfence.Options{}), 4)
-}
-
-// TestSweepAblationStrategies re-runs the ablation with the parallel
-// solver strategies the sweep shares across its assumption solves:
-// a clause-sharing portfolio and cube-and-conquer splitting (whose
-// splitter must avoid branching on the frozen selector variables).
-func TestSweepAblationStrategies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy matrix is slow under -short")
-	}
-	for _, tc := range []struct {
-		name string
-		opts checkfence.Options
-	}{
-		{"portfolio", checkfence.Options{Portfolio: 2, ShareClauses: true}},
-		{"cube", checkfence.Options{Cube: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			models := []checkfence.Model{
-				checkfence.SequentialConsistency, checkfence.PSO, checkfence.Relaxed,
-			}
-			var jobs []checkfence.Job
-			for _, m := range models {
-				o := tc.opts
-				o.Model = m
-				jobs = append(jobs, checkfence.Job{Impl: "msn-nofence", Test: "T0", Opts: o})
-			}
-			runSweepAblation(t, jobs, 2)
-		})
-	}
 }
 
 // TestSweepStatsShape pins the sweep's stats contract: the group's
