@@ -30,6 +30,7 @@ import (
 	"checkfence/internal/memmodel"
 	"checkfence/internal/ranges"
 	"checkfence/internal/sat"
+	"checkfence/internal/spec"
 )
 
 // Stats quantifies one commit-point check.
@@ -109,11 +110,14 @@ func Check(implName, testName string, model memmodel.Model) (*Result, error) {
 		if err := probe.Encode(unrolled.Threads); err != nil {
 			return nil, err
 		}
-		probe.AssertSomeOverflow()
-		if probe.S.Solve() != sat.Sat {
+		ids, st := probe.ProbeOverflows()
+		if st == sat.Unknown {
+			return nil, fmt.Errorf("commit: bound probe: %w", spec.ErrSolverUnknown)
+		}
+		if len(ids) == 0 {
 			break
 		}
-		for _, id := range probe.OverflowingLoops() {
+		for _, id := range ids {
 			key, ok := unrolled.LoopKey(id)
 			if !ok {
 				return nil, fmt.Errorf("commit: unknown loop id %d", id)

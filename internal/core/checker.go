@@ -932,9 +932,9 @@ func probeModel(m memmodel.Model) memmodel.Model {
 	return m
 }
 
-// probeBounds checks whether any loop can exceed its current bound
-// under the given model; if so it increments those bounds and reports
-// growth.
+// probeBounds checks which loops can exceed their current bounds under
+// the given model (encode.Encoder.ProbeOverflows finds all of them in
+// one probe encoding); it increments those bounds and reports growth.
 func (a *attempt) probeBounds(model memmodel.Model) (bool, error) {
 	hasMarkers := false
 	for _, li := range a.unrolled.Loops {
@@ -950,28 +950,27 @@ func (a *attempt) probeBounds(model memmodel.Model) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	probe.AssertSomeOverflow()
-	switch probe.S.Solve() {
-	case sat.Sat:
-	case sat.Unsat:
-		return false, nil
-	default:
+	return a.growOverflowing(probe)
+}
+
+// growOverflowing runs the probe on an encoding of the current
+// unrolling and grows the bound of every loop it flags. A probe the
+// solver could not finish is an error, never a partial growth taken as
+// converged.
+func (a *attempt) growOverflowing(probe *encode.Encoder) (bool, error) {
+	ids, st := probe.ProbeOverflows()
+	if st == sat.Unknown {
 		if be := probe.S.BudgetErr(); be != nil {
 			return false, fmt.Errorf("core: bound probe: %w: %w", spec.ErrSolverUnknown, be)
 		}
 		return false, fmt.Errorf("core: bound probe: %w", spec.ErrSolverUnknown)
 	}
-	grew := false
-	for _, id := range probe.OverflowingLoops() {
+	for _, id := range ids {
 		key, ok := a.unrolled.LoopKey(id)
 		if !ok {
 			return false, fmt.Errorf("core: unknown loop id %d", id)
 		}
 		a.bounds[key] = a.unrolled.BoundFor(id) + 1
-		grew = true
 	}
-	if !grew {
-		return false, fmt.Errorf("core: overflow probe satisfiable but no loop flagged")
-	}
-	return true, nil
+	return len(ids) > 0, nil
 }

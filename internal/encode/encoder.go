@@ -974,13 +974,68 @@ func (e *Encoder) AssertNoOverflow() {
 }
 
 // AssertSomeOverflow requires that at least one loop exceeds its
-// bound (the probe of paper §3.3).
+// bound: the paper's §3.3 probe as one solve, whose model flags only
+// some of the loops that can overflow (ProbeOverflows finds them all).
 func (e *Encoder) AssertSomeOverflow() {
 	nodes := make([]bitvec.Node, 0, len(e.Overflow))
 	for _, id := range e.overflowIDs() {
 		nodes = append(nodes, e.Overflow[id])
 	}
 	e.B.AssertOr(nodes...)
+}
+
+// ProbeOverflows is the bound probe of paper §3.3, widened to find
+// every loop that can exceed its unrolling bound in one encoding, not
+// only the loops one model happens to flag. It requires that some loop
+// overflows, solves, and records the loops whose guard holds; it then
+// adds one clause "some loop not yet flagged overflows" and re-solves,
+// until that is refuted or every loop is flagged. The probe encoding is
+// never preprocessed, so each re-solve is incremental.
+//
+// The status is Unsat when no loop can overflow (ids is empty), Sat
+// when ids lists, in ascending order, every loop that can, and Unknown
+// when a solve stopped (stop predicate, deadline or budget) before the
+// collection was complete. On Unknown ids is nil, never a partial set:
+// growing only some of the overflowable loops and calling the bounds
+// converged would be unsound.
+func (e *Encoder) ProbeOverflows() ([]int, sat.Status) {
+	var ids []int
+	remaining := e.overflowIDs()
+	guards := make([]bitvec.Node, 0, len(remaining))
+	for len(remaining) > 0 {
+		guards = guards[:0]
+		for _, id := range remaining {
+			guards = append(guards, e.Overflow[id])
+		}
+		e.B.AssertOr(guards...)
+		st := e.S.Solve()
+		if st == sat.Unsat {
+			break
+		}
+		if st != sat.Sat {
+			return nil, sat.Unknown
+		}
+		rest := remaining[:0]
+		for _, id := range remaining {
+			if e.B.Eval(e.Overflow[id]) {
+				ids = append(ids, id)
+			} else {
+				rest = append(rest, id)
+			}
+		}
+		if len(rest) == len(remaining) {
+			// The clause just added holds in the model through a
+			// positively encoded guard, so one of them must evaluate
+			// true; anything else is an encoder bug.
+			panic("encode: overflow probe satisfiable but no new loop flagged")
+		}
+		remaining = rest
+	}
+	if len(ids) == 0 {
+		return nil, sat.Unsat
+	}
+	slices.Sort(ids)
+	return ids, sat.Sat
 }
 
 // overflowIDs returns the loop ids of Overflow in ascending order.
