@@ -15,7 +15,7 @@
 //	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced SAT (writes BENCH_backend.json)
 //	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks (writes BENCH_sweep.json)
 //	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite (writes BENCH_daemon.json)
-//	benchtab -fig fleet        distributed fan-out: serial vs 1 vs 3 fleet workers (writes BENCH_fleet.json)
+//	benchtab -fig fleet        fleet batch throughput: serial suite vs 1 vs 3 fleet workers (writes BENCH_fleet.json)
 //
 // Absolute times differ from the paper's 2007 testbed; the shapes
 // (growth trends, ratios, who wins) are the reproduction target. Use

@@ -159,49 +159,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitError
 	}
 
+	base := core.Options{
+		Backend:              be,
+		DisableRangeAnalysis: *noRanges,
+		MaxMineIterations:    *maxMine,
+		SimplifyLevel:        *simplify,
+		NoPreprocess:         *noPreproc,
+		NoInprocess:          !*inproc,
+		NoOrderReduce:        !*ordReduce,
+		ConflictBudget:       *conflicts,
+		MemBudgetMB:          *memMB,
+	}
+	if !*validate {
+		base.ValidateTraces = core.ValidateOff
+	}
+	if *specSrc == "refset" {
+		base.SpecSource = core.SpecRef
+	}
+
 	if *remote != "" {
-		opts := core.Options{
-			Model:                models[0],
-			Backend:              be,
-			DisableRangeAnalysis: *noRanges,
-			MaxMineIterations:    *maxMine,
-			SimplifyLevel:        *simplify,
-			NoPreprocess:         *noPreproc,
-			NoInprocess:          !*inproc,
-			NoOrderReduce:        !*ordReduce,
-			ConflictBudget:       *conflicts,
-			MemBudgetMB:          *memMB,
-		}
-		if !*validate {
-			opts.ValidateTraces = core.ValidateOff
-		}
-		if *specSrc == "refset" {
-			opts.SpecSource = core.SpecRef
-		}
+		// The daemon expands the model list itself and applies -timeout
+		// as the batch deadline.
+		opts := base
+		opts.Model = models[0]
 		return runRemote(*remote, *implName, *testName, models, opts, *timeout, *stats, stdout, stderr)
 	}
 
 	suite := make([]core.Job, len(models))
 	for i, model := range models {
-		opts := core.Options{
-			Model:                model,
-			Backend:              be,
-			DisableRangeAnalysis: *noRanges,
-			MaxMineIterations:    *maxMine,
-			SimplifyLevel:        *simplify,
-			NoPreprocess:         *noPreproc,
-			NoInprocess:          !*inproc,
-			NoOrderReduce:        !*ordReduce,
-			Deadline:             *timeout,
-			ConflictBudget:       *conflicts,
-			MemBudgetMB:          *memMB,
-		}
-		if !*validate {
-			opts.ValidateTraces = core.ValidateOff
-		}
-		if *specSrc == "refset" {
-			opts.SpecSource = core.SpecRef
-		}
+		opts := base
+		opts.Model, opts.Deadline = model, *timeout
 		suite[i] = core.Job{Impl: *implName, Test: *testName, Opts: opts}
 	}
 

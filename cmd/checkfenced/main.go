@@ -13,8 +13,8 @@
 // resumable checkpoints in the cache directory.
 //
 // Distributed mode: -coordinator turns the daemon into a fleet
-// coordinator — checks are split into cube tasks (internal/fleet) and
-// leased to workers polling /fleet/v1/*; every fault class (worker
+// coordinator — each check is one task (internal/fleet), leased whole
+// to workers polling /fleet/v1/*; every fault class (worker
 // crash, hang, partition, duplicate delivery) degrades to
 // slower-but-correct via requeue, quarantine, or local fallback, with
 // the cause visible on /metrics. -worker URL runs the process as a
@@ -52,13 +52,12 @@ func run(args []string) int {
 	maxInflight := fs.Int("max-inflight", 0, "max admitted-but-unfinished jobs; excess batches get 503 + Retry-After (0 = unlimited)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain window before cancelling in-flight work")
 
-	coordinator := fs.Bool("coordinator", false, "fleet coordinator mode: fan checks out to workers via /fleet/v1/*")
-	workerURL := fs.String("worker", "", "fleet worker mode: pull cube tasks from this coordinator URL")
+	coordinator := fs.Bool("coordinator", false, "fleet coordinator mode: lease checks to workers via /fleet/v1/*")
+	workerURL := fs.String("worker", "", "fleet worker mode: pull checks from this coordinator URL")
 	workerID := fs.String("worker-id", "", "worker identity (default: host-pid)")
 	lease := fs.Duration("lease", 30*time.Second, "coordinator: task lease duration (workers must heartbeat within it)")
-	cubeDepth := fs.Int("cube-depth", 2, "coordinator: cube split depth (up to 2^depth cubes per check)")
-	fleetRetries := fs.Int("fleet-retries", 3, "coordinator: dispatch attempts per cube before solving it locally")
-	speculate := fs.Duration("speculate-after", 0, "coordinator: re-dispatch a straggling cube after this long (0 = never)")
+	fleetRetries := fs.Int("fleet-retries", 3, "coordinator: dispatch attempts per check before solving it locally")
+	speculate := fs.Duration("speculate-after", 0, "coordinator: re-dispatch a straggling check after this long (0 = never)")
 	journalPath := fs.String("fleet-journal", "", "coordinator: crash-recovery journal path (JSON lines)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,7 +79,6 @@ func run(args []string) int {
 	if *coordinator {
 		var err error
 		coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			CubeDepth:      *cubeDepth,
 			Lease:          *lease,
 			MaxRetries:     *fleetRetries,
 			SpeculateAfter: *speculate,

@@ -91,14 +91,6 @@ func routeRF(opts Options, unrolled *harness.Unrolled) routeDecision {
 		return routeDecision{reason: "sat (refset mining configured)",
 			err: fmt.Errorf("%w: refset mining configured", rf.ErrNotApplicable)}
 	}
-	if len(opts.Assume) > 0 {
-		// Cube assumptions name SAT order variables; the reads-from
-		// engine has none. Declining here (instead of silently solving
-		// the whole check) keeps a fan-out worker restricted to its
-		// cube.
-		return routeDecision{reason: "sat (cube assumptions)",
-			err: fmt.Errorf("%w: cube assumptions require the SAT backend", rf.ErrNotApplicable)}
-	}
 	p, err := rf.Scan(unrolled.Threads)
 	if err != nil {
 		return routeDecision{reason: "sat (" + err.Error() + ")", err: err}

@@ -134,23 +134,6 @@ type Options struct {
 	// Faults arms deterministic fault injection at the solver,
 	// encoder, and mining hook points (tests and chaos runs only).
 	Faults faultinject.Faults
-	// Assume restricts the inclusion check (both the error phase and
-	// the exclusion phase) to one cube of a cross-process
-	// cube-and-conquer fan-out. Each literal is a signed 1-based
-	// ordinal into the encoder's deterministic memory-order variable
-	// list (encode.Encoder.OrderSatVars at the check's bounds):
-	// +k asserts order variable k-1 true, -k asserts it false.
-	// Ordinals rather than raw SAT variables make the cube stable
-	// across processes — any process that encodes the same description
-	// maps ordinal k to the same variable. Ordinals that fall outside
-	// the list at the worker's bounds are dropped (every worker drops
-	// them identically, so the cubes stay jointly exhaustive — the
-	// property fan-out aggregation relies on; disjointness is not
-	// required for soundness, only to avoid duplicate work). Mining
-	// and bound probing ignore the field: the specification and the
-	// converged bounds are cube-independent. See internal/fleet for
-	// the coordinator that plans and aggregates such cubes.
-	Assume []int
 	// Sweep controls whether this job may join a model-sweep group
 	// when checked through RunSuite: jobs identical in everything but
 	// Model are grouped onto one shared selector-guarded encoding and
@@ -235,13 +218,6 @@ type Stats struct {
 	// SpecCacheResumed counts mines of this check that resumed from an
 	// on-disk checkpoint left by an earlier interrupted mine.
 	SpecCacheResumed int
-
-	// AssumedLits counts the cube assumption literals applied to the
-	// inclusion check (cross-process fan-out; zero outside fleet
-	// workers). AssumeDropped counts wire ordinals that fell outside
-	// the order-variable list at this check's bounds.
-	AssumedLits   int
-	AssumeDropped int
 
 	// Inprocessing work of the inclusion check's solver, summed over
 	// bound rounds: literals removed by clause vivification
@@ -645,12 +621,6 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	}
 
 	refuteStart := time.Now()
-	var strat spec.Strategy
-	if len(a.opts.Assume) > 0 {
-		strat.Assume = assumeLits(enc, a.opts.Assume)
-		lead.Stats.AssumedLits = len(strat.Assume)
-		lead.Stats.AssumeDropped = len(a.opts.Assume) - len(strat.Assume)
-	}
 	sc, err := spec.NewSweepCheck(enc, a.built.Entries)
 	lead.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
@@ -659,7 +629,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	// Phase 1 for every pending model before any exclusion clause
 	// exists (see spec.SweepCheck), then phase 2 for the rest.
 	open, err := a.solvePhase(pending, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
-		return sc.ErrorCheck(m, strat)
+		return sc.ErrorCheck(m)
 	})
 	if err != nil {
 		return nil, err
@@ -673,7 +643,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 			return nil, err
 		}
 		passed, err = a.solvePhase(open, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
-			return sc.Inclusion(m, strat)
+			return sc.Inclusion(m)
 		})
 		if err != nil {
 			return nil, err
@@ -828,27 +798,6 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 	}
 	res.Stats.MineIterations = iterations
 	return mined, nil, nil
-}
-
-// assumeLits maps wire-format cube assumptions — signed 1-based
-// ordinals into the encoder's deterministic memory-order variable
-// list — onto solver literals. Out-of-range ordinals are dropped:
-// every process at the same bounds drops the same ones, so a fan-out's
-// cubes remain jointly exhaustive (see Options.Assume).
-func assumeLits(e *encode.Encoder, assume []int) []sat.Lit {
-	ord := e.OrderSatVars()
-	lits := make([]sat.Lit, 0, len(assume))
-	for _, a := range assume {
-		k, neg := a, false
-		if k < 0 {
-			k, neg = -k, true
-		}
-		if k == 0 || k > len(ord) {
-			continue
-		}
-		lits = append(lits, sat.MkLit(ord[k-1], neg))
-	}
-	return lits
 }
 
 // validateCex independently re-checks a decoded counterexample (axiom

@@ -139,11 +139,8 @@ func (o Options) unrollHarness(built *harness.Built, bounds map[string]int) (*ha
 // touches SAT; fault injection is per-check machinery the shared
 // pipeline must not multiplex.
 func sweepEligible(o Options) bool {
-	// Cube assumptions (cross-process fan-out) target one model's
-	// inclusion encoding; a shared sweep encoding would apply the cube
-	// to every member, so such jobs check independently.
 	return o.Sweep != SweepOff && o.Model != memmodel.Serial &&
-		o.Backend != BackendRF && o.Faults == nil && len(o.Assume) == 0
+		o.Backend != BackendRF && o.Faults == nil
 }
 
 // sweepFingerprint renders every Options field except Model into a
@@ -170,9 +167,6 @@ func sweepFingerprint(o Options) string {
 	}
 	for _, r := range o.Ladder {
 		fmt.Fprintf(&b, " rung=%+v", r)
-	}
-	for _, a := range o.Assume {
-		fmt.Fprintf(&b, " asm=%d", a)
 	}
 	return b.String()
 }

@@ -50,7 +50,7 @@ type Config struct {
 	// Retry-After hint instead of queueing unboundedly (0 = unlimited).
 	MaxInflight int
 	// Fleet, when non-nil, switches the daemon into coordinator mode:
-	// checks are fanned out to fleet workers (CheckDistributed) instead
+	// checks are leased to fleet workers (CheckDistributed) instead
 	// of solved in-process, the coordinator's lease API is mounted
 	// under /fleet/v1/, and its fault-tolerance counters join /metrics.
 	Fleet *fleet.Coordinator
@@ -391,8 +391,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 }
 
 // runFleet dispatches each expanded check through the fleet
-// coordinator, streaming verdict lines as fan-outs complete. The
-// admission gate bounds concurrently dispatched fan-outs like it
+// coordinator, streaming verdict lines as checks complete. The
+// admission gate bounds concurrently dispatched checks like it
 // bounds local check units.
 func (s *Server) runFleet(checks []job.Check, ids []string, jobs []core.Job,
 	writeLine func(any)) (pass, fail, unknown, errs int) {
@@ -643,12 +643,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("checkfenced_fleet_tasks_completed_total", "Fleet task outcomes accepted (first per task).", fm.TasksCompleted)
 		counter("checkfenced_fleet_lease_expirations_total", "Leases lost to missing heartbeats.", fm.LeaseExpirations)
 		counter("checkfenced_fleet_requeues_total", "Tasks requeued after a lost lease or worker error.", fm.Requeues)
-		counter("checkfenced_fleet_quarantines_total", "Poison circuit-breaker trips (cube solved locally serial).", fm.Quarantines)
+		counter("checkfenced_fleet_quarantines_total", "Poison circuit-breaker trips (check solved locally).", fm.Quarantines)
 		counter("checkfenced_fleet_speculations_total", "Straggler tasks speculatively re-dispatched.", fm.Speculations)
 		counter("checkfenced_fleet_dup_results_total", "Duplicate results dropped by fingerprint dedup.", fm.DupResults)
 		counter("checkfenced_fleet_late_results_total", "Results rejected after lease reassignment.", fm.LateResults)
 		counter("checkfenced_fleet_local_fallbacks_total", "Tasks solved locally after retry exhaustion.", fm.LocalFallbacks)
-		counter("checkfenced_fleet_spec_mismatches_total", "PASS aggregations with divergent observation sets.", fm.SpecMismatches)
 		counter("checkfenced_fleet_workers_drained_total", "Polls refused for unhealthy workers.", fm.WorkersDrained)
 		counter("checkfenced_fleet_journal_replayed_total", "Task outcomes restored from the journal.", fm.JournalReplayed)
 	}

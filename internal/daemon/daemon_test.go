@@ -182,9 +182,11 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 
 // TestLegacyStrategyFieldsIgnored: a batch written for an older daemon
 // may still carry the removed in-process strategy fields ("portfolio",
-// "share_clauses", "cube"). The decoder ignores unknown fields, so the
+// "share_clauses", "cube") or the removed fleet cube fields ("assume",
+// "cube_of", "cube_index"). The decoder ignores unknown fields, so the
 // batch is accepted and every verdict equals that of the same batch
-// without them.
+// without them. An ignored cube restriction widens the check to the
+// whole formula, which is sound.
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
@@ -206,7 +208,8 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 		return out
 	}
 	plain := verdicts("")
-	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4`)
+	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
+		"assume": [3, -7], "cube_of": "x", "cube_index": 1`)
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
 	}
@@ -542,7 +545,6 @@ func TestDeadlineClamp(t *testing.T) {
 // in-process daemon, and its /metrics must expose the fleet counters.
 func TestFleetModeMatchesDirect(t *testing.T) {
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		CubeDepth:      1,
 		Lease:          200 * time.Millisecond,
 		BaseBackoff:    5 * time.Millisecond,
 		PollRetryAfter: 5 * time.Millisecond,
@@ -605,8 +607,10 @@ func TestFleetModeMatchesDirect(t *testing.T) {
 		}
 	}
 
-	if n := scrapeMetric(t, ts, "checkfenced_fleet_tasks_completed_total"); n == 0 {
-		t.Fatal("fleet mode completed no distributed tasks")
+	// Each of the three (job, model) checks is one task, completed
+	// exactly once.
+	if n := scrapeMetric(t, ts, "checkfenced_fleet_tasks_completed_total"); n != 3 {
+		t.Fatalf("fleet mode completed %d tasks, want 3", n)
 	}
 	scrapeMetric(t, ts, "checkfenced_fleet_tasks_dispatched_total")
 

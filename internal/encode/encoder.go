@@ -272,11 +272,9 @@ func (e *Encoder) PreprocessCNF(roots ...sat.Lit) {
 }
 
 // OrderSatVars returns the SAT variables of every materialized,
-// non-constant memory-order node. PreprocessCNF freezes them; the
-// fleet's cube splitter prefers them as splitting variables, since
-// the memory order decides the interleaving structure of an execution
-// and both polarities of such a split carve out genuinely different
-// executions.
+// non-constant memory-order node. PreprocessCNF freezes them, so
+// preprocessing never eliminates the variables that decide the
+// interleaving structure of an execution.
 func (e *Encoder) OrderSatVars() []int {
 	var vars []int
 	seen := map[int]bool{}

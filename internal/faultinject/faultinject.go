@@ -45,7 +45,7 @@ const (
 // (internal/fleet). They model the failure classes of a
 // coordinator/worker deployment, injected at the worker's hook points:
 //
-//	FleetWorkerCrash    — the worker panics mid-cube and abandons the
+//	FleetWorkerCrash    — the worker dies mid-check and abandons the
 //	                      task without reporting (a process crash);
 //	                      the coordinator's lease expires.
 //	FleetStallHeartbeat — the worker keeps computing but its heartbeats
@@ -90,8 +90,8 @@ func Recoverable(s Site) bool {
 		return true
 	case FleetWorkerCrash, FleetStallHeartbeat, FleetDropResult, FleetDupResult:
 		// The fleet's lease/requeue/dedup machinery absorbs every
-		// network-level fault: the cube is re-dispatched or the
-		// duplicate dropped, and the aggregated verdict is unchanged.
+		// network-level fault: the check is re-dispatched or the
+		// duplicate dropped, and the verdict is unchanged.
 		return true
 	}
 	return false

@@ -17,9 +17,6 @@ import (
 // CoordinatorConfig tunes the fault-tolerance machinery. The zero
 // value is usable; every knob has a conservative default.
 type CoordinatorConfig struct {
-	// CubeDepth is the cube-and-conquer split depth for fan-out
-	// planning: a check splits into up to 2^CubeDepth cubes (0 = 2).
-	CubeDepth int
 	// Lease is the lease granted per task; a worker must heartbeat
 	// within it or the task requeues (0 = 30s).
 	Lease time.Duration
@@ -32,7 +29,7 @@ type CoordinatorConfig struct {
 	MaxBackoff time.Duration
 	// PoisonThreshold is the number of distinct workers a task may
 	// cost their lease before it is quarantined and solved locally
-	// with a stripped serial strategy (0 = 3).
+	// (0 = 3).
 	PoisonThreshold int
 	// SpeculateAfter re-dispatches a task still leased after this long
 	// to a second worker, first result wins (0 = never).
@@ -46,20 +43,13 @@ type CoordinatorConfig struct {
 	// DrainCooldown is how long after its last failure a drained
 	// worker stays drained (0 = 2x Lease).
 	DrainCooldown time.Duration
-	// JournalPath enables crash recovery: plans and accepted results
-	// are appended as JSON lines and replayed on restart.
+	// JournalPath enables crash recovery: accepted outcomes are
+	// appended as JSON lines and replayed on restart.
 	JournalPath string
 	// PollRetryAfter hints idle workers when to poll again (0 = 250ms).
 	PollRetryAfter time.Duration
-	// Local configures local (fallback and aggregation-oracle) solves.
+	// Local configures local (fallback and quarantine) solves.
 	Local core.SuiteOptions
-}
-
-func (c CoordinatorConfig) cubeDepth() int {
-	if c.CubeDepth <= 0 {
-		return 2
-	}
-	return c.CubeDepth
 }
 
 func (c CoordinatorConfig) lease() time.Duration {
@@ -123,14 +113,14 @@ type Metrics struct {
 	DupResults       int64 // duplicate results dropped by dedup
 	LateResults      int64 // results rejected after lease reassignment
 	LocalFallbacks   int64 // tasks solved locally after retry exhaustion
-	SpecMismatches   int64 // PASS aggregations with divergent specs
 	WorkersDrained   int64 // polls refused for unhealthy workers
 	JournalReplayed  int64 // task outcomes restored from the journal
 }
 
-// task is one unit in the coordinator's queue.
+// task is one check in the coordinator's queue. Concurrent
+// CheckDistributed calls for the same fingerprint share it.
 type task struct {
-	id    string
+	id    string // the check's fingerprint
 	check job.Check
 
 	state      string               // "queued" | "leased" | "done"
@@ -142,21 +132,12 @@ type task struct {
 	queued     bool      // has an entry in the dispatch queue
 	leasedAt   time.Time // first lease of the current dispatch round
 	localCause string    // degradation cause when claimed for a local solve
+	waiters    int       // CheckDistributed calls sharing the task
 
 	outcome Outcome
-	from    string // worker (or "local"/"journal") that produced outcome
-}
-
-// parent is one undivided check being aggregated.
-type parent struct {
-	fp      string
-	check   job.Check
-	tasks   []*task
-	pending int
-	done    chan struct{}
-
-	outcome Outcome
-	err     error
+	err     error         // set when the task could not be launched
+	from    string        // worker (or "local"/"journal") that produced outcome
+	done    chan struct{} // closed once outcome or err is set
 }
 
 // workerHealth is one worker's sliding interaction window: true =
@@ -186,8 +167,8 @@ func (h *workerHealth) failures() int {
 	return n
 }
 
-// Coordinator plans fan-outs, leases tasks to polling workers, and
-// aggregates cube outcomes into parent verdicts. Create with
+// Coordinator leases checks to polling workers and accepts exactly one
+// outcome per check. Create with
 // NewCoordinator, mount Handler on an HTTP server, submit checks with
 // CheckDistributed, stop with Close.
 type Coordinator struct {
@@ -196,10 +177,9 @@ type Coordinator struct {
 	rng     *rand.Rand
 
 	mu      sync.Mutex
-	queue   []*task // dispatch order; nextAt-gated
-	tasks   map[string]*task
-	done    map[string]bool // completed task IDs, for duplicate dedup
-	parents map[string]*parent
+	queue   []*task          // dispatch order; nextAt-gated
+	tasks   map[string]*task // unanswered checks by fingerprint
+	done    map[string]bool  // answered fingerprints, for duplicate dedup
 	health  map[string]*workerHealth
 	metrics Metrics
 
@@ -210,14 +190,13 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator and starts its lease janitor.
 // The journal (when configured) is opened and replayed lazily, per
-// parent fingerprint, at CheckDistributed time.
+// check fingerprint, at CheckDistributed time.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		tasks:       map[string]*task{},
 		done:        map[string]bool{},
-		parents:     map[string]*parent{},
 		health:      map[string]*workerHealth{},
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -331,7 +310,7 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 	t.attempts++
 	c.metrics.Requeues++
 	if len(t.failedBy) >= c.cfg.poisonThreshold() {
-		// The cube has cost several distinct workers their lease:
+		// The check has cost several distinct workers their lease:
 		// assume the formula (not the workers) is the problem and
 		// solve it here.
 		t.state = "done" // claimed by the local solver
@@ -369,12 +348,12 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 }
 
 // solveLocally runs a task in the coordinator process (retry budget
-// exhausted or quarantine) and feeds the outcome into aggregation.
+// exhausted or quarantine) and offers the outcome like a worker's.
 // The verdict is degraded in provenance, never in value.
 func (c *Coordinator) solveLocally(t *task, cause string) {
 	out := c.runLocal(t.check)
 	out.Degraded = cause
-	c.acceptOutcome(t.id, "local", out, true)
+	c.acceptOutcome(t.id, "local", out, t)
 }
 
 // runLocal executes a check description in-process under the
@@ -415,164 +394,104 @@ func (c *Coordinator) drainedLocked(w string) bool {
 }
 
 // CheckDistributed verifies one check through the fleet: the check is
-// split into cubes (when it splits), the cubes queued for workers, and
-// the aggregated outcome returned once every cube has one. Concurrent
-// calls for the same description share one fan-out (single-flight on
-// the fingerprint). Cancelling ctx abandons the wait — queued work
-// keeps its journal, so a restarted coordinator resumes it.
+// queued as one task for workers, and its outcome returned once one is
+// accepted. Concurrent calls for the same description share one task
+// (single-flight on the fingerprint). Cancelling ctx abandons the wait
+// — the task stays queued, and an accepted outcome is journaled, so a
+// restarted coordinator replays it.
 func (c *Coordinator) CheckDistributed(ctx context.Context, ck job.Check) (Outcome, error) {
 	if err := ck.Validate(); err != nil {
 		return Outcome{}, err
 	}
-	fp := ck.Fingerprint()
-
-	c.mu.Lock()
-	p, inflight := c.parents[fp]
-	if !inflight {
-		p = &parent{fp: fp, check: ck, done: make(chan struct{})}
-		c.parents[fp] = p
-	}
-	c.mu.Unlock()
-
-	if !inflight {
-		if err := c.launch(p); err != nil {
-			c.mu.Lock()
-			delete(c.parents, fp)
-			c.mu.Unlock()
-			return Outcome{}, err
-		}
+	t, fresh := c.join(ck)
+	if fresh {
+		c.launch(t)
 	}
 
 	select {
-	case <-p.done:
+	case <-t.done:
 	case <-ctx.Done():
 		return Outcome{}, ctx.Err()
 	}
-	c.mu.Lock()
-	delete(c.parents, fp)
-	out, err := p.outcome, p.err
-	c.mu.Unlock()
-	return out, err
+	// Written before done was closed and never again.
+	return t.outcome, t.err
 }
 
-// launch plans the fan-out for a parent (or replays it from the
-// journal) and queues its unfinished tasks.
-func (c *Coordinator) launch(p *parent) error {
-	var checks []job.Check
-	var replayed map[int]Outcome
-	if c.journal != nil {
-		plan, outs, err := c.journal.Replay(p.fp)
-		if err != nil {
-			return err
-		}
-		checks, replayed = plan, outs
-	}
-	if checks == nil {
-		var err error
-		checks, err = c.plan(p.check)
-		if err != nil {
-			return err
-		}
-		if c.journal != nil {
-			if err := c.journal.WritePlan(p.fp, checks); err != nil {
-				return err
-			}
-		}
-	}
-
+// join returns the unanswered task for the check's fingerprint,
+// creating it (fresh = true) when there is none; the caller of a fresh
+// task must launch it.
+func (c *Coordinator) join(ck job.Check) (t *task, fresh bool) {
+	fp := ck.Fingerprint()
 	c.mu.Lock()
-	p.tasks = make([]*task, len(checks))
-	for i, ck := range checks {
-		t := &task{
-			id:       TaskID(p.fp, i),
+	defer c.mu.Unlock()
+	if t = c.tasks[fp]; t == nil {
+		t = &task{
+			id:       fp,
 			check:    ck,
 			state:    "queued",
 			leases:   map[string]time.Time{},
 			failedBy: map[string]bool{},
+			done:     make(chan struct{}),
 		}
-		p.tasks[i] = t
-		if out, ok := replayed[i]; ok {
-			t.state = "done"
-			t.outcome = out
-			t.from = "journal"
-			c.done[t.id] = true
-			c.metrics.JournalReplayed++
-			continue
-		}
+		c.tasks[fp] = t
+		delete(c.done, fp) // a resubmission is a new task
+		fresh = true
+	}
+	t.waiters++
+	return t, fresh
+}
+
+// launch adopts the task's outcome from the journal when one is
+// recorded, and queues the task for workers otherwise.
+func (c *Coordinator) launch(t *task) {
+	var out Outcome
+	var replayed bool
+	var err error
+	if c.journal != nil {
+		out, replayed, err = c.journal.Replay(t.id)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case err != nil:
+		t.err = err
+		delete(c.tasks, t.id)
+		close(t.done)
+	case replayed:
+		t.state = "done"
+		t.outcome = out
+		t.from = "journal"
+		c.metrics.JournalReplayed++
+		delete(c.tasks, t.id)
+		c.done[t.id] = true
+		close(t.done)
+	default:
 		t.queued = true
-		c.tasks[t.id] = t
 		c.queue = append(c.queue, t)
-		p.pending++
 	}
-	pending := p.pending
-	c.mu.Unlock()
-	if pending == 0 {
-		c.finish(p)
-	}
-	return nil
 }
 
-// plan splits a check into cube descriptions, falling back to a
-// single whole-check task when it does not usefully split (too few
-// order variables, rf-forced backend, planning failure).
-func (c *Coordinator) plan(ck job.Check) ([]job.Check, error) {
-	fp := ck.Fingerprint()
-	single := []job.Check{withCube(ck, fp, 0, nil)}
-	if ck.Backend == "rf" {
-		return single, nil // no SAT order variables to split on
-	}
-	impl, test, err := ck.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := ck.Options()
-	if err != nil {
-		return nil, err
-	}
-	cubes, err := core.CubeAssumptions(impl, test, opts, c.cfg.cubeDepth())
-	if err != nil || len(cubes) < 2 {
-		// Planning failure is not a check failure: degrade to an
-		// undivided dispatch.
-		return single, nil
-	}
-	out := make([]job.Check, len(cubes))
-	for i, cube := range cubes {
-		out[i] = withCube(ck, fp, i, cube)
-	}
-	return out, nil
-}
-
-// withCube stamps a description as cube i of the parent fingerprint.
-func withCube(ck job.Check, fp string, i int, assume []int) job.Check {
-	ck.Assume = append([]int(nil), assume...)
-	ck.CubeOf = fp
-	ck.CubeIndex = i
-	// A cube must never join a model-sweep group on the worker (the
-	// assumptions are per-encoding), and core excludes it; making it
-	// explicit here keeps the wire description self-describing.
-	if len(assume) > 0 {
-		ck.Sweep = "off"
-	}
-	return ck
-}
-
-// acceptOutcome is the exactly-once aggregation point: the first
+// acceptOutcome is the exactly-once completion point: the first
 // outcome per task wins, everything else (duplicate delivery, late
 // results after reassignment, speculative losers) is counted and
-// dropped. local marks coordinator-produced outcomes.
-func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, local bool) bool {
+// dropped. claimed is nil for worker results; for a coordinator-
+// produced outcome it is the task the local solver claimed, and the
+// outcome is accepted only into that task.
+func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, claimed *task) bool {
+	local := claimed != nil
 	c.mu.Lock()
-	if c.done[taskID] {
-		// The task already has its one outcome: a transport-level
-		// duplicate, a speculative loser, or a result that lost the
-		// race to a local fallback.
-		c.metrics.DupResults++
-		c.mu.Unlock()
-		return false
-	}
 	t, ok := c.tasks[taskID]
-	if !ok {
-		c.metrics.LateResults++
+	if !ok || (local && t != claimed) {
+		if c.done[taskID] || local {
+			// The task already has its one outcome: a transport-level
+			// duplicate, a speculative loser, a result that lost the
+			// race to a local fallback, or a local solve whose task a
+			// worker answered first (the fingerprint may since have been
+			// resubmitted as a new task).
+			c.metrics.DupResults++
+		} else {
+			c.metrics.LateResults++
+		}
 		c.mu.Unlock()
 		return false
 	}
@@ -616,110 +535,15 @@ func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, local bo
 	}
 	delete(c.tasks, taskID)
 
-	// Journal before aggregation: a crash after this line replays the
-	// outcome instead of re-running the cube.
-	var jerr error
+	// Journal before waking the waiters: a crash after this line
+	// replays the outcome instead of re-running the check. A failed
+	// write degrades recovery, not the verdict.
 	if c.journal != nil {
-		jerr = c.journal.WriteOutcome(t)
+		_ = c.journal.WriteOutcome(t)
 	}
-	p := c.parents[parentOf(t)]
-	var finished *parent
-	if p != nil {
-		p.pending--
-		if p.pending == 0 {
-			finished = p
-		}
-	}
+	close(t.done)
 	c.mu.Unlock()
-	_ = jerr // journal write failure degrades recovery, not the verdict
-	if finished != nil {
-		c.finish(finished)
-	}
 	return true
-}
-
-// parentOf extracts the parent fingerprint from a task.
-func parentOf(t *task) string { return t.check.CubeOf }
-
-// finish aggregates a parent's task outcomes and signals waiters.
-func (c *Coordinator) finish(p *parent) {
-	out, redo := aggregate(p.tasks)
-	if redo {
-		// PASS cubes disagreed on the observation set — an invariant
-		// violation (mining is cube-independent). Degrade: discard the
-		// distributed outcomes and solve the undivided check locally.
-		c.mu.Lock()
-		c.metrics.SpecMismatches++
-		c.metrics.LocalFallbacks++
-		c.mu.Unlock()
-		out = c.runLocal(p.check)
-		out.Degraded = "spec-mismatch"
-	}
-	c.mu.Lock()
-	p.outcome = out
-	close(p.done)
-	c.mu.Unlock()
-}
-
-// aggregate folds cube outcomes into the parent verdict:
-//
-//	any FAIL  -> FAIL (deterministic pick: seq-bug first, then lowest
-//	             bound-round count, then lowest cube index)
-//	all PASS  -> PASS, requiring byte-identical observation sets
-//	             (redo=true on mismatch)
-//	otherwise -> UNKNOWN (some cube exhausted its budget; the merged
-//	             budget trail is preserved)
-//
-// Soundness: the cubes are jointly exhaustive over the split
-// variables, so an execution violating the specification exists iff it
-// exists in some cube, and no execution violates it iff no cube has
-// one. See DESIGN.md.
-func aggregate(tasks []*task) (out Outcome, redo bool) {
-	var fail, unknown *Outcome
-	for i := range tasks {
-		o := &tasks[i].outcome
-		switch {
-		case o.Err != "":
-			// Local fallback also failed — surface the error.
-			return *o, false
-		case o.Verdict == "fail":
-			if fail == nil || betterFail(o, fail) {
-				fail = o
-			}
-		case o.Verdict == "unknown":
-			if unknown == nil {
-				unknown = o
-			}
-		}
-	}
-	if fail != nil {
-		return *fail, false
-	}
-	if unknown != nil {
-		return *unknown, false
-	}
-	// All PASS: the observation sets must agree byte-for-byte (the
-	// specification is cube-independent).
-	out = tasks[0].outcome
-	for _, t := range tasks[1:] {
-		if t.outcome.Spec != out.Spec {
-			return Outcome{}, true
-		}
-		if t.outcome.Degraded != "" && out.Degraded == "" {
-			out.Degraded = t.outcome.Degraded
-		}
-	}
-	return out, false
-}
-
-// betterFail orders failing outcomes for deterministic adoption:
-// sequential bugs dominate (they are model-independent and cheapest to
-// explain), then the failure found at the fewest bound rounds.
-func betterFail(a, b *Outcome) bool {
-	if a.SeqBug != b.SeqBug {
-		return a.SeqBug
-	}
-	return a.BoundRounds < b.BoundRounds
 }
 
 // ---- HTTP surface ----------------------------------------------------
@@ -854,7 +678,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	c.acceptOutcome(req.TaskID, req.Worker, req.Outcome, false)
+	c.acceptOutcome(req.TaskID, req.Worker, req.Outcome, nil)
 	// Both accepted and deduplicated results answer 200: the worker's
 	// obligation ends either way (at-least-once delivery semantics).
 	w.WriteHeader(http.StatusOK)

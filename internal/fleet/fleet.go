@@ -1,8 +1,9 @@
 // Package fleet is the fault-tolerant distributed execution layer of
-// checkfenced: a coordinator that splits hard checks into cube tasks
-// (cross-process cube-and-conquer over memory-order variables, see
-// core.CubeAssumptions) and hands them to pull-based workers under
-// time-bounded leases, and the worker loop that executes them.
+// checkfenced: a coordinator that hands whole checks to pull-based
+// workers under time-bounded leases, and the worker loop that executes
+// them. A task is one job.Check, identified by its fingerprint; a
+// worker runs exactly the core pipeline a serial check runs, so the
+// fleet adds capacity across checks, never parallelism inside one.
 //
 // The design center is fault tolerance, not speed: every failure class
 // of a distributed deployment — worker crash, hang, network partition
@@ -10,37 +11,32 @@
 // crash — degrades to slower-but-correct, never to a wrong or lost
 // verdict:
 //
-//   - Dispatch is at-least-once: a cube whose lease expires (crashed,
+//   - Dispatch is at-least-once: a check whose lease expires (crashed,
 //     hung, or partitioned worker) is requeued with exponential
-//     backoff plus jitter. Aggregation is exactly-once: results are
-//     deduplicated on the task identity (parent check fingerprint +
-//     cube index), so redelivery, duplicate transport delivery, and
-//     speculative re-dispatch cannot double-count a cube.
+//     backoff plus jitter. Completion is exactly-once: results are
+//     deduplicated on the task identity (the check's fingerprint), so
+//     redelivery, duplicate transport delivery, and speculative
+//     re-dispatch cannot answer a check twice.
 //   - A bounded retry budget ends with the coordinator solving the
-//     cube locally — a verdict is never abandoned.
-//   - A cube that costs N distinct workers their lease trips a
-//     poison circuit breaker: it is quarantined and solved locally
-//     with a stripped serial strategy, so one pathological formula
-//     cannot grind the fleet down.
+//     check locally — a verdict is never abandoned.
+//   - A check that costs N distinct workers their lease trips a
+//     poison circuit breaker: it is quarantined and solved locally,
+//     so one pathological formula cannot grind the fleet down.
 //   - Stragglers are speculatively re-dispatched; the first result
 //     wins and the loser is dropped by the same dedup.
 //   - Every worker has a sliding-window health score; a flaky worker
 //     is drained (polls return no work) until it cools down.
-//   - The coordinator journals plans and accepted results; a restart
-//     replays the journal and re-runs only the missing cubes.
+//   - The coordinator journals accepted outcomes; a restart replays
+//     the journal and re-runs only the checks without one.
 //
-// Soundness of the aggregation (why the distributed verdict equals
-// the serial one) is argued in DESIGN.md; the short form: cubes are
-// jointly exhaustive sign combinations of order-variable ordinals, the
-// pipeline front (mining, bound probing) is cube-independent, so
-// any-FAIL / all-PASS over the cubes reconstructs the undivided
-// verdict, and a PASS additionally asserts every cube mined an
-// identical observation set.
+// Why the distributed verdict equals the serial one is argued in
+// DESIGN.md; the short form: the accepted outcome is the result of one
+// ordinary core check of the same description, whichever process ran
+// it.
 package fleet
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"time"
 
@@ -49,10 +45,9 @@ import (
 	"checkfence/internal/spec"
 )
 
-// Task is one leased unit of work: a complete check description (a
-// cube of a fan-out, or a whole check when the parent did not split).
+// Task is one leased unit of work: a complete check description.
 type Task struct {
-	// ID is the dedup identity: "<parent fingerprint>/<cube index>".
+	// ID is the dedup identity: the check's fingerprint.
 	ID string `json:"id"`
 	// Check is the self-contained description the worker executes.
 	Check job.Check `json:"check"`
@@ -89,10 +84,9 @@ type ResultRequest struct {
 }
 
 // Outcome is the serializable subset of core.Result a worker reports:
-// everything aggregation and the daemon's wire rendering need. The
-// observation set rides as its deterministic text serialization
-// (spec.Set.WriteTo), so PASS aggregation can compare sets
-// byte-for-byte across workers.
+// everything the daemon's wire rendering needs. The observation set
+// rides as its deterministic text serialization (spec.Set.WriteTo),
+// so it can be compared byte-for-byte with a serial run.
 type Outcome struct {
 	Verdict string `json:"verdict"` // "pass" | "fail" | "unknown"
 	Pass    bool   `json:"pass"`
@@ -107,7 +101,6 @@ type Outcome struct {
 
 	BoundRounds int          `json:"bound_rounds,omitempty"`
 	ObsSetSize  int          `json:"obs_set_size,omitempty"`
-	AssumedLits int          `json:"assumed_lits,omitempty"`
 	Backend     string       `json:"backend,omitempty"`
 	TotalTime   job.Duration `json:"total_time,omitempty"`
 	// Budget summarizes resource-governance degradation on the worker
@@ -131,7 +124,6 @@ func OutcomeFromResult(res *core.Result, err error) Outcome {
 		SeqBug:      res.SeqBug,
 		BoundRounds: res.Stats.BoundRounds,
 		ObsSetSize:  res.Stats.ObsSetSize,
-		AssumedLits: res.Stats.AssumedLits,
 		Backend:     res.Stats.Backend,
 		TotalTime:   job.Duration(res.Stats.TotalTime),
 	}
@@ -167,12 +159,6 @@ func (o *Outcome) SpecSet() *spec.Set {
 		return nil
 	}
 	return s
-}
-
-// TaskID renders the dedup identity of cube index i of the parent
-// check with the given fingerprint.
-func TaskID(parentFP string, i int) string {
-	return fmt.Sprintf("%s/%d", parentFP, i)
 }
 
 // leaseDuration converts the wire lease field.

@@ -10,10 +10,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,8 +28,8 @@ func testCheck(impl, test, model string) job.Check {
 	return job.Check{Program: job.Program{Name: impl}, Test: test, Model: model}
 }
 
-// serialOracle solves the undivided check in-process — the ground
-// truth every distributed run must reproduce.
+// serialOracle solves the check in-process — the ground truth every
+// distributed run must reproduce.
 func serialOracle(t *testing.T, ck job.Check) Outcome {
 	t.Helper()
 	cj, err := ck.CoreJob()
@@ -63,7 +65,6 @@ func assertAgrees(t *testing.T, got, want Outcome, label string) {
 // janitor runs at lease/4), near-immediate requeue backoff.
 func fastConfig() CoordinatorConfig {
 	return CoordinatorConfig{
-		CubeDepth:      2,
 		Lease:          120 * time.Millisecond,
 		BaseBackoff:    5 * time.Millisecond,
 		MaxBackoff:     50 * time.Millisecond,
@@ -119,8 +120,9 @@ func eventually(t *testing.T, timeout time.Duration, cond func() bool, msg strin
 }
 
 // TestDistributedMatchesSerial: the fault-free baseline — a passing
-// and a failing check, each fanned out over cubes to two workers,
-// must reproduce the serial verdict and (for PASS) observation set.
+// and a failing check, each leased whole to one of two workers, must
+// reproduce the serial verdict and (for PASS) observation set, also
+// when submitted again after the coordinator answered it.
 func TestDistributedMatchesSerial(t *testing.T) {
 	c := newTestCoordinator(t, fastConfig())
 	startWorker(t, c, "w1", nil)
@@ -134,26 +136,37 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		{"fail", testCheck("msn-nofence", "T0", "relaxed")},
 	} {
 		want := serialOracle(t, tc.ck)
-		got, err := c.CheckDistributed(context.Background(), tc.ck)
-		if err != nil {
-			t.Fatalf("%s: CheckDistributed: %v", tc.label, err)
+		for run := 0; run < 2; run++ {
+			got, err := c.CheckDistributed(context.Background(), tc.ck)
+			if err != nil {
+				t.Fatalf("%s: CheckDistributed: %v", tc.label, err)
+			}
+			assertAgrees(t, got, want, tc.label)
 		}
-		assertAgrees(t, got, want, tc.label)
 	}
 	m := c.Metrics()
-	if m.TasksCompleted == 0 || m.TasksDispatched == 0 {
-		t.Fatalf("no distributed work recorded: %+v", m)
+	if m.TasksCompleted != 4 || m.TasksDispatched < 4 {
+		t.Fatalf("want 4 completed tasks (2 checks x 2 submissions): %+v", m)
 	}
 }
 
 // TestFaultMatrix sweeps every network fault site across several
 // seeds: three workers share one one-shot fault script, so exactly one
-// injected failure strikes per run, and the aggregated verdict must
-// still equal the serial oracle. Per-site metric assertions pin the
-// degradation path that absorbed the fault.
+// injected failure strikes per run, and every distributed verdict must
+// still equal the serial oracle. A run dispatches a batch of three
+// checks at once, so each site has at least three occurrences and the
+// seed-chosen one (within a window of 3) is always reached. Per-site
+// metric assertions pin the degradation path that absorbed the fault.
 func TestFaultMatrix(t *testing.T) {
-	ck := testCheck("msn", "T0", "sc")
-	want := serialOracle(t, ck)
+	cks := []job.Check{
+		testCheck("msn", "T0", "sc"),
+		testCheck("ms2", "T0", "sc"),
+		testCheck("msn-nofence", "T0", "relaxed"),
+	}
+	var want []Outcome
+	for _, ck := range cks {
+		want = append(want, serialOracle(t, ck))
+	}
 
 	for _, site := range faultinject.NetworkSites() {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -165,11 +178,23 @@ func TestFaultMatrix(t *testing.T) {
 						cfg.Faults = script
 					})
 				}
-				got, err := c.CheckDistributed(context.Background(), ck)
-				if err != nil {
-					t.Fatalf("CheckDistributed: %v", err)
+				got := make([]Outcome, len(cks))
+				errs := make([]error, len(cks))
+				var wg sync.WaitGroup
+				for i, ck := range cks {
+					wg.Add(1)
+					go func(i int, ck job.Check) {
+						defer wg.Done()
+						got[i], errs[i] = c.CheckDistributed(context.Background(), ck)
+					}(i, ck)
 				}
-				assertAgrees(t, got, want, string(site))
+				wg.Wait()
+				for i, ck := range cks {
+					if errs[i] != nil {
+						t.Fatalf("CheckDistributed(%s): %v", ck.Program.Name, errs[i])
+					}
+					assertAgrees(t, got[i], want[i], string(site)+" "+ck.Program.Name)
+				}
 
 				if script.Fired(site) == 0 {
 					t.Fatalf("fault %s never fired (windowed occurrence never reached)", site)
@@ -178,7 +203,7 @@ func TestFaultMatrix(t *testing.T) {
 				switch site {
 				case faultinject.FleetWorkerCrash, faultinject.FleetDropResult:
 					// The lease died with the fault; the janitor must have
-					// reclaimed it and the cube must have been re-dispatched.
+					// reclaimed it and the check must have been re-dispatched.
 					if m.LeaseExpirations == 0 || m.Requeues == 0 {
 						t.Fatalf("fault %s absorbed without lease expiry + requeue: %+v", site, m)
 					}
@@ -192,7 +217,7 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestPoisonQuarantine: a cube that kills every worker it touches must
+// TestPoisonQuarantine: a check that kills every worker it touches must
 // trip the circuit breaker after PoisonThreshold distinct victims and
 // be solved locally — with the quarantine visible as the degradation
 // cause, and the verdict still the serial one.
@@ -210,7 +235,7 @@ func TestPoisonQuarantine(t *testing.T) {
 	}
 
 	ck := testCheck("msn", "T0", "sc")
-	ck.Backend = "rf" // single-cube fan-out: one poisoned task
+	ck.Backend = "rf"
 	want := serialOracle(t, ck)
 	got, err := c.CheckDistributed(context.Background(), ck)
 	if err != nil {
@@ -257,7 +282,7 @@ func TestRetryExhaustionFallsBackLocally(t *testing.T) {
 
 // TestStragglerSpeculation: a straggling worker keeps its lease alive
 // by heartbeating, so only the speculation horizon can unstick the
-// cube — a second copy goes to a faster worker, whose result wins.
+// check — a second copy goes to a faster worker, whose result wins.
 func TestStragglerSpeculation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Lease = 400 * time.Millisecond // janitor every 100ms
@@ -269,7 +294,7 @@ func TestStragglerSpeculation(t *testing.T) {
 	})
 
 	ck := testCheck("msn", "T0", "sc")
-	ck.Backend = "rf" // single cube: the straggler holds the whole check
+	ck.Backend = "rf"
 	want := serialOracle(t, ck)
 
 	resc := make(chan Outcome, 1)
@@ -313,8 +338,8 @@ func TestWorkerDraining(t *testing.T) {
 		cfg.Faults = &faultinject.Always{Sites: []faultinject.Site{faultinject.FleetWorkerCrash}}
 	})
 
-	// Two independent single-cube checks so the flaky worker can fail
-	// twice (it may not re-lease a task it already failed).
+	// Two independent checks so the flaky worker can fail twice (it
+	// may not re-lease a task it already failed).
 	cks := []job.Check{testCheck("ms2", "T0", "sc"), testCheck("ms2", "T0", "tso")}
 	for i := range cks {
 		cks[i].Backend = "rf"
@@ -356,33 +381,40 @@ func TestWorkerDraining(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryJournal kills a coordinator mid-sweep (one of two
-// cubes done), restarts from the journal, and asserts: the plan is
-// not re-split, the finished cube is replayed rather than re-run, no
-// (parent, cube) is recorded twice, and the final verdict plus
-// observation set match the serial oracle.
+// TestCrashRecoveryJournal kills a coordinator with one of two
+// submitted checks finished, restarts it from the journal, and
+// asserts: the finished check is replayed rather than re-run, only the
+// other one runs again, no check is recorded twice, and both verdicts
+// plus observation sets match the serial oracle.
 func TestCrashRecoveryJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ck := testCheck("msn", "T0", "sc")
-	want := serialOracle(t, ck)
-	fp := ck.Fingerprint()
+	cks := []job.Check{testCheck("msn", "T0", "sc"), testCheck("ms2", "T0", "sc")}
+	var want []Outcome
+	for _, ck := range cks {
+		want = append(want, serialOracle(t, ck))
+	}
 
-	// --- first life: plan 2 cubes, finish exactly one, crash. -------
+	// --- first life: submit both, finish exactly one, crash. --------
 	cfg := fastConfig()
-	cfg.CubeDepth = 1
 	cfg.JournalPath = path
 	c1, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c1.CheckDistributed(ctx1, ck)
-		errc <- err
-	}()
+	type waitResult struct {
+		fp  string
+		err error
+	}
+	errc := make(chan waitResult, len(cks))
+	for _, ck := range cks {
+		go func(ck job.Check) {
+			_, err := c1.CheckDistributed(ctx1, ck)
+			errc <- waitResult{ck.Fingerprint(), err}
+		}(ck)
+	}
 	eventually(t, 2*time.Second, func() bool { return c1.QueueDepth() == 2 },
-		"fan-out never planned")
+		"checks never queued")
 
 	w1, err := NewWorker(WorkerConfig{ID: "w1", Local: c1})
 	if err != nil {
@@ -396,22 +428,24 @@ func TestCrashRecoveryJournal(t *testing.T) {
 	if got := w1.Stats().Completed; got != 1 {
 		t.Fatalf("first life completed %d tasks, want 1", got)
 	}
+	finished := resp.Task.ID
 
-	cancel1() // the waiter is abandoned; the coordinator "crashes"
-	if err := <-errc; err == nil {
-		t.Fatal("abandoned CheckDistributed returned without error")
+	cancel1() // the waiters are abandoned; the coordinator "crashes"
+	for i := 0; i < len(cks); i++ {
+		r := <-errc
+		// The finished check may answer before the cancel lands; the
+		// other one has no worker and must report the cancellation.
+		if r.fp != finished && !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("abandoned CheckDistributed returned %v, want context.Canceled", r.err)
+		}
 	}
 	c1.Close()
 
-	plans, dones := readJournal(t, path, fp)
-	if plans != 1 {
-		t.Fatalf("journal has %d plan records, want 1", plans)
-	}
-	if len(dones) != 1 {
-		t.Fatalf("journal has %d done records after the crash, want 1", len(dones))
+	if got := readJournal(t, path); len(got) != 1 || got[0] != finished {
+		t.Fatalf("journal after the crash records %v, want [%s]", got, finished)
 	}
 
-	// --- second life: replay, run only the missing cube. ------------
+	// --- second life: replay one, re-run only the other. ------------
 	c2, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatalf("NewCoordinator (restart): %v", err)
@@ -419,78 +453,64 @@ func TestCrashRecoveryJournal(t *testing.T) {
 	defer c2.Close()
 	w2 := startWorker(t, c2, "w2", nil)
 
-	got, err := c2.CheckDistributed(context.Background(), ck)
-	if err != nil {
-		t.Fatalf("CheckDistributed (restart): %v", err)
+	for i, ck := range cks {
+		got, err := c2.CheckDistributed(context.Background(), ck)
+		if err != nil {
+			t.Fatalf("CheckDistributed (restart): %v", err)
+		}
+		assertAgrees(t, got, want[i], "crash recovery "+ck.Program.Name)
 	}
-	assertAgrees(t, got, want, "crash recovery")
 
-	if m := c2.Metrics(); m.JournalReplayed != 1 {
-		t.Fatalf("JournalReplayed = %d, want 1", m.JournalReplayed)
+	if m := c2.Metrics(); m.JournalReplayed != 1 || m.TasksCompleted != 1 {
+		t.Fatalf("restart replayed %d and completed %d checks, want 1 and 1",
+			m.JournalReplayed, m.TasksCompleted)
 	}
 	// The worker bumps Completed only after its result report returns,
-	// which can be after CheckDistributed has already aggregated it.
+	// which can be after CheckDistributed has already returned.
 	eventually(t, 2*time.Second, func() bool { return w2.Stats().Completed >= 1 },
-		"second-life worker never completed a cube")
+		"second-life worker never completed a check")
 	if comp := w2.Stats().Completed; comp != 1 {
-		t.Fatalf("second life re-ran %d cubes, want 1 (the missing one)", comp)
+		t.Fatalf("second life re-ran %d checks, want 1 (the missing one)", comp)
 	}
-	plans, dones = readJournal(t, path, fp)
-	if plans != 1 {
-		t.Fatalf("restart re-planned: %d plan records", plans)
-	}
-	if len(dones) != 2 {
-		t.Fatalf("journal has %d done records, want 2", len(dones))
-	}
-	seen := map[int]int{}
-	for _, idx := range dones {
-		seen[idx]++
-	}
-	for idx, n := range seen {
-		if n != 1 {
-			t.Fatalf("cube %d recorded %d times in the journal (double count)", idx, n)
-		}
+	got := readJournal(t, path)
+	if len(got) != 2 || got[0] != finished || got[1] == finished {
+		t.Fatalf("journal records %v, want %s then the other check once", got, finished)
 	}
 }
 
-// readJournal counts plan records and collects done-record cube
-// indices for the parent.
-func readJournal(t *testing.T, path, parent string) (plans int, dones []int) {
+// readJournal lists the fingerprints of the journal's outcome records
+// in file order.
+func readJournal(t *testing.T, path string) []string {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("opening journal: %v", err)
 	}
 	defer f.Close()
+	var fps []string
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
 		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Parent != parent {
-			continue
-		}
-		switch rec.Event {
-		case "plan":
-			plans++
-		case "done":
-			dones = append(dones, rec.Task)
+		if err := json.Unmarshal(sc.Bytes(), &rec); err == nil && rec.Event == outcomeEvent {
+			fps = append(fps, rec.Check)
 		}
 	}
-	return plans, dones
+	return fps
 }
 
 // TestJournalSkipsCorruptTail: a torn write (crash mid-append) must
-// degrade to re-running the cube, not to adopting a corrupt outcome.
+// degrade to re-running the check, not to adopting a corrupt outcome.
 func TestJournalSkipsCorruptTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	ck := testCheck("ms2", "T0", "sc")
-	fp := ck.Fingerprint()
+	whole := testCheck("ms2", "T0", "sc")
+	torn := testCheck("ms2", "T0", "tso")
 
 	j, err := openJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WritePlan(fp, []job.Check{ck, ck}); err != nil {
+	if err := j.WriteOutcome(&task{id: whole.Fingerprint(), outcome: Outcome{Verdict: "pass", Pass: true}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -498,7 +518,7 @@ func TestJournalSkipsCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"event":"done","parent":"` + fp + `","task":1,"outcome":{"verdi`)
+	f.WriteString(`{"event":"outcome","check":"` + torn.Fingerprint() + `","outcome":{"verdi`)
 	f.Close()
 
 	j2, err := openJournal(path)
@@ -506,15 +526,53 @@ func TestJournalSkipsCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	plan, outs, err := j2.Replay(fp)
+	if out, ok, err := j2.Replay(whole.Fingerprint()); err != nil || !ok || out.Verdict != "pass" {
+		t.Fatalf("Replay of the intact record = %+v, %v, %v", out, ok, err)
+	}
+	if out, ok, err := j2.Replay(torn.Fingerprint()); err != nil || ok {
+		t.Fatalf("torn record was adopted: %+v, %v, %v", out, ok, err)
+	}
+}
+
+// TestJournalIgnoresCubeRecords replays a journal in the format the
+// fleet wrote when it split checks into cubes: a 4-cube plan and a
+// "done" record for cube 0 that passed. A cube's PASS says nothing
+// about the other cubes, so the restarted coordinator must not adopt
+// it; it re-runs the check and returns the serial FAIL.
+func TestJournalIgnoresCubeRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	ck := testCheck("msn-nofence", "T0", "relaxed")
+	want := serialOracle(t, ck)
+	if want.Verdict != "fail" {
+		t.Fatalf("oracle verdict %q, want fail", want.Verdict)
+	}
+	fp := ck.Fingerprint()
+	cube := func(i int, assume string) string {
+		idx := ""
+		if i != 0 {
+			idx = fmt.Sprintf(`,"cube_index":%d`, i)
+		}
+		return `{"program":{"name":"msn-nofence"},"test":"T0","model":"relaxed","sweep":"off",` +
+			`"assume":` + assume + `,"cube_of":"` + fp + `"` + idx + `}`
+	}
+	fixture := `{"event":"plan","parent":"` + fp + `","checks":[` +
+		cube(0, "[1,2]") + "," + cube(1, "[-1,2]") + "," + cube(2, "[1,-2]") + "," + cube(3, "[-1,-2]") + "]}\n" +
+		`{"event":"done","parent":"` + fp + `","from":"w1","outcome":{"verdict":"pass","pass":true,"spec":"x"}}` + "\n"
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := fastConfig()
+	cfg.JournalPath = path
+	c := newTestCoordinator(t, cfg)
+	startWorker(t, c, "w1", nil)
+	got, err := c.CheckDistributed(context.Background(), ck)
 	if err != nil {
-		t.Fatalf("Replay over a torn tail: %v", err)
+		t.Fatalf("CheckDistributed: %v", err)
 	}
-	if len(plan) != 2 {
-		t.Fatalf("replayed plan of %d checks, want 2", len(plan))
-	}
-	if len(outs) != 0 {
-		t.Fatalf("torn done record was adopted: %v", outs)
+	assertAgrees(t, got, want, "cube-era journal")
+	if m := c.Metrics(); m.JournalReplayed != 0 || m.TasksCompleted != 1 {
+		t.Fatalf("replayed %d and completed %d checks, want 0 and 1", m.JournalReplayed, m.TasksCompleted)
 	}
 }
 
@@ -558,10 +616,9 @@ func TestFleetOverHTTP(t *testing.T) {
 }
 
 // TestSingleFlightSharesFanOut: concurrent CheckDistributed calls for
-// the same description must share one fan-out.
+// the same description must share one task.
 func TestSingleFlightSharesFanOut(t *testing.T) {
 	c := newTestCoordinator(t, fastConfig())
-	startWorker(t, c, "w1", nil)
 
 	ck := testCheck("ms2", "T0", "sc")
 	want := serialOracle(t, ck)
@@ -576,11 +633,70 @@ func TestSingleFlightSharesFanOut(t *testing.T) {
 			outs <- out
 		}()
 	}
+	// Every caller joins before any worker can answer the check.
+	eventually(t, 2*time.Second, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		tk := c.tasks[ck.Fingerprint()]
+		return tk != nil && tk.waiters == callers
+	}, "callers never joined one task")
+	startWorker(t, c, "w1", nil)
 	for i := 0; i < callers; i++ {
 		assertAgrees(t, <-outs, want, "single-flight")
 	}
-	// One fan-out's worth of tasks, not four.
-	if m := c.Metrics(); m.TasksCompleted > 4 {
-		t.Fatalf("single-flight violated: %d tasks completed for one 4-cube check", m.TasksCompleted)
+	if m := c.Metrics(); m.TasksCompleted != 1 {
+		t.Fatalf("single-flight violated: %d tasks completed for one check", m.TasksCompleted)
+	}
+}
+
+// TestStaleLocalSolveNotAcceptedIntoResubmission: a task claimed for a
+// local solve can still be answered first by a late worker result. If
+// its fingerprint is then resubmitted, the stale local outcome must be
+// dropped as a duplicate, not accepted into the new task — accepting
+// it would close the new task's done channel a second time when launch
+// replays the journaled outcome.
+func TestStaleLocalSolveNotAcceptedIntoResubmission(t *testing.T) {
+	cfg := fastConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "journal.jsonl")
+	c := newTestCoordinator(t, cfg)
+	ck := testCheck("msn", "T0", "sc")
+	want := serialOracle(t, ck)
+
+	old, fresh := c.join(ck)
+	if !fresh {
+		t.Fatal("first submission joined an existing task")
+	}
+	c.launch(old)
+	if resp := c.Poll("w1"); resp.Task == nil {
+		t.Fatal("no task leased to w1")
+	}
+	// Claim it for a local solve, as requeueLocked does on retry
+	// exhaustion, then let the late worker result win.
+	c.mu.Lock()
+	old.state = "done"
+	c.mu.Unlock()
+	if !c.acceptOutcome(old.id, "w1", want, nil) {
+		t.Fatal("late worker result for a locally claimed task was rejected")
+	}
+
+	// Resubmit, and run the stale local solve before launch.
+	resub, fresh := c.join(ck)
+	if !fresh || resub == old {
+		t.Fatal("resubmission did not create a new task")
+	}
+	c.solveLocally(old, "local-fallback")
+	select {
+	case <-resub.done:
+		t.Fatal("stale local solve answered the resubmitted task")
+	default:
+	}
+	c.launch(resub) // replays the journaled outcome; must not panic
+	<-resub.done
+	if resub.err != nil {
+		t.Fatalf("resubmission: %v", resub.err)
+	}
+	assertAgrees(t, resub.outcome, want, "resubmission")
+	if m := c.Metrics(); m.TasksCompleted != 1 || m.DupResults != 1 || m.JournalReplayed != 1 {
+		t.Fatalf("metrics %+v, want 1 completed, 1 duplicate, 1 replayed", m)
 	}
 }

@@ -1,15 +1,19 @@
 package fleet
 
 // Coordinator crash recovery. The journal is an append-only JSON-lines
-// file: a "plan" record freezes a parent's fan-out (the exact cube
-// descriptions, so a restarted coordinator re-dispatches the same
-// cubes rather than re-planning — re-encoding could split differently
-// and would invalidate the recorded outcomes), and one "done" record
-// per accepted task outcome. Replay for a parent fingerprint returns
-// the frozen plan and the outcomes already on disk; only the missing
-// cubes run again. Records for unknown fingerprints and trailing
-// partial lines (a crash mid-write) are skipped — recovery degrades to
-// re-running a cube, never to adopting a corrupt outcome.
+// file with one "outcome" record per accepted check outcome, keyed by
+// the check's fingerprint. Replay for a fingerprint returns the
+// recorded outcome, so a restarted coordinator answers a check it had
+// already finished without running it again. Records for other
+// fingerprints and trailing partial lines (a crash mid-write) are
+// skipped — recovery degrades to re-running a check, never to adopting
+// a corrupt outcome.
+//
+// The event name versions the record. Journals written when the fleet
+// split checks into cubes hold "plan" and "done" records, and a "done"
+// outcome there may answer only one cube of its check. Replay skips
+// them, so such a journal re-runs its checks instead of adopting a
+// cube's verdict as the whole check's.
 
 import (
 	"bufio"
@@ -17,19 +21,17 @@ import (
 	"fmt"
 	"os"
 	"sync"
-
-	"checkfence/internal/job"
 )
 
 // journalRecord is one JSON line.
 type journalRecord struct {
-	Event   string      `json:"event"` // "plan" | "done"
-	Parent  string      `json:"parent"`
-	Checks  []job.Check `json:"checks,omitempty"` // plan: the frozen fan-out
-	Task    int         `json:"task,omitempty"`   // done: cube index
-	From    string      `json:"from,omitempty"`   // done: producing worker
-	Outcome *Outcome    `json:"outcome,omitempty"`
+	Event   string   `json:"event"` // always "outcome"
+	Check   string   `json:"check"` // the check's fingerprint
+	From    string   `json:"from,omitempty"`
+	Outcome *Outcome `json:"outcome"`
 }
+
+const outcomeEvent = "outcome"
 
 type journal struct {
 	mu   sync.Mutex
@@ -52,85 +54,46 @@ func (j *journal) Close() error {
 	return j.f.Close()
 }
 
-// WritePlan freezes a parent's fan-out.
-func (j *journal) WritePlan(parent string, checks []job.Check) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.enc.Encode(journalRecord{Event: "plan", Parent: parent, Checks: checks}); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// WriteOutcome records one accepted task outcome. Called with the
-// coordinator's aggregation already deduplicated, so each (parent,
-// task) appears at most once per plan.
+// WriteOutcome records one accepted task outcome. The coordinator
+// calls it once per accepted outcome, after deduplication.
 func (j *journal) WriteOutcome(t *task) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := t.outcome
 	if err := j.enc.Encode(journalRecord{
-		Event: "done", Parent: t.check.CubeOf, Task: t.check.CubeIndex,
-		From: t.from, Outcome: &out,
+		Event: outcomeEvent, Check: t.id, From: t.from, Outcome: &out,
 	}); err != nil {
 		return err
 	}
 	return j.f.Sync()
 }
 
-// Replay scans the journal for the parent's frozen plan and recorded
-// outcomes. A nil plan means the parent was never planned (fresh
-// start). Outcomes recorded before the (latest) plan record of the
-// parent are honored — the plan is content-addressed by the parent
-// fingerprint, so any recorded outcome for it stays valid.
-func (j *journal) Replay(parent string) ([]job.Check, map[int]Outcome, error) {
+// Replay scans the journal for an outcome of the check with the given
+// fingerprint; ok is false when none is recorded.
+func (j *journal) Replay(fp string) (out Outcome, ok bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	f, err := os.Open(j.path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil, nil
+			return Outcome{}, false, nil
 		}
-		return nil, nil, fmt.Errorf("fleet: reading journal: %w", err)
+		return Outcome{}, false, fmt.Errorf("fleet: reading journal: %w", err)
 	}
 	defer f.Close()
-	var plan []job.Check
-	outs := map[int]Outcome{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
 		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // partial trailing write from a crash: skip
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			continue // blank line, or a partial trailing write: skip
 		}
-		if rec.Parent != parent {
-			continue
-		}
-		switch rec.Event {
-		case "plan":
-			plan = rec.Checks
-		case "done":
-			if rec.Outcome != nil {
-				outs[rec.Task] = *rec.Outcome
-			}
+		if rec.Event == outcomeEvent && rec.Check == fp && rec.Outcome != nil {
+			out, ok = *rec.Outcome, true
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("fleet: scanning journal: %w", err)
+		return Outcome{}, false, fmt.Errorf("fleet: scanning journal: %w", err)
 	}
-	if plan == nil {
-		return nil, nil, nil
-	}
-	// Drop outcomes outside the plan (a corrupted index): the cube
-	// will simply re-run.
-	for i := range outs {
-		if i < 0 || i >= len(plan) {
-			delete(outs, i)
-		}
-	}
-	return plan, outs, nil
+	return out, ok, nil
 }

@@ -1,6 +1,6 @@
 package fleet
 
-// The fleet worker: a pull loop that polls the coordinator for cube
+// The fleet worker: a pull loop that polls the coordinator for check
 // tasks, executes them through the ordinary core pipeline, heartbeats
 // its lease while computing, and reports the outcome. The worker holds
 // no authoritative state — crashing one at any point loses at most a
@@ -274,7 +274,7 @@ func (w *Worker) heartbeat(ctx context.Context, t *Task) bool {
 
 func (w *Worker) report(ctx context.Context, t *Task, out Outcome) error {
 	if w.cfg.Local != nil {
-		w.cfg.Local.acceptOutcome(t.ID, w.cfg.ID, out, false)
+		w.cfg.Local.acceptOutcome(t.ID, w.cfg.ID, out, nil)
 		return nil
 	}
 	return w.cfg.Client.PostJSON(ctx, w.cfg.URL+"/fleet/v1/result",

@@ -1,11 +1,11 @@
 // Package job defines the serializable check description: one
 // CheckFence verification problem — program, test, memory model,
-// unrolling bounds, backend selection, solver strategy, resource
-// budgets, and cube assumptions — round-tripped through
-// JSON. It is the wire format of the checkfenced daemon's /v1/check
-// endpoint and the unit a cross-process cube-and-conquer fan-out
-// ships to remote workers: everything a check depends on is in the
-// description, so any process holding it can produce the same verdict.
+// unrolling bounds, backend selection, solver strategy and resource
+// budgets — round-tripped through JSON. It is the wire format of the
+// checkfenced daemon's /v1/check endpoint and the unit the fleet
+// coordinator leases to remote workers: everything a check depends on
+// is in the description, so any process holding it can produce the
+// same verdict.
 //
 // The description is canonicalizable: Fingerprint hashes a normalized
 // rendering, giving content-addressed identities that line up with the
@@ -120,24 +120,6 @@ type Check struct {
 	Timeout        Duration `json:"timeout,omitempty"`
 	ConflictBudget int64    `json:"conflict_budget,omitempty"`
 	MemBudgetMB    int      `json:"mem_budget_mb,omitempty"`
-
-	// Assume carries cube assumption literals for cross-process
-	// cube-and-conquer fan-out: a coordinator splits one hard check
-	// into descriptions differing only here, and each worker solves
-	// its cube. Entries are signed 1-based ordinals into the check's
-	// deterministic memory-order variable list (core.Options.Assume
-	// has the full semantics); Options maps them through verbatim.
-	Assume []int `json:"assume,omitempty"`
-
-	// CubeOf and CubeIndex tie a fan-out cube back to its parent: a
-	// coordinator stamps CubeOf with the undivided check's Fingerprint
-	// and CubeIndex with the cube's position in the plan, so result
-	// deduplication can key on (parent, index) across redeliveries and
-	// worker restarts. Both are metadata — they do not alter what the
-	// check computes — but they participate in Fingerprint so cubes of
-	// the same parent never collide in content-addressed caches.
-	CubeOf    string `json:"cube_of,omitempty"`
-	CubeIndex int    `json:"cube_index,omitempty"`
 }
 
 // Validate checks the description without resolving the program:
@@ -232,9 +214,6 @@ func (c *Check) Options() (core.Options, error) {
 	}
 	if c.NoValidate {
 		opts.ValidateTraces = core.ValidateOff
-	}
-	if len(c.Assume) > 0 {
-		opts.Assume = append([]int(nil), c.Assume...)
 	}
 	return opts, nil
 }
@@ -333,9 +312,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 			c.Bounds[k] = v
 		}
 	}
-	if len(o.Assume) > 0 {
-		c.Assume = append([]int(nil), o.Assume...)
-	}
 	return c
 }
 
@@ -378,11 +354,5 @@ func (c *Check) Fingerprint() string {
 		"to", time.Duration(c.Timeout).String(),
 		"cb", strconv.FormatInt(c.ConflictBudget, 10),
 		"mem", strconv.Itoa(c.MemBudgetMB))
-	for _, a := range c.Assume {
-		write("assume", strconv.Itoa(a))
-	}
-	if c.CubeOf != "" || c.CubeIndex != 0 {
-		write("cubeof", c.CubeOf, "cubeidx", strconv.Itoa(c.CubeIndex))
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -30,9 +30,6 @@ func TestRoundTrip(t *testing.T) {
 		Timeout:           Duration(90 * time.Second),
 		ConflictBudget:    1 << 20,
 		MemBudgetMB:       256,
-		Assume:            []int{3, -7},
-		CubeOf:            "deadbeef",
-		CubeIndex:         2,
 	}
 	data, err := json.Marshal(&c)
 	if err != nil {
@@ -169,62 +166,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestAssumeConsumed(t *testing.T) {
-	c := Check{Program: Program{Name: "msn"}, Test: "T0", Assume: []int{3, -7}}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate should accept assumptions (wire round-trip): %v", err)
-	}
-	opts, err := c.Options()
-	if err != nil {
-		t.Fatalf("Options should consume assumptions: %v", err)
-	}
-	if len(opts.Assume) != 2 || opts.Assume[0] != 3 || opts.Assume[1] != -7 {
-		t.Errorf("Options.Assume = %v, want [3 -7]", opts.Assume)
-	}
-	// The mapping must copy, not alias: a coordinator reuses one
-	// description template across cubes.
-	opts.Assume[0] = 99
-	if c.Assume[0] != 3 {
-		t.Error("Options aliased the description's Assume slice")
-	}
-	back := FromOptions("msn", "T0", opts)
-	if len(back.Assume) != 2 || back.Assume[0] != 99 || back.Assume[1] != -7 {
-		t.Errorf("FromOptions lost assumptions: %v", back.Assume)
-	}
-}
-
-func TestCubeFieldsRoundTrip(t *testing.T) {
-	parent := Check{Program: Program{Name: "msn"}, Test: "T0", Model: "relaxed"}
-	cube := parent
-	cube.Assume = []int{1, -2}
-	cube.CubeOf = parent.Fingerprint()
-	cube.CubeIndex = 1
-
-	data, err := json.Marshal(&cube)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Check
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.CubeOf != cube.CubeOf || back.CubeIndex != 1 {
-		t.Errorf("cube lineage lost: of=%q idx=%d", back.CubeOf, back.CubeIndex)
-	}
-	if back.Fingerprint() != cube.Fingerprint() {
-		t.Error("fingerprint changed across round trip")
-	}
-	if cube.Fingerprint() == parent.Fingerprint() {
-		t.Error("a cube must not collide with its parent in content-addressed caches")
-	}
-	sibling := cube
-	sibling.Assume = []int{-1, -2}
-	sibling.CubeIndex = 2
-	if sibling.Fingerprint() == cube.Fingerprint() {
-		t.Error("sibling cubes must have distinct fingerprints")
-	}
-}
-
 func TestResolveRegistryAndInline(t *testing.T) {
 	reg := Check{Program: Program{Name: "msn"}, Test: "T0"}
 	impl, test, err := reg.Resolve()
@@ -293,5 +234,35 @@ func TestFingerprintSensitivity(t *testing.T) {
 	e.MaxMineIterations = 4
 	if e.Fingerprint() == a.Fingerprint() {
 		t.Error("strategy change should change the fingerprint")
+	}
+}
+
+// TestFingerprintPinned pins fingerprints of a minimal and a fully
+// populated description. Spec-cache keys, daemon single-flight and the
+// fleet journal key on them, so a change here orphans every existing
+// cache entry and journal record.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		c    Check
+		want string
+	}{
+		{Check{Program: Program{Name: "msn-nofence"}, Test: "T0", Model: "relaxed"},
+			"79c2c532bb6e44e74a02b5af1e5f8a89e2fe427258099de5b97eb9b0de339e9c"},
+		{Check{
+			Program: Program{Name: "msn"}, Test: "T0", Model: "tso", Backend: "sat", SpecSource: "refset",
+			Bounds: map[string]int{"L0": 2, "A": 1}, MaxBoundRounds: 5, MaxMineIterations: 100,
+			SimplifyLevel: 2, NoPreprocess: true, NoInprocess: true, NoOrderReduce: true,
+			NoRangeAnalysis: true, NoValidate: true, Sweep: "off", Timeout: Duration(90 * time.Second),
+			ConflictBudget: 1 << 20, MemBudgetMB: 256,
+		}, "a3b6da9d789c036349ffbc6624fbb10a61a3d43bbe053ade4cba9b516f16db60"},
+		{Check{
+			Program: Program{Name: "x", Source: "int x;", InitFunc: "i", Object: "o", Kind: "queue",
+				Ops: []Op{{Mnemonic: "e", Func: "f", NumArgs: 1, HasRet: true}}},
+			Test: "e", Model: "pso",
+		}, "c448b215c8a241bf22d55d6c6fba08c1b320da154a29fd2677f6278e53bd0de8"},
+	} {
+		if got := tc.c.Fingerprint(); got != tc.want {
+			t.Errorf("Fingerprint(%s/%s/%s) = %s, want %s", tc.c.Program.Name, tc.c.Test, tc.c.Model, got, tc.want)
+		}
 	}
 }

@@ -369,7 +369,7 @@ func RunDifferential(data []byte) error {
 		return fmt.Errorf("sweep check: %v\nprogram:\n%s", err, p.Desc())
 	}
 	for _, m := range sweepModels {
-		cex, err := sc.ErrorCheck(m, spec.Strategy{})
+		cex, err := sc.ErrorCheck(m)
 		if err != nil {
 			return fmt.Errorf("sweep error check %s: %v\nprogram:\n%s", m, err, p.Desc())
 		}
@@ -382,7 +382,7 @@ func RunDifferential(data []byte) error {
 		return fmt.Errorf("sweep begin inclusion: %v\nprogram:\n%s", err, p.Desc())
 	}
 	for _, m := range sweepModels {
-		cex, err := sc.Inclusion(m, spec.Strategy{})
+		cex, err := sc.Inclusion(m)
 		if err != nil {
 			return fmt.Errorf("sweep inclusion %s: %v\nprogram:\n%s", m, err, p.Desc())
 		}

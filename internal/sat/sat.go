@@ -7,10 +7,9 @@
 // incremental solving. Clauses may be added between Solve calls, which
 // the specification-mining loop uses for blocking clauses and the lazy
 // loop-bound probes for their overflow clause. Solving under
-// assumptions is what the model sweep's per-model selectors and the
-// fleet's cross-process cubes use. Each check runs one solver on one
-// encoding; parallelism lives above a check (suite workers, the
-// daemon, the fleet).
+// assumptions is what the model sweep's per-model selectors use. Each
+// check runs one solver on one encoding; parallelism lives above a
+// check (suite workers, the daemon, the fleet).
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity

@@ -36,7 +36,7 @@ var ErrMineLimit = errors.New("spec: mining exceeded iteration limit")
 var blockShrink = true
 
 // Strategy configures mining and the inclusion check: iteration cap,
-// checkpoint/resume, fault hooks and cube assumptions. The zero value
+// checkpoint/resume and fault hooks. The zero value
 // behaves exactly like Mine/CheckInclusion.
 type Strategy struct {
 	// MaxMineIterations caps the mining enumeration (0 = default).
@@ -63,13 +63,6 @@ type Strategy struct {
 	// Faults, when non-nil, installs fault-injection hooks on the
 	// mining path (see internal/faultinject).
 	Faults faultinject.Faults
-	// Assume restricts both phases of the inclusion check to the
-	// executions satisfying these literals — one cube of a
-	// cross-process cube-and-conquer fan-out. The literals must be
-	// over variables that survive preprocessing (CheckFence passes
-	// memory-order variables, which PreprocessCNF freezes). Mining
-	// ignores the field: the specification is cube-independent.
-	Assume []sat.Lit
 }
 
 func (st Strategy) maxIter() int {
@@ -225,19 +218,20 @@ func blockingClause(s *sat.Solver, lits []sat.Lit) []sat.Lit {
 	return block
 }
 
-// CheckInclusionWith is CheckInclusion under a strategy: the
-// one-model case of the SweepCheck protocol. On a counterexample the
-// encoder's solver is positioned at its model.
-func CheckInclusionWith(e *encode.Encoder, entries []Entry, set *Set, strat Strategy) (*Counterexample, error) {
+// CheckInclusionWith is the one-model case of the SweepCheck protocol.
+// The inclusion check reads no Strategy field; the parameter keeps the
+// signature parallel to MineWith. On a counterexample the encoder's
+// solver is positioned at its model.
+func CheckInclusionWith(e *encode.Encoder, entries []Entry, set *Set, _ Strategy) (*Counterexample, error) {
 	c, err := NewSweepCheck(e, entries)
 	if err != nil {
 		return nil, err
 	}
-	if cex, err := c.ErrorCheck(e.Model, strat); cex != nil || err != nil {
+	if cex, err := c.ErrorCheck(e.Model); cex != nil || err != nil {
 		return cex, err
 	}
 	if err := c.BeginInclusion(set); err != nil {
 		return nil, err
 	}
-	return c.Inclusion(e.Model, strat)
+	return c.Inclusion(e.Model)
 }

@@ -60,19 +60,16 @@ func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
 func (c *SweepCheck) Encoder() *encode.Encoder { return c.e }
 
 // ErrorCheck runs phase 1 for one model: is an execution reaching a
-// runtime error possible under m's axioms? A cube restriction
-// (Strategy.Assume) applies here too: the cubes of a fan-out are
-// jointly exhaustive, so an erroneous execution exists iff some cube
-// contains one. A non-nil counterexample (IsErr=true) leaves the
-// solver positioned at its model for trace extraction. Panics if called after BeginInclusion —
+// runtime error possible under m's axioms? A non-nil counterexample
+// (IsErr=true) leaves the solver positioned at its model for trace
+// extraction. Panics if called after BeginInclusion —
 // the error literal is permanently false by then, so the answer would
 // be a silent, unsound Unsat.
-func (c *SweepCheck) ErrorCheck(m memmodel.Model, strat Strategy) (*Counterexample, error) {
+func (c *SweepCheck) ErrorCheck(m memmodel.Model) (*Counterexample, error) {
 	if c.began {
 		panic("spec: SweepCheck.ErrorCheck after BeginInclusion")
 	}
-	assum := append(append(c.e.SelectorLits(m), c.errLit), strat.Assume...)
-	switch st, cause := solveOne(c.e, assum...); st {
+	switch st, cause := solveOne(c.e, append(c.e.SelectorLits(m), c.errLit)...); st {
 	case sat.Sat:
 		obs := decodeObs(c.e, c.svs)
 		msg := ""
@@ -114,11 +111,11 @@ func (c *SweepCheck) BeginInclusion(set *Set) error {
 // execution with an out-of-spec observation possible under m's axioms?
 // A nil counterexample means model m passes the inclusion check. On
 // Sat the solver is positioned at the counterexample model.
-func (c *SweepCheck) Inclusion(m memmodel.Model, strat Strategy) (*Counterexample, error) {
+func (c *SweepCheck) Inclusion(m memmodel.Model) (*Counterexample, error) {
 	if !c.began {
 		panic("spec: SweepCheck.Inclusion before BeginInclusion")
 	}
-	switch st, cause := solveOne(c.e, append(c.e.SelectorLits(m), strat.Assume...)...); st {
+	switch st, cause := solveOne(c.e, c.e.SelectorLits(m)...); st {
 	case sat.Unsat:
 		return nil, nil
 	case sat.Sat:

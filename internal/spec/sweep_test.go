@@ -103,7 +103,7 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 	}
 	// Phase 1 for every model, strongest-first, before any exclusion.
 	for _, m := range sweep {
-		cex, err := sc.ErrorCheck(m, Strategy{})
+		cex, err := sc.ErrorCheck(m)
 		if err != nil {
 			t.Fatalf("%v error check: %v", m, err)
 		}
@@ -115,7 +115,7 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range sweep {
-		got, err := sc.Inclusion(m, Strategy{})
+		got, err := sc.Inclusion(m)
 		if err != nil {
 			t.Fatalf("%v inclusion: %v", m, err)
 		}
@@ -153,7 +153,7 @@ func TestSweepCheckProtocol(t *testing.T) {
 				t.Error("Inclusion before BeginInclusion did not panic")
 			}
 		}()
-		sc.Inclusion(memmodel.Relaxed, Strategy{})
+		sc.Inclusion(memmodel.Relaxed)
 	}()
 	if err := sc.BeginInclusion(NewSet()); err != nil {
 		t.Fatal(err)
@@ -166,5 +166,5 @@ func TestSweepCheckProtocol(t *testing.T) {
 			t.Error("ErrorCheck after BeginInclusion did not panic")
 		}
 	}()
-	sc.ErrorCheck(memmodel.Relaxed, Strategy{})
+	sc.ErrorCheck(memmodel.Relaxed)
 }
