@@ -127,8 +127,9 @@ const (
 	VerdictUnknown = core.VerdictUnknown
 )
 
-// Rung is one step of the degradation ladder (Options.Ladder): a
-// named solver strategy a budget-starved check is retried with.
+// Rung is one step of the degradation ladder: a named solver strategy
+// a budget-starved check is retried with. The ladder is derived from
+// Options.Backend and Options.NoPreprocess.
 type Rung = core.Rung
 
 // BudgetReport explains a check's resource governance: the configured

@@ -16,7 +16,7 @@
 // coordinator — each check is one task (internal/fleet), leased whole
 // to workers polling /fleet/v1/*; every fault class (worker
 // crash, hang, partition, duplicate delivery) degrades to
-// slower-but-correct via requeue, quarantine, or local fallback, with
+// slower-but-correct via requeue or local fallback, with
 // the cause visible on /metrics. -worker URL runs the process as a
 // pull worker against such a coordinator instead of serving HTTP.
 package main
@@ -56,8 +56,7 @@ func run(args []string) int {
 	workerURL := fs.String("worker", "", "fleet worker mode: pull checks from this coordinator URL")
 	workerID := fs.String("worker-id", "", "worker identity (default: host-pid)")
 	lease := fs.Duration("lease", 30*time.Second, "coordinator: task lease duration (workers must heartbeat within it)")
-	fleetRetries := fs.Int("fleet-retries", 3, "coordinator: dispatch attempts per check before solving it locally")
-	speculate := fs.Duration("speculate-after", 0, "coordinator: re-dispatch a straggling check after this long (0 = never)")
+	fleetRetries := fs.Int("fleet-retries", 3, "coordinator: retries after a check's first dispatch before solving it locally")
 	journalPath := fs.String("fleet-journal", "", "coordinator: crash-recovery journal path (JSON lines)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -79,10 +78,9 @@ func run(args []string) int {
 	if *coordinator {
 		var err error
 		coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			Lease:          *lease,
-			MaxRetries:     *fleetRetries,
-			SpeculateAfter: *speculate,
-			JournalPath:    *journalPath,
+			Lease:       *lease,
+			MaxRetries:  *fleetRetries,
+			JournalPath: *journalPath,
 			Local: core.SuiteOptions{
 				SpecCacheDir: *cacheDir,
 			},

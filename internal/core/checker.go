@@ -127,10 +127,6 @@ type Options struct {
 	// memory, in MiB (0 = none). The solver sheds clauses before
 	// declaring the budget exhausted.
 	MemBudgetMB int
-	// Ladder overrides the degradation ladder. Empty selects the
-	// default: configured → no-preprocess (after a leading rf rung
-	// when Backend is BackendRF).
-	Ladder []Rung
 	// Faults arms deterministic fault injection at the solver,
 	// encoder, and mining hook points (tests and chaos runs only).
 	Faults faultinject.Faults

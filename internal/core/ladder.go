@@ -95,13 +95,10 @@ func (o Options) budgetReport(rungs []RungReport) *BudgetReport {
 	}
 }
 
-// ladder returns the effective degradation ladder: Options.Ladder when
-// set, otherwise [rf →] configured → without CNF preprocessing. The
-// no-preprocess rung is skipped when preprocessing is already off.
+// ladder returns the degradation ladder: [rf →] configured → without
+// CNF preprocessing. The no-preprocess rung is skipped when
+// preprocessing is already off.
 func (o Options) ladder() []Rung {
-	if len(o.Ladder) > 0 {
-		return o.Ladder
-	}
 	var rungs []Rung
 	satBackend := o.Backend
 	if o.Backend == BackendRF {

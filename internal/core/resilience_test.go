@@ -34,10 +34,6 @@ func TestLadderDefault(t *testing.T) {
 	if got := names(rf.ladder()); got != "rf,configured,no-preprocess" {
 		t.Errorf("rf ladder = %s", got)
 	}
-	custom := Options{Ladder: []Rung{{Name: "only"}}}
-	if got := names(custom.ladder()); got != "only" {
-		t.Errorf("custom ladder = %s", got)
-	}
 	last := rf.ladder()[2]
 	if !last.NoPreprocess || last.Backend != BackendSAT {
 		t.Errorf("last rung = %+v, want SAT without preprocessing", last)

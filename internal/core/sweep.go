@@ -165,9 +165,6 @@ func sweepFingerprint(o Options) string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, " ib:%s=%d", k, o.InitialBounds[k])
 	}
-	for _, r := range o.Ladder {
-		fmt.Fprintf(&b, " rung=%+v", r)
-	}
 	return b.String()
 }
 

@@ -436,8 +436,8 @@ func (s *Server) runFleet(checks []job.Check, ids []string, jobs []core.Job,
 }
 
 // recordFleetResult stores a fleet-path verdict for the poll endpoint
-// and the verdict counters (no core.Result to fold stats from — the
-// coordinator's own Metrics cover the distributed side).
+// and folds the rendered line into the verdict, router and budget
+// counters (the coordinator's own Metrics cover the distributed side).
 func (s *Server) recordFleetResult(line *ResultLine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,6 +451,9 @@ func (s *Server) recordFleetResult(line *ResultLine) {
 		return
 	}
 	s.verdicts[line.Verdict]++
+	if d := line.Stats.RouterDecision; d != "" {
+		s.router[d]++
+	}
 	if line.Budget != nil && len(line.Budget.Rungs) > 0 {
 		s.budgets++
 	}
@@ -484,9 +487,13 @@ func renderOutcome(id string, index int, j core.Job, out fleet.Outcome, err erro
 		line.Budget = b
 	}
 	line.Stats = &StatsLine{
-		Backend:    out.Backend,
-		ObsSetSize: out.ObsSetSize,
-		TotalTime:  time.Duration(out.TotalTime).String(),
+		Backend:        out.Backend,
+		RouterDecision: out.RouterDecision,
+		ObsSetSize:     out.ObsSetSize,
+		MineIterations: out.MineIterations,
+		CNFVars:        out.CNFVars,
+		CNFClauses:     out.CNFClauses,
+		TotalTime:      time.Duration(out.TotalTime).String(),
 	}
 	return line
 }
@@ -635,7 +642,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("checkfenced_spec_cache_hits_total", "Spec cache hits (memory or disk).", int64(cs.Hits))
 	counter("checkfenced_spec_cache_misses_total", "Spec cache misses (fresh mines).", int64(cs.Misses))
 	counter("checkfenced_spec_cache_resumed_total", "Mines resumed from a checkpoint.", int64(cs.Resumed))
-	counter("checkfenced_spec_cache_corrupt_total", "Quarantined corrupt cache files.", int64(cs.Corrupt))
+	counter("checkfenced_spec_cache_corrupt_total", "Corrupt cache files moved aside to .bad.", int64(cs.Corrupt))
 	gauge("checkfenced_spec_cache_entries", "In-memory spec cache entries.", int64(cs.Entries))
 	if s.cfg.Fleet != nil {
 		fm := s.cfg.Fleet.Metrics()
@@ -643,12 +650,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("checkfenced_fleet_tasks_completed_total", "Fleet task outcomes accepted (first per task).", fm.TasksCompleted)
 		counter("checkfenced_fleet_lease_expirations_total", "Leases lost to missing heartbeats.", fm.LeaseExpirations)
 		counter("checkfenced_fleet_requeues_total", "Tasks requeued after a lost lease or worker error.", fm.Requeues)
-		counter("checkfenced_fleet_quarantines_total", "Poison circuit-breaker trips (check solved locally).", fm.Quarantines)
-		counter("checkfenced_fleet_speculations_total", "Straggler tasks speculatively re-dispatched.", fm.Speculations)
 		counter("checkfenced_fleet_dup_results_total", "Duplicate results dropped by fingerprint dedup.", fm.DupResults)
 		counter("checkfenced_fleet_late_results_total", "Results rejected after lease reassignment.", fm.LateResults)
 		counter("checkfenced_fleet_local_fallbacks_total", "Tasks solved locally after retry exhaustion.", fm.LocalFallbacks)
-		counter("checkfenced_fleet_workers_drained_total", "Polls refused for unhealthy workers.", fm.WorkersDrained)
 		counter("checkfenced_fleet_journal_replayed_total", "Task outcomes restored from the journal.", fm.JournalReplayed)
 	}
 	io.WriteString(w, b.String())

@@ -18,6 +18,7 @@ import (
 	"checkfence/internal/faultinject"
 	"checkfence/internal/fleet"
 	"checkfence/internal/harness"
+	"checkfence/internal/job"
 	"checkfence/internal/memmodel"
 )
 
@@ -388,7 +389,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	out := <-ch
 	if out.errs != 0 || out.done.Errors != 0 {
-		t.Errorf("drained batch reported errors: %+v", out)
+		t.Errorf("batch finished during shutdown reported errors: %+v", out)
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/check", "application/json",
@@ -405,7 +406,7 @@ func TestShutdownDrains(t *testing.T) {
 // TestRestartResumesCheckpoint is the kill-and-restart scenario: a
 // mine interrupted in one daemon process leaves a .part checkpoint
 // that a fresh process on the same cache directory resumes — not
-// quarantines — with the resume surfaced through /metrics.
+// moves aside as corrupt — with the resume surfaced through /metrics.
 func TestRestartResumesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 
@@ -452,7 +453,7 @@ func TestRestartResumesCheckpoint(t *testing.T) {
 		t.Errorf("spec_cache_resumed_total = %d, want >= 1", got)
 	}
 	if got := scrapeMetric(t, ts2, "checkfenced_spec_cache_corrupt_total"); got != 0 {
-		t.Errorf("checkpoint was quarantined: corrupt_total = %d", got)
+		t.Errorf("checkpoint was treated as corrupt: corrupt_total = %d", got)
 	}
 	// The finished mine cleared its checkpoint.
 	if parts, _ := filepath.Glob(filepath.Join(dir, "*.part")); len(parts) != 0 {
@@ -461,8 +462,8 @@ func TestRestartResumesCheckpoint(t *testing.T) {
 }
 
 // TestChaosCacheCorrupt: a corrupt disk entry under fault injection is
-// quarantined and re-mined — the daemon still answers correctly and
-// reports the quarantine in /metrics.
+// moved aside to .bad and re-mined — the daemon still answers
+// correctly and counts the corrupt entry in /metrics.
 func TestChaosCacheCorrupt(t *testing.T) {
 	dir := t.TempDir()
 
@@ -473,7 +474,7 @@ func TestChaosCacheCorrupt(t *testing.T) {
 	ts1.Close()
 
 	// Restart with CacheCorrupt armed: the disk load is corrupted,
-	// quarantined, and the set re-mined.
+	// moved aside, and the set re-mined.
 	faults := &faultinject.Always{Sites: []faultinject.Site{faultinject.CacheCorrupt}}
 	srv2 := NewServer(Config{CacheDir: dir, Faults: faults})
 	ts2 := httptest.NewServer(srv2)
@@ -489,7 +490,7 @@ func TestChaosCacheCorrupt(t *testing.T) {
 		t.Errorf("corrupt_total = %d, want >= 1", got)
 	}
 	if bad, _ := filepath.Glob(filepath.Join(dir, "*.bad")); len(bad) == 0 {
-		t.Error("no quarantined .bad file on disk")
+		t.Error("no .bad file on disk")
 	}
 }
 
@@ -604,6 +605,29 @@ func TestFleetModeMatchesDirect(t *testing.T) {
 		if g.Verdict != w.Verdict || g.Pass != w.Pass || g.SeqBug != w.SeqBug {
 			t.Errorf("job %d: fleet verdict %q (pass=%v) != direct %q (pass=%v)",
 				i, g.Verdict, g.Pass, w.Verdict, w.Pass)
+		}
+	}
+
+	// A fleet line carries the stats of a serial run of its check. The
+	// oracle runs each check alone: the direct daemon sweeps the sc/tso
+	// pair over one shared encoding, so its CNF sizes differ.
+	for _, g := range results {
+		ck := job.Check{Program: job.Program{Name: g.Impl}, Test: g.Test, Model: g.Model}
+		cj, err := ck.CoreJob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := core.RunSuite([]core.Job{cj}, core.SuiteOptions{Parallelism: 1})
+		if sr[0].Err != nil {
+			t.Fatal(sr[0].Err)
+		}
+		st := sr[0].Res.Stats
+		want := StatsLine{RouterDecision: st.RouterDecision, MineIterations: st.MineIterations,
+			CNFVars: st.CNFVars, CNFClauses: st.CNFClauses}
+		got := StatsLine{RouterDecision: g.Stats.RouterDecision, MineIterations: g.Stats.MineIterations,
+			CNFVars: g.Stats.CNFVars, CNFClauses: g.Stats.CNFClauses}
+		if got != want {
+			t.Errorf("%s/%s/%s: fleet stats %+v != serial %+v", g.Impl, g.Test, g.Model, got, want)
 		}
 	}
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,35 +20,20 @@ type CoordinatorConfig struct {
 	// Lease is the lease granted per task; a worker must heartbeat
 	// within it or the task requeues (0 = 30s).
 	Lease time.Duration
-	// MaxRetries bounds dispatch attempts per task before the
-	// coordinator solves it locally (0 = 3).
+	// MaxRetries bounds the re-dispatches after a task's first
+	// dispatch: a task is dispatched at most 1+MaxRetries times before
+	// the coordinator solves it locally (0 = 3).
 	MaxRetries int
 	// BaseBackoff seeds the exponential requeue backoff (0 = 50ms).
 	BaseBackoff time.Duration
 	// MaxBackoff caps one requeue backoff step (0 = 5s).
 	MaxBackoff time.Duration
-	// PoisonThreshold is the number of distinct workers a task may
-	// cost their lease before it is quarantined and solved locally
-	// (0 = 3).
-	PoisonThreshold int
-	// SpeculateAfter re-dispatches a task still leased after this long
-	// to a second worker, first result wins (0 = never).
-	SpeculateAfter time.Duration
-	// HealthWindow is the per-worker sliding window length for health
-	// scoring (0 = 8).
-	HealthWindow int
-	// DrainFailures drains a worker (polls return no work) when its
-	// window holds at least this many failures (0 = 3).
-	DrainFailures int
-	// DrainCooldown is how long after its last failure a drained
-	// worker stays drained (0 = 2x Lease).
-	DrainCooldown time.Duration
+	// PollRetryAfter hints idle workers when to poll again (0 = 250ms).
+	PollRetryAfter time.Duration
 	// JournalPath enables crash recovery: accepted outcomes are
 	// appended as JSON lines and replayed on restart.
 	JournalPath string
-	// PollRetryAfter hints idle workers when to poll again (0 = 250ms).
-	PollRetryAfter time.Duration
-	// Local configures local (fallback and quarantine) solves.
+	// Local configures local (retry-exhaustion fallback) solves.
 	Local core.SuiteOptions
 }
 
@@ -66,34 +51,6 @@ func (c CoordinatorConfig) maxRetries() int {
 	return c.MaxRetries
 }
 
-func (c CoordinatorConfig) poisonThreshold() int {
-	if c.PoisonThreshold <= 0 {
-		return 3
-	}
-	return c.PoisonThreshold
-}
-
-func (c CoordinatorConfig) healthWindow() int {
-	if c.HealthWindow <= 0 {
-		return 8
-	}
-	return c.HealthWindow
-}
-
-func (c CoordinatorConfig) drainFailures() int {
-	if c.DrainFailures <= 0 {
-		return 3
-	}
-	return c.DrainFailures
-}
-
-func (c CoordinatorConfig) drainCooldown() time.Duration {
-	if c.DrainCooldown > 0 {
-		return c.DrainCooldown
-	}
-	return 2 * c.lease()
-}
-
 func (c CoordinatorConfig) pollRetryAfter() time.Duration {
 	if c.PollRetryAfter <= 0 {
 		return 250 * time.Millisecond
@@ -107,13 +64,10 @@ type Metrics struct {
 	TasksDispatched  int64 // leases granted (including re-dispatch)
 	TasksCompleted   int64 // results accepted (first per task)
 	LeaseExpirations int64 // leases lost to missing heartbeats
-	Requeues         int64 // tasks put back after a lost lease or error
-	Quarantines      int64 // poison circuit-breaker trips
-	Speculations     int64 // straggler re-dispatches
+	Requeues         int64 // tasks put back in the queue for re-dispatch
 	DupResults       int64 // duplicate results dropped by dedup
 	LateResults      int64 // results rejected after lease reassignment
 	LocalFallbacks   int64 // tasks solved locally after retry exhaustion
-	WorkersDrained   int64 // polls refused for unhealthy workers
 	JournalReplayed  int64 // task outcomes restored from the journal
 }
 
@@ -123,48 +77,21 @@ type task struct {
 	id    string // the check's fingerprint
 	check job.Check
 
-	state      string               // "queued" | "leased" | "done"
-	leases     map[string]time.Time // worker -> lease expiry
-	attempts   int
-	nextAt     time.Time // not dispatchable before (requeue backoff)
-	failedBy   map[string]bool
-	speculated bool
-	queued     bool      // has an entry in the dispatch queue
-	leasedAt   time.Time // first lease of the current dispatch round
-	localCause string    // degradation cause when claimed for a local solve
-	waiters    int       // CheckDistributed calls sharing the task
+	// state is "queued" (in the dispatch queue, or about to be
+	// launched into it), "leased" (held by worker until expires), or
+	// "done" (answered, or claimed by the local solver).
+	state    string
+	worker   string
+	expires  time.Time
+	attempts int       // re-dispatches so far
+	nextAt   time.Time // not dispatchable before (requeue backoff)
+	failedBy map[string]bool
+	waiters  int // CheckDistributed calls sharing the task
 
 	outcome Outcome
 	err     error         // set when the task could not be launched
 	from    string        // worker (or "local"/"journal") that produced outcome
 	done    chan struct{} // closed once outcome or err is set
-}
-
-// workerHealth is one worker's sliding interaction window: true =
-// lease honored (result accepted), false = lease lost.
-type workerHealth struct {
-	window   []bool
-	lastFail time.Time
-}
-
-func (h *workerHealth) record(ok bool, windowLen int) {
-	h.window = append(h.window, ok)
-	if len(h.window) > windowLen {
-		h.window = h.window[len(h.window)-windowLen:]
-	}
-	if !ok {
-		h.lastFail = time.Now()
-	}
-}
-
-func (h *workerHealth) failures() int {
-	n := 0
-	for _, ok := range h.window {
-		if !ok {
-			n++
-		}
-	}
-	return n
 }
 
 // Coordinator leases checks to polling workers and accepts exactly one
@@ -177,10 +104,9 @@ type Coordinator struct {
 	rng     *rand.Rand
 
 	mu      sync.Mutex
-	queue   []*task          // dispatch order; nextAt-gated
+	queue   []*task          // queued tasks in dispatch order; nextAt-gated
 	tasks   map[string]*task // unanswered checks by fingerprint
 	done    map[string]bool  // answered fingerprints, for duplicate dedup
-	health  map[string]*workerHealth
 	metrics Metrics
 
 	janitorStop chan struct{}
@@ -197,7 +123,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		tasks:       map[string]*task{},
 		done:        map[string]bool{},
-		health:      map[string]*workerHealth{},
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -236,9 +161,8 @@ func (c *Coordinator) Metrics() Metrics {
 	return c.metrics
 }
 
-// janitor scans leases every lease/4 (bounded below at 10ms): expired
-// leases requeue their task with backoff, long-running leased tasks
-// are speculatively re-dispatched.
+// janitor scans leases every lease/4 (bounded below at 10ms) and
+// requeues the tasks whose lease expired.
 func (c *Coordinator) janitor() {
 	defer close(c.janitorDone)
 	period := c.cfg.lease() / 4
@@ -263,67 +187,35 @@ func (c *Coordinator) sweepLeases() {
 	c.mu.Lock()
 	var locals []*task
 	for _, t := range c.tasks {
-		if t.state != "leased" {
+		if t.state != "leased" || !now.After(t.expires) {
 			continue
 		}
-		var oldest time.Time
-		for w, exp := range t.leases {
-			if now.After(exp) {
-				delete(t.leases, w)
-				t.failedBy[w] = true
-				c.metrics.LeaseExpirations++
-				c.healthLocked(w).record(false, c.cfg.healthWindow())
-			} else if oldest.IsZero() || exp.Before(oldest) {
-				oldest = exp
-			}
-		}
-		if len(t.leases) == 0 {
-			if lt := c.requeueLocked(t, now); lt != nil {
-				locals = append(locals, lt)
-			}
-			continue
-		}
-		// Straggler speculation: the task is still honoring its lease
-		// (heartbeats renew it) but has been out since its first lease
-		// longer than the speculation horizon — put a second copy in
-		// the queue; first result wins and dedup drops the loser.
-		if c.cfg.SpeculateAfter > 0 && !t.speculated && !t.queued &&
-			!t.leasedAt.IsZero() && now.Sub(t.leasedAt) > c.cfg.SpeculateAfter {
-			t.speculated = true
-			t.queued = true
-			c.metrics.Speculations++
-			c.queue = append(c.queue, t)
+		t.failedBy[t.worker] = true
+		c.metrics.LeaseExpirations++
+		if c.requeueLocked(t, now) {
+			locals = append(locals, t)
 		}
 	}
 	c.mu.Unlock()
 	for _, t := range locals {
-		c.solveLocally(t, t.localCause)
+		c.solveLocally(t)
 	}
 }
 
-// requeueLocked puts a lease-less task back in the queue with
-// exponential backoff plus jitter, or — when the retry budget or the
-// poison circuit breaker trips — returns it for a local solve.
-// Caller holds c.mu.
-func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
+// requeueLocked puts a task whose lease ended back in the queue with
+// exponential backoff plus jitter. Once its MaxRetries re-dispatches
+// are spent it instead claims the task for a local solve and reports
+// true. Caller holds c.mu.
+func (c *Coordinator) requeueLocked(t *task, now time.Time) bool {
+	t.worker = ""
+	if t.attempts >= c.cfg.maxRetries() {
+		t.state = "done" // claimed by the local solver
+		c.metrics.LocalFallbacks++
+		return true
+	}
 	t.state = "queued"
 	t.attempts++
 	c.metrics.Requeues++
-	if len(t.failedBy) >= c.cfg.poisonThreshold() {
-		// The check has cost several distinct workers their lease:
-		// assume the formula (not the workers) is the problem and
-		// solve it here.
-		t.state = "done" // claimed by the local solver
-		t.localCause = "quarantine"
-		c.metrics.Quarantines++
-		return t
-	}
-	if t.attempts > c.cfg.maxRetries() {
-		t.state = "done" // claimed by the local solver
-		t.localCause = "local-fallback"
-		c.metrics.LocalFallbacks++
-		return t
-	}
 	backoff := c.cfg.BaseBackoff
 	if backoff <= 0 {
 		backoff = 50 * time.Millisecond
@@ -338,21 +230,16 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) *task {
 	}
 	d += time.Duration(c.rng.Int63n(int64(d)/2 + 1))
 	t.nextAt = now.Add(d)
-	t.speculated = false
-	t.leasedAt = time.Time{}
-	if !t.queued {
-		t.queued = true
-		c.queue = append(c.queue, t)
-	}
-	return nil
+	c.queue = append(c.queue, t)
+	return false
 }
 
-// solveLocally runs a task in the coordinator process (retry budget
-// exhausted or quarantine) and offers the outcome like a worker's.
-// The verdict is degraded in provenance, never in value.
-func (c *Coordinator) solveLocally(t *task, cause string) {
+// solveLocally runs a task claimed after retry exhaustion in the
+// coordinator process and offers the outcome like a worker's. The
+// verdict is degraded in provenance, never in value.
+func (c *Coordinator) solveLocally(t *task) {
 	out := c.runLocal(t.check)
-	out.Degraded = cause
+	out.Degraded = "local-fallback"
 	c.acceptOutcome(t.id, "local", out, t)
 }
 
@@ -368,29 +255,6 @@ func (c *Coordinator) runLocal(ck job.Check) Outcome {
 	opts.OnResult = nil
 	results := core.RunSuite([]core.Job{cj}, opts)
 	return OutcomeFromResult(results[0].Res, results[0].Err)
-}
-
-// healthLocked returns (allocating) the worker's health record.
-// Caller holds c.mu.
-func (c *Coordinator) healthLocked(w string) *workerHealth {
-	h := c.health[w]
-	if h == nil {
-		h = &workerHealth{}
-		c.health[w] = h
-	}
-	return h
-}
-
-// drainedLocked reports whether the worker is currently drained:
-// enough failures in its window and still inside the cooldown.
-// Caller holds c.mu.
-func (c *Coordinator) drainedLocked(w string) bool {
-	h := c.health[w]
-	if h == nil {
-		return false
-	}
-	return h.failures() >= c.cfg.drainFailures() &&
-		time.Since(h.lastFail) < c.cfg.drainCooldown()
 }
 
 // CheckDistributed verifies one check through the fleet: the check is
@@ -429,7 +293,6 @@ func (c *Coordinator) join(ck job.Check) (t *task, fresh bool) {
 			id:       fp,
 			check:    ck,
 			state:    "queued",
-			leases:   map[string]time.Time{},
 			failedBy: map[string]bool{},
 			done:     make(chan struct{}),
 		}
@@ -466,17 +329,16 @@ func (c *Coordinator) launch(t *task) {
 		c.done[t.id] = true
 		close(t.done)
 	default:
-		t.queued = true
 		c.queue = append(c.queue, t)
 	}
 }
 
 // acceptOutcome is the exactly-once completion point: the first
 // outcome per task wins, everything else (duplicate delivery, late
-// results after reassignment, speculative losers) is counted and
-// dropped. claimed is nil for worker results; for a coordinator-
-// produced outcome it is the task the local solver claimed, and the
-// outcome is accepted only into that task.
+// results after reassignment) is counted and dropped. claimed is nil
+// for worker results; for a coordinator-produced outcome it is the
+// task the local solver claimed, and the outcome is accepted only into
+// that task.
 func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, claimed *task) bool {
 	local := claimed != nil
 	c.mu.Lock()
@@ -484,10 +346,10 @@ func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, claimed 
 	if !ok || (local && t != claimed) {
 		if c.done[taskID] || local {
 			// The task already has its one outcome: a transport-level
-			// duplicate, a speculative loser, a result that lost the
-			// race to a local fallback, or a local solve whose task a
-			// worker answered first (the fingerprint may since have been
-			// resubmitted as a new task).
+			// duplicate, a result that lost the race to a local
+			// fallback, or a local solve whose task a worker answered
+			// first (the fingerprint may since have been resubmitted as
+			// a new task).
 			c.metrics.DupResults++
 		} else {
 			c.metrics.LateResults++
@@ -495,44 +357,32 @@ func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, claimed 
 		c.mu.Unlock()
 		return false
 	}
-	if !local {
-		if _, leased := t.leases[worker]; !leased && t.state != "done" {
-			// The worker lost its lease (expired and requeued) but the
-			// result still arrived. With the task not yet claimed by a
-			// local solve this is still useful work — but accepting it
-			// would race the redispatched copy, so only accept when the
-			// lease is current. Count it; the redispatch will answer.
-			c.metrics.LateResults++
-			c.healthLocked(worker).record(false, c.cfg.healthWindow())
-			c.mu.Unlock()
-			return false
-		}
+	holder := t.state == "leased" && t.worker == worker
+	if !local && !holder && (t.state != "done" || out.Err != "") {
+		// The worker lost its lease (expired and requeued) but the
+		// result still arrived. Accepting it would race the redispatched
+		// copy, so only a verdict for a task already claimed by a local
+		// solve is taken. Count it; the redispatch will answer.
+		c.metrics.LateResults++
+		c.mu.Unlock()
+		return false
 	}
 	if out.Err != "" && !local {
 		// The check failed to run on the worker: treat as a lost
 		// lease — requeue with backoff (or fall back locally).
-		delete(t.leases, worker)
 		t.failedBy[worker] = true
-		c.healthLocked(worker).record(false, c.cfg.healthWindow())
-		var lt *task
-		if len(t.leases) == 0 {
-			lt = c.requeueLocked(t, time.Now())
-		}
+		claim := c.requeueLocked(t, time.Now())
 		c.mu.Unlock()
-		if lt != nil {
-			c.solveLocally(lt, lt.localCause)
+		if claim {
+			c.solveLocally(t)
 		}
 		return false
 	}
 	t.state = "done"
 	t.outcome = out
 	t.from = worker
-	t.leases = map[string]time.Time{}
 	c.metrics.TasksCompleted++
 	c.done[taskID] = true
-	if !local {
-		c.healthLocked(worker).record(true, c.cfg.healthWindow())
-	}
 	delete(c.tasks, taskID)
 
 	// Journal before waking the waiters: a crash after this line
@@ -587,28 +437,14 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// Poll hands the calling worker the next dispatchable task (or a
-// retry hint). Drained workers get no work until their cooldown ends.
+// Poll leases the calling worker the first dispatchable task in the
+// queue, or answers with a retry hint.
 func (c *Coordinator) Poll(worker string) PollResponse {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.drainedLocked(worker) {
-		c.metrics.WorkersDrained++
-		return PollResponse{RetryAfterMS: c.cfg.drainCooldown().Milliseconds()}
-	}
-	// One compacting scan: finished entries (local solves, speculative
-	// copies whose primary won) are dropped, the first dispatchable
-	// task is leased to the worker, everything else is kept in order.
-	kept := c.queue[:0]
-	var granted *task
-	for _, t := range c.queue {
-		if t.state == "done" {
-			t.queued = false
-			continue
-		}
-		if granted != nil || now.Before(t.nextAt) {
-			kept = append(kept, t)
+	for i, t := range c.queue {
+		if now.Before(t.nextAt) {
 			continue
 		}
 		// A worker that already failed this task is excluded only while
@@ -617,31 +453,20 @@ func (c *Coordinator) Poll(worker string) PollResponse {
 		// whose every worker failed the task would starve it instead of
 		// draining the retry budget into the local fallback.
 		if t.failedBy[worker] && now.Before(t.nextAt.Add(c.cfg.lease())) {
-			kept = append(kept, t)
 			continue
 		}
-		if _, has := t.leases[worker]; has {
-			kept = append(kept, t) // speculation must use a different worker
-			continue
-		}
-		granted = t
-		t.queued = false
+		c.queue = slices.Delete(c.queue, i, i+1)
+		t.state = "leased"
+		t.worker = worker
+		t.expires = now.Add(c.cfg.lease())
+		c.metrics.TasksDispatched++
+		return PollResponse{Task: &Task{
+			ID:      t.id,
+			Check:   t.check,
+			LeaseMS: c.cfg.lease().Milliseconds(),
+		}}
 	}
-	c.queue = kept
-	if granted == nil {
-		return PollResponse{RetryAfterMS: c.cfg.pollRetryAfter().Milliseconds()}
-	}
-	granted.state = "leased"
-	granted.leases[worker] = now.Add(c.cfg.lease())
-	if granted.leasedAt.IsZero() {
-		granted.leasedAt = now
-	}
-	c.metrics.TasksDispatched++
-	return PollResponse{Task: &Task{
-		ID:      granted.id,
-		Check:   granted.check,
-		LeaseMS: c.cfg.lease().Milliseconds(),
-	}}
+	return PollResponse{RetryAfterMS: c.cfg.pollRetryAfter().Milliseconds()}
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -663,13 +488,10 @@ func (c *Coordinator) Heartbeat(worker, taskID string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t, ok := c.tasks[taskID]
-	if !ok || t.state != "leased" {
+	if !ok || t.state != "leased" || t.worker != worker {
 		return false
 	}
-	if _, has := t.leases[worker]; !has {
-		return false
-	}
-	t.leases[worker] = time.Now().Add(c.cfg.lease())
+	t.expires = time.Now().Add(c.cfg.lease())
 	return true
 }
 
@@ -688,33 +510,5 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) QueueDepth() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.queue {
-		if t.state != "done" {
-			n++
-		}
-	}
-	return n
-}
-
-// WorkerHealth reports each known worker's failure count within its
-// current window, sorted by worker id (metrics and tests).
-func (c *Coordinator) WorkerHealth() []struct {
-	Worker   string
-	Failures int
-} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]struct {
-		Worker   string
-		Failures int
-	}, 0, len(c.health))
-	for w, h := range c.health {
-		out = append(out, struct {
-			Worker   string
-			Failures int
-		}{w, h.failures()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
-	return out
+	return len(c.queue)
 }

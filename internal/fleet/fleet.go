@@ -15,17 +15,10 @@
 //     hung, or partitioned worker) is requeued with exponential
 //     backoff plus jitter. Completion is exactly-once: results are
 //     deduplicated on the task identity (the check's fingerprint), so
-//     redelivery, duplicate transport delivery, and speculative
-//     re-dispatch cannot answer a check twice.
+//     redelivery, duplicate transport delivery, and late results cannot
+//     answer a check twice.
 //   - A bounded retry budget ends with the coordinator solving the
 //     check locally — a verdict is never abandoned.
-//   - A check that costs N distinct workers their lease trips a
-//     poison circuit breaker: it is quarantined and solved locally,
-//     so one pathological formula cannot grind the fleet down.
-//   - Stragglers are speculatively re-dispatched; the first result
-//     wins and the loser is dropped by the same dedup.
-//   - Every worker has a sliding-window health score; a flaky worker
-//     is drained (polls return no work) until it cools down.
 //   - The coordinator journals accepted outcomes; a restart replays
 //     the journal and re-runs only the checks without one.
 //
@@ -99,16 +92,20 @@ type Outcome struct {
 	// a verdict); the coordinator treats it as a task failure.
 	Err string `json:"error,omitempty"`
 
-	BoundRounds int          `json:"bound_rounds,omitempty"`
-	ObsSetSize  int          `json:"obs_set_size,omitempty"`
-	Backend     string       `json:"backend,omitempty"`
-	TotalTime   job.Duration `json:"total_time,omitempty"`
+	BoundRounds    int          `json:"bound_rounds,omitempty"`
+	ObsSetSize     int          `json:"obs_set_size,omitempty"`
+	Backend        string       `json:"backend,omitempty"`
+	RouterDecision string       `json:"router_decision,omitempty"`
+	MineIterations int          `json:"mine_iterations,omitempty"`
+	CNFVars        int          `json:"cnf_vars,omitempty"`
+	CNFClauses     int          `json:"cnf_clauses,omitempty"`
+	TotalTime      job.Duration `json:"total_time,omitempty"`
 	// Budget summarizes resource-governance degradation on the worker
 	// (ladder rungs exhausted before the verdict), one line per rung.
 	Budget []string `json:"budget,omitempty"`
 	// Degraded names the fleet-level degradation that produced this
-	// outcome, when any ("local-fallback", "quarantine"). Set by the
-	// coordinator, never by workers.
+	// outcome, when any ("local-fallback"). Set by the coordinator,
+	// never by workers.
 	Degraded string `json:"degraded,omitempty"`
 }
 
@@ -118,14 +115,19 @@ func OutcomeFromResult(res *core.Result, err error) Outcome {
 	if err != nil {
 		return Outcome{Err: err.Error()}
 	}
+	st := res.Stats
 	o := Outcome{
-		Verdict:     res.Verdict.String(),
-		Pass:        res.Pass,
-		SeqBug:      res.SeqBug,
-		BoundRounds: res.Stats.BoundRounds,
-		ObsSetSize:  res.Stats.ObsSetSize,
-		Backend:     res.Stats.Backend,
-		TotalTime:   job.Duration(res.Stats.TotalTime),
+		Verdict:        res.Verdict.String(),
+		Pass:           res.Pass,
+		SeqBug:         res.SeqBug,
+		BoundRounds:    st.BoundRounds,
+		ObsSetSize:     st.ObsSetSize,
+		Backend:        st.Backend,
+		RouterDecision: st.RouterDecision,
+		MineIterations: st.MineIterations,
+		CNFVars:        st.CNFVars,
+		CNFClauses:     st.CNFClauses,
+		TotalTime:      job.Duration(st.TotalTime),
 	}
 	if res.Cex != nil {
 		o.Cex = res.Cex.String()

@@ -217,167 +217,49 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestPoisonQuarantine: a check that kills every worker it touches must
-// trip the circuit breaker after PoisonThreshold distinct victims and
-// be solved locally — with the quarantine visible as the degradation
-// cause, and the verdict still the serial one.
-func TestPoisonQuarantine(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Lease = 60 * time.Millisecond
-	cfg.PoisonThreshold = 3
-	cfg.MaxRetries = 10 // poison must trip before retry exhaustion
-	c := newTestCoordinator(t, cfg)
-
-	for i := 0; i < 3; i++ {
-		startWorker(t, c, fmt.Sprintf("crasher%d", i), func(cfg *WorkerConfig) {
-			cfg.Faults = &faultinject.Always{Sites: []faultinject.Site{faultinject.FleetWorkerCrash}}
-		})
-	}
-
-	ck := testCheck("msn", "T0", "sc")
-	ck.Backend = "rf"
-	want := serialOracle(t, ck)
-	got, err := c.CheckDistributed(context.Background(), ck)
-	if err != nil {
-		t.Fatalf("CheckDistributed: %v", err)
-	}
-	assertAgrees(t, got, want, "quarantine")
-	if got.Degraded != "quarantine" {
-		t.Fatalf("degradation cause = %q, want \"quarantine\"", got.Degraded)
-	}
-	m := c.Metrics()
-	if m.Quarantines != 1 {
-		t.Fatalf("Quarantines = %d, want 1 (metrics: %+v)", m.Quarantines, m)
-	}
-}
-
-// TestRetryExhaustionFallsBackLocally: with a single worker that
-// always drops its results, the bounded retry budget must end in a
-// local solve — degradation, never a lost verdict.
+// TestRetryExhaustionFallsBackLocally: a check no worker ever answers
+// — a single worker that always drops its results, or three workers
+// that always crash — must spend its retry budget of 1+MaxRetries
+// dispatches and then be solved locally: degradation, never a lost
+// verdict.
 func TestRetryExhaustionFallsBackLocally(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Lease = 60 * time.Millisecond
-	cfg.MaxRetries = 2
-	cfg.PoisonThreshold = 10 // keep the breaker out of this path
-	c := newTestCoordinator(t, cfg)
-	startWorker(t, c, "dropper", func(cfg *WorkerConfig) {
-		cfg.Faults = &faultinject.Always{Sites: []faultinject.Site{faultinject.FleetDropResult}}
-	})
-
-	ck := testCheck("ms2", "T0", "sc")
-	ck.Backend = "rf"
-	want := serialOracle(t, ck)
-	got, err := c.CheckDistributed(context.Background(), ck)
-	if err != nil {
-		t.Fatalf("CheckDistributed: %v", err)
-	}
-	assertAgrees(t, got, want, "local-fallback")
-	if got.Degraded != "local-fallback" {
-		t.Fatalf("degradation cause = %q, want \"local-fallback\"", got.Degraded)
-	}
-	if m := c.Metrics(); m.LocalFallbacks == 0 {
-		t.Fatalf("LocalFallbacks = 0, want > 0 (metrics: %+v)", m)
-	}
-}
-
-// TestStragglerSpeculation: a straggling worker keeps its lease alive
-// by heartbeating, so only the speculation horizon can unstick the
-// check — a second copy goes to a faster worker, whose result wins.
-func TestStragglerSpeculation(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Lease = 400 * time.Millisecond // janitor every 100ms
-	cfg.SpeculateAfter = 150 * time.Millisecond
-	c := newTestCoordinator(t, cfg)
-
-	slow := startWorker(t, c, "slow", func(cfg *WorkerConfig) {
-		cfg.SlowDown = 5 * time.Second
-	})
-
-	ck := testCheck("msn", "T0", "sc")
-	ck.Backend = "rf"
-	want := serialOracle(t, ck)
-
-	resc := make(chan Outcome, 1)
-	go func() {
-		out, err := c.CheckDistributed(context.Background(), ck)
-		if err != nil {
-			out = Outcome{Err: err.Error()}
-		}
-		resc <- out
-	}()
-
-	// Let the straggler take the lease before the fast worker exists.
-	eventually(t, 2*time.Second, func() bool { return slow.Stats().Polled == 1 },
-		"straggler never leased the task")
-	startWorker(t, c, "fast", nil)
-
-	select {
-	case got := <-resc:
-		assertAgrees(t, got, want, "speculation")
-	case <-time.After(4 * time.Second):
-		t.Fatal("speculated task did not finish ahead of the straggler")
-	}
-	if m := c.Metrics(); m.Speculations == 0 {
-		t.Fatalf("Speculations = 0, want > 0 (metrics: %+v)", m)
-	}
-}
-
-// TestWorkerDraining: a worker that keeps losing leases must stop
-// receiving work for the drain cooldown.
-func TestWorkerDraining(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Lease = 60 * time.Millisecond
-	cfg.HealthWindow = 4
-	cfg.DrainFailures = 2
-	cfg.DrainCooldown = time.Hour // once drained, stays drained for the test
-	cfg.MaxRetries = 10
-	cfg.PoisonThreshold = 10
-	c := newTestCoordinator(t, cfg)
-
-	flaky := startWorker(t, c, "flaky", func(cfg *WorkerConfig) {
-		cfg.Faults = &faultinject.Always{Sites: []faultinject.Site{faultinject.FleetWorkerCrash}}
-	})
-
-	// Two independent checks so the flaky worker can fail twice (it
-	// may not re-lease a task it already failed).
-	cks := []job.Check{testCheck("ms2", "T0", "sc"), testCheck("ms2", "T0", "tso")}
-	for i := range cks {
-		cks[i].Backend = "rf"
-	}
-	resc := make(chan error, len(cks))
-	for _, ck := range cks {
-		go func(ck job.Check) {
-			_, err := c.CheckDistributed(context.Background(), ck)
-			resc <- err
-		}(ck)
-	}
-
-	// The flaky worker crashes both; its leases expire; health records
-	// two failures.
-	eventually(t, 2*time.Second, func() bool { return flaky.Stats().Polled >= 2 },
-		"flaky worker never leased both tasks")
-	eventually(t, 2*time.Second, func() bool {
-		for _, h := range c.WorkerHealth() {
-			if h.Worker == "flaky" && h.Failures >= 2 {
-				return true
+	for _, tc := range []struct {
+		label   string
+		site    faultinject.Site
+		workers int
+	}{
+		{"dropper", faultinject.FleetDropResult, 1},
+		{"crashers", faultinject.FleetWorkerCrash, 3},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.Lease = 60 * time.Millisecond
+			cfg.MaxRetries = 2
+			c := newTestCoordinator(t, cfg)
+			for i := 0; i < tc.workers; i++ {
+				startWorker(t, c, fmt.Sprintf("%s%d", tc.label, i), func(cfg *WorkerConfig) {
+					cfg.Faults = &faultinject.Always{Sites: []faultinject.Site{tc.site}}
+				})
 			}
-		}
-		return false
-	}, "flaky worker's lease losses never reached its health window")
 
-	if resp := c.Poll("flaky"); resp.Task != nil {
-		t.Fatal("drained worker was granted a task")
-	}
-	if m := c.Metrics(); m.WorkersDrained == 0 {
-		t.Fatalf("WorkersDrained = 0, want > 0 (metrics: %+v)", m)
-	}
-
-	// A healthy worker finishes the actual verdicts.
-	startWorker(t, c, "healthy", nil)
-	for range cks {
-		if err := <-resc; err != nil {
-			t.Fatalf("CheckDistributed: %v", err)
-		}
+			ck := testCheck("ms2", "T0", "sc")
+			ck.Backend = "rf"
+			want := serialOracle(t, ck)
+			got, err := c.CheckDistributed(context.Background(), ck)
+			if err != nil {
+				t.Fatalf("CheckDistributed: %v", err)
+			}
+			assertAgrees(t, got, want, tc.label)
+			if got.Degraded != "local-fallback" {
+				t.Fatalf("degradation cause = %q, want \"local-fallback\"", got.Degraded)
+			}
+			m := c.Metrics()
+			if m.TasksDispatched != int64(1+cfg.MaxRetries) || m.Requeues != int64(cfg.MaxRetries) ||
+				m.LocalFallbacks != 1 {
+				t.Fatalf("metrics %+v, want %d dispatches, %d requeues, 1 local fallback",
+					m, 1+cfg.MaxRetries, cfg.MaxRetries)
+			}
+		})
 	}
 }
 
@@ -684,7 +566,7 @@ func TestStaleLocalSolveNotAcceptedIntoResubmission(t *testing.T) {
 	if !fresh || resub == old {
 		t.Fatal("resubmission did not create a new task")
 	}
-	c.solveLocally(old, "local-fallback")
+	c.solveLocally(old)
 	select {
 	case <-resub.done:
 		t.Fatal("stale local solve answered the resubmitted task")

@@ -35,8 +35,8 @@ import (
 
 // WorkerConfig configures a fleet worker.
 type WorkerConfig struct {
-	// ID identifies the worker to the coordinator (lease bookkeeping,
-	// health scoring). Required.
+	// ID identifies the worker to the coordinator (lease
+	// bookkeeping). Required.
 	ID string
 	// URL is the coordinator base URL ("http://host:port"). Required
 	// unless Local is set.
@@ -53,8 +53,6 @@ type WorkerConfig struct {
 	SpecCacheDir string
 	// Faults arms the network fault sites (chaos tests only).
 	Faults faultinject.Faults
-	// SlowDown delays each execution (straggler simulation in tests).
-	SlowDown time.Duration
 }
 
 func (c WorkerConfig) pollInterval() time.Duration {
@@ -207,9 +205,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, t *Task, leaseLost, stop, do
 // execute runs the task's check through the ordinary pipeline. A
 // closed leaseLost channel aborts the solve at its next check point.
 func (w *Worker) execute(ctx context.Context, t *Task, leaseLost <-chan struct{}) Outcome {
-	if w.cfg.SlowDown > 0 {
-		sleep(ctx, w.cfg.SlowDown)
-	}
 	cj, err := t.Check.CoreJob()
 	if err != nil {
 		return Outcome{Err: err.Error()}
