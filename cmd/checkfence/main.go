@@ -279,6 +279,10 @@ func report(w io.Writer, res *core.Result, showSpec, stats bool) int {
 		fmt.Fprintf(w, "times: probe=%v mine=%v encode=%v refute=%v total=%v\n",
 			s.ProbeTime, s.MineTime, s.EncodeTime, s.RefuteTime, s.TotalTime)
 		fmt.Fprintf(w, "bound rounds: %d\n", s.BoundRounds)
+		if s.AllocBytes > 0 {
+			// A sweep counts its shared allocation on its first model.
+			fmt.Fprintf(w, "memory: %.1f MB allocated\n", float64(s.AllocBytes)/1e6)
+		}
 	}
 
 	switch res.Verdict {

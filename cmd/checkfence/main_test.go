@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -106,6 +108,21 @@ func TestUnknownReportsRungs(t *testing.T) {
 	}
 	if !strings.Contains(out, "rung ") {
 		t.Errorf("report missing rung lines:\n%s", out)
+	}
+}
+
+// TestStatsReportsMemory: -stats prints the check's heap allocation.
+func TestStatsReportsMemory(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-impl", "ms2", "-test", "T0", "-model", "sc", "-stats"}, &stdout, &stderr); got != exitPass {
+		t.Fatalf("exit = %d, want %d\nstderr: %s", got, exitPass, stderr.String())
+	}
+	m := regexp.MustCompile(`(?m)^memory: ([0-9.]+) MB allocated$`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("-stats output has no memory line:\n%s", stdout.String())
+	}
+	if mb, err := strconv.ParseFloat(m[1], 64); err != nil || mb <= 0 {
+		t.Errorf("memory line reports %q MB, want a positive number", m[1])
 	}
 }
 

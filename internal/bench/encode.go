@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"checkfence/internal/core"
@@ -53,6 +54,7 @@ type EncodeRow struct {
 type EncodeArtifact struct {
 	GeneratedAt     string      `json:"generated_at"`
 	Model           string      `json:"model"`
+	CPUs            int         `json:"cpus"`
 	Rows            []EncodeRow `json:"rows"`
 	RowsAtLeast20   int         `json:"rows_at_least_20pct"`
 	MeanReductionPc float64     `json:"mean_reduction_pct"`
@@ -89,6 +91,7 @@ func (r *Runner) EncodeReport(jsonPath string) error {
 	art := EncodeArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Model:       model.String(),
+		CPUs:        runtime.NumCPU(),
 	}
 	var sumRed float64
 	for i := 0; i+1 < len(rows); i += 2 {

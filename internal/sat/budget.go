@@ -118,9 +118,10 @@ func (s *Solver) SetFaults(f faultinject.Faults) { s.faults = f }
 // definitive). It is reset at the start of every Solve.
 func (s *Solver) BudgetErr() *ErrBudget { return s.budgetErr }
 
-// learntClauseOverhead approximates the per-clause bookkeeping bytes
-// beyond the literal slice: the clause header plus two watcher
-// entries.
+// learntClauseOverhead is the per-clause bookkeeping charged beyond
+// the literals. It was sized for pointer-based clause structs; the
+// region's 16-byte header and two 8-byte watchers take less, but the
+// constant stays so a memory budget trips where it always has.
 const learntClauseOverhead = 96
 
 // learntBytes approximates the memory held by the learned-clause
@@ -134,10 +135,10 @@ func (s *Solver) learntBytes() int64 {
 func (s *Solver) recountLearntLits() {
 	var n int64
 	for _, c := range s.learnts {
-		if c.deleted {
+		if s.ca.deleted(c) {
 			continue
 		}
-		n += int64(len(c.lits))
+		n += int64(s.ca.size(c))
 	}
 	s.learntLits = n
 }

@@ -98,11 +98,11 @@ func (s *Solver) tierFor(lbd int) int8 {
 
 // removeLearnt deletes an attached learnt clause. The clause stays in
 // s.learnts with its deleted flag set (conflict analysis may hold
-// pointers into the slice); reduceDB purges deleted entries.
-func (s *Solver) removeLearnt(c *clause) {
-	c.deleted = true
+// references into the slice); reduceDB purges deleted entries.
+func (s *Solver) removeLearnt(c cref) {
 	s.detach(c)
-	s.learntLits -= int64(len(c.lits))
+	s.learntLits -= int64(s.ca.size(c))
+	s.ca.free(c)
 }
 
 // markLits stamps the literals of the just-learnt clause for the O(1)
@@ -131,11 +131,11 @@ func (s *Solver) subsumeAntecedents(learnt []Lit) {
 	}
 	s.markLits(learnt)
 	for _, c := range s.ante {
-		if c.deleted || len(c.lits) <= len(learnt) || s.locked(c) {
+		if s.ca.deleted(c) || s.ca.size(c) <= len(learnt) || s.locked(c) {
 			continue
 		}
 		hits := 0
-		for _, l := range c.lits {
+		for _, l := range s.ca.lits(c) {
 			if s.litStamp[l] == s.litGen {
 				hits++
 			}
@@ -159,7 +159,7 @@ func (s *Solver) vivify() bool {
 		if s.stats.Propagations > budget {
 			break
 		}
-		if c.deleted || c.tier == tierLocal || len(c.lits) < 2 || s.locked(c) {
+		if s.ca.deleted(c) || s.ca.tier(c) == tierLocal || s.ca.size(c) < 2 || s.locked(c) {
 			continue
 		}
 		if !s.vivifyClause(c) {
@@ -175,11 +175,12 @@ func (s *Solver) vivify() bool {
 // dropped, and a propagation conflict proves the assumed prefix
 // contradictory, so the prefix alone is the clause. Returns false when
 // the clause (or a unit it shrinks to) refutes the formula at the root.
-func (s *Solver) vivifyClause(c *clause) bool {
+func (s *Solver) vivifyClause(c cref) bool {
 	// Root-level simplification first: the trail is at level 0, so any
 	// assigned literal is root-forced.
+	size := s.ca.size(c)
 	lits := s.vivTmp[:0]
-	for _, l := range c.lits {
+	for _, l := range s.ca.lits(c) {
 		switch s.value(l) {
 		case lTrue:
 			// Satisfied at the root: the clause is garbage.
@@ -200,7 +201,7 @@ func (s *Solver) vivifyClause(c *clause) bool {
 	s.detach(c)
 	s.trailLim = append(s.trailLim, len(s.trail)) // scratch decision level
 	out := s.vivOut[:0]
-	shrunk := len(lits) < len(c.lits)
+	shrunk := len(lits) < size
 probe:
 	for i, l := range lits {
 		switch s.value(l) {
@@ -217,8 +218,8 @@ probe:
 			continue
 		}
 		out = append(out, l)
-		s.uncheckedEnqueue(l.Not(), nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(l.Not(), crefUndef)
+		if s.propagate() != crefUndef {
 			// ¬out is contradictory: out alone is an implied clause.
 			if i+1 < len(lits) {
 				shrunk = true
@@ -234,12 +235,12 @@ probe:
 		return true
 	}
 	s.stats.VivifiedClauses++
-	s.stats.VivifiedLits += int64(len(c.lits) - len(out))
-	s.learntLits -= int64(len(c.lits) - len(out))
+	s.stats.VivifiedLits += int64(size - len(out))
+	s.learntLits -= int64(size - len(out))
 	if len(out) <= 1 {
-		// The clause collapsed to (at most) a unit: the clause object is
+		// The clause collapsed to (at most) a unit: the clause is
 		// dropped and the unit asserted at the root.
-		c.deleted = true
+		s.ca.free(c)
 		s.learntLits -= int64(len(out))
 		if len(out) == 0 {
 			s.ok = false
@@ -250,20 +251,21 @@ probe:
 			s.ok = false
 			return false
 		case lUndef:
-			s.uncheckedEnqueue(out[0], nil)
-			if s.propagate() != nil {
+			s.uncheckedEnqueue(out[0], crefUndef)
+			if s.propagate() != crefUndef {
 				s.ok = false
 				return false
 			}
 		}
 		return true
 	}
-	c.lits = append(c.lits[:0], out...)
-	if c.lbd > len(c.lits) {
-		c.lbd = len(c.lits)
+	copy(s.ca.lits(c), out)
+	s.ca.shrink(c, len(out))
+	if s.ca.lbd(c) > len(out) {
+		s.ca.setLBD(c, len(out))
 	}
-	if t := s.tierFor(c.lbd); t < c.tier {
-		c.tier = t
+	if t := s.tierFor(s.ca.lbd(c)); t < s.ca.tier(c) {
+		s.ca.setTier(c, t)
 	}
 	s.attach(c)
 	return true
@@ -275,21 +277,22 @@ probe:
 // tier is sorted by activity and its colder half dropped. Deleted
 // entries (subsumption, vivification) are purged along the way.
 func (s *Solver) reduceDBTiered() {
+	ca := &s.ca
 	keep := s.learnts[:0]
 	local := s.reduceTmp[:0]
 	for _, c := range s.learnts {
-		if c.deleted {
+		if ca.deleted(c) {
 			continue
 		}
-		switch c.tier {
+		switch ca.tier(c) {
 		case tierCore:
 			keep = append(keep, c)
 		case tierMid:
-			if c.used || s.locked(c) {
-				c.used = false
+			if ca.used(c) || s.locked(c) {
+				ca.setUsed(c, false)
 				keep = append(keep, c)
 			} else {
-				c.tier = tierLocal
+				ca.setTier(c, tierLocal)
 				local = append(local, c)
 			}
 		default:
@@ -298,15 +301,15 @@ func (s *Solver) reduceDBTiered() {
 	}
 	// Hot (recently used or high-activity) local clauses survive;
 	// stable sort keeps the order deterministic under ties.
-	sortClausesByActivity(local)
+	s.sortClausesByActivity(local)
 	limit := len(local) / 2
 	for i, c := range local {
-		if i < limit || c.used || s.locked(c) {
-			c.used = false
+		if i < limit || ca.used(c) || s.locked(c) {
+			ca.setUsed(c, false)
 			keep = append(keep, c)
 		} else {
-			c.deleted = true
 			s.detach(c)
+			ca.free(c)
 		}
 	}
 	s.reduceTmp = local[:0] // retain scratch capacity for the next round
@@ -317,15 +320,16 @@ func (s *Solver) reduceDBTiered() {
 // sortClausesByActivity orders hottest-first: higher activity, then
 // lower LBD, then shorter. The stable sort keeps full ties in insertion
 // order, so reductions are deterministic.
-func sortClausesByActivity(cls []*clause) {
+func (s *Solver) sortClausesByActivity(cls []cref) {
+	ca := &s.ca
 	sort.SliceStable(cls, func(i, j int) bool {
 		a, b := cls[i], cls[j]
-		if a.activity != b.activity {
-			return a.activity > b.activity
+		if aa, ab := ca.activity(a), ca.activity(b); aa != ab {
+			return aa > ab
 		}
-		if a.lbd != b.lbd {
-			return a.lbd < b.lbd
+		if la, lb := ca.lbd(a), ca.lbd(b); la != lb {
+			return la < lb
 		}
-		return len(a.lits) < len(b.lits)
+		return ca.size(a) < ca.size(b)
 	})
 }

@@ -8,8 +8,12 @@ import (
 // addLearnt installs a learnt clause directly in the database, the way
 // record would, so the inprocessing primitives can be unit-tested
 // without driving a full search to manufacture the exact clause.
-func addLearnt(s *Solver, tier int8, act float64, used bool, lits ...Lit) *clause {
-	c := &clause{lits: lits, learnt: true, lbd: len(lits), activity: act, tier: tier, used: used}
+func addLearnt(s *Solver, tier int8, act float64, used bool, lits ...Lit) cref {
+	c := s.ca.alloc(lits, true)
+	s.ca.setLBD(c, len(lits))
+	s.ca.setActivity(c, act)
+	s.ca.setTier(c, tier)
+	s.ca.setUsed(c, used)
 	s.learnts = append(s.learnts, c)
 	s.learntLits += int64(len(lits))
 	s.attach(c)
@@ -42,11 +46,11 @@ func TestVivifyClauseShrinks(t *testing.T) {
 	if !s.vivifyClause(cl) {
 		t.Fatal("vivifyClause reported unsat on a satisfiable formula")
 	}
-	if cl.deleted {
+	if s.ca.deleted(cl) {
 		t.Fatal("clause deleted; want shrunk in place")
 	}
-	if len(cl.lits) != 2 {
-		t.Fatalf("vivified clause has %d lits, want 2: %v", len(cl.lits), cl.lits)
+	if lits := s.ca.lits(cl); len(lits) != 2 {
+		t.Fatalf("vivified clause has %d lits, want 2: %v", len(lits), lits)
 	}
 	if s.stats.VivifiedClauses != 1 || s.stats.VivifiedLits != 1 {
 		t.Fatalf("stats = %d clauses / %d lits vivified, want 1/1",
@@ -74,10 +78,10 @@ func TestSubsumeAntecedents(t *testing.T) {
 	s.ante = append(s.ante[:0], wide, other)
 
 	s.subsumeAntecedents([]Lit{Pos(a), Pos(b)})
-	if !wide.deleted {
+	if !s.ca.deleted(wide) {
 		t.Fatal("superset antecedent not subsumed")
 	}
-	if other.deleted {
+	if s.ca.deleted(other) {
 		t.Fatal("non-superset antecedent wrongly deleted")
 	}
 	if s.stats.SubsumedLearnts != 1 {
@@ -104,25 +108,26 @@ func TestReduceDBTiered(t *testing.T) {
 
 	s.reduceDBTiered()
 
-	if core.deleted || midUsed.deleted {
+	ca := &s.ca
+	if ca.deleted(core) || ca.deleted(midUsed) {
 		t.Fatal("core or used-mid clause dropped by tiered reduction")
 	}
-	if midUsed.used {
+	if ca.used(midUsed) {
 		t.Fatal("mid-tier usage mark not consumed by the reduction")
 	}
-	if midIdle.tier != tierLocal && !midIdle.deleted {
-		t.Fatalf("idle mid clause neither demoted nor dropped (tier %d)", midIdle.tier)
+	if ca.tier(midIdle) != tierLocal && !ca.deleted(midIdle) {
+		t.Fatalf("idle mid clause neither demoted nor dropped (tier %d)", ca.tier(midIdle))
 	}
 	// The local pool was {demoted midIdle(5), localHot(10), localCold(1)}:
 	// halving by activity keeps the hottest and drops the coldest.
-	if localHot.deleted {
+	if ca.deleted(localHot) {
 		t.Fatal("highest-activity local clause dropped")
 	}
-	if !localCold.deleted {
+	if !ca.deleted(localCold) {
 		t.Fatal("lowest-activity local clause kept over hotter ones")
 	}
 	for _, c := range s.learnts {
-		if c.deleted {
+		if ca.deleted(c) {
 			t.Fatal("deleted clause not purged from the learnt list")
 		}
 	}

@@ -50,7 +50,7 @@ func (s *Solver) Preprocess() bool {
 	start := time.Now()
 	defer func() { s.preStats.preprocessTime += time.Since(start) }()
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return false
 	}
@@ -83,6 +83,7 @@ func (s *Solver) Preprocess() bool {
 			}
 		}
 	}
+	p.saveElim()
 	if p.conflict {
 		s.ok = false
 		return false
@@ -91,15 +92,20 @@ func (s *Solver) Preprocess() bool {
 	return true
 }
 
-// prep is the preprocessing working set: clause literal slices
-// (sorted; nil = removed), variable-set signatures for the subsumption
-// filter, and per-literal occurrence lists (lazily filtered, so they
-// may contain stale entries).
+// prep is the preprocessing working set. It holds no pointers: every
+// clause is a span of one flat literal buffer (sorted; a set bit in
+// dead marks it removed), sig holds the variable-set signatures of the
+// subsumption filter, and the per-literal occurrence lists are spans
+// of one flat int32 region (lazily filtered, so they may contain stale
+// entries).
 type prep struct {
 	s        *Solver
-	cls      [][]Lit
+	lits     []Lit
+	cls      []span
+	dead     []uint64
 	sig      []uint64
-	occ      [][]int32
+	occs     []int32
+	occ      []occSpan
 	units    []Lit
 	conflict bool
 
@@ -117,95 +123,92 @@ type prep struct {
 
 	// res and resEnd hold the resolvents of the elimination candidate
 	// under test, flat (resolvent k ends at resEnd[k]); they are copied
-	// out only when the elimination commits. arena is the chunked store
-	// for committed resolvents and the clauses saved on elimStack, and
-	// savedArena for the elimStack entries' clause lists.
-	res        []Lit
-	resEnd     []int
-	arena      []Lit
-	savedArena [][]Lit
+	// into lits only when the elimination commits.
+	res    []Lit
+	resEnd []int
+
+	// elim lists the variables eliminated so far, each with its killed
+	// clauses as elimCls[off:end]. A dead clause is never modified, so
+	// saveElim copies the clauses onto the solver's elimination stack
+	// once, at the end.
+	elim    []elimEntry
+	elimCls []int32
 }
 
+// span locates a clause in prep.lits.
+type span struct{ off, n uint32 }
+
+// occSpan locates an occurrence list in prep.occs: n entries in a
+// slot of capacity cap.
+type occSpan struct{ off, n, cap uint32 }
+
 func newPrep(s *Solver) *prep {
+	nc, nv := len(s.clauses), len(s.assigns)
 	p := &prep{
 		s:         s,
-		cls:       make([][]Lit, 0, 2*len(s.clauses)),
-		sig:       make([]uint64, 0, 2*len(s.clauses)),
-		dirty:     make([]int, 0, len(s.clauses)),
-		occ:       make([][]int32, 2*len(s.assigns)),
-		touchMark: make([]bool, len(s.assigns)),
-		stale:     make([]bool, 2*len(s.assigns)),
+		cls:       make([]span, 0, 2*nc),
+		dead:      make([]uint64, 0, (2*nc+63)/64),
+		sig:       make([]uint64, 0, 2*nc),
+		dirty:     make([]int, 0, nc),
+		occ:       make([]occSpan, 2*nv),
+		touchMark: make([]bool, nv),
+		stale:     make([]bool, 2*nv),
 	}
-	// One arena for every clause's literals and one for the
-	// occurrence lists: on large formulas the per-clause and per-list
-	// allocations dominate otherwise.
+	// Size the literal buffer and the occurrence region in a counting
+	// pass, so neither grows while the clauses are loaded.
 	total := 0
-	counts := make([]int, 2*len(s.assigns))
 	for _, c := range s.clauses {
-		satisfied := false
-		for _, l := range c.lits {
-			if s.value(l) == lTrue {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
+		lits := s.ca.lits(c)
+		if s.satisfied(lits) {
 			continue
 		}
-		for _, l := range c.lits {
+		for _, l := range lits {
 			if s.value(l) == lUndef {
 				total++
-				counts[l]++
+				p.occ[l].cap++
 			}
 		}
 	}
 	// Each list gets a little headroom, so the first resolvents
-	// appended to it do not reallocate it.
-	occArena := make([]int32, total+occHeadroom*len(counts))
-	off := 0
-	for l, n := range counts {
-		end := off + n + occHeadroom
-		p.occ[l] = occArena[off:off:end]
-		off = end
+	// appended to it do not move it; the spare room at the end of both
+	// buffers takes the lists and resolvents that do.
+	spare := total/2 + minRegion
+	p.occs = make([]int32, 0, total+occHeadroom*len(p.occ)+spare)
+	for l := range p.occ {
+		o := &p.occ[l]
+		o.off = uint32(len(p.occs))
+		o.cap += occHeadroom
+		p.occs = p.occs[:len(p.occs)+int(o.cap)]
 	}
-	arena := make([]Lit, 0, total)
+	p.lits = make([]Lit, 0, total+spare)
 	for _, c := range s.clauses {
-		satisfied := false
-		for _, l := range c.lits {
-			if s.value(l) == lTrue {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
+		lits := s.ca.lits(c)
+		if s.satisfied(lits) {
 			continue
 		}
-		start := len(arena)
-		for _, l := range c.lits {
+		start := len(p.lits)
+		for _, l := range lits {
 			if s.value(l) == lUndef {
-				arena = append(arena, l)
+				p.lits = append(p.lits, l)
 			}
 		}
-		p.addClause(arena[start:len(arena):len(arena)])
+		p.addClause(start)
 	}
 	return p
 }
 
+// satisfied reports whether some literal of lits is true.
+func (s *Solver) satisfied(lits []Lit) bool {
+	for _, l := range lits {
+		if s.value(l) == lTrue {
+			return true
+		}
+	}
+	return false
+}
+
 // occHeadroom is the spare capacity of every occurrence list.
 const occHeadroom = 2
-
-// Chunk bounds of the prep arenas (see carve).
-const (
-	minPrepChunk = 256
-	maxPrepChunk = 1 << 15
-)
-
-// alloc returns n literals from the prep arena. They outlive the prep:
-// committed resolvents become problem clauses and saved clauses stay on
-// elimStack.
-func (p *prep) alloc(n int) []Lit {
-	return carve(&p.arena, n, minPrepChunk, maxPrepChunk)
-}
 
 func sortLits(lits []Lit) {
 	// Insertion sort: clauses are short and often nearly sorted
@@ -229,16 +232,73 @@ func signature(lits []Lit) uint64 {
 	return sig
 }
 
-// addClause inserts a simplified clause into the working set,
+// clause returns the literals of clause i.
+func (p *prep) clause(i int) []Lit {
+	c := p.cls[i]
+	end := c.off + c.n
+	return p.lits[c.off:end:end]
+}
+
+func (p *prep) alive(i int) bool { return p.dead[i>>6]&(1<<(i&63)) == 0 }
+
+// occList returns occ[l] as a slice of the occurrence region.
+func (p *prep) occList(l Lit) []int32 {
+	o := p.occ[l]
+	end := o.off + o.n
+	return p.occs[o.off:end:end]
+}
+
+// addOcc appends clause i to occ[l]. A full list moves to the end of
+// the region with twice the capacity, leaving its old slot unused;
+// when the region has no room left, compactOcc reclaims those slots.
+func (p *prep) addOcc(l Lit, i int32) {
+	o := &p.occ[l]
+	if o.n == o.cap {
+		off, newCap := len(p.occs), 2*o.cap
+		if off+int(newCap) > cap(p.occs) {
+			p.compactOcc()
+		} else {
+			p.occs = p.occs[:off+int(newCap)]
+			copy(p.occs[off:], p.occs[o.off:o.off+o.n])
+			o.off, o.cap = uint32(off), newCap
+		}
+	}
+	p.occs[o.off+o.n] = i
+	o.n++
+}
+
+// compactOcc lays the occurrence lists out afresh, back to back in
+// literal order, each with occHeadroom free slots, in a region with as
+// much room again for lists that move later. Every list keeps its
+// entries and their order.
+func (p *prep) compactOcc() {
+	used := 0
+	for _, o := range p.occ {
+		used += int(o.n) + occHeadroom
+	}
+	occs := make([]int32, 0, 2*used)
+	for l := range p.occ {
+		o := &p.occ[l]
+		off := len(occs)
+		occs = append(occs, p.occs[o.off:o.off+o.n]...)
+		occs = occs[:off+int(o.n)+occHeadroom]
+		o.off, o.cap = uint32(off), o.n+occHeadroom
+	}
+	p.occs = occs
+}
+
+// addClause inserts the clause lits[start:] into the working set,
 // routing empty clauses to the conflict flag and units to the pending
-// queue.
-func (p *prep) addClause(lits []Lit) {
+// queue (neither keeps its literals in the buffer).
+func (p *prep) addClause(start int) {
+	lits := p.lits[start:]
 	switch len(lits) {
 	case 0:
 		p.conflict = true
 		return
 	case 1:
 		p.units = append(p.units, lits[0])
+		p.lits = p.lits[:start]
 		return
 	}
 	sortLits(lits)
@@ -246,10 +306,13 @@ func (p *prep) addClause(lits []Lit) {
 	if i == cap(p.cls) {
 		p.cls, p.sig = growCap(p.cls, 2*i), growCap(p.sig, 2*i)
 	}
-	p.cls = append(p.cls, lits)
+	if i>>6 == len(p.dead) {
+		p.dead = append(p.dead, 0)
+	}
+	p.cls = append(p.cls, span{uint32(start), uint32(len(lits))})
 	p.sig = append(p.sig, signature(lits))
 	for _, l := range lits {
-		p.occ[l] = append(p.occ[l], int32(i))
+		p.addOcc(l, int32(i))
 	}
 	p.dirty = append(p.dirty, i)
 }
@@ -257,10 +320,10 @@ func (p *prep) addClause(lits []Lit) {
 // kill removes clause i and records its variables as elimination
 // candidates (their occurrence counts just dropped).
 func (p *prep) kill(i int) {
-	for _, l := range p.cls[i] {
+	for _, l := range p.clause(i) {
 		p.touch(l.Var())
 	}
-	p.cls[i] = nil
+	p.dead[i>>6] |= 1 << (i & 63)
 }
 
 func (p *prep) touch(v int) {
@@ -292,23 +355,25 @@ func containsLit(lits []Lit, l Lit) bool {
 // contain l, compacting the list in place. The membership re-check is
 // only needed after a strengthen left stale entries for l.
 func (p *prep) liveOcc(l Lit) []int32 {
-	occ := p.occ[l]
+	occ := p.occList(l)
 	out := occ[:0]
 	if p.stale[l] {
 		for _, i := range occ {
-			if p.cls[i] != nil && containsLit(p.cls[i], l) {
+			if p.alive(int(i)) && containsLit(p.clause(int(i)), l) {
 				out = append(out, i)
 			}
 		}
 		p.stale[l] = false
 	} else {
+		// The hot loop: one bit of the dead set per entry.
+		dead := p.dead
 		for _, i := range occ {
-			if p.cls[i] != nil {
+			if dead[i>>6]&(1<<(i&63)) == 0 {
 				out = append(out, i)
 			}
 		}
 	}
-	p.occ[l] = out
+	p.occ[l].n = uint32(len(out))
 	return out
 }
 
@@ -328,7 +393,7 @@ func (p *prep) applyUnits() bool {
 			p.conflict = true
 			return false
 		}
-		s.uncheckedEnqueue(u, nil)
+		s.uncheckedEnqueue(u, crefUndef)
 		for _, i := range p.liveOcc(u) {
 			p.kill(int(i))
 		}
@@ -346,7 +411,7 @@ func (p *prep) applyUnits() bool {
 // resolution or unit simplification), demoting it to the unit queue
 // or conflict flag when it shrinks below two literals.
 func (p *prep) strengthen(i int, l Lit) {
-	lits := p.cls[i]
+	lits := p.clause(i)
 	out := lits[:0]
 	for _, x := range lits {
 		if x != l {
@@ -361,9 +426,9 @@ func (p *prep) strengthen(i int, l Lit) {
 	case 1:
 		p.units = append(p.units, out[0])
 		p.touch(out[0].Var())
-		p.cls[i] = nil
+		p.dead[i>>6] |= 1 << (i & 63)
 	default:
-		p.cls[i] = out
+		p.cls[i].n = uint32(len(out))
 		p.sig[i] = signature(out)
 		p.dirty = append(p.dirty, i)
 	}
@@ -404,19 +469,21 @@ func (p *prep) subsumePass() bool {
 	for len(p.dirty) > 0 {
 		i := p.dirty[len(p.dirty)-1]
 		p.dirty = p.dirty[:len(p.dirty)-1]
-		c := p.cls[i]
-		if c == nil {
+		if !p.alive(i) {
 			continue
 		}
+		// Clause i is neither strengthened nor killed below (only
+		// candidates j != i are), so c and its signature stay valid.
+		c, sigI := p.clause(i), p.sig[i]
 		// Candidates must contain some literal of c (possibly flipped
 		// on one position), so every candidate appears in occ[l] or
 		// occ[l.Not()] for any single l in c (a flip elsewhere leaves
 		// l itself in the candidate). Pick the l minimizing the
 		// combined scan.
 		best := c[0]
-		bestCost := len(p.occ[best]) + len(p.occ[best.Not()])
+		bestCost := p.occ[best].n + p.occ[best.Not()].n
 		for _, l := range c[1:] {
-			if cost := len(p.occ[l]) + len(p.occ[l.Not()]); cost < bestCost {
+			if cost := p.occ[l].n + p.occ[l.Not()].n; cost < bestCost {
 				best, bestCost = l, cost
 			}
 		}
@@ -427,11 +494,12 @@ func (p *prep) subsumePass() bool {
 			}
 			for _, j32 := range p.liveOcc(lit) {
 				j := int(j32)
-				d := p.cls[j]
-				if j == i || d == nil || len(d) < len(c) || p.sig[i]&^p.sig[j] != 0 {
+				// The signature filter first: it rejects most
+				// candidates without touching clause j.
+				if sigI&^p.sig[j] != 0 || j == i || !p.alive(j) || int(p.cls[j].n) < len(c) {
 					continue
 				}
-				rem, ok := subsumeCheck(c, d)
+				rem, ok := subsumeCheck(c, p.clause(j))
 				if !ok {
 					continue
 				}
@@ -510,7 +578,7 @@ func (p *prep) bvePass(vars []int) bool {
 		// Raw occurrence-list lengths over-approximate the live counts;
 		// they only order the pass, and the hard limits are re-checked
 		// against compacted lists below.
-		n := len(p.occ[Pos(v)]) + len(p.occ[Neg(v)])
+		n := int(p.occ[Pos(v)].n + p.occ[Neg(v)].n)
 		if n > 4*bveOccLimit {
 			continue
 		}
@@ -540,7 +608,7 @@ func (p *prep) bvePass(vars []int) bool {
 			for _, j := range neg {
 				start := len(p.res)
 				var taut bool
-				p.res, taut = resolve(p.res, p.cls[i], p.cls[j], v)
+				p.res, taut = resolve(p.res, p.clause(int(i)), p.clause(int(j)), v)
 				if taut {
 					continue
 				}
@@ -558,26 +626,27 @@ func (p *prep) bvePass(vars []int) bool {
 			continue
 		}
 
-		entry := elimEntry{v: v, clauses: carve(&p.savedArena, limit, minPrepChunk, maxPrepChunk)[:0]}
+		off := len(p.elimCls)
 		for _, list := range [2][]int32{pos, neg} {
 			for _, i := range list {
-				saved := p.alloc(len(p.cls[i]))
-				copy(saved, p.cls[i])
-				entry.clauses = append(entry.clauses, saved)
+				p.elimCls = append(p.elimCls, i)
 				p.kill(int(i))
 			}
 		}
-		if len(s.elimStack) == cap(s.elimStack) {
-			s.elimStack = growCap(s.elimStack, max(2*len(s.elimStack), minPrepChunk))
-		}
-		s.elimStack = append(s.elimStack, entry)
+		p.elim = append(p.elim, elimEntry{v: int32(v), off: uint32(off), end: uint32(len(p.elimCls))})
 		s.eliminated[v] = true
 		s.preStats.varsEliminated++
+		// Double the literal buffer rather than let append grow it by
+		// 1.25x: elimination can add more resolvent literals than the
+		// formula had.
+		if need := len(p.lits) + len(p.res); need > cap(p.lits) {
+			p.lits = growCap(p.lits, max(2*cap(p.lits), need))
+		}
 		start := 0
 		for _, end := range p.resEnd {
-			r := p.alloc(end - start)
-			copy(r, p.res[start:end])
-			p.addClause(r)
+			at := len(p.lits)
+			p.lits = append(p.lits, p.res[start:end]...)
+			p.addClause(at)
 			start = end
 		}
 		if len(p.units) > 0 && !p.applyUnits() {
@@ -588,31 +657,53 @@ func (p *prep) bvePass(vars []int) bool {
 	return changed
 }
 
-// rebuild replaces the solver's clause database and watcher lists
-// with the surviving working set. Clause structs come from one
-// allocation and watch lists from another (attachAll); the solver's
-// problem-clause arenas are dropped, since no clause references them
-// any more.
+// saveElim appends the eliminated variables to the solver's
+// elimination stack, in elimination order, each clause stored as its
+// length followed by its literals.
+func (p *prep) saveElim() {
+	s := p.s
+	words := len(s.elimLits)
+	for _, i := range p.elimCls {
+		words += 1 + int(p.cls[i].n)
+	}
+	s.elimLits = growCap(s.elimLits, words)
+	s.elimStack = growCap(s.elimStack, len(s.elimStack)+len(p.elim))
+	for _, e := range p.elim {
+		off := len(s.elimLits)
+		for _, i := range p.elimCls[e.off:e.end] {
+			lits := p.clause(int(i))
+			s.elimLits = append(s.elimLits, Lit(len(lits)))
+			s.elimLits = append(s.elimLits, lits...)
+		}
+		s.elimStack = append(s.elimStack, elimEntry{v: e.v, off: uint32(off), end: uint32(len(s.elimLits))})
+	}
+}
+
+// rebuild replaces the solver's clause region, clause list and watch
+// lists with the surviving working set, in working-set order. Every
+// reason is cleared: the root-level assignments that held one named
+// clauses of the old region.
 func (p *prep) rebuild() {
 	s := p.s
-	n := 0
-	for _, lits := range p.cls {
-		if lits != nil {
+	n, words := 0, 0
+	for i, c := range p.cls {
+		if p.alive(i) {
 			n++
+			words += hdrWords + int(c.n)
 		}
 	}
-	structs := make([]clause, 0, n)
-	clauses := make([]*clause, 0, n)
-	for _, lits := range p.cls {
-		if lits == nil {
-			continue
+	s.ca = newRegion(words)
+	clauses := make([]cref, 0, n)
+	for i := range p.cls {
+		if p.alive(i) {
+			clauses = append(clauses, s.ca.alloc(p.clause(i), false))
 		}
-		structs = append(structs, clause{lits: lits})
-		clauses = append(clauses, &structs[len(structs)-1])
+	}
+	for v := range s.reasons {
+		s.reasons[v] = crefUndef
 	}
 	s.attachAll(clauses)
 	s.clauses = clauses
-	s.clauseArena, s.litArena = nil, nil
 	s.stats.Clauses = len(clauses)
 	// Units derived during preprocessing were applied to the working
 	// set structurally, so their propagation over the new database is
@@ -630,21 +721,25 @@ func (p *prep) rebuild() {
 func (s *Solver) extendModel() {
 	for i := len(s.elimStack) - 1; i >= 0; i-- {
 		e := s.elimStack[i]
-		s.extVals[e.v] = lFalse
-		pl := Pos(e.v)
-		for _, cl := range e.clauses {
+		v := int(e.v)
+		s.extVals[v] = lFalse
+		pl := Pos(v)
+		for saved := s.elimLits[e.off:e.end]; len(saved) > 0; {
+			n := int(saved[0])
+			cl := saved[1 : 1+n]
+			saved = saved[1+n:]
 			if !containsLit(cl, pl) {
 				continue // satisfied by v = false
 			}
 			satisfied := false
 			for _, l := range cl {
-				if l.Var() != e.v && s.ValueLit(l) {
+				if l.Var() != v && s.ValueLit(l) {
 					satisfied = true
 					break
 				}
 			}
 			if !satisfied {
-				s.extVals[e.v] = lTrue
+				s.extVals[v] = lTrue
 				break
 			}
 		}

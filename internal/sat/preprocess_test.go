@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -271,4 +273,135 @@ func TestAddClauseEliminatedPanics(t *testing.T) {
 		}
 	}()
 	s.AddClause(Pos(v[1]))
+}
+
+// pinnedCNF generates a seeded random CNF over n variables, one
+// clause in eight binary and the rest 3..5 wide, so short clauses
+// subsume and strengthen longer ones and sparse variables are
+// eliminable.
+func pinnedCNF(seed int64, n, m int) [][]Lit {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]Lit, m)
+	for i := range out {
+		width := 3 + rng.Intn(3)
+		if rng.Intn(8) == 0 {
+			width = 2
+		}
+		cl := make([]Lit, width)
+		for j := range cl {
+			cl[j] = MkLit(rng.Intn(n), rng.Intn(2) == 1)
+		}
+		out[i] = cl
+	}
+	return out
+}
+
+// structuredCNF is built so that every preprocessing technique fires:
+// root units, a clause subsumed by a shorter one, a pair that
+// self-subsumes, a pair whose strengthening derives the unit 24 during
+// preprocessing, and a chain of equivalences whose interior variables
+// are eliminable.
+func structuredCNF() (n int, cnf [][]Lit, frozen []int) {
+	n = 28
+	cnf = [][]Lit{
+		{Pos(0)}, {Neg(1)},
+		{Pos(2), Pos(3)}, {Pos(2), Pos(3), Pos(4)},
+		{Pos(5), Pos(6)}, {Neg(5), Pos(6), Pos(7)},
+		{Pos(1), Pos(8), Pos(9)}, {Neg(0), Pos(8), Pos(10)},
+		{Pos(4), Neg(7), Pos(11)}, {Neg(4), Pos(7), Neg(11)},
+	}
+	for v := 12; v < 23; v++ {
+		cnf = append(cnf, []Lit{Neg(v), Pos(v + 1)}, []Lit{Pos(v), Neg(v + 1)})
+	}
+	cnf = append(cnf, []Lit{Pos(12), Pos(2), Neg(9)}, []Lit{Neg(23), Pos(6), Pos(10)},
+		[]Lit{Pos(24), Pos(25)}, []Lit{Pos(24), Neg(25)},
+		[]Lit{Neg(24), Pos(26), Pos(27)}, []Lit{Pos(24), Pos(26), Pos(3)})
+	return n, cnf, []int{2, 3, 6, 9, 10, 12, 23, 24, 25, 26, 27}
+}
+
+// preprocessDigest runs Preprocess on cnf and hashes the resulting
+// clause list (clause order and literal order), the elimination stack
+// and the preprocessing counters.
+func preprocessDigest(t *testing.T, n int, cnf [][]Lit, frozen []int) (uint64, *Solver) {
+	t.Helper()
+	s := New()
+	newVars(s, n)
+	for _, cl := range cnf {
+		s.AddClause(cl...)
+	}
+	for _, v := range frozen {
+		s.Freeze(v)
+	}
+	ok := s.Preprocess()
+	h := fnv.New64a()
+	word := func(x int) {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], uint32(x))
+		h.Write(b[:])
+	}
+	clauseList := func(cls [][]Lit) {
+		word(len(cls))
+		for _, cl := range cls {
+			word(len(cl))
+			for _, l := range cl {
+				word(int(l))
+			}
+		}
+	}
+	if ok {
+		word(1)
+	} else {
+		word(0)
+	}
+	clauseList(storeClauses(s))
+	for _, e := range storeElim(s) {
+		word(e.v)
+		clauseList(e.clauses)
+	}
+	st := s.Stats()
+	word(st.VarsEliminated)
+	word(st.ClausesSubsumed)
+	word(st.ClausesStrengthened)
+	return h.Sum64(), s
+}
+
+// TestPreprocessPinned pins the preprocessed formula itself: the
+// surviving clauses in order with their literal order, the
+// elimination stack, and the counters. Storage changes to the
+// preprocessor (working-set layout, occurrence lists, the elimination
+// stack) must reproduce it exactly, because subsumption's pivot choice
+// and elimination's candidate order read raw occurrence-list lengths.
+func TestPreprocessPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		n, m   int
+		digest uint64
+	}{
+		{1, 40, 100, 0xe90190a26e78d944},
+		{2, 60, 150, 0x64b73c42b60e6cb8},
+		{3, 80, 240, 0x993dcfa55bc5dcde},
+		{4, 120, 300, 0x4ba72e661ebf6fab},
+		{5, 200, 600, 0xc0b4f20fdb949a12},
+		{6, 300, 1000, 0x0ff27d5ffc005c6b},
+	} {
+		var frozen []int
+		for v := 0; v < tc.n; v += 7 {
+			frozen = append(frozen, v)
+		}
+		got, _ := preprocessDigest(t, tc.n, pinnedCNF(tc.seed, tc.n, tc.m), frozen)
+		if got != tc.digest {
+			t.Errorf("seed %d: preprocess digest %#x, want %#x", tc.seed, got, tc.digest)
+		}
+	}
+
+	n, cnf, frozen := structuredCNF()
+	got, s := preprocessDigest(t, n, cnf, frozen)
+	st := s.Stats()
+	if st.VarsEliminated == 0 || st.ClausesSubsumed == 0 || st.ClausesStrengthened == 0 || !s.FixedAtRoot(24) {
+		t.Fatalf("structured CNF: eliminated/subsumed/strengthened = %d/%d/%d, unit 24 derived %v; want every technique to fire",
+			st.VarsEliminated, st.ClausesSubsumed, st.ClausesStrengthened, s.FixedAtRoot(24))
+	}
+	if want := uint64(0x77810d11ea0783db); got != want {
+		t.Errorf("structured CNF: preprocess digest %#x, want %#x", got, want)
+	}
 }

@@ -18,7 +18,8 @@
 // reduction. SatELite-style preprocessing (preprocess.go) simplifies
 // the formula once before search; inprocessing (inprocess.go) adds
 // vivification, on-the-fly subsumption, a tiered learnt database and
-// chronological backtracking during search.
+// chronological backtracking during search. Clauses live in one flat,
+// pointer-free region addressed by 32-bit references (store.go).
 package sat
 
 import (
@@ -107,23 +108,11 @@ func (s Status) String() string {
 	}
 }
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int
-	learnt   bool
-
-	// Inprocessing state (see inprocess.go): the clause's tier in the
-	// learnt database, whether it took part in a conflict since the
-	// last reduction (resets there), and whether it has been logically
-	// deleted (subsumed or vivified away) pending the next purge.
-	tier    int8
-	used    bool
-	deleted bool
-}
-
+// A watcher is one entry of a watch list: the watched clause and a
+// blocker literal whose truth lets propagation skip the clause without
+// reading it. It holds no pointer.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -240,14 +229,17 @@ type Stats struct {
 // Solver is an incremental CDCL SAT solver. The zero value is not
 // usable; construct with New.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	// ca holds every problem and learnt clause (see store.go); clauses
+	// and learnts list their references in insertion order.
+	ca      region
+	clauses []cref
+	learnts []cref
 	watches [][]watcher // indexed by literal
 
 	assigns  []lbool
 	phase    []bool // saved phases
 	levels   []int32
-	reasons  []*clause
+	reasons  []cref // crefUndef for decisions, units and unassigned variables
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -261,6 +253,13 @@ type Solver struct {
 	budget   int64 // max conflicts per Solve; 0 = unlimited
 	seen     []bool
 	analyzeT []Lit // temporary for minimization
+
+	// Scratch buffers of conflict analysis: the learnt clause under
+	// construction (record copies it into the region) and the work
+	// stack and undo list of litRedundant.
+	learntTmp []Lit
+	redStack  []Lit
+	redUndo   []int
 
 	// Resource budgets beyond the conflict cap (see budget.go):
 	// wall-clock deadline, propagation cap, and the approximate byte
@@ -287,19 +286,15 @@ type Solver struct {
 	// a literal stamp array for the subset test, and scratch buffers
 	// for vivification and the tiered reduceDB.
 	inpro     inprocessConfig
-	ante      []*clause
+	ante      []cref
 	litStamp  []int64
 	litGen    int64
 	vivTmp    []Lit
 	vivOut    []Lit
-	reduceTmp []*clause
+	reduceTmp []cref
 
-	// Problem-clause storage (see allocClause): AddClause normalizes
-	// into addTmp, then takes each clause struct and its literals from
-	// the current chunks of clauseArena and litArena.
-	addTmp      []Lit
-	clauseArena []clause
-	litArena    []Lit
+	// addTmp is AddClause's normalization buffer.
+	addTmp []Lit
 
 	// stop is an optional external stop predicate (e.g. a context
 	// check), polled in the solve loop.
@@ -318,21 +313,23 @@ type Solver struct {
 	// Preprocessing state (see preprocess.go). frozen marks variables
 	// exempt from elimination; eliminated marks variables removed by
 	// bounded variable elimination; elimStack records their original
-	// clauses for model extension; extVals overlays model values for
-	// eliminated variables after a Sat result.
+	// clauses, stored in elimLits, for model extension; extVals overlays
+	// model values for eliminated variables after a Sat result.
 	frozen     []bool
 	eliminated []bool
 	elimStack  []elimEntry
+	elimLits   []Lit
 	extVals    []lbool
 	preStats   preStats
 }
 
 // elimEntry records one eliminated variable together with the
-// original clauses that mentioned it, in elimination order. Model
-// extension replays the stack in reverse.
+// original clauses that mentioned it, in elimination order. Its
+// clauses are elimLits[off:end], each stored as its length followed by
+// its literals. Model extension replays the stack in reverse.
 type elimEntry struct {
-	v       int
-	clauses [][]Lit
+	v        int32
+	off, end uint32
 }
 
 type preStats struct {
@@ -385,7 +382,7 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.phase = append(s.phase, false)
 	s.levels = append(s.levels, 0)
-	s.reasons = append(s.reasons, nil)
+	s.reasons = append(s.reasons, crefUndef)
 	s.watches = append(s.watches, nil, nil)
 	s.order.activity = append(s.order.activity, 0)
 	s.order.indices = append(s.order.indices, -1)
@@ -417,14 +414,13 @@ func (s *Solver) reserveVars(n int) {
 	s.extVals = growCap(s.extVals, n)
 }
 
-// growCap returns xs with capacity at least n.
+// growCap returns xs with capacity at least n. slices.Grow clears only
+// the new tail, where make-and-copy would clear the whole array first.
 func growCap[T any](xs []T, n int) []T {
 	if cap(xs) >= n {
 		return xs
 	}
-	out := make([]T, len(xs), n)
-	copy(out, xs)
-	return out
+	return slices.Grow(xs, n-len(xs))
 }
 
 // Freeze exempts a variable from elimination during Preprocess.
@@ -452,11 +448,11 @@ func (s *Solver) Stats() Stats {
 	st := s.stats
 	st.Learnts = 0
 	for _, c := range s.learnts {
-		if c.deleted {
+		if s.ca.deleted(c) {
 			continue
 		}
 		st.Learnts++
-		switch c.tier {
+		switch s.ca.tier(c) {
 		case tierCore:
 			st.TierCore++
 		case tierMid:
@@ -560,18 +556,18 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			return false
 		}
 		if s.value(out[0]) == lUndef {
-			s.uncheckedEnqueue(out[0], nil)
-			if s.propagate() != nil {
+			s.uncheckedEnqueue(out[0], crefUndef)
+			if s.propagate() != crefUndef {
 				s.ok = false
 				return false
 			}
 		}
 		return true
 	}
-	c := s.allocClause(out)
+	c := s.ca.alloc(out, false)
 	if len(s.clauses) == cap(s.clauses) {
 		// Double rather than let append grow a large slice by 1.25x.
-		s.clauses = growCap(s.clauses, max(2*len(s.clauses), minClauseChunk))
+		s.clauses = growCap(s.clauses, max(2*len(s.clauses), minClauseList))
 	}
 	s.clauses = append(s.clauses, c)
 	s.stats.Clauses++
@@ -579,42 +575,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
-// Chunk bounds of the problem-clause arenas (see carve).
-const (
-	minClauseChunk = 32
-	maxClauseChunk = 4096
-	minLitChunk    = 128
-	maxLitChunk    = 1 << 15
-)
+// minClauseList is the first capacity of the problem-clause list.
+const minClauseList = 32
 
-// allocClause returns a problem clause holding a copy of lits, taking
-// the struct and the literals from the solver's chunk arenas instead of
-// allocating each. A chunk stays alive while any clause in it does;
-// Preprocess, which replaces the whole problem database, drops them.
-func (s *Solver) allocClause(lits []Lit) *clause {
-	c := &carve(&s.clauseArena, 1, minClauseChunk, maxClauseChunk)[0]
-	c.lits = carve(&s.litArena, len(lits), minLitChunk, maxLitChunk)
-	copy(c.lits, lits)
-	return c
-}
-
-// carve returns n zeroed elements from the chunk *arena, capped at
-// length n so appends to them never spill into a neighbour. When the
-// chunk is full a new one replaces it, twice the size of the last
-// within [lo, hi] and at least n, so small solvers stay small and large
-// ones take few chunks.
-func carve[T any](arena *[]T, n, lo, hi int) []T {
-	a := *arena
-	if len(a)+n > cap(a) {
-		a = make([]T, 0, max(min(max(2*cap(a), lo), hi), n))
-	}
-	start := len(a)
-	*arena = a[:start+n]
-	return a[start : start+n : start+n]
-}
-
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
+func (s *Solver) attach(c cref) {
+	lits := s.ca.lits(c)
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
 }
@@ -622,15 +588,16 @@ func (s *Solver) attach(c *clause) {
 // attachAll builds every watch list from scratch over the given clause
 // lists, in order. The watchers, and their order, are exactly those of
 // attaching each clause in turn to empty lists, but a counting pass
-// first carves all lists from one backing array, so no list grows
+// first cuts all lists from one backing array, so no list grows
 // one append at a time.
-func (s *Solver) attachAll(lists ...[]*clause) {
+func (s *Solver) attachAll(lists ...[]cref) {
 	counts := make([]int32, len(s.watches))
 	total := 0
 	for _, cs := range lists {
 		for _, c := range cs {
-			counts[c.lits[0].Not()]++
-			counts[c.lits[1].Not()]++
+			lits := s.ca.lits(c)
+			counts[lits[0].Not()]++
+			counts[lits[1].Not()]++
 			total += 2
 		}
 	}
@@ -648,7 +615,7 @@ func (s *Solver) attachAll(lists ...[]*clause) {
 	}
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
 	v := l.Var()
 	s.assigns[v] = boolToLbool(!l.Sign())
 	s.levels[v] = int32(s.decisionLevel())
@@ -656,7 +623,11 @@ func (s *Solver) uncheckedEnqueue(l Lit, reason *clause) {
 	s.trail = append(s.trail, l)
 }
 
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation to a fixpoint and returns the
+// conflicting clause, or crefUndef.
+func (s *Solver) propagate() cref {
+	// Propagation allocates no clause, so the region stays put.
+	mem := s.ca.mem
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -672,21 +643,23 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			base := int(c) + hdrWords
+			lits := mem[base : base+int(mem[c])]
 			// Ensure the false literal is at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nl := c.lits[1].Not()
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nl := lits[1].Not()
 					s.watches[nl] = append(s.watches[nl], watcher{c, first})
 					continue nextWatcher
 				}
@@ -708,7 +681,7 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) cancelUntil(level int) {
@@ -720,7 +693,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := l.Var()
 		s.phase[v] = !l.Sign()
 		s.assigns[v] = lUndef
-		s.reasons[v] = nil
+		s.reasons[v] = crefUndef
 		s.order.push(v)
 	}
 	s.trail = s.trail[:s.trailLim[level]]
@@ -741,11 +714,12 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.ca.activity(c) + s.claInc
+	s.ca.setActivity(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.ca.setActivity(lc, s.ca.activity(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -753,8 +727,8 @@ func (s *Solver) bumpClause(c *clause) {
 
 // analyze performs first-UIP conflict analysis, returning the learnt
 // clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // reserve slot for asserting literal
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntTmp[:0], 0) // reserve slot for asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -762,19 +736,20 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	s.ante = s.ante[:0]
 	for {
 		s.bumpClause(confl)
-		if confl.learnt && s.inpro.on {
+		lits := s.ca.lits(confl)
+		if s.ca.learnt(confl) && s.inpro.on {
 			// Remember learnt antecedents for on-the-fly subsumption,
 			// mark them used (tier retention), and tighten their LBD —
 			// every literal of an antecedent is assigned here, so the
 			// recomputation is exact; a better LBD can promote the
 			// clause into a longer-lived tier.
 			s.ante = append(s.ante, confl)
-			confl.used = true
-			if confl.lbd > 2 {
-				if nl := s.computeLBD(confl.lits); nl < confl.lbd {
-					confl.lbd = nl
-					if t := s.tierFor(nl); t < confl.tier {
-						confl.tier = t
+			s.ca.setUsed(confl, true)
+			if lbd := s.ca.lbd(confl); lbd > 2 {
+				if nl := s.computeLBD(lits); nl < lbd {
+					s.ca.setLBD(confl, nl)
+					if t := s.tierFor(nl); t < s.ca.tier(confl) {
+						s.ca.setTier(confl, t)
 					}
 				}
 			}
@@ -783,7 +758,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range lits[start:] {
 			v := q.Var()
 			if !s.seen[v] && s.levels[v] > 0 {
 				s.seen[v] = true
@@ -808,16 +783,17 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		}
 		confl = s.reasons[p.Var()]
 		// Reason clauses store the implied literal first; skip it.
-		if confl.lits[0] != p {
+		if lits := s.ca.lits(confl); lits[0] != p {
 			// normalize so lits[0] == p
-			for i, l := range confl.lits {
+			for i, l := range lits {
 				if l == p {
-					confl.lits[0], confl.lits[i] = confl.lits[i], confl.lits[0]
+					lits[0], lits[i] = lits[i], lits[0]
 					break
 				}
 			}
 		}
 	}
+	s.learntTmp = learnt
 	learnt[0] = p.Not()
 
 	// Minimize: drop literals implied by the rest of the clause
@@ -831,7 +807,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	}
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
-		if s.reasons[l.Var()] == nil || !s.litRedundant(l, levels) {
+		if s.reasons[l.Var()] == crefUndef || !s.litRedundant(l, levels) {
 			out = append(out, l)
 		}
 	}
@@ -860,13 +836,12 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // (levels is a 64-bit Bloom filter of the clause's decision levels —
 // a literal whose chain leaves those levels can never be redundant).
 func (s *Solver) litRedundant(l Lit, levels uint64) bool {
-	stack := []Lit{l}
-	var undo []int
+	stack := append(s.redStack[:0], l)
+	undo := s.redUndo[:0]
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := s.reasons[q.Var()]
-		for _, cl := range c.lits {
+		for _, cl := range s.ca.lits(s.reasons[q.Var()]) {
 			if cl == q || cl == q.Not() {
 				continue
 			}
@@ -874,12 +849,13 @@ func (s *Solver) litRedundant(l Lit, levels uint64) bool {
 			if s.levels[v] == 0 || s.seen[v] {
 				continue
 			}
-			if s.reasons[v] == nil || levels&(1<<uint(s.levels[v]&63)) == 0 {
+			if s.reasons[v] == crefUndef || levels&(1<<uint(s.levels[v]&63)) == 0 {
 				// Not derivable within the clause's levels: undo all
 				// tentative markings and fail.
 				for _, uv := range undo {
 					s.seen[uv] = false
 				}
+				s.redStack, s.redUndo = stack[:0], undo[:0]
 				return false
 			}
 			s.seen[v] = true
@@ -893,22 +869,26 @@ func (s *Solver) litRedundant(l Lit, levels uint64) bool {
 	for _, uv := range undo {
 		s.analyzeT = append(s.analyzeT, MkLit(uv, false))
 	}
+	s.redStack, s.redUndo = stack[:0], undo[:0]
 	return true
 }
 
 // computeLBD counts the distinct decision levels among lits (the
 // "literal block distance" of Glucose). It runs on every conflict, so
 // it stamps levels in a reusable array instead of allocating a set.
+// The array grows to the highest level seen: levels are not bounded
+// by the variable count, because an assumption that is already true
+// opens an empty level.
 func (s *Solver) computeLBD(lits []Lit) int {
-	if n := len(s.assigns) + 1; len(s.lbdStamp) < n {
-		grown := make([]int64, n)
-		copy(grown, s.lbdStamp)
-		s.lbdStamp = grown
-	}
 	s.lbdGen++
 	lbd := 0
 	for _, l := range lits {
 		lv := s.levels[l.Var()]
+		if int(lv) >= len(s.lbdStamp) {
+			grown := make([]int64, max(int(lv)+1, len(s.assigns)+1))
+			copy(grown, s.lbdStamp)
+			s.lbdStamp = grown
+		}
 		if s.lbdStamp[lv] != s.lbdGen {
 			s.lbdStamp[lv] = s.lbdGen
 			lbd++
@@ -919,18 +899,20 @@ func (s *Solver) computeLBD(lits []Lit) int {
 
 func (s *Solver) record(lits []Lit) {
 	if len(lits) == 1 {
-		s.uncheckedEnqueue(lits[0], nil)
+		s.uncheckedEnqueue(lits[0], crefUndef)
 		s.updateLBD(1)
 		return
 	}
-	c := &clause{lits: lits, learnt: true, lbd: s.computeLBD(lits)}
-	c.tier = s.tierFor(c.lbd)
+	lbd := s.computeLBD(lits)
+	c := s.ca.alloc(lits, true)
+	s.ca.setLBD(c, lbd)
+	s.ca.setTier(c, s.tierFor(lbd))
 	s.learnts = append(s.learnts, c)
 	s.learntLits += int64(len(lits))
 	s.attach(c)
 	s.bumpClause(c)
 	s.uncheckedEnqueue(lits[0], c)
-	s.updateLBD(float64(c.lbd))
+	s.updateLBD(float64(lbd))
 }
 
 // updateLBD maintains the fast/slow LBD moving averages driving the
@@ -944,41 +926,56 @@ func (s *Solver) updateLBD(lbd float64) {
 	s.lbdSlow += (lbd - s.lbdSlow) / 4096
 }
 
+// reduceDB halves the learnt database, then reclaims the region's
+// dead words once they pass a fifth of it.
 func (s *Solver) reduceDB() {
 	if s.inpro.on {
 		s.reduceDBTiered()
-		return
+	} else {
+		s.reduceDBLegacy()
 	}
+	if s.ca.wasted > len(s.ca.mem)/5 {
+		s.garbageCollect()
+	}
+}
+
+// reduceDBLegacy is the single-tier reduction used with inprocessing
+// off: keep the better half by LBD, then activity, plus every clause
+// with LBD <= 3 and every locked one.
+func (s *Solver) reduceDBLegacy() {
+	ca := &s.ca
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if a.lbd != b.lbd {
-			return a.lbd < b.lbd
+		if la, lb := ca.lbd(a), ca.lbd(b); la != lb {
+			return la < lb
 		}
-		return a.activity > b.activity
+		return ca.activity(a) > ca.activity(b)
 	})
 	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if c.deleted {
+		if ca.deleted(c) {
 			continue
 		}
-		if i < limit || c.lbd <= 3 || s.locked(c) {
+		if i < limit || ca.lbd(c) <= 3 || s.locked(c) {
 			keep = append(keep, c)
 		} else {
 			s.detach(c)
+			ca.free(c)
 		}
 	}
 	s.learnts = keep
 	s.recountLearntLits()
 }
 
-func (s *Solver) locked(c *clause) bool {
-	l := c.lits[0]
+func (s *Solver) locked(c cref) bool {
+	l := s.ca.lits(c)[0]
 	return s.value(l) == lTrue && s.reasons[l.Var()] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detach(c cref) {
+	lits := s.ca.lits(c)
+	for _, l := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[l]
 		for i, w := range ws {
 			if w.c == c {
@@ -1039,7 +1036,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat
 	}
@@ -1067,7 +1064,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			conflicts++
 			sinceRestart++
 			s.stats.Conflicts++
@@ -1155,7 +1152,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			default:
 				s.stats.Decisions++
 				s.trailLim = append(s.trailLim, len(s.trail))
-				s.uncheckedEnqueue(a, nil)
+				s.uncheckedEnqueue(a, crefUndef)
 				continue
 			}
 		}
@@ -1177,7 +1174,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), crefUndef)
 	}
 }
 

@@ -383,3 +383,21 @@ func modelSatisfies(t *testing.T, s *Solver, clauses [][]Lit) {
 		}
 	}
 }
+
+// TestLBDLevelsBeyondVarCount: repeating an assumption that is already
+// true opens one empty decision level per repeat, so conflict levels
+// exceed the number of variables; the LBD stamps must follow them.
+func TestLBDLevelsBeyondVarCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 500; iter++ {
+		n := 3 + rng.Intn(4)
+		s := New()
+		cnf := randomCNF(rng, n, 3*n, 3)
+		addCNF(s, n, cnf)
+		a := MkLit(rng.Intn(n), rng.Intn(2) == 0)
+		got := s.Solve(a, a, a, a, a, a, a, a)
+		if want := bruteForce(n, append(cnf, []Lit{a})); (got == Sat) != want {
+			t.Fatalf("iter %d: Solve under %v repeated = %v, brute force sat=%v", iter, a, got, want)
+		}
+	}
+}
