@@ -38,10 +38,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"checkfence/internal/core"
 	"checkfence/internal/harness"
+	"checkfence/internal/job"
 	"checkfence/internal/memmodel"
 )
 
@@ -115,8 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		conflicts = fs.Int64("conflicts", 0, "SAT conflict budget per solve (0 = none)")
 		memMB     = fs.Int("mem-mb", 0, "approximate learned-clause memory budget per solver, in MiB (0 = none)")
 		list      = fs.Bool("list", false, "list implementations and tests")
-		showSpec  = fs.Bool("show-spec", false, "print the mined observation set")
-		stats     = fs.Bool("stats", false, "print Fig. 10-style statistics")
+		showSpec  = fs.Bool("show-spec", false, "print the mined observation set (local runs only)")
+		stats     = fs.Bool("stats", false, "print Fig. 10-style statistics (local runs only)")
 		simplify  = fs.Int("simplify", 0, "circuit simplification: 0 = full (default), 1/2 = AIG rewriting level, -1 = off (classic Tseitin)")
 		noPreproc = fs.Bool("no-preprocess", false, "disable SatELite-style CNF preprocessing before solving")
 		inproc    = fs.Bool("inprocess", true, "enable solver inprocessing (vivification, subsumption, tiered clause DB, chronological backtracking)")
@@ -167,22 +167,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		NoPreprocess:         *noPreproc,
 		NoInprocess:          !*inproc,
 		NoOrderReduce:        !*ordReduce,
+		NoValidate:           !*validate,
+		Sweep:                sweep,
 		ConflictBudget:       *conflicts,
 		MemBudgetMB:          *memMB,
-	}
-	if !*validate {
-		base.ValidateTraces = core.ValidateOff
 	}
 	if *specSrc == "refset" {
 		base.SpecSource = core.SpecRef
 	}
 
 	if *remote != "" {
+		if *showSpec || *stats {
+			// The wire record carries neither the observation set nor
+			// the full statistics.
+			fmt.Fprintln(stderr, "checkfence: -show-spec and -stats need a local run; they cannot be combined with -remote")
+			return exitError
+		}
 		// The daemon expands the model list itself and applies -timeout
 		// as the batch deadline.
 		opts := base
 		opts.Model = models[0]
-		return runRemote(*remote, *implName, *testName, models, opts, *timeout, *stats, stdout, stderr)
+		return runRemote(*remote, *implName, *testName, models, opts, *timeout, stdout, stderr)
 	}
 
 	suite := make([]core.Job, len(models))
@@ -195,34 +200,90 @@ func run(args []string, stdout, stderr io.Writer) int {
 	results := core.RunSuite(suite, core.SuiteOptions{
 		Parallelism:  *jobs,
 		SpecCacheDir: *cacheDir,
-		Sweep:        sweep,
 	})
 
-	exit := exitPass
-	bump := func(code int) {
-		if severity(code) > severity(exit) {
-			exit = code
-		}
-	}
-	printed := false
+	p := printer{stdout: stdout, stderr: stderr}
 	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintln(stderr, "checkfence:", r.Err)
-			bump(exitError)
-			continue
-		}
-		if printed {
-			fmt.Fprintln(stdout)
-		}
-		printed = true
-		bump(report(stdout, r.Res, *showSpec, *stats))
+		p.print(job.NewResult(r.Job, r.Res, r.Err), func(w io.Writer) {
+			printDetails(w, r.Res, *showSpec, *stats)
+		})
 	}
-	return exit
+	return p.exit
 }
 
-// report prints one check result and returns its exit code
-// contribution.
-func report(w io.Writer, res *core.Result, showSpec, stats bool) int {
+// printer reports check results one after another, blank-line
+// separated, in local and remote mode alike, and keeps the worst exit
+// code seen.
+type printer struct {
+	stdout, stderr io.Writer
+	printed        bool
+	exit           int
+}
+
+func (p *printer) bump(code int) {
+	if severity(code) > severity(p.exit) {
+		p.exit = code
+	}
+}
+
+// print reports one result: a run error on stderr, a verdict on
+// stdout — local-only details (from details, when non-nil), then the
+// headline, the budget trail and the counterexample.
+func (p *printer) print(r job.Result, details func(io.Writer)) {
+	if r.Error != "" {
+		fmt.Fprintln(p.stderr, "checkfence:", r.Error)
+		p.bump(exitError)
+		return
+	}
+	w := p.stdout
+	if p.printed {
+		fmt.Fprintln(w)
+	}
+	p.printed = true
+	if details != nil {
+		details(w)
+	}
+	code := exitViolation
+	switch {
+	case r.Verdict == core.VerdictUnknown.String():
+		fmt.Fprintf(w, "UNKNOWN: %s / %s on %s (budgets exhausted)\n", r.Impl, r.Test, r.Model)
+		code = exitUnknown
+	case r.Pass:
+		fmt.Fprintf(w, "PASS: %s / %s on %s\n", r.Impl, r.Test, r.Model)
+		code = exitPass
+	case r.SeqBug:
+		fmt.Fprintf(w, "FAIL: %s / %s has a sequential bug (independent of the memory model)\n",
+			r.Impl, r.Test)
+	default:
+		fmt.Fprintf(w, "FAIL: %s / %s on %s\n", r.Impl, r.Test, r.Model)
+	}
+	if b := r.Budget; b != nil {
+		var limits []string
+		if b.Deadline != "" {
+			limits = append(limits, "timeout "+b.Deadline)
+		}
+		if b.ConflictBudget > 0 {
+			limits = append(limits, fmt.Sprintf("conflicts %d", b.ConflictBudget))
+		}
+		if b.MemBudgetMB > 0 {
+			limits = append(limits, fmt.Sprintf("mem %d MiB", b.MemBudgetMB))
+		}
+		if len(limits) > 0 {
+			fmt.Fprintf(w, "  budgets: %s\n", strings.Join(limits, ", "))
+		}
+		for _, rung := range b.Rungs {
+			fmt.Fprintf(w, "  rung %s exhausted\n", rung)
+		}
+	}
+	if r.Cex != "" {
+		fmt.Fprintln(w, r.Cex)
+	}
+	p.bump(code)
+}
+
+// printDetails prints the local-only parts of a result: the mined
+// observation set (-show-spec) and the Fig. 10 statistics (-stats).
+func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 	if showSpec && res.Spec != nil {
 		fmt.Fprintf(w, "observation set (%d):\n", res.Spec.Len())
 		for _, o := range res.Spec.All() {
@@ -283,59 +344,6 @@ func report(w io.Writer, res *core.Result, showSpec, stats bool) int {
 			// A sweep counts its shared allocation on its first model.
 			fmt.Fprintf(w, "memory: %.1f MB allocated\n", float64(s.AllocBytes)/1e6)
 		}
-	}
-
-	switch res.Verdict {
-	case core.VerdictUnknown:
-		fmt.Fprintf(w, "UNKNOWN: %s / %s on %s (budgets exhausted)\n", res.Impl, res.Test, res.Model)
-		printBudget(w, res.Budget)
-		return exitUnknown
-	case core.VerdictPass:
-		fmt.Fprintf(w, "PASS: %s / %s on %s\n", res.Impl, res.Test, res.Model)
-		if res.Budget != nil {
-			printBudget(w, res.Budget)
-		}
-		return exitPass
-	}
-	if res.SeqBug {
-		fmt.Fprintf(w, "FAIL: %s / %s has a sequential bug (independent of the memory model)\n",
-			res.Impl, res.Test)
-	} else {
-		fmt.Fprintf(w, "FAIL: %s / %s on %s\n", res.Impl, res.Test, res.Model)
-	}
-	if res.Budget != nil {
-		printBudget(w, res.Budget)
-	}
-	if res.Cex != nil {
-		fmt.Fprintln(w, res.Cex)
-	}
-	return exitViolation
-}
-
-// printBudget summarizes the degradation ladder's exhausted rungs.
-func printBudget(w io.Writer, b *core.BudgetReport) {
-	if b == nil {
-		return
-	}
-	var limits []string
-	if b.Deadline > 0 {
-		limits = append(limits, "timeout "+b.Deadline.String())
-	}
-	if b.ConflictBudget > 0 {
-		limits = append(limits, fmt.Sprintf("conflicts %d", b.ConflictBudget))
-	}
-	if b.MemBudgetMB > 0 {
-		limits = append(limits, fmt.Sprintf("mem %d MiB", b.MemBudgetMB))
-	}
-	if len(limits) > 0 {
-		fmt.Fprintf(w, "  budgets: %s\n", strings.Join(limits, ", "))
-	}
-	for _, r := range b.Rungs {
-		cause := r.Budget
-		if cause == "" {
-			cause = r.Err
-		}
-		fmt.Fprintf(w, "  rung %-13s exhausted after %v (%s)\n", r.Name, r.Duration.Round(time.Millisecond), cause)
 	}
 }
 

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -58,6 +62,13 @@ func TestExitCodes(t *testing.T) {
 			name: "budget exhausted",
 			args: []string{"-impl", "snark", "-test", "Da", "-model", "relaxed", "-timeout", "30ms"},
 			want: exitUnknown, wantOut: "UNKNOWN: snark / Da on relaxed",
+		},
+		{
+			// The wire record carries no observation set, so a remote
+			// run could never print one.
+			name: "remote show-spec",
+			args: []string{"-remote", "http://127.0.0.1:1", "-impl", "ms2", "-test", "T0", "-show-spec"},
+			want: exitError, wantErr: "-show-spec and -stats need a local run; they cannot be combined with -remote",
 		},
 		{
 			name: "violation outranks pass",
@@ -126,19 +137,27 @@ func TestStatsReportsMemory(t *testing.T) {
 	}
 }
 
-// TestRemoteMatchesLocal: -remote against a live daemon must print the
-// same verdicts and exit code as a local run.
+// TestRemoteMatchesLocal: -remote against a live daemon must print
+// the same output and exit code as a local run. The daemon streams
+// multi-model verdicts in completion order, so per-model blocks are
+// compared sorted.
 func TestRemoteMatchesLocal(t *testing.T) {
 	srv := daemon.NewServer(daemon.Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	blocks := func(out string) []string {
+		b := strings.Split(out, "\n\n")
+		sort.Strings(b)
+		return b
+	}
 	for _, tc := range []struct {
 		args []string
 		exit int
 	}{
 		{[]string{"-impl", "msn", "-test", "T0", "-model", "sc,tso"}, exitPass},
 		{[]string{"-impl", "msn-nofence", "-test", "T0", "-model", "relaxed"}, exitViolation},
+		{[]string{"-impl", "harris", "-test", "Saa", "-conflicts", "1"}, exitUnknown},
 	} {
 		var lout, lerr, rout, rerr bytes.Buffer
 		local := run(tc.args, &lout, &lerr)
@@ -147,12 +166,34 @@ func TestRemoteMatchesLocal(t *testing.T) {
 			t.Fatalf("%v: local exit %d, remote exit %d, want %d\nremote stderr: %s",
 				tc.args, local, remote, tc.exit, rerr.String())
 		}
-		for _, want := range []string{"PASS:", "FAIL:"} {
-			if strings.Contains(lout.String(), want) != strings.Contains(rout.String(), want) {
-				t.Errorf("%v: verdict lines differ\nlocal:\n%s\nremote:\n%s",
-					tc.args, lout.String(), rout.String())
-			}
+		if !slices.Equal(blocks(lout.String()), blocks(rout.String())) {
+			t.Errorf("%v: outputs differ\nlocal:\n%s\nremote:\n%s", tc.args, lout.String(), rout.String())
 		}
+	}
+}
+
+// TestRemoteCarriesSweep: -sweep off must reach the daemon in the
+// submitted batch, not only the local scheduler.
+func TestRemoteCarriesSweep(t *testing.T) {
+	var got daemon.BatchRequest
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		io.WriteString(w, `{"type":"batch","id":"b1","jobs":["b1-0"]}`+"\n"+
+			`{"type":"result","id":"b1-0","index":0,"impl":"ms2","test":"T0","model":"sc","verdict":"pass","pass":true}`+"\n"+
+			`{"type":"done","pass":1,"fail":0,"unknown":0,"errors":0,"elapsed":"1ms"}`+"\n")
+	}))
+	defer ts.Close()
+
+	var stdout, stderr bytes.Buffer
+	args := []string{"-remote", ts.URL, "-impl", "ms2", "-test", "T0", "-model", "sc,tso", "-sweep", "off"}
+	if code := run(args, &stdout, &stderr); code != exitPass {
+		t.Fatalf("exit = %d, want %d\nstderr: %s", code, exitPass, stderr.String())
+	}
+	if len(got.Jobs) != 1 || got.Jobs[0].Sweep != "off" {
+		t.Fatalf("posted batch %+v, want one job with sweep off", got)
 	}
 }
 

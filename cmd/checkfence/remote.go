@@ -42,9 +42,7 @@ type remoteRunner struct {
 	base   string // daemon base URL, no trailing slash
 	client *http.Client
 	poll   fleet.RetryClient
-	stdout io.Writer
-	stderr io.Writer
-	stats  bool
+	out    printer
 }
 
 // runRemote submits one batch (impl/test across the given models) to
@@ -52,7 +50,7 @@ type remoteRunner struct {
 // code. opts is the per-model-independent option set; model selection
 // rides the batch entry's Models list.
 func runRemote(base string, implName, testName string, models []memmodel.Model,
-	opts core.Options, timeout time.Duration, stats bool, stdout, stderr io.Writer) int {
+	opts core.Options, timeout time.Duration, stdout, stderr io.Writer) int {
 
 	names := make([]string, len(models))
 	for i, m := range models {
@@ -74,9 +72,7 @@ func runRemote(base string, implName, testName string, models []memmodel.Model,
 			// that accepts the connection and then hangs.
 			Transport: &http.Transport{ResponseHeaderTimeout: 30 * time.Second},
 		},
-		stdout: stdout,
-		stderr: stderr,
-		stats:  stats,
+		out: printer{stdout: stdout, stderr: stderr},
 	}
 	exit, err := r.run(context.Background(), &req)
 	if err != nil {
@@ -99,26 +95,13 @@ func (r *remoteRunner) run(ctx context.Context, req *daemon.BatchRequest) (int, 
 	}
 	defer resp.Body.Close()
 
-	exit := exitPass
-	bump := func(code int) {
-		if severity(code) > severity(exit) {
-			exit = code
-		}
-	}
-
 	var ids []string
 	seen := map[string]bool{}
-	printed := false
 	emit := func(line *daemon.ResultLine) {
-		if seen[line.ID] {
-			return
+		if !seen[line.ID] {
+			seen[line.ID] = true
+			r.out.print(line.Result, nil)
 		}
-		seen[line.ID] = true
-		if printed {
-			fmt.Fprintln(r.stdout)
-		}
-		printed = true
-		bump(r.report(line))
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -151,10 +134,10 @@ func (r *remoteRunner) run(ctx context.Context, req *daemon.BatchRequest) (int, 
 		}
 	}
 	if err := sc.Err(); err != nil && !streamDone {
-		fmt.Fprintf(r.stderr, "checkfence: verdict stream broken (%v), polling for remaining jobs\n", err)
+		fmt.Fprintf(r.out.stderr, "checkfence: verdict stream broken (%v), polling for remaining jobs\n", err)
 	}
 	if streamDone && len(seen) >= len(ids) {
-		return exit, nil
+		return r.out.exit, nil
 	}
 	if len(ids) == 0 {
 		// The stream died before the batch header: nothing admitted
@@ -169,13 +152,13 @@ func (r *remoteRunner) run(ctx context.Context, req *daemon.BatchRequest) (int, 
 		}
 		line, err := r.pollJob(ctx, id)
 		if err != nil {
-			fmt.Fprintf(r.stderr, "checkfence: polling job %s: %v\n", id, err)
-			bump(exitError)
+			fmt.Fprintf(r.out.stderr, "checkfence: polling job %s: %v\n", id, err)
+			r.out.bump(exitError)
 			continue
 		}
 		emit(line)
 	}
-	return exit, nil
+	return r.out.exit, nil
 }
 
 // submit posts the batch, retrying with backoff on transient failures
@@ -273,60 +256,4 @@ func (r *remoteRunner) pollJob(ctx context.Context, id string) (*daemon.ResultLi
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// report renders one remote verdict with the local exit-code contract.
-func (r *remoteRunner) report(line *daemon.ResultLine) int {
-	w := r.stdout
-	if line.Error != "" {
-		fmt.Fprintln(r.stderr, "checkfence:", line.Error)
-		return exitError
-	}
-	if r.stats && line.Stats != nil {
-		s := line.Stats
-		if s.RouterDecision != "" {
-			fmt.Fprintf(w, "backend: %s (router: %s)\n", s.Backend, s.RouterDecision)
-		} else if s.Backend != "" {
-			fmt.Fprintf(w, "backend: %s\n", s.Backend)
-		}
-		if s.CNFVars+s.CNFClauses > 0 {
-			fmt.Fprintf(w, "cnf: %d vars, %d clauses\n", s.CNFVars, s.CNFClauses)
-		}
-		fmt.Fprintf(w, "observation set: %d\n", s.ObsSetSize)
-		if s.CacheHits+s.CacheMisses > 0 {
-			fmt.Fprintf(w, "spec cache: %d hits, %d misses\n", s.CacheHits, s.CacheMisses)
-		}
-		if s.TotalTime != "" {
-			fmt.Fprintf(w, "times: total=%s\n", s.TotalTime)
-		}
-	}
-	printRungs := func() {
-		if line.Budget == nil {
-			return
-		}
-		for _, rung := range line.Budget.Rungs {
-			fmt.Fprintf(w, "  rung %s exhausted\n", rung)
-		}
-	}
-	switch line.Verdict {
-	case "unknown":
-		fmt.Fprintf(w, "UNKNOWN: %s / %s on %s (budgets exhausted)\n", line.Impl, line.Test, line.Model)
-		printRungs()
-		return exitUnknown
-	case "pass":
-		fmt.Fprintf(w, "PASS: %s / %s on %s\n", line.Impl, line.Test, line.Model)
-		printRungs()
-		return exitPass
-	}
-	if line.SeqBug {
-		fmt.Fprintf(w, "FAIL: %s / %s has a sequential bug (independent of the memory model)\n",
-			line.Impl, line.Test)
-	} else {
-		fmt.Fprintf(w, "FAIL: %s / %s on %s\n", line.Impl, line.Test, line.Model)
-	}
-	printRungs()
-	if line.Cex != "" {
-		fmt.Fprintln(w, line.Cex)
-	}
-	return exitViolation
 }

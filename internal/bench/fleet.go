@@ -93,7 +93,7 @@ func runSerialBatch(jobs []core.Job) ([]fleet.Outcome, float64, error) {
 		if r.Err != nil {
 			return nil, 0, fmt.Errorf("bench: serial %s/%s: %w", r.Job.Impl, r.Job.Test, r.Err)
 		}
-		outs[i] = fleet.OutcomeFromResult(r.Res, nil)
+		outs[i] = fleet.NewOutcome(r)
 	}
 	return outs, wall, nil
 }

@@ -22,20 +22,6 @@ import (
 	"checkfence/internal/validate"
 )
 
-// ValidateMode controls independent counterexample validation.
-type ValidateMode int
-
-const (
-	// ValidateDefault enables validation (the zero value: traces are
-	// re-checked unless explicitly disabled).
-	ValidateDefault ValidateMode = iota
-	// ValidateOff skips validation.
-	ValidateOff
-	// ValidateOn forces validation (same as the default; exists so
-	// callers can be explicit).
-	ValidateOn
-)
-
 // SpecSource selects how the observation set is obtained.
 type SpecSource int
 
@@ -110,13 +96,12 @@ type Options struct {
 	// reduction (constant-fixing of forced order variables, merging of
 	// interchangeable pairs, skeleton-only transitivity).
 	NoOrderReduce bool
-	// ValidateTraces controls the independent re-validation of every
-	// decoded counterexample (internal/validate): the memory-model
-	// axioms are re-checked over the concrete event list and each
-	// thread is replayed through the reference interpreter. On by
-	// default; a validation failure is a hard internal error, never a
-	// verdict.
-	ValidateTraces ValidateMode
+	// NoValidate skips the independent re-validation of every decoded
+	// counterexample (internal/validate), which otherwise re-checks the
+	// memory-model axioms over the concrete event list and replays each
+	// thread through the reference interpreter. A validation failure is
+	// a hard internal error, never a verdict.
+	NoValidate bool
 	// Deadline bounds the wall-clock time of the whole check, across
 	// every ladder rung (0 = none). A check that exhausts it returns
 	// VerdictUnknown with a BudgetReport rather than an error.
@@ -803,7 +788,7 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolled,
 	opts Options) error {
 
-	if opts.ValidateTraces == ValidateOff {
+	if opts.NoValidate {
 		return nil
 	}
 	if err := validate.Check(t, unrolled.Threads, built.Unit.Prog); err != nil {

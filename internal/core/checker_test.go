@@ -52,7 +52,7 @@ func TestMSNT0RelaxedUnfencedFails(t *testing.T) {
 // pick a different SAT model (simplification levels, preprocessing).
 func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	configs := map[string]Options{
-		"serial":  {Model: memmodel.Relaxed, ValidateTraces: ValidateOn},
+		"serial":  {Model: memmodel.Relaxed},
 		"tseitin": {Model: memmodel.Relaxed, SimplifyLevel: -1, NoPreprocess: true},
 	}
 	for name, opts := range configs {
@@ -67,10 +67,10 @@ func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	if res.Pass || !res.SeqBug || res.Cex == nil {
 		t.Error("lazylist-bug must yield a validated sequential-bug trace")
 	}
-	// ValidateOff still returns the raw counterexample.
-	res = check(t, "msn-nofence", "T0", Options{Model: memmodel.Relaxed, ValidateTraces: ValidateOff})
+	// NoValidate still returns the raw counterexample.
+	res = check(t, "msn-nofence", "T0", Options{Model: memmodel.Relaxed, NoValidate: true})
 	if res.Pass || res.Cex == nil {
-		t.Error("ValidateOff: expected a counterexample")
+		t.Error("NoValidate: expected a counterexample")
 	}
 }
 

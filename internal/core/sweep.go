@@ -151,11 +151,11 @@ func sweepEligible(o Options) bool {
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d mmi=%d "+
-		"simp=%d nopre=%t noinp=%t noord=%t vt=%d dl=%d cb=%d mem=%d cache=%p cancel=%p",
+		"simp=%d nopre=%t noinp=%t noord=%t noval=%t dl=%d cb=%d mem=%d cache=%p cancel=%p",
 		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxBoundRounds,
 		o.MaxMineIterations,
 		o.SimplifyLevel, o.NoPreprocess, o.NoInprocess, o.NoOrderReduce,
-		o.ValidateTraces, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
+		o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
 		o.SpecCache, o.Cancel)
 	keys := make([]string, 0, len(o.InitialBounds))
 	for k := range o.InitialBounds {
@@ -382,7 +382,7 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 // candidate weaker-model execution, and the independent validator is
 // the judge. The first trace that validates is returned as a shallow
 // copy relabeled to m; nil means m must be solved. Validation here is
-// the verdict source, so it runs regardless of Options.ValidateTraces.
+// the verdict source, so it runs regardless of Options.NoValidate.
 func replayUnder(m memmodel.Model, traces []*trace.Trace,
 	built *harness.Built, unrolled *harness.Unrolled) *trace.Trace {
 	for _, t := range traces {

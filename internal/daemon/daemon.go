@@ -89,44 +89,14 @@ type BatchJob struct {
 	Models []string `json:"models,omitempty"`
 }
 
-// ResultLine is one streamed NDJSON verdict (type "result"). The
-// first line of a response is a BatchLine, the last a DoneLine.
+// ResultLine is one streamed NDJSON verdict (type "result"): the
+// check's job.Result under its wire ID. The first line of a response
+// is a BatchLine, the last a DoneLine.
 type ResultLine struct {
-	Type    string      `json:"type"`
-	ID      string      `json:"id"`
-	Index   int         `json:"index"`
-	Impl    string      `json:"impl"`
-	Test    string      `json:"test"`
-	Model   string      `json:"model"`
-	Verdict string      `json:"verdict,omitempty"`
-	Pass    bool        `json:"pass"`
-	SeqBug  bool        `json:"seq_bug,omitempty"`
-	Cex     string      `json:"cex,omitempty"`
-	Error   string      `json:"error,omitempty"`
-	Budget  *BudgetLine `json:"budget,omitempty"`
-	Stats   *StatsLine  `json:"stats,omitempty"`
-}
-
-// BudgetLine summarizes a result's resource governance.
-type BudgetLine struct {
-	Deadline string   `json:"deadline,omitempty"`
-	Rungs    []string `json:"rungs,omitempty"`
-}
-
-// StatsLine is the wire subset of core.Stats.
-type StatsLine struct {
-	Backend        string `json:"backend,omitempty"`
-	RouterDecision string `json:"router_decision,omitempty"`
-	ObsSetSize     int    `json:"obs_set_size,omitempty"`
-	MineIterations int    `json:"mine_iterations,omitempty"`
-	CNFVars        int    `json:"cnf_vars,omitempty"`
-	CNFClauses     int    `json:"cnf_clauses,omitempty"`
-	CacheHits      int    `json:"spec_cache_hits,omitempty"`
-	CacheMisses    int    `json:"spec_cache_misses,omitempty"`
-	CacheResumed   int    `json:"spec_cache_resumed,omitempty"`
-	SweepGroups    int    `json:"sweep_groups,omitempty"`
-	EncodesReused  int    `json:"encodes_reused,omitempty"`
-	TotalTime      string `json:"total_time,omitempty"`
+	Type  string `json:"type"`
+	ID    string `json:"id"`
+	Index int    `json:"index"`
+	job.Result
 }
 
 // BatchLine heads a streamed response (type "batch").
@@ -357,9 +327,24 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeLine(BatchLine{Type: "batch", ID: batchID, Jobs: ids})
 
 	start := time.Now()
-	var pass, fail, unknown, errs int
+	done := DoneLine{Type: "done"}
+	finish := func(i int, r job.Result) {
+		line := &ResultLine{Type: "result", ID: ids[i], Index: i, Result: r}
+		switch {
+		case r.Error != "":
+			done.Errors++
+		case r.Verdict == "fail":
+			done.Fail++
+		case r.Verdict == "unknown":
+			done.Unknown++
+		default:
+			done.Pass++
+		}
+		s.record(line)
+		writeLine(line)
+	}
 	if s.cfg.Fleet != nil {
-		pass, fail, unknown, errs = s.runFleet(checks, ids, jobs, writeLine)
+		s.runFleet(checks, jobs, finish)
 	} else {
 		core.RunSuite(jobs, core.SuiteOptions{
 			Parallelism: s.cfg.Parallelism,
@@ -368,77 +353,47 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			Gate:        s.gate,
 			Faults:      s.cfg.Faults,
 			OnResult: func(i int, r core.SuiteResult) {
-				line := renderResult(ids[i], i, jobs[i], r)
-				switch {
-				case line.Error != "":
-					errs++
-				case line.Verdict == "fail":
-					fail++
-				case line.Verdict == "unknown":
-					unknown++
-				default:
-					pass++
-				}
-				s.recordResult(line, r)
-				writeLine(line)
+				finish(i, job.NewResult(jobs[i], r.Res, r.Err))
 			},
 		})
 	}
-	writeLine(DoneLine{
-		Type: "done", Pass: pass, Fail: fail, Unknown: unknown,
-		Errors: errs, Elapsed: time.Since(start).String(),
-	})
+	done.Elapsed = time.Since(start).String()
+	writeLine(done)
 }
 
 // runFleet dispatches each expanded check through the fleet
-// coordinator, streaming verdict lines as checks complete. The
-// admission gate bounds concurrently dispatched checks like it
-// bounds local check units.
-func (s *Server) runFleet(checks []job.Check, ids []string, jobs []core.Job,
-	writeLine func(any)) (pass, fail, unknown, errs int) {
-
-	var mu sync.Mutex // serializes counters, records, and the stream
+// coordinator, finishing checks as they complete. The admission gate
+// bounds concurrently dispatched checks like it bounds local check
+// units.
+func (s *Server) runFleet(checks []job.Check, jobs []core.Job, finish func(int, job.Result)) {
+	var mu sync.Mutex // serializes finish calls, like RunSuite's OnResult
 	var wg sync.WaitGroup
 	for i := range checks {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var line *ResultLine
-			if err := s.gate.Acquire(s.ctx); err != nil {
-				line = &ResultLine{
-					Type: "result", ID: ids[i], Index: i,
-					Impl: jobs[i].Impl, Test: jobs[i].Test,
-					Model: jobs[i].Opts.Model.String(), Error: err.Error(),
-				}
-			} else {
-				out, err := s.cfg.Fleet.CheckDistributed(s.ctx, checks[i])
+			err := s.gate.Acquire(s.ctx)
+			var out fleet.Outcome
+			if err == nil {
+				out, err = s.cfg.Fleet.CheckDistributed(s.ctx, checks[i])
 				s.gate.Release()
-				line = renderOutcome(ids[i], i, jobs[i], out, err)
+			}
+			r := out.Result
+			if err != nil {
+				r = job.NewResult(jobs[i], nil, err)
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			switch {
-			case line.Error != "":
-				errs++
-			case line.Verdict == "fail":
-				fail++
-			case line.Verdict == "unknown":
-				unknown++
-			default:
-				pass++
-			}
-			s.recordFleetResult(line)
-			writeLine(line)
+			finish(i, r)
 		}(i)
 	}
 	wg.Wait()
-	return
 }
 
-// recordFleetResult stores a fleet-path verdict for the poll endpoint
-// and folds the rendered line into the verdict, router and budget
-// counters (the coordinator's own Metrics cover the distributed side).
-func (s *Server) recordFleetResult(line *ResultLine) {
+// record stores a finished check for the poll endpoint and folds it
+// into the verdict, router, sweep and budget counters (the fleet
+// coordinator's own Metrics cover the distributed side).
+func (s *Server) record(line *ResultLine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inflight--
@@ -451,126 +406,15 @@ func (s *Server) recordFleetResult(line *ResultLine) {
 		return
 	}
 	s.verdicts[line.Verdict]++
-	if d := line.Stats.RouterDecision; d != "" {
-		s.router[d]++
+	if st := line.Stats; st != nil {
+		if st.RouterDecision != "" {
+			s.router[st.RouterDecision]++
+		}
+		s.sweeps += int64(st.SweepGroups)
 	}
 	if line.Budget != nil && len(line.Budget.Rungs) > 0 {
 		s.budgets++
 	}
-}
-
-// renderOutcome converts a fleet outcome to the wire line.
-func renderOutcome(id string, index int, j core.Job, out fleet.Outcome, err error) *ResultLine {
-	line := &ResultLine{
-		Type: "result", ID: id, Index: index,
-		Impl: j.Impl, Test: j.Test, Model: j.Opts.Model.String(),
-	}
-	if err != nil {
-		line.Error = err.Error()
-		return line
-	}
-	if out.Err != "" {
-		line.Error = out.Err
-		return line
-	}
-	line.Verdict = out.Verdict
-	line.Pass = out.Pass
-	line.SeqBug = out.SeqBug
-	line.Cex = out.Cex
-	if len(out.Budget) > 0 || out.Degraded != "" {
-		b := &BudgetLine{Rungs: append([]string(nil), out.Budget...)}
-		if out.Degraded != "" {
-			// Fleet-level degradation rides the same budget trail, so
-			// the cause of a slower-than-expected verdict is visible.
-			b.Rungs = append(b.Rungs, "fleet "+out.Degraded)
-		}
-		line.Budget = b
-	}
-	line.Stats = &StatsLine{
-		Backend:        out.Backend,
-		RouterDecision: out.RouterDecision,
-		ObsSetSize:     out.ObsSetSize,
-		MineIterations: out.MineIterations,
-		CNFVars:        out.CNFVars,
-		CNFClauses:     out.CNFClauses,
-		TotalTime:      time.Duration(out.TotalTime).String(),
-	}
-	return line
-}
-
-// recordResult stores a finished job for the poll path and folds its
-// stats into the metrics counters.
-func (s *Server) recordResult(line *ResultLine, r core.SuiteResult) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inflight--
-	if rec, ok := s.records[line.ID]; ok {
-		rec.State = "done"
-		rec.Result = line
-	}
-	if line.Error != "" {
-		s.errors++
-		return
-	}
-	s.verdicts[line.Verdict]++
-	if r.Res != nil {
-		if d := r.Res.Stats.RouterDecision; d != "" {
-			s.router[d]++
-		}
-		s.sweeps += int64(r.Res.Stats.SweepGroups)
-		if r.Res.Budget != nil && len(r.Res.Budget.Rungs) > 0 {
-			s.budgets++
-		}
-	}
-}
-
-// renderResult converts one suite result to its wire form.
-func renderResult(id string, index int, j core.Job, r core.SuiteResult) *ResultLine {
-	line := &ResultLine{
-		Type: "result", ID: id, Index: index,
-		Impl: j.Impl, Test: j.Test, Model: j.Opts.Model.String(),
-	}
-	if r.Err != nil {
-		line.Error = r.Err.Error()
-		return line
-	}
-	res := r.Res
-	line.Verdict = res.Verdict.String()
-	line.Pass = res.Pass
-	line.SeqBug = res.SeqBug
-	if res.Cex != nil {
-		line.Cex = res.Cex.String()
-	}
-	if res.Budget != nil {
-		b := &BudgetLine{}
-		if res.Budget.Deadline > 0 {
-			b.Deadline = res.Budget.Deadline.String()
-		}
-		for _, rung := range res.Budget.Rungs {
-			desc := rung.Name
-			if rung.Budget != "" {
-				desc += " (" + rung.Budget + ")"
-			}
-			b.Rungs = append(b.Rungs, desc)
-		}
-		line.Budget = b
-	}
-	st := res.Stats
-	line.Stats = &StatsLine{
-		Backend:        st.Backend,
-		RouterDecision: st.RouterDecision,
-		ObsSetSize:     st.ObsSetSize,
-		MineIterations: st.MineIterations,
-		CNFVars:        st.CNFVars,
-		CNFClauses:     st.CNFClauses,
-		CacheHits:      st.SpecCacheHits,
-		CacheMisses:    st.SpecCacheMisses,
-		CacheResumed:   st.SpecCacheResumed,
-		SweepGroups:    st.SweepGroups,
-		EncodesReused:  st.EncodesReused,
-		TotalTime:      st.TotalTime.String(),
-	}
-	return line
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -236,25 +236,15 @@ func (c *Coordinator) requeueLocked(t *task, now time.Time) bool {
 
 // solveLocally runs a task claimed after retry exhaustion in the
 // coordinator process and offers the outcome like a worker's. The
-// verdict is degraded in provenance, never in value.
+// verdict is degraded in provenance, never in value: the budget trail
+// names the fallback.
 func (c *Coordinator) solveLocally(t *task) {
-	out := c.runLocal(t.check)
-	out.Degraded = "local-fallback"
-	c.acceptOutcome(t.id, "local", out, t)
-}
-
-// runLocal executes a check description in-process under the
-// coordinator's local suite options.
-func (c *Coordinator) runLocal(ck job.Check) Outcome {
-	cj, err := ck.CoreJob()
-	if err != nil {
-		return Outcome{Err: err.Error()}
+	out := runCheck(t.check, c.cfg.Local)
+	if out.Budget == nil {
+		out.Budget = &job.Budget{}
 	}
-	opts := c.cfg.Local
-	opts.Parallelism = 1
-	opts.OnResult = nil
-	results := core.RunSuite([]core.Job{cj}, opts)
-	return OutcomeFromResult(results[0].Res, results[0].Err)
+	out.Budget.Rungs = append(out.Budget.Rungs, "fleet local-fallback")
+	c.acceptOutcome(t.id, "local", out, t)
 }
 
 // CheckDistributed verifies one check through the fleet: the check is
@@ -358,7 +348,7 @@ func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, claimed 
 		return false
 	}
 	holder := t.state == "leased" && t.worker == worker
-	if !local && !holder && (t.state != "done" || out.Err != "") {
+	if !local && !holder && (t.state != "done" || out.Error != "") {
 		// The worker lost its lease (expired and requeued) but the
 		// result still arrived. Accepting it would race the redispatched
 		// copy, so only a verdict for a task already claimed by a local
@@ -367,7 +357,7 @@ func (c *Coordinator) acceptOutcome(taskID, worker string, out Outcome, claimed 
 		c.mu.Unlock()
 		return false
 	}
-	if out.Err != "" && !local {
+	if out.Error != "" && !local {
 		// The check failed to run on the worker: treat as a lost
 		// lease — requeue with backoff (or fall back locally).
 		t.failedBy[worker] = true

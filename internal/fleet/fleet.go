@@ -29,13 +29,11 @@
 package fleet
 
 import (
-	"bytes"
 	"strings"
 	"time"
 
 	"checkfence/internal/core"
 	"checkfence/internal/job"
-	"checkfence/internal/spec"
 )
 
 // Task is one leased unit of work: a complete check description.
@@ -76,91 +74,38 @@ type ResultRequest struct {
 	Outcome Outcome `json:"outcome"`
 }
 
-// Outcome is the serializable subset of core.Result a worker reports:
-// everything the daemon's wire rendering needs. The observation set
-// rides as its deterministic text serialization (spec.Set.WriteTo),
-// so it can be compared byte-for-byte with a serial run.
+// Outcome is what a worker reports for one check: the check's wire
+// record plus its observation set in the deterministic text
+// serialization (spec.Set.WriteTo), so a distributed run can be
+// compared byte-for-byte with a serial one. A set Error means the
+// check failed to run; the coordinator treats it as a task failure.
 type Outcome struct {
-	Verdict string `json:"verdict"` // "pass" | "fail" | "unknown"
-	Pass    bool   `json:"pass"`
-	SeqBug  bool   `json:"seq_bug,omitempty"`
-	// Cex is the rendered counterexample trace (FAIL only).
-	Cex string `json:"cex,omitempty"`
-	// Spec is the mined observation set, serialized.
+	job.Result
 	Spec string `json:"spec,omitempty"`
-	// Err is set when the check failed to run (an internal error, not
-	// a verdict); the coordinator treats it as a task failure.
-	Err string `json:"error,omitempty"`
-
-	BoundRounds    int          `json:"bound_rounds,omitempty"`
-	ObsSetSize     int          `json:"obs_set_size,omitempty"`
-	Backend        string       `json:"backend,omitempty"`
-	RouterDecision string       `json:"router_decision,omitempty"`
-	MineIterations int          `json:"mine_iterations,omitempty"`
-	CNFVars        int          `json:"cnf_vars,omitempty"`
-	CNFClauses     int          `json:"cnf_clauses,omitempty"`
-	TotalTime      job.Duration `json:"total_time,omitempty"`
-	// Budget summarizes resource-governance degradation on the worker
-	// (ladder rungs exhausted before the verdict), one line per rung.
-	Budget []string `json:"budget,omitempty"`
-	// Degraded names the fleet-level degradation that produced this
-	// outcome, when any ("local-fallback"). Set by the coordinator,
-	// never by workers.
-	Degraded string `json:"degraded,omitempty"`
 }
 
-// OutcomeFromResult renders a core result (or run error) as the wire
-// outcome.
-func OutcomeFromResult(res *core.Result, err error) Outcome {
-	if err != nil {
-		return Outcome{Err: err.Error()}
-	}
-	st := res.Stats
-	o := Outcome{
-		Verdict:        res.Verdict.String(),
-		Pass:           res.Pass,
-		SeqBug:         res.SeqBug,
-		BoundRounds:    st.BoundRounds,
-		ObsSetSize:     st.ObsSetSize,
-		Backend:        st.Backend,
-		RouterDecision: st.RouterDecision,
-		MineIterations: st.MineIterations,
-		CNFVars:        st.CNFVars,
-		CNFClauses:     st.CNFClauses,
-		TotalTime:      job.Duration(st.TotalTime),
-	}
-	if res.Cex != nil {
-		o.Cex = res.Cex.String()
-	}
-	if res.Spec != nil {
-		var b bytes.Buffer
-		if _, werr := res.Spec.WriteTo(&b); werr == nil {
-			o.Spec = b.String()
+// NewOutcome renders one finished suite job as its outcome.
+func NewOutcome(r core.SuiteResult) Outcome {
+	out := Outcome{Result: job.NewResult(r.Job, r.Res, r.Err)}
+	if r.Err == nil && r.Res.Spec != nil {
+		var b strings.Builder
+		if _, err := r.Res.Spec.WriteTo(&b); err == nil {
+			out.Spec = b.String()
 		}
 	}
-	if res.Budget != nil {
-		for _, r := range res.Budget.Rungs {
-			desc := r.Name
-			if r.Budget != "" {
-				desc += " (" + r.Budget + ")"
-			}
-			o.Budget = append(o.Budget, desc)
-		}
-	}
-	return o
+	return out
 }
 
-// SpecSet parses the outcome's serialized observation set (nil when
-// absent or unparsable).
-func (o *Outcome) SpecSet() *spec.Set {
-	if o.Spec == "" {
-		return nil
-	}
-	s, err := spec.ReadSet(strings.NewReader(o.Spec))
+// runCheck executes one check description through the ordinary core
+// pipeline, alone: the workers' and the local fallback's solve.
+func runCheck(ck job.Check, opts core.SuiteOptions) Outcome {
+	cj, err := ck.CoreJob()
 	if err != nil {
-		return nil
+		return Outcome{Result: job.Result{Error: err.Error()}}
 	}
-	return s
+	opts.Parallelism = 1
+	opts.OnResult = nil
+	return NewOutcome(core.RunSuite([]core.Job{cj}, opts)[0])
 }
 
 // leaseDuration converts the wire lease field.

@@ -37,9 +37,9 @@ func serialOracle(t *testing.T, ck job.Check) Outcome {
 		t.Fatalf("oracle: %v", err)
 	}
 	res := core.RunSuite([]core.Job{cj}, core.SuiteOptions{Parallelism: 1})
-	out := OutcomeFromResult(res[0].Res, res[0].Err)
-	if out.Err != "" {
-		t.Fatalf("oracle failed to run: %s", out.Err)
+	out := NewOutcome(res[0])
+	if out.Error != "" {
+		t.Fatalf("oracle failed to run: %s", out.Error)
 	}
 	return out
 }
@@ -48,8 +48,8 @@ func serialOracle(t *testing.T, ck job.Check) Outcome {
 // same verdict bits, and for PASS a byte-identical observation set.
 func assertAgrees(t *testing.T, got, want Outcome, label string) {
 	t.Helper()
-	if got.Err != "" {
-		t.Fatalf("%s: distributed run errored: %s", label, got.Err)
+	if got.Error != "" {
+		t.Fatalf("%s: distributed run errored: %s", label, got.Error)
 	}
 	if got.Verdict != want.Verdict || got.Pass != want.Pass || got.SeqBug != want.SeqBug {
 		t.Fatalf("%s: distributed verdict %q (pass=%v seqbug=%v) != serial %q (pass=%v seqbug=%v)",
@@ -250,8 +250,9 @@ func TestRetryExhaustionFallsBackLocally(t *testing.T) {
 				t.Fatalf("CheckDistributed: %v", err)
 			}
 			assertAgrees(t, got, want, tc.label)
-			if got.Degraded != "local-fallback" {
-				t.Fatalf("degradation cause = %q, want \"local-fallback\"", got.Degraded)
+			if got.Budget == nil || len(got.Budget.Rungs) == 0 ||
+				got.Budget.Rungs[len(got.Budget.Rungs)-1] != "fleet local-fallback" {
+				t.Fatalf("budget trail = %+v, want it to end with the rung \"fleet local-fallback\"", got.Budget)
 			}
 			m := c.Metrics()
 			if m.TasksDispatched != int64(1+cfg.MaxRetries) || m.Requeues != int64(cfg.MaxRetries) ||
@@ -360,7 +361,7 @@ func TestCrashRecoveryJournal(t *testing.T) {
 	}
 }
 
-// readJournal lists the fingerprints of the journal's outcome records
+// readJournal lists the fingerprints of the journal's result records
 // in file order.
 func readJournal(t *testing.T, path string) []string {
 	t.Helper()
@@ -374,7 +375,7 @@ func readJournal(t *testing.T, path string) []string {
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
 		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err == nil && rec.Event == outcomeEvent {
+		if err := json.Unmarshal(sc.Bytes(), &rec); err == nil && rec.Event == resultEvent {
 			fps = append(fps, rec.Check)
 		}
 	}
@@ -392,7 +393,7 @@ func TestJournalSkipsCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WriteOutcome(&task{id: whole.Fingerprint(), outcome: Outcome{Verdict: "pass", Pass: true}}); err != nil {
+	if err := j.WriteOutcome(&task{id: whole.Fingerprint(), outcome: Outcome{Result: job.Result{Verdict: "pass", Pass: true}}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -400,7 +401,7 @@ func TestJournalSkipsCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"event":"outcome","check":"` + torn.Fingerprint() + `","outcome":{"verdi`)
+	f.WriteString(`{"event":"result","check":"` + torn.Fingerprint() + `","result":{"verdi`)
 	f.Close()
 
 	j2, err := openJournal(path)
@@ -420,7 +421,9 @@ func TestJournalSkipsCorruptTail(t *testing.T) {
 // fleet wrote when it split checks into cubes: a 4-cube plan and a
 // "done" record for cube 0 that passed. A cube's PASS says nothing
 // about the other cubes, so the restarted coordinator must not adopt
-// it; it re-runs the check and returns the serial FAIL.
+// it; it re-runs the check and returns the serial FAIL. The journal
+// also holds an "outcome" record, the shape written before results
+// were job.Result records; replay skips it the same way.
 func TestJournalIgnoresCubeRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	ck := testCheck("msn-nofence", "T0", "relaxed")
@@ -439,7 +442,8 @@ func TestJournalIgnoresCubeRecords(t *testing.T) {
 	}
 	fixture := `{"event":"plan","parent":"` + fp + `","checks":[` +
 		cube(0, "[1,2]") + "," + cube(1, "[-1,2]") + "," + cube(2, "[1,-2]") + "," + cube(3, "[-1,-2]") + "]}\n" +
-		`{"event":"done","parent":"` + fp + `","from":"w1","outcome":{"verdict":"pass","pass":true,"spec":"x"}}` + "\n"
+		`{"event":"done","parent":"` + fp + `","from":"w1","outcome":{"verdict":"pass","pass":true,"spec":"x"}}` + "\n" +
+		`{"event":"outcome","check":"` + fp + `","from":"w1","outcome":{"verdict":"pass","pass":true,"spec":"x","total_time":"1s"}}` + "\n"
 	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +514,7 @@ func TestSingleFlightSharesFanOut(t *testing.T) {
 		go func() {
 			out, err := c.CheckDistributed(context.Background(), ck)
 			if err != nil {
-				out = Outcome{Err: err.Error()}
+				out = Outcome{Result: job.Result{Error: err.Error()}}
 			}
 			outs <- out
 		}()

@@ -1,7 +1,7 @@
 package fleet
 
 // Coordinator crash recovery. The journal is an append-only JSON-lines
-// file with one "outcome" record per accepted check outcome, keyed by
+// file with one "result" record per accepted check outcome, keyed by
 // the check's fingerprint. Replay for a fingerprint returns the
 // recorded outcome, so a restarted coordinator answers a check it had
 // already finished without running it again. Records for other
@@ -13,7 +13,9 @@ package fleet
 // split checks into cubes hold "plan" and "done" records, and a "done"
 // outcome there may answer only one cube of its check. Replay skips
 // them, so such a journal re-runs its checks instead of adopting a
-// cube's verdict as the whole check's.
+// cube's verdict as the whole check's. Journals written before the
+// fleet reported job.Result records hold "outcome" records in an older
+// shape; replay skips those too, and their checks run again.
 
 import (
 	"bufio"
@@ -25,13 +27,13 @@ import (
 
 // journalRecord is one JSON line.
 type journalRecord struct {
-	Event   string   `json:"event"` // always "outcome"
+	Event   string   `json:"event"` // always "result"
 	Check   string   `json:"check"` // the check's fingerprint
 	From    string   `json:"from,omitempty"`
-	Outcome *Outcome `json:"outcome"`
+	Outcome *Outcome `json:"result"`
 }
 
-const outcomeEvent = "outcome"
+const resultEvent = "result"
 
 type journal struct {
 	mu   sync.Mutex
@@ -61,7 +63,7 @@ func (j *journal) WriteOutcome(t *task) error {
 	defer j.mu.Unlock()
 	out := t.outcome
 	if err := j.enc.Encode(journalRecord{
-		Event: outcomeEvent, Check: t.id, From: t.from, Outcome: &out,
+		Event: resultEvent, Check: t.id, From: t.from, Outcome: &out,
 	}); err != nil {
 		return err
 	}
@@ -88,7 +90,7 @@ func (j *journal) Replay(fp string) (out Outcome, ok bool, err error) {
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			continue // blank line, or a partial trailing write: skip
 		}
-		if rec.Event == outcomeEvent && rec.Check == fp && rec.Outcome != nil {
+		if rec.Event == resultEvent && rec.Check == fp && rec.Outcome != nil {
 			out, ok = *rec.Outcome, true
 		}
 	}

@@ -205,18 +205,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context, t *Task, leaseLost, stop, do
 // execute runs the task's check through the ordinary pipeline. A
 // closed leaseLost channel aborts the solve at its next check point.
 func (w *Worker) execute(ctx context.Context, t *Task, leaseLost <-chan struct{}) Outcome {
-	cj, err := t.Check.CoreJob()
-	if err != nil {
-		return Outcome{Err: err.Error()}
-	}
 	dctx, cancel := cancelOn(ctx, leaseLost)
 	defer cancel()
-	results := core.RunSuite([]core.Job{cj}, core.SuiteOptions{
-		Parallelism: 1,
-		Context:     dctx,
-		SpecCache:   w.cache,
-	})
-	return OutcomeFromResult(results[0].Res, results[0].Err)
+	return runCheck(t.Check, core.SuiteOptions{Context: dctx, SpecCache: w.cache})
 }
 
 // cancelOn derives a context cancelled when extra closes. The caller

@@ -201,6 +201,7 @@ func (c *Check) Options() (core.Options, error) {
 		NoPreprocess:         c.NoPreprocess,
 		NoInprocess:          c.NoInprocess,
 		NoOrderReduce:        c.NoOrderReduce,
+		NoValidate:           c.NoValidate,
 		Deadline:             time.Duration(c.Timeout),
 		ConflictBudget:       c.ConflictBudget,
 		MemBudgetMB:          c.MemBudgetMB,
@@ -211,9 +212,6 @@ func (c *Check) Options() (core.Options, error) {
 		for k, v := range c.Bounds {
 			opts.InitialBounds[k] = v
 		}
-	}
-	if c.NoValidate {
-		opts.ValidateTraces = core.ValidateOff
 	}
 	return opts, nil
 }
@@ -290,6 +288,7 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		NoPreprocess:      o.NoPreprocess,
 		NoInprocess:       o.NoInprocess,
 		NoOrderReduce:     o.NoOrderReduce,
+		NoValidate:        o.NoValidate,
 		Timeout:           Duration(o.Deadline),
 		ConflictBudget:    o.ConflictBudget,
 		MemBudgetMB:       o.MemBudgetMB,
@@ -302,9 +301,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 	}
 	if o.Sweep == core.SweepOff {
 		c.Sweep = "off"
-	}
-	if o.ValidateTraces == core.ValidateOff {
-		c.NoValidate = true
 	}
 	if len(o.InitialBounds) > 0 {
 		c.Bounds = make(map[string]int, len(o.InitialBounds))

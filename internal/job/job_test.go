@@ -99,8 +99,8 @@ func TestOptionsMapping(t *testing.T) {
 	if opts.Sweep != core.SweepOff {
 		t.Errorf("sweep = %v", opts.Sweep)
 	}
-	if opts.ValidateTraces != core.ValidateOff {
-		t.Errorf("validate = %v", opts.ValidateTraces)
+	if !opts.NoValidate {
+		t.Error("validation not disabled")
 	}
 	if opts.Deadline != 2*time.Second {
 		t.Errorf("deadline = %v", opts.Deadline)
@@ -115,14 +115,14 @@ func TestOptionsMapping(t *testing.T) {
 
 func TestFromOptionsInverts(t *testing.T) {
 	orig := core.Options{
-		Model:          memmodel.TSO,
-		Backend:        core.BackendSAT,
-		SpecSource:     core.SpecRef,
-		Sweep:          core.SweepOff,
-		ValidateTraces: core.ValidateOff,
-		NoInprocess:    true,
-		Deadline:       time.Minute,
-		InitialBounds:  map[string]int{"L0": 4},
+		Model:         memmodel.TSO,
+		Backend:       core.BackendSAT,
+		SpecSource:    core.SpecRef,
+		Sweep:         core.SweepOff,
+		NoValidate:    true,
+		NoInprocess:   true,
+		Deadline:      time.Minute,
+		InitialBounds: map[string]int{"L0": 4},
 	}
 	c := FromOptions("ms2", "Tr1", orig)
 	got, err := c.Options()
@@ -131,7 +131,7 @@ func TestFromOptionsInverts(t *testing.T) {
 	}
 	if got.Model != orig.Model || got.Backend != orig.Backend ||
 		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
-		got.ValidateTraces != orig.ValidateTraces ||
+		got.NoValidate != orig.NoValidate ||
 		got.NoInprocess != orig.NoInprocess ||
 		got.Deadline != orig.Deadline {
 		t.Errorf("FromOptions . Options != identity:\norig %+v\ngot  %+v", orig, got)

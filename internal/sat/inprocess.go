@@ -81,9 +81,6 @@ func defaultInprocess() inprocessConfig {
 // Call between Solve calls, not concurrently with one.
 func (s *Solver) SetInprocess(on bool) { s.inpro.on = on }
 
-// InprocessEnabled reports whether the inprocessing layer is on.
-func (s *Solver) InprocessEnabled() bool { return s.inpro.on }
-
 // tierFor maps an LBD to the tier a clause with that LBD belongs in.
 func (s *Solver) tierFor(lbd int) int8 {
 	switch {

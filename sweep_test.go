@@ -59,10 +59,10 @@ func runSweepAblation(t *testing.T, jobs []checkfence.Job, parallelism int) {
 				i, jobs[i].Impl, jobs[i].Test, jobs[i].Opts.Model,
 				s.Res.Spec.Len(), n.Res.Spec.Len())
 		}
-		// Traces are validated inside the pipeline (Options
-		// .ValidateTraces defaults to on, and a sweep early-exit replay
-		// is validated by construction); here it suffices that every
-		// failure carries one.
+		// Traces are validated inside the pipeline (validation is on
+		// unless Options.NoValidate is set, and a sweep early-exit
+		// replay is validated by construction); here it suffices that
+		// every failure carries one.
 		if !s.Res.Pass && s.Res.Cex == nil {
 			t.Errorf("job %d: sweep failure without a counterexample", i)
 		}
