@@ -129,7 +129,7 @@ const (
 
 // Rung is one step of the degradation ladder: a named solver strategy
 // a budget-starved check is retried with. The ladder is derived from
-// Options.Backend and Options.NoPreprocess.
+// Options.Backend; its last rung turns CNF preprocessing off.
 type Rung = core.Rung
 
 // BudgetReport explains a check's resource governance: the configured

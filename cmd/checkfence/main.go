@@ -117,10 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list implementations and tests")
 		showSpec  = fs.Bool("show-spec", false, "print the mined observation set (local runs only)")
 		stats     = fs.Bool("stats", false, "print Fig. 10-style statistics (local runs only)")
-		simplify  = fs.Int("simplify", 0, "circuit simplification: 0 = full (default), 1/2 = AIG rewriting level, -1 = off (classic Tseitin)")
-		noPreproc = fs.Bool("no-preprocess", false, "disable SatELite-style CNF preprocessing before solving")
-		inproc    = fs.Bool("inprocess", true, "enable solver inprocessing (vivification, subsumption, tiered clause DB, chronological backtracking)")
-		ordReduce = fs.Bool("order-reduce", true, "enable the model-aware memory-order encoding reduction")
 		sweepFlag = fs.String("sweep", "auto", "model-sweep grouping across repeated -model values: auto (one shared encoding solved per model under assumptions) or off (independent checks)")
 		validate  = fs.Bool("validate", true, "independently re-check counterexamples (axiom re-verification + interpreter replay)")
 		remote    = fs.String("remote", "", "submit the checks to a checkfenced daemon at this base URL (resilient client: retries with backoff, honors Retry-After, falls back to polling on a broken stream)")
@@ -163,10 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Backend:              be,
 		DisableRangeAnalysis: *noRanges,
 		MaxMineIterations:    *maxMine,
-		SimplifyLevel:        *simplify,
-		NoPreprocess:         *noPreproc,
-		NoInprocess:          !*inproc,
-		NoOrderReduce:        !*ordReduce,
 		NoValidate:           !*validate,
 		Sweep:                sweep,
 		ConflictBudget:       *conflicts,

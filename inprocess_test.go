@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"checkfence"
+	"checkfence/internal/encode"
 )
 
 func TestInprocessAblation(t *testing.T) {
@@ -33,9 +34,12 @@ func TestInprocessAblation(t *testing.T) {
 		opts checkfence.Options
 	}{
 		{"default", checkfence.Options{}},
-		{"no-inprocess", checkfence.Options{NoInprocess: true}},
-		{"no-order-reduce", checkfence.Options{NoOrderReduce: true}},
-		{"both-off", checkfence.Options{NoInprocess: true, NoOrderReduce: true}},
+		{"no-inprocess", checkfence.Options{Encode: &encode.Config{
+			Minimize: true, Preprocess: true, OrderReduce: true}}},
+		{"no-order-reduce", checkfence.Options{Encode: &encode.Config{
+			Minimize: true, Preprocess: true, Inprocess: true}}},
+		{"both-off", checkfence.Options{Encode: &encode.Config{
+			Minimize: true, Preprocess: true}}},
 	}
 
 	var jobs []checkfence.Job
@@ -94,13 +98,13 @@ func TestInprocessAblation(t *testing.T) {
 			switch variants[off].name {
 			case "no-inprocess", "both-off":
 				if abl.Res.Stats.VivifiedClauses+abl.Res.Stats.SubsumedLearnts+abl.Res.Stats.ChronoBacktracks != 0 {
-					t.Errorf("%s: inprocessing counters nonzero with NoInprocess", name)
+					t.Errorf("%s: inprocessing counters nonzero with inprocessing off", name)
 				}
 			}
 			switch variants[off].name {
 			case "no-order-reduce", "both-off":
 				if abl.Res.Stats.OrderVarsFixed+abl.Res.Stats.OrderVarsMerged != 0 {
-					t.Errorf("%s: order-reduction counters nonzero with NoOrderReduce", name)
+					t.Errorf("%s: order-reduction counters nonzero with the reduction off", name)
 				}
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"checkfence/internal/core"
+	"checkfence/internal/encode"
 	"checkfence/internal/memmodel"
 )
 
@@ -68,7 +69,9 @@ type EncodeArtifact struct {
 func (r *Runner) EncodeReport(jsonPath string) error {
 	model := memmodel.Relaxed
 	// (on, off) job pairs. Each job carries a private observation-set
-	// cache so mining runs (and is timed) in both configurations.
+	// cache so mining runs (and is timed) in both configurations. The
+	// plain configuration is classic Tseitin without preprocessing.
+	plain := &encode.Config{Inprocess: true, OrderReduce: true}
 	var jobs []core.Job
 	for _, impl := range Impls {
 		for _, test := range r.TestsFor(impl) {
@@ -78,7 +81,7 @@ func (r *Runner) EncodeReport(jsonPath string) error {
 						SpecCache: core.NewSpecCache("")}},
 				core.Job{Impl: impl, Test: test,
 					Opts: core.Options{Model: model,
-						SimplifyLevel: -1, NoPreprocess: true,
+						Encode:    plain,
 						SpecCache: core.NewSpecCache("")}})
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"checkfence/internal/core"
+	"checkfence/internal/encode"
 	"checkfence/internal/memmodel"
 )
 
@@ -88,7 +89,8 @@ func (r *Runner) SolveReport(jsonPath string) error {
 		opts core.Options
 	}{
 		{"serial", core.Options{Model: model, Backend: core.BackendSAT}},
-		{"inproc-off", core.Options{Model: model, Backend: core.BackendSAT, NoInprocess: true, NoOrderReduce: true}},
+		{"inproc-off", core.Options{Model: model, Backend: core.BackendSAT,
+			Encode: &encode.Config{Minimize: true, Preprocess: true}}},
 	}
 
 	r.printf("Inprocessing and order reduction: solve time on vs off (model: %s)\n", model)

@@ -17,8 +17,7 @@
 //     rewriting rules (contradiction, idempotence, subsumption,
 //     substitution, resolution) of Brummayer & Biere, "Local Two-Level
 //     And-Inverter Graph Minimization without Blowup", so structurally
-//     redundant gates are never created. SetRewriteLevel selects how
-//     deep the matching looks.
+//     redundant gates are never created.
 //
 //   - Polarity-aware Tseitin (Plaisted–Greenbaum): materialization
 //     tracks which implication direction of each gate's definition the
@@ -27,6 +26,8 @@
 //     one polarity is soundly promoted to the full encoding if the
 //     other polarity is requested later (e.g. by a blocking clause of
 //     the mining loop), which keeps incremental solving intact.
+//
+// SetMinimize turns both layers off together, for comparisons.
 package bitvec
 
 import (
@@ -85,9 +86,8 @@ type Builder struct {
 	satVars []int   // gate index -> sat variable (-1 if not materialized)
 	pols    []uint8 // gate index -> polarity bits already encoded
 
-	rewriteLevel  int  // 0 = hash/consts only, 1 = one-level, 2 = two-level rules
-	polarityAware bool // false = always emit full two-polarity Tseitin
-	rewrites      int64
+	minimize bool // false = hash/consts only and full two-polarity Tseitin
+	rewrites int64
 
 	// Scratch buffers: materialize's work stack and emit list, and
 	// AssertOr's clause (AddClause copies it).
@@ -101,10 +101,9 @@ type Builder struct {
 // and polarity-aware encoding.
 func NewBuilder(s *sat.Solver) *Builder {
 	b := &Builder{
-		hash:          make(map[[2]Node]Node),
-		solver:        s,
-		rewriteLevel:  2,
-		polarityAware: true,
+		hash:     make(map[[2]Node]Node),
+		solver:   s,
+		minimize: true,
 	}
 	b.addGate(gate{}) // gate 0 is the constant true
 	return b
@@ -126,26 +125,12 @@ func (b *Builder) addGate(g gate) int32 {
 	return int32(idx)
 }
 
-// SetRewriteLevel selects the AIG structural rewriting level applied
-// by And: 0 disables rewriting (constant folding and hash-consing
-// only), 1 enables the one-level rules, 2 (the default) additionally
-// the two-level rules. Rewriting is applied at construction time, so
-// the level should be set before building the circuit.
-func (b *Builder) SetRewriteLevel(level int) {
-	if level < 0 {
-		level = 0
-	}
-	if level > 2 {
-		level = 2
-	}
-	b.rewriteLevel = level
-}
-
-// SetPolarityAware selects between Plaisted–Greenbaum polarity-aware
-// encoding (the default) and the classic two-polarity Tseitin
-// transformation. Like SetRewriteLevel it should be set before any
-// node is materialized.
-func (b *Builder) SetPolarityAware(on bool) { b.polarityAware = on }
+// SetMinimize selects between the minimized encoding (the default:
+// two-level AIG rewriting in And and polarity-aware materialization)
+// and plain hash-consing with the classic two-polarity Tseitin
+// transformation. Both layers act as the circuit is built and
+// materialized, so set it before building the circuit.
+func (b *Builder) SetMinimize(on bool) { b.minimize = on }
 
 // NumGates returns the number of structural nodes created (constant
 // and variables included).
@@ -169,8 +154,7 @@ func Const(v bool) Node {
 }
 
 // And returns the conjunction of two nodes, with constant folding,
-// structural hashing, and (behind SetRewriteLevel) local AIG
-// rewriting.
+// structural hashing, and (behind SetMinimize) local AIG rewriting.
 func (b *Builder) And(x, y Node) Node { return b.and(x, y, 0) }
 
 // maxRewriteDepth bounds the recursion of the substitution-style
@@ -198,7 +182,7 @@ func (b *Builder) and(x, y Node, depth int) Node {
 	if n, ok := b.hash[key]; ok {
 		return n
 	}
-	if b.rewriteLevel >= 1 && depth < maxRewriteDepth {
+	if b.minimize && depth < maxRewriteDepth {
 		if n, ok := b.rewriteAnd(x, y, depth+1); ok {
 			b.rewrites++
 			return n
@@ -225,9 +209,9 @@ func (b *Builder) gateOperands(n Node) (Node, Node, bool) {
 }
 
 // rewriteAnd applies the Brummayer–Biere local rewriting rules to
-// x ∧ y, reporting whether a rule fired. Level 1 matches one gate
-// operand against the sibling node; level 2 additionally matches two
-// gate operands against each other.
+// x ∧ y, reporting whether a rule fired. The one-level rules match
+// one gate operand against the sibling node; the two-level rules
+// match two gate operands against each other.
 func (b *Builder) rewriteAnd(x, y Node, depth int) (Node, bool) {
 	// One-level (asymmetric) rules: one side is a gate, the other is
 	// matched against its operands.
@@ -257,9 +241,6 @@ func (b *Builder) rewriteAnd(x, y Node, depth int) (Node, bool) {
 				return b.and(o, a.Not(), depth), true
 			}
 		}
-	}
-	if b.rewriteLevel < 2 {
-		return 0, false
 	}
 
 	// Two-level (symmetric) rules: both sides are gates.
@@ -405,7 +386,7 @@ func (b *Builder) Lit(n Node) sat.Lit { return b.litPol(n, polBoth) }
 // emitted directions are never duplicated, and missing ones are added
 // incrementally (promotion).
 func (b *Builder) litPol(n Node, occ uint8) sat.Lit {
-	if !b.polarityAware {
+	if !b.minimize {
 		occ = polBoth
 	}
 	idx := n.index()

@@ -19,8 +19,7 @@ import (
 // encoder: full bidirectional Tseitin, no rewriting.
 func legacyBuilder(s *sat.Solver) *Builder {
 	b := NewBuilder(s)
-	b.SetRewriteLevel(0)
-	b.SetPolarityAware(false)
+	b.SetMinimize(false)
 	return b
 }
 

@@ -75,27 +75,11 @@ type Options struct {
 	// stop at their next check point and the check returns an error
 	// wrapping spec.ErrSolverUnknown. RunSuite wires its context here.
 	Cancel <-chan struct{}
-	// SimplifyLevel selects the circuit-level minimization applied
-	// while encoding: 0 (the default) uses the full pipeline
-	// (two-level AIG rewriting plus polarity-aware CNF encoding), 1
-	// and 2 select the rewriting level explicitly, and -1 disables
-	// both rewriting and polarity-aware encoding (classic two-polarity
-	// Tseitin), for comparisons.
-	SimplifyLevel int
-	// NoPreprocess disables the SatELite-style CNF preprocessing
-	// (variable elimination, subsumption, self-subsuming resolution)
-	// that otherwise runs before the first solve of mining and of the
-	// inclusion check.
-	NoPreprocess bool
-	// NoInprocess disables the solver's inprocessing layer (clause
-	// vivification, on-the-fly subsumption, the tiered learnt-clause
-	// database, chronological backtracking), which is otherwise on for
-	// every solver of the check.
-	NoInprocess bool
-	// NoOrderReduce disables the model-aware memory-order encoding
-	// reduction (constant-fixing of forced order variables, merging of
-	// interchangeable pairs, skeleton-only transitivity).
-	NoOrderReduce bool
+	// Encode, when non-nil, replaces the encoder's default
+	// minimization configuration (encode.DefaultConfig). It is for
+	// ablation tests and internal/bench only; the check still sets the
+	// configuration's Abort and Faults itself.
+	Encode *encode.Config
 	// NoValidate skips the independent re-validation of every decoded
 	// counterexample (internal/validate), which otherwise re-checks the
 	// memory-model axioms over the concrete event list and replays each
@@ -134,21 +118,14 @@ type Options struct {
 	front *frontCache
 }
 
-// encodeConfig maps the simplification options onto the encoder's
-// minimization configuration.
+// encodeConfig returns the encoder configuration of the check: a
+// copy of *Encode, or the default pipeline when it is nil.
 func (o Options) encodeConfig() encode.Config {
 	cfg := encode.DefaultConfig()
-	switch o.SimplifyLevel {
-	case -1:
-		cfg.RewriteLevel = 0
-		cfg.PolarityAware = false
-	case 1, 2:
-		cfg.RewriteLevel = o.SimplifyLevel
+	if o.Encode != nil {
+		cfg = *o.Encode
 	}
-	cfg.Preprocess = !o.NoPreprocess
-	cfg.Inprocess = !o.NoInprocess
-	cfg.OrderReduce = !o.NoOrderReduce
-	cfg.Faults = o.Faults
+	cfg.Abort, cfg.Faults = nil, o.Faults
 	return cfg
 }
 
@@ -204,7 +181,7 @@ type Stats struct {
 	// bound rounds: literals removed by clause vivification
 	// (and the clauses they came from), learnt clauses deleted by
 	// on-the-fly subsumption, and conflicts resolved by a chronological
-	// backtrack. Zero with Options.NoInprocess.
+	// backtrack. Zero when Options.Encode turns inprocessing off.
 	VivifiedLits     int64
 	VivifiedClauses  int64
 	SubsumedLearnts  int64
@@ -218,7 +195,7 @@ type Stats struct {
 	// Order-encoding reduction of the inclusion-check formula: order
 	// variables fixed to constants beyond the baseline program-order
 	// rules, and pairs merged into an already-allocated variable. Zero
-	// with Options.NoOrderReduce.
+	// when Options.Encode turns the order reduction off.
 	OrderVarsFixed  int
 	OrderVarsMerged int
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"checkfence/internal/encode"
 	"checkfence/internal/memmodel"
 )
 
@@ -49,11 +50,12 @@ func TestMSNT0RelaxedUnfencedFails(t *testing.T) {
 // TestCexValidatesUnderAllConfigs: validation is on by default, so a
 // returned counterexample has already survived the axiom re-check and
 // the interpreter replay — under every solve configuration that could
-// pick a different SAT model (simplification levels, preprocessing).
+// pick a different SAT model (circuit minimization, preprocessing).
 func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	configs := map[string]Options{
-		"serial":  {Model: memmodel.Relaxed},
-		"tseitin": {Model: memmodel.Relaxed, SimplifyLevel: -1, NoPreprocess: true},
+		"serial": {Model: memmodel.Relaxed},
+		"tseitin": {Model: memmodel.Relaxed, Encode: &encode.Config{
+			Inprocess: true, OrderReduce: true}},
 	}
 	for name, opts := range configs {
 		res := check(t, "msn-nofence", "T0", opts)

@@ -60,7 +60,9 @@ type Rung struct {
 func (r Rung) apply(opts Options) Options {
 	opts.Backend = r.Backend
 	if r.NoPreprocess {
-		opts.NoPreprocess = true
+		cfg := opts.encodeConfig()
+		cfg.Preprocess = false
+		opts.Encode = &cfg
 	}
 	return opts
 }
@@ -108,8 +110,9 @@ func (o Options) ladder() []Rung {
 		rungs = append(rungs, Rung{Name: "rf", Backend: BackendRF})
 		satBackend = BackendSAT
 	}
-	rungs = append(rungs, Rung{Name: "configured", Backend: satBackend, NoPreprocess: o.NoPreprocess})
-	if !o.NoPreprocess {
+	pre := o.encodeConfig().Preprocess
+	rungs = append(rungs, Rung{Name: "configured", Backend: satBackend, NoPreprocess: !pre})
+	if pre {
 		rungs = append(rungs, Rung{Name: "no-preprocess", Backend: satBackend, NoPreprocess: true})
 	}
 	return rungs

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"checkfence/internal/encode"
 	"checkfence/internal/faultinject"
 	"checkfence/internal/lsl"
 	"checkfence/internal/memmodel"
@@ -27,7 +28,9 @@ func TestLadderDefault(t *testing.T) {
 	if got := names(Options{}.ladder()); got != "configured,no-preprocess" {
 		t.Errorf("default ladder = %s", got)
 	}
-	if got := names(Options{NoPreprocess: true}.ladder()); got != "configured" {
+	noPre := encode.DefaultConfig()
+	noPre.Preprocess = false
+	if got := names(Options{Encode: &noPre}.ladder()); got != "configured" {
 		t.Errorf("no-preprocess ladder = %s", got)
 	}
 	rf := Options{Backend: BackendRF}

@@ -151,11 +151,10 @@ func sweepEligible(o Options) bool {
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d mmi=%d "+
-		"simp=%d nopre=%t noinp=%t noord=%t noval=%t dl=%d cb=%d mem=%d cache=%p cancel=%p",
+		"enc=%p noval=%t dl=%d cb=%d mem=%d cache=%p cancel=%p",
 		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxBoundRounds,
 		o.MaxMineIterations,
-		o.SimplifyLevel, o.NoPreprocess, o.NoInprocess, o.NoOrderReduce,
-		o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
+		o.Encode, o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
 		o.SpecCache, o.Cancel)
 	keys := make([]string, 0, len(o.InitialBounds))
 	for k := range o.InitialBounds {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"checkfence/internal/encode"
 	"checkfence/internal/memmodel"
 )
 
@@ -129,7 +130,8 @@ func TestSweepFingerprintSeparates(t *testing.T) {
 	jobs := []Job{
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.SequentialConsistency}},
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.Relaxed}},
-		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.TSO, NoInprocess: true}},
+		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.TSO, Encode: &encode.Config{
+			Minimize: true, Preprocess: true, OrderReduce: true}}},
 	}
 	eff := make([]Options, len(jobs))
 	for i := range jobs {

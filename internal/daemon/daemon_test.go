@@ -183,11 +183,14 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 
 // TestLegacyStrategyFieldsIgnored: a batch written for an older daemon
 // may still carry the removed in-process strategy fields ("portfolio",
-// "share_clauses", "cube") or the removed fleet cube fields ("assume",
-// "cube_of", "cube_index"). The decoder ignores unknown fields, so the
-// batch is accepted and every verdict equals that of the same batch
-// without them. An ignored cube restriction widens the check to the
-// whole formula, which is sound.
+// "share_clauses", "cube"), the removed fleet cube fields ("assume",
+// "cube_of", "cube_index") or the removed ablation switches
+// ("simplify_level", "no_preprocess", "no_inprocess",
+// "no_order_reduce"). The decoder ignores unknown fields, so the batch
+// is accepted and every verdict equals that of the same batch without
+// them. An ignored cube restriction widens the check to the whole
+// formula, which is sound; the ablation switches never change a
+// verdict (TestInprocessAblation, TestMinimizationDifferential).
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
@@ -210,7 +213,8 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	}
 	plain := verdicts("")
 	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
-		"assume": [3, -7], "cube_of": "x", "cube_index": 1`)
+		"assume": [3, -7], "cube_of": "x", "cube_index": 1,
+		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true`)
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
 	}

@@ -67,13 +67,10 @@ type Thread struct {
 // building and before solving Φ. The zero value disables everything;
 // DefaultConfig enables all layers.
 type Config struct {
-	// RewriteLevel is the AIG structural rewriting level applied at
-	// gate construction (0 = off, 1 = one-level rules, 2 = two-level
-	// rules).
-	RewriteLevel int
-	// PolarityAware selects Plaisted–Greenbaum polarity-aware CNF
-	// encoding instead of full two-polarity Tseitin.
-	PolarityAware bool
+	// Minimize enables the circuit-level minimization: two-level AIG
+	// structural rewriting at gate construction and Plaisted–Greenbaum
+	// polarity-aware CNF encoding instead of full two-polarity Tseitin.
+	Minimize bool
 	// Preprocess enables SatELite-style CNF preprocessing (bounded
 	// variable elimination, subsumption, self-subsuming resolution)
 	// before the first Solve; see PreprocessCNF.
@@ -102,8 +99,7 @@ type Config struct {
 
 // DefaultConfig returns the full minimization pipeline.
 func DefaultConfig() Config {
-	return Config{RewriteLevel: 2, PolarityAware: true, Preprocess: true,
-		OrderReduce: true, Inprocess: true}
+	return Config{Minimize: true, Preprocess: true, OrderReduce: true, Inprocess: true}
 }
 
 // Encoder assembles Φ for one (test, model) pair.
@@ -168,8 +164,7 @@ func NewWithConfig(model memmodel.Model, info *ranges.Info, cfg Config) *Encoder
 	s := sat.New()
 	s.SetInprocess(cfg.Inprocess)
 	b := bitvec.NewBuilder(s)
-	b.SetRewriteLevel(cfg.RewriteLevel)
-	b.SetPolarityAware(cfg.PolarityAware)
+	b.SetMinimize(cfg.Minimize)
 	if cfg.Faults != nil {
 		s.SetFaults(cfg.Faults)
 	}

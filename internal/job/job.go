@@ -106,10 +106,6 @@ type Check struct {
 
 	// Solver strategy.
 	MaxMineIterations int  `json:"max_mine_iterations,omitempty"`
-	SimplifyLevel     int  `json:"simplify_level,omitempty"`
-	NoPreprocess      bool `json:"no_preprocess,omitempty"`
-	NoInprocess       bool `json:"no_inprocess,omitempty"`
-	NoOrderReduce     bool `json:"no_order_reduce,omitempty"`
 	NoRangeAnalysis   bool `json:"no_range_analysis,omitempty"`
 	NoValidate        bool `json:"no_validate,omitempty"`
 	// Sweep is "auto" (default: join model-sweep groups) or "off".
@@ -197,10 +193,6 @@ func (c *Check) Options() (core.Options, error) {
 		DisableRangeAnalysis: c.NoRangeAnalysis,
 		MaxBoundRounds:       c.MaxBoundRounds,
 		MaxMineIterations:    c.MaxMineIterations,
-		SimplifyLevel:        c.SimplifyLevel,
-		NoPreprocess:         c.NoPreprocess,
-		NoInprocess:          c.NoInprocess,
-		NoOrderReduce:        c.NoOrderReduce,
 		NoValidate:           c.NoValidate,
 		Deadline:             time.Duration(c.Timeout),
 		ConflictBudget:       c.ConflictBudget,
@@ -284,10 +276,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		NoRangeAnalysis:   o.DisableRangeAnalysis,
 		MaxBoundRounds:    o.MaxBoundRounds,
 		MaxMineIterations: o.MaxMineIterations,
-		SimplifyLevel:     o.SimplifyLevel,
-		NoPreprocess:      o.NoPreprocess,
-		NoInprocess:       o.NoInprocess,
-		NoOrderReduce:     o.NoOrderReduce,
 		NoValidate:        o.NoValidate,
 		Timeout:           Duration(o.Deadline),
 		ConflictBudget:    o.ConflictBudget,
@@ -341,10 +329,6 @@ func (c *Check) Fingerprint() string {
 	}
 	write("mbr", strconv.Itoa(c.MaxBoundRounds),
 		"mmi", strconv.Itoa(c.MaxMineIterations),
-		"simp", strconv.Itoa(c.SimplifyLevel),
-		"nopre", strconv.FormatBool(c.NoPreprocess),
-		"noinp", strconv.FormatBool(c.NoInprocess),
-		"noord", strconv.FormatBool(c.NoOrderReduce),
 		"nora", strconv.FormatBool(c.NoRangeAnalysis),
 		"noval", strconv.FormatBool(c.NoValidate),
 		"to", time.Duration(c.Timeout).String(),

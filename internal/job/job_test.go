@@ -20,10 +20,6 @@ func TestRoundTrip(t *testing.T) {
 		Bounds:            map[string]int{"L0": 2},
 		MaxBoundRounds:    5,
 		MaxMineIterations: 100,
-		SimplifyLevel:     2,
-		NoPreprocess:      true,
-		NoInprocess:       true,
-		NoOrderReduce:     true,
 		NoRangeAnalysis:   true,
 		NoValidate:        true,
 		Sweep:             "off",
@@ -120,7 +116,6 @@ func TestFromOptionsInverts(t *testing.T) {
 		SpecSource:    core.SpecRef,
 		Sweep:         core.SweepOff,
 		NoValidate:    true,
-		NoInprocess:   true,
 		Deadline:      time.Minute,
 		InitialBounds: map[string]int{"L0": 4},
 	}
@@ -132,7 +127,6 @@ func TestFromOptionsInverts(t *testing.T) {
 	if got.Model != orig.Model || got.Backend != orig.Backend ||
 		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
 		got.NoValidate != orig.NoValidate ||
-		got.NoInprocess != orig.NoInprocess ||
 		got.Deadline != orig.Deadline {
 		t.Errorf("FromOptions . Options != identity:\norig %+v\ngot  %+v", orig, got)
 	}
@@ -238,28 +232,27 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 // TestFingerprintPinned pins fingerprints of a minimal and a fully
-// populated description. Spec-cache keys, daemon single-flight and the
-// fleet journal key on them, so a change here orphans every existing
-// cache entry and journal record.
+// populated description. The fleet coordinator keys its tasks and its
+// journal records on them, so a change here makes every existing
+// journal record replan.
 func TestFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {
 		c    Check
 		want string
 	}{
 		{Check{Program: Program{Name: "msn-nofence"}, Test: "T0", Model: "relaxed"},
-			"79c2c532bb6e44e74a02b5af1e5f8a89e2fe427258099de5b97eb9b0de339e9c"},
+			"258193092cb4139266139c5c13c0d1cfdff6286b5aec814a47f26578347a2d07"},
 		{Check{
 			Program: Program{Name: "msn"}, Test: "T0", Model: "tso", Backend: "sat", SpecSource: "refset",
 			Bounds: map[string]int{"L0": 2, "A": 1}, MaxBoundRounds: 5, MaxMineIterations: 100,
-			SimplifyLevel: 2, NoPreprocess: true, NoInprocess: true, NoOrderReduce: true,
 			NoRangeAnalysis: true, NoValidate: true, Sweep: "off", Timeout: Duration(90 * time.Second),
 			ConflictBudget: 1 << 20, MemBudgetMB: 256,
-		}, "a3b6da9d789c036349ffbc6624fbb10a61a3d43bbe053ade4cba9b516f16db60"},
+		}, "142c88f41d59fb320ceb58817cdf3f65e9c4d862094d1d10621900cc7a793915"},
 		{Check{
 			Program: Program{Name: "x", Source: "int x;", InitFunc: "i", Object: "o", Kind: "queue",
 				Ops: []Op{{Mnemonic: "e", Func: "f", NumArgs: 1, HasRet: true}}},
 			Test: "e", Model: "pso",
-		}, "c448b215c8a241bf22d55d6c6fba08c1b320da154a29fd2677f6278e53bd0de8"},
+		}, "7c33b35c983697991d3289c0782336ba4bff0d238360698842f5b35c3cc3ac23"},
 	} {
 		if got := tc.c.Fingerprint(); got != tc.want {
 			t.Errorf("Fingerprint(%s/%s/%s) = %s, want %s", tc.c.Program.Name, tc.c.Test, tc.c.Model, got, tc.want)

@@ -8,8 +8,8 @@
 //     enumerated by the reference interpreter over all thread
 //     interleavings (the serial model runs whole threads atomically,
 //     so these are exactly the thread permutations);
-//   - the inclusion verdict must agree across the encoder
-//     configurations cmd/checkfence exposes (-simplify);
+//   - the inclusion verdict must agree between the default encoder
+//     configuration and classic Tseitin without preprocessing;
 //   - verdicts must be monotone in model strength (an execution of a
 //     stronger model is an execution of every weaker one);
 //   - the polynomial reads-from engine (internal/rf) must accept every
@@ -203,8 +203,8 @@ func (p *GenProgram) SerialObservations() (*spec.Set, error) {
 	return set, nil
 }
 
-// diffConfig names an encoder configuration — the knob cmd/checkfence
-// exposes as -simplify.
+// diffConfig names an encoder configuration: the default minimized
+// pipeline or classic Tseitin without preprocessing.
 type diffConfig struct {
 	name string
 	enc  encode.Config

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"checkfence"
+	"checkfence/internal/encode"
 )
 
 func TestMinimizationDifferential(t *testing.T) {
@@ -37,6 +38,9 @@ func TestMinimizationDifferential(t *testing.T) {
 		pairs = append(pairs, pair{"msn", "Ti2", []checkfence.Model{checkfence.Relaxed}})
 	}
 
+	// Classic Tseitin without preprocessing; inprocessing and the
+	// order reduction stay on.
+	plain := &encode.Config{Inprocess: true, OrderReduce: true}
 	var jobs []checkfence.Job
 	for _, p := range pairs {
 		for _, m := range p.models {
@@ -45,7 +49,7 @@ func TestMinimizationDifferential(t *testing.T) {
 				checkfence.Job{Impl: p.impl, Test: p.test, Opts: checkfence.Options{
 					Model: m, SpecCache: checkfence.NewSpecCache("")}},
 				checkfence.Job{Impl: p.impl, Test: p.test, Opts: checkfence.Options{
-					Model: m, SimplifyLevel: -1, NoPreprocess: true,
+					Model: m, Encode: plain,
 					SpecCache: checkfence.NewSpecCache("")}})
 		}
 	}
