@@ -10,12 +10,16 @@
 //	benchtab -fig 12           Fig. 12: observation-set vs. commit-point method
 //	benchtab -table fences     §4.2: fence sufficiency/necessity matrix
 //	benchtab -fig sc-vs-relaxed §4.4: model choice impact on runtime
-//	benchtab -fig encode       formula minimization on/off (writes BENCH_encode.json)
-//	benchtab -fig solve        inprocessing and order reduction: serial on vs off (writes BENCH_solve.json)
-//	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced SAT (writes BENCH_backend.json)
-//	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks (writes BENCH_sweep.json)
-//	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite (writes BENCH_daemon.json)
-//	benchtab -fig fleet        fleet batch throughput: serial suite vs 1 vs 3 fleet workers (writes BENCH_fleet.json)
+//	benchtab -fig encode       formula minimization on/off
+//	benchtab -fig solve        inprocessing and order reduction: serial on vs off
+//	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced SAT
+//	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks
+//	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite
+//	benchtab -fig fleet        fleet batch throughput: serial suite vs 1 vs 3 fleet workers
+//
+// The last six print their report; -encode-json, -solve-json,
+// -backend-json, -sweep-json, -daemon-json and -fleet-json also write
+// it to the given BENCH file.
 //
 // Absolute times differ from the paper's 2007 testbed; the shapes
 // (growth trends, ratios, who wins) are the reproduction target. Use
@@ -39,12 +43,12 @@ func main() {
 		quick   = flag.Bool("quick", false, "restrict to small tests (fast)")
 		budget  = flag.Duration("budget", 10*time.Minute, "per-check time budget (checks expected to exceed it are skipped)")
 		jobs    = flag.Int("j", 1, "number of checks run concurrently (> 1 disables -budget's early exit)")
-		encJSON = flag.String("encode-json", "BENCH_encode.json", "artifact path for -fig encode (\"\" = print only)")
-		slvJSON = flag.String("solve-json", "BENCH_solve.json", "artifact path for -fig solve (\"\" = print only)")
-		bakJSON = flag.String("backend-json", "BENCH_backend.json", "artifact path for -fig backend (\"\" = print only)")
-		swpJSON = flag.String("sweep-json", "BENCH_sweep.json", "artifact path for -fig sweep (\"\" = print only)")
-		dmnJSON = flag.String("daemon-json", "BENCH_daemon.json", "artifact path for -fig daemon (\"\" = print only)")
-		fltJSON = flag.String("fleet-json", "BENCH_fleet.json", "artifact path for -fig fleet (\"\" = print only)")
+		encJSON = flag.String("encode-json", "", "write -fig encode's report to this path (default: print only)")
+		slvJSON = flag.String("solve-json", "", "write -fig solve's report to this path (default: print only)")
+		bakJSON = flag.String("backend-json", "", "write -fig backend's report to this path (default: print only)")
+		swpJSON = flag.String("sweep-json", "", "write -fig sweep's report to this path (default: print only)")
+		dmnJSON = flag.String("daemon-json", "", "write -fig daemon's report to this path (default: print only)")
+		fltJSON = flag.String("fleet-json", "", "write -fig fleet's report to this path (default: print only)")
 	)
 	flag.Parse()
 

@@ -294,9 +294,6 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 			if s.SweepEarlyExit > 0 {
 				fmt.Fprintln(w, "sweep sharing: decided by replaying a stronger model's counterexample")
 			}
-			if s.FrontCacheHits > 0 {
-				fmt.Fprintf(w, "sweep sharing: %d build/unroll cache hits\n", s.FrontCacheHits)
-			}
 		}
 		if s.RFSteps+s.RFExecs > 0 {
 			fmt.Fprintf(w, "rf engine: %d steps, %d consistent of %d executions, %d case splits\n",

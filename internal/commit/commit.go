@@ -19,7 +19,6 @@ package commit
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"checkfence/internal/bitvec"
@@ -28,9 +27,7 @@ import (
 	"checkfence/internal/harness"
 	"checkfence/internal/lsl"
 	"checkfence/internal/memmodel"
-	"checkfence/internal/ranges"
 	"checkfence/internal/sat"
-	"checkfence/internal/spec"
 )
 
 // Stats quantifies one commit-point check.
@@ -77,66 +74,31 @@ func Check(implName, testName string, model memmodel.Model) (*Result, error) {
 		return nil, err
 	}
 	// Same flow as the core checker: a full check at the initial
-	// bounds (counterexamples make bounds irrelevant), then a
-	// probe-grow loop, then one final check at the converged bounds.
-	bounds := map[string]int{}
-	unrolled, err := built.Unroll(bounds)
+	// bounds (counterexamples make bounds irrelevant), then the shared
+	// bound loop, then one final check at the converged bounds.
+	u, err := built.StartUnrolling(nil, true)
 	if err != nil {
 		return nil, err
 	}
-	info := ranges.Analyze(unrolled.Bodies)
-	res.Stats.BoundRound = 1
-	failed, err := runCommitCheck(res, built, unrolled, info, model)
+	failed, err := runCommitCheck(res, built, u, model)
 	if err != nil {
 		return nil, err
 	}
-	if failed {
-		res.Stats.TotalTime = time.Since(start)
-		return res, nil
-	}
-
-	// Probe under SC (see core.probeModel: weak-model probes diverge).
-	probeM := model
-	if memmodel.SequentialConsistency.StrongerThan(probeM) &&
-		probeM != memmodel.SequentialConsistency {
-		probeM = memmodel.SequentialConsistency
-	}
-	grewAny := false
-	for round := 0; ; round++ {
-		if round >= 16 {
-			return nil, fmt.Errorf("commit: loop bounds did not converge")
-		}
-		probe := encode.New(probeM, info)
-		if err := probe.Encode(unrolled.Threads); err != nil {
-			return nil, err
-		}
-		ids, st := probe.ProbeOverflows()
-		if st == sat.Unknown {
-			return nil, fmt.Errorf("commit: bound probe: %w", spec.ErrSolverUnknown)
-		}
-		if len(ids) == 0 {
-			break
-		}
-		for _, id := range ids {
-			key, ok := unrolled.LoopKey(id)
-			if !ok {
-				return nil, fmt.Errorf("commit: unknown loop id %d", id)
-			}
-			bounds[key] = unrolled.BoundFor(id) + 1
-		}
-		grewAny = true
-		res.Stats.BoundRound = round + 2
-		unrolled, err = built.Unroll(bounds)
+	if !failed {
+		grew, err := u.Converge(model, func(m memmodel.Model) (*encode.Encoder, error) {
+			probe := encode.New(m, u.Info)
+			return probe, probe.Encode(u.Threads)
+		})
 		if err != nil {
 			return nil, err
 		}
-		info = ranges.Analyze(unrolled.Bodies)
-	}
-	if grewAny {
-		if _, err := runCommitCheck(res, built, unrolled, info, model); err != nil {
-			return nil, err
+		if grew {
+			if _, err := runCommitCheck(res, built, u, model); err != nil {
+				return nil, err
+			}
 		}
 	}
+	res.Stats.BoundRound = u.Rounds
 	res.Stats.TotalTime = time.Since(start)
 	return res, nil
 }
@@ -144,12 +106,12 @@ func Check(implName, testName string, model memmodel.Model) (*Result, error) {
 // runCommitCheck encodes and solves the commit-point condition at the
 // current bounds, filling res. It reports whether a violation was
 // found.
-func runCommitCheck(res *Result, built *harness.Built, unrolled *harness.Unrolled,
-	info *ranges.Info, model memmodel.Model) (bool, error) {
+func runCommitCheck(res *Result, built *harness.Built, u *harness.Unrolling,
+	model memmodel.Model) (bool, error) {
 
 	encStart := time.Now()
-	enc := encode.New(model, info)
-	if err := enc.Encode(unrolled.Threads); err != nil {
+	enc := encode.New(model, u.Info)
+	if err := enc.Encode(u.Threads); err != nil {
 		return false, err
 	}
 	enc.AssertNoOverflow()
@@ -159,19 +121,10 @@ func runCommitCheck(res *Result, built *harness.Built, unrolled *harness.Unrolle
 	}
 	enc.B.Assert(enc.B.Or(bad, enc.ErrorNode()))
 	res.Stats.EncodeTime += time.Since(encStart)
-	res.Stats.Instrs = unrolled.Instrs
+	res.Stats.Instrs = u.Instrs
 
-	if os.Getenv("COMMIT_DEBUG") != "" {
-		ss := enc.S.Stats()
-		fmt.Fprintf(os.Stderr, "commit check: accesses=%d vars=%d clauses=%d\n",
-			len(enc.Accesses), ss.Vars, ss.Clauses)
-	}
 	refStart := time.Now()
 	st := enc.S.Solve()
-	if os.Getenv("COMMIT_DEBUG") != "" {
-		fmt.Fprintf(os.Stderr, "commit check: %v after %v (%+v)\n",
-			st, time.Since(refStart), enc.S.Stats())
-	}
 	res.Stats.RefuteTime += time.Since(refStart)
 	ss := enc.S.Stats()
 	res.Stats.CNFVars = ss.Vars

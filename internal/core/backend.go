@@ -109,11 +109,12 @@ func routeRF(opts Options, unrolled *harness.Unrolled) routeDecision {
 }
 
 // runCheckRF performs mining and the inclusion check of res.Model on
-// the reads-from engine, mirroring the SAT round's contract: done=true
-// when a validated counterexample decided res. Fragment programs cannot
+// the reads-from engine, mirroring the SAT round's contract: a
+// validated counterexample decides res as failing, and res stays
+// undecided when it passed at these bounds. Fragment programs cannot
 // reach runtime errors, so the sequential-bug phase is vacuous here.
 func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
-	p *rf.Program, opts Options) (bool, error) {
+	p *rf.Program, opts Options) error {
 
 	var est rf.EnumStats
 	defer func() {
@@ -130,7 +131,7 @@ func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 		set, st, err := p.Observations(memmodel.Serial, built.Entries, budget)
 		est.Add(st)
 		if err != nil {
-			return false, fmt.Errorf("rf mining: %w", err)
+			return fmt.Errorf("rf mining: %w", err)
 		}
 		theSpec = set
 	}
@@ -144,16 +145,16 @@ func runCheckRF(res *Result, built *harness.Built, unrolled *harness.Unrolled,
 	est.Add(st)
 	res.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
-		return false, fmt.Errorf("rf inclusion: %w", err)
+		return fmt.Errorf("rf inclusion: %w", err)
 	}
 	if cex == nil {
-		return false, nil // passed at these bounds; caller probes
+		return nil // passed at these bounds; caller probes
 	}
 	if err := validateCex(cex, built, unrolled, opts); err != nil {
-		return false, err
+		return err
 	}
 	res.fail(cex)
-	return true, nil
+	return nil
 }
 
 // rfFallbackable reports whether an rf failure may silently fall back

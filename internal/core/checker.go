@@ -14,7 +14,6 @@ import (
 	"checkfence/internal/faultinject"
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
-	"checkfence/internal/ranges"
 	"checkfence/internal/refimpl"
 	"checkfence/internal/sat"
 	"checkfence/internal/spec"
@@ -58,8 +57,6 @@ type Options struct {
 	// skips mining entirely (the paper notes sets need not be
 	// recomputed after implementation changes).
 	Spec *spec.Set
-	// MaxBoundRounds bounds the lazy loop unrolling iterations.
-	MaxBoundRounds int
 	// InitialBounds seeds the per-loop-instance unrolling bounds.
 	InitialBounds map[string]int
 	// SpecCache, when non-nil, memoizes mined observation sets keyed
@@ -111,11 +108,6 @@ type Options struct {
 	// an independent check runs under whatever remains of that window,
 	// so the whole unit stays within the configured budget.
 	Sweep SweepMode
-
-	// front, when non-nil, memoizes harness.Build and per-bounds
-	// Unroll results across the members and rounds of a sweep group.
-	// Set by RunSuite's group scheduler only.
-	front *frontCache
 }
 
 // encodeConfig returns the encoder configuration of the check: a
@@ -208,9 +200,7 @@ type Stats struct {
 	// counts specification observations whose exclusion clauses such a
 	// result shared rather than re-encoded. SweepEarlyExit is 1 when
 	// the verdict came from replaying a stronger model's
-	// counterexample under this model's axioms without solving.
-	// FrontCacheHits counts harness build/unroll results served from
-	// the group's front cache (reported on the group leader). Shared
+	// counterexample under this model's axioms without solving. Shared
 	// group costs — mining, encoding, preprocessing, probe time,
 	// solver counters — are attributed to the leader (the strongest
 	// model); every group member reports the group's wall-clock time
@@ -222,9 +212,8 @@ type Stats struct {
 	EncodesReused  int
 	SeededObs      int
 	SweepEarlyExit int
-	FrontCacheHits int
 
-	ProbeTime   time.Duration // lazy loop bound probes
+	ProbeTime   time.Duration // lazy loop bound probes and the re-unrollings they cause
 	MineTime    time.Duration // specification mining
 	EncodeTime  time.Duration // building the inclusion CNF
 	RefuteTime  time.Duration // SAT solving of the inclusion check
@@ -318,16 +307,17 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 
 // checkAttempt is the one attempt loop of the pipeline: it decides the
 // given models (strongest first) under a single ladder rung's strategy
-// — one model for CheckImpl, a sweep group's models for RunSuite.
+// — one model for CheckImpl, a sweep group's models for RunSuite,
+// whichever backend each round routes them to.
 //
-// Lazy loop unrolling follows the paper's §3.3 order: a round (mine,
-// encode, error and inclusion phases) runs at the current bounds
-// first, and a counterexample decides its model whatever the loop
-// bounds. Only if models pass does the loop probe for executions that
-// exceed the bounds; bounds grow until the probe is refuted, and one
-// more round runs for the still-pending models at the converged bounds
-// (intermediate bound levels need no round: they only add executions,
-// which the final round covers).
+// Lazy loop unrolling follows the paper's §3.3 order: a round runs at
+// the current bounds first, and a counterexample decides its model
+// whatever the loop bounds. Only if models pass does the bound loop
+// (harness.Unrolling.Converge, shared with the commit-point baseline)
+// probe for executions that exceed the bounds and grow them until the
+// probe is refuted; one more round then runs for the still-pending
+// models at the converged bounds (intermediate bound levels need no
+// round: they only add executions, which the final round covers).
 //
 // Each model keeps one Result across rounds: sizes (unrolling,
 // formula, observation set) come from its final round, while times and
@@ -377,33 +367,16 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 	if err != nil || len(pending) == 0 {
 		return results, err
 	}
-	maxRounds := opts.MaxBoundRounds
-	if maxRounds <= 0 {
-		maxRounds = 12
+	// Every pending model probes under the same model (the probe maps
+	// everything at or below SC to SC), so one probe sequence serves a
+	// whole sweep.
+	probeStart := time.Now()
+	grew, err := a.u.Converge(pending[0].Model, a.probe)
+	results[0].Stats.ProbeTime += time.Since(probeStart)
+	if err != nil {
+		return results, err
 	}
-	grewAny := false
-	for round := 0; ; round++ {
-		if round >= maxRounds {
-			return results, fmt.Errorf("core: loop bounds did not converge after %d rounds", round)
-		}
-		// Every pending model probes under the same model (probeModel
-		// maps everything at or below SC to SC), so one probe sequence
-		// serves a whole sweep.
-		probeStart := time.Now()
-		grew, err := a.probeBounds(probeModel(pending[0].Model))
-		results[0].Stats.ProbeTime += time.Since(probeStart)
-		if err != nil {
-			return results, err
-		}
-		if !grew {
-			break
-		}
-		grewAny = true
-		if err := a.unroll(); err != nil {
-			return results, err
-		}
-	}
-	if grewAny {
+	if grew {
 		if pending, err = a.round(pending); err != nil {
 			return results, err
 		}
@@ -424,43 +397,19 @@ type attempt struct {
 	opts     Options
 	deadline time.Time
 
-	built    *harness.Built
-	bounds   map[string]int
-	unrolled *harness.Unrolled
-	info     *ranges.Info
-	// boundRounds counts the unrollings so far (1 at the initial
-	// bounds).
-	boundRounds int
+	built *harness.Built
+	u     *harness.Unrolling
 }
 
 // start builds the harness and unrolls it at the initial bounds.
 func (a *attempt) start() error {
-	built, err := a.opts.buildHarness(a.impl, a.test)
+	built, err := harness.Build(a.impl, a.test)
 	if err != nil {
 		return err
 	}
 	a.built = built
-	a.bounds = map[string]int{}
-	for k, v := range a.opts.InitialBounds {
-		a.bounds[k] = v
-	}
-	return a.unroll()
-}
-
-// unroll unrolls the harness at the current bounds and reruns the
-// range analysis (§3.4) on the result.
-func (a *attempt) unroll() error {
-	u, err := a.opts.unrollHarness(a.built, a.bounds)
-	if err != nil {
-		return err
-	}
-	a.unrolled = u
-	a.info = ranges.Disabled()
-	if !a.opts.DisableRangeAnalysis {
-		a.info = ranges.Analyze(u.Bodies)
-	}
-	a.boundRounds++
-	return nil
+	a.u, err = built.StartUnrolling(a.opts.InitialBounds, !a.opts.DisableRangeAnalysis)
+	return err
 }
 
 // encode builds the formula of the unrolled program for the given
@@ -470,67 +419,96 @@ func (a *attempt) unroll() error {
 func (a *attempt) encode(models []memmodel.Model) (*encode.Encoder, error) {
 	var enc *encode.Encoder
 	if len(models) == 1 {
-		enc = encode.NewWithConfig(models[0], a.info, a.opts.encodeConfig())
+		enc = encode.NewWithConfig(models[0], a.u.Info, a.opts.encodeConfig())
 	} else {
 		var err error
-		if enc, err = encode.NewSweepWithConfig(models, a.info, a.opts.encodeConfig()); err != nil {
+		if enc, err = encode.NewSweepWithConfig(models, a.u.Info, a.opts.encodeConfig()); err != nil {
 			return nil, err
 		}
 	}
 	applyLimits(enc, a.opts, a.deadline)
-	if err := enc.Encode(a.unrolled.Threads); err != nil {
+	if err := enc.Encode(a.u.Threads); err != nil {
 		return nil, err
 	}
 	return enc, nil
 }
 
-// round mines the specification and runs both inclusion phases for the
-// pending models (strongest first) at the current bounds, on one
-// encoding shared by all of them. Failing models are decided in place;
-// the returned models passed at these bounds and stay pending. Costs
-// the round shares — mining, encoding, preprocessing, solver counters —
-// land on its leader (pending[0]); each model's own solves land on its
-// own result.
+// probe builds the bound-probe formula of the current unrolling under
+// model m, with the check's encoder configuration and resource limits.
+func (a *attempt) probe(m memmodel.Model) (*encode.Encoder, error) {
+	return a.encode([]memmodel.Model{m})
+}
+
+// round decides the pending models (strongest first) at the current
+// bounds: each one the reads-from engine answers in place, the rest on
+// one shared SAT encoding. Failing models are decided in place; the
+// returned models passed at these bounds and stay pending, strongest
+// first.
 func (a *attempt) round(pending []*Result) ([]*Result, error) {
-	lead, sweep := pending[0], len(pending) > 1
 	for _, res := range pending {
 		st := &res.Stats
-		st.Instrs, st.Loads, st.Stores = a.unrolled.Instrs, a.unrolled.Loads, a.unrolled.Stores
-		st.BoundRounds = a.boundRounds
+		st.Instrs, st.Loads, st.Stores = a.u.Instrs, a.u.Loads, a.u.Stores
+		st.BoundRounds = a.u.Rounds
 	}
-
-	// Multi-backend routing, once per round: routeRF inspects the
-	// backend selection and the unrolled program, never the model. The
-	// reads-from engine is per-model, so a sweep routed to it has no
-	// SAT work to amortize and falls back to independent checks. For
-	// one model, an rf budget failure under auto falls back to SAT
-	// within this same round (no ladder hop); under a forced rf backend
-	// the error propagates so the ladder's SAT rungs take over.
-	dec := routeRF(a.opts, a.unrolled)
-	switch {
-	case sweep && dec.useRF:
-		return nil, errSweepFallback
-	case sweep:
-		dec.reason = "sat (model sweep)"
-	case a.opts.Backend == BackendRF && !dec.useRF:
-		return nil, dec.err
-	case dec.useRF:
-		done, rfErr := runCheckRF(lead, a.built, a.unrolled, dec.prog, a.opts)
-		if rfErr == nil {
-			lead.Stats.Backend, lead.Stats.RouterDecision = "rf", dec.reason
-			if done {
-				return nil, nil
-			}
-			return pending, nil
-		}
-		if a.opts.Backend == BackendRF || !rfFallbackable(rfErr) {
-			return nil, rfErr
-		}
-		dec.reason = "sat (rf fell back: " + rfErr.Error() + ")"
+	onSAT, err := a.routeRound(pending)
+	if err != nil {
+		return nil, err
 	}
+	if len(onSAT) > 0 {
+		if err := a.satRound(onSAT); err != nil {
+			return nil, err
+		}
+	}
+	var passed []*Result
 	for _, res := range pending {
-		res.Stats.Backend, res.Stats.RouterDecision = "sat", dec.reason
+		if res.Verdict == VerdictUnknown {
+			passed = append(passed, res)
+		}
 	}
+	return passed, nil
+}
+
+// routeRound routes the round once: routeRF inspects the backend
+// selection and the unrolled program, never the model. When it picks
+// rf, every pending model runs on the reads-from engine, which is
+// per-model. An rf failure that rfFallbackable allows sends that model
+// to SAT within this same round (no ladder hop); under a forced rf
+// backend the error propagates so the ladder's SAT rungs take over. The
+// models left for SAT are returned, strongest first.
+func (a *attempt) routeRound(pending []*Result) ([]*Result, error) {
+	dec := routeRF(a.opts, a.u.Unrolled)
+	if a.opts.Backend == BackendRF && !dec.useRF {
+		return nil, dec.err
+	}
+	var onSAT []*Result
+	for _, res := range pending {
+		reason := dec.reason
+		if dec.useRF {
+			err := runCheckRF(res, a.built, a.u.Unrolled, dec.prog, a.opts)
+			if err == nil {
+				res.Stats.Backend, res.Stats.RouterDecision = "rf", dec.reason
+				continue
+			}
+			if a.opts.Backend == BackendRF || !rfFallbackable(err) {
+				return nil, err
+			}
+			reason = "sat (rf fell back: " + err.Error() + ")"
+		} else if len(pending) > 1 {
+			reason = "sat (model sweep)"
+		}
+		res.Stats.Backend, res.Stats.RouterDecision = "sat", reason
+		onSAT = append(onSAT, res)
+	}
+	return onSAT, nil
+}
+
+// satRound mines the specification and runs both inclusion phases for
+// the given models (strongest first) on one encoding shared by all of
+// them, deciding each failing model in place. Costs the round shares —
+// mining, encoding, preprocessing, solver counters — land on its leader
+// (pending[0]); each model's own solves land on its own result.
+func (a *attempt) satRound(pending []*Result) error {
+	lead := pending[0]
 
 	// Specification: mined once for every pending model (the
 	// observation set is model-independent, §3.2).
@@ -538,19 +516,19 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	set, seqTrace, err := a.mineSpec(lead)
 	lead.Stats.MineTime += time.Since(mineStart)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if seqTrace != nil {
 		// A sequential bug is model-independent: every pending model
 		// fails with the same serial trace, validated once.
-		if err := validateCex(seqTrace, a.built, a.unrolled, a.opts); err != nil {
-			return nil, err
+		if err := validateCex(seqTrace, a.built, a.u.Unrolled, a.opts); err != nil {
+			return err
 		}
 		for _, res := range pending {
 			res.SeqBug = true
 			res.fail(seqTrace)
 		}
-		return nil, nil
+		return nil
 	}
 
 	// Inclusion check. The formula is encoded and preprocessed once for
@@ -564,7 +542,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	encodeStart := time.Now()
 	enc, err := a.encode(models)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	enc.AssertNoOverflow()
 	lead.Stats.EncodeTime += time.Since(encodeStart)
@@ -582,7 +560,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	sc, err := spec.NewSweepCheck(enc, a.built.Entries)
 	lead.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Phase 1 for every pending model before any exclusion clause
 	// exists (see spec.SweepCheck), then phase 2 for the rest.
@@ -590,25 +568,23 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 		return sc.ErrorCheck(m)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var passed []*Result
 	if len(open) > 0 {
 		beginStart := time.Now()
 		err := sc.BeginInclusion(set)
 		lead.Stats.RefuteTime += time.Since(beginStart)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		passed, err = a.solvePhase(open, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
+		if _, err := a.solvePhase(open, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
 			return sc.Inclusion(m)
-		})
-		if err != nil {
-			return nil, err
+		}); err != nil {
+			return err
 		}
 	}
 	lead.Stats.recordFormula(enc)
-	return passed, nil
+	return nil
 }
 
 // solvePhase runs one inclusion phase for each model, strongest first,
@@ -622,7 +598,7 @@ func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
 	var traces []*trace.Trace
 	var open []*Result
 	for _, res := range models {
-		if t := replayUnder(res.Model, traces, a.built, a.unrolled); t != nil {
+		if t := replayUnder(res.Model, traces, a.built, a.u.Unrolled); t != nil {
 			res.fail(t)
 			res.Stats.SweepEarlyExit = 1
 			continue
@@ -637,9 +613,9 @@ func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
 			open = append(open, res)
 			continue
 		}
-		t := trace.Build(enc, a.built, a.unrolled, cex)
+		t := trace.Build(enc, a.built, a.u.Unrolled, cex)
 		t.Model = res.Model
-		if err := validateCex(t, a.built, a.unrolled, a.opts); err != nil {
+		if err := validateCex(t, a.built, a.u.Unrolled, a.opts); err != nil {
 			return nil, err
 		}
 		traces = append(traces, t)
@@ -693,7 +669,7 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 	if opts.Spec != nil {
 		return opts.Spec, nil, nil
 	}
-	key := specKey(a.impl, a.test, a.bounds, opts.SpecSource)
+	key := specKey(a.impl, a.test, a.u.Bounds, opts.SpecSource)
 	var serialEnc *encode.Encoder
 	mine := func(resume *spec.Set, resumeIters int) (*spec.Set, int, error) {
 		switch opts.SpecSource {
@@ -750,7 +726,7 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 		if seqBug, ok := err.(*spec.SeqBugError); ok && serialEnc != nil {
 			cex := &spec.Counterexample{Obs: seqBug.Obs, IsErr: true,
 				Err: "runtime error in serial execution"}
-			return nil, trace.Build(serialEnc, a.built, a.unrolled, cex), nil
+			return nil, trace.Build(serialEnc, a.built, a.u.Unrolled, cex), nil
 		}
 		return nil, nil, err
 	}
@@ -818,66 +794,4 @@ func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
 			return nil
 		}
 	}
-}
-
-// probeModel selects the model loop-bound probes run under. Probing
-// under Relaxed does not generally terminate: its same-address
-// load-load reordering lets a retry loop re-read a stale value in
-// every iteration, so executions exceeding any finite bound exist
-// (e.g. the fenced msn enqueue on test Ti2). The paper reports all
-// studied loops as statically bounded, which holds under sequential
-// consistency; we therefore determine bounds from the SC executions
-// (which cover all serial executions needed for mining) and perform
-// the relaxed inclusion check within those unrollings. Counterexample
-// search is unaffected in practice — reordering bugs appear within
-// the SC-derived bounds — and any residual incompleteness is inherent
-// to bounded unrolling.
-func probeModel(m memmodel.Model) memmodel.Model {
-	if memmodel.SequentialConsistency.StrongerThan(m) && m != memmodel.SequentialConsistency {
-		return memmodel.SequentialConsistency
-	}
-	return m
-}
-
-// probeBounds checks which loops can exceed their current bounds under
-// the given model (encode.Encoder.ProbeOverflows finds all of them in
-// one probe encoding); it increments those bounds and reports growth.
-func (a *attempt) probeBounds(model memmodel.Model) (bool, error) {
-	hasMarkers := false
-	for _, li := range a.unrolled.Loops {
-		if !li.Spin {
-			hasMarkers = true
-			break
-		}
-	}
-	if !hasMarkers {
-		return false, nil
-	}
-	probe, err := a.encode([]memmodel.Model{model})
-	if err != nil {
-		return false, err
-	}
-	return a.growOverflowing(probe)
-}
-
-// growOverflowing runs the probe on an encoding of the current
-// unrolling and grows the bound of every loop it flags. A probe the
-// solver could not finish is an error, never a partial growth taken as
-// converged.
-func (a *attempt) growOverflowing(probe *encode.Encoder) (bool, error) {
-	ids, st := probe.ProbeOverflows()
-	if st == sat.Unknown {
-		if be := probe.S.BudgetErr(); be != nil {
-			return false, fmt.Errorf("core: bound probe: %w: %w", spec.ErrSolverUnknown, be)
-		}
-		return false, fmt.Errorf("core: bound probe: %w", spec.ErrSolverUnknown)
-	}
-	for _, id := range ids {
-		key, ok := a.unrolled.LoopKey(id)
-		if !ok {
-			return false, fmt.Errorf("core: unknown loop id %d", id)
-		}
-		a.bounds[key] = a.unrolled.BoundFor(id) + 1
-	}
-	return len(ids) > 0, nil
 }

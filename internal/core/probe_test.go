@@ -2,10 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"maps"
 	"testing"
 
+	"checkfence/internal/encode"
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
 	"checkfence/internal/sat"
@@ -31,56 +31,53 @@ func startAttempt(t *testing.T, implName, testName string) *attempt {
 	return a
 }
 
-// oneModelProbe is the reference bound probe: one SAT model per
-// round, growing only the loops that model flags.
-func oneModelProbe(a *attempt, model memmodel.Model) (bool, error) {
-	probe, err := a.encode([]memmodel.Model{model})
-	if err != nil {
-		return false, err
-	}
-	probe.AssertSomeOverflow()
-	switch probe.S.Solve() {
-	case sat.Unsat:
-		return false, nil
-	case sat.Sat:
-	default:
-		return false, fmt.Errorf("reference probe: %w", spec.ErrSolverUnknown)
-	}
-	ids := probe.OverflowingLoops()
-	for _, id := range ids {
-		key, _ := a.unrolled.LoopKey(id)
-		a.bounds[key] = a.unrolled.BoundFor(id) + 1
-	}
-	return len(ids) > 0, nil
-}
-
-// converge grows the attempt's bounds with the given probe until it
-// reports no growth, returning the converged bounds and the number of
-// unrollings (Stats.BoundRounds).
-func converge(t *testing.T, a *attempt, probe func(*attempt, memmodel.Model) (bool, error)) (map[string]int, int) {
+// oneModelConverge is the reference bound loop: one SAT model per
+// round, growing only the loops that model flags. It returns the
+// converged bounds and the number of unrollings (Stats.BoundRounds).
+func oneModelConverge(t *testing.T, a *attempt) (map[string]int, int) {
 	t.Helper()
-	rounds := 1
-	for {
-		grew, err := probe(a, memmodel.SequentialConsistency)
+	for rounds := 1; ; rounds++ {
+		if rounds > harness.MaxUnrollings {
+			t.Fatal("bounds did not converge")
+		}
+		probe, err := a.probe(memmodel.SequentialConsistency)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !grew {
-			return a.bounds, rounds
+		probe.AssertSomeOverflow()
+		switch probe.S.Solve() {
+		case sat.Unsat:
+			return a.u.Bounds, rounds
+		case sat.Sat:
+		default:
+			t.Fatal("reference probe: solver Unknown")
 		}
-		if rounds++; rounds > 12 {
-			t.Fatal("bounds did not converge")
+		bounds := maps.Clone(a.u.Bounds)
+		for _, id := range probe.OverflowingLoops() {
+			key, _ := a.u.LoopKey(id)
+			bounds[key] = a.u.BoundFor(id) + 1
 		}
-		if err := a.unroll(); err != nil {
+		if a.u, err = a.built.StartUnrolling(bounds, true); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// sharedConverge runs checkAttempt's bound loop — the one the
+// commit-point baseline shares — for the attempt's Relaxed check.
+func sharedConverge(t *testing.T, a *attempt) (map[string]int, int) {
+	t.Helper()
+	if _, err := a.u.Converge(a.opts.Model, a.probe); err != nil {
+		t.Fatal(err)
+	}
+	return a.u.Bounds, a.u.Rounds
 }
 
 // TestProbeEquivalence: growing every overflowable loop per probe
 // converges to the same bounds as growing one model's loops per round,
-// in fewer bound rounds. The probe loop here is checkAttempt's, so its
-// round count is the check's Stats.BoundRounds; the light rows confirm
+// in fewer bound rounds. The bound loop here is checkAttempt's
+// (harness.Unrolling.Converge), so its round count is the check's
+// Stats.BoundRounds; the light rows confirm
 // that on a full check and compare its verdict and observation set
 // with a check started at the reference bounds. The heavy rows compare
 // bounds only: equal bounds give the same final round, so the same
@@ -105,8 +102,8 @@ func TestProbeEquivalence(t *testing.T) {
 			if row.heavy && testing.Short() {
 				t.Skip("heavy row; skipped with -short")
 			}
-			want, refRounds := converge(t, startAttempt(t, row.impl, row.test), oneModelProbe)
-			got, rounds := converge(t, startAttempt(t, row.impl, row.test), (*attempt).probeBounds)
+			want, refRounds := oneModelConverge(t, startAttempt(t, row.impl, row.test))
+			got, rounds := sharedConverge(t, startAttempt(t, row.impl, row.test))
 			if !maps.Equal(got, want) {
 				t.Fatalf("converged bounds %v; one-model-per-round probe converges to %v", got, want)
 			}
@@ -174,36 +171,42 @@ void pick(int *s, int n) {
 
 func TestProbeGrowsEveryLoopInOneRound(t *testing.T) {
 	a := exclusiveLoopsImpl(t)
-	grew, err := a.probeBounds(memmodel.SequentialConsistency)
+	grew, err := a.u.Converge(memmodel.SequentialConsistency, a.probe)
 	if err != nil || !grew {
-		t.Fatalf("probeBounds = %v, %v; want growth", grew, err)
+		t.Fatalf("Converge = %v, %v; want growth", grew, err)
 	}
-	if len(a.bounds) != 2 {
-		t.Fatalf("grew bounds %v; want both loops grown", a.bounds)
+	if len(a.u.Bounds) != 2 {
+		t.Fatalf("grew bounds %v; want both loops grown", a.u.Bounds)
+	}
+	// Both loops converge at bound 3. Growing both per probe takes two
+	// growths; growing only one model's loop per probe would take four.
+	if a.u.Rounds != 3 {
+		t.Fatalf("%d unrollings to bounds %v; want 3 (both loops grow in each probe)", a.u.Rounds, a.u.Bounds)
 	}
 }
 
 // TestProbeStoppedMidCollection stops the probe's second solve, after
-// the first found one of the two loops: the check must report
+// the first found one of the two loops: the bound loop must report
 // ErrSolverUnknown and leave the bounds alone, not grow that one loop
 // as if the bounds had converged.
 func TestProbeStoppedMidCollection(t *testing.T) {
 	a := exclusiveLoopsImpl(t)
-	probe, err := a.encode([]memmodel.Model{memmodel.SequentialConsistency})
-	if err != nil {
-		t.Fatal(err)
-	}
 	calls := 0
-	probe.S.SetStop(func() bool { calls++; return calls > 1 })
-	before := maps.Clone(a.bounds)
-	grew, err := a.growOverflowing(probe)
+	before := maps.Clone(a.u.Bounds)
+	grew, err := a.u.Converge(memmodel.SequentialConsistency, func(m memmodel.Model) (*encode.Encoder, error) {
+		probe, err := a.probe(m)
+		if err == nil {
+			probe.S.SetStop(func() bool { calls++; return calls > 1 })
+		}
+		return probe, err
+	})
 	if !errors.Is(err, spec.ErrSolverUnknown) || grew {
-		t.Fatalf("growOverflowing = %v, %v; want ErrSolverUnknown", grew, err)
+		t.Fatalf("Converge = %v, %v; want ErrSolverUnknown", grew, err)
 	}
 	if calls != 2 {
 		t.Fatalf("stop consulted %d times; want 2 (the first solve finished, the second stopped)", calls)
 	}
-	if !maps.Equal(a.bounds, before) {
-		t.Fatalf("bounds grew to %v on a stopped probe", a.bounds)
+	if !maps.Equal(a.u.Bounds, before) || a.u.Rounds != 1 {
+		t.Fatalf("bounds grew to %v (%d unrollings) on a stopped probe", a.u.Bounds, a.u.Rounds)
 	}
 }

@@ -15,11 +15,9 @@ package core
 // and the sweep bench harness.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"checkfence/internal/harness"
@@ -57,82 +55,6 @@ func ParseSweepMode(s string) (SweepMode, error) {
 	return 0, fmt.Errorf("core: unknown sweep mode %q (want auto, on, or off)", s)
 }
 
-// frontCache memoizes the model-independent front end of a check —
-// harness.Build and the per-bounds Unroll — across the members and
-// rounds of one sweep group, including members that fall back to
-// independent checks. The results are treated as immutable by every
-// consumer (the regular pipeline already reuses one Built across
-// bound rounds).
-type frontCache struct {
-	mu       sync.Mutex
-	built    *harness.Built
-	unrolled map[string]*harness.Unrolled
-	hits     int
-}
-
-func boundsKey(bounds map[string]int) string {
-	keys := make([]string, 0, len(bounds))
-	for k := range bounds {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d;", k, bounds[k])
-	}
-	return b.String()
-}
-
-func (f *frontCache) build(impl *harness.Impl, test *harness.Test) (*harness.Built, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.built != nil {
-		f.hits++
-		return f.built, nil
-	}
-	built, err := harness.Build(impl, test)
-	if err != nil {
-		return nil, err
-	}
-	f.built = built
-	return built, nil
-}
-
-func (f *frontCache) unroll(built *harness.Built, bounds map[string]int) (*harness.Unrolled, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := boundsKey(bounds)
-	if u, ok := f.unrolled[key]; ok {
-		f.hits++
-		return u, nil
-	}
-	u, err := built.Unroll(bounds)
-	if err != nil {
-		return nil, err
-	}
-	if f.unrolled == nil {
-		f.unrolled = map[string]*harness.Unrolled{}
-	}
-	f.unrolled[key] = u
-	return u, nil
-}
-
-// buildHarness and unrollHarness route the pipeline's front end
-// through the sweep group's cache when one is attached.
-func (o Options) buildHarness(impl *harness.Impl, test *harness.Test) (*harness.Built, error) {
-	if o.front != nil {
-		return o.front.build(impl, test)
-	}
-	return harness.Build(impl, test)
-}
-
-func (o Options) unrollHarness(built *harness.Built, bounds map[string]int) (*harness.Unrolled, error) {
-	if o.front != nil {
-		return o.front.unroll(built, bounds)
-	}
-	return built.Unroll(bounds)
-}
-
 // sweepEligible reports whether a job may join a sweep group at all.
 // Serial is excluded structurally (its seriality axioms and operation
 // merge classes reshape the encoding); a forced rf backend never
@@ -150,10 +72,9 @@ func sweepEligible(o Options) bool {
 // and therefore always sound.
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mbr=%d mmi=%d "+
+	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mmi=%d "+
 		"enc=%p noval=%t dl=%d cb=%d mem=%d cache=%p cancel=%p",
-		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxBoundRounds,
-		o.MaxMineIterations,
+		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxMineIterations,
 		o.Encode, o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
 		o.SpecCache, o.Cancel)
 	keys := make([]string, 0, len(o.InitialBounds))
@@ -183,7 +104,7 @@ type sweepGroup struct {
 	// than one when a suite repeats a job verbatim).
 	jobs map[memmodel.Model][]int
 	// opts is the shared option template (Model set to the strongest
-	// member, front to the group's cache).
+	// member).
 	opts Options
 }
 
@@ -296,21 +217,13 @@ func (g *sweepGroup) memberJob() Job {
 	return Job{Impl: g.implName, Test: g.testName, ImplRef: g.implRef, TestRef: g.testRef}
 }
 
-// errSweepFallback routes a whole group to independent checks without
-// signalling a failure: the router picked the polynomial reads-from
-// path, which is per-model and has no SAT work to amortize.
-var errSweepFallback = errors.New("core: sweep group routed to independent checks")
-
 // run checks every model of the group in one checkAttempt. Models the
-// shared attempt cannot decide — a degradable failure (budget, solver
-// Unknown, recovered panic) or the rf routing — fall back to
-// independent CheckImpl runs with the full degradation ladder, still
-// sharing the group's front cache; a non-degradable failure becomes
-// every undecided model's error.
+// shared attempt cannot decide after a degradable failure (budget,
+// solver Unknown, recovered panic) fall back to independent CheckImpl
+// runs with the full degradation ladder, each building its own front
+// end; a non-degradable failure becomes every undecided model's error.
 func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 	start := time.Now()
-	front := &frontCache{}
-	g.opts.front = front
 	var deadline time.Time
 	if g.opts.Deadline > 0 {
 		deadline = start.Add(g.opts.Deadline)
@@ -339,7 +252,7 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 		}
 	}
 	if err != nil {
-		fallback := errors.Is(err, errSweepFallback) || degradable(err, g.opts)
+		fallback := degradable(err, g.opts)
 		for _, m := range g.models {
 			if _, ok := outs[m]; ok {
 				continue
@@ -368,9 +281,6 @@ func (g *sweepGroup) run() map[memmodel.Model]*modelOutcome {
 			res, cerr := safeCheck(g.memberJob(), o)
 			outs[m] = &modelOutcome{res: res, err: cerr}
 		}
-	}
-	if o := outs[g.models[0]]; o != nil && o.res != nil {
-		o.res.Stats.FrontCacheHits = front.hits
 	}
 	return outs
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"checkfence/internal/encode"
+	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
 )
 
@@ -51,6 +52,47 @@ func TestSweepEarlyExit(t *testing.T) {
 	}
 	if relaxed.Cex == nil || relaxed.Cex.Model != memmodel.Relaxed {
 		t.Errorf("replayed counterexample not relabeled: %+v", relaxed.Cex)
+	}
+}
+
+// TestSweepLitmusOnRF: a sweep group the router sends to the
+// reads-from engine is decided in place by the group's one attempt:
+// every member runs on rf and reports the group, with the verdicts and
+// observation sets of independent checks and the store-buffering
+// ground truth of TestBackendAgreement (SC forbids the outcome, TSO,
+// PSO and Relaxed allow it).
+func TestSweepLitmusOnRF(t *testing.T) {
+	impl := litmusImpl()
+	test, err := harness.ParseTest("lit", "( ad | bc )", impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := fourModelJobs(impl.Name, test.Name, Options{})
+	for i := range jobs {
+		jobs[i].ImplRef, jobs[i].TestRef = impl, test
+	}
+	swept := RunSuite(jobs, SuiteOptions{Parallelism: 1})
+	indep := RunSuite(jobs, SuiteOptions{Parallelism: 1, Sweep: SweepOff})
+	requireAllRan(t, swept)
+	requireAllRan(t, indep)
+	fails := []bool{false, true, true, true}
+	for i, r := range swept {
+		m, st := jobs[i].Opts.Model, r.Res.Stats
+		if st.Backend != "rf" || st.SweepGroups != 1 || st.SweepModels != len(jobs) {
+			t.Errorf("%v: backend %q (%s), SweepGroups=%d SweepModels=%d; want rf, 1 and %d",
+				m, st.Backend, st.RouterDecision, st.SweepGroups, st.SweepModels, len(jobs))
+		}
+		n := indep[i].Res
+		if r.Res.Verdict != n.Verdict || !r.Res.Spec.Equal(n.Spec) {
+			t.Errorf("%v: sweep verdict %v with %d observations; independent %v with %d",
+				m, r.Res.Verdict, r.Res.Spec.Len(), n.Verdict, n.Spec.Len())
+		}
+		if r.Res.Pass == fails[i] {
+			t.Errorf("%v: pass=%v, ground truth fails=%v", m, r.Res.Pass, fails[i])
+		}
+		if !r.Res.Pass && r.Res.Cex == nil {
+			t.Errorf("%v: failed without a counterexample", m)
+		}
 	}
 }
 

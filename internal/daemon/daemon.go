@@ -145,7 +145,7 @@ type Server struct {
 	verdicts map[string]int64 // verdict string -> count
 	errors   int64
 	router   map[string]int64 // router decision -> count
-	sweeps   int64            // sweep groups formed
+	sweeps   int64            // checks decided by a sweep group
 	budgets  int64            // results shaped by budget exhaustion
 }
 
@@ -481,7 +481,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("checkfenced_job_errors_total", "Jobs that failed to run.", errors)
 	gauge("checkfenced_inflight_jobs", "Jobs admitted but not finished.", inflight)
 	labeled("checkfenced_router_decisions_total", "Backend router decisions.", "decision", router)
-	counter("checkfenced_sweep_groups_total", "Model-sweep groups formed.", sweeps)
+	counter("checkfenced_sweep_checks_total", "Checks decided by a model-sweep group.", sweeps)
 	counter("checkfenced_budget_exhausted_total", "Results shaped by budget exhaustion.", budgets)
 	counter("checkfenced_spec_cache_hits_total", "Spec cache hits (memory or disk).", int64(cs.Hits))
 	counter("checkfenced_spec_cache_misses_total", "Spec cache misses (fresh mines).", int64(cs.Misses))

@@ -162,6 +162,24 @@ func TestBatchMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestSweepChecksMetric: checkfenced_sweep_checks_total counts the
+// checks a model-sweep group decided, one per member result, so one
+// 4-model batch entry adds 4.
+func TestSweepChecksMetric(t *testing.T) {
+	srv := NewServer(Config{Parallelism: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	_, results, done := postBatch(t, ts, `{"jobs": [{"program": {"name": "ms2"},
+		"test": "T0", "models": ["sc", "tso", "pso", "relaxed"]}]}`)
+	if done.Errors != 0 || len(results) != 4 {
+		t.Fatalf("%d results, %d errors; want 4 and 0", len(results), done.Errors)
+	}
+	if got := scrapeMetric(t, ts, "checkfenced_sweep_checks_total"); got != 4 {
+		t.Errorf("sweep_checks_total = %d after one 4-model sweep; want 4", got)
+	}
+}
+
 // TestFailVerdictCarriesTrace: a buggy implementation's counterexample
 // rides the wire.
 func TestFailVerdictCarriesTrace(t *testing.T) {
@@ -184,13 +202,16 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 // TestLegacyStrategyFieldsIgnored: a batch written for an older daemon
 // may still carry the removed in-process strategy fields ("portfolio",
 // "share_clauses", "cube"), the removed fleet cube fields ("assume",
-// "cube_of", "cube_index") or the removed ablation switches
+// "cube_of", "cube_index"), the removed ablation switches
 // ("simplify_level", "no_preprocess", "no_inprocess",
-// "no_order_reduce"). The decoder ignores unknown fields, so the batch
-// is accepted and every verdict equals that of the same batch without
-// them. An ignored cube restriction widens the check to the whole
-// formula, which is sound; the ablation switches never change a
-// verdict (TestInprocessAblation, TestMinimizationDifferential).
+// "no_order_reduce") or the removed bound-round cap
+// ("max_bound_rounds"). The decoder ignores unknown fields, so the
+// batch is accepted and every verdict equals that of the same batch
+// without them. An ignored cube restriction widens the check to the
+// whole formula, which is sound; the ablation switches never change a
+// verdict (TestInprocessAblation, TestMinimizationDifferential); a cap
+// of 1 would have failed any check whose bounds grow, and the fixed
+// cap only ever lets such a check finish.
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
@@ -214,7 +235,8 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	plain := verdicts("")
 	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
 		"assume": [3, -7], "cube_of": "x", "cube_index": 1,
-		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true`)
+		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
+		"max_bound_rounds": 1`)
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
 	}

@@ -2,11 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 
 	"checkfence/internal/cparse"
 	"checkfence/internal/ctrans"
 	"checkfence/internal/encode"
 	"checkfence/internal/lsl"
+	"checkfence/internal/memmodel"
+	"checkfence/internal/ranges"
+	"checkfence/internal/sat"
 	"checkfence/internal/spec"
 	"checkfence/internal/unroll"
 )
@@ -251,4 +255,126 @@ func (u *Unrolled) BoundFor(id int) int {
 		}
 	}
 	return 1
+}
+
+// MaxUnrollings caps the unrollings of one lazy unrolling (§3.3). The
+// registry rows, the commit-point rows of Fig. 12 included, converge
+// in at most 4.
+const MaxUnrollings = 12
+
+// Unrolling is the state of the lazy loop unrolling of §3.3: the
+// harness unrolled at the current loop bounds, with the range analysis
+// (§3.4) of that unrolling.
+type Unrolling struct {
+	*Unrolled
+	Bounds map[string]int
+	Info   *ranges.Info
+	// Rounds counts the unrollings so far (1 at the initial bounds).
+	Rounds int
+
+	built   *Built
+	analyze bool
+}
+
+// StartUnrolling unrolls b at a copy of the initial bounds. analyze
+// selects the range analysis; without it every unrolling gets
+// ranges.Disabled().
+func (b *Built) StartUnrolling(initial map[string]int, analyze bool) (*Unrolling, error) {
+	u := &Unrolling{Bounds: map[string]int{}, built: b, analyze: analyze}
+	maps.Copy(u.Bounds, initial)
+	return u, u.unroll()
+}
+
+// unroll unrolls the harness at the current bounds and analyzes the
+// result, once.
+func (u *Unrolling) unroll() error {
+	un, err := u.built.Unroll(u.Bounds)
+	if err != nil {
+		return err
+	}
+	u.Unrolled, u.Info = un, ranges.Disabled()
+	if u.analyze {
+		u.Info = ranges.Analyze(un.Bodies)
+	}
+	u.Rounds++
+	return nil
+}
+
+// Converge is the bound loop of §3.3, run once the check has passed at
+// the current bounds: probe the current unrolling for executions that
+// leave a loop bound (encode.Encoder.ProbeOverflows flags every such
+// loop in one probe), grow every flagged loop by one, re-unroll, and
+// repeat until the probe is refuted. It reports whether any bound
+// grew; the caller then re-checks at the converged bounds. probe
+// builds the probe formula of the current unrolling under the given
+// model, with the caller's encoder configuration and resource limits.
+// A probe the solver could not finish is an error, never a partial
+// growth taken as converged.
+func (u *Unrolling) Converge(model memmodel.Model,
+	probe func(memmodel.Model) (*encode.Encoder, error)) (bool, error) {
+
+	if !u.hasMarkers() {
+		return false, nil
+	}
+	model = probeModel(model)
+	first := u.Rounds
+	for {
+		enc, err := probe(model)
+		if err != nil {
+			return false, err
+		}
+		ids, st := enc.ProbeOverflows()
+		if st == sat.Unknown {
+			if be := enc.S.BudgetErr(); be != nil {
+				return false, fmt.Errorf("harness: bound probe: %w: %w", spec.ErrSolverUnknown, be)
+			}
+			return false, fmt.Errorf("harness: bound probe: %w", spec.ErrSolverUnknown)
+		}
+		if len(ids) == 0 {
+			return u.Rounds > first, nil
+		}
+		if u.Rounds >= MaxUnrollings {
+			return false, fmt.Errorf("harness: loop bounds did not converge after %d rounds", u.Rounds)
+		}
+		for _, id := range ids {
+			key, ok := u.LoopKey(id)
+			if !ok {
+				return false, fmt.Errorf("harness: unknown loop id %d", id)
+			}
+			u.Bounds[key] = u.BoundFor(id) + 1
+		}
+		if err := u.unroll(); err != nil {
+			return false, err
+		}
+	}
+}
+
+// hasMarkers reports whether the unrolling has a loop that can
+// overflow its bound (spin loops are reduced to one iteration).
+func (u *Unrolling) hasMarkers() bool {
+	for _, li := range u.Loops {
+		if !li.Spin {
+			return true
+		}
+	}
+	return false
+}
+
+// probeModel selects the model loop-bound probes run under. Probing
+// under Relaxed does not generally terminate: its same-address
+// load-load reordering lets a retry loop re-read a stale value in
+// every iteration, so executions exceeding any finite bound exist
+// (e.g. the fenced msn enqueue on test Ti2). The paper reports all
+// studied loops as statically bounded, which holds under sequential
+// consistency; we therefore determine bounds from the SC executions
+// (which cover all serial executions needed for mining) and perform
+// the relaxed inclusion check within those unrollings. Counterexample
+// search is unaffected in practice — reordering bugs appear within
+// the SC-derived bounds — and any residual incompleteness is inherent
+// to bounded unrolling.
+func probeModel(m memmodel.Model) memmodel.Model {
+	if memmodel.SequentialConsistency.StrongerThan(m) && m != memmodel.SequentialConsistency {
+		return memmodel.SequentialConsistency
+	}
+	return m
 }

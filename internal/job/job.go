@@ -101,8 +101,6 @@ type Check struct {
 	SpecSource string `json:"spec_source,omitempty"`
 	// Bounds seeds the per-loop unrolling bounds.
 	Bounds map[string]int `json:"bounds,omitempty"`
-	// MaxBoundRounds caps the lazy-unrolling iterations (0 = default).
-	MaxBoundRounds int `json:"max_bound_rounds,omitempty"`
 
 	// Solver strategy.
 	MaxMineIterations int  `json:"max_mine_iterations,omitempty"`
@@ -191,7 +189,6 @@ func (c *Check) Options() (core.Options, error) {
 		Backend:              backend,
 		SpecSource:           src,
 		DisableRangeAnalysis: c.NoRangeAnalysis,
-		MaxBoundRounds:       c.MaxBoundRounds,
 		MaxMineIterations:    c.MaxMineIterations,
 		NoValidate:           c.NoValidate,
 		Deadline:             time.Duration(c.Timeout),
@@ -274,7 +271,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		Test:              testName,
 		Model:             o.Model.String(),
 		NoRangeAnalysis:   o.DisableRangeAnalysis,
-		MaxBoundRounds:    o.MaxBoundRounds,
 		MaxMineIterations: o.MaxMineIterations,
 		NoValidate:        o.NoValidate,
 		Timeout:           Duration(o.Deadline),
@@ -327,8 +323,7 @@ func (c *Check) Fingerprint() string {
 	for _, k := range keys {
 		write("bound", k, strconv.Itoa(c.Bounds[k]))
 	}
-	write("mbr", strconv.Itoa(c.MaxBoundRounds),
-		"mmi", strconv.Itoa(c.MaxMineIterations),
+	write("mmi", strconv.Itoa(c.MaxMineIterations),
 		"nora", strconv.FormatBool(c.NoRangeAnalysis),
 		"noval", strconv.FormatBool(c.NoValidate),
 		"to", time.Duration(c.Timeout).String(),

@@ -18,7 +18,6 @@ func TestRoundTrip(t *testing.T) {
 		Backend:           "sat",
 		SpecSource:        "refset",
 		Bounds:            map[string]int{"L0": 2},
-		MaxBoundRounds:    5,
 		MaxMineIterations: 100,
 		NoRangeAnalysis:   true,
 		NoValidate:        true,
@@ -234,25 +233,26 @@ func TestFingerprintSensitivity(t *testing.T) {
 // TestFingerprintPinned pins fingerprints of a minimal and a fully
 // populated description. The fleet coordinator keys its tasks and its
 // journal records on them, so a change here makes every existing
-// journal record replan.
+// journal record replan. Last re-pinned when the ignored
+// max_bound_rounds field left the rendering.
 func TestFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {
 		c    Check
 		want string
 	}{
 		{Check{Program: Program{Name: "msn-nofence"}, Test: "T0", Model: "relaxed"},
-			"258193092cb4139266139c5c13c0d1cfdff6286b5aec814a47f26578347a2d07"},
+			"c143dd9b165d8091f5f5646ad7358c84af8d6a44cd21aebee4cbbd73454d3f88"},
 		{Check{
 			Program: Program{Name: "msn"}, Test: "T0", Model: "tso", Backend: "sat", SpecSource: "refset",
-			Bounds: map[string]int{"L0": 2, "A": 1}, MaxBoundRounds: 5, MaxMineIterations: 100,
+			Bounds: map[string]int{"L0": 2, "A": 1}, MaxMineIterations: 100,
 			NoRangeAnalysis: true, NoValidate: true, Sweep: "off", Timeout: Duration(90 * time.Second),
 			ConflictBudget: 1 << 20, MemBudgetMB: 256,
-		}, "142c88f41d59fb320ceb58817cdf3f65e9c4d862094d1d10621900cc7a793915"},
+		}, "ff1ce965e127911d97bc074404cf69c3643f6c320b0c64c79c771db1f71db699"},
 		{Check{
 			Program: Program{Name: "x", Source: "int x;", InitFunc: "i", Object: "o", Kind: "queue",
 				Ops: []Op{{Mnemonic: "e", Func: "f", NumArgs: 1, HasRet: true}}},
 			Test: "e", Model: "pso",
-		}, "7c33b35c983697991d3289c0782336ba4bff0d238360698842f5b35c3cc3ac23"},
+		}, "1cd5b3b60b4df4313e8bc2e273679489fe4f24ef2e4b177d950d34d0d71f75e5"},
 	} {
 		if got := tc.c.Fingerprint(); got != tc.want {
 			t.Errorf("Fingerprint(%s/%s/%s) = %s, want %s", tc.c.Program.Name, tc.c.Test, tc.c.Model, got, tc.want)
