@@ -15,11 +15,10 @@
 //	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced SAT
 //	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks
 //	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite
-//	benchtab -fig fleet        fleet batch throughput: serial suite vs 1 vs 3 fleet workers
 //
-// The last six print their report; -encode-json, -solve-json,
-// -backend-json, -sweep-json, -daemon-json and -fleet-json also write
-// it to the given BENCH file.
+// The last five print their report; -encode-json, -solve-json,
+// -backend-json, -sweep-json and -daemon-json also write it to the
+// given BENCH file.
 //
 // Absolute times differ from the paper's 2007 testbed; the shapes
 // (growth trends, ratios, who wins) are the reproduction target. Use
@@ -48,7 +47,6 @@ func main() {
 		bakJSON = flag.String("backend-json", "", "write -fig backend's report to this path (default: print only)")
 		swpJSON = flag.String("sweep-json", "", "write -fig sweep's report to this path (default: print only)")
 		dmnJSON = flag.String("daemon-json", "", "write -fig daemon's report to this path (default: print only)")
-		fltJSON = flag.String("fleet-json", "", "write -fig fleet's report to this path (default: print only)")
 	)
 	flag.Parse()
 
@@ -83,8 +81,6 @@ func main() {
 		err = r.SweepReport(*swpJSON)
 	case *fig == "daemon":
 		err = r.DaemonReport(*dmnJSON)
-	case *fig == "fleet":
-		err = r.FleetReport(*fltJSON)
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -15,7 +15,7 @@ package main
 //   - If the stream breaks after the batch was admitted, the client
 //     falls back to polling GET /v1/jobs/{id} for the verdicts it has
 //     not yet seen (the daemon finishes admitted batches even when the
-//     submitting connection dies); polls ride fleet.RetryClient with
+//     submitting connection dies); polls ride retryClient with
 //     per-request timeouts and the same backoff policy.
 
 import (
@@ -24,15 +24,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"checkfence/internal/core"
 	"checkfence/internal/daemon"
-	"checkfence/internal/fleet"
 	"checkfence/internal/job"
 	"checkfence/internal/memmodel"
 )
@@ -41,7 +38,7 @@ import (
 type remoteRunner struct {
 	base   string // daemon base URL, no trailing slash
 	client *http.Client
-	poll   fleet.RetryClient
+	poll   retryClient
 	out    printer
 }
 
@@ -165,13 +162,12 @@ func (r *remoteRunner) run(ctx context.Context, req *daemon.BatchRequest) (int, 
 // and honoring the daemon's Retry-After when it sheds load. Returns
 // the open streaming response.
 func (r *remoteRunner) submit(ctx context.Context, body []byte) (*http.Response, error) {
+	policy := retryClient{baseDelay: 200 * time.Millisecond}
 	var lastErr error
-	for attempt := 0; attempt <= 4; attempt++ {
+	var hint time.Duration // the last response's Retry-After
+	for attempt := 0; attempt <= policy.retryBudget(); attempt++ {
 		if attempt > 0 {
-			d := backoffDelay(attempt)
-			if hint := retryAfterOf(lastErr); hint > d {
-				d = hint
-			}
+			d := max(policy.backoff(attempt), hint)
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
@@ -186,7 +182,7 @@ func (r *remoteRunner) submit(ctx context.Context, body []byte) (*http.Response,
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := r.client.Do(req)
 		if err != nil {
-			lastErr = err
+			lastErr, hint = err, 0
 			continue
 		}
 		if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
@@ -194,57 +190,23 @@ func (r *remoteRunner) submit(ctx context.Context, body []byte) (*http.Response,
 		}
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
-		serr := &fleet.StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(b))}
-		if resp.StatusCode != http.StatusTooManyRequests &&
-			resp.StatusCode != http.StatusServiceUnavailable && resp.StatusCode < 500 {
+		serr := &statusError{Code: resp.StatusCode, Body: trimBody(b)}
+		if !retryableStatus(resp.StatusCode) {
 			return nil, serr
 		}
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if n, perr := strconv.Atoi(s); perr == nil && n > 0 {
-				lastErr = &retryAfterError{err: serr, after: time.Duration(n) * time.Second}
-				continue
-			}
-		}
-		lastErr = serr
+		lastErr, hint = serr, retryAfter(resp)
 	}
 	return nil, fmt.Errorf("submitting batch: %w", lastErr)
 }
 
-// retryAfterError wraps a transient submit failure with the server's
-// Retry-After hint.
-type retryAfterError struct {
-	err   error
-	after time.Duration
-}
-
-func (e *retryAfterError) Error() string { return e.err.Error() }
-func (e *retryAfterError) Unwrap() error { return e.err }
-
-func retryAfterOf(err error) time.Duration {
-	if ra, ok := err.(*retryAfterError); ok {
-		return ra.after
-	}
-	return 0
-}
-
-// backoffDelay is the submit backoff for re-attempt n (1-based):
-// exponential from 200ms, capped at 5s, with up to 50% jitter.
-func backoffDelay(n int) time.Duration {
-	d := 200 * time.Millisecond << uint(n-1)
-	if d > 5*time.Second || d <= 0 {
-		d = 5 * time.Second
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
 // pollJob polls GET /v1/jobs/{id} until the job is done. Transport
-// failures within one poll ride fleet.RetryClient's backoff; between
+// failures within one poll ride retryClient's backoff; between
 // polls the client sleeps the daemon's hinted second.
 func (r *remoteRunner) pollJob(ctx context.Context, id string) (*daemon.ResultLine, error) {
 	url := r.base + "/v1/jobs/" + id
 	for {
 		var st daemon.JobStatus
-		if err := r.poll.GetJSON(ctx, url, &st); err != nil {
+		if err := r.poll.getJSON(ctx, url, &st); err != nil {
 			return nil, err
 		}
 		if st.State == "done" && st.Result != nil {

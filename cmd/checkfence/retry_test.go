@@ -1,4 +1,4 @@
-package fleet
+package main
 
 import (
 	"context"
@@ -24,10 +24,10 @@ func TestRetryClientRetriesTransient(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := RetryClient{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	c := retryClient{baseDelay: time.Millisecond, maxDelay: 5 * time.Millisecond}
 	var out map[string]string
-	if err := c.PostJSON(context.Background(), ts.URL, map[string]int{"n": 1}, &out); err != nil {
-		t.Fatalf("PostJSON: %v", err)
+	if err := c.getJSON(context.Background(), ts.URL, &out); err != nil {
+		t.Fatalf("getJSON: %v", err)
 	}
 	if out["ok"] != "yes" {
 		t.Fatalf("decoded %v, want ok=yes", out)
@@ -51,31 +51,31 @@ func TestRetryClientHonorsRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := RetryClient{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	c := retryClient{baseDelay: time.Millisecond, maxDelay: 2 * time.Millisecond}
 	start := time.Now()
-	if err := c.PostJSON(context.Background(), ts.URL, struct{}{}, nil); err != nil {
-		t.Fatalf("PostJSON: %v", err)
+	if err := c.getJSON(context.Background(), ts.URL, nil); err != nil {
+		t.Fatalf("getJSON: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < time.Second {
 		t.Fatalf("retried after %v, want >= 1s (the Retry-After hint)", elapsed)
 	}
 }
 
-// TestRetryClient410Terminal: 410 Gone (lease lost) must not be
-// retried and must surface as a typed StatusError.
+// TestRetryClient410Terminal: a 4xx such as 410 Gone must not be
+// retried and must surface as a typed statusError.
 func TestRetryClient410Terminal(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		http.Error(w, "lease gone", http.StatusGone)
+		http.Error(w, "gone", http.StatusGone)
 	}))
 	defer ts.Close()
 
-	c := RetryClient{BaseDelay: time.Millisecond}
-	err := c.PostJSON(context.Background(), ts.URL, struct{}{}, nil)
-	var serr *StatusError
+	c := retryClient{baseDelay: time.Millisecond}
+	err := c.getJSON(context.Background(), ts.URL, nil)
+	var serr *statusError
 	if !errors.As(err, &serr) || serr.Code != http.StatusGone {
-		t.Fatalf("error = %v, want *StatusError with code 410", err)
+		t.Fatalf("error = %v, want *statusError with code 410", err)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("terminal 410 was retried: %d calls", got)
@@ -92,19 +92,19 @@ func TestRetryClientPerRequestTimeout(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := RetryClient{Timeout: 50 * time.Millisecond, Retries: -1}
+	c := retryClient{timeout: 50 * time.Millisecond, retries: -1}
 	start := time.Now()
-	err := c.PostJSON(context.Background(), ts.URL, struct{}{}, nil)
+	err := c.getJSON(context.Background(), ts.URL, nil)
 	if err == nil {
-		t.Fatal("PostJSON against a hung server succeeded")
+		t.Fatal("getJSON against a hung server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("timeout took %v, want ~50ms", elapsed)
 	}
 }
 
-// TestGetJSONPollPath: the GET path shares the retry policy (used by
-// the checkfence remote client against /v1/jobs/{id}).
+// TestGetJSONPollPath: the poll path (GET /v1/jobs/{id}) sends GET
+// and retries a transient gateway error.
 func TestGetJSONPollPath(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -120,10 +120,10 @@ func TestGetJSONPollPath(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := RetryClient{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	c := retryClient{baseDelay: time.Millisecond, maxDelay: 2 * time.Millisecond}
 	var out map[string]string
-	if err := c.GetJSON(context.Background(), ts.URL, &out); err != nil {
-		t.Fatalf("GetJSON: %v", err)
+	if err := c.getJSON(context.Background(), ts.URL, &out); err != nil {
+		t.Fatalf("getJSON: %v", err)
 	}
 	if out["state"] != "done" {
 		t.Fatalf("decoded %v, want state=done", out)

@@ -12,13 +12,8 @@
 // batches for -drain, then cancel the rest; interrupted miners leave
 // resumable checkpoints in the cache directory.
 //
-// Distributed mode: -coordinator turns the daemon into a fleet
-// coordinator — each check is one task (internal/fleet), leased whole
-// to workers polling /fleet/v1/*; every fault class (worker
-// crash, hang, partition, duplicate delivery) degrades to
-// slower-but-correct via requeue or local fallback, with
-// the cause visible on /metrics. -worker URL runs the process as a
-// pull worker against such a coordinator instead of serving HTTP.
+// The only parallelism is across checks: -j bounds how many of them
+// the one process solves at once.
 package main
 
 import (
@@ -32,9 +27,7 @@ import (
 	"syscall"
 	"time"
 
-	"checkfence/internal/core"
 	"checkfence/internal/daemon"
-	"checkfence/internal/fleet"
 )
 
 func main() {
@@ -51,59 +44,24 @@ func run(args []string) int {
 	maxBatch := fs.Int("max-batch", 0, "max jobs per batch after model expansion (0 = 256)")
 	maxInflight := fs.Int("max-inflight", 0, "max admitted-but-unfinished jobs; excess batches get 503 + Retry-After (0 = unlimited)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain window before cancelling in-flight work")
-
-	coordinator := fs.Bool("coordinator", false, "fleet coordinator mode: lease checks to workers via /fleet/v1/*")
-	workerURL := fs.String("worker", "", "fleet worker mode: pull checks from this coordinator URL")
-	workerID := fs.String("worker-id", "", "worker identity (default: host-pid)")
-	lease := fs.Duration("lease", 30*time.Second, "coordinator: task lease duration (workers must heartbeat within it)")
-	fleetRetries := fs.Int("fleet-retries", 3, "coordinator: retries after a check's first dispatch before solving it locally")
-	journalPath := fs.String("fleet-journal", "", "coordinator: crash-recovery journal path (JSON lines)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *workerURL != "" {
-		return runWorker(*workerURL, *workerID, *cacheDir)
-	}
-
-	cfg := daemon.Config{
+	srv := daemon.NewServer(daemon.Config{
 		Parallelism:    *parallelism,
 		CacheDir:       *cacheDir,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxBatchJobs:   *maxBatch,
 		MaxInflight:    *maxInflight,
-	}
-	var coord *fleet.Coordinator
-	if *coordinator {
-		var err error
-		coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			Lease:       *lease,
-			MaxRetries:  *fleetRetries,
-			JournalPath: *journalPath,
-			Local: core.SuiteOptions{
-				SpecCacheDir: *cacheDir,
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkfenced: %v\n", err)
-			return 2
-		}
-		defer coord.Close()
-		cfg.Fleet = coord
-	}
-
-	srv := daemon.NewServer(cfg)
+	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "checkfenced: %v\n", err)
 		return 2
 	}
-	mode := ""
-	if coord != nil {
-		mode = " (fleet coordinator)"
-	}
-	fmt.Printf("checkfenced listening on %s%s\n", ln.Addr(), mode)
+	fmt.Printf("checkfenced listening on %s\n", ln.Addr())
 
 	httpSrv := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
@@ -125,37 +83,4 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "checkfenced: %v\n", err)
 		return 2
 	}
-}
-
-// runWorker runs the process as a fleet pull worker until interrupted.
-func runWorker(url, id, cacheDir string) int {
-	if id == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "worker"
-		}
-		id = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		ID:           id,
-		URL:          url,
-		SpecCacheDir: cacheDir,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "checkfenced: %v\n", err)
-		return 2
-	}
-	fmt.Printf("checkfenced worker %s pulling from %s\n", id, url)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	err = w.Run(ctx)
-	st := w.Stats()
-	fmt.Printf("checkfenced worker %s done: %d polled, %d completed, %d abandoned\n",
-		id, st.Polled, st.Completed, st.Abandoned)
-	if err != nil && err != context.Canceled {
-		fmt.Fprintf(os.Stderr, "checkfenced: %v\n", err)
-		return 2
-	}
-	return 0
 }

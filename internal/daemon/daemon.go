@@ -21,7 +21,6 @@ import (
 
 	"checkfence/internal/core"
 	"checkfence/internal/faultinject"
-	"checkfence/internal/fleet"
 	"checkfence/internal/job"
 )
 
@@ -49,11 +48,6 @@ type Config struct {
 	// a batch that would exceed it is refused with 503 and a
 	// Retry-After hint instead of queueing unboundedly (0 = unlimited).
 	MaxInflight int
-	// Fleet, when non-nil, switches the daemon into coordinator mode:
-	// checks are leased to fleet workers (CheckDistributed) instead
-	// of solved in-process, the coordinator's lease API is mounted
-	// under /fleet/v1/, and its fault-tolerance counters join /metrics.
-	Fleet *fleet.Coordinator
 }
 
 func (c Config) maxBatchJobs() int {
@@ -170,9 +164,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/check", s.handleCheck)
 	s.mux.HandleFunc("/v1/jobs/", s.handleJob)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	if cfg.Fleet != nil {
-		s.mux.Handle("/fleet/v1/", cfg.Fleet.Handler())
-	}
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
@@ -213,12 +204,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// expand validates a batch and renders it as core jobs plus the
-// expanded wire descriptions (the fleet path dispatches those) and
+// expand validates a batch and renders it as core jobs plus their
 // wire IDs.
-func (s *Server) expand(req *BatchRequest, batchID string) ([]core.Job, []job.Check, []string, error) {
+func (s *Server) expand(req *BatchRequest, batchID string) ([]core.Job, []string, error) {
 	var jobs []core.Job
-	var checks []job.Check
 	var ids []string
 	for bi := range req.Jobs {
 		entry := &req.Jobs[bi]
@@ -243,20 +232,19 @@ func (s *Server) expand(req *BatchRequest, batchID string) ([]core.Job, []job.Ch
 			}
 			cj, err := c.CoreJob()
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("jobs[%d] model %q: %w", bi, m, err)
+				return nil, nil, fmt.Errorf("jobs[%d] model %q: %w", bi, m, err)
 			}
 			jobs = append(jobs, cj)
-			checks = append(checks, c)
 			ids = append(ids, fmt.Sprintf("%s-%d", batchID, len(ids)))
 		}
 	}
 	if len(jobs) == 0 {
-		return nil, nil, nil, fmt.Errorf("empty batch")
+		return nil, nil, fmt.Errorf("empty batch")
 	}
 	if len(jobs) > s.cfg.maxBatchJobs() {
-		return nil, nil, nil, fmt.Errorf("batch of %d jobs exceeds limit %d", len(jobs), s.cfg.maxBatchJobs())
+		return nil, nil, fmt.Errorf("batch of %d jobs exceeds limit %d", len(jobs), s.cfg.maxBatchJobs())
 	}
-	return jobs, checks, ids, nil
+	return jobs, ids, nil
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +268,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	batchID := fmt.Sprintf("b%d", s.nextID)
 	s.mu.Unlock()
 
-	jobs, checks, ids, err := s.expand(&req, batchID)
+	jobs, ids, err := s.expand(&req, batchID)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -328,71 +316,35 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	done := DoneLine{Type: "done"}
-	finish := func(i int, r job.Result) {
-		line := &ResultLine{Type: "result", ID: ids[i], Index: i, Result: r}
-		switch {
-		case r.Error != "":
-			done.Errors++
-		case r.Verdict == "fail":
-			done.Fail++
-		case r.Verdict == "unknown":
-			done.Unknown++
-		default:
-			done.Pass++
-		}
-		s.record(line)
-		writeLine(line)
-	}
-	if s.cfg.Fleet != nil {
-		s.runFleet(checks, jobs, finish)
-	} else {
-		core.RunSuite(jobs, core.SuiteOptions{
-			Parallelism: s.cfg.Parallelism,
-			Context:     s.ctx,
-			SpecCache:   s.cache,
-			Gate:        s.gate,
-			Faults:      s.cfg.Faults,
-			OnResult: func(i int, r core.SuiteResult) {
-				finish(i, job.NewResult(jobs[i], r.Res, r.Err))
-			},
-		})
-	}
+	core.RunSuite(jobs, core.SuiteOptions{
+		Parallelism: s.cfg.Parallelism,
+		Context:     s.ctx,
+		SpecCache:   s.cache,
+		Gate:        s.gate,
+		Faults:      s.cfg.Faults,
+		OnResult: func(i int, sr core.SuiteResult) {
+			r := job.NewResult(jobs[i], sr.Res, sr.Err)
+			line := &ResultLine{Type: "result", ID: ids[i], Index: i, Result: r}
+			switch {
+			case r.Error != "":
+				done.Errors++
+			case r.Verdict == "fail":
+				done.Fail++
+			case r.Verdict == "unknown":
+				done.Unknown++
+			default:
+				done.Pass++
+			}
+			s.record(line)
+			writeLine(line)
+		},
+	})
 	done.Elapsed = time.Since(start).String()
 	writeLine(done)
 }
 
-// runFleet dispatches each expanded check through the fleet
-// coordinator, finishing checks as they complete. The admission gate
-// bounds concurrently dispatched checks like it bounds local check
-// units.
-func (s *Server) runFleet(checks []job.Check, jobs []core.Job, finish func(int, job.Result)) {
-	var mu sync.Mutex // serializes finish calls, like RunSuite's OnResult
-	var wg sync.WaitGroup
-	for i := range checks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := s.gate.Acquire(s.ctx)
-			var out fleet.Outcome
-			if err == nil {
-				out, err = s.cfg.Fleet.CheckDistributed(s.ctx, checks[i])
-				s.gate.Release()
-			}
-			r := out.Result
-			if err != nil {
-				r = job.NewResult(jobs[i], nil, err)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			finish(i, r)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // record stores a finished check for the poll endpoint and folds it
-// into the verdict, router, sweep and budget counters (the fleet
-// coordinator's own Metrics cover the distributed side).
+// into the verdict, router, sweep and budget counters.
 func (s *Server) record(line *ResultLine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -488,16 +440,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("checkfenced_spec_cache_resumed_total", "Mines resumed from a checkpoint.", int64(cs.Resumed))
 	counter("checkfenced_spec_cache_corrupt_total", "Corrupt cache files moved aside to .bad.", int64(cs.Corrupt))
 	gauge("checkfenced_spec_cache_entries", "In-memory spec cache entries.", int64(cs.Entries))
-	if s.cfg.Fleet != nil {
-		fm := s.cfg.Fleet.Metrics()
-		counter("checkfenced_fleet_tasks_dispatched_total", "Fleet leases granted (including re-dispatch).", fm.TasksDispatched)
-		counter("checkfenced_fleet_tasks_completed_total", "Fleet task outcomes accepted (first per task).", fm.TasksCompleted)
-		counter("checkfenced_fleet_lease_expirations_total", "Leases lost to missing heartbeats.", fm.LeaseExpirations)
-		counter("checkfenced_fleet_requeues_total", "Tasks requeued after a lost lease or worker error.", fm.Requeues)
-		counter("checkfenced_fleet_dup_results_total", "Duplicate results dropped by fingerprint dedup.", fm.DupResults)
-		counter("checkfenced_fleet_late_results_total", "Results rejected after lease reassignment.", fm.LateResults)
-		counter("checkfenced_fleet_local_fallbacks_total", "Tasks solved locally after retry exhaustion.", fm.LocalFallbacks)
-		counter("checkfenced_fleet_journal_replayed_total", "Task outcomes restored from the journal.", fm.JournalReplayed)
-	}
 	io.WriteString(w, b.String())
 }

@@ -16,9 +16,7 @@ import (
 
 	"checkfence/internal/core"
 	"checkfence/internal/faultinject"
-	"checkfence/internal/fleet"
 	"checkfence/internal/harness"
-	"checkfence/internal/job"
 	"checkfence/internal/memmodel"
 )
 
@@ -564,120 +562,6 @@ func TestDeadlineClamp(t *testing.T) {
 	}
 	if results[0].Verdict != "pass" {
 		t.Errorf("verdict = %s", results[0].Verdict)
-	}
-}
-
-// TestFleetModeMatchesDirect: the daemon in coordinator mode, with
-// in-process fleet workers, must stream the same verdicts as the plain
-// in-process daemon, and its /metrics must expose the fleet counters.
-func TestFleetModeMatchesDirect(t *testing.T) {
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Lease:          200 * time.Millisecond,
-		BaseBackoff:    5 * time.Millisecond,
-		PollRetryAfter: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	srv := NewServer(Config{Fleet: coord})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
-
-	for _, id := range []string{"w1", "w2"} {
-		w, err := fleet.NewWorker(fleet.WorkerConfig{
-			ID: id, Local: coord, PollInterval: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wctx, wcancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			w.Run(wctx)
-		}()
-		defer func() { wcancel(); <-done }()
-	}
-
-	body := `{"jobs": [{"program": {"name": "msn"}, "test": "T0", "models": ["sc", "tso"]},
-	                   {"program": {"name": "msn-nofence"}, "test": "T0", "model": "relaxed"}]}`
-	_, results, done := postBatch(t, ts, body)
-	if done.Errors != 0 {
-		t.Fatalf("fleet batch had %d errors: %+v", done.Errors, results)
-	}
-
-	// Direct (non-fleet) daemon as the oracle.
-	direct := NewServer(Config{})
-	dts := httptest.NewServer(direct)
-	defer dts.Close()
-	defer direct.Shutdown(context.Background())
-	_, want, _ := postBatch(t, dts, body)
-
-	if len(results) != len(want) {
-		t.Fatalf("fleet returned %d results, direct %d", len(results), len(want))
-	}
-	byIndex := func(rs []ResultLine) map[int]ResultLine {
-		m := map[int]ResultLine{}
-		for _, r := range rs {
-			m[r.Index] = r
-		}
-		return m
-	}
-	got, oracle := byIndex(results), byIndex(want)
-	for i, w := range oracle {
-		g := got[i]
-		if g.Verdict != w.Verdict || g.Pass != w.Pass || g.SeqBug != w.SeqBug {
-			t.Errorf("job %d: fleet verdict %q (pass=%v) != direct %q (pass=%v)",
-				i, g.Verdict, g.Pass, w.Verdict, w.Pass)
-		}
-	}
-
-	// A fleet line carries the stats of a serial run of its check. The
-	// oracle runs each check alone: the direct daemon sweeps the sc/tso
-	// pair over one shared encoding, so its CNF sizes differ. Timing and
-	// the per-process spec cache counters are the only fields allowed
-	// to differ.
-	comparable := func(st job.Stats) job.Stats {
-		st.TotalTime, st.CacheHits, st.CacheMisses, st.CacheResumed = "", 0, 0, 0
-		return st
-	}
-	for _, g := range results {
-		ck := job.Check{Program: job.Program{Name: g.Impl}, Test: g.Test, Model: g.Model}
-		cj, err := ck.CoreJob()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr := core.RunSuite([]core.Job{cj}, core.SuiteOptions{Parallelism: 1})
-		if sr[0].Err != nil {
-			t.Fatal(sr[0].Err)
-		}
-		want := comparable(*job.NewResult(cj, sr[0].Res, nil).Stats)
-		if got := comparable(*g.Stats); got != want {
-			t.Errorf("%s/%s/%s: fleet stats %+v != serial %+v", g.Impl, g.Test, g.Model, got, want)
-		}
-	}
-
-	// Each of the three (job, model) checks is one task, completed
-	// exactly once.
-	if n := scrapeMetric(t, ts, "checkfenced_fleet_tasks_completed_total"); n != 3 {
-		t.Fatalf("fleet mode completed %d tasks, want 3", n)
-	}
-	scrapeMetric(t, ts, "checkfenced_fleet_tasks_dispatched_total")
-
-	// The poll path records fleet verdicts too.
-	for _, r := range results {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + r.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st JobStatus
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if st.State != "done" || st.Result == nil || st.Result.Verdict != r.Verdict {
-			t.Fatalf("poll record for %s = %+v, want done/%s", r.ID, st, r.Verdict)
-		}
 	}
 }
 

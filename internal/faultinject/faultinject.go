@@ -41,43 +41,11 @@ const (
 	CacheCorrupt Site = "cache-corrupt"
 )
 
-// Network-level fault sites of the distributed fleet layer
-// (internal/fleet). They model the failure classes of a
-// coordinator/worker deployment, injected at the worker's hook points:
-//
-//	FleetWorkerCrash    — the worker dies mid-check and abandons the
-//	                      task without reporting (a process crash);
-//	                      the coordinator's lease expires.
-//	FleetStallHeartbeat — the worker keeps computing but its heartbeats
-//	                      stop (hang or network partition on the
-//	                      renewal path); the lease expires and the
-//	                      eventual result arrives late.
-//	FleetDropResult     — the result response is dropped in flight
-//	                      (partition on the reply path); the lease
-//	                      expires with the work finished but unseen.
-//	FleetDupResult      — the result is delivered twice (an
-//	                      at-least-once transport retry); the
-//	                      coordinator must deduplicate.
-const (
-	FleetWorkerCrash    Site = "fleet-worker-crash"
-	FleetStallHeartbeat Site = "fleet-stall-heartbeat"
-	FleetDropResult     Site = "fleet-drop-result"
-	FleetDupResult      Site = "fleet-dup-result"
-)
-
-// Sites returns every registered core-pipeline fault site. The chaos
-// sweep iterates this list so a newly added site is exercised without
-// editing the test. The fleet's network-level sites are listed
-// separately by NetworkSites: they only have hook points in the
-// coordinator/worker layer.
+// Sites returns every registered fault site. The chaos sweep iterates
+// this list so a newly added site is exercised without editing the
+// test.
 func Sites() []Site {
 	return []Site{SolverAlloc, SolverBudget, SolvePanic, EncodePanic, MinePanic, CacheCorrupt}
-}
-
-// NetworkSites returns the fleet's network-level fault sites, in the
-// order the fleet chaos sweep should visit them.
-func NetworkSites() []Site {
-	return []Site{FleetWorkerCrash, FleetStallHeartbeat, FleetDropResult, FleetDupResult}
 }
 
 // Recoverable reports whether a fault at the site is expected to be
@@ -87,11 +55,6 @@ func NetworkSites() []Site {
 func Recoverable(s Site) bool {
 	switch s {
 	case SolverBudget, CacheCorrupt:
-		return true
-	case FleetWorkerCrash, FleetStallHeartbeat, FleetDropResult, FleetDupResult:
-		// The fleet's lease/requeue/dedup machinery absorbs every
-		// network-level fault: the check is re-dispatched or the
-		// duplicate dropped, and the verdict is unchanged.
 		return true
 	}
 	return false

@@ -2,23 +2,14 @@
 // CheckFence verification problem — program, test, memory model,
 // unrolling bounds, backend selection, solver strategy and resource
 // budgets — round-tripped through JSON. It is the wire format of the
-// checkfenced daemon's /v1/check endpoint and the unit the fleet
-// coordinator leases to remote workers: everything a check depends on
-// is in the description, so any process holding it can produce the
+// checkfenced daemon's /v1/check endpoint: everything a check depends
+// on is in the description, so any process holding it can produce the
 // same verdict.
-//
-// The description is canonicalizable: Fingerprint hashes a normalized
-// rendering, giving content-addressed identities that line up with the
-// spec cache's content-addressed observation-set tier.
 package job
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
 	"time"
 
 	"checkfence/internal/core"
@@ -293,41 +284,4 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		}
 	}
 	return c
-}
-
-// Fingerprint returns a content-addressed identity of the description:
-// the hex SHA-256 of a canonical rendering (defaults normalized, map
-// keys sorted). Two descriptions with equal fingerprints request the
-// same check.
-func (c *Check) Fingerprint() string {
-	h := sha256.New()
-	write := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	write("program", c.Program.Name, c.Program.Source, c.Program.InitFunc,
-		c.Program.Object, c.Program.Kind)
-	for _, op := range c.Program.Ops {
-		write("op", op.Mnemonic, op.Func,
-			strconv.Itoa(op.NumArgs), strconv.FormatBool(op.HasRet), strconv.FormatBool(op.HasOut))
-	}
-	write("test", c.Test, "model", c.model(), "backend", c.backend(),
-		"spec", c.SpecSource, "sweep", c.Sweep)
-	keys := make([]string, 0, len(c.Bounds))
-	for k := range c.Bounds {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		write("bound", k, strconv.Itoa(c.Bounds[k]))
-	}
-	write("mmi", strconv.Itoa(c.MaxMineIterations),
-		"nora", strconv.FormatBool(c.NoRangeAnalysis),
-		"noval", strconv.FormatBool(c.NoValidate),
-		"to", time.Duration(c.Timeout).String(),
-		"cb", strconv.FormatInt(c.ConflictBudget, 10),
-		"mem", strconv.Itoa(c.MemBudgetMB))
-	return hex.EncodeToString(h.Sum(nil))
 }

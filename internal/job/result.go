@@ -5,8 +5,8 @@ import "checkfence/internal/core"
 // Result is the serializable answer to one check: PASS, or FAIL with
 // its counterexample, or UNKNOWN with the budget trail that stopped
 // it, or the error that kept it from running. Every surface renders
-// from it: the daemon's NDJSON result lines, the fleet's worker reports
-// and journal, and the CLI in both local and remote mode.
+// from it: the daemon's NDJSON result lines and the CLI in both local
+// and remote mode.
 type Result struct {
 	Impl    string `json:"impl"`
 	Test    string `json:"test"`

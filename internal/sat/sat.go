@@ -9,7 +9,7 @@
 // loop-bound probes for their overflow clause. Solving under
 // assumptions is what the model sweep's per-model selectors use. Each
 // check runs one solver on one encoding; parallelism lives above a
-// check (suite workers, the daemon, the fleet).
+// check (suite workers, the daemon).
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
