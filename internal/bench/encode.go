@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"checkfence/internal/core"
@@ -53,9 +52,9 @@ type EncodeRow struct {
 
 // EncodeArtifact is the BENCH_encode.json schema.
 type EncodeArtifact struct {
-	GeneratedAt     string      `json:"generated_at"`
-	Model           string      `json:"model"`
-	CPUs            int         `json:"cpus"`
+	GeneratedAt string `json:"generated_at"`
+	Model       string `json:"model"`
+	Host
 	Rows            []EncodeRow `json:"rows"`
 	RowsAtLeast20   int         `json:"rows_at_least_20pct"`
 	MeanReductionPc float64     `json:"mean_reduction_pct"`
@@ -94,7 +93,7 @@ func (r *Runner) EncodeReport(jsonPath string) error {
 	art := EncodeArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Model:       model.String(),
-		CPUs:        runtime.NumCPU(),
+		Host:        hostInfo(),
 	}
 	var sumRed float64
 	for i := 0; i+1 < len(rows); i += 2 {

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -70,9 +69,9 @@ type SolveRow struct {
 
 // SolveArtifact is the BENCH_solve.json schema.
 type SolveArtifact struct {
-	GeneratedAt         string     `json:"generated_at"`
-	Model               string     `json:"model"`
-	CPUs                int        `json:"cpus"`
+	GeneratedAt string `json:"generated_at"`
+	Model       string `json:"model"`
+	Host
 	Rows                []SolveRow `json:"rows"`
 	MedianInprocSpeedup float64    `json:"median_inproc_speedup"`
 }
@@ -100,7 +99,7 @@ func (r *Runner) SolveReport(jsonPath string) error {
 	art := SolveArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Model:       model.String(),
-		CPUs:        runtime.NumCPU(),
+		Host:        hostInfo(),
 	}
 	var iSpeedups []float64
 	for _, pair := range solvePairs {

@@ -75,7 +75,8 @@ type Options struct {
 	// Encode, when non-nil, replaces the encoder's default
 	// minimization configuration (encode.DefaultConfig). It is for
 	// ablation tests and internal/bench only; the check still sets the
-	// configuration's Abort and Faults itself.
+	// configuration's Faults itself and polls its Abort, when set,
+	// before its own cancellation and deadline checks.
 	Encode *encode.Config
 	// NoValidate skips the independent re-validation of every decoded
 	// counterexample (internal/validate), which otherwise re-checks the
@@ -117,7 +118,7 @@ func (o Options) encodeConfig() encode.Config {
 	if o.Encode != nil {
 		cfg = *o.Encode
 	}
-	cfg.Abort, cfg.Faults = nil, o.Faults
+	cfg.Faults = o.Faults
 	return cfg
 }
 
@@ -213,9 +214,13 @@ type Stats struct {
 	SeededObs      int
 	SweepEarlyExit int
 
-	ProbeTime   time.Duration // lazy loop bound probes and the re-unrollings they cause
-	MineTime    time.Duration // specification mining
-	EncodeTime  time.Duration // building the inclusion CNF
+	ProbeTime time.Duration // lazy loop bound probes and the re-unrollings they cause
+	MineTime  time.Duration // specification mining
+	// EncodeTime is building the inclusion CNF. It leaves out the
+	// transitivity clauses: the solver emits those right after
+	// preprocessing, or inside the first solve when nothing
+	// preprocesses, so their time lands in RefuteTime.
+	EncodeTime  time.Duration
 	RefuteTime  time.Duration // SAT solving of the inclusion check
 	TotalTime   time.Duration
 	SolverStats sat.Stats
@@ -755,7 +760,8 @@ func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolle
 // abort promptly on suite cancellation), the deadline and the
 // conflict/memory budgets arm the solver's typed-budget machinery,
 // and both cancellation and the deadline also abort the encoding
-// phase itself, which can dominate a short deadline on big harnesses.
+// phase itself, which can dominate a short deadline on big harnesses,
+// and the transitivity emission the solver runs after preprocessing.
 func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
 	cancel := opts.Cancel
 	if cancel != nil {
@@ -778,7 +784,13 @@ func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
 		e.S.SetMemBudget(int64(opts.MemBudgetMB) << 20)
 	}
 	if cancel != nil || !deadline.IsZero() {
+		abort := e.Cfg.Abort
 		e.Cfg.Abort = func() error {
+			if abort != nil {
+				if err := abort(); err != nil {
+					return err
+				}
+			}
 			if cancel != nil {
 				select {
 				case <-cancel:

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +125,58 @@ func TestLadderDegradedVerdict(t *testing.T) {
 	}
 	if !res.Spec.Equal(clean.Spec) {
 		t.Errorf("degraded run mined a different observation set")
+	}
+}
+
+// TestAbortInDeferredEmission: an Abort that first fires inside the
+// deferred transitivity emission, after Encode has returned, must
+// yield VerdictUnknown, reported like a deadline on every rung. The
+// formula is incomplete there, so no solve of it may answer: a solver
+// that ignored the emission's error would decide the check without
+// transitivity.
+func TestAbortInDeferredEmission(t *testing.T) {
+	cfg := encode.DefaultConfig()
+	fired := 0
+	cfg.Abort = func() error {
+		if !inTransitivityEmission() {
+			return nil
+		}
+		fired++
+		return fmt.Errorf("test abort: %w", &sat.ErrBudget{Kind: sat.BudgetDeadline})
+	}
+	res, err := Check("msn", "T0", Options{Model: memmodel.Relaxed, Encode: &cfg})
+	if err != nil {
+		t.Fatalf("an aborted emission must be a verdict, got error: %v", err)
+	}
+	if fired == 0 {
+		t.Fatal("the abort never fired inside the deferred emission")
+	}
+	if res.Verdict != VerdictUnknown || res.Pass {
+		t.Fatalf("verdict = %v (pass=%v), want unknown", res.Verdict, res.Pass)
+	}
+	if res.Budget == nil || len(res.Budget.Rungs) == 0 {
+		t.Fatalf("budget report = %+v, want populated rungs", res.Budget)
+	}
+	for _, r := range res.Budget.Rungs {
+		if r.Budget != sat.BudgetDeadline.String() {
+			t.Errorf("rung %q exhausted %q (%s), want deadline", r.Name, r.Budget, r.Err)
+		}
+	}
+}
+
+// inTransitivityEmission reports whether the caller runs inside the
+// encoder's deferred transitivity emission.
+func inTransitivityEmission() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Encoder).assertTransitivity") {
+			return true
+		}
+		if !more {
+			return false
+		}
 	}
 }
 

@@ -19,9 +19,9 @@ func TestSearchPinned(t *testing.T) {
 		conflicts, propagations, decisions int64
 		clauses                            int
 	}{
-		{"ms2", "T1", 59, 4354, 147, 9491},
-		{"msn", "T0", 27, 4096, 121, 6209},
-		{"snark", "D0", 172, 73243, 666, 43407},
+		{"ms2", "T1", 59, 4336, 147, 9509},
+		{"msn", "T0", 27, 4093, 121, 6209},
+		{"snark", "D0", 147, 66588, 576, 43407},
 	}
 	for _, r := range rows {
 		res := check(t, r.impl, r.test, Options{Model: memmodel.Relaxed})

@@ -562,28 +562,62 @@ func (e *Encoder) progOrderFixed(a, b *Access) bool {
 	return e.Model.KeepsProgramOrder(a.IsLoad, b.IsLoad)
 }
 
-// assertOrderAxioms emits transitivity, the model's program-order
-// axioms, fence constraints, and atomicity constraints.
+// assertOrderAxioms emits the model's program-order axioms, fence
+// constraints, and atomicity constraints, and defers transitivity to
+// the solver (assertTransitivity).
 func (e *Encoder) assertOrderAxioms() {
+	// Transitivity is emitted over the merge-class skeleton only — one
+	// representative per class. Every non-constant representative-pair
+	// order variable is materialized now, so PreprocessCNF freezes all
+	// of them and the deferred clauses mention no eliminated variable.
 	n := len(e.Accesses)
-
-	// Transitivity: two clauses per unordered triple, emitted over the
-	// merge-class skeleton only — one representative per class. Merged
-	// pairs share their representative's node, so a representative
-	// triple covers every member triple, and triples touching a class
-	// twice reduce to tautologies over the intra-class constants.
-	// Clauses trivially satisfied by constants or a repeated node are
-	// skipped up front. The cubic loop dominates encode time on large
-	// harnesses, so poll the abort hook per row.
 	reps := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if e.orderRep[i] == i {
 			reps = append(reps, i)
 		}
 	}
+	for ii, i := range reps {
+		for _, j := range reps[ii+1:] {
+			if m := e.mLess(i, j); m != bitvec.True && m != bitvec.False {
+				e.B.Lit(m)
+			}
+		}
+	}
+	e.S.Defer(func() error { return e.assertTransitivity(reps) })
+
+	switch e.Model {
+	case memmodel.Relaxed, memmodel.PSO:
+		e.assertSameAddrProgramOrder()
+		e.assertFences()
+	case memmodel.TSO:
+		e.assertFences()
+	}
+	e.assertAtomicity()
+	if e.Model == memmodel.Serial {
+		e.assertSeriality()
+	}
+}
+
+// assertTransitivity emits transitivity: two clauses per unordered
+// triple of merge-class representatives. Merged pairs share their
+// representative's node, so a representative triple covers every
+// member triple, and triples touching a class twice reduce to
+// tautologies over the intra-class constants. Clauses trivially
+// satisfied by constants or a repeated node are skipped up front.
+//
+// The clauses are roughly cubic in the number of accesses, and every
+// literal is a frozen memory-order variable, so preprocessing could
+// neither eliminate nor shrink them. The solver therefore runs this
+// emission after Preprocess, or at the first Solve when nothing
+// preprocesses (sat.Solver.Defer); every solve still sees the whole
+// formula. The cubic loop dominates the emission on large harnesses,
+// so it polls the abort hook per row, and an abort leaves the solver
+// answering Unknown.
+func (e *Encoder) assertTransitivity(reps []int) error {
 	for ii := 0; ii < len(reps); ii++ {
 		if e.aborted() {
-			return
+			return e.abortErr
 		}
 		i := reps[ii]
 		for jj := ii + 1; jj < len(reps); jj++ {
@@ -602,18 +636,7 @@ func (e *Encoder) assertOrderAxioms() {
 			}
 		}
 	}
-
-	switch e.Model {
-	case memmodel.Relaxed, memmodel.PSO:
-		e.assertSameAddrProgramOrder()
-		e.assertFences()
-	case memmodel.TSO:
-		e.assertFences()
-	}
-	e.assertAtomicity()
-	if e.Model == memmodel.Serial {
-		e.assertSeriality()
-	}
+	return nil
 }
 
 // assertSameAddrProgramOrder emits the conditional same-address

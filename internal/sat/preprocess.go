@@ -42,13 +42,27 @@ const (
 // Preprocess simplifies the root-level clause database in place.
 // It returns false when simplification derives unsatisfiability
 // (subsequent Solve calls return Unsat). Learned clauses are dropped:
-// preprocessing is meant to run before search.
+// preprocessing is meant to run before search. A pending Defer
+// emission runs right after the rebuilt database is in place, so its
+// clauses never pass through the preprocessor; they count in
+// PreClauses but not in PreprocessTime. When preprocessing derives
+// unsatisfiability the emission never runs: the formula is UNSAT with
+// or without its clauses.
 func (s *Solver) Preprocess() bool {
 	if !s.ok {
 		return false
 	}
 	start := time.Now()
-	defer func() { s.preStats.preprocessTime += time.Since(start) }()
+	ok := s.preprocess()
+	s.preStats.preprocessTime += time.Since(start)
+	if ok && s.deferred != nil {
+		s.preStats.preClauses += s.runDeferred()
+	}
+	return ok
+}
+
+// preprocess is Preprocess without the deferred emission.
+func (s *Solver) preprocess() bool {
 	s.cancelUntil(0)
 	if s.propagate() != crefUndef {
 		s.ok = false

@@ -6,10 +6,12 @@
 // paper's method needs: solving CNF formulas with models, and
 // incremental solving. Clauses may be added between Solve calls, which
 // the specification-mining loop uses for blocking clauses and the lazy
-// loop-bound probes for their overflow clause. Solving under
-// assumptions is what the model sweep's per-model selectors use. Each
-// check runs one solver on one encoding; parallelism lives above a
-// check (suite workers, the daemon).
+// loop-bound probes for their overflow clause; Defer adds a batch of
+// clauses (the encoder's transitivity axioms) after preprocessing, or
+// at the first Solve. Solving under assumptions is what the model
+// sweep's per-model selectors use. Each check runs one solver on one
+// encoding; parallelism lives above a check (suite workers, the
+// daemon).
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
@@ -23,6 +25,7 @@
 package sat
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -193,7 +196,10 @@ func (o *varOrder) rebuild() {
 }
 
 // Stats reports solver work counters. The Pre* and preprocessing
-// fields are zero unless Preprocess ran.
+// fields are zero unless Preprocess ran. PreClauses also counts the
+// clauses a Defer emission stored right after preprocessing, so it
+// is the size of the whole formula, not just of the part Preprocess
+// saw.
 type Stats struct {
 	Vars         int
 	Clauses      int
@@ -299,6 +305,12 @@ type Solver struct {
 	// stop is an optional external stop predicate (e.g. a context
 	// check), polled in the solve loop.
 	stop func() bool
+
+	// deferred is the pending Defer emission; deferErr records its
+	// failure, after which the formula is incomplete and every Solve
+	// returns Unknown.
+	deferred func() error
+	deferErr error
 
 	maxLearnts   float64
 	learntGrowth float64
@@ -468,6 +480,32 @@ func (s *Solver) Stats() Stats {
 	st.ClausesStrengthened = s.preStats.clausesStrengthened
 	st.PreprocessTime = s.preStats.preprocessTime
 	return st
+}
+
+// Defer registers emit to add clauses to the formula later. It runs
+// exactly once: right after the next Preprocess has rebuilt the clause
+// database (its time is not counted in PreprocessTime), or on entry to
+// the next Solve if no Preprocess comes first. Clauses it adds skip
+// preprocessing, so, like any clause added after Preprocess, they may
+// only mention frozen or fresh variables. A non-nil return leaves the
+// formula incomplete: that Solve and every later one return Unknown,
+// and BudgetErr reports the error's *ErrBudget when it wraps one. At
+// most one emission may be pending.
+func (s *Solver) Defer(emit func() error) {
+	if s.deferred != nil {
+		panic("sat: a deferred emission is already pending")
+	}
+	s.deferred = emit
+}
+
+// runDeferred runs the pending Defer emission and returns the number
+// of clauses it stored.
+func (s *Solver) runDeferred() int {
+	emit := s.deferred
+	s.deferred = nil
+	before := s.stats.Clauses
+	s.deferErr = emit()
+	return s.stats.Clauses - before
 }
 
 // SetBudget limits the number of conflicts a single Solve may use
@@ -1010,6 +1048,14 @@ func luby(i int64) int64 {
 // BudgetErr tells which).
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.budgetErr = nil
+	if s.deferred != nil && s.ok {
+		s.runDeferred()
+	}
+	if s.deferErr != nil {
+		// The formula is incomplete: neither answer would be about it.
+		errors.As(s.deferErr, &s.budgetErr)
+		return Unknown
+	}
 	if !s.ok {
 		return Unsat
 	}
