@@ -173,12 +173,12 @@ type SuiteResult = core.SuiteResult
 // context, spec cache sharing, completion callback).
 type SuiteOptions = core.SuiteOptions
 
-// SweepMode controls model-sweep grouping in CheckSuite: under
-// SweepAuto (the default) jobs identical in everything but Model are
-// checked on one shared selector-guarded encoding, solved per model
-// under assumption literals with learned clauses carried across the
-// sweep; SweepOff checks every job independently. Verdicts and
-// observation sets are identical either way.
+// SweepMode controls model-sweep grouping in CheckSuite, per job
+// (Options.Sweep): under SweepAuto (the default) jobs identical in
+// everything but Model are checked on one shared selector-guarded
+// encoding, solved per model under assumption literals with learned
+// clauses carried across the sweep; SweepOff checks the job on its
+// own. Verdicts and observation sets are identical either way.
 type SweepMode = core.SweepMode
 
 // The sweep modes.

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"checkfence/internal/core"
@@ -105,9 +104,9 @@ type BackendHarnessRow struct {
 
 // BackendArtifact is the BENCH_backend.json schema.
 type BackendArtifact struct {
-	GeneratedAt     string              `json:"generated_at"`
-	Model           string              `json:"model"`
-	CPUs            int                 `json:"cpus"`
+	GeneratedAt string `json:"generated_at"`
+	Model       string `json:"model"`
+	Host
 	LitmusRows      []BackendLitmusRow  `json:"litmus_rows"`
 	HarnessRows     []BackendHarnessRow `json:"harness_rows"`
 	MedianRFSpeedup float64             `json:"median_rf_speedup"`
@@ -147,7 +146,7 @@ func (r *Runner) BackendReport(jsonPath string) error {
 	art := BackendArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Model:       model.String(),
-		CPUs:        runtime.NumCPU(),
+		Host:        hostInfo(),
 	}
 
 	r.printf("Multi-backend routing: rf vs serial SAT on litmus-scale rows (model: %s)\n", model)

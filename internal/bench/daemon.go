@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -57,8 +56,8 @@ type DaemonRow struct {
 
 // DaemonArtifact is the BENCH_daemon.json schema.
 type DaemonArtifact struct {
-	GeneratedAt      string      `json:"generated_at"`
-	CPUs             int         `json:"cpus"`
+	GeneratedAt string `json:"generated_at"`
+	Host
 	Models           []string    `json:"models"`
 	Rows             []DaemonRow `json:"rows"`
 	MedianOverheadMs float64     `json:"median_overhead_ms"`
@@ -126,7 +125,7 @@ func postDaemonBatch(url, impl, test string, models []string) ([]string, float64
 func (r *Runner) DaemonReport(jsonPath string) error {
 	art := DaemonArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		CPUs:        runtime.NumCPU(),
+		Host:        hostInfo(),
 	}
 	models := make([]string, len(sweepModels))
 	for i, m := range sweepModels {

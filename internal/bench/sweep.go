@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"checkfence/internal/core"
@@ -72,8 +71,8 @@ type SweepRow struct {
 
 // SweepArtifact is the BENCH_sweep.json schema.
 type SweepArtifact struct {
-	GeneratedAt   string     `json:"generated_at"`
-	CPUs          int        `json:"cpus"`
+	GeneratedAt string `json:"generated_at"`
+	Host
 	Models        []string   `json:"models"`
 	Rows          []SweepRow `json:"rows"`
 	MedianSpeedup float64    `json:"median_speedup"`
@@ -84,10 +83,10 @@ type SweepArtifact struct {
 func runSweepSuite(impl, test string, mode core.SweepMode) ([]core.SuiteResult, float64, error) {
 	jobs := make([]core.Job, len(sweepModels))
 	for i, m := range sweepModels {
-		jobs[i] = core.Job{Impl: impl, Test: test, Opts: core.Options{Model: m}}
+		jobs[i] = core.Job{Impl: impl, Test: test, Opts: core.Options{Model: m, Sweep: mode}}
 	}
 	start := time.Now()
-	results := core.RunSuite(jobs, core.SuiteOptions{Parallelism: 1, Sweep: mode})
+	results := core.RunSuite(jobs, core.SuiteOptions{Parallelism: 1})
 	wall := time.Since(start).Seconds()
 	for i, r := range results {
 		if r.Err != nil {
@@ -102,7 +101,7 @@ func runSweepSuite(impl, test string, mode core.SweepMode) ([]core.SuiteResult, 
 func (r *Runner) SweepReport(jsonPath string) error {
 	art := SweepArtifact{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		CPUs:        runtime.NumCPU(),
+		Host:        hostInfo(),
 	}
 	for _, m := range sweepModels {
 		art.Models = append(art.Models, m.String())

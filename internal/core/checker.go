@@ -99,15 +99,15 @@ type Options struct {
 	Faults faultinject.Faults
 	// Sweep controls whether this job may join a model-sweep group
 	// when checked through RunSuite: jobs identical in everything but
-	// Model are grouped onto one shared selector-guarded encoding and
-	// each model's verdict is solved under assumption literals, with
-	// the specification mined once and bound probing shared
-	// (SweepAuto, the default, joins when the suite sweeps). SweepOff
-	// opts the job out. Direct Check/CheckImpl calls ignore the field:
-	// a sweep needs at least two models. A group shares one
-	// Deadline window across its models; a member that falls back to
-	// an independent check runs under whatever remains of that window,
-	// so the whole unit stays within the configured budget.
+	// Model are checked as one unit on a shared selector-guarded
+	// encoding, each model's verdict solved under assumption literals,
+	// with the specification mined once and bound probing shared
+	// (SweepAuto, the default). SweepOff checks the job on its own.
+	// Direct Check/CheckImpl calls ignore the field: a sweep needs at
+	// least two models. A group walks one degradation ladder under one
+	// Deadline window: members a rung leaves undecided retry together
+	// on the next rung, so the whole unit stays within the configured
+	// budget.
 	Sweep SweepMode
 }
 
@@ -267,53 +267,26 @@ func Check(implName, testName string, opts Options) (*Result, error) {
 }
 
 // CheckImpl runs CheckFence on explicit implementation and test
-// structures. It executes the degradation ladder: the check is
-// attempted with the configured strategy and, when an attempt fails
-// degradably (budget exhausted, solver-internal Unknown, recovered
-// panic), retried with progressively cheaper strategies until one
-// produces a verdict, the deadline passes, or the ladder is exhausted —
-// in which case the result is VerdictUnknown with a BudgetReport, not
-// an error.
+// structures. It executes the degradation ladder (checkModels, here
+// over the one model opts.Model): the check is attempted with the
+// configured strategy and, when an attempt fails degradably (budget
+// exhausted, solver-internal Unknown), retried with progressively
+// cheaper strategies until one produces a verdict, the deadline
+// passes, or the ladder is exhausted — in which case the result is
+// VerdictUnknown with a BudgetReport, not an error.
 func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, error) {
-	start := time.Now()
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = time.Now().Add(opts.Deadline)
+	results, err := checkModels(impl, test, []memmodel.Model{opts.Model}, opts)
+	if err != nil {
+		return nil, err
 	}
-	var reports []RungReport
-	for i, rung := range opts.ladder() {
-		if i > 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
-			break // no wall-clock left to retry with
-		}
-		attemptStart := time.Now()
-		results, err := checkAttempt(impl, test, []memmodel.Model{opts.Model}, rung.apply(opts), deadline)
-		if err == nil {
-			res := results[0]
-			if len(reports) > 0 {
-				// The verdict came from a degraded rung; record the
-				// path that led there.
-				res.Budget = opts.budgetReport(reports)
-			}
-			return res, nil
-		}
-		if !degradable(err, opts) {
-			return nil, err
-		}
-		reports = append(reports, rungReport(rung, err, time.Since(attemptStart)))
-	}
-	res := &Result{
-		Impl: impl.Name, Test: test.Name, Model: opts.Model,
-		Verdict: VerdictUnknown,
-		Budget:  opts.budgetReport(reports),
-	}
-	res.Stats.TotalTime = time.Since(start)
-	return res, nil
+	return results[0], nil
 }
 
 // checkAttempt is the one attempt loop of the pipeline: it decides the
 // given models (strongest first) under a single ladder rung's strategy
-// — one model for CheckImpl, a sweep group's models for RunSuite,
-// whichever backend each round routes them to.
+// — the models checkModels still has undecided, one for a single check
+// or several for a sweep group, whichever backend each round routes
+// them to.
 //
 // Lazy loop unrolling follows the paper's §3.3 order: a round runs at
 // the current bounds first, and a counterexample decides its model

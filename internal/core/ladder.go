@@ -1,20 +1,23 @@
 package core
 
 // This file implements the resource-governance layer of the driver:
-// per-check budgets (wall clock, conflicts, memory) and the
-// degradation ladder that steps a failing check down through cheaper
-// strategies — from a forced reads-from engine to SAT, then from the
-// configured SAT solve to one without CNF preprocessing — before
-// giving up with a structured VerdictUnknown.
+// per-unit budgets (wall clock, conflicts, memory) and the
+// degradation ladder that steps a failing unit — a single check or a
+// sweep group — down through cheaper strategies, from a forced
+// reads-from engine to SAT, then from the configured SAT solve to one
+// without CNF preprocessing, before giving up with a structured
+// VerdictUnknown.
 // CheckFence's queries are worst-case intractable, so a production
 // suite needs every check to terminate with *some* answer: a verdict
 // when the budgets allow one, and an explanation when they do not.
 
 import (
 	"errors"
+	"slices"
 	"time"
 
-	"checkfence/internal/faultinject"
+	"checkfence/internal/harness"
+	"checkfence/internal/memmodel"
 	"checkfence/internal/rf"
 	"checkfence/internal/sat"
 	"checkfence/internal/spec"
@@ -97,6 +100,67 @@ func (o Options) budgetReport(rungs []RungReport) *BudgetReport {
 	}
 }
 
+// checkModels is the degradation ladder, run over one unit of work:
+// the given models (strongest first) of one implementation and test,
+// under one absolute deadline opts.Deadline from now. Each rung makes
+// one checkAttempt over the models still undecided; the models it
+// decides keep their results, with a BudgetReport when a degraded rung
+// decided them. A degradable failure sends only the rest to the next,
+// cheaper rung; a non-degradable one is returned, with the decided
+// models' results (nil elsewhere). Models no rung decides before the
+// ladder or the deadline runs out become VerdictUnknown, each with the
+// unit's BudgetReport. The returned slice parallels models.
+func checkModels(impl *harness.Impl, test *harness.Test, models []memmodel.Model,
+	opts Options) ([]*Result, error) {
+
+	start := time.Now()
+	var deadline time.Time
+	if opts.Deadline > 0 {
+		deadline = start.Add(opts.Deadline)
+	}
+	results := make([]*Result, len(models))
+	pending := models // undecided, strongest first
+	var reports []RungReport
+	for r, rung := range opts.ladder() {
+		if r > 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
+			break // no wall-clock left to retry with
+		}
+		attemptStart := time.Now()
+		decided, err := checkAttempt(impl, test, pending, rung.apply(opts), deadline)
+		var rest []memmodel.Model
+		for k, res := range decided {
+			if res == nil {
+				rest = append(rest, pending[k])
+				continue
+			}
+			if len(reports) > 0 {
+				// The verdict came from a degraded rung; record the
+				// path that led there.
+				res.Budget = opts.budgetReport(reports)
+			}
+			results[slices.Index(models, res.Model)] = res
+		}
+		if err == nil {
+			return results, nil
+		}
+		if !degradable(err, opts) {
+			return results, err
+		}
+		reports = append(reports, rungReport(rung, err, time.Since(attemptStart)))
+		pending = rest
+	}
+	for _, m := range pending {
+		res := &Result{
+			Impl: impl.Name, Test: test.Name, Model: m,
+			Verdict: VerdictUnknown,
+			Budget:  opts.budgetReport(reports),
+		}
+		res.Stats.TotalTime = time.Since(start)
+		results[slices.Index(models, m)] = res
+	}
+	return results, nil
+}
+
 // ladder returns the degradation ladder: [rf →] configured → without
 // CNF preprocessing. The no-preprocess rung is skipped when
 // preprocessing is already off.
@@ -132,9 +196,9 @@ func (o Options) cancelled() bool {
 }
 
 // degradable reports whether an attempt's error warrants stepping down
-// the ladder: budget exhaustion, a solver-internal Unknown, or a
-// recovered panic. External cancellation is never degradable —
-// the caller asked the check to stop, not to try harder with less.
+// the ladder: budget exhaustion or a solver-internal Unknown. External
+// cancellation is never degradable — the caller asked the check to
+// stop, not to try harder with less.
 func degradable(err error, opts Options) bool {
 	if opts.cancelled() {
 		return false
@@ -151,11 +215,7 @@ func degradable(err error, opts Options) bool {
 		// rung hits it identically.
 		return false
 	}
-	if errors.Is(err, spec.ErrSolverUnknown) {
-		return true
-	}
-	var rp *faultinject.RecoveredPanic
-	return errors.As(err, &rp)
+	return errors.Is(err, spec.ErrSolverUnknown)
 }
 
 // rungReport summarizes one exhausted attempt.

@@ -10,6 +10,7 @@ import (
 
 	"checkfence/internal/faultinject"
 	"checkfence/internal/harness"
+	"checkfence/internal/memmodel"
 )
 
 // Job is one check of a suite: an implementation, a test, and the
@@ -58,7 +59,11 @@ type SuiteResult struct {
 	Err error
 }
 
-// SuiteOptions configures RunSuite.
+// SuiteOptions configures RunSuite: the pool, cancellation, the
+// shared spec cache and admission control. Model-sweep grouping is
+// per job (Options.Sweep): jobs identical in everything but Model are
+// checked as one unit on a shared selector-guarded encoding (see
+// sweep.go).
 type SuiteOptions struct {
 	// Parallelism bounds the number of concurrently running checks;
 	// <= 0 means GOMAXPROCS.
@@ -82,12 +87,6 @@ type SuiteOptions struct {
 	// not set its own, and on the suite's spec cache (tests and chaos
 	// runs only).
 	Faults faultinject.Faults
-	// Sweep controls model-sweep grouping: under SweepAuto (the
-	// default), jobs identical in everything but Model are checked on
-	// one shared selector-guarded encoding, solved per model under
-	// assumptions (see sweep.go). SweepOff checks every job
-	// independently. Individual jobs opt out with Options.Sweep.
-	Sweep SweepMode
 	// Gate, when non-nil, admission-controls the pool: every worker
 	// acquires a slot before starting a unit of work (a single check
 	// or a whole sweep group) and releases it afterwards. Several
@@ -162,7 +161,7 @@ func RunSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 		}
 		eff[i] = jopts
 	}
-	units := planUnits(jobs, eff, opts.Sweep != SweepOff)
+	units := planUnits(jobs, eff)
 
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -190,37 +189,43 @@ func RunSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 		go func() {
 			defer wg.Done()
 			for {
-				u := int(next.Add(1))
-				if u >= len(units) {
+				k := int(next.Add(1))
+				if k >= len(units) {
 					return
 				}
-				unit := units[u]
+				u := units[k]
+				var res []*Result
+				var err error
 				if opts.Gate != nil {
-					if err := opts.Gate.Acquire(ctx); err != nil {
-						emitUnitErr(unit, jobs, err, emit)
-						continue
+					err = opts.Gate.Acquire(ctx)
+				}
+				if err == nil {
+					if err = ctx.Err(); err == nil {
+						res, err = safeCheck(u)
+					}
+					if opts.Gate != nil {
+						opts.Gate.Release()
 					}
 				}
-				if unit.group != nil {
-					runSweepGroup(unit.group, jobs, ctx, emit)
-				} else {
-					i := unit.single
-					job := jobs[i]
-					r := SuiteResult{Job: job}
-					if err := ctx.Err(); err != nil {
-						r.Err = err
-					} else {
-						r.Res, r.Err = safeCheck(job, eff[i])
-						if r.Err != nil && ctx.Err() != nil {
-							// An interrupted solve surfaces as a solver
-							// error; report the cancellation itself.
-							r.Err = ctx.Err()
+				if err != nil && ctx.Err() != nil {
+					// An interrupted solve surfaces as a solver error;
+					// report the cancellation itself.
+					err = ctx.Err()
+				}
+				// A job repeated verbatim shares its model's check: the
+				// second and later consumers receive a shallow copy.
+				for m, idxs := range u.jobs {
+					for d, i := range idxs {
+						r := SuiteResult{Job: jobs[i], Err: err}
+						if res != nil && res[m] != nil {
+							r.Res, r.Err = res[m], nil
+							if d > 0 {
+								cp := *res[m]
+								r.Res = &cp
+							}
 						}
+						emit(i, r)
 					}
-					emit(i, r)
-				}
-				if opts.Gate != nil {
-					opts.Gate.Release()
 				}
 			}
 		}()
@@ -229,78 +234,39 @@ func RunSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 	return results
 }
 
-// runSweepGroup checks one sweep group and emits a SuiteResult for
-// every member job. Duplicate jobs of the same model share the check:
-// the second and later consumers receive a shallow copy of the result.
-func runSweepGroup(g *sweepGroup, jobs []Job, ctx context.Context,
-	emit func(int, SuiteResult)) {
-	if err := ctx.Err(); err != nil {
-		for _, idxs := range g.jobs {
-			for _, i := range idxs {
-				emit(i, SuiteResult{Job: jobs[i], Err: err})
-			}
-		}
-		return
-	}
-	outs := g.run()
-	for _, m := range g.models {
-		o := outs[m]
-		for k, i := range g.jobs[m] {
-			r := SuiteResult{Job: jobs[i], Err: o.err}
-			if o.res != nil {
-				if k == 0 {
-					r.Res = o.res
-				} else {
-					cp := *o.res
-					r.Res = &cp
-				}
-			}
-			if r.Err != nil && ctx.Err() != nil {
-				r.Err = ctx.Err()
-			}
-			emit(i, r)
-		}
-	}
+// unit is one work item of RunSuite's pool: the jobs one checkModels
+// call decides — a single job, or a sweep group of jobs identical in
+// everything but model.
+type unit struct {
+	// job resolves the implementation and test (its Opts are unused).
+	job Job
+	// opts are the unit's effective options, Model set to models[0].
+	opts Options
+	// models holds the unit's distinct models, strongest-first — the
+	// sweep order the counterexample-replay early exit relies on.
+	models []memmodel.Model
+	// jobs[k] lists the suite job indices models[k] serves (more than
+	// one when a suite repeats a job verbatim).
+	jobs [][]int
 }
 
-// emitUnitErr reports err for every job of a unit (used when the
-// suite's admission gate fails, i.e. the context was cancelled while
-// waiting for a slot).
-func emitUnitErr(unit suiteUnit, jobs []Job, err error, emit func(int, SuiteResult)) {
-	if unit.group != nil {
-		for _, idxs := range unit.group.jobs {
-			for _, i := range idxs {
-				emit(i, SuiteResult{Job: jobs[i], Err: err})
-			}
-		}
-		return
-	}
-	emit(unit.single, SuiteResult{Job: jobs[unit.single], Err: err})
-}
-
-// recoverAsError converts a recovered panic value into the typed error
-// the panic-isolation layers report (*faultinject.RecoveredPanic,
-// capturing the stack at the recovery point). Call it from a deferred
-// recover handler.
-func recoverAsError(p any) error {
-	return &faultinject.RecoveredPanic{Value: p, Stack: debug.Stack()}
-}
-
-// safeCheck isolates one check: a panic anywhere in its pipeline
-// (encoder, miner, solver) becomes that check's error — carrying the
-// recovered value and stack as a *faultinject.RecoveredPanic — instead
-// of killing the suite.
-func safeCheck(job Job, opts Options) (res *Result, err error) {
+// safeCheck isolates one unit: a panic anywhere in its pipeline
+// (encoder, miner, solver) becomes the error of every model of the
+// unit — carrying the recovered value and stack as a
+// *faultinject.RecoveredPanic — instead of killing the suite. It is
+// the one panic recovery of the check path.
+func safeCheck(u *unit) (res []*Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
 			err = fmt.Errorf("core: check %s/%s panicked: %w",
-				job.Impl, job.Test, recoverAsError(p))
+				u.job.Impl, u.job.Test,
+				&faultinject.RecoveredPanic{Value: p, Stack: debug.Stack()})
 		}
 	}()
-	impl, test, err := job.resolve()
+	impl, test, err := u.job.resolve()
 	if err != nil {
 		return nil, err
 	}
-	return CheckImpl(impl, test, opts)
+	return checkModels(impl, test, u.models, u.opts)
 }

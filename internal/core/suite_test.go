@@ -84,13 +84,12 @@ func TestRunSuiteMatchesSerial(t *testing.T) {
 // a sweep group mines once for the whole group and touches the cache
 // once, which is a different (stronger) sharing contract.
 func TestRunSuiteMinesOnce(t *testing.T) {
-	jobs := modelSweep("ms2", "T0")
+	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
 	var mined atomic.Int64
 	cache := NewSpecCache("")
 	results := RunSuite(jobs, SuiteOptions{
 		Parallelism: 4,
 		SpecCache:   cache,
-		Sweep:       SweepOff,
 	})
 	requireAllRan(t, results)
 	hits, misses := 0, 0
@@ -239,9 +238,9 @@ func TestTotalTimeOnAllPaths(t *testing.T) {
 // (Sweep off) — the per-job hit/miss counts are the subject here.
 func TestSpecCacheDisk(t *testing.T) {
 	dir := t.TempDir()
-	jobs := modelSweep("ms2", "T0")
+	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
 
-	first := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir, Sweep: SweepOff})
+	first := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir})
 	requireAllRan(t, first)
 	files, err := filepath.Glob(filepath.Join(dir, "*.obs"))
 	if err != nil || len(files) != 1 {
@@ -250,7 +249,7 @@ func TestSpecCacheDisk(t *testing.T) {
 
 	// A fresh cache over the same dir must serve the set without
 	// mining: every job reports a hit, none a miss.
-	second := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir, Sweep: SweepOff})
+	second := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir})
 	requireAllRan(t, second)
 	hits, misses := 0, 0
 	for _, r := range second {

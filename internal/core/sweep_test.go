@@ -71,8 +71,13 @@ func TestSweepLitmusOnRF(t *testing.T) {
 	for i := range jobs {
 		jobs[i].ImplRef, jobs[i].TestRef = impl, test
 	}
+	off := make([]Job, len(jobs))
+	for i, j := range jobs {
+		j.Opts.Sweep = SweepOff
+		off[i] = j
+	}
 	swept := RunSuite(jobs, SuiteOptions{Parallelism: 1})
-	indep := RunSuite(jobs, SuiteOptions{Parallelism: 1, Sweep: SweepOff})
+	indep := RunSuite(off, SuiteOptions{Parallelism: 1})
 	requireAllRan(t, swept)
 	requireAllRan(t, indep)
 	fails := []bool{false, true, true, true}
@@ -115,8 +120,8 @@ func TestSweepFallbackIndependent(t *testing.T) {
 }
 
 // TestSweepDeadlineFallback: a group whose shared attempt exhausts its
-// budget falls back to independent checks carved from the remaining
-// window, so a tight group budget degrades, never wedges.
+// budget retries its undecided members on the group's next rung, so a
+// tight group budget degrades, never wedges.
 func TestSweepDeadlineFallback(t *testing.T) {
 	jobs := fourModelJobs("msn", "T0", Options{Deadline: time.Nanosecond})
 	results := RunSuite(jobs, SuiteOptions{Parallelism: 1})
@@ -135,12 +140,13 @@ func TestSweepDeadlineFallback(t *testing.T) {
 	}
 }
 
-// TestSweepFallbackDeadlineBudget: fallback members share the group's
-// remaining deadline instead of opening fresh windows. snark/Da takes
-// seconds, so a 400ms group deadline forces the shared attempt to
-// exhaust and every member to fall back; before the carve each member
-// re-ran under its own full 400ms window and the unit's wall clock
-// inflated to ~(1 + members) x the configured deadline.
+// TestSweepFallbackDeadlineBudget: members the shared attempt leaves
+// undecided retry on the group's next rung, under the group's one
+// absolute deadline instead of fresh windows. snark/Da takes seconds,
+// so a 400ms group deadline forces the shared attempt to exhaust; were
+// each member to re-run under its own full 400ms window, the unit's
+// wall clock would inflate to ~(1 + members) x the configured
+// deadline.
 func TestSweepFallbackDeadlineBudget(t *testing.T) {
 	const deadline = 400 * time.Millisecond
 	start := time.Now()
@@ -159,10 +165,44 @@ func TestSweepFallbackDeadlineBudget(t *testing.T) {
 		}
 	}
 	// Generous ceiling: the group attempt may use the full window and
-	// members add bounded overhead, but nothing re-opens a full
-	// window. The pre-fix behavior lands at ~5x the deadline.
+	// the next rung adds bounded overhead, but nothing re-opens a full
+	// window. Per-member windows would land at ~5x the deadline.
 	if elapsed > 3*deadline {
-		t.Errorf("sweep unit took %v under a %v deadline; fallback deadlines not carved from the group budget", elapsed, deadline)
+		t.Errorf("sweep unit took %v under a %v deadline; the group's rungs outran its one deadline", elapsed, deadline)
+	}
+}
+
+// TestSweepLadderReport: an UNKNOWN sweep member reports the budget
+// that was configured and the ladder its group walked — the same
+// report an UNKNOWN single check gives — not whatever sliver of the
+// window was left when it was retried.
+func TestSweepLadderReport(t *testing.T) {
+	const deadline = 400 * time.Millisecond
+	results := RunSuite(fourModelJobs("snark", "Da", Options{Deadline: deadline}),
+		SuiteOptions{Parallelism: 1})
+	unknown := 0
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if r.Res.Verdict != VerdictUnknown {
+			continue
+		}
+		unknown++
+		b := r.Res.Budget
+		if b == nil || len(b.Rungs) == 0 {
+			t.Fatalf("job %d: UNKNOWN without a rung report: %+v", i, b)
+		}
+		if b.Deadline != deadline {
+			t.Errorf("job %d: Budget.Deadline = %v, want the configured %v", i, b.Deadline, deadline)
+		}
+		if b.Rungs[0].Name != "configured" {
+			t.Errorf("job %d: first rung %q, want \"configured\"", i, b.Rungs[0].Name)
+		}
+	}
+	if unknown == 0 {
+		// snark/Da needs seconds; a 400ms window decides nothing.
+		t.Error("no member budgeted out under a 400ms deadline")
 	}
 }
 
@@ -179,20 +219,20 @@ func TestSweepFingerprintSeparates(t *testing.T) {
 	for i := range jobs {
 		eff[i] = jobs[i].Opts
 	}
-	units := planUnits(jobs, eff, true)
+	units := planUnits(jobs, eff)
 	var groups, singles int
 	for _, u := range units {
-		if u.group != nil {
+		switch len(u.models) {
+		case 2:
 			groups++
-			if len(u.group.models) != 2 {
-				t.Errorf("group has %d models, want 2", len(u.group.models))
-			}
-		} else {
+		case 1:
 			singles++
+		default:
+			t.Errorf("unit has %d models, want 2 or 1", len(u.models))
 		}
 	}
 	if groups != 1 || singles != 1 {
-		t.Errorf("units: %d groups, %d singles; want 1 and 1", groups, singles)
+		t.Errorf("units: %d of two models, %d of one; want 1 and 1", groups, singles)
 	}
 }
 

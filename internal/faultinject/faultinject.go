@@ -78,8 +78,8 @@ func (i Injected) String() string {
 	return fmt.Sprintf("faultinject: injected panic at site %q", i.Site)
 }
 
-// RecoveredPanic is the typed error the panic-isolation layer (suite
-// workers and sweep groups) returns when it recovers a panic: the
+// RecoveredPanic is the typed error the panic-isolation layer (a
+// suite worker's unit of work) returns when it recovers a panic: the
 // recovered value plus the stack captured at the recovery point. It is
 // an internal error, never a verdict.
 type RecoveredPanic struct {

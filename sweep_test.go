@@ -37,9 +37,13 @@ func runSweepAblation(t *testing.T, jobs []checkfence.Job, parallelism int) {
 	swept := checkfence.CheckSuite(jobs, checkfence.SuiteOptions{
 		Parallelism: parallelism,
 	})
-	indep := checkfence.CheckSuite(jobs, checkfence.SuiteOptions{
+	off := make([]checkfence.Job, len(jobs))
+	for i, j := range jobs {
+		j.Opts.Sweep = checkfence.SweepOff
+		off[i] = j
+	}
+	indep := checkfence.CheckSuite(off, checkfence.SuiteOptions{
 		Parallelism: parallelism,
-		Sweep:       checkfence.SweepOff,
 	})
 	groups := 0
 	for i := range jobs {
