@@ -1,11 +1,11 @@
 package checkfence_test
 
 // TestBackendAblation is the public-API backend ablation: the same
-// checks run under auto routing, the forced reads-from engine, and the
-// forced serial SAT engine, and must produce bit-identical verdicts
-// and observation sets. The datatype's operations are single global
-// accesses, so the tests compose into litmus shapes squarely inside
-// the rf fragment — auto must route them to rf, not merely agree.
+// checks run under auto routing and the forced SAT engine, and must
+// produce bit-identical verdicts and observation sets. The datatype's
+// operations are single global accesses, so the tests compose into
+// litmus shapes squarely inside the rf fragment — auto must route them
+// to rf, not merely agree, so every row compares rf with SAT.
 
 import (
 	"testing"
@@ -49,7 +49,7 @@ func TestBackendAblation(t *testing.T) {
 		checkfence.PSO, checkfence.Relaxed,
 	}
 	backends := []checkfence.Backend{
-		checkfence.BackendAuto, checkfence.BackendRF, checkfence.BackendSAT,
+		checkfence.BackendAuto, checkfence.BackendSAT,
 	}
 	dt := litmusDataType()
 	for _, notation := range notations {
@@ -63,7 +63,7 @@ func TestBackendAblation(t *testing.T) {
 				}
 				results[i] = res
 			}
-			auto, rf, sat := results[0], results[1], results[2]
+			auto, sat := results[0], results[1]
 			if auto.Stats.Backend != "rf" {
 				t.Errorf("%s on %s: auto routed to %q (%s), want rf",
 					notation, model, auto.Stats.Backend, auto.Stats.RouterDecision)
@@ -82,8 +82,8 @@ func TestBackendAblation(t *testing.T) {
 						notation, model, backends[i])
 				}
 			}
-			if rf.Stats.Backend != "rf" {
-				t.Errorf("%s on %s: forced rf produced verdict on %q", notation, model, rf.Stats.Backend)
+			if sat.Stats.Backend != "sat" {
+				t.Errorf("%s on %s: forced sat produced verdict on %q", notation, model, sat.Stats.Backend)
 			}
 		}
 	}

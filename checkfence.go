@@ -97,24 +97,22 @@ type Backend = core.Backend
 
 // The backends. BackendAuto (the zero value) routes per check: small
 // fragment programs go to the polynomial reads-from engine, everything
-// else to SAT. The forced backends pin one engine; a forced rf backend
-// still degrades to SAT when it cannot answer.
+// else to SAT, and an rf failure falls back to SAT. BackendSAT pins
+// the SAT engine, the reference path.
 const (
 	BackendAuto = core.BackendAuto
-	BackendRF   = core.BackendRF
 	BackendSAT  = core.BackendSAT
 )
 
-// ParseBackend converts a -backend flag value ("auto", "rf", "sat") to
-// a Backend.
+// ParseBackend converts a -backend flag value ("auto", "sat") to a
+// Backend.
 func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 
 // Result is the outcome of a check. Verdict is three-valued: pass,
 // fail (Cex holds the decoded counterexample and SeqBug tells whether
 // the failure is already present in serial executions), or unknown
-// (every degradation rung exhausted its resource budget; Budget
-// explains what was tried). Stats carries the quantities of the
-// paper's Fig. 10 table.
+// (the check exhausted a resource budget; Budget says which). Stats
+// carries the quantities of the paper's Fig. 10 table.
 type Result = core.Result
 
 // Verdict is the three-valued outcome of a check.
@@ -127,19 +125,9 @@ const (
 	VerdictUnknown = core.VerdictUnknown
 )
 
-// Rung is one step of the degradation ladder: a named solver strategy
-// a budget-starved check is retried with. The ladder is derived from
-// Options.Backend; its last rung turns CNF preprocessing off.
-type Rung = core.Rung
-
-// BudgetReport explains a check's resource governance: the configured
-// budgets and each exhausted ladder rung. Attached to every
-// VerdictUnknown result, and to definitive results that a degraded
-// rung produced.
+// BudgetReport explains a VerdictUnknown result: the configured
+// budgets, the cause that stopped the check, and how long it ran.
 type BudgetReport = core.BudgetReport
-
-// RungReport records one exhausted ladder rung.
-type RungReport = core.RungReport
 
 // Stats quantifies one check (unrolled size, CNF size, observation
 // set size, and per-phase times).

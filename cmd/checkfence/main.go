@@ -20,8 +20,8 @@
 //
 // Resource governance: -timeout, -conflicts, and -mem-mb budget each
 // check's wall clock, SAT conflicts per solve, and learned-clause
-// memory. A check that exhausts its budgets on every rung of the
-// degradation ladder reports UNKNOWN rather than hanging or crashing.
+// memory. A check that exhausts a budget reports UNKNOWN rather than
+// hanging or crashing.
 //
 // Exit codes (worst result wins, in the order listed):
 //
@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		implName  = fs.String("impl", "", "implementation to check (see -list)")
 		testName  = fs.String("test", "", "symbolic test name or Fig. 8 notation")
 		specSrc   = fs.String("spec", "sat", "specification source: sat (mine from implementation) or refset")
-		backend   = fs.String("backend", "auto", "verdict engine: auto (cost-based routing), rf (polynomial reads-from), sat")
+		backend   = fs.String("backend", "auto", "verdict engine: auto (cost-based routing: litmus programs to the polynomial reads-from engine, the rest to SAT) or sat (SAT only)")
 		noRanges  = fs.Bool("no-range-analysis", false, "disable the range analysis of paper §3.4")
 		jobs      = fs.Int("j", 1, "number of checks run concurrently (0 = GOMAXPROCS)")
 		maxMine   = fs.Int("max-mine-iterations", 0, "cap mining enumeration iterations (0 = default)")
@@ -263,8 +263,8 @@ func (p *printer) print(r job.Result, details func(io.Writer)) {
 		if len(limits) > 0 {
 			fmt.Fprintf(w, "  budgets: %s\n", strings.Join(limits, ", "))
 		}
-		for _, rung := range b.Rungs {
-			fmt.Fprintf(w, "  rung %s exhausted\n", rung)
+		if b.Cause != "" {
+			fmt.Fprintf(w, "  cause: %s\n", b.Cause)
 		}
 	}
 	if r.Cex != "" {
@@ -307,7 +307,8 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 		}
 		if s.PreCNFClauses != s.CNFClauses || s.PreCNFVars != s.CNFVars {
 			fmt.Fprintf(w, "preprocessing: %d -> %d clauses in %v (%d vars eliminated, %d subsumed, %d strengthened)\n",
-				s.PreCNFClauses, s.CNFClauses, s.PreprocessTime, s.VarsEliminated, s.ClausesSubsumed, s.ClausesStrengthened)
+				s.PreCNFClauses, s.CNFClauses, s.PreprocessTime, s.SolverStats.VarsEliminated,
+				s.SolverStats.ClausesSubsumed, s.SolverStats.ClausesStrengthened)
 		}
 		fmt.Fprintf(w, "observation set: %d (mined in %d iterations)\n", s.ObsSetSize, s.MineIterations)
 		if s.SpecCacheHits+s.SpecCacheMisses > 0 {
@@ -323,8 +324,8 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 			fmt.Fprintf(w, "inprocessing: %d lits vivified from %d clauses, %d learnts subsumed, %d chrono backtracks\n",
 				s.VivifiedLits, s.VivifiedClauses, s.SubsumedLearnts, s.ChronoBacktracks)
 		}
-		if s.TierCore+s.TierMid+s.TierLocal > 0 {
-			fmt.Fprintf(w, "learnt tiers: %d core, %d mid, %d local\n", s.TierCore, s.TierMid, s.TierLocal)
+		if ss := s.SolverStats; ss.TierCore+ss.TierMid+ss.TierLocal > 0 {
+			fmt.Fprintf(w, "learnt tiers: %d core, %d mid, %d local\n", ss.TierCore, ss.TierMid, ss.TierLocal)
 		}
 		fmt.Fprintf(w, "times: probe=%v mine=%v encode=%v refute=%v total=%v\n",
 			s.ProbeTime, s.MineTime, s.EncodeTime, s.RefuteTime, s.TotalTime)

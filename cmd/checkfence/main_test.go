@@ -106,7 +106,7 @@ func TestSeverityOrder(t *testing.T) {
 }
 
 // TestUnknownReportsRungs: the UNKNOWN report names the configured
-// budget and at least one exhausted ladder rung.
+// budget and, on one line, the cause that stopped the check.
 func TestUnknownReportsRungs(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	got := run([]string{"-impl", "snark", "-test", "Da", "-timeout", "30ms"}, &stdout, &stderr)
@@ -117,8 +117,25 @@ func TestUnknownReportsRungs(t *testing.T) {
 	if !strings.Contains(out, "budgets: timeout 30ms") {
 		t.Errorf("report missing budget line:\n%s", out)
 	}
-	if !strings.Contains(out, "rung ") {
-		t.Errorf("report missing rung lines:\n%s", out)
+	if !strings.Contains(out, "\n  cause: deadline\n") {
+		t.Errorf("report missing the cause line:\n%s", out)
+	}
+	if strings.Contains(out, "rung ") {
+		t.Errorf("report has rung lines:\n%s", out)
+	}
+}
+
+// TestBackendRFRejected: -backend rf is a usage error (exit 2) whose
+// message names the backends there are; auto already routes litmus
+// programs to the reads-from engine.
+func TestBackendRFRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	got := run([]string{"-impl", "ms2", "-test", "T0", "-model", "sc", "-backend", "rf"}, &stdout, &stderr)
+	if got != exitError {
+		t.Fatalf("exit = %d, want %d\nstdout: %s", got, exitError, stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "auto") || !strings.Contains(msg, "sat") {
+		t.Errorf("stderr %q does not name auto and sat", msg)
 	}
 }
 

@@ -6,7 +6,8 @@ package core
 // conservative by construction — the rf backend is only consulted on
 // programs its Scan proves to be inside the exactly-modeled fragment,
 // and any rf failure (inapplicability discovered late, budget
-// exhaustion) degrades to SAT, never the reverse.
+// exhaustion) falls back to SAT within the same round, never the
+// reverse.
 
 import (
 	"errors"
@@ -27,10 +28,7 @@ const (
 	// reads-from engine when the program is in its fragment and the
 	// static cost model predicts a win, otherwise SAT.
 	BackendAuto Backend = iota
-	// BackendRF forces the reads-from engine; if it cannot produce a
-	// verdict the degradation ladder falls back to SAT.
-	BackendRF
-	// BackendSAT forces the SAT backend.
+	// BackendSAT forces the SAT backend, the reference path.
 	BackendSAT
 )
 
@@ -38,8 +36,6 @@ func (b Backend) String() string {
 	switch b {
 	case BackendAuto:
 		return "auto"
-	case BackendRF:
-		return "rf"
 	case BackendSAT:
 		return "sat"
 	}
@@ -51,19 +47,15 @@ func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "auto", "":
 		return BackendAuto, nil
-	case "rf":
-		return BackendRF, nil
 	case "sat", "serial":
 		return BackendSAT, nil
 	}
-	return 0, fmt.Errorf("core: unknown backend %q (auto, rf, sat)", s)
+	return 0, fmt.Errorf("core: unknown backend %q (want auto or sat)", s)
 }
 
 // Static cost model of the router. The rf enumeration is worst-case
 // exponential in residual case splits and in loads-per-location, so
-// `auto` only routes to it when every dimension is litmus-scale; an
-// explicit -backend rf skips the caps and relies on the budget (which
-// degrades to SAT on exhaustion).
+// `auto` only routes to it when every dimension is litmus-scale.
 const (
 	rfMaxInstrs     = 512
 	rfMaxThreads    = 8
@@ -77,26 +69,19 @@ type routeDecision struct {
 	useRF  bool
 	prog   *rf.Program
 	reason string
-	err    error // set when a forced rf backend is inapplicable
 }
 
 // routeRF decides whether this attempt runs on the reads-from engine.
 func routeRF(opts Options, unrolled *harness.Unrolled) routeDecision {
-	switch opts.Backend {
-	case BackendAuto, BackendRF:
-	default:
+	if opts.Backend != BackendAuto {
 		return routeDecision{reason: opts.Backend.String()}
 	}
 	if opts.SpecSource == SpecRef && opts.Spec == nil {
-		return routeDecision{reason: "sat (refset mining configured)",
-			err: fmt.Errorf("%w: refset mining configured", rf.ErrNotApplicable)}
+		return routeDecision{reason: "sat (refset mining configured)"}
 	}
 	p, err := rf.Scan(unrolled.Threads)
 	if err != nil {
-		return routeDecision{reason: "sat (" + err.Error() + ")", err: err}
-	}
-	if opts.Backend == BackendRF {
-		return routeDecision{useRF: true, prog: p, reason: "rf (forced)"}
+		return routeDecision{reason: "sat (" + err.Error() + ")"}
 	}
 	if unrolled.Instrs > rfMaxInstrs || len(unrolled.Threads) > rfMaxThreads ||
 		p.NumEvents() > rfMaxEvents || p.NumLocs() > rfMaxLocs ||

@@ -46,8 +46,7 @@ type Options struct {
 	Model memmodel.Model
 	// Backend selects the verdict engine: BackendAuto (the default)
 	// routes per check between the polynomial reads-from engine and
-	// SAT via the static cost model; BackendRF/BackendSAT force one
-	// engine (rf still degrades to SAT when it cannot answer).
+	// SAT via the static cost model; BackendSAT forces SAT.
 	Backend Backend
 	// DisableRangeAnalysis turns §3.4 off (Fig. 11c comparison).
 	DisableRangeAnalysis bool
@@ -84,9 +83,9 @@ type Options struct {
 	// thread through the reference interpreter. A validation failure is
 	// a hard internal error, never a verdict.
 	NoValidate bool
-	// Deadline bounds the wall-clock time of the whole check, across
-	// every ladder rung (0 = none). A check that exhausts it returns
-	// VerdictUnknown with a BudgetReport rather than an error.
+	// Deadline bounds the wall-clock time of the whole check (0 =
+	// none). A check that exhausts it returns VerdictUnknown with a
+	// BudgetReport rather than an error.
 	Deadline time.Duration
 	// ConflictBudget caps the conflicts of each SAT solve (0 = none).
 	ConflictBudget int64
@@ -104,10 +103,8 @@ type Options struct {
 	// with the specification mined once and bound probing shared
 	// (SweepAuto, the default). SweepOff checks the job on its own.
 	// Direct Check/CheckImpl calls ignore the field: a sweep needs at
-	// least two models. A group walks one degradation ladder under one
-	// Deadline window: members a rung leaves undecided retry together
-	// on the next rung, so the whole unit stays within the configured
-	// budget.
+	// least two models. A group makes one attempt under one Deadline
+	// window, so the whole unit stays within the configured budget.
 	Sweep SweepMode
 }
 
@@ -133,16 +130,13 @@ type Stats struct {
 	CNFClauses int
 
 	// Formula-minimization measurements of the inclusion check: gate
-	// count of the circuit, CNF size before preprocessing, and what
-	// each preprocessing technique removed. Pre* equal the final
-	// counts when preprocessing is disabled.
-	Gates               int
-	PreCNFVars          int
-	PreCNFClauses       int
-	VarsEliminated      int
-	ClausesSubsumed     int
-	ClausesStrengthened int
-	PreprocessTime      time.Duration // included in RefuteTime
+	// count of the circuit and CNF size before preprocessing. Pre*
+	// equal the final counts when preprocessing is disabled. What each
+	// preprocessing technique removed is in SolverStats.
+	Gates          int
+	PreCNFVars     int
+	PreCNFClauses  int
+	PreprocessTime time.Duration // included in RefuteTime
 
 	ObsSetSize     int
 	MineIterations int
@@ -179,11 +173,6 @@ type Stats struct {
 	VivifiedClauses  int64
 	SubsumedLearnts  int64
 	ChronoBacktracks int64
-	// Learnt-database tier sizes of the inclusion check's solver at
-	// the end of the check.
-	TierCore  int
-	TierMid   int
-	TierLocal int
 
 	// Order-encoding reduction of the inclusion-check formula: order
 	// variables fixed to constants beyond the baseline program-order
@@ -220,9 +209,11 @@ type Stats struct {
 	// transitivity clauses: the solver emits those right after
 	// preprocessing, or inside the first solve when nothing
 	// preprocesses, so their time lands in RefuteTime.
-	EncodeTime  time.Duration
-	RefuteTime  time.Duration // SAT solving of the inclusion check
-	TotalTime   time.Duration
+	EncodeTime time.Duration
+	RefuteTime time.Duration // SAT solving of the inclusion check
+	TotalTime  time.Duration
+	// SolverStats is the final round's inclusion solver's own record:
+	// search counters, what preprocessing removed, learnt tier sizes.
 	SolverStats sat.Stats
 
 	// AllocBytes is the total heap allocation of the check, the
@@ -243,9 +234,8 @@ type Result struct {
 	SeqBug  bool // a serial execution reaches a runtime error
 	Cex     *trace.Trace
 
-	// Budget is non-nil when resource governance shaped this result:
-	// always for VerdictUnknown (every ladder rung exhausted), and for
-	// definitive verdicts that a degraded rung produced.
+	// Budget explains a VerdictUnknown (nil on every other verdict):
+	// the configured budgets and what stopped the check.
 	Budget *BudgetReport
 
 	Spec  *spec.Set
@@ -267,12 +257,8 @@ func Check(implName, testName string, opts Options) (*Result, error) {
 }
 
 // CheckImpl runs CheckFence on explicit implementation and test
-// structures. It executes the degradation ladder (checkModels, here
-// over the one model opts.Model): the check is attempted with the
-// configured strategy and, when an attempt fails degradably (budget
-// exhausted, solver-internal Unknown), retried with progressively
-// cheaper strategies until one produces a verdict, the deadline
-// passes, or the ladder is exhausted — in which case the result is
+// structures: checkModels over the one model opts.Model. A check that
+// exhausts its budgets (or whose solver answers Unknown) returns
 // VerdictUnknown with a BudgetReport, not an error.
 func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, error) {
 	results, err := checkModels(impl, test, []memmodel.Model{opts.Model}, opts)
@@ -283,10 +269,8 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 }
 
 // checkAttempt is the one attempt loop of the pipeline: it decides the
-// given models (strongest first) under a single ladder rung's strategy
-// — the models checkModels still has undecided, one for a single check
-// or several for a sweep group, whichever backend each round routes
-// them to.
+// given models (strongest first) — one for a single check or several
+// for a sweep group, whichever backend each round routes them to.
 //
 // Lazy loop unrolling follows the paper's §3.3 order: a round runs at
 // the current bounds first, and a counterexample decides its model
@@ -450,14 +434,10 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 // selection and the unrolled program, never the model. When it picks
 // rf, every pending model runs on the reads-from engine, which is
 // per-model. An rf failure that rfFallbackable allows sends that model
-// to SAT within this same round (no ladder hop); under a forced rf
-// backend the error propagates so the ladder's SAT rungs take over. The
+// to SAT within this same round; any other rf failure is returned. The
 // models left for SAT are returned, strongest first.
 func (a *attempt) routeRound(pending []*Result) ([]*Result, error) {
 	dec := routeRF(a.opts, a.u.Unrolled)
-	if a.opts.Backend == BackendRF && !dec.useRF {
-		return nil, dec.err
-	}
 	var onSAT []*Result
 	for _, res := range pending {
 		reason := dec.reason
@@ -467,7 +447,7 @@ func (a *attempt) routeRound(pending []*Result) ([]*Result, error) {
 				res.Stats.Backend, res.Stats.RouterDecision = "rf", dec.reason
 				continue
 			}
-			if a.opts.Backend == BackendRF || !rfFallbackable(err) {
+			if !rfFallbackable(err) {
 				return nil, err
 			}
 			reason = "sat (rf fell back: " + err.Error() + ")"
@@ -621,15 +601,11 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 		// final size.
 		st.PreCNFVars, st.PreCNFClauses = s.Vars, s.Clauses
 	}
-	st.VarsEliminated = s.VarsEliminated
-	st.ClausesSubsumed = s.ClausesSubsumed
-	st.ClausesStrengthened = s.ClausesStrengthened
 	st.PreprocessTime = s.PreprocessTime
 	st.VivifiedClauses += s.VivifiedClauses
 	st.VivifiedLits += s.VivifiedLits
 	st.SubsumedLearnts += s.SubsumedLearnts
 	st.ChronoBacktracks += s.ChronoBacktracks
-	st.TierCore, st.TierMid, st.TierLocal = s.TierCore, s.TierMid, s.TierLocal
 	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
 }
 

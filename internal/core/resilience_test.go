@@ -18,33 +18,6 @@ import (
 	"checkfence/internal/spec"
 )
 
-// TestLadderDefault pins the shape of the derived degradation ladder.
-func TestLadderDefault(t *testing.T) {
-	names := func(rungs []Rung) string {
-		var parts []string
-		for _, r := range rungs {
-			parts = append(parts, r.Name)
-		}
-		return strings.Join(parts, ",")
-	}
-	if got := names(Options{}.ladder()); got != "configured,no-preprocess" {
-		t.Errorf("default ladder = %s", got)
-	}
-	noPre := encode.DefaultConfig()
-	noPre.Preprocess = false
-	if got := names(Options{Encode: &noPre}.ladder()); got != "configured" {
-		t.Errorf("no-preprocess ladder = %s", got)
-	}
-	rf := Options{Backend: BackendRF}
-	if got := names(rf.ladder()); got != "rf,configured,no-preprocess" {
-		t.Errorf("rf ladder = %s", got)
-	}
-	last := rf.ladder()[2]
-	if !last.NoPreprocess || last.Backend != BackendSAT {
-		t.Errorf("last rung = %+v, want SAT without preprocessing", last)
-	}
-}
-
 // TestDeadlineUnknownWithReport: a deadline far below what snark/Da
 // needs must yield VerdictUnknown with a populated BudgetReport — not
 // an error, and not a hang.
@@ -59,21 +32,19 @@ func TestDeadlineUnknownWithReport(t *testing.T) {
 	if res.Verdict != VerdictUnknown || res.Pass {
 		t.Fatalf("verdict = %v (pass=%v), want unknown", res.Verdict, res.Pass)
 	}
-	if res.Budget == nil || len(res.Budget.Rungs) == 0 {
-		t.Fatalf("budget report = %+v, want populated rungs", res.Budget)
+	if res.Budget == nil {
+		t.Fatal("UNKNOWN without a budget report")
 	}
 	if res.Budget.Deadline != 50*time.Millisecond {
 		t.Errorf("report deadline = %v", res.Budget.Deadline)
 	}
-	for _, r := range res.Budget.Rungs {
-		if r.Budget != sat.BudgetDeadline.String() {
-			t.Errorf("rung %q exhausted %q (%s), want deadline", r.Name, r.Budget, r.Err)
-		}
+	if res.Budget.Cause != sat.BudgetDeadline.String() {
+		t.Errorf("cause %q, want deadline", res.Budget.Cause)
 	}
 }
 
-// TestConflictBudgetUnknown: a one-conflict budget starves every rung
-// of a non-trivial check; each rung's report names the conflicts axis.
+// TestConflictBudgetUnknown: a one-conflict budget starves a
+// non-trivial check; the report names the conflicts axis.
 func TestConflictBudgetUnknown(t *testing.T) {
 	res, err := Check("harris", "Saa", Options{
 		Model:          memmodel.SequentialConsistency,
@@ -85,52 +56,40 @@ func TestConflictBudgetUnknown(t *testing.T) {
 	if res.Verdict != VerdictUnknown {
 		t.Fatalf("verdict = %v, want unknown", res.Verdict)
 	}
-	if res.Budget == nil || len(res.Budget.Rungs) != 2 {
-		t.Fatalf("budget report = %+v, want the two default serial rungs", res.Budget)
+	if res.Budget == nil {
+		t.Fatal("UNKNOWN without a budget report")
 	}
-	for _, r := range res.Budget.Rungs {
-		if r.Budget != sat.BudgetConflicts.String() {
-			t.Errorf("rung %q exhausted %q (%s), want conflicts", r.Name, r.Budget, r.Err)
-		}
+	if res.Budget.ConflictBudget != 1 || res.Budget.Cause != sat.BudgetConflicts.String() {
+		t.Errorf("budget report = %+v, want conflict budget 1 and cause conflicts", res.Budget)
 	}
 }
 
-// TestLadderDegradedVerdict: a one-shot injected budget fault fails
-// one rung; the retry runs clean and the final verdict is identical to
-// a fault-free run, with the degradation recorded in the report.
-func TestLadderDegradedVerdict(t *testing.T) {
-	opts := Options{Model: memmodel.SequentialConsistency}
-	clean, err := Check("harris", "Saa", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestInjectedBudgetUnknown: a one-shot injected budget fault ends the
+// check UNKNOWN with cause "injected". The check makes one attempt, so
+// no verdict may come out of a run whose solve was cut short.
+func TestInjectedBudgetUnknown(t *testing.T) {
 	script := faultinject.NewScript(1, 1, faultinject.SolverBudget)
-	opts.Faults = script
-	res, err := Check("harris", "Saa", opts)
+	res, err := Check("harris", "Saa", Options{
+		Model:  memmodel.SequentialConsistency,
+		Faults: script,
+	})
 	if err != nil {
-		t.Fatalf("recoverable fault must not error: %v", err)
+		t.Fatalf("an injected budget fault must be a verdict, got error: %v", err)
 	}
 	if script.Fired(faultinject.SolverBudget) != 1 {
 		t.Fatalf("injected budget fault never fired (instance too small?)")
 	}
-	if res.Verdict != clean.Verdict || res.Pass != clean.Pass {
-		t.Errorf("degraded verdict %v/%v differs from clean %v/%v",
-			res.Verdict, res.Pass, clean.Verdict, clean.Pass)
+	if res.Verdict != VerdictUnknown || res.Pass {
+		t.Fatalf("verdict = %v (pass=%v), want unknown", res.Verdict, res.Pass)
 	}
-	if res.Budget == nil || len(res.Budget.Rungs) == 0 {
-		t.Fatalf("degraded run has no budget report")
-	}
-	if got := res.Budget.Rungs[0].Budget; got != sat.BudgetInjected.String() {
-		t.Errorf("rung exhausted %q, want injected", got)
-	}
-	if !res.Spec.Equal(clean.Spec) {
-		t.Errorf("degraded run mined a different observation set")
+	if res.Budget == nil || res.Budget.Cause != sat.BudgetInjected.String() {
+		t.Errorf("budget report = %+v, want cause injected", res.Budget)
 	}
 }
 
 // TestAbortInDeferredEmission: an Abort that first fires inside the
 // deferred transitivity emission, after Encode has returned, must
-// yield VerdictUnknown, reported like a deadline on every rung. The
+// yield VerdictUnknown, reported like a deadline. The
 // formula is incomplete there, so no solve of it may answer: a solver
 // that ignored the emission's error would decide the check without
 // transitivity.
@@ -154,13 +113,8 @@ func TestAbortInDeferredEmission(t *testing.T) {
 	if res.Verdict != VerdictUnknown || res.Pass {
 		t.Fatalf("verdict = %v (pass=%v), want unknown", res.Verdict, res.Pass)
 	}
-	if res.Budget == nil || len(res.Budget.Rungs) == 0 {
-		t.Fatalf("budget report = %+v, want populated rungs", res.Budget)
-	}
-	for _, r := range res.Budget.Rungs {
-		if r.Budget != sat.BudgetDeadline.String() {
-			t.Errorf("rung %q exhausted %q (%s), want deadline", r.Name, r.Budget, r.Err)
-		}
+	if res.Budget == nil || res.Budget.Cause != sat.BudgetDeadline.String() {
+		t.Fatalf("budget report = %+v, want cause deadline", res.Budget)
 	}
 }
 
@@ -376,16 +330,20 @@ func TestSpecCacheMinerPanicReleasesWaiters(t *testing.T) {
 
 // TestChaosSweep drives the whole suite engine through every fault
 // site with deterministic seeds: every job must end in a clean verdict
-// or a typed error — no unrecovered panic, no deadlock — and one-shot
+// or a typed error — no unrecovered panic, no deadlock. One-shot
 // faults at recoverable sites must reproduce the fault-free verdicts
-// exactly.
+// exactly, and a one-shot budget fault must end exactly one job
+// UNKNOWN with cause "injected" while every other job reproduces its
+// fault-free verdict.
 func TestChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep is slow")
 	}
+	// msn/T0's inclusion solves run past the solver's periodic budget
+	// checkpoint, where SolverBudget fires; ms2/T0's finish before it.
 	jobs := []Job{
-		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.SequentialConsistency}},
-		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.Relaxed}},
+		{Impl: "msn", Test: "T0", Opts: Options{Model: memmodel.SequentialConsistency}},
+		{Impl: "msn", Test: "T0", Opts: Options{Model: memmodel.Relaxed}},
 	}
 	baseline := RunSuite(jobs, SuiteOptions{Parallelism: 2})
 	requireAllRan(t, baseline)
@@ -405,6 +363,9 @@ func TestChaosSweep(t *testing.T) {
 					SpecCacheDir: dir,
 					Faults:       script,
 				})
+				budget := site == faultinject.SolverBudget
+				exact := faultinject.Recoverable(site) || budget
+				unknown := 0
 				for i, r := range results {
 					if r.Err != nil {
 						var rp *faultinject.RecoveredPanic
@@ -414,8 +375,8 @@ func TestChaosSweep(t *testing.T) {
 						if !typed {
 							t.Errorf("job %d: untyped error %v", i, r.Err)
 						}
-						if faultinject.Recoverable(site) {
-							t.Errorf("job %d: recoverable site %s errored: %v", i, site, r.Err)
+						if exact {
+							t.Errorf("job %d: site %s errored: %v", i, site, r.Err)
 						}
 						continue
 					}
@@ -426,15 +387,25 @@ func TestChaosSweep(t *testing.T) {
 					if v := r.Res.Verdict; v != VerdictPass && v != VerdictFail && v != VerdictUnknown {
 						t.Errorf("job %d: invalid verdict %v", i, v)
 					}
-					if faultinject.Recoverable(site) {
+					if budget && r.Res.Verdict == VerdictUnknown {
+						unknown++
+						if b := r.Res.Budget; b == nil || b.Cause != sat.BudgetInjected.String() {
+							t.Errorf("job %d: UNKNOWN with budget report %+v, want cause injected", i, b)
+						}
+						continue
+					}
+					if exact {
 						if r.Res.Verdict != baseline[i].Res.Verdict {
-							t.Errorf("job %d: verdict %v under recoverable fault, clean run had %v",
-								i, r.Res.Verdict, baseline[i].Res.Verdict)
+							t.Errorf("job %d: verdict %v under fault at %s, clean run had %v",
+								i, r.Res.Verdict, site, baseline[i].Res.Verdict)
 						}
 						if !r.Res.Spec.Equal(baseline[i].Res.Spec) {
-							t.Errorf("job %d: observation set drifted under recoverable fault", i)
+							t.Errorf("job %d: observation set drifted under fault at %s", i, site)
 						}
 					}
+				}
+				if budget && unknown != 1 {
+					t.Errorf("%d jobs UNKNOWN under a one-shot budget fault, want exactly 1", unknown)
 				}
 			})
 		}

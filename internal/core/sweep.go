@@ -2,10 +2,10 @@ package core
 
 // This file implements model-sweep grouping: RunSuite jobs that are
 // identical in everything but Model form one unit, which checkModels
-// decides like a single check — one degradation ladder, each rung one
-// checkAttempt over the models still undecided — whose rounds share
-// one selector-guarded encoding (encode.NewSweepWithConfig +
-// spec.SweepCheck) instead of encoding per model. Everything
+// decides like a single check — one checkAttempt over all its models —
+// whose rounds share one selector-guarded encoding
+// (encode.NewSweepWithConfig + spec.SweepCheck) instead of encoding
+// per model. Everything
 // model-independent is paid once per group — harness build, loop
 // unrolling, range analysis, specification mining, circuit
 // construction, CNF translation and preprocessing, bound probing —
@@ -58,12 +58,10 @@ func ParseSweepMode(s string) (SweepMode, error) {
 
 // sweepEligible reports whether a job may join a sweep group at all.
 // Serial is excluded structurally (its seriality axioms and operation
-// merge classes reshape the encoding); a forced rf backend never
-// touches SAT; fault injection is per-check machinery the shared
-// pipeline must not multiplex.
+// merge classes reshape the encoding); fault injection is per-check
+// machinery the shared pipeline must not multiplex.
 func sweepEligible(o Options) bool {
-	return o.Sweep != SweepOff && o.Model != memmodel.Serial &&
-		o.Backend != BackendRF && o.Faults == nil
+	return o.Sweep != SweepOff && o.Model != memmodel.Serial && o.Faults == nil
 }
 
 // sweepFingerprint renders every Options field except Model into a

@@ -7,6 +7,7 @@ import (
 	"checkfence/internal/encode"
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
+	"checkfence/internal/sat"
 )
 
 func fourModelJobs(impl, test string, opts Options) []Job {
@@ -101,9 +102,9 @@ func TestSweepLitmusOnRF(t *testing.T) {
 	}
 }
 
-// TestSweepFallbackIndependent: jobs that cannot sweep — a forced rf
-// backend, a Serial member, an explicit opt-out — run independently
-// and still produce correct results.
+// TestSweepFallbackIndependent: jobs that cannot sweep — a Serial
+// member, an explicit opt-out — run independently and still produce
+// correct results.
 func TestSweepFallbackIndependent(t *testing.T) {
 	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
 	jobs = append(jobs, Job{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.Serial}})
@@ -120,8 +121,8 @@ func TestSweepFallbackIndependent(t *testing.T) {
 }
 
 // TestSweepDeadlineFallback: a group whose shared attempt exhausts its
-// budget retries its undecided members on the group's next rung, so a
-// tight group budget degrades, never wedges.
+// budget reports its undecided members UNKNOWN, so a tight group
+// budget ends in verdicts, never an error or a wedge.
 func TestSweepDeadlineFallback(t *testing.T) {
 	jobs := fourModelJobs("msn", "T0", Options{Deadline: time.Nanosecond})
 	results := RunSuite(jobs, SuiteOptions{Parallelism: 1})
@@ -132,18 +133,17 @@ func TestSweepDeadlineFallback(t *testing.T) {
 		if r.Res == nil {
 			t.Fatalf("job %d: nil result", i)
 		}
-		// Each member must resolve to a verdict (pass or unknown after
-		// the ladder) — never an error.
+		// Each member must resolve to a verdict (pass or unknown) —
+		// never an error.
 		if r.Res.Verdict == VerdictFail {
 			t.Errorf("job %d: spurious failure under a starved budget", i)
 		}
 	}
 }
 
-// TestSweepFallbackDeadlineBudget: members the shared attempt leaves
-// undecided retry on the group's next rung, under the group's one
-// absolute deadline instead of fresh windows. snark/Da takes seconds,
-// so a 400ms group deadline forces the shared attempt to exhaust; were
+// TestSweepFallbackDeadlineBudget: a group runs under its one absolute
+// deadline, never fresh windows per member. snark/Da takes seconds, so
+// a 400ms group deadline forces the shared attempt to exhaust; were
 // each member to re-run under its own full 400ms window, the unit's
 // wall clock would inflate to ~(1 + members) x the configured
 // deadline.
@@ -164,18 +164,17 @@ func TestSweepFallbackDeadlineBudget(t *testing.T) {
 			t.Logf("job %d: verdict %v inside the deadline", i, r.Res.Verdict)
 		}
 	}
-	// Generous ceiling: the group attempt may use the full window and
-	// the next rung adds bounded overhead, but nothing re-opens a full
-	// window. Per-member windows would land at ~5x the deadline.
+	// Generous ceiling: the group attempt may use the full window plus
+	// bounded overhead, but nothing re-opens a full window. Per-member
+	// windows would land at ~5x the deadline.
 	if elapsed > 3*deadline {
-		t.Errorf("sweep unit took %v under a %v deadline; the group's rungs outran its one deadline", elapsed, deadline)
+		t.Errorf("sweep unit took %v under a %v deadline; the group outran its one deadline", elapsed, deadline)
 	}
 }
 
 // TestSweepLadderReport: an UNKNOWN sweep member reports the budget
-// that was configured and the ladder its group walked — the same
-// report an UNKNOWN single check gives — not whatever sliver of the
-// window was left when it was retried.
+// that was configured and the one cause that stopped its group — the
+// same report an UNKNOWN single check gives.
 func TestSweepLadderReport(t *testing.T) {
 	const deadline = 400 * time.Millisecond
 	results := RunSuite(fourModelJobs("snark", "Da", Options{Deadline: deadline}),
@@ -190,14 +189,14 @@ func TestSweepLadderReport(t *testing.T) {
 		}
 		unknown++
 		b := r.Res.Budget
-		if b == nil || len(b.Rungs) == 0 {
-			t.Fatalf("job %d: UNKNOWN without a rung report: %+v", i, b)
+		if b == nil {
+			t.Fatalf("job %d: UNKNOWN without a budget report", i)
 		}
 		if b.Deadline != deadline {
 			t.Errorf("job %d: Budget.Deadline = %v, want the configured %v", i, b.Deadline, deadline)
 		}
-		if b.Rungs[0].Name != "configured" {
-			t.Errorf("job %d: first rung %q, want \"configured\"", i, b.Rungs[0].Name)
+		if b.Cause != sat.BudgetDeadline.String() {
+			t.Errorf("job %d: cause %q, want deadline", i, b.Cause)
 		}
 	}
 	if unknown == 0 {

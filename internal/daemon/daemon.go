@@ -364,7 +364,7 @@ func (s *Server) record(line *ResultLine) {
 		}
 		s.sweeps += int64(st.SweepGroups)
 	}
-	if line.Budget != nil && len(line.Budget.Rungs) > 0 {
+	if line.Budget != nil {
 		s.budgets++
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -545,6 +546,27 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("%s: %s, want 400", tc.name, resp.Status)
 			}
 		})
+	}
+}
+
+// TestBackendRFRejected: "rf" is not a selectable backend (auto routes
+// litmus programs to the reads-from engine), so a job naming it gets a
+// 400 whose message names the two backends there are.
+func TestBackendRFRejected(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(
+		`{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","backend":"rf"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("backend rf: %s, want 400", resp.Status)
+	}
+	if msg := string(body); !strings.Contains(msg, "auto") || !strings.Contains(msg, "sat") {
+		t.Errorf("400 body %q does not name auto and sat", msg)
 	}
 }
 

@@ -66,8 +66,7 @@ func TestResultLineWire(t *testing.T) {
 }
 
 // TestResultLineBudget pins the budget object of a result that ran out
-// of budget: the configured limits and one "rung (cause)" entry per
-// exhausted ladder rung.
+// of budget: the configured limits and the cause that stopped it.
 func TestResultLineBudget(t *testing.T) {
 	lines := resultLines(t, `{"jobs":[{"program":{"name":"harris"},"test":"Saa","model":"relaxed","conflict_budget":1}]}`)
 	if len(lines) != 1 {

@@ -10,6 +10,7 @@
 //	sat.Solver (via SetFaults / encode.Config.Faults):
 //	    SolverAlloc  — panic while allocating a variable (NewVar)
 //	    SolverBudget — force a typed budget exhaustion out of Solve
+//	                   (the check ends UNKNOWN with cause "injected")
 //	    SolvePanic   — panic inside the CDCL search loop
 //	encode.Encoder (via encode.Config.Faults):
 //	    EncodePanic  — panic at the start of Encode
@@ -49,15 +50,12 @@ func Sites() []Site {
 }
 
 // Recoverable reports whether a fault at the site is expected to be
-// absorbed by the degradation/retry machinery — the run still ends in
-// a verdict bit-identical to a fault-free run. Non-recoverable sites
-// (injected panics, alloc failures) end in a typed error instead.
+// absorbed — the run still ends in a verdict bit-identical to a
+// fault-free run. Only a corrupt cache entry is: it is quarantined and
+// re-mined. A forced budget exhaustion ends its check UNKNOWN, and the
+// other sites (injected panics, alloc failures) end in a typed error.
 func Recoverable(s Site) bool {
-	switch s {
-	case SolverBudget, CacheCorrupt:
-		return true
-	}
-	return false
+	return s == CacheCorrupt
 }
 
 // Faults decides, per occurrence, whether the fault at a site fires.
@@ -108,8 +106,8 @@ func InjectedSite(v any) Site {
 
 // Script is a deterministic, seed-driven Faults implementation. Each
 // armed site fires exactly once, at an occurrence index derived from
-// the seed (within [0, Window)), then disarms — so a recoverable
-// fault hits one attempt and the retry runs clean. A Window of 1
+// the seed (within [0, Window)), then disarms — so a fault hits one
+// check and the others run clean. A Window of 1
 // makes every armed site fire on its first occurrence.
 type Script struct {
 	mu     sync.Mutex

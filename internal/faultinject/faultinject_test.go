@@ -115,15 +115,15 @@ func TestSitesCoverRecoverable(t *testing.T) {
 	for _, s := range Sites() {
 		found[s] = true
 	}
-	for _, s := range []Site{SolverBudget, CacheCorrupt} {
-		if !found[s] {
-			t.Fatalf("recoverable site %q missing from Sites()", s)
-		}
-		if !Recoverable(s) {
-			t.Fatalf("site %q should be recoverable", s)
-		}
+	if !found[CacheCorrupt] {
+		t.Fatalf("recoverable site %q missing from Sites()", CacheCorrupt)
 	}
-	if Recoverable(SolvePanic) {
-		t.Fatal("SolvePanic should not be recoverable")
+	if !Recoverable(CacheCorrupt) {
+		t.Fatalf("site %q should be recoverable", CacheCorrupt)
+	}
+	for _, s := range []Site{SolvePanic, SolverBudget} {
+		if Recoverable(s) {
+			t.Fatalf("%s should not be recoverable", s)
+		}
 	}
 }

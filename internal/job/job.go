@@ -84,8 +84,9 @@ type Check struct {
 	// Model is the memory model: "sc", "tso", "pso", "relaxed",
 	// "serial".
 	Model string `json:"model"`
-	// Backend selects the verdict engine: "auto" (default), "rf",
-	// "sat".
+	// Backend selects the verdict engine: "auto" (default: litmus
+	// programs go to the reads-from engine, the rest to SAT) or "sat"
+	// (the SAT reference path).
 	Backend string `json:"backend,omitempty"`
 	// SpecSource is "sat" (default: mine from the implementation) or
 	// "refset".

@@ -22,13 +22,14 @@ type Result struct {
 	Stats  *Stats  `json:"stats,omitempty"`
 }
 
-// Budget summarizes a result's resource governance: the configured
-// budgets and one line per exhausted degradation-ladder rung.
+// Budget explains an UNKNOWN result: the configured budgets and the
+// cause that stopped the check — the exhausted budget axis, or the
+// error text when no budget was the cause.
 type Budget struct {
-	Deadline       string   `json:"deadline,omitempty"`
-	ConflictBudget int64    `json:"conflict_budget,omitempty"`
-	MemBudgetMB    int      `json:"mem_budget_mb,omitempty"`
-	Rungs          []string `json:"rungs,omitempty"`
+	Deadline       string `json:"deadline,omitempty"`
+	ConflictBudget int64  `json:"conflict_budget,omitempty"`
+	MemBudgetMB    int    `json:"mem_budget_mb,omitempty"`
+	Cause          string `json:"cause,omitempty"`
 }
 
 // Stats is the wire subset of core.Stats.
@@ -62,19 +63,9 @@ func NewResult(j core.Job, res *core.Result, err error) Result {
 		r.Cex = res.Cex.String()
 	}
 	if b := res.Budget; b != nil {
-		r.Budget = &Budget{ConflictBudget: b.ConflictBudget, MemBudgetMB: b.MemBudgetMB}
+		r.Budget = &Budget{ConflictBudget: b.ConflictBudget, MemBudgetMB: b.MemBudgetMB, Cause: b.Cause}
 		if b.Deadline > 0 {
 			r.Budget.Deadline = b.Deadline.String()
-		}
-		for _, rung := range b.Rungs {
-			desc, cause := rung.Name, rung.Budget
-			if cause == "" {
-				cause = rung.Err
-			}
-			if cause != "" {
-				desc += " (" + cause + ")"
-			}
-			r.Budget.Rungs = append(r.Budget.Rungs, desc)
 		}
 	}
 	st := res.Stats

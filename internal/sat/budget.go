@@ -4,7 +4,7 @@ package sat
 // queries are worst-case intractable, so a production caller cannot
 // assume any individual solve terminates or fits in memory: budgets
 // turn "hangs forever" and "eats the heap" into a typed, prompt
-// *ErrBudget that the degradation ladder upstream can act on.
+// *ErrBudget that the driver upstream reports as an UNKNOWN verdict.
 //
 // Four budget axes are supported:
 //
