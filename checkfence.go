@@ -190,7 +190,7 @@ type SpecCache = core.SpecCache
 func NewSpecCache(dir string) *SpecCache { return core.NewSpecCache(dir) }
 
 // CacheStats is a snapshot of a SpecCache's cumulative traffic (hits,
-// misses, checkpoint resumes, quarantined entries).
+// misses, quarantined entries).
 type CacheStats = core.CacheStats
 
 // Gate admission-controls units of work across independent CheckSuite

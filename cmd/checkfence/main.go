@@ -314,15 +314,12 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 		if s.SpecCacheHits+s.SpecCacheMisses > 0 {
 			fmt.Fprintf(w, "spec cache: %d hits, %d misses\n", s.SpecCacheHits, s.SpecCacheMisses)
 		}
-		if s.SpecCacheResumed > 0 {
-			fmt.Fprintf(w, "spec cache: %d mines resumed from checkpoint\n", s.SpecCacheResumed)
-		}
 		if s.SpecCacheCorrupt > 0 {
 			fmt.Fprintf(w, "spec cache: %d corrupt entries quarantined\n", s.SpecCacheCorrupt)
 		}
-		if s.VivifiedLits+s.SubsumedLearnts+s.ChronoBacktracks > 0 {
-			fmt.Fprintf(w, "inprocessing: %d lits vivified from %d clauses, %d learnts subsumed, %d chrono backtracks\n",
-				s.VivifiedLits, s.VivifiedClauses, s.SubsumedLearnts, s.ChronoBacktracks)
+		if s.SubsumedLearnts+s.ChronoBacktracks > 0 {
+			fmt.Fprintf(w, "inprocessing: %d learnts subsumed, %d chrono backtracks\n",
+				s.SubsumedLearnts, s.ChronoBacktracks)
 		}
 		if ss := s.SolverStats; ss.TierCore+ss.TierMid+ss.TierLocal > 0 {
 			fmt.Fprintf(w, "learnt tiers: %d core, %d mid, %d local\n", ss.TierCore, ss.TierMid, ss.TierLocal)

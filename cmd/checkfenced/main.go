@@ -9,8 +9,8 @@
 // work and one spec cache whose disk tier (-spec-cache-dir) is
 // content-addressed: concurrent clients requesting the same mining
 // problem trigger exactly one miner. SIGINT/SIGTERM drain in-flight
-// batches for -drain, then cancel the rest; interrupted miners leave
-// resumable checkpoints in the cache directory.
+// batches for -drain, then cancel the rest; sets mined to completion
+// stay in the cache directory for the next process.
 //
 // The only parallelism is across checks: -j bounds how many of them
 // the one process solves at once.

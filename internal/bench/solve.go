@@ -63,7 +63,6 @@ type SolveRow struct {
 	// Inprocessing and order-reduction work of the default serial run.
 	OrderVarsFixed  int   `json:"order_vars_fixed"`
 	OrderVarsMerged int   `json:"order_vars_merged"`
-	VivifiedLits    int64 `json:"vivified_lits"`
 	SubsumedLearnts int64 `json:"subsumed_learnts"`
 }
 
@@ -137,7 +136,6 @@ func (r *Runner) SolveReport(jsonPath string) error {
 			ConflictsOff:      inoff.Res.Stats.SolverStats.Conflicts,
 			OrderVarsFixed:    serial.Res.Stats.OrderVarsFixed,
 			OrderVarsMerged:   serial.Res.Stats.OrderVarsMerged,
-			VivifiedLits:      serial.Res.Stats.VivifiedLits,
 			SubsumedLearnts:   serial.Res.Stats.SubsumedLearnts,
 		}
 		row.InprocSpeedup = speedup(row.InprocOffSolveSec, row.SerialSolveSec)

@@ -160,17 +160,11 @@ type Stats struct {
 	// SpecCacheCorrupt counts corrupt cache files quarantined while
 	// serving this check's mining requests.
 	SpecCacheCorrupt int
-	// SpecCacheResumed counts mines of this check that resumed from an
-	// on-disk checkpoint left by an earlier interrupted mine.
-	SpecCacheResumed int
 
 	// Inprocessing work of the inclusion check's solver, summed over
-	// bound rounds: literals removed by clause vivification
-	// (and the clauses they came from), learnt clauses deleted by
-	// on-the-fly subsumption, and conflicts resolved by a chronological
-	// backtrack. Zero when Options.Encode turns inprocessing off.
-	VivifiedLits     int64
-	VivifiedClauses  int64
+	// bound rounds: learnt clauses deleted by on-the-fly subsumption
+	// and conflicts resolved by a chronological backtrack. Zero when
+	// Options.Encode turns inprocessing off.
 	SubsumedLearnts  int64
 	ChronoBacktracks int64
 
@@ -602,8 +596,6 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 		st.PreCNFVars, st.PreCNFClauses = s.Vars, s.Clauses
 	}
 	st.PreprocessTime = s.PreprocessTime
-	st.VivifiedClauses += s.VivifiedClauses
-	st.VivifiedLits += s.VivifiedLits
 	st.SubsumedLearnts += s.SubsumedLearnts
 	st.ChronoBacktracks += s.ChronoBacktracks
 	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
@@ -623,9 +615,8 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 	if opts.Spec != nil {
 		return opts.Spec, nil, nil
 	}
-	key := specKey(a.impl, a.test, a.u.Bounds, opts.SpecSource)
 	var serialEnc *encode.Encoder
-	mine := func(resume *spec.Set, resumeIters int) (*spec.Set, int, error) {
+	mine := func() (*spec.Set, int, error) {
 		switch opts.SpecSource {
 		case SpecRef:
 			set, err := refimpl.Enumerate(a.impl, a.test)
@@ -639,16 +630,6 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 			strat := spec.Strategy{
 				MaxMineIterations: opts.MaxMineIterations,
 				Faults:            opts.Faults,
-				Resume:            resume,
-				ResumeIterations:  resumeIters,
-			}
-			if cache := opts.SpecCache; cache != nil {
-				// Periodically mirror the partial set to disk so an
-				// interrupted mine (budget, crash, ^C) resumes
-				// instead of restarting.
-				strat.Checkpoint = func(partial *spec.Set, iterations int) {
-					cache.StoreCheckpoint(key, partial, iterations)
-				}
 			}
 			mined, stats, err := spec.MineWith(serialEnc, a.built.Entries, strat)
 			return mined, stats.Iterations, err
@@ -661,6 +642,7 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 	)
 	if opts.SpecCache != nil {
 		var outcome CacheOutcome
+		key := specKey(a.impl, a.test, a.u.Bounds, opts.SpecSource)
 		mined, iterations, outcome, err = opts.SpecCache.GetOrMine(key, mine)
 		if outcome.Hit {
 			res.Stats.SpecCacheHits++
@@ -670,11 +652,8 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 		if outcome.Corrupt {
 			res.Stats.SpecCacheCorrupt++
 		}
-		if outcome.Resumed {
-			res.Stats.SpecCacheResumed++
-		}
 	} else {
-		mined, iterations, err = mine(nil, 0)
+		mined, iterations, err = mine()
 	}
 	if err != nil {
 		if seqBug, ok := err.(*spec.SeqBugError); ok && serialEnc != nil {

@@ -192,7 +192,7 @@ func TestSuitePanicIsolation(t *testing.T) {
 
 // mustMine is a MineFunc returning a fixed set.
 func mustMine(set *spec.Set) MineFunc {
-	return func(*spec.Set, int) (*spec.Set, int, error) { return set, 1, nil }
+	return func() (*spec.Set, int, error) { return set, 1, nil }
 }
 
 func smallSet() *spec.Set {
@@ -231,7 +231,7 @@ func TestSpecCacheQuarantine(t *testing.T) {
 
 			cache := NewSpecCache(dir) // fresh in-memory state, same disk
 			mined := 0
-			set, _, out, err := cache.GetOrMine("k1", func(*spec.Set, int) (*spec.Set, int, error) {
+			set, _, out, err := cache.GetOrMine("k1", func() (*spec.Set, int, error) {
 				mined++
 				return want, 1, nil
 			})
@@ -258,46 +258,42 @@ func TestSpecCacheQuarantine(t *testing.T) {
 	}
 }
 
-// TestSpecCacheCheckpointResume: a failed mine that produced a partial
-// set leaves a <key>.part checkpoint; the next mine of the key is
-// seeded with it and the checkpoint is cleared on success.
-func TestSpecCacheCheckpointResume(t *testing.T) {
+// TestSpecCacheFailedMineWritesNothing: a failed mine under a cache
+// directory leaves no file behind, even when the miner hands back the
+// observations it had found, and the next GetOrMine of the key mines
+// again, from scratch, and stores the same set a direct mine yields.
+func TestSpecCacheFailedMineWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	partial := smallSet()
+	want := smallSet()
 	boom := errors.New("interrupted")
 
 	cache := NewSpecCache(dir)
-	set, iters, _, err := cache.GetOrMine("k", func(*spec.Set, int) (*spec.Set, int, error) {
-		return partial, 3, boom
-	})
-	if !errors.Is(err, boom) || set != partial || iters != 3 {
-		t.Fatalf("failed mine = (%v, %d, %v)", set, iters, err)
+	if _, _, _, err := cache.GetOrMine("k", func() (*spec.Set, int, error) {
+		return want, 3, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("failed mine err = %v, want boom", err)
 	}
-	partPath := filepath.Join(dir, "k.part")
-	if _, err := os.Stat(partPath); err != nil {
-		t.Fatalf("no checkpoint after failed mine: %v", err)
+	if names := dirNames(t, dir); len(names) != 0 {
+		t.Fatalf("failed mine left files behind: %v", names)
 	}
 
-	full := spec.NewSet()
-	full.Add(spec.Observation{lsl.Int(1), lsl.Undef()})
-	full.Add(spec.Observation{lsl.Int(2), lsl.Int(3)})
-	full.Add(spec.Observation{lsl.Int(9), lsl.Int(9)})
-	resumedWith := -1
-	got, _, out, err := NewSpecCache(dir).GetOrMine("k", func(resume *spec.Set, resumeIters int) (*spec.Set, int, error) {
-		resumedWith = resumeIters
-		if resume == nil || !resume.Equal(partial) {
-			t.Errorf("resume set = %v, want the checkpointed partial", resume)
+	for _, c := range []*SpecCache{cache, NewSpecCache(dir)} {
+		mined := 0
+		got, iters, out, err := c.GetOrMine("k", func() (*spec.Set, int, error) {
+			mined++
+			return smallSet(), 2, nil
+		})
+		if err != nil || mined != 1 || out.Hit || iters != 2 {
+			t.Fatalf("re-mine = (mined %d, iterations %d, outcome %+v, err %v), want one fresh mine of 2",
+				mined, iters, out, err)
 		}
-		return full, resumeIters + 2, nil
-	})
-	if err != nil || !got.Equal(full) {
-		t.Fatalf("resumed mine = (%v, %v)", got, err)
-	}
-	if !out.Resumed || resumedWith != 3 {
-		t.Errorf("outcome = %+v, resume iterations = %d, want resumed from 3", out, resumedWith)
-	}
-	if _, err := os.Stat(partPath); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("checkpoint not cleared on success: %v", err)
+		if !got.Equal(want) {
+			t.Errorf("re-mined set %v, want %v", got.All(), want.All())
+		}
+		if names := dirNames(t, dir); len(names) != 1 || names[0] != "k.obs" {
+			t.Errorf("after the re-mine: %v, want only k.obs", names)
+		}
+		os.Remove(filepath.Join(dir, "k.obs"))
 	}
 }
 
@@ -308,7 +304,7 @@ func TestSpecCacheMinerPanicReleasesWaiters(t *testing.T) {
 	cache := NewSpecCache("")
 	func() {
 		defer func() { recover() }()
-		cache.GetOrMine("k", func(*spec.Set, int) (*spec.Set, int, error) {
+		cache.GetOrMine("k", func() (*spec.Set, int, error) {
 			panic(faultinject.Injected{Site: faultinject.MinePanic})
 		})
 		t.Fatal("miner panic swallowed")

@@ -34,9 +34,8 @@ import (
 // The disk mirror is hardened against corruption: an entry that no
 // longer parses (truncated write, bit rot, foreign key) is quarantined
 // to <name>.bad and treated as a miss, so one damaged file costs a
-// re-mine, never a wrong specification or a crash. Interrupted mines
-// leave a <key>.part checkpoint (partial set plus iteration count)
-// that the next mine of the same key resumes from.
+// re-mine, never a wrong specification or a crash. A failed mine
+// writes nothing: the next request for the key mines from scratch.
 type SpecCache struct {
 	mu      sync.Mutex
 	entries map[string]*specEntry
@@ -45,7 +44,6 @@ type SpecCache struct {
 	corrupt int
 	hits    int
 	misses  int
-	resumed int
 }
 
 type specEntry struct {
@@ -55,20 +53,16 @@ type specEntry struct {
 	ok         bool
 }
 
-// MineFunc mines an observation set, optionally seeded with a
-// checkpointed partial set and the cumulative iteration count that
-// produced it (nil and 0 for a fresh mine).
-type MineFunc func(resume *spec.Set, resumeIterations int) (*spec.Set, int, error)
+// MineFunc mines an observation set, returning it with the number of
+// enumeration iterations spent.
+type MineFunc func() (*spec.Set, int, error)
 
 // CacheOutcome describes how a GetOrMine request was served.
 type CacheOutcome struct {
 	// Hit: the set came from the cache (memory or disk), not mine.
 	Hit bool
-	// Resumed: mining was seeded from an on-disk checkpoint left by an
-	// earlier interrupted mine.
-	Resumed bool
-	// Corrupt: a corrupt disk entry or checkpoint was quarantined
-	// while serving this request.
+	// Corrupt: a corrupt disk entry was quarantined while serving this
+	// request.
 	Corrupt bool
 }
 
@@ -84,9 +78,10 @@ func NewSpecCache(dir string) *SpecCache {
 }
 
 // sweepStaleTemps removes leftover atomic-write temp files from the
-// cache directory. Keys are hex digests and live entries use only the
-// .obs/.part/.bad suffixes, so a "-tmp" or ".tmp" substring can only
-// come from an interrupted writer. A concurrently writing sibling
+// cache directory, and the .part mining checkpoints older builds left
+// there, which nothing reads. Keys are hex digests and live entries
+// use only the .obs/.bad suffixes, so a "-tmp" or ".tmp" substring can
+// only come from an interrupted writer. A concurrently writing sibling
 // process may lose its in-flight temp file to the sweep; its rename
 // then fails and the store is retried by a later mine — stores are
 // best-effort by contract.
@@ -100,7 +95,7 @@ func (c *SpecCache) sweepStaleTemps() {
 	}
 	for _, e := range ents {
 		name := e.Name()
-		if strings.Contains(name, "-tmp") || strings.Contains(name, ".tmp") {
+		if strings.Contains(name, "-tmp") || strings.Contains(name, ".tmp") || strings.HasSuffix(name, ".part") {
 			os.Remove(filepath.Join(c.dir, name))
 		}
 	}
@@ -137,9 +132,6 @@ type CacheStats struct {
 	// (memory or disk) vs. mined fresh.
 	Hits   int
 	Misses int
-	// Resumed counts mines seeded from an on-disk checkpoint left by
-	// an earlier interrupted mine.
-	Resumed int
 	// Corrupt counts quarantined corrupt disk files.
 	Corrupt int
 	// Entries is the current number of in-memory entries.
@@ -153,7 +145,6 @@ func (c *SpecCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:    c.hits,
 		Misses:  c.misses,
-		Resumed: c.resumed,
 		Corrupt: c.corrupt,
 		Entries: len(c.entries),
 	}
@@ -163,10 +154,8 @@ func (c *SpecCache) Stats() CacheStats {
 // Concurrent callers with the same key block until the first
 // completes. Mining errors are never cached: the failing caller gets
 // its own error (it may need live solver state to build a trace, as
-// the sequential-bug path does) together with whatever partial set was
-// mined, waiters re-mine for themselves, and the key becomes free
-// again. A failed mine that produced a partial set leaves a disk
-// checkpoint; the next mine of the key resumes from it.
+// the sequential-bug path does), waiters re-mine for themselves, and
+// the key becomes free again.
 func (c *SpecCache) GetOrMine(key string, mine MineFunc) (set *spec.Set, iterations int, out CacheOutcome, err error) {
 	set, iterations, out, err = c.getOrMine(key, mine)
 	c.mu.Lock()
@@ -174,9 +163,6 @@ func (c *SpecCache) GetOrMine(key string, mine MineFunc) (set *spec.Set, iterati
 		c.hits++
 	} else {
 		c.misses++
-	}
-	if out.Resumed {
-		c.resumed++
 	}
 	c.mu.Unlock()
 	return set, iterations, out, err
@@ -192,7 +178,7 @@ func (c *SpecCache) getOrMine(key string, mine MineFunc) (set *spec.Set, iterati
 		}
 		// The miner failed; every caller needs its own failure
 		// context, so mine uncached.
-		set, iterations, err = c.mineResumable(key, mine, &out)
+		set, iterations, err = mine()
 		return set, iterations, out, err
 	}
 	e := &specEntry{done: make(chan struct{})}
@@ -219,7 +205,7 @@ func (c *SpecCache) getOrMine(key string, mine MineFunc) (set *spec.Set, iterati
 				panic(p)
 			}
 		}()
-		return c.mineResumable(key, mine, &out)
+		return mine()
 	}()
 	if err != nil {
 		c.mu.Lock()
@@ -234,25 +220,6 @@ func (c *SpecCache) getOrMine(key string, mine MineFunc) (set *spec.Set, iterati
 	return set, iterations, out, nil
 }
 
-// mineResumable runs mine seeded from any on-disk checkpoint for key,
-// checkpointing the partial set on failure and clearing the
-// checkpoint on success.
-func (c *SpecCache) mineResumable(key string, mine MineFunc, out *CacheOutcome) (*spec.Set, int, error) {
-	resume, resumeIters, ok := c.loadCheckpoint(key, out)
-	if ok {
-		out.Resumed = true
-	}
-	set, iterations, err := mine(resume, resumeIters)
-	if err != nil {
-		if set != nil && set.Len() > 0 {
-			c.StoreCheckpoint(key, set, iterations)
-		}
-		return set, iterations, err
-	}
-	c.removeCheckpoint(key)
-	return set, iterations, nil
-}
-
 // Len returns the number of cached sets (for tests and stats).
 func (c *SpecCache) Len() int {
 	c.mu.Lock()
@@ -262,10 +229,6 @@ func (c *SpecCache) Len() int {
 
 func (c *SpecCache) diskPath(key string) string {
 	return filepath.Join(c.dir, key+".obs")
-}
-
-func (c *SpecCache) partPath(key string) string {
-	return filepath.Join(c.dir, key+".part")
 }
 
 // quarantine moves an unparseable cache file aside as <name>.bad so it
@@ -303,24 +266,6 @@ func (c *SpecCache) loadDisk(key string, out *CacheOutcome) (*spec.Set, bool) {
 		return nil, false
 	}
 	return set, true
-}
-
-func (c *SpecCache) loadCheckpoint(key string, out *CacheOutcome) (*spec.Set, int, bool) {
-	if c.dir == "" {
-		return nil, 0, false
-	}
-	path := c.partPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false
-	}
-	set, iters, err := spec.ReadCheckpoint(bytes.NewReader(data), key)
-	if err != nil {
-		c.quarantine(path)
-		out.Corrupt = true
-		return nil, 0, false
-	}
-	return set, iters, true
 }
 
 // writeAtomic durably writes the bytes produced by write to dir/name:
@@ -367,30 +312,6 @@ func syncDir(dir string) {
 	}
 	d.Sync()
 	d.Close()
-}
-
-// StoreCheckpoint mirrors a partial observation set and its iteration
-// count to disk so an interrupted mine of the same key can resume.
-// Best-effort, like storeDisk; safe for concurrent use (fsynced
-// tmp+rename).
-func (c *SpecCache) StoreCheckpoint(key string, partial *spec.Set, iterations int) {
-	if c.dir == "" || partial == nil {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
-	}
-	writeAtomic(c.dir, key+".part", func(w io.Writer) error {
-		_, err := partial.WriteCheckpoint(w, key, iterations)
-		return err
-	})
-}
-
-func (c *SpecCache) removeCheckpoint(key string) {
-	if c.dir == "" {
-		return
-	}
-	os.Remove(c.partPath(key))
 }
 
 func (c *SpecCache) storeDisk(key string, set *spec.Set) {

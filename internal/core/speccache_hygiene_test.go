@@ -26,10 +26,11 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestSpecCacheSweepsStaleTemps: temp files orphaned by a crashed
-// writer are removed when the cache opens; live entries are kept.
+// writer, and the .part mining checkpoints older builds left, are
+// removed when the cache opens; live entries are kept.
 func TestSpecCacheSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
-	stale := []string{"abc123.obs-tmp4567", "def456.part-tmp1", "feed.tmp9"}
+	stale := []string{"abc123.obs-tmp4567", "def456.part-tmp1", "feed.tmp9", "beef789.part"}
 	for _, name := range stale {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
@@ -85,7 +86,7 @@ func TestWriteAtomicPublishes(t *testing.T) {
 // across calls (the view /metrics exposes).
 func TestSpecCacheStats(t *testing.T) {
 	c := NewSpecCache("")
-	mine := func(resume *spec.Set, iters int) (*spec.Set, int, error) {
+	mine := func() (*spec.Set, int, error) {
 		s := spec.NewSet()
 		return s, 1, nil
 	}

@@ -112,7 +112,7 @@ func TestRunSuiteMinesOnce(t *testing.T) {
 
 	// The counting variant: route the same key through GetOrMine
 	// directly and confirm the miner does not run again.
-	set, _, out, err := cache.GetOrMine(fixedKey(t, jobs[0]), func(*spec.Set, int) (*spec.Set, int, error) {
+	set, _, out, err := cache.GetOrMine(fixedKey(t, jobs[0]), func() (*spec.Set, int, error) {
 		mined.Add(1)
 		return nil, 0, errors.New("must not re-mine")
 	})
@@ -333,7 +333,7 @@ func TestSpecCacheCorruptDiskFile(t *testing.T) {
 func TestSpecCacheErrorNotCached(t *testing.T) {
 	cache := NewSpecCache("")
 	boom := errors.New("boom")
-	if _, _, _, err := cache.GetOrMine("k", func(*spec.Set, int) (*spec.Set, int, error) {
+	if _, _, _, err := cache.GetOrMine("k", func() (*spec.Set, int, error) {
 		return nil, 0, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -342,7 +342,7 @@ func TestSpecCacheErrorNotCached(t *testing.T) {
 		t.Fatalf("failed mining left %d entries", cache.Len())
 	}
 	want := spec.NewSet()
-	set, _, out, err := cache.GetOrMine("k", func(*spec.Set, int) (*spec.Set, int, error) {
+	set, _, out, err := cache.GetOrMine("k", func() (*spec.Set, int, error) {
 		return want, 7, nil
 	})
 	if err != nil || out.Hit || set != want {

@@ -140,7 +140,6 @@ type Server struct {
 	errors   int64
 	router   map[string]int64 // router decision -> count
 	sweeps   int64            // checks decided by a sweep group
-	budgets  int64            // results shaped by budget exhaustion
 }
 
 // NewServer builds a Server around a fresh spec cache (rooted at
@@ -179,9 +178,8 @@ func (s *Server) Cache() *core.SpecCache { return s.cache }
 
 // Shutdown drains the server: new batches are rejected with 503,
 // in-flight batches run to completion. If ctx expires first the
-// remaining work is cancelled — interrupted miners have checkpointed
-// partial sets to the cache directory (every 32 iterations and on
-// failure), so the next process resumes rather than restarts them.
+// remaining work is cancelled; an interrupted mine leaves nothing in
+// the cache directory, so the next process mines that key afresh.
 // Returns ctx.Err() when the drain was cut short.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// Serialize with batch admission: once draining is visible under
@@ -344,7 +342,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 }
 
 // record stores a finished check for the poll endpoint and folds it
-// into the verdict, router, sweep and budget counters.
+// into the verdict, router and sweep counters.
 func (s *Server) record(line *ResultLine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,9 +361,6 @@ func (s *Server) record(line *ResultLine) {
 			s.router[st.RouterDecision]++
 		}
 		s.sweeps += int64(st.SweepGroups)
-	}
-	if line.Budget != nil {
-		s.budgets++
 	}
 }
 
@@ -398,7 +393,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.Stats()
 	s.mu.Lock()
 	batches, inflight := s.batches, s.inflight
-	errors, sweeps, budgets := s.errors, s.sweeps, s.budgets
+	errors, sweeps := s.errors, s.sweeps
 	verdicts := make(map[string]int64, len(s.verdicts))
 	for k, v := range s.verdicts {
 		verdicts[k] = v
@@ -434,10 +429,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("checkfenced_inflight_jobs", "Jobs admitted but not finished.", inflight)
 	labeled("checkfenced_router_decisions_total", "Backend router decisions.", "decision", router)
 	counter("checkfenced_sweep_checks_total", "Checks decided by a model-sweep group.", sweeps)
-	counter("checkfenced_budget_exhausted_total", "Results shaped by budget exhaustion.", budgets)
 	counter("checkfenced_spec_cache_hits_total", "Spec cache hits (memory or disk).", int64(cs.Hits))
 	counter("checkfenced_spec_cache_misses_total", "Spec cache misses (fresh mines).", int64(cs.Misses))
-	counter("checkfenced_spec_cache_resumed_total", "Mines resumed from a checkpoint.", int64(cs.Resumed))
 	counter("checkfenced_spec_cache_corrupt_total", "Corrupt cache files moved aside to .bad.", int64(cs.Corrupt))
 	gauge("checkfenced_spec_cache_entries", "In-memory spec cache entries.", int64(cs.Entries))
 	io.WriteString(w, b.String())

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -428,61 +430,55 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestRestartResumesCheckpoint is the kill-and-restart scenario: a
-// mine interrupted in one daemon process leaves a .part checkpoint
-// that a fresh process on the same cache directory resumes — not
-// moves aside as corrupt — with the resume surfaced through /metrics.
-func TestRestartResumesCheckpoint(t *testing.T) {
+// TestRestartServesDiskHit is the kill-and-restart scenario: a fresh
+// process on a primed cache directory serves the check from disk —
+// no mine, nothing moved aside as corrupt — and sweeps the .part
+// mining checkpoints older builds left there.
+func TestRestartServesDiskHit(t *testing.T) {
 	dir := t.TempDir()
+	const batch = `{"jobs": [{"program": {"name": "msn"}, "test": "T0", "model": "sc"}]}`
 
-	// Process 1: the mine is cut off deterministically by an
-	// iteration cap standing in for a mid-mine kill (the checkpoint
-	// write path is identical: mineResumable stores the partial set).
+	// Process 1 primes the disk tier.
 	srv1 := NewServer(Config{CacheDir: dir})
 	ts1 := httptest.NewServer(srv1)
-	_, results, done := postBatch(t, ts1, `{
-		"jobs": [{"program": {"name": "msn"}, "test": "T0", "model": "sc",
-		          "max_mine_iterations": 1}]
-	}`)
-	if done.Errors != 1 || results[0].Error == "" {
-		t.Fatalf("capped mine should error: %+v", results)
-	}
-	if !strings.Contains(results[0].Error, "iteration limit") {
-		t.Fatalf("unexpected error: %s", results[0].Error)
+	if _, results, done := postBatch(t, ts1, batch); done.Errors != 0 {
+		t.Fatalf("priming batch errored: %+v", results)
 	}
 	ts1.Close()
-
-	parts, err := filepath.Glob(filepath.Join(dir, "*.part"))
-	if err != nil || len(parts) != 1 {
-		t.Fatalf("want exactly one .part checkpoint, got %v (%v)", parts, err)
+	if obs, err := filepath.Glob(filepath.Join(dir, "*.obs")); err != nil || len(obs) == 0 {
+		t.Fatalf("priming left no .obs entry: %v (%v)", obs, err)
+	}
+	stale := filepath.Join(dir, "feedface.part")
+	if err := os.WriteFile(stale, []byte("checkfence-obs-part 1\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// Process 2: fresh server, same cache directory.
 	srv2 := NewServer(Config{CacheDir: dir})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	_, results2, done2 := postBatch(t, ts2, `{
-		"jobs": [{"program": {"name": "msn"}, "test": "T0", "model": "sc"}]
-	}`)
+	_, results2, done2 := postBatch(t, ts2, batch)
 	if done2.Errors != 0 {
-		t.Fatalf("resumed mine errored: %+v", results2)
+		t.Fatalf("restarted daemon errored: %+v", results2)
 	}
 	direct, err := core.Check("msn", "T0", core.Options{Model: memmodel.SequentialConsistency})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results2[0].Verdict != direct.Verdict.String() {
-		t.Errorf("resumed verdict %s != direct %s", results2[0].Verdict, direct.Verdict.String())
+		t.Errorf("disk-served verdict %s != direct %s", results2[0].Verdict, direct.Verdict.String())
 	}
-	if got := scrapeMetric(t, ts2, "checkfenced_spec_cache_resumed_total"); got < 1 {
-		t.Errorf("spec_cache_resumed_total = %d, want >= 1", got)
+	if got := scrapeMetric(t, ts2, "checkfenced_spec_cache_hits_total"); got < 1 {
+		t.Errorf("spec_cache_hits_total = %d, want >= 1", got)
+	}
+	if got := scrapeMetric(t, ts2, "checkfenced_spec_cache_misses_total"); got != 0 {
+		t.Errorf("spec_cache_misses_total = %d, want 0: the primed set was re-mined", got)
 	}
 	if got := scrapeMetric(t, ts2, "checkfenced_spec_cache_corrupt_total"); got != 0 {
-		t.Errorf("checkpoint was treated as corrupt: corrupt_total = %d", got)
+		t.Errorf("primed entry was treated as corrupt: corrupt_total = %d", got)
 	}
-	// The finished mine cleared its checkpoint.
-	if parts, _ := filepath.Glob(filepath.Join(dir, "*.part")); len(parts) != 0 {
-		t.Errorf("stale checkpoints after successful resume: %v", parts)
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale checkpoint survived the restart: %v", err)
 	}
 }
 

@@ -82,9 +82,9 @@ type Config struct {
 	// Serial, of an operation) collapse into one variable, and the
 	// transitivity axioms are emitted only over the reduced skeleton.
 	OrderReduce bool
-	// Inprocess enables the solver's inprocessing layer (clause
-	// vivification, on-the-fly subsumption, the tiered learnt-clause
-	// database, chronological backtracking); see internal/sat.
+	// Inprocess enables the solver's inprocessing layer (on-the-fly
+	// subsumption, the tiered learnt-clause database, chronological
+	// backtracking); see internal/sat.
 	Inprocess bool
 	// Abort, when non-nil, is polled between encode phases and
 	// periodically inside the heavy compilation and axiom loops; a

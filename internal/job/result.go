@@ -42,7 +42,6 @@ type Stats struct {
 	CNFClauses     int    `json:"cnf_clauses,omitempty"`
 	CacheHits      int    `json:"spec_cache_hits,omitempty"`
 	CacheMisses    int    `json:"spec_cache_misses,omitempty"`
-	CacheResumed   int    `json:"spec_cache_resumed,omitempty"`
 	SweepGroups    int    `json:"sweep_groups,omitempty"`
 	EncodesReused  int    `json:"encodes_reused,omitempty"`
 	TotalTime      string `json:"total_time,omitempty"`
@@ -78,7 +77,6 @@ func NewResult(j core.Job, res *core.Result, err error) Result {
 		CNFClauses:     st.CNFClauses,
 		CacheHits:      st.SpecCacheHits,
 		CacheMisses:    st.SpecCacheMisses,
-		CacheResumed:   st.SpecCacheResumed,
 		SweepGroups:    st.SweepGroups,
 		EncodesReused:  st.EncodesReused,
 		TotalTime:      st.TotalTime.String(),

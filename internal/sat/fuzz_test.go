@@ -9,8 +9,8 @@ import (
 // at most 12 variables and checks every answer against brute force.
 //
 // The first byte picks the initial variable count, the second the solver
-// set-up: inprocessing on or off (on with vivification and
-// chronological backtracking at every chance, and optionally every
+// set-up: inprocessing on or off (on with chronological backtracking
+// at every chance, and optionally every
 // learnt clause in the local tier, so reductions drop half of them),
 // and a fixed learnt-database cap of 1 to 4, so reduceDB runs after
 // almost every conflict and the clause region fills with dead
@@ -46,7 +46,6 @@ func runSolverScript(t *testing.T, data []byte) {
 	setup := r.next()
 	s := New()
 	s.SetInprocess(setup&1 == 1)
-	s.inpro.vivifyInterval = 1
 	s.inpro.chrono = 1
 	s.maxLearnts, s.learntGrowth = float64(1+setup>>1%4), 1
 	if setup&8 != 0 {

@@ -2,16 +2,8 @@ package sat
 
 // This file implements the solver's inprocessing layer: simplification
 // that runs *during* search rather than once up front (contrast with
-// preprocess.go). Four techniques, all switchable together via
+// preprocess.go). Three techniques, all switchable together via
 // SetInprocess:
-//
-//   - Clause vivification (Piette/Hamadi/Saïs '08, Luo et al. IJCAI'17):
-//     at restart boundaries, re-derive learnt clauses by assuming the
-//     negation of their literals in turn; a propagation conflict or an
-//     implied literal proves a shorter clause, which replaces the
-//     original. Sound because the shrunk clause is both implied by the
-//     formula (it was derived from it by unit propagation) and implies
-//     the clause it replaces (it is a subset).
 //
 //   - On-the-fly backward subsumption: after each conflict, the freshly
 //     learnt clause is checked against the learnt antecedents that took
@@ -57,26 +49,18 @@ type inprocessConfig struct {
 	// backtracks chronologically (one level) instead of jumping to the
 	// asserting level. 0 disables chronological backtracking.
 	chrono int
-	// vivifyInterval is the number of conflicts between vivification
-	// rounds; vivifyProps bounds the propagation work of one round.
-	vivifyInterval int64
-	vivifyProps    int64
-	lastVivify     int64 // Conflicts counter at the last round
 }
 
 func defaultInprocess() inprocessConfig {
 	return inprocessConfig{
-		on:             true,
-		coreLBD:        3,
-		midLBD:         6,
-		chrono:         100,
-		vivifyInterval: 4000,
-		vivifyProps:    200000,
+		on:      true,
+		coreLBD: 3,
+		midLBD:  6,
+		chrono:  100,
 	}
 }
 
-// SetInprocess toggles the inprocessing layer (vivification, on-the-fly
-// subsumption, the tiered clause database, chronological backtracking).
+// SetInprocess toggles the inprocessing layer (on-the-fly subsumption, the tiered clause database, chronological backtracking).
 // On is the default; off restores the legacy single-tier behavior.
 // Call between Solve calls, not concurrently with one.
 func (s *Solver) SetInprocess(on bool) { s.inpro.on = on }
@@ -144,135 +128,11 @@ func (s *Solver) subsumeAntecedents(learnt []Lit) {
 	}
 }
 
-// vivify runs one vivification round over the core and mid tiers of
-// the learnt database. It must be called at the root decision level
-// (restart boundaries); it returns false when vivification derives
-// unsatisfiability of the formula.
-func (s *Solver) vivify() bool {
-	budget := s.stats.Propagations + s.inpro.vivifyProps
-	// s.learnts is not appended to inside the loop (vivification learns
-	// nothing, it only shrinks), so ranging over it directly is safe.
-	for _, c := range s.learnts {
-		if s.stats.Propagations > budget {
-			break
-		}
-		if s.ca.deleted(c) || s.ca.tier(c) == tierLocal || s.ca.size(c) < 2 || s.locked(c) {
-			continue
-		}
-		if !s.vivifyClause(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// vivifyClause distills one learnt clause: assume the negation of each
-// literal in turn on a scratch decision level; a literal already
-// implied true ends the clause there, an implied-false literal is
-// dropped, and a propagation conflict proves the assumed prefix
-// contradictory, so the prefix alone is the clause. Returns false when
-// the clause (or a unit it shrinks to) refutes the formula at the root.
-func (s *Solver) vivifyClause(c cref) bool {
-	// Root-level simplification first: the trail is at level 0, so any
-	// assigned literal is root-forced.
-	size := s.ca.size(c)
-	lits := s.vivTmp[:0]
-	for _, l := range s.ca.lits(c) {
-		switch s.value(l) {
-		case lTrue:
-			// Satisfied at the root: the clause is garbage.
-			s.removeLearnt(c)
-			s.vivTmp = lits
-			return true
-		case lFalse:
-			continue
-		}
-		lits = append(lits, l)
-	}
-	s.vivTmp = lits[:0]
-	if len(lits) == 0 {
-		s.ok = false
-		return false
-	}
-
-	s.detach(c)
-	s.trailLim = append(s.trailLim, len(s.trail)) // scratch decision level
-	out := s.vivOut[:0]
-	shrunk := len(lits) < size
-probe:
-	for i, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			// ¬out implies l: the tail beyond l is redundant.
-			out = append(out, l)
-			if i+1 < len(lits) {
-				shrunk = true
-			}
-			break probe
-		case lFalse:
-			// ¬out implies ¬l: l itself is redundant.
-			shrunk = true
-			continue
-		}
-		out = append(out, l)
-		s.uncheckedEnqueue(l.Not(), crefUndef)
-		if s.propagate() != crefUndef {
-			// ¬out is contradictory: out alone is an implied clause.
-			if i+1 < len(lits) {
-				shrunk = true
-			}
-			break probe
-		}
-	}
-	s.cancelUntil(0)
-	s.vivOut = out[:0]
-
-	if !shrunk {
-		s.attach(c)
-		return true
-	}
-	s.stats.VivifiedClauses++
-	s.stats.VivifiedLits += int64(size - len(out))
-	s.learntLits -= int64(size - len(out))
-	if len(out) <= 1 {
-		// The clause collapsed to (at most) a unit: the clause is
-		// dropped and the unit asserted at the root.
-		s.ca.free(c)
-		s.learntLits -= int64(len(out))
-		if len(out) == 0 {
-			s.ok = false
-			return false
-		}
-		switch s.value(out[0]) {
-		case lFalse:
-			s.ok = false
-			return false
-		case lUndef:
-			s.uncheckedEnqueue(out[0], crefUndef)
-			if s.propagate() != crefUndef {
-				s.ok = false
-				return false
-			}
-		}
-		return true
-	}
-	copy(s.ca.lits(c), out)
-	s.ca.shrink(c, len(out))
-	if s.ca.lbd(c) > len(out) {
-		s.ca.setLBD(c, len(out))
-	}
-	if t := s.tierFor(s.ca.lbd(c)); t < s.ca.tier(c) {
-		s.ca.setTier(c, t)
-	}
-	s.attach(c)
-	return true
-}
-
 // reduceDBTiered is the tier-aware clause-database reduction. Core
 // clauses are untouchable; mid-tier clauses that took part in no
 // conflict since the last reduction are demoted to local; the local
 // tier is sorted by activity and its colder half dropped. Deleted
-// entries (subsumption, vivification) are purged along the way.
+// entries (subsumption) are purged along the way.
 func (s *Solver) reduceDBTiered() {
 	ca := &s.ca
 	keep := s.learnts[:0]

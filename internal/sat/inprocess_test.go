@@ -32,42 +32,6 @@ func TestTierFor(t *testing.T) {
 	}
 }
 
-// TestVivifyClauseShrinks: with the implication chain a -> b -> c, the
-// learnt clause (¬a ∨ c ∨ d) vivifies to (¬a ∨ c) — asserting ¬(¬a)
-// propagates c true, so d is redundant.
-func TestVivifyClauseShrinks(t *testing.T) {
-	s := New()
-	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
-	s.AddClause(Neg(a), Pos(b))
-	s.AddClause(Neg(b), Pos(c))
-	_ = d
-	cl := addLearnt(s, tierMid, 1, false, Neg(a), Pos(c), Pos(d))
-
-	if !s.vivifyClause(cl) {
-		t.Fatal("vivifyClause reported unsat on a satisfiable formula")
-	}
-	if s.ca.deleted(cl) {
-		t.Fatal("clause deleted; want shrunk in place")
-	}
-	if lits := s.ca.lits(cl); len(lits) != 2 {
-		t.Fatalf("vivified clause has %d lits, want 2: %v", len(lits), lits)
-	}
-	if s.stats.VivifiedClauses != 1 || s.stats.VivifiedLits != 1 {
-		t.Fatalf("stats = %d clauses / %d lits vivified, want 1/1",
-			s.stats.VivifiedClauses, s.stats.VivifiedLits)
-	}
-	if s.decisionLevel() != 0 || len(s.trail) != 0 {
-		t.Fatalf("vivification leaked trail state: level %d, trail %d", s.decisionLevel(), len(s.trail))
-	}
-	// The shrunk clause must still be watched: a alone now forces c.
-	if st := s.Solve(Pos(a), Neg(d)); st != Sat {
-		t.Fatalf("solve after vivify = %v, want Sat", st)
-	}
-	if !s.Value(c) {
-		t.Fatal("vivified clause no longer propagates c under a")
-	}
-}
-
 // TestSubsumeAntecedents: a learnt antecedent strictly containing the
 // freshly learnt clause is deleted on the fly.
 func TestSubsumeAntecedents(t *testing.T) {
@@ -134,9 +98,8 @@ func TestReduceDBTiered(t *testing.T) {
 }
 
 // TestInprocessAgreesWithBaseline solves the same random instances
-// with inprocessing forced on (aggressive cadence so vivification,
-// subsumption, and chronological backtracking all fire) and fully off,
-// and demands identical verdicts, valid models, and agreement with
+// with inprocessing forced on (chronological backtracking at every
+// chance, so the in-search techniques fire) and fully off, and demands identical verdicts, valid models, and agreement with
 // brute force on the small instances.
 func TestInprocessAgreesWithBaseline(t *testing.T) {
 	fired := Stats{}
@@ -156,7 +119,6 @@ func TestInprocessAgreesWithBaseline(t *testing.T) {
 			s := New()
 			s.SetInprocess(inprocess)
 			if inprocess {
-				s.inpro.vivifyInterval = 1
 				s.inpro.chrono = 1
 			}
 			for v := 0; v < numVars; v++ {
@@ -181,29 +143,26 @@ func TestInprocessAgreesWithBaseline(t *testing.T) {
 			modelSatisfies(t, off, clauses)
 		}
 		st := on.Stats()
-		fired.VivifiedClauses += st.VivifiedClauses
 		fired.SubsumedLearnts += st.SubsumedLearnts
 		fired.ChronoBacktracks += st.ChronoBacktracks
-		if ost := off.Stats(); ost.VivifiedClauses+ost.SubsumedLearnts+ost.ChronoBacktracks != 0 {
+		if ost := off.Stats(); ost.SubsumedLearnts+ost.ChronoBacktracks != 0 {
 			t.Fatalf("seed %d: inprocessing counters nonzero with SetInprocess(false)", seed)
 		}
 	}
 	// The cadence above is aggressive enough that the machinery must
 	// actually run somewhere across 25 seeds — otherwise the agreement
 	// checks are vacuous.
-	if fired.VivifiedClauses+fired.SubsumedLearnts+fired.ChronoBacktracks == 0 {
+	if fired.SubsumedLearnts+fired.ChronoBacktracks == 0 {
 		t.Fatal("no inprocessing technique ever fired across all seeds")
 	}
 }
 
-// TestInprocessLargerPlanted runs the default cadence on instances big
-// enough to restart and reduce, as an integration check that tier
+// TestInprocessLargerPlanted runs the default inprocessing layer on
+// instances big enough to restart and reduce, as an integration check that tier
 // bookkeeping and logical deletion never corrupt the database.
 func TestInprocessLargerPlanted(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		s := New()
-		s.inpro.vivifyInterval = 50
-		s.inpro.vivifyProps = 10000
 		clauses := plantedInstance(s, 80, 340, seed)
 		if st := s.Solve(); st != Sat {
 			t.Fatalf("seed %d: planted instance = %v, want Sat", seed, st)

@@ -19,8 +19,8 @@
 // remain as an ablation), and LBD-based learned-clause database
 // reduction. SatELite-style preprocessing (preprocess.go) simplifies
 // the formula once before search; inprocessing (inprocess.go) adds
-// vivification, on-the-fly subsumption, a tiered learnt database and
-// chronological backtracking during search. Clauses live in one flat,
+// on-the-fly subsumption, a tiered learnt database and chronological
+// backtracking during search. Clauses live in one flat,
 // pointer-free region addressed by 32-bit references (store.go).
 package sat
 
@@ -218,13 +218,10 @@ type Stats struct {
 	PreprocessTime      time.Duration
 
 	// Inprocessing counters (see inprocess.go); zero when the layer is
-	// off. VivifiedLits counts literals removed from VivifiedClauses
-	// clauses; SubsumedLearnts counts learnt clauses deleted by
-	// on-the-fly backward subsumption; ChronoBacktracks counts
+	// off. SubsumedLearnts counts learnt clauses deleted by on-the-fly
+	// backward subsumption; ChronoBacktracks counts
 	// conflicts resolved by a chronological (one-level) backtrack.
 	// TierCore/TierMid/TierLocal snapshot the learnt-database tiers.
-	VivifiedClauses  int64
-	VivifiedLits     int64
 	SubsumedLearnts  int64
 	ChronoBacktracks int64
 	TierCore         int
@@ -289,14 +286,12 @@ type Solver struct {
 
 	// Inprocessing state (see inprocess.go): the knob block, the learnt
 	// antecedents of the current conflict (for on-the-fly subsumption),
-	// a literal stamp array for the subset test, and scratch buffers
-	// for vivification and the tiered reduceDB.
+	// a literal stamp array for the subset test, and a scratch buffer
+	// for the tiered reduceDB.
 	inpro     inprocessConfig
 	ante      []cref
 	litStamp  []int64
 	litGen    int64
-	vivTmp    []Lit
-	vivOut    []Lit
 	reduceTmp []cref
 
 	// addTmp is AddClause's normalization buffer.
@@ -1162,16 +1157,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			sinceRestart = 0
 			s.stats.Restarts++
 			s.cancelUntil(0)
-			// Restart boundaries are the vivification points:
-			// distillation probes on a scratch decision level above
-			// the root.
-			if s.inpro.on && s.stats.Conflicts-s.inpro.lastVivify >= s.inpro.vivifyInterval {
-				s.inpro.lastVivify = s.stats.Conflicts
-				if !s.vivify() {
-					s.ok = false
-					return Unsat
-				}
-			}
 			continue
 		}
 		if len(s.learnts) >= int(s.maxLearnts) {

@@ -55,7 +55,7 @@ const (
 const minRegion = 256
 
 // region is the flat clause store. wasted counts the words of
-// deleted clauses and of literals cut off by shrink.
+// deleted clauses.
 type region struct {
 	mem    []Lit
 	wasted int
@@ -150,12 +150,6 @@ func (r *region) alloc(lits []Lit, learnt bool) cref {
 func (r *region) free(c cref) {
 	r.setFlag(c, flagDeleted, true)
 	r.wasted += hdrWords + r.size(c)
-}
-
-// shrink cuts a clause down to its first n literals.
-func (r *region) shrink(c cref, n int) {
-	r.wasted += r.size(c) - n
-	r.mem[c+hdrSize] = Lit(n)
 }
 
 // reloc copies clause c into to, leaves a forwarding reference in its

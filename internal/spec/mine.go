@@ -35,31 +35,12 @@ var ErrMineLimit = errors.New("spec: mining exceeded iteration limit")
 // exists for the equivalence test.
 var blockShrink = true
 
-// Strategy configures mining and the inclusion check: iteration cap,
-// checkpoint/resume and fault hooks. The zero value
-// behaves exactly like Mine/CheckInclusion.
+// Strategy configures mining and the inclusion check: iteration cap
+// and fault hooks. The zero value behaves exactly like
+// Mine/CheckInclusion.
 type Strategy struct {
 	// MaxMineIterations caps the mining enumeration (0 = default).
 	MaxMineIterations int
-	// Resume seeds the enumeration with a previously mined partial
-	// set: its observations are excluded up front (the exclusion
-	// clauses block every model of each observation, a superset of the
-	// per-model blocking clauses the original run added) and included
-	// in the result, so an interrupted mine continues instead of
-	// restarting.
-	Resume *Set
-	// ResumeIterations is the iteration count already spent producing
-	// Resume; the continued run's count and the iteration limit are
-	// cumulative across it.
-	ResumeIterations int
-	// Checkpoint, when non-nil, is called with the partial set and the
-	// cumulative iteration count every CheckpointEvery iterations, so
-	// an interrupted mine can later resume. The callback must not
-	// retain the set: mining keeps mutating it.
-	Checkpoint func(partial *Set, iterations int)
-	// CheckpointEvery is the iteration period between Checkpoint calls
-	// (0 = 32).
-	CheckpointEvery int
 	// Faults, when non-nil, installs fault-injection hooks on the
 	// mining path (see internal/faultinject).
 	Faults faultinject.Faults
@@ -70,13 +51,6 @@ func (st Strategy) maxIter() int {
 		return st.MaxMineIterations
 	}
 	return DefaultMaxMineIterations
-}
-
-func (st Strategy) checkpointEvery() int {
-	if st.CheckpointEvery > 0 {
-		return st.CheckpointEvery
-	}
-	return 32
 }
 
 // unknownErr wraps a non-definitive solver status into the
@@ -114,9 +88,8 @@ func solveOne(e *encode.Encoder, assumptions ...sat.Lit) (sat.Status, error) {
 }
 
 // MineWith is Mine under a strategy. When mining stops early
-// (iteration limit, budget, cancellation), the partial set mined so
-// far is returned alongside the error so callers can checkpoint and
-// later resume it instead of discarding the work.
+// (iteration limit, budget, cancellation), the set is nil and the
+// error says why.
 func MineWith(e *encode.Encoder, entries []Entry, strat Strategy) (*Set, MineStats, error) {
 	if strat.Faults != nil && strat.Faults.Fire(faultinject.MinePanic) {
 		panic(faultinject.Injected{Site: faultinject.MinePanic})
@@ -149,31 +122,18 @@ func MineWith(e *encode.Encoder, entries []Entry, strat Strategy) (*Set, MineSta
 
 	// Enumerate error-free serial observations.
 	e.S.AddClause(errLit.Not())
-	// Start from everything a resumed checkpoint already established.
-	// Each exclusion blocks all models of its observation — a superset
-	// of the per-model blocking clauses a direct enumeration would have
-	// added — so checkpoint ∪ continued enumeration is the full set.
-	set := NewSet()
-	if strat.Resume != nil {
-		for _, o := range strat.Resume.All() {
-			if err := assertNotObservation(e, svs, o); err != nil {
-				return nil, MineStats{}, err
-			}
-			set.Add(o)
-		}
-	}
 
 	// The classical blocking-clause enumeration.
-	stats := MineStats{Iterations: strat.ResumeIterations}
+	set := NewSet()
+	var stats MineStats
 	limit := strat.maxIter()
-	every := strat.checkpointEvery()
 	for {
 		st, cause := solveOne(e)
 		if st == sat.Unsat {
 			return set, stats, nil
 		}
 		if st != sat.Sat {
-			return set, stats, unknownErr("mining", st, cause)
+			return nil, stats, unknownErr("mining", st, cause)
 		}
 		stats.Iterations++
 		set.Add(decodeObs(e, svs))
@@ -181,11 +141,8 @@ func MineWith(e *encode.Encoder, entries []Entry, strat Strategy) (*Set, MineSta
 		// model (not just this observation's canonical value): the
 		// bits fully determine the observation.
 		e.S.AddClause(blockingClause(e.S, lits)...)
-		if strat.Checkpoint != nil && stats.Iterations%every == 0 {
-			strat.Checkpoint(set, stats.Iterations)
-		}
 		if stats.Iterations > limit {
-			return set, stats, fmt.Errorf("%w (%d iterations)", ErrMineLimit, stats.Iterations)
+			return nil, stats, fmt.Errorf("%w (%d iterations)", ErrMineLimit, stats.Iterations)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // buildWideMiningEncoder yields 15 observations (a 4-bit havoc with
-// one value excluded), enough to exercise iteration limits,
-// checkpoints and resumes.
+// one value excluded), enough to exercise iteration limits and
+// mid-enumeration stops.
 func buildWideMiningEncoder(t *testing.T) (*encode.Encoder, []Entry) {
 	t.Helper()
 	body := []lsl.Stmt{
@@ -32,12 +32,16 @@ func buildWideMiningEncoder(t *testing.T) (*encode.Encoder, []Entry) {
 	return e, []Entry{{Label: "R", Thread: 1, Reg: "r"}}
 }
 
-// TestMineIterationLimit: an absurdly low cap surfaces ErrMineLimit.
+// TestMineIterationLimit: an absurdly low cap surfaces ErrMineLimit
+// and no set: a cut-off enumeration is not a specification.
 func TestMineIterationLimit(t *testing.T) {
 	e, entries := buildWideMiningEncoder(t)
-	_, _, err := MineWith(e, entries, Strategy{MaxMineIterations: 1})
+	set, _, err := MineWith(e, entries, Strategy{MaxMineIterations: 1})
 	if !errors.Is(err, ErrMineLimit) {
 		t.Errorf("err = %v, want ErrMineLimit", err)
+	}
+	if set != nil {
+		t.Errorf("limited mine returned a set of %d observations, want nil", set.Len())
 	}
 }
 

@@ -22,45 +22,18 @@ import (
 // integer, or "[ b o1 o2 ]" for a pointer; observation fields are
 // comma-separated.
 //
-// Version 2 embeds the mining key (the harness/bounds/source hash)
-// that produced the set, and readers verify it: a cache file that was
-// renamed, copied between cache directories, or written by a process
-// with a different key derivation no longer silently supplies a wrong
-// specification — it reads as a mismatch and the set is re-mined.
-// Version 1 files (no key line) are likewise rejected by the keyed
-// reader, since nothing ties them to the requested problem.
+// The file embeds the mining key (the harness/bounds/source hash)
+// that produced the set, and the reader verifies it: a cache file that
+// was renamed, copied between cache directories, or written by a
+// process with a different key derivation never silently supplies a
+// wrong specification — it reads as a mismatch and the set is
+// re-mined. Any other header, the unkeyed version 1 included, is
+// rejected as a bad header.
 
-const (
-	setFormatHeader   = "checkfence-obs 1" // legacy unkeyed format
-	setFormatHeaderV2 = "checkfence-obs 2"
-	// partFormatHeader marks a mining checkpoint: a partial set plus
-	// the cumulative iteration count that produced it. The distinct
-	// header keeps checkpoints out of the strict keyed reader — a
-	// partial set must never be mistaken for a complete one.
-	partFormatHeader = "checkfence-obs-part 1"
-)
+const setFormatHeader = "checkfence-obs 2"
 
-// WriteTo serializes the set in deterministic (sorted key) order.
-func (s *Set) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	count := func(c int, err error) error {
-		n += int64(c)
-		return err
-	}
-	if err := count(fmt.Fprintf(bw, "%s\n%d\n", setFormatHeader, s.Len())); err != nil {
-		return n, err
-	}
-	for _, o := range s.All() {
-		if err := count(fmt.Fprintln(bw, o.Key())); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// WriteKeyed serializes the set in the keyed v2 format, binding it to
-// the mining key that produced it.
+// WriteKeyed serializes the set in deterministic (sorted key) order,
+// binding it to the mining key that produced it.
 func (s *Set) WriteKeyed(w io.Writer, key string) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -68,7 +41,7 @@ func (s *Set) WriteKeyed(w io.Writer, key string) (int64, error) {
 		n += int64(c)
 		return err
 	}
-	if err := count(fmt.Fprintf(bw, "%s\nkey %s\n%d\n", setFormatHeaderV2, key, s.Len())); err != nil {
+	if err := count(fmt.Fprintf(bw, "%s\nkey %s\n%d\n", setFormatHeader, key, s.Len())); err != nil {
 		return n, err
 	}
 	for _, o := range s.All() {
@@ -79,85 +52,16 @@ func (s *Set) WriteKeyed(w io.Writer, key string) (int64, error) {
 	return n, bw.Flush()
 }
 
-// WriteCheckpoint serializes a partial set as a mining checkpoint:
-// the keyed format plus an "iterations N" line recording the
-// cumulative enumeration count, so an interrupted mine can resume
-// where it stopped.
-func (s *Set) WriteCheckpoint(w io.Writer, key string, iterations int) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	count := func(c int, err error) error {
-		n += int64(c)
-		return err
-	}
-	if err := count(fmt.Fprintf(bw, "%s\nkey %s\niterations %d\n%d\n",
-		partFormatHeader, key, iterations, s.Len())); err != nil {
-		return n, err
-	}
-	for _, o := range s.All() {
-		if err := count(fmt.Fprintln(bw, o.Key())); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadCheckpoint parses a mining checkpoint previously written with
-// WriteCheckpoint, returning the partial set and the iteration count.
-// Checkpoints under a different mining key are rejected like keyed
-// sets.
-func ReadCheckpoint(r io.Reader, key string) (*Set, int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return nil, 0, fmt.Errorf("spec: empty checkpoint stream")
-	}
-	if got := sc.Text(); got != partFormatHeader {
-		return nil, 0, fmt.Errorf("spec: bad checkpoint header %q", got)
-	}
-	if !sc.Scan() {
-		return nil, 0, fmt.Errorf("spec: checkpoint stream missing key line")
-	}
-	gotKey, ok := strings.CutPrefix(sc.Text(), "key ")
-	if !ok {
-		return nil, 0, fmt.Errorf("spec: malformed key line %q", sc.Text())
-	}
-	if gotKey != key {
-		return nil, 0, fmt.Errorf("spec: checkpoint mined for a different problem (key %.12s…, want %.12s…)",
-			gotKey, key)
-	}
-	if !sc.Scan() {
-		return nil, 0, fmt.Errorf("spec: checkpoint stream missing iterations line")
-	}
-	itersStr, ok := strings.CutPrefix(sc.Text(), "iterations ")
-	if !ok {
-		return nil, 0, fmt.Errorf("spec: malformed iterations line %q", sc.Text())
-	}
-	iters, err := strconv.Atoi(strings.TrimSpace(itersStr))
-	if err != nil || iters < 0 {
-		return nil, 0, fmt.Errorf("spec: bad checkpoint iteration count %q", itersStr)
-	}
-	set, err := readSetBody(sc)
-	if err != nil {
-		return nil, 0, err
-	}
-	return set, iters, nil
-}
-
-// ReadSetKeyed parses a keyed set previously written with WriteKeyed,
-// rejecting streams written under a different mining key or in the
-// legacy unkeyed v1 format.
+// ReadSetKeyed parses a set previously written with WriteKeyed,
+// rejecting streams written under a different mining key or with any
+// other header.
 func ReadSetKeyed(r io.Reader, key string) (*Set, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("spec: empty observation-set stream")
 	}
-	switch got := sc.Text(); got {
-	case setFormatHeaderV2:
-	case setFormatHeader:
-		return nil, fmt.Errorf("spec: legacy unkeyed observation-set (version 1); re-mine")
-	default:
+	if got := sc.Text(); got != setFormatHeader {
 		return nil, fmt.Errorf("spec: bad observation-set header %q", got)
 	}
 	if !sc.Scan() {
@@ -171,25 +75,6 @@ func ReadSetKeyed(r io.Reader, key string) (*Set, error) {
 		return nil, fmt.Errorf("spec: observation set mined for a different problem (key %.12s…, want %.12s…)",
 			gotKey, key)
 	}
-	return readSetBody(sc)
-}
-
-// ReadSet parses a set previously written with WriteTo.
-func ReadSet(r io.Reader) (*Set, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("spec: empty observation-set stream")
-	}
-	if got := sc.Text(); got != setFormatHeader {
-		return nil, fmt.Errorf("spec: bad observation-set header %q", got)
-	}
-	return readSetBody(sc)
-}
-
-// readSetBody parses the count line and observations shared by both
-// formats.
-func readSetBody(sc *bufio.Scanner) (*Set, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("spec: observation-set stream missing count")
 	}

@@ -15,27 +15,32 @@ func sampleSet() *Set {
 	return s
 }
 
+// TestSetRoundTrip: the empty set and a one-observation set survive
+// the format too (a zero count line, a single line).
 func TestSetRoundTrip(t *testing.T) {
-	want := sampleSet()
-	var sb strings.Builder
-	if _, err := want.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSet(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("ReadSet: %v\ninput:\n%s", err, sb.String())
-	}
-	if !got.Equal(want) {
-		t.Fatalf("round trip mismatch:\nwant %v\ngot  %v", want.All(), got.All())
+	one := NewSet()
+	one.Add(Observation{lsl.Ptr(3, 1)})
+	for name, want := range map[string]*Set{"empty": NewSet(), "one": one} {
+		var sb strings.Builder
+		if _, err := want.WriteKeyed(&sb, "k"); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSetKeyed(strings.NewReader(sb.String()), "k")
+		if err != nil {
+			t.Fatalf("%s: ReadSetKeyed: %v\ninput:\n%s", name, err, sb.String())
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: round trip mismatch:\nwant %v\ngot  %v", name, want.All(), got.All())
+		}
 	}
 }
 
 func TestWriteToDeterministic(t *testing.T) {
 	var a, b strings.Builder
-	if _, err := sampleSet().WriteTo(&a); err != nil {
+	if _, err := sampleSet().WriteKeyed(&a, "abc123"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sampleSet().WriteTo(&b); err != nil {
+	if _, err := sampleSet().WriteKeyed(&b, "abc123"); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -45,18 +50,23 @@ func TestWriteToDeterministic(t *testing.T) {
 
 func TestReadSetRejectsCorruption(t *testing.T) {
 	var sb strings.Builder
-	if _, err := sampleSet().WriteTo(&sb); err != nil {
+	if _, err := sampleSet().WriteKeyed(&sb, "abc123"); err != nil {
 		t.Fatal(err)
 	}
 	good := sb.String()
+	if _, err := ReadSetKeyed(strings.NewReader(good), "abc123"); err != nil {
+		t.Fatalf("good input rejected: %v", err)
+	}
 	for name, input := range map[string]string{
 		"empty":      "",
 		"bad header": "nonsense\n" + good,
 		"truncated":  good[:len(good)-len("0,1,undefined\n")-1],
 		"bad value":  strings.Replace(good, "undefined", "undefinable", 1),
+		"bad count":  strings.Replace(good, "\n3\n", "\n-3\n", 1),
+		"duplicate":  strings.Replace(good, "\n3\n", "\n4\n", 1) + "0,1,undefined\n",
 	} {
-		if _, err := ReadSet(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: ReadSet accepted corrupt input", name)
+		if _, err := ReadSetKeyed(strings.NewReader(input), "abc123"); err == nil {
+			t.Errorf("%s: ReadSetKeyed accepted corrupt input", name)
 		}
 	}
 }
@@ -77,25 +87,26 @@ func TestKeyedRoundTrip(t *testing.T) {
 }
 
 func TestKeyedRejectsForeignAndLegacyEntries(t *testing.T) {
-	var keyed, legacy strings.Builder
+	var keyed strings.Builder
 	if _, err := sampleSet().WriteKeyed(&keyed, "abc123"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sampleSet().WriteTo(&legacy); err != nil {
-		t.Fatal(err)
-	}
+	// The unkeyed version 1 format older builds wrote, and the mining
+	// checkpoint format they left beside it.
+	legacy := "checkfence-obs 1\n1\n0,1,undefined\n"
+	part := "checkfence-obs-part 1\nkey abc123\niterations 5\n1\n0,1,undefined\n"
 	// A set mined for a different problem must not be reused.
 	if _, err := ReadSetKeyed(strings.NewReader(keyed.String()), "other-key"); err == nil {
 		t.Error("ReadSetKeyed accepted a foreign-key entry")
 	}
 	// Legacy v1 files carry no key, so nothing ties them to the
 	// requested problem: reject (the cache re-mines and rewrites).
-	if _, err := ReadSetKeyed(strings.NewReader(legacy.String()), "abc123"); err == nil {
+	if _, err := ReadSetKeyed(strings.NewReader(legacy), "abc123"); err == nil {
 		t.Error("ReadSetKeyed accepted a legacy unkeyed entry")
 	}
-	// And the unkeyed reader does not silently accept v2 files either.
-	if _, err := ReadSet(strings.NewReader(keyed.String())); err == nil {
-		t.Error("ReadSet accepted a v2 keyed entry")
+	// A checkpoint held a partial set: never a specification.
+	if _, err := ReadSetKeyed(strings.NewReader(part), "abc123"); err == nil {
+		t.Error("ReadSetKeyed accepted a mining checkpoint")
 	}
 	// A missing or malformed key line is corruption.
 	broken := strings.Replace(keyed.String(), "key abc123", "abc123", 1)
