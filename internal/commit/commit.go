@@ -86,7 +86,7 @@ func Check(implName, testName string, model memmodel.Model) (*Result, error) {
 	}
 	if !failed {
 		grew, err := u.Converge(model, func(m memmodel.Model) (*encode.Encoder, error) {
-			probe := encode.New(m, u.Info)
+			probe := encode.NewWithConfig(m, u.Info, solvedAsEncoded())
 			return probe, probe.Encode(u.Threads)
 		})
 		if err != nil {
@@ -103,6 +103,15 @@ func Check(implName, testName string, model memmodel.Model) (*Result, error) {
 	return res, nil
 }
 
+// solvedAsEncoded is the encoder configuration of the baseline's
+// formulas: the full pipeline except preprocessing, since each one is
+// solved as encoded (see encode.Config.Preprocess).
+func solvedAsEncoded() encode.Config {
+	cfg := encode.DefaultConfig()
+	cfg.Preprocess = false
+	return cfg
+}
+
 // runCommitCheck encodes and solves the commit-point condition at the
 // current bounds, filling res. It reports whether a violation was
 // found.
@@ -110,7 +119,7 @@ func runCommitCheck(res *Result, built *harness.Built, u *harness.Unrolling,
 	model memmodel.Model) (bool, error) {
 
 	encStart := time.Now()
-	enc := encode.New(model, u.Info)
+	enc := encode.NewWithConfig(model, u.Info, solvedAsEncoded())
 	if err := enc.Encode(u.Threads); err != nil {
 		return false, err
 	}

@@ -371,14 +371,19 @@ func (a *attempt) start() error {
 // encode builds the formula of the unrolled program for the given
 // models — a single-model encoder for one, a selector-guarded sweep
 // encoder for several — under the check's resource limits. The caller
-// asserts the overflow condition it needs.
-func (a *attempt) encode(models []memmodel.Model) (*encode.Encoder, error) {
+// asserts the overflow condition it needs. preprocess says whether
+// the formula is preprocessed before its first solve: only the
+// inclusion formula is; the bound probes and the Serial mine are
+// solved as encoded (see encode.Config.Preprocess).
+func (a *attempt) encode(models []memmodel.Model, preprocess bool) (*encode.Encoder, error) {
+	cfg := a.opts.encodeConfig()
+	cfg.Preprocess = cfg.Preprocess && preprocess
 	var enc *encode.Encoder
 	if len(models) == 1 {
-		enc = encode.NewWithConfig(models[0], a.u.Info, a.opts.encodeConfig())
+		enc = encode.NewWithConfig(models[0], a.u.Info, cfg)
 	} else {
 		var err error
-		if enc, err = encode.NewSweepWithConfig(models, a.u.Info, a.opts.encodeConfig()); err != nil {
+		if enc, err = encode.NewSweepWithConfig(models, a.u.Info, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -392,7 +397,7 @@ func (a *attempt) encode(models []memmodel.Model) (*encode.Encoder, error) {
 // probe builds the bound-probe formula of the current unrolling under
 // model m, with the check's encoder configuration and resource limits.
 func (a *attempt) probe(m memmodel.Model) (*encode.Encoder, error) {
-	return a.encode([]memmodel.Model{m})
+	return a.encode([]memmodel.Model{m}, false)
 }
 
 // round decides the pending models (strongest first) at the current
@@ -492,7 +497,7 @@ func (a *attempt) satRound(pending []*Result) error {
 		models[i] = res.Model
 	}
 	encodeStart := time.Now()
-	enc, err := a.encode(models)
+	enc, err := a.encode(models, true)
 	if err != nil {
 		return err
 	}
@@ -623,7 +628,7 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 			return set, 0, err
 		default:
 			var err error
-			if serialEnc, err = a.encode([]memmodel.Model{memmodel.Serial}); err != nil {
+			if serialEnc, err = a.encode([]memmodel.Model{memmodel.Serial}, false); err != nil {
 				return nil, 0, err
 			}
 			serialEnc.AssertNoOverflow()

@@ -76,11 +76,24 @@ func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	}
 }
 
+// TestMSNRefsetMatchesSATSpec: the SAT mine over the Serial formula
+// (solved as encoded, without preprocessing) finds exactly the
+// observation set the reference implementations enumerate, on rows of
+// every algorithm family.
 func TestMSNRefsetMatchesSATSpec(t *testing.T) {
-	satRes := check(t, "msn", "T0", Options{Model: memmodel.SequentialConsistency, SpecSource: SpecSAT})
-	refRes := check(t, "msn", "T0", Options{Model: memmodel.SequentialConsistency, SpecSource: SpecRef})
-	if !satRes.Spec.Equal(refRes.Spec) {
-		t.Errorf("SAT-mined spec (%d obs) != refset spec (%d obs)\nSAT: %v\nref: %v",
-			satRes.Spec.Len(), refRes.Spec.Len(), satRes.Spec.All(), refRes.Spec.All())
+	for _, p := range [][2]string{
+		{"msn", "T0"}, {"ms2", "T1"}, {"lazylist", "Sac"}, {"lazylist", "Sar"},
+		{"harris", "Sac"}, {"snark", "D0"},
+	} {
+		t.Run(p[0]+"/"+p[1], func(t *testing.T) {
+			satRes := check(t, p[0], p[1], Options{Model: memmodel.Relaxed, SpecSource: SpecSAT})
+			refRes := check(t, p[0], p[1], Options{Model: memmodel.Relaxed, SpecSource: SpecRef})
+			if satRes.Spec == nil {
+				t.Fatal("SAT mining produced no observation set")
+			}
+			if !satRes.Spec.Equal(refRes.Spec) {
+				t.Errorf("SAT-mined spec != refset spec\nSAT: %v\nref: %v", satRes.Spec.All(), refRes.Spec.All())
+			}
+		})
 	}
 }

@@ -71,9 +71,14 @@ type Config struct {
 	// structural rewriting at gate construction and Plaisted–Greenbaum
 	// polarity-aware CNF encoding instead of full two-polarity Tseitin.
 	Minimize bool
-	// Preprocess enables SatELite-style CNF preprocessing (bounded
-	// variable elimination, subsumption, self-subsuming resolution)
-	// before the first Solve; see PreprocessCNF.
+	// Preprocess marks a formula that is preprocessed before its first
+	// solve: PreprocessCNF runs SatELite-style CNF preprocessing
+	// (bounded variable elimination, subsumption, self-subsuming
+	// resolution), and the solver loads the clauses in bulk, unwatched
+	// (sat.Solver.BulkLoad), since preprocessing rebuilds the database
+	// anyway. Leave it off for a formula solved as encoded (the bound
+	// probes, the Serial mine): it then loads one clause at a time,
+	// propagating units as they arrive, which keeps it smaller.
 	Preprocess bool
 	// OrderReduce enables the model-aware reduction of the memory-order
 	// encoding: order variables forced by program order together with
@@ -163,6 +168,9 @@ func New(model memmodel.Model, info *ranges.Info) *Encoder {
 func NewWithConfig(model memmodel.Model, info *ranges.Info, cfg Config) *Encoder {
 	s := sat.New()
 	s.SetInprocess(cfg.Inprocess)
+	if cfg.Preprocess {
+		s.BulkLoad()
+	}
 	b := bitvec.NewBuilder(s)
 	b.SetMinimize(cfg.Minimize)
 	if cfg.Faults != nil {

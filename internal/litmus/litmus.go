@@ -177,7 +177,11 @@ func (t Test) Observable(model memmodel.Model) (bool, error) {
 	bodies := [][]lsl.Stmt{initLitmus()}
 	bodies = append(bodies, t.threads...)
 	info := ranges.Analyze(bodies)
-	e := encode.New(model, info)
+	// The formula is solved as encoded, so it loads without the bulk
+	// intake of a preprocessed one (see encode.Config.Preprocess).
+	cfg := encode.DefaultConfig()
+	cfg.Preprocess = false
+	e := encode.NewWithConfig(model, info, cfg)
 	threads := make([]encode.Thread, len(bodies))
 	for i, b := range bodies {
 		threads[i] = encode.Thread{Name: fmt.Sprintf("t%d", i),

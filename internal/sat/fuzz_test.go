@@ -12,9 +12,10 @@ import (
 // set-up: inprocessing on or off (on with chronological backtracking
 // at every chance, and optionally every
 // learnt clause in the local tier, so reductions drop half of them),
-// and a fixed learnt-database cap of 1 to 4, so reduceDB runs after
+// a fixed learnt-database cap of 1 to 4, so reduceDB runs after
 // almost every conflict and the clause region fills with dead
-// clauses. Each later byte is an operation: AddClause, Freeze or
+// clauses, and the intake: bit 0x40 loads the clauses in bulk
+// (BulkLoad) until the first Preprocess or Solve. Each later byte is an operation: AddClause, Freeze or
 // NewVar (up to 12 variables), Preprocess (at most once), Solve under up to three assumptions,
 // Solve followed by a clause blocking the model and a re-solve, or a
 // relocation of the region. Every Sat answer's model, eliminated
@@ -50,6 +51,9 @@ func runSolverScript(t *testing.T, data []byte) {
 	s.maxLearnts, s.learntGrowth = float64(1+setup>>1%4), 1
 	if setup&8 != 0 {
 		s.inpro.coreLBD, s.inpro.midLBD = 0, 0
+	}
+	if setup&0x40 != 0 {
+		s.BulkLoad()
 	}
 	newVars(s, n)
 

@@ -64,6 +64,7 @@ func (s *Solver) Preprocess() bool {
 // preprocess is Preprocess without the deferred emission.
 func (s *Solver) preprocess() bool {
 	s.cancelUntil(0)
+	s.attachPending()
 	if s.propagate() != crefUndef {
 		s.ok = false
 		return false
@@ -72,9 +73,7 @@ func (s *Solver) preprocess() bool {
 	s.preStats.preVars = len(s.assigns)
 	s.preStats.preClauses = len(s.clauses)
 
-	for _, c := range s.learnts {
-		s.detach(c)
-	}
+	// rebuild empties every watch list, so the learnts go unwatched.
 	s.learnts = s.learnts[:0]
 
 	p := newPrep(s)
@@ -693,10 +692,12 @@ func (p *prep) saveElim() {
 	}
 }
 
-// rebuild replaces the solver's clause region, clause list and watch
-// lists with the surviving working set, in working-set order. Every
-// reason is cleared: the root-level assignments that held one named
-// clauses of the old region.
+// rebuild replaces the solver's clause region and clause list with
+// the surviving working set, in working-set order, and empties the
+// watch lists: the solver is back in bulk mode (see BulkLoad), so the
+// next Solve attaches the survivors and any clause added meanwhile in
+// one pass. Every reason is cleared: the root-level assignments that
+// held one named clauses of the old region.
 func (p *prep) rebuild() {
 	s := p.s
 	n, words := 0, 0
@@ -716,7 +717,8 @@ func (p *prep) rebuild() {
 	for v := range s.reasons {
 		s.reasons[v] = crefUndef
 	}
-	s.attachAll(clauses)
+	clear(s.watches)
+	s.bulk = true
 	s.clauses = clauses
 	s.stats.Clauses = len(clauses)
 	// Units derived during preprocessing were applied to the working

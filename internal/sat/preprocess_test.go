@@ -324,7 +324,17 @@ func structuredCNF() (n int, cnf [][]Lit, frozen []int) {
 // and the preprocessing counters.
 func preprocessDigest(t *testing.T, n int, cnf [][]Lit, frozen []int) (uint64, *Solver) {
 	t.Helper()
+	return intakeDigest(t, n, cnf, frozen, false)
+}
+
+// intakeDigest is preprocessDigest with the choice of intake: bulk
+// loads the clauses through BulkLoad.
+func intakeDigest(t *testing.T, n int, cnf [][]Lit, frozen []int, bulk bool) (uint64, *Solver) {
+	t.Helper()
 	s := New()
+	if bulk {
+		s.BulkLoad()
+	}
 	newVars(s, n)
 	for _, cl := range cnf {
 		s.AddClause(cl...)

@@ -18,7 +18,9 @@
 // with phase saving, Glucose-style LBD-driven restarts (Luby restarts
 // remain as an ablation), and LBD-based learned-clause database
 // reduction. SatELite-style preprocessing (preprocess.go) simplifies
-// the formula once before search; inprocessing (inprocess.go) adds
+// the formula once before search; a formula bound for it loads
+// unwatched (BulkLoad) and gets its watch lists in one pass at the
+// first Solve. Inprocessing (inprocess.go) adds
 // on-the-fly subsumption, a tiered learnt database and chronological
 // backtracking during search. Clauses live in one flat,
 // pointer-free region addressed by 32-bit references (store.go).
@@ -297,6 +299,11 @@ type Solver struct {
 	// addTmp is AddClause's normalization buffer.
 	addTmp []Lit
 
+	// bulk is set while clauses load unwatched (see BulkLoad): from
+	// BulkLoad, and again from Preprocess's rebuild, until the next
+	// Preprocess or Solve attaches every clause in one pass.
+	bulk bool
+
 	// stop is an optional external stop predicate (e.g. a context
 	// check), polled in the solve loop.
 	stop func() bool
@@ -430,6 +437,35 @@ func growCap[T any](xs []T, n int) []T {
 	return slices.Grow(xs, n-len(xs))
 }
 
+// BulkLoad switches clause intake to bulk mode until the next
+// Preprocess or Solve. AddClause still normalizes each clause against
+// the root assignment, drops tautologies and rejects eliminated
+// variables, but it stores the clause without watching it and
+// enqueues a unit without propagating it. Preprocess, or else the
+// first Solve, then builds every watch list in one pass and
+// propagates the pending units; a Solve whose propagation conflicts
+// answers Unsat. Preprocess leaves the solver in bulk mode again, so
+// clauses added between it and the first Solve (a Defer emission)
+// load the same way.
+//
+// Bulk intake suits a formula that Preprocess rebuilds anyway: it
+// ends with the same working set as one-by-one intake, without the
+// watch lists Preprocess would throw away. A formula solved as loaded
+// is better off without it: propagating each unit as it arrives drops
+// root-satisfied clauses and false literals from the clauses after
+// it, which keeps that formula smaller.
+func (s *Solver) BulkLoad() { s.bulk = true }
+
+// attachPending ends bulk mode: it builds every watch list over the
+// problem and learnt clauses in one pass. The units enqueued meanwhile
+// are still pending on the trail for the next propagate.
+func (s *Solver) attachPending() {
+	if s.bulk {
+		s.bulk = false
+		s.attachAll(s.clauses, s.learnts)
+	}
+}
+
 // Freeze exempts a variable from elimination during Preprocess.
 // Callers must freeze every variable that later clauses, assumptions,
 // or model reads may reference — in CheckFence these are the error
@@ -534,8 +570,10 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // AddClause adds a clause. It may be called before or between Solve
 // calls (the solver backtracks to the root level first). Returns false
-// if the formula is now trivially unsatisfiable. AddClause copies lits,
-// so the caller may reuse the slice as soon as it returns.
+// if the formula is now trivially unsatisfiable; in bulk mode (see
+// BulkLoad) a conflict only propagation would reveal shows at the next
+// Preprocess or Solve instead. AddClause copies lits, so the caller
+// may reuse the slice as soon as it returns.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
@@ -590,7 +628,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		if s.value(out[0]) == lUndef {
 			s.uncheckedEnqueue(out[0], crefUndef)
-			if s.propagate() != crefUndef {
+			if !s.bulk && s.propagate() != crefUndef {
 				s.ok = false
 				return false
 			}
@@ -604,7 +642,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.clauses = append(s.clauses, c)
 	s.stats.Clauses++
-	s.attach(c)
+	if !s.bulk {
+		s.attach(c)
+	}
 	return true
 }
 
@@ -1077,6 +1117,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	s.cancelUntil(0)
+	s.attachPending()
 	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat

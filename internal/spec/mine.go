@@ -98,17 +98,17 @@ func MineWith(e *encode.Encoder, entries []Entry, strat Strategy) (*Set, MineSta
 	if err != nil {
 		return nil, MineStats{}, err
 	}
-	// Materialize every literal the incremental loop will reference —
+	// Materialize every literal the incremental loop will reference:
 	// the error literal (assumed, then asserted false) and the
-	// observation bits (blocking clauses flip their signs per model) —
-	// then preprocess the CNF with exactly those frozen.
+	// observation bits (blocking clauses flip their signs per model).
+	// The Serial formula is not preprocessed: its many short solves
+	// gain less from preprocessing than the pass costs.
 	errLit := e.B.Lit(e.ErrorNode())
 	bits := obsBits(e, svs)
 	lits := make([]sat.Lit, len(bits))
 	for i, b := range bits {
 		lits[i] = e.B.Lit(b)
 	}
-	e.PreprocessCNF(append([]sat.Lit{errLit}, lits...)...)
 
 	// Sequential bug check: is any erroneous serial execution
 	// possible?
