@@ -19,7 +19,7 @@ func TestSearchPinned(t *testing.T) {
 		conflicts, propagations, decisions int64
 		clauses                            int
 	}{
-		{"ms2", "T1", 59, 4336, 147, 9509},
+		{"ms2", "T1", 60, 4511, 151, 9491},
 		{"msn", "T0", 27, 4093, 121, 6209},
 		{"snark", "D0", 147, 66588, 576, 43407},
 	}

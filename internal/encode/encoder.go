@@ -356,7 +356,9 @@ func (e *Encoder) mLess(i, j int) bitvec.Node {
 // representatives. A constant reaching one member pair therefore fixes
 // the whole class pair — exactly what the equivalence axioms would
 // have propagated — and assertContiguous/assertOrderAxioms skip the
-// constraints the identification already discharges.
+// constraints the identification already discharges. Last, the
+// constants are closed under transitivity (closeOrder), so no
+// transitivity clause over them degenerates to a unit.
 func (e *Encoder) buildOrder() {
 	n := len(e.Accesses)
 	e.orderRep = e.orderClasses()
@@ -406,6 +408,23 @@ func (e *Encoder) buildOrder() {
 			}
 		}
 	}
+	if e.Cfg.OrderReduce {
+		// Close the constants under transitivity: a pair two constant
+		// pairs imply would otherwise reach the solver as a unit
+		// transitivity clause, after preprocessing. before keeps the
+		// pairs already fixed.
+		edges := make([][2]int, 0, len(fixed))
+		for k, node := range fixed {
+			if node == bitvec.True {
+				edges = append(edges, k)
+			} else {
+				edges = append(edges, [2]int{k[1], k[0]})
+			}
+		}
+		for _, k := range closeOrder(n, edges) {
+			before(k[0], k[1])
+		}
+	}
 
 	// Pass 2: assign nodes, allocating one variable per unfixed class
 	// pair and counting the reduction's wins against the baseline rules.
@@ -441,6 +460,46 @@ func (e *Encoder) buildOrder() {
 			e.order[i][j-i-1] = node
 		}
 	}
+}
+
+// closeOrder returns the transitive closure of the given "before"
+// edges over nodes 0..n-1: every pair (a, b), a before b, in
+// increasing order of a, then b. It panics when the
+// edges contain a cycle: constants that order an access before itself
+// would make every execution infeasible, which means the forcing rules
+// are unsound.
+func closeOrder(n int, edges [][2]int) [][2]int {
+	// Warshall's algorithm over one bitset row per node.
+	words := (n + 63) / 64
+	reach := make([]uint64, n*words)
+	row := func(i int) []uint64 { return reach[i*words : (i+1)*words] }
+	has := func(i, j int) bool { return row(i)[j/64]&(1<<(j%64)) != 0 }
+	for _, e := range edges {
+		row(e[0])[e[1]/64] |= 1 << (e[1] % 64)
+	}
+	for k := 0; k < n; k++ {
+		rk := row(k)
+		for i := 0; i < n; i++ {
+			if has(i, k) {
+				ri := row(i)
+				for w := range ri {
+					ri[w] |= rk[w]
+				}
+			}
+		}
+	}
+	var out [][2]int
+	for i := 0; i < n; i++ {
+		if has(i, i) {
+			panic("encode: contradictory forced memory order in reduction")
+		}
+		for j := 0; j < n; j++ {
+			if has(i, j) {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	return out
 }
 
 // orderClasses computes the merge classes of the reduction: the

@@ -209,3 +209,19 @@ func TestOrderReduceRandomDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseOrder: the closure of the fixed order constants holds every
+// pair a chain of constants implies, and a cycle among them panics.
+func TestCloseOrder(t *testing.T) {
+	got := closeOrder(5, [][2]int{{3, 1}, {0, 3}, {1, 4}})
+	want := [][2]int{{0, 1}, {0, 3}, {0, 4}, {1, 4}, {3, 1}, {3, 4}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("closeOrder = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a cycle among the constants did not panic")
+		}
+	}()
+	closeOrder(4, [][2]int{{0, 1}, {1, 2}, {2, 0}})
+}
