@@ -201,7 +201,9 @@ func (o *varOrder) rebuild() {
 // fields are zero unless Preprocess ran. PreClauses also counts the
 // clauses a Defer emission stored right after preprocessing, so it
 // is the size of the whole formula, not just of the part Preprocess
-// saw.
+// saw. After bulk intake (BulkLoad) it is a little larger: units are
+// not propagated on arrival, so clauses their consequences satisfy
+// are stored too.
 type Stats struct {
 	Vars         int
 	Clauses      int
