@@ -11,14 +11,12 @@
 //	benchtab -table fences     §4.2: fence sufficiency/necessity matrix
 //	benchtab -fig sc-vs-relaxed §4.4: model choice impact on runtime
 //	benchtab -fig encode       formula minimization on/off
-//	benchtab -fig solve        inprocessing and order reduction: serial on vs off
 //	benchtab -fig backend      multi-backend routing: rf vs SAT, auto vs forced SAT
 //	benchtab -fig sweep        model-sweep grouping: shared encoding vs independent checks
 //	benchtab -fig daemon       checking as a service: HTTP batch vs direct suite
 //
-// The last five print their report; -encode-json, -solve-json,
-// -backend-json, -sweep-json and -daemon-json also write it to the
-// given BENCH file.
+// The last four print their report; -encode-json, -backend-json,
+// -sweep-json and -daemon-json also write it to the given BENCH file.
 //
 // Absolute times differ from the paper's 2007 testbed; the shapes
 // (growth trends, ratios, who wins) are the reproduction target. Use
@@ -43,7 +41,6 @@ func main() {
 		budget  = flag.Duration("budget", 10*time.Minute, "per-check time budget (checks expected to exceed it are skipped)")
 		jobs    = flag.Int("j", 1, "number of checks run concurrently (> 1 disables -budget's early exit)")
 		encJSON = flag.String("encode-json", "", "write -fig encode's report to this path (default: print only)")
-		slvJSON = flag.String("solve-json", "", "write -fig solve's report to this path (default: print only)")
 		bakJSON = flag.String("backend-json", "", "write -fig backend's report to this path (default: print only)")
 		swpJSON = flag.String("sweep-json", "", "write -fig sweep's report to this path (default: print only)")
 		dmnJSON = flag.String("daemon-json", "", "write -fig daemon's report to this path (default: print only)")
@@ -73,8 +70,6 @@ func main() {
 		err = r.ModelChoice()
 	case *fig == "encode":
 		err = r.EncodeReport(*encJSON)
-	case *fig == "solve":
-		err = r.SolveReport(*slvJSON)
 	case *fig == "backend":
 		err = r.BackendReport(*bakJSON)
 	case *fig == "sweep":

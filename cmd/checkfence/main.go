@@ -317,9 +317,8 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 		if s.SpecCacheCorrupt > 0 {
 			fmt.Fprintf(w, "spec cache: %d corrupt entries quarantined\n", s.SpecCacheCorrupt)
 		}
-		if s.SubsumedLearnts+s.ChronoBacktracks > 0 {
-			fmt.Fprintf(w, "inprocessing: %d learnts subsumed, %d chrono backtracks\n",
-				s.SubsumedLearnts, s.ChronoBacktracks)
+		if s.ChronoBacktracks > 0 {
+			fmt.Fprintf(w, "chrono backtracks: %d\n", s.ChronoBacktracks)
 		}
 		if ss := s.SolverStats; ss.TierCore+ss.TierMid+ss.TierLocal > 0 {
 			fmt.Fprintf(w, "learnt tiers: %d core, %d mid, %d local\n", ss.TierCore, ss.TierMid, ss.TierLocal)

@@ -70,7 +70,7 @@ func (r *Runner) EncodeReport(jsonPath string) error {
 	// (on, off) job pairs. Each job carries a private observation-set
 	// cache so mining runs (and is timed) in both configurations. The
 	// plain configuration is classic Tseitin without preprocessing.
-	plain := &encode.Config{Inprocess: true, OrderReduce: true}
+	plain := &encode.Config{OrderReduce: true}
 	var jobs []core.Job
 	for _, impl := range Impls {
 		for _, test := range r.TestsFor(impl) {

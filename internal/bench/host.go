@@ -1,9 +1,13 @@
 package bench
 
+// This file holds what the BENCH reports share: the host record and
+// the ratio and median of their timings.
+
 import (
 	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 )
 
@@ -57,4 +61,25 @@ func vcsCommit() string {
 		rev += "+dirty"
 	}
 	return rev
+}
+
+// speedup is base over improved, 1 when improved took no time.
+func speedup(base, improved float64) float64 {
+	if improved <= 0 {
+		return 1
+	}
+	return base / improved
+}
+
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
 }

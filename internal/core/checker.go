@@ -161,11 +161,8 @@ type Stats struct {
 	// serving this check's mining requests.
 	SpecCacheCorrupt int
 
-	// Inprocessing work of the inclusion check's solver, summed over
-	// bound rounds: learnt clauses deleted by on-the-fly subsumption
-	// and conflicts resolved by a chronological backtrack. Zero when
-	// Options.Encode turns inprocessing off.
-	SubsumedLearnts  int64
+	// Conflicts the inclusion check's solver resolved by a
+	// chronological backtrack, summed over bound rounds.
 	ChronoBacktracks int64
 
 	// Order-encoding reduction of the inclusion-check formula: order
@@ -588,7 +585,8 @@ func (r *Result) fail(t *trace.Trace) {
 
 // recordFormula copies the inclusion formula's size and its solver's
 // counters into st. Sizes overwrite — a check reports its final
-// round's formula — while inprocessing work adds up across rounds.
+// round's formula — while chronological backtracks add up across
+// rounds.
 func (st *Stats) recordFormula(enc *encode.Encoder) {
 	s := enc.S.Stats()
 	st.SolverStats = s
@@ -601,7 +599,6 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 		st.PreCNFVars, st.PreCNFClauses = s.Vars, s.Clauses
 	}
 	st.PreprocessTime = s.PreprocessTime
-	st.SubsumedLearnts += s.SubsumedLearnts
 	st.ChronoBacktracks += s.ChronoBacktracks
 	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
 }

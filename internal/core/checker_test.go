@@ -53,9 +53,8 @@ func TestMSNT0RelaxedUnfencedFails(t *testing.T) {
 // pick a different SAT model (circuit minimization, preprocessing).
 func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	configs := map[string]Options{
-		"serial": {Model: memmodel.Relaxed},
-		"tseitin": {Model: memmodel.Relaxed, Encode: &encode.Config{
-			Inprocess: true, OrderReduce: true}},
+		"serial":  {Model: memmodel.Relaxed},
+		"tseitin": {Model: memmodel.Relaxed, Encode: &encode.Config{OrderReduce: true}},
 	}
 	for name, opts := range configs {
 		res := check(t, "msn-nofence", "T0", opts)

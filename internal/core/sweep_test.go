@@ -212,7 +212,7 @@ func TestSweepFingerprintSeparates(t *testing.T) {
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.SequentialConsistency}},
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.Relaxed}},
 		{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.TSO, Encode: &encode.Config{
-			Minimize: true, Preprocess: true, OrderReduce: true}}},
+			Minimize: true, Preprocess: true}}},
 	}
 	eff := make([]Options, len(jobs))
 	for i := range jobs {

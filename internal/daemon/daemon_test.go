@@ -210,7 +210,7 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 // batch is accepted and every verdict equals that of the same batch
 // without them. An ignored cube restriction widens the check to the
 // whole formula, which is sound; the ablation switches never change a
-// verdict (TestInprocessAblation, TestMinimizationDifferential); a cap
+// verdict (TestOrderReduceAblation, TestMinimizationDifferential); a cap
 // of 1 would have failed any check whose bounds grow, and the fixed
 // cap only ever lets such a check finish.
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {

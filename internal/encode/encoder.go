@@ -87,10 +87,6 @@ type Config struct {
 	// Serial, of an operation) collapse into one variable, and the
 	// transitivity axioms are emitted only over the reduced skeleton.
 	OrderReduce bool
-	// Inprocess enables the solver's inprocessing layer (on-the-fly
-	// subsumption, the tiered learnt-clause database, chronological
-	// backtracking); see internal/sat.
-	Inprocess bool
 	// Abort, when non-nil, is polled between encode phases and
 	// periodically inside the heavy compilation and axiom loops; a
 	// non-nil return aborts Encode with that error. Budgeted checks
@@ -104,7 +100,7 @@ type Config struct {
 
 // DefaultConfig returns the full minimization pipeline.
 func DefaultConfig() Config {
-	return Config{Minimize: true, Preprocess: true, OrderReduce: true, Inprocess: true}
+	return Config{Minimize: true, Preprocess: true, OrderReduce: true}
 }
 
 // Encoder assembles Φ for one (test, model) pair.
@@ -167,7 +163,6 @@ func New(model memmodel.Model, info *ranges.Info) *Encoder {
 // explicit minimization configuration.
 func NewWithConfig(model memmodel.Model, info *ranges.Info, cfg Config) *Encoder {
 	s := sat.New()
-	s.SetInprocess(cfg.Inprocess)
 	if cfg.Preprocess {
 		s.BulkLoad()
 	}

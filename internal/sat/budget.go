@@ -6,10 +6,9 @@ package sat
 // turn "hangs forever" and "eats the heap" into a typed, prompt
 // *ErrBudget that the driver upstream reports as an UNKNOWN verdict.
 //
-// Four budget axes are supported:
+// Three budget axes are supported:
 //
 //   - conflicts (SetBudget): CDCL conflicts per Solve
-//   - propagations (SetPropagationBudget): BCP steps per Solve
 //   - wall clock (SetDeadline): an absolute deadline checked at the
 //     same cadence as the external stop predicate
 //   - memory (SetMemBudget): an approximate byte ceiling on the
@@ -38,8 +37,6 @@ type BudgetKind int
 const (
 	// BudgetConflicts is the per-Solve conflict cap (SetBudget).
 	BudgetConflicts BudgetKind = iota
-	// BudgetPropagations is the per-Solve propagation cap.
-	BudgetPropagations
 	// BudgetDeadline is the wall-clock deadline (SetDeadline).
 	BudgetDeadline
 	// BudgetMemory is the learned-clause database byte ceiling.
@@ -53,8 +50,6 @@ func (k BudgetKind) String() string {
 	switch k {
 	case BudgetConflicts:
 		return "conflicts"
-	case BudgetPropagations:
-		return "propagations"
 	case BudgetDeadline:
 		return "deadline"
 	case BudgetMemory:
@@ -71,7 +66,7 @@ var ErrBudgetExhausted = errors.New("sat: budget exhausted")
 
 // ErrBudget is the typed budget-exhaustion error: which axis ran out
 // and how much was spent. Spent is in the axis's natural unit —
-// conflicts, propagations, elapsed nanoseconds, or bytes.
+// conflicts, elapsed nanoseconds, or bytes.
 type ErrBudget struct {
 	Kind  BudgetKind
 	Spent int64
@@ -95,10 +90,6 @@ func (e *ErrBudget) Is(target error) bool { return target == ErrBudgetExhausted 
 // periodically inside Solve (the zero time removes it). A Solve
 // running past it returns Unknown with a BudgetDeadline cause.
 func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
-
-// SetPropagationBudget limits the number of propagation steps a
-// single Solve may perform (0 = unlimited).
-func (s *Solver) SetPropagationBudget(n int64) { s.propBudget = n }
 
 // SetMemBudget sets an approximate byte ceiling on the learned-clause
 // database (0 = unlimited). Crossing it first forces a clause-DB
@@ -131,30 +122,22 @@ func (s *Solver) learntBytes() int64 {
 }
 
 // recountLearntLits recomputes the learnt-literal counter after a
-// bulk change to the learnt database (reduceDB, purges).
+// bulk change to the learnt database (reduceDB).
 func (s *Solver) recountLearntLits() {
 	var n int64
 	for _, c := range s.learnts {
-		if s.ca.deleted(c) {
-			continue
-		}
 		n += int64(s.ca.size(c))
 	}
 	s.learntLits = n
 }
 
 // checkBudgets is the periodic solve-loop checkpoint for the slow
-// budget axes (deadline, propagations, memory) and the injected
-// faults. It returns a non-nil cause when the solve must stop.
-// solveStart/startProps snapshot the state at Solve entry.
-func (s *Solver) checkBudgets(solveStart time.Time, startProps int64) *ErrBudget {
+// budget axes (deadline, memory) and the injected faults. It returns a
+// non-nil cause when the solve must stop. solveStart is the time of
+// Solve entry.
+func (s *Solver) checkBudgets(solveStart time.Time) *ErrBudget {
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		return &ErrBudget{Kind: BudgetDeadline, Spent: int64(time.Since(solveStart))}
-	}
-	if s.propBudget > 0 {
-		if spent := s.stats.Propagations - startProps; spent >= s.propBudget {
-			return &ErrBudget{Kind: BudgetPropagations, Spent: spent}
-		}
 	}
 	if s.memBudget > 0 {
 		if b := s.learntBytes(); b > s.memBudget {

@@ -66,22 +66,6 @@ func TestDeadlineAlreadyPast(t *testing.T) {
 	}
 }
 
-func TestPropagationBudget(t *testing.T) {
-	s := New()
-	hardInstance(s)
-	s.SetPropagationBudget(500)
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("status = %v, want Unknown", st)
-	}
-	be := s.BudgetErr()
-	if be == nil || be.Kind != BudgetPropagations {
-		t.Fatalf("BudgetErr() = %v, want propagations cause", be)
-	}
-	if be.Spent < 500 {
-		t.Errorf("Spent = %d, want >= 500", be.Spent)
-	}
-}
-
 func TestMemBudget(t *testing.T) {
 	s := New()
 	hardInstance(s)

@@ -9,18 +9,18 @@ import (
 // at most 12 variables and checks every answer against brute force.
 //
 // The first byte picks the initial variable count, the second the solver
-// set-up: inprocessing on or off (on with chronological backtracking
-// at every chance, and optionally every
-// learnt clause in the local tier, so reductions drop half of them),
-// a fixed learnt-database cap of 1 to 4, so reduceDB runs after
-// almost every conflict and the clause region fills with dead
-// clauses, and the intake: bit 0x40 loads the clauses in bulk
-// (BulkLoad) until the first Preprocess or Solve. Each later byte is an operation: AddClause, Freeze or
-// NewVar (up to 12 variables), Preprocess (at most once), Solve under up to three assumptions,
-// Solve followed by a clause blocking the model and a re-solve, or a
-// relocation of the region. Every Sat answer's model, eliminated
-// variables included, must satisfy every clause added so far and the
-// assumptions.
+// set-up: bit 0 sets chronological backtracking at every chance
+// (chrono = 1) instead of the default threshold; bits 1-2 fix a
+// learnt-database cap of 1 to 4, so reduceDB runs after almost every
+// conflict and the clause region fills with dead clauses; bit 3 puts
+// every learnt clause in the local tier, so reductions drop half of
+// them; and bit 0x40 loads the clauses in bulk (BulkLoad) until the
+// first Preprocess or Solve. Each later byte is an operation:
+// AddClause, Freeze or NewVar (up to 12 variables), Preprocess (at most
+// once), Solve under up to three assumptions, Solve followed by a
+// clause blocking the model and a re-solve, or a relocation of the
+// region. Every Sat answer's model, eliminated variables included,
+// must satisfy every clause added so far and the assumptions.
 func FuzzSolverScript(f *testing.F) {
 	f.Add([]byte("\x05\x01\x00\x06\x08\x0b\x01\x03\x05\x07\x07\x04\x05\x02\x01\x0e"))
 	f.Add([]byte("\x0b\x06\x01\x04\x02\x0c\x11\x02\x03\x00\x04\x13\x06\x07\x07\x07\x07"))
@@ -46,11 +46,12 @@ func runSolverScript(t *testing.T, data []byte) {
 	n := 1 + r.next()%12
 	setup := r.next()
 	s := New()
-	s.SetInprocess(setup&1 == 1)
-	s.inpro.chrono = 1
+	if setup&1 != 0 {
+		s.search.chrono = 1
+	}
 	s.maxLearnts, s.learntGrowth = float64(1+setup>>1%4), 1
 	if setup&8 != 0 {
-		s.inpro.coreLBD, s.inpro.midLBD = 0, 0
+		s.search.coreLBD, s.search.midLBD = 0, 0
 	}
 	if setup&0x40 != 0 {
 		s.BulkLoad()

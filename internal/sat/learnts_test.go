@@ -6,8 +6,8 @@ import (
 )
 
 // addLearnt installs a learnt clause directly in the database, the way
-// record would, so the inprocessing primitives can be unit-tested
-// without driving a full search to manufacture the exact clause.
+// record would, so the tier machinery can be unit-tested without
+// driving a full search to manufacture the exact clause.
 func addLearnt(s *Solver, tier int8, act float64, used bool, lits ...Lit) cref {
 	c := s.ca.alloc(lits, true)
 	s.ca.setLBD(c, len(lits))
@@ -32,33 +32,12 @@ func TestTierFor(t *testing.T) {
 	}
 }
 
-// TestSubsumeAntecedents: a learnt antecedent strictly containing the
-// freshly learnt clause is deleted on the fly.
-func TestSubsumeAntecedents(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	wide := addLearnt(s, tierLocal, 1, false, Pos(a), Pos(b), Pos(c))
-	other := addLearnt(s, tierLocal, 1, false, Pos(a), Neg(b), Pos(c))
-	s.ante = append(s.ante[:0], wide, other)
-
-	s.subsumeAntecedents([]Lit{Pos(a), Pos(b)})
-	if !s.ca.deleted(wide) {
-		t.Fatal("superset antecedent not subsumed")
-	}
-	if s.ca.deleted(other) {
-		t.Fatal("non-superset antecedent wrongly deleted")
-	}
-	if s.stats.SubsumedLearnts != 1 {
-		t.Fatalf("SubsumedLearnts = %d, want 1", s.stats.SubsumedLearnts)
-	}
-}
-
 // TestReduceDBTiered: core clauses are kept unconditionally, mid
 // clauses survive only if used since the last reduction (and the mark
 // is consumed), and the local tier is halved by activity.
 func TestReduceDBTiered(t *testing.T) {
 	s := New()
-	v := make([]int, 12)
+	v := make([]int, 10)
 	for i := range v {
 		v[i] = s.NewVar()
 	}
@@ -67,8 +46,6 @@ func TestReduceDBTiered(t *testing.T) {
 	midIdle := addLearnt(s, tierMid, 5, false, Pos(v[4]), Pos(v[5]))
 	localHot := addLearnt(s, tierLocal, 10, false, Pos(v[6]), Pos(v[7]))
 	localCold := addLearnt(s, tierLocal, 1, false, Pos(v[8]), Pos(v[9]))
-	gone := addLearnt(s, tierLocal, 99, false, Pos(v[10]), Pos(v[11]))
-	s.removeLearnt(gone) // already logically deleted: must be purged
 
 	s.reduceDBTiered()
 
@@ -92,17 +69,16 @@ func TestReduceDBTiered(t *testing.T) {
 	}
 	for _, c := range s.learnts {
 		if ca.deleted(c) {
-			t.Fatal("deleted clause not purged from the learnt list")
+			t.Fatal("dropped clause still in the learnt list")
 		}
 	}
 }
 
-// TestInprocessAgreesWithBaseline solves the same random instances
-// with inprocessing forced on (chronological backtracking at every
-// chance, so the in-search techniques fire) and fully off, and demands identical verdicts, valid models, and agreement with
-// brute force on the small instances.
+// TestInprocessAgreesWithBaseline solves random instances with
+// chronological backtracking at every chance (chrono = 1) and demands
+// agreement with brute force and valid models.
 func TestInprocessAgreesWithBaseline(t *testing.T) {
-	fired := Stats{}
+	var chrono int64
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		numVars := 12 + rng.Intn(6)
@@ -115,51 +91,34 @@ func TestInprocessAgreesWithBaseline(t *testing.T) {
 			}
 			clauses = append(clauses, c)
 		}
-		build := func(inprocess bool) *Solver {
-			s := New()
-			s.SetInprocess(inprocess)
-			if inprocess {
-				s.inpro.chrono = 1
-			}
-			for v := 0; v < numVars; v++ {
-				s.NewVar()
-			}
-			for _, c := range clauses {
-				s.AddClause(c...)
-			}
-			return s
+		s := New()
+		s.search.chrono = 1
+		for v := 0; v < numVars; v++ {
+			s.NewVar()
 		}
-		on, off := build(true), build(false)
-		stOn, stOff := on.Solve(), off.Solve()
-		if stOn != stOff {
-			t.Fatalf("seed %d: inprocess=%v, baseline=%v", seed, stOn, stOff)
+		for _, c := range clauses {
+			s.AddClause(c...)
 		}
-		want := bruteForce(numVars, clauses)
-		if (stOn == Sat) != want {
-			t.Fatalf("seed %d: verdict %v disagrees with brute force (sat=%v)", seed, stOn, want)
+		st := s.Solve()
+		if want := bruteForce(numVars, clauses); (st == Sat) != want {
+			t.Fatalf("seed %d: verdict %v disagrees with brute force (sat=%v)", seed, st, want)
 		}
-		if stOn == Sat {
-			modelSatisfies(t, on, clauses)
-			modelSatisfies(t, off, clauses)
+		if st == Sat {
+			modelSatisfies(t, s, clauses)
 		}
-		st := on.Stats()
-		fired.SubsumedLearnts += st.SubsumedLearnts
-		fired.ChronoBacktracks += st.ChronoBacktracks
-		if ost := off.Stats(); ost.SubsumedLearnts+ost.ChronoBacktracks != 0 {
-			t.Fatalf("seed %d: inprocessing counters nonzero with SetInprocess(false)", seed)
-		}
+		chrono += s.Stats().ChronoBacktracks
 	}
-	// The cadence above is aggressive enough that the machinery must
-	// actually run somewhere across 25 seeds — otherwise the agreement
-	// checks are vacuous.
-	if fired.SubsumedLearnts+fired.ChronoBacktracks == 0 {
-		t.Fatal("no inprocessing technique ever fired across all seeds")
+	// The threshold above is low enough that chronological backtracking
+	// must actually happen somewhere across 25 seeds — otherwise the
+	// agreement checks are vacuous.
+	if chrono == 0 {
+		t.Fatal("no chronological backtrack across all seeds")
 	}
 }
 
-// TestInprocessLargerPlanted runs the default inprocessing layer on
-// instances big enough to restart and reduce, as an integration check that tier
-// bookkeeping and logical deletion never corrupt the database.
+// TestInprocessLargerPlanted runs the default solver on instances big
+// enough to restart and reduce, as an integration check that tier
+// bookkeeping never corrupts the database.
 func TestInprocessLargerPlanted(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		s := New()

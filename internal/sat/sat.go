@@ -15,22 +15,19 @@
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
-// with phase saving, Glucose-style LBD-driven restarts (Luby restarts
-// remain as an ablation), and LBD-based learned-clause database
-// reduction. SatELite-style preprocessing (preprocess.go) simplifies
+// with phase saving, Glucose-style LBD-driven restarts, a three-tier
+// LBD-based learnt-clause database and chronological backtracking
+// (learnts.go). SatELite-style preprocessing (preprocess.go) simplifies
 // the formula once before search; a formula bound for it loads
 // unwatched (BulkLoad) and gets its watch lists in one pass at the
-// first Solve. Inprocessing (inprocess.go) adds
-// on-the-fly subsumption, a tiered learnt database and chronological
-// backtracking during search. Clauses live in one flat,
-// pointer-free region addressed by 32-bit references (store.go).
+// first Solve. Clauses live in one flat, pointer-free region addressed
+// by 32-bit references (store.go).
 package sat
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"checkfence/internal/faultinject"
@@ -221,12 +218,9 @@ type Stats struct {
 	ClausesStrengthened int
 	PreprocessTime      time.Duration
 
-	// Inprocessing counters (see inprocess.go); zero when the layer is
-	// off. SubsumedLearnts counts learnt clauses deleted by on-the-fly
-	// backward subsumption; ChronoBacktracks counts
-	// conflicts resolved by a chronological (one-level) backtrack.
-	// TierCore/TierMid/TierLocal snapshot the learnt-database tiers.
-	SubsumedLearnts  int64
+	// Learnt-database counters (see learnts.go): ChronoBacktracks
+	// counts conflicts resolved by a chronological (one-level)
+	// backtrack; TierCore/TierMid/TierLocal snapshot the tiers.
 	ChronoBacktracks int64
 	TierCore         int
 	TierMid          int
@@ -269,13 +263,12 @@ type Solver struct {
 	redUndo   []int
 
 	// Resource budgets beyond the conflict cap (see budget.go):
-	// wall-clock deadline, propagation cap, and the approximate byte
-	// ceiling on the learned-clause database tracked via learntLits.
+	// wall-clock deadline and the approximate byte ceiling on the
+	// learned-clause database tracked via learntLits.
 	// budgetErr records why the last Solve returned Unknown when a
 	// budget was the cause; faults is the optional fault-injection
 	// hook.
 	deadline   time.Time
-	propBudget int64
 	memBudget  int64
 	learntLits int64
 	budgetErr  *ErrBudget
@@ -288,14 +281,9 @@ type Solver struct {
 	lbdStamp []int64
 	lbdGen   int64
 
-	// Inprocessing state (see inprocess.go): the knob block, the learnt
-	// antecedents of the current conflict (for on-the-fly subsumption),
-	// a literal stamp array for the subset test, and a scratch buffer
-	// for the tiered reduceDB.
-	inpro     inprocessConfig
-	ante      []cref
-	litStamp  []int64
-	litGen    int64
+	// Learnt-database state (see learnts.go): the tier bounds and
+	// chrono threshold, and a scratch buffer for reduceDB.
+	search    searchConfig
 	reduceTmp []cref
 
 	// addTmp is AddClause's normalization buffer.
@@ -323,8 +311,6 @@ type Solver struct {
 	// learnt-clause LBD, fast and slow.
 	lbdFast float64
 	lbdSlow float64
-
-	restartPolicy RestartPolicy
 
 	// Preprocessing state (see preprocess.go). frozen marks variables
 	// exempt from elimination; eliminated marks variables removed by
@@ -357,21 +343,7 @@ type preStats struct {
 	preprocessTime      time.Duration
 }
 
-// RestartPolicy selects the solver's restart schedule.
-type RestartPolicy int
-
-// Restart policies. Glucose (LBD-driven) is the default; Luby is kept
-// for the ablation benchmark.
-const (
-	RestartGlucose RestartPolicy = iota
-	RestartLuby
-)
-
-// SetRestartPolicy selects the restart schedule (ablation knob).
-func (s *Solver) SetRestartPolicy(p RestartPolicy) { s.restartPolicy = p }
-
-// New returns an empty solver. Inprocessing (see inprocess.go) is on
-// by default; SetInprocess(false) disables it.
+// New returns an empty solver.
 func New() *Solver {
 	return &Solver{
 		ok:           true,
@@ -379,7 +351,7 @@ func New() *Solver {
 		claInc:       1.0,
 		maxLearnts:   4000,
 		learntGrowth: 1.3,
-		inpro:        defaultInprocess(),
+		search:       defaultSearch(),
 	}
 }
 
@@ -491,12 +463,8 @@ func (s *Solver) NumClauses() int { return s.stats.Clauses }
 // Stats returns a snapshot of the work counters.
 func (s *Solver) Stats() Stats {
 	st := s.stats
-	st.Learnts = 0
+	st.Learnts = len(s.learnts)
 	for _, c := range s.learnts {
-		if s.ca.deleted(c) {
-			continue
-		}
-		st.Learnts++
 		switch s.ca.tier(c) {
 		case tierCore:
 			st.TierCore++
@@ -808,17 +776,14 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
-	s.ante = s.ante[:0]
 	for {
 		s.bumpClause(confl)
 		lits := s.ca.lits(confl)
-		if s.ca.learnt(confl) && s.inpro.on {
-			// Remember learnt antecedents for on-the-fly subsumption,
-			// mark them used (tier retention), and tighten their LBD —
-			// every literal of an antecedent is assigned here, so the
-			// recomputation is exact; a better LBD can promote the
-			// clause into a longer-lived tier.
-			s.ante = append(s.ante, confl)
+		if s.ca.learnt(confl) {
+			// Mark learnt antecedents used (tier retention) and tighten
+			// their LBD — every literal of an antecedent is assigned
+			// here, so the recomputation is exact; a better LBD can
+			// promote the clause into a longer-lived tier.
 			s.ca.setUsed(confl, true)
 			if lbd := s.ca.lbd(confl); lbd > 2 {
 				if nl := s.computeLBD(lits); nl < lbd {
@@ -1001,48 +966,6 @@ func (s *Solver) updateLBD(lbd float64) {
 	s.lbdSlow += (lbd - s.lbdSlow) / 4096
 }
 
-// reduceDB halves the learnt database, then reclaims the region's
-// dead words once they pass a fifth of it.
-func (s *Solver) reduceDB() {
-	if s.inpro.on {
-		s.reduceDBTiered()
-	} else {
-		s.reduceDBLegacy()
-	}
-	if s.ca.wasted > len(s.ca.mem)/5 {
-		s.garbageCollect()
-	}
-}
-
-// reduceDBLegacy is the single-tier reduction used with inprocessing
-// off: keep the better half by LBD, then activity, plus every clause
-// with LBD <= 3 and every locked one.
-func (s *Solver) reduceDBLegacy() {
-	ca := &s.ca
-	sort.Slice(s.learnts, func(i, j int) bool {
-		a, b := s.learnts[i], s.learnts[j]
-		if la, lb := ca.lbd(a), ca.lbd(b); la != lb {
-			return la < lb
-		}
-		return ca.activity(a) > ca.activity(b)
-	})
-	keep := s.learnts[:0]
-	limit := len(s.learnts) / 2
-	for i, c := range s.learnts {
-		if ca.deleted(c) {
-			continue
-		}
-		if i < limit || ca.lbd(c) <= 3 || s.locked(c) {
-			keep = append(keep, c)
-		} else {
-			s.detach(c)
-			ca.free(c)
-		}
-	}
-	s.learnts = keep
-	s.recountLearntLits()
-}
-
 func (s *Solver) locked(c cref) bool {
 	l := s.ca.lits(c)[0]
 	return s.value(l) == lTrue && s.reasons[l.Var()] == c
@@ -1060,24 +983,6 @@ func (s *Solver) detach(c cref) {
 			}
 		}
 	}
-}
-
-// luby computes the Luby restart sequence value for index i (1-based):
-// 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... Kept as an alternative restart
-// schedule; the solver defaults to Glucose-style LBD-driven restarts.
-func luby(i int64) int64 {
-	x := i - 1
-	var size, seq int64 = 1, 0
-	for size < x+1 {
-		size = 2*size + 1
-		seq++
-	}
-	for size-1 != x {
-		size = (size - 1) >> 1
-		seq--
-		x %= size
-	}
-	return int64(1) << uint(seq)
 }
 
 // Solve searches for a model extending the given assumptions. It
@@ -1112,7 +1017,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Unknown
 		}
 	}
-	startProps := s.stats.Propagations
 	for _, a := range assumptions {
 		if s.eliminated[a.Var()] {
 			panic(fmt.Sprintf("sat: assumption %v references eliminated variable", a))
@@ -1127,13 +1031,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	conflicts := int64(0)
 	sinceRestart := int64(0)
-	lubyIdx := int64(1)
-	lubyLimit := luby(lubyIdx) * 100
 	var ticks int64
 
 	for {
 		// Interruption check points: the external predicate, the slow
-		// budget axes (deadline, propagations, memory), and the fault
+		// budget axes (deadline, memory), and the fault
 		// hooks every 128 iterations.
 		ticks++
 		if s.stop != nil && ticks&127 == 0 && s.stop() {
@@ -1141,7 +1043,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Unknown
 		}
 		if ticks&127 == 0 {
-			if be := s.checkBudgets(solveStart, startProps); be != nil {
+			if be := s.checkBudgets(solveStart); be != nil {
 				s.budgetErr = be
 				s.cancelUntil(0)
 				return Unknown
@@ -1157,8 +1059,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(confl)
-			if s.inpro.on && s.inpro.chrono > 0 && len(learnt) > 1 &&
-				s.decisionLevel()-btLevel > s.inpro.chrono {
+			if len(learnt) > 1 && s.decisionLevel()-btLevel > s.search.chrono {
 				// Chronological backtracking: the asserting level is far
 				// below; undo one level and assert the learnt literal
 				// there instead of discarding the whole prefix. The
@@ -1169,9 +1070,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			s.cancelUntil(btLevel)
 			s.record(learnt)
-			if s.inpro.on {
-				s.subsumeAntecedents(learnt)
-			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
 			continue
@@ -1182,21 +1080,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		// Restart check. Glucose-style: when recent learnt clauses
+		// Restart check, Glucose-style: when recent learnt clauses
 		// have markedly worse LBD than the long-run average, the
-		// search has drifted. Luby: fixed schedule.
-		restart := false
-		switch s.restartPolicy {
-		case RestartLuby:
-			restart = sinceRestart >= lubyLimit
-			if restart {
-				lubyIdx++
-				lubyLimit = luby(lubyIdx) * 100
-			}
-		default:
-			restart = sinceRestart >= 100 && s.lbdFast > 1.25*s.lbdSlow
-		}
-		if restart {
+		// search has drifted.
+		if sinceRestart >= 100 && s.lbdFast > 1.25*s.lbdSlow {
 			sinceRestart = 0
 			s.stats.Restarts++
 			s.cancelUntil(0)

@@ -321,15 +321,6 @@ func TestRandomIncremental(t *testing.T) {
 	}
 }
 
-func TestLuby(t *testing.T) {
-	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(int64(i + 1)); got != w {
-			t.Errorf("luby(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-}
-
 func TestStats(t *testing.T) {
 	s := New()
 	a := s.NewVar()
@@ -339,6 +330,31 @@ func TestStats(t *testing.T) {
 	st := s.Stats()
 	if st.Vars != 2 || st.Clauses != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// pigeonholeInstance builds the PHP(n+1, n) UNSAT instance.
+func pigeonholeInstance(s *Solver, n int) {
+	p := make([][]int, n+1)
+	for i := range p {
+		p[i] = make([]int, n)
+		for j := range p[i] {
+			p[i][j] = s.NewVar()
+		}
+	}
+	for i := 0; i <= n; i++ {
+		lits := make([]Lit, n)
+		for j := 0; j < n; j++ {
+			lits[j] = Pos(p[i][j])
+		}
+		s.AddClause(lits...)
+	}
+	for j := 0; j < n; j++ {
+		for i1 := 0; i1 <= n; i1++ {
+			for i2 := i1 + 1; i2 <= n; i2++ {
+				s.AddClause(Neg(p[i1][j]), Neg(p[i2][j]))
+			}
+		}
 	}
 }
 

@@ -169,10 +169,9 @@ func (r *region) forward(c cref) cref { return cref(r.mem[c+hdrActLo]) }
 // garbageCollect moves every listed clause into a fresh region,
 // problem clauses first, then learnts, each in list order, and
 // rewrites the references held by the watch lists and reasons. A
-// deleted learnt still listed (awaiting the next reduction's purge)
-// moves too and stays counted as wasted. A reason that names an
-// unlisted clause becomes crefUndef: only root-level assignments keep
-// such reasons, and no live clause may compare equal to them.
+// reason that names an unlisted clause becomes crefUndef: only
+// root-level assignments keep such reasons, and no live clause may
+// compare equal to them.
 func (s *Solver) garbageCollect() {
 	from := &s.ca
 	to := newRegion(len(from.mem) - from.wasted)
@@ -180,9 +179,6 @@ func (s *Solver) garbageCollect() {
 		s.clauses[i] = from.reloc(c, &to)
 	}
 	for i, c := range s.learnts {
-		if from.deleted(c) {
-			to.wasted += hdrWords + from.size(c)
-		}
 		s.learnts[i] = from.reloc(c, &to)
 	}
 	for _, ws := range s.watches {
@@ -200,8 +196,5 @@ func (s *Solver) garbageCollect() {
 			s.reasons[v] = crefUndef
 		}
 	}
-	// The antecedents of the last conflict are consumed right after it;
-	// none is needed across a reduction.
-	s.ante = s.ante[:0]
 	s.ca = to
 }

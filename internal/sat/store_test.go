@@ -187,7 +187,6 @@ func TestSolverStoreHasNoPointers(t *testing.T) {
 		"reason":           reflect.TypeOf(s.reasons).Elem(),
 		"clause list":      reflect.TypeOf(s.clauses).Elem(),
 		"learnt list":      reflect.TypeOf(s.learnts).Elem(),
-		"antecedent":       reflect.TypeOf(s.ante).Elem(),
 		"reduce scratch":   reflect.TypeOf(s.reduceTmp).Elem(),
 		"prep literal":     reflect.TypeOf(p.lits).Elem(),
 		"prep clause":      reflect.TypeOf(p.cls).Elem(),

@@ -38,9 +38,9 @@ func TestMinimizationDifferential(t *testing.T) {
 		pairs = append(pairs, pair{"msn", "Ti2", []checkfence.Model{checkfence.Relaxed}})
 	}
 
-	// Classic Tseitin without preprocessing; inprocessing and the
-	// order reduction stay on.
-	plain := &encode.Config{Inprocess: true, OrderReduce: true}
+	// Classic Tseitin without preprocessing; the order reduction stays
+	// on.
+	plain := &encode.Config{OrderReduce: true}
 	var jobs []checkfence.Job
 	for _, p := range pairs {
 		for _, m := range p.models {
