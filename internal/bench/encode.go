@@ -36,6 +36,9 @@ type EncodeRow struct {
 	PrepSec    float64 `json:"preprocess_sec"` // included in solve_sec
 	SolveSec   float64 `json:"solve_sec"`
 	TotalSec   float64 `json:"total_sec"`
+	// TransClauses counts the eager encoding's transitivity clauses,
+	// which the order theory stands in for (core.Stats).
+	TransClauses int `json:"transitivity_clauses"`
 
 	// Unminimized run (classic Tseitin, no rewriting, no
 	// preprocessing).
@@ -127,6 +130,7 @@ func (r *Runner) EncodeReport(jsonPath string) error {
 			PlainEncodeSec: p.EncodeTime.Seconds(), PlainSolveSec: p.RefuteTime.Seconds(),
 			PlainTotalSec:   p.TotalTime.Seconds(),
 			ClauseReduction: red,
+			TransClauses:    s.TransitivityClauses,
 		}
 		art.Rows = append(art.Rows, row)
 		sumRed += red

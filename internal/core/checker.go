@@ -128,6 +128,12 @@ type Stats struct {
 
 	CNFVars    int // final inclusion-check formula size (post-minimization)
 	CNFClauses int
+	// TransitivityClauses is the number of transitivity clauses the
+	// paper's eager encoding would add to that formula (two per triple
+	// of accesses, fewer after the order reduction). The solver's order
+	// theory stands in for them, so they are counted, never emitted,
+	// and CNFClauses leaves them out.
+	TransitivityClauses int
 
 	// Formula-minimization measurements of the inclusion check: gate
 	// count of the circuit and CNF size before preprocessing. Pre*
@@ -194,13 +200,9 @@ type Stats struct {
 	SeededObs      int
 	SweepEarlyExit int
 
-	ProbeTime time.Duration // lazy loop bound probes and the re-unrollings they cause
-	MineTime  time.Duration // specification mining
-	// EncodeTime is building the inclusion CNF. It leaves out the
-	// transitivity clauses: the solver emits those right after
-	// preprocessing, or inside the first solve when nothing
-	// preprocesses, so their time lands in RefuteTime.
-	EncodeTime time.Duration
+	ProbeTime  time.Duration // lazy loop bound probes and the re-unrollings they cause
+	MineTime   time.Duration // specification mining
+	EncodeTime time.Duration // building the inclusion formula
 	RefuteTime time.Duration // SAT solving of the inclusion check
 	TotalTime  time.Duration
 	// SolverStats is the final round's inclusion solver's own record:
@@ -591,6 +593,7 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 	s := enc.S.Stats()
 	st.SolverStats = s
 	st.CNFVars, st.CNFClauses = s.Vars, s.Clauses
+	st.TransitivityClauses = enc.TransitivityClauses()
 	st.Gates = enc.B.NumGates()
 	st.PreCNFVars, st.PreCNFClauses = s.PreVars, s.PreClauses
 	if s.PreClauses == 0 {
@@ -690,8 +693,7 @@ func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolle
 // abort promptly on suite cancellation), the deadline and the
 // conflict/memory budgets arm the solver's typed-budget machinery,
 // and both cancellation and the deadline also abort the encoding
-// phase itself, which can dominate a short deadline on big harnesses,
-// and the transitivity emission the solver runs after preprocessing.
+// phase itself, which can dominate a short deadline on big harnesses.
 func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
 	cancel := opts.Cancel
 	if cancel != nil {

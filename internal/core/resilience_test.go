@@ -87,17 +87,15 @@ func TestInjectedBudgetUnknown(t *testing.T) {
 	}
 }
 
-// TestAbortInDeferredEmission: an Abort that first fires inside the
-// deferred transitivity emission, after Encode has returned, must
-// yield VerdictUnknown, reported like a deadline. The
-// formula is incomplete there, so no solve of it may answer: a solver
-// that ignored the emission's error would decide the check without
-// transitivity.
-func TestAbortInDeferredEmission(t *testing.T) {
+// TestAbortInEncoding: an Abort that first fires inside an encoder's
+// value-axiom loop, in the middle of a phase, must yield
+// VerdictUnknown, reported like a deadline. The formula is incomplete
+// there, so no solve of it may decide the check.
+func TestAbortInEncoding(t *testing.T) {
 	cfg := encode.DefaultConfig()
 	fired := 0
 	cfg.Abort = func() error {
-		if !inTransitivityEmission() {
+		if !inValueAxioms() {
 			return nil
 		}
 		fired++
@@ -105,10 +103,10 @@ func TestAbortInDeferredEmission(t *testing.T) {
 	}
 	res, err := Check("msn", "T0", Options{Model: memmodel.Relaxed, Encode: &cfg})
 	if err != nil {
-		t.Fatalf("an aborted emission must be a verdict, got error: %v", err)
+		t.Fatalf("an aborted encoding must be a verdict, got error: %v", err)
 	}
 	if fired == 0 {
-		t.Fatal("the abort never fired inside the deferred emission")
+		t.Fatal("the abort never fired inside the value axioms")
 	}
 	if res.Verdict != VerdictUnknown || res.Pass {
 		t.Fatalf("verdict = %v (pass=%v), want unknown", res.Verdict, res.Pass)
@@ -118,14 +116,14 @@ func TestAbortInDeferredEmission(t *testing.T) {
 	}
 }
 
-// inTransitivityEmission reports whether the caller runs inside the
-// encoder's deferred transitivity emission.
-func inTransitivityEmission() bool {
+// inValueAxioms reports whether the caller runs inside an encoder's
+// value axioms.
+func inValueAxioms() bool {
 	pcs := make([]uintptr, 64)
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
 	for {
 		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, ".(*Encoder).assertTransitivity") {
+		if strings.HasSuffix(f.Function, ".(*Encoder).assertValueAxioms") {
 			return true
 		}
 		if !more {

@@ -19,9 +19,9 @@ func TestSearchPinned(t *testing.T) {
 		conflicts, propagations, decisions int64
 		clauses                            int
 	}{
-		{"ms2", "T1", 60, 4511, 151, 9491},
-		{"msn", "T0", 27, 4093, 121, 6209},
-		{"snark", "D0", 147, 66588, 576, 43407},
+		{"ms2", "T1", 56, 4482, 149, 905},
+		{"msn", "T0", 27, 4090, 121, 1947},
+		{"snark", "D0", 163, 72607, 701, 10071},
 	}
 	for _, r := range rows {
 		res := check(t, r.impl, r.test, Options{Model: memmodel.Relaxed})

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"checkfence/internal/bitvec"
@@ -85,7 +86,7 @@ type Config struct {
 	// the fence and same-address axioms become constants, the
 	// interchangeable order pairs of an atomic block (and, under
 	// Serial, of an operation) collapse into one variable, and the
-	// transitivity axioms are emitted only over the reduced skeleton.
+	// order theory ranges over the reduced skeleton only.
 	OrderReduce bool
 	// Abort, when non-nil, is polled between encode phases and
 	// periodically inside the heavy compilation and axiom loops; a
@@ -246,11 +247,12 @@ func (e *Encoder) pollAbort() error {
 // PreprocessCNF runs CNF preprocessing over the clauses emitted so
 // far, honoring the incremental contract: the given root literals
 // (error literal, observation bits — anything later clauses,
-// assumptions, or blocking clauses will mention) and every
-// materialized memory-order variable are frozen against elimination.
-// Callers must materialize those roots before calling this, and only
-// add clauses over frozen (or fresh) variables afterwards. A no-op
-// unless Cfg.Preprocess is set.
+// assumptions, or blocking clauses will mention) are frozen against
+// elimination, and so is every memory-order variable, by the order
+// theory that constrains it (sat.Solver.SetOrder). Callers must
+// materialize those roots before calling this, and only add clauses
+// over frozen (or fresh) variables afterwards. A no-op unless
+// Cfg.Preprocess is set.
 func (e *Encoder) PreprocessCNF(roots ...sat.Lit) {
 	if !e.Cfg.Preprocess {
 		return
@@ -258,37 +260,12 @@ func (e *Encoder) PreprocessCNF(roots ...sat.Lit) {
 	for _, l := range roots {
 		e.S.Freeze(l.Var())
 	}
-	for _, v := range e.OrderSatVars() {
-		e.S.Freeze(v)
-	}
 	// Sweep selector variables are assumed on every per-model solve and
 	// must survive elimination just like the order variables.
 	for _, v := range e.SelectorSatVars() {
 		e.S.Freeze(v)
 	}
 	e.S.Preprocess()
-}
-
-// OrderSatVars returns the SAT variables of every materialized,
-// non-constant memory-order node. PreprocessCNF freezes them, so
-// preprocessing never eliminates the variables that decide the
-// interleaving structure of an execution.
-func (e *Encoder) OrderSatVars() []int {
-	var vars []int
-	seen := map[int]bool{}
-	for _, row := range e.order {
-		for _, n := range row {
-			if n == bitvec.True || n == bitvec.False {
-				continue
-			}
-			// Merged pairs share one variable; report it once.
-			if v, ok := e.B.SatVar(n); ok && !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		}
-	}
-	return vars
 }
 
 // Encode compiles all threads and asserts the memory model axioms.
@@ -352,8 +329,8 @@ func (e *Encoder) mLess(i, j int) bitvec.Node {
 // the whole class pair — exactly what the equivalence axioms would
 // have propagated — and assertContiguous/assertOrderAxioms skip the
 // constraints the identification already discharges. Last, the
-// constants are closed under transitivity (closeOrder), so no
-// transitivity clause over them degenerates to a unit.
+// constants are closed under transitivity (closeOrder), so the order
+// theory never has to imply a pair from two constants.
 func (e *Encoder) buildOrder() {
 	n := len(e.Accesses)
 	e.orderRep = e.orderClasses()
@@ -405,9 +382,9 @@ func (e *Encoder) buildOrder() {
 	}
 	if e.Cfg.OrderReduce {
 		// Close the constants under transitivity: a pair two constant
-		// pairs imply would otherwise reach the solver as a unit
-		// transitivity clause, after preprocessing. before keeps the
-		// pairs already fixed.
+		// pairs imply would otherwise stay a variable, fixed only when
+		// the order theory first propagates. before keeps the pairs
+		// already fixed.
 		edges := make([][2]int, 0, len(fixed))
 		for k, node := range fixed {
 			if node == bitvec.True {
@@ -624,30 +601,11 @@ func (e *Encoder) progOrderFixed(a, b *Access) bool {
 	return e.Model.KeepsProgramOrder(a.IsLoad, b.IsLoad)
 }
 
-// assertOrderAxioms emits the model's program-order axioms, fence
-// constraints, and atomicity constraints, and defers transitivity to
-// the solver (assertTransitivity).
+// assertOrderAxioms installs the memory order's transitivity as the
+// solver's order theory and emits the model's program-order axioms,
+// fence constraints, and atomicity constraints.
 func (e *Encoder) assertOrderAxioms() {
-	// Transitivity is emitted over the merge-class skeleton only — one
-	// representative per class. Every non-constant representative-pair
-	// order variable is materialized now, so PreprocessCNF freezes all
-	// of them and the deferred clauses mention no eliminated variable.
-	n := len(e.Accesses)
-	reps := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if e.orderRep[i] == i {
-			reps = append(reps, i)
-		}
-	}
-	for ii, i := range reps {
-		for _, j := range reps[ii+1:] {
-			if m := e.mLess(i, j); m != bitvec.True && m != bitvec.False {
-				e.B.Lit(m)
-			}
-		}
-	}
-	e.S.Defer(func() error { return e.assertTransitivity(reps) })
-
+	installTransitivity(e, e.orderReps())
 	switch e.Model {
 	case memmodel.Relaxed, memmodel.PSO:
 		e.assertSameAddrProgramOrder()
@@ -661,44 +619,91 @@ func (e *Encoder) assertOrderAxioms() {
 	}
 }
 
-// assertTransitivity emits transitivity: two clauses per unordered
-// triple of merge-class representatives. Merged pairs share their
-// representative's node, so a representative triple covers every
-// member triple, and triples touching a class twice reduce to
-// tautologies over the intra-class constants. Clauses trivially
-// satisfied by constants or a repeated node are skipped up front.
-//
-// The clauses are roughly cubic in the number of accesses, and every
-// literal is a frozen memory-order variable, so preprocessing could
-// neither eliminate nor shrink them. The solver therefore runs this
-// emission after Preprocess, or at the first Solve when nothing
-// preprocesses (sat.Solver.Defer); every solve still sees the whole
-// formula. The cubic loop dominates the emission on large harnesses,
-// so it polls the abort hook per row, and an abort leaves the solver
-// answering Unknown.
-func (e *Encoder) assertTransitivity(reps []int) error {
-	for ii := 0; ii < len(reps); ii++ {
-		if e.aborted() {
-			return e.abortErr
+// installTransitivity makes the memory order over the merge-class
+// representatives transitive; tests swap in the eager clauses.
+var installTransitivity = (*Encoder).setOrderTheory
+
+// orderReps returns the merge-class representatives in increasing
+// order.
+func (e *Encoder) orderReps() []int {
+	reps := make([]int, 0, len(e.Accesses))
+	for i := range e.Accesses {
+		if e.orderRep[i] == i {
+			reps = append(reps, i)
 		}
-		i := reps[ii]
-		for jj := ii + 1; jj < len(reps); jj++ {
-			j := reps[jj]
-			a := e.mLess(i, j)
-			for kk := jj + 1; kk < len(reps); kk++ {
-				k := reps[kk]
-				b := e.mLess(j, k)
-				c := e.mLess(i, k)
-				if !(a == bitvec.False || b == bitvec.False || c == bitvec.True || c == a || c == b) {
-					e.B.AssertOr(a.Not(), b.Not(), c)
+	}
+	return reps
+}
+
+// setOrderTheory installs "the memory order is a strict total order
+// over the merge-class representatives" as the solver's order theory
+// (sat.Solver.SetOrder). Merged pairs share their representative's
+// node, so the order over the representatives orders every access.
+// The theory propagates exactly what the paper's transitivity clauses
+// (two per triple of accesses) would, and explains each implication
+// and conflict with one of them, but the formula holds none:
+// TransitivityClauses counts what it stands for.
+func (e *Encoder) setOrderTheory(reps []int) {
+	e.S.SetOrder(len(reps), func(a, b int) sat.Lit {
+		switch m := e.mLess(reps[a], reps[b]); m {
+		case bitvec.True:
+			return sat.OrderTrue
+		case bitvec.False:
+			return sat.OrderFalse
+		default:
+			return e.B.Lit(m)
+		}
+	})
+}
+
+// TransitivityClauses returns the number of transitivity clauses the
+// eager encoding would emit for this formula: two per triple of
+// merge-class representatives, less those the constant pairs satisfy.
+// The order theory stands in for them, so the count is computed, not
+// emitted; it is the paper's cubic term of the formula size (Fig. 10).
+//
+// For the triple i < j < k of representatives, with a = i<j, b = j<k
+// and c = i<k, the clause ¬a ∨ ¬b ∨ c is emitted unless a or b is the
+// constant false or c the constant true, and a ∨ b ∨ ¬c unless a or b
+// is true or c false. Distinct representative pairs never share a
+// variable, so these are the only clauses that fold away.
+func (e *Encoder) TransitivityClauses() int {
+	if e.order == nil {
+		return 0
+	}
+	reps := e.orderReps()
+	n := len(reps)
+	w := (n + 63) / 64
+	// notF[a] and notT[a] hold the k > a whose pair a<k is not the
+	// constant false, respectively true; row j of a product keeps the
+	// k > j of the triple.
+	notF, notT := make([]uint64, n*w), make([]uint64, n*w)
+	for a := 0; a < n; a++ {
+		for k := a + 1; k < n; k++ {
+			m := e.mLess(reps[a], reps[k])
+			if m != bitvec.False {
+				notF[a*w+k>>6] |= 1 << (k & 63)
+			}
+			if m != bitvec.True {
+				notT[a*w+k>>6] |= 1 << (k & 63)
+			}
+		}
+	}
+	total := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			a := e.mLess(reps[i], reps[j])
+			for x := j >> 6; x < w; x++ {
+				if a != bitvec.False {
+					total += bits.OnesCount64(notF[j*w+x] & notT[i*w+x])
 				}
-				if !(a == bitvec.True || b == bitvec.True || c == bitvec.False || a == c || b == c) {
-					e.B.AssertOr(a, b, c.Not())
+				if a != bitvec.True {
+					total += bits.OnesCount64(notT[j*w+x] & notF[i*w+x])
 				}
 			}
 		}
 	}
-	return nil
+	return total
 }
 
 // assertSameAddrProgramOrder emits the conditional same-address

@@ -5,8 +5,9 @@
 //   - the thread-local formulas Δ (CBMC-style symbolic compilation of
 //     each thread into circuits over SSA values), and
 //   - the memory model formula Θ (the axioms of §2.3.2 over a total
-//     memory order <M represented by one boolean per access pair, with
-//     explicit transitivity clauses, and Init/Flows auxiliary
+//     memory order <M represented by one boolean per access pair,
+//     kept transitive by the solver's order theory in place of the
+//     paper's transitivity clauses, and Init/Flows auxiliary
 //     variables for the load value axioms).
 package encode
 

@@ -42,27 +42,16 @@ const (
 // Preprocess simplifies the root-level clause database in place.
 // It returns false when simplification derives unsatisfiability
 // (subsequent Solve calls return Unsat). Learned clauses are dropped:
-// preprocessing is meant to run before search. A pending Defer
-// emission runs right after the rebuilt database is in place, so its
-// clauses never pass through the preprocessor; they count in
-// PreClauses but not in PreprocessTime. When preprocessing derives
-// unsatisfiability the emission never runs: the formula is UNSAT with
-// or without its clauses.
+// preprocessing is meant to run before search. An installed order
+// theory (SetOrder) constrains frozen variables only, so every
+// simplification stays sound with it; root units derived here reach
+// it at the next propagation.
 func (s *Solver) Preprocess() bool {
 	if !s.ok {
 		return false
 	}
 	start := time.Now()
-	ok := s.preprocess()
-	s.preStats.preprocessTime += time.Since(start)
-	if ok && s.deferred != nil {
-		s.preStats.preClauses += s.runDeferred()
-	}
-	return ok
-}
-
-// preprocess is Preprocess without the deferred emission.
-func (s *Solver) preprocess() bool {
+	defer func() { s.preStats.preprocessTime += time.Since(start) }()
 	s.cancelUntil(0)
 	s.attachPending()
 	if s.propagate() != crefUndef {
@@ -72,9 +61,6 @@ func (s *Solver) preprocess() bool {
 
 	s.preStats.preVars = len(s.assigns)
 	s.preStats.preClauses = len(s.clauses)
-
-	// rebuild empties every watch list, so the learnts go unwatched.
-	s.learnts = s.learnts[:0]
 
 	p := newPrep(s)
 	if !p.conflict && p.applyUnits() && p.subsumePass() {
@@ -101,6 +87,10 @@ func (s *Solver) preprocess() bool {
 		s.ok = false
 		return false
 	}
+	// rebuild empties every watch list, so the learnts go unwatched.
+	// They stay listed on the conflict path above, where the watch
+	// lists still name them.
+	s.learnts = s.learnts[:0]
 	p.rebuild()
 	return true
 }

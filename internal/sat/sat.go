@@ -6,26 +6,25 @@
 // paper's method needs: solving CNF formulas with models, and
 // incremental solving. Clauses may be added between Solve calls, which
 // the specification-mining loop uses for blocking clauses and the lazy
-// loop-bound probes for their overflow clause; Defer adds a batch of
-// clauses (the encoder's transitivity axioms) after preprocessing, or
-// at the first Solve. Solving under assumptions is what the model
-// sweep's per-model selectors use. Each check runs one solver on one
-// encoding; parallelism lives above a check (suite workers, the
-// daemon).
+// loop-bound probes for their overflow clause. Solving under
+// assumptions is what the model sweep's per-model selectors use. Each
+// check runs one solver on one encoding; parallelism lives above a
+// check (suite workers, the daemon).
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
 // with phase saving, Glucose-style LBD-driven restarts, a three-tier
 // LBD-based learnt-clause database and chronological backtracking
-// (learnts.go). SatELite-style preprocessing (preprocess.go) simplifies
-// the formula once before search; a formula bound for it loads
-// unwatched (BulkLoad) and gets its watch lists in one pass at the
-// first Solve. Clauses live in one flat, pointer-free region addressed
+// (learnts.go). One theory is built in (order.go): a matrix of
+// literals is a strict total order, propagated in place of the
+// memory order's cubically many transitivity clauses. SatELite-style
+// preprocessing (preprocess.go) simplifies the formula once before
+// search; a formula bound for it loads unwatched (BulkLoad) and gets
+// its watch lists in one pass at the first Solve. Clauses live in one flat, pointer-free region addressed
 // by 32-bit references (store.go).
 package sat
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -195,12 +194,11 @@ func (o *varOrder) rebuild() {
 }
 
 // Stats reports solver work counters. The Pre* and preprocessing
-// fields are zero unless Preprocess ran. PreClauses also counts the
-// clauses a Defer emission stored right after preprocessing, so it
-// is the size of the whole formula, not just of the part Preprocess
-// saw. After bulk intake (BulkLoad) it is a little larger: units are
-// not propagated on arrival, so clauses their consequences satisfy
-// are stored too.
+// fields are zero unless Preprocess ran. Clauses and PreClauses count
+// stored problem clauses only: the order theory (SetOrder) stores none
+// of the transitivity clauses it stands for. After bulk intake
+// (BulkLoad) PreClauses is a little larger: units are not propagated
+// on arrival, so clauses their consequences satisfy are stored too.
 type Stats struct {
 	Vars         int
 	Clauses      int
@@ -298,11 +296,8 @@ type Solver struct {
 	// check), polled in the solve loop.
 	stop func() bool
 
-	// deferred is the pending Defer emission; deferErr records its
-	// failure, after which the formula is incomplete and every Solve
-	// returns Unknown.
-	deferred func() error
-	deferErr error
+	// ord is the order theory (see order.go), nil until SetOrder.
+	ord *orderTheory
 
 	maxLearnts   float64
 	learntGrowth float64
@@ -419,8 +414,7 @@ func growCap[T any](xs []T, n int) []T {
 // first Solve, then builds every watch list in one pass and
 // propagates the pending units; a Solve whose propagation conflicts
 // answers Unsat. Preprocess leaves the solver in bulk mode again, so
-// clauses added between it and the first Solve (a Defer emission)
-// load the same way.
+// clauses added between it and the first Solve load the same way.
 //
 // Bulk intake suits a formula that Preprocess rebuilds anyway: it
 // ends with the same working set as one-by-one intake, without the
@@ -481,32 +475,6 @@ func (s *Solver) Stats() Stats {
 	st.ClausesStrengthened = s.preStats.clausesStrengthened
 	st.PreprocessTime = s.preStats.preprocessTime
 	return st
-}
-
-// Defer registers emit to add clauses to the formula later. It runs
-// exactly once: right after the next Preprocess has rebuilt the clause
-// database (its time is not counted in PreprocessTime), or on entry to
-// the next Solve if no Preprocess comes first. Clauses it adds skip
-// preprocessing, so, like any clause added after Preprocess, they may
-// only mention frozen or fresh variables. A non-nil return leaves the
-// formula incomplete: that Solve and every later one return Unknown,
-// and BudgetErr reports the error's *ErrBudget when it wraps one. At
-// most one emission may be pending.
-func (s *Solver) Defer(emit func() error) {
-	if s.deferred != nil {
-		panic("sat: a deferred emission is already pending")
-	}
-	s.deferred = emit
-}
-
-// runDeferred runs the pending Defer emission and returns the number
-// of clauses it stored.
-func (s *Solver) runDeferred() int {
-	emit := s.deferred
-	s.deferred = nil
-	before := s.stats.Clauses
-	s.deferErr = emit()
-	return s.stats.Clauses - before
 }
 
 // SetBudget limits the number of conflicts a single Solve may use
@@ -666,11 +634,19 @@ func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate runs unit propagation to a fixpoint and returns the
-// conflicting clause, or crefUndef.
+// propagate runs unit propagation, and the order theory's after each
+// literal's watch list, to a fixpoint and returns the conflicting
+// clause, or crefUndef.
 func (s *Solver) propagate() cref {
 	// Propagation allocates no clause, so the region stays put.
 	mem := s.ca.mem
+	if s.ord != nil {
+		// Catch up on root literals Preprocess's rebuild skipped.
+		if c := s.propagateOrder(); c != crefUndef {
+			s.qhead = len(s.trail)
+			return c
+		}
+	}
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -723,6 +699,12 @@ func (s *Solver) propagate() cref {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
+		if s.ord != nil {
+			if c := s.propagateOrder(); c != crefUndef {
+				s.qhead = len(s.trail)
+				return c
+			}
+		}
 	}
 	return crefUndef
 }
@@ -731,15 +713,23 @@ func (s *Solver) cancelUntil(level int) {
 	if s.decisionLevel() <= level {
 		return
 	}
-	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
+	end := s.trailLim[level]
+	o := s.ord
+	for i := len(s.trail) - 1; i >= end; i-- {
 		l := s.trail[i]
 		v := l.Var()
+		if o != nil && i < o.thead {
+			o.clearOrderVar(v)
+		}
 		s.phase[v] = !l.Sign()
 		s.assigns[v] = lUndef
 		s.reasons[v] = crefUndef
 		s.order.push(v)
 	}
-	s.trail = s.trail[:s.trailLim[level]]
+	if o != nil {
+		o.thead = min(o.thead, end)
+	}
+	s.trail = s.trail[:end]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
@@ -777,19 +767,21 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	idx := len(s.trail) - 1
 
 	for {
-		s.bumpClause(confl)
-		lits := s.ca.lits(confl)
-		if s.ca.learnt(confl) {
-			// Mark learnt antecedents used (tier retention) and tighten
-			// their LBD — every literal of an antecedent is assigned
-			// here, so the recomputation is exact; a better LBD can
-			// promote the clause into a longer-lived tier.
-			s.ca.setUsed(confl, true)
-			if lbd := s.ca.lbd(confl); lbd > 2 {
-				if nl := s.computeLBD(lits); nl < lbd {
-					s.ca.setLBD(confl, nl)
-					if t := s.tierFor(nl); t < s.ca.tier(confl) {
-						s.ca.setTier(confl, t)
+		lits := s.reasonLits(confl, p)
+		if confl != crefOrder {
+			s.bumpClause(confl)
+			if s.ca.learnt(confl) {
+				// Mark learnt antecedents used (tier retention) and
+				// tighten their LBD — every literal of an antecedent is
+				// assigned here, so the recomputation is exact; a better
+				// LBD can promote the clause into a longer-lived tier.
+				s.ca.setUsed(confl, true)
+				if lbd := s.ca.lbd(confl); lbd > 2 {
+					if nl := s.computeLBD(lits); nl < lbd {
+						s.ca.setLBD(confl, nl)
+						if t := s.tierFor(nl); t < s.ca.tier(confl) {
+							s.ca.setTier(confl, t)
+						}
 					}
 				}
 			}
@@ -822,7 +814,11 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 			break
 		}
 		confl = s.reasons[p.Var()]
-		// Reason clauses store the implied literal first; skip it.
+		// Reason clauses store the implied literal first; skip it. The
+		// order theory's explanations are built that way.
+		if confl == crefOrder {
+			continue
+		}
 		if lits := s.ca.lits(confl); lits[0] != p {
 			// normalize so lits[0] == p
 			for i, l := range lits {
@@ -881,7 +877,7 @@ func (s *Solver) litRedundant(l Lit, levels uint64) bool {
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, cl := range s.ca.lits(s.reasons[q.Var()]) {
+		for _, cl := range s.reasonLits(s.reasons[q.Var()], q) {
 			if cl == q || cl == q.Not() {
 				continue
 			}
@@ -990,14 +986,6 @@ func (s *Solver) detach(c cref) {
 // BudgetErr tells which).
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.budgetErr = nil
-	if s.deferred != nil && s.ok {
-		s.runDeferred()
-	}
-	if s.deferErr != nil {
-		// The formula is incomplete: neither answer would be about it.
-		errors.As(s.deferErr, &s.budgetErr)
-		return Unknown
-	}
 	if !s.ok {
 		return Unsat
 	}

@@ -171,7 +171,8 @@ func (r *region) forward(c cref) cref { return cref(r.mem[c+hdrActLo]) }
 // rewrites the references held by the watch lists and reasons. A
 // reason that names an unlisted clause becomes crefUndef: only
 // root-level assignments keep such reasons, and no live clause may
-// compare equal to them.
+// compare equal to them. The order theory's sentinel reason names no
+// clause and stays.
 func (s *Solver) garbageCollect() {
 	from := &s.ca
 	to := newRegion(len(from.mem) - from.wasted)
@@ -187,7 +188,7 @@ func (s *Solver) garbageCollect() {
 		}
 	}
 	for v, c := range s.reasons {
-		if c == crefUndef {
+		if c == crefUndef || c == crefOrder {
 			continue
 		}
 		if from.flag(c, flagReloc) {

@@ -166,8 +166,9 @@ func hasPointers(t reflect.Type) bool {
 // TestSolverStoreHasNoPointers: the element types of the clause store
 // and everything indexing it — watch lists, the clause region, reasons,
 // the clause and learnt lists, the preprocessor's working set and
-// occurrence lists, and the elimination stack — hold no pointers, so
-// the garbage collector never scans them.
+// occurrence lists, the elimination stack and the order theory's
+// matrix, bitset rows and antecedents — hold no pointers, so the
+// garbage collector never scans them.
 func TestSolverStoreHasNoPointers(t *testing.T) {
 	// The walk itself must see pointers, or the guard proves nothing.
 	type pointerWatcher struct {
@@ -180,6 +181,7 @@ func TestSolverStoreHasNoPointers(t *testing.T) {
 	s := New()
 	newVars(s, 4)
 	s.AddClause(Pos(0), Pos(1), Neg(2))
+	s.SetOrder(3, func(a, b int) Lit { return Pos(a + b) })
 	p := newPrep(s)
 	for name, typ := range map[string]reflect.Type{
 		"watcher":          reflect.TypeOf(s.watches).Elem().Elem(),
@@ -198,6 +200,10 @@ func TestSolverStoreHasNoPointers(t *testing.T) {
 		"elim literal":     reflect.TypeOf(s.elimLits).Elem(),
 		"prep elim entry":  reflect.TypeOf(p.elim).Elem(),
 		"prep elim clause": reflect.TypeOf(p.elimCls).Elem(),
+		"order entry":      reflect.TypeOf(s.ord.mat).Elem(),
+		"order position":   reflect.TypeOf(s.ord.pos).Elem(),
+		"order row word":   reflect.TypeOf(s.ord.succ).Elem(),
+		"order antecedent": reflect.TypeOf(s.ord.ante).Elem(),
 	} {
 		if hasPointers(typ) {
 			t.Errorf("%s type %v contains a pointer", name, typ)
