@@ -92,22 +92,6 @@ const (
 // VerdictUnknown instead of hanging.
 type Options = core.Options
 
-// Backend selects the verdict engine of a check (Options.Backend).
-type Backend = core.Backend
-
-// The backends. BackendAuto (the zero value) routes per check: small
-// fragment programs go to the polynomial reads-from engine, everything
-// else to SAT, and an rf failure falls back to SAT. BackendSAT pins
-// the SAT engine, the reference path.
-const (
-	BackendAuto = core.BackendAuto
-	BackendSAT  = core.BackendSAT
-)
-
-// ParseBackend converts a -backend flag value ("auto", "sat") to a
-// Backend.
-func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
-
 // Result is the outcome of a check. Verdict is three-valued: pass,
 // fail (Cex holds the decoded counterexample and SeqBug tells whether
 // the failure is already present in serial executions), or unknown

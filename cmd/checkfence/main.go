@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		implName  = fs.String("impl", "", "implementation to check (see -list)")
 		testName  = fs.String("test", "", "symbolic test name or Fig. 8 notation")
 		specSrc   = fs.String("spec", "sat", "specification source: sat (mine from implementation) or refset")
-		backend   = fs.String("backend", "auto", "verdict engine: auto (cost-based routing: litmus programs to the polynomial reads-from engine, the rest to SAT) or sat (SAT only)")
 		noRanges  = fs.Bool("no-range-analysis", false, "disable the range analysis of paper §3.4")
 		jobs      = fs.Int("j", 1, "number of checks run concurrently (0 = GOMAXPROCS)")
 		maxMine   = fs.Int("max-mine-iterations", 0, "cap mining enumeration iterations (0 = default)")
@@ -144,11 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(models) == 0 {
 		models = modelList{memmodel.Relaxed}
 	}
-	be, err := core.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintln(stderr, "checkfence:", err)
-		return exitError
-	}
 	sweep, err := core.ParseSweepMode(*sweepFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "checkfence:", err)
@@ -156,7 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	base := core.Options{
-		Backend:              be,
 		DisableRangeAnalysis: *noRanges,
 		MaxMineIterations:    *maxMine,
 		NoValidate:           !*validate,
@@ -284,7 +277,6 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 	}
 	if stats {
 		s := res.Stats
-		fmt.Fprintf(w, "backend: %s (router: %s)\n", s.Backend, s.RouterDecision)
 		if s.SweepGroups > 0 {
 			fmt.Fprintf(w, "sweep: group of %d models, %d selector vars, %d guarded units\n",
 				s.SweepModels, s.SelectorVars, s.SelectorUnits)
@@ -294,10 +286,6 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 			if s.SweepEarlyExit > 0 {
 				fmt.Fprintln(w, "sweep sharing: decided by replaying a stronger model's counterexample")
 			}
-		}
-		if s.RFSteps+s.RFExecs > 0 {
-			fmt.Fprintf(w, "rf engine: %d steps, %d consistent of %d executions, %d case splits\n",
-				s.RFSteps, s.RFConsistent, s.RFExecs, s.RFSplits)
 		}
 		fmt.Fprintf(w, "unrolled: %d instrs, %d loads, %d stores\n", s.Instrs, s.Loads, s.Stores)
 		fmt.Fprintf(w, "circuit: %d gates\n", s.Gates)

@@ -125,17 +125,19 @@ func TestUnknownReportsRungs(t *testing.T) {
 	}
 }
 
-// TestBackendRFRejected: -backend rf is a usage error (exit 2) whose
-// message names the backends there are; auto already routes litmus
-// programs to the reads-from engine.
+// TestBackendRFRejected: SAT is the one verdict engine, so -backend
+// is no flag at all: naming it, with any value, is a usage error
+// (exit 2).
 func TestBackendRFRejected(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	got := run([]string{"-impl", "ms2", "-test", "T0", "-model", "sc", "-backend", "rf"}, &stdout, &stderr)
-	if got != exitError {
-		t.Fatalf("exit = %d, want %d\nstdout: %s", got, exitError, stdout.String())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "auto") || !strings.Contains(msg, "sat") {
-		t.Errorf("stderr %q does not name auto and sat", msg)
+	for _, be := range []string{"rf", "sat"} {
+		var stdout, stderr bytes.Buffer
+		got := run([]string{"-impl", "ms2", "-test", "T0", "-model", "sc", "-backend", be}, &stdout, &stderr)
+		if got != exitError {
+			t.Fatalf("-backend %s: exit = %d, want %d\nstdout: %s", be, got, exitError, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "flag provided but not defined: -backend") {
+			t.Errorf("-backend %s: stderr %q does not reject the flag", be, msg)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // POST /v1/check accepts a batch of serializable check descriptions
 // and streams NDJSON verdicts; GET /v1/jobs/{id} polls a finished
 // job; GET /metrics exposes Prometheus-format counters (verdicts,
-// router decisions, sweep groups, spec cache traffic, budget
-// exhaustions); GET /healthz answers liveness probes.
+// sweep groups, spec cache traffic, budget exhaustions); GET /healthz
+// answers liveness probes.
 //
 // All batches share one admission gate bounding concurrent solver
 // work and one spec cache whose disk tier (-spec-cache-dir) is

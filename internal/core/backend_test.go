@@ -1,17 +1,18 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
+	"checkfence/internal/rf"
+	"checkfence/internal/spec"
 )
 
 // litmusImpl is a four-operation datatype whose ops are single global
 // accesses, so harness tests compose into classic litmus shapes. It is
-// squarely inside the reads-from fragment: the router must send it to
-// the rf engine under auto.
+// squarely inside the reads-from fragment, so the rf engine can serve
+// as its oracle.
 func litmusImpl() *harness.Impl {
 	return &harness.Impl{
 		Name: "litmusdt", Kind: "litmus", Source: `
@@ -43,16 +44,16 @@ func checkLitmus(t *testing.T, notation string, opts Options) *Result {
 	}
 	res, err := CheckImpl(impl, test, opts)
 	if err != nil {
-		t.Fatalf("CheckImpl(%s, %v): %v", notation, opts.Backend, err)
+		t.Fatalf("CheckImpl(%s, %v): %v", notation, opts.Model, err)
 	}
 	return res
 }
 
-// TestBackendAgreement is the backend ablation: auto and forced SAT
-// must produce bit-identical verdicts and observation sets on litmus
-// shapes across every model, and each must match the architectural
-// ground truth. Auto must actually route these to rf, so every row
-// compares rf with SAT.
+// TestBackendAgreement is the litmus ground truth of the SAT engine:
+// each shape must pass or fail as the architecture says on every
+// model, with a counterexample on every FAIL, and its mined
+// observation set must equal the one the reads-from engine enumerates
+// under Serial, which stays an independent oracle here.
 func TestBackendAgreement(t *testing.T) {
 	cases := []struct {
 		name, notation string
@@ -75,47 +76,48 @@ func TestBackendAgreement(t *testing.T) {
 	models := []memmodel.Model{memmodel.SequentialConsistency,
 		memmodel.TSO, memmodel.PSO, memmodel.Relaxed}
 	for _, tc := range cases {
+		oracle := rfSerialSet(t, tc.notation)
 		for _, model := range models {
-			auto := checkLitmus(t, tc.notation, Options{Model: model})
-			sat := checkLitmus(t, tc.notation, Options{Model: model, Backend: BackendSAT})
-
-			if auto.Stats.Backend != "rf" {
-				t.Errorf("%s/%s: auto routed to %q (%s), want rf",
-					tc.name, model, auto.Stats.Backend, auto.Stats.RouterDecision)
+			r := checkLitmus(t, tc.notation, Options{Model: model})
+			if r.Pass == tc.fails[model] {
+				t.Errorf("%s/%s: pass=%v, ground truth fails=%v",
+					tc.name, model, r.Pass, tc.fails[model])
 			}
-			if sat.Stats.Backend != "sat" {
-				t.Errorf("%s/%s: forced sat ran on %q", tc.name, model, sat.Stats.Backend)
+			if !r.Pass && r.Cex == nil {
+				t.Errorf("%s/%s: failed without a counterexample", tc.name, model)
 			}
-			for _, r := range []*Result{auto, sat} {
-				if r.Pass == tc.fails[model] {
-					t.Errorf("%s/%s/%s: pass=%v, ground truth fails=%v",
-						tc.name, model, r.Stats.Backend, r.Pass, tc.fails[model])
-				}
-				if !r.Pass && r.Cex == nil {
-					t.Errorf("%s/%s/%s: failed without a counterexample", tc.name, model, r.Stats.Backend)
-				}
-				if !r.Spec.Equal(sat.Spec) {
-					t.Errorf("%s/%s/%s: observation set diverges from SAT mining\n%s: %v\nsat: %v",
-						tc.name, model, r.Stats.Backend, r.Stats.Backend, r.Spec.All(), sat.Spec.All())
-				}
+			if !r.Spec.Equal(oracle) {
+				t.Errorf("%s/%s: mined observation set diverges from the rf oracle\nsat: %v\nrf:  %v",
+					tc.name, model, r.Spec.All(), oracle.All())
 			}
 		}
 	}
 }
 
-// TestRouterSkipsNonFragment: a real datatype (havocked arguments,
-// arithmetic, CAS loops) is outside the rf fragment; auto must fall to
-// SAT with a reasoned decision and zero rf work.
-func TestRouterSkipsNonFragment(t *testing.T) {
-	res := check(t, "msn", "T0", Options{Model: memmodel.SequentialConsistency})
-	if res.Stats.Backend != "sat" {
-		t.Fatalf("msn/T0 ran on %q, want sat", res.Stats.Backend)
+// rfSerialSet enumerates the Serial observation set of a litmus shape
+// with the reads-from engine.
+func rfSerialSet(t *testing.T, notation string) *spec.Set {
+	t.Helper()
+	impl := litmusImpl()
+	test, err := harness.ParseTest("lit", notation, impl)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(res.Stats.RouterDecision, "sat (") {
-		t.Errorf("router decision %q does not explain the SAT fallback", res.Stats.RouterDecision)
+	built, err := harness.Build(impl, test)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.RFSteps != 0 || res.Stats.RFExecs != 0 {
-		t.Errorf("rf counters nonzero on a SAT check: steps=%d execs=%d",
-			res.Stats.RFSteps, res.Stats.RFExecs)
+	u, err := built.Unroll(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	p, err := rf.Scan(u.Threads)
+	if err != nil {
+		t.Fatalf("rf.Scan(%s): %v", notation, err)
+	}
+	set, _, err := p.Observations(memmodel.Serial, built.Entries, rf.Budget{})
+	if err != nil {
+		t.Fatalf("rf Serial observations of %s: %v", notation, err)
+	}
+	return set
 }

@@ -44,10 +44,6 @@ func (s SpecSource) String() string {
 type Options struct {
 	// Model is the memory model of the inclusion check.
 	Model memmodel.Model
-	// Backend selects the verdict engine: BackendAuto (the default)
-	// routes per check between the polynomial reads-from engine and
-	// SAT via the static cost model; BackendSAT forces SAT.
-	Backend Backend
 	// DisableRangeAnalysis turns §3.4 off (Fig. 11c comparison).
 	DisableRangeAnalysis bool
 	// SpecSource selects the mining method.
@@ -148,15 +144,13 @@ type Stats struct {
 	MineIterations int
 	BoundRounds    int
 
-	// Multi-backend routing: the backend that produced the verdict
-	// ("rf" or "sat"), the router's reasoning, and the rf engine's
-	// work counters (zero on pure SAT checks).
-	Backend        string
-	RouterDecision string
-	RFSteps        int
-	RFExecs        int
-	RFConsistent   int
-	RFSplits       int
+	// Backend is always "sat", the one verdict engine. The benchmark
+	// module reads it (benchmark/checks.go, benchmark/service.go).
+	Backend string
+	// RFSteps and RFExecs are always 0: no check runs the reads-from
+	// engine. The benchmark module reads them (benchmark/sweep.go).
+	RFSteps int
+	RFExecs int
 
 	// Spec-cache traffic of this check: how many of its mining
 	// requests were served from Options.SpecCache vs. mined fresh.
@@ -263,7 +257,7 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 
 // checkAttempt is the one attempt loop of the pipeline: it decides the
 // given models (strongest first) — one for a single check or several
-// for a sweep group, whichever backend each round routes them to.
+// for a sweep group.
 //
 // Lazy loop unrolling follows the paper's §3.3 order: a round runs at
 // the current bounds first, and a counterexample decides its model
@@ -400,24 +394,18 @@ func (a *attempt) probe(m memmodel.Model) (*encode.Encoder, error) {
 }
 
 // round decides the pending models (strongest first) at the current
-// bounds: each one the reads-from engine answers in place, the rest on
-// one shared SAT encoding. Failing models are decided in place; the
-// returned models passed at these bounds and stay pending, strongest
-// first.
+// bounds on one shared SAT encoding. Failing models are decided in
+// place; the returned models passed at these bounds and stay pending,
+// strongest first.
 func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	for _, res := range pending {
 		st := &res.Stats
 		st.Instrs, st.Loads, st.Stores = a.u.Instrs, a.u.Loads, a.u.Stores
 		st.BoundRounds = a.u.Rounds
+		st.Backend = "sat"
 	}
-	onSAT, err := a.routeRound(pending)
-	if err != nil {
+	if err := a.satRound(pending); err != nil {
 		return nil, err
-	}
-	if len(onSAT) > 0 {
-		if err := a.satRound(onSAT); err != nil {
-			return nil, err
-		}
 	}
 	var passed []*Result
 	for _, res := range pending {
@@ -426,36 +414,6 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 		}
 	}
 	return passed, nil
-}
-
-// routeRound routes the round once: routeRF inspects the backend
-// selection and the unrolled program, never the model. When it picks
-// rf, every pending model runs on the reads-from engine, which is
-// per-model. An rf failure that rfFallbackable allows sends that model
-// to SAT within this same round; any other rf failure is returned. The
-// models left for SAT are returned, strongest first.
-func (a *attempt) routeRound(pending []*Result) ([]*Result, error) {
-	dec := routeRF(a.opts, a.u.Unrolled)
-	var onSAT []*Result
-	for _, res := range pending {
-		reason := dec.reason
-		if dec.useRF {
-			err := runCheckRF(res, a.built, a.u.Unrolled, dec.prog, a.opts)
-			if err == nil {
-				res.Stats.Backend, res.Stats.RouterDecision = "rf", dec.reason
-				continue
-			}
-			if !rfFallbackable(err) {
-				return nil, err
-			}
-			reason = "sat (rf fell back: " + err.Error() + ")"
-		} else if len(pending) > 1 {
-			reason = "sat (model sweep)"
-		}
-		res.Stats.Backend, res.Stats.RouterDecision = "sat", reason
-		onSAT = append(onSAT, res)
-	}
-	return onSAT, nil
 }
 
 // satRound mines the specification and runs both inclusion phases for

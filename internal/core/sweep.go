@@ -71,9 +71,9 @@ func sweepEligible(o Options) bool {
 // and therefore always sound.
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "be=%d ra=%t src=%d spec=%p mmi=%d "+
+	fmt.Fprintf(&b, "ra=%t src=%d spec=%p mmi=%d "+
 		"enc=%p noval=%t dl=%d cb=%d mem=%d cache=%p cancel=%p",
-		o.Backend, o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxMineIterations,
+		o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxMineIterations,
 		o.Encode, o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
 		o.SpecCache, o.Cancel)
 	keys := make([]string, 0, len(o.InitialBounds))

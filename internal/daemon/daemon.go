@@ -138,8 +138,7 @@ type Server struct {
 	batches  int64
 	verdicts map[string]int64 // verdict string -> count
 	errors   int64
-	router   map[string]int64 // router decision -> count
-	sweeps   int64            // checks decided by a sweep group
+	sweeps   int64 // checks decided by a sweep group
 }
 
 // NewServer builds a Server around a fresh spec cache (rooted at
@@ -154,7 +153,6 @@ func NewServer(cfg Config) *Server {
 		cancel:   cancel,
 		records:  map[string]*JobStatus{},
 		verdicts: map[string]int64{},
-		router:   map[string]int64{},
 	}
 	if cfg.Faults != nil {
 		s.cache.SetFaults(cfg.Faults)
@@ -342,7 +340,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 }
 
 // record stores a finished check for the poll endpoint and folds it
-// into the verdict, router and sweep counters.
+// into the verdict and sweep counters.
 func (s *Server) record(line *ResultLine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -357,9 +355,6 @@ func (s *Server) record(line *ResultLine) {
 	}
 	s.verdicts[line.Verdict]++
 	if st := line.Stats; st != nil {
-		if st.RouterDecision != "" {
-			s.router[st.RouterDecision]++
-		}
 		s.sweeps += int64(st.SweepGroups)
 	}
 }
@@ -398,10 +393,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for k, v := range s.verdicts {
 		verdicts[k] = v
 	}
-	router := make(map[string]int64, len(s.router))
-	for k, v := range s.router {
-		router[k] = v
-	}
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -427,7 +418,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	labeled("checkfenced_jobs_total", "Finished jobs by verdict.", "verdict", verdicts)
 	counter("checkfenced_job_errors_total", "Jobs that failed to run.", errors)
 	gauge("checkfenced_inflight_jobs", "Jobs admitted but not finished.", inflight)
-	labeled("checkfenced_router_decisions_total", "Backend router decisions.", "decision", router)
 	counter("checkfenced_sweep_checks_total", "Checks decided by a model-sweep group.", sweeps)
 	counter("checkfenced_spec_cache_hits_total", "Spec cache hits (memory or disk).", int64(cs.Hits))
 	counter("checkfenced_spec_cache_misses_total", "Spec cache misses (fresh mines).", int64(cs.Misses))

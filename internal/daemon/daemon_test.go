@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -205,14 +204,16 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 // "share_clauses", "cube"), the removed fleet cube fields ("assume",
 // "cube_of", "cube_index"), the removed ablation switches
 // ("simplify_level", "no_preprocess", "no_inprocess",
-// "no_order_reduce") or the removed bound-round cap
-// ("max_bound_rounds"). The decoder ignores unknown fields, so the
-// batch is accepted and every verdict equals that of the same batch
-// without them. An ignored cube restriction widens the check to the
-// whole formula, which is sound; the ablation switches never change a
-// verdict (TestOrderReduceAblation, TestMinimizationDifferential); a cap
-// of 1 would have failed any check whose bounds grow, and the fixed
-// cap only ever lets such a check finish.
+// "no_order_reduce"), the removed bound-round cap ("max_bound_rounds")
+// or the removed verdict-engine choice ("backend", sent as "rf" and as
+// "sat"). The decoder ignores unknown fields, so the batch is accepted
+// and every verdict equals that of the same batch without them. An
+// ignored cube restriction widens the check to the whole formula,
+// which is sound; the ablation switches never change a verdict
+// (TestOrderReduceAblation, TestMinimizationDifferential); a cap of 1
+// would have failed any check whose bounds grow, and the fixed cap
+// only ever lets such a check finish; every check runs on SAT,
+// whatever backend it names.
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
@@ -234,16 +235,19 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 		return out
 	}
 	plain := verdicts("")
-	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
-		"assume": [3, -7], "cube_of": "x", "cube_index": 1,
-		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
-		"max_bound_rounds": 1`)
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
 	}
-	for m, v := range plain {
-		if legacy[m] != v {
-			t.Errorf("%s: legacy-field batch verdict %q, plain batch %q", m, legacy[m], v)
+	for _, backend := range []string{"rf", "sat"} {
+		legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
+			"assume": [3, -7], "cube_of": "x", "cube_index": 1,
+			"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
+			"max_bound_rounds": 1, "backend": "` + backend + `"`)
+		for m, v := range plain {
+			if legacy[m] != v {
+				t.Errorf("%s: legacy-field batch (backend %s) verdict %q, plain batch %q",
+					m, backend, legacy[m], v)
+			}
 		}
 	}
 }
@@ -542,27 +546,6 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("%s: %s, want 400", tc.name, resp.Status)
 			}
 		})
-	}
-}
-
-// TestBackendRFRejected: "rf" is not a selectable backend (auto routes
-// litmus programs to the reads-from engine), so a job naming it gets a
-// 400 whose message names the two backends there are.
-func TestBackendRFRejected(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{}))
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(
-		`{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","backend":"rf"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("backend rf: %s, want 400", resp.Status)
-	}
-	if msg := string(body); !strings.Contains(msg, "auto") || !strings.Contains(msg, "sat") {
-		t.Errorf("400 body %q does not name auto and sat", msg)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package job defines the serializable check description: one
 // CheckFence verification problem — program, test, memory model,
-// unrolling bounds, backend selection, solver strategy and resource
-// budgets — round-tripped through JSON. It is the wire format of the
-// checkfenced daemon's /v1/check endpoint: everything a check depends
-// on is in the description, so any process holding it can produce the
-// same verdict.
+// unrolling bounds, solver strategy and resource budgets —
+// round-tripped through JSON. It is the wire format of the checkfenced
+// daemon's /v1/check endpoint: everything a check depends on is in the
+// description, so any process holding it can produce the same verdict.
 package job
 
 import (
@@ -84,10 +83,6 @@ type Check struct {
 	// Model is the memory model: "sc", "tso", "pso", "relaxed",
 	// "serial".
 	Model string `json:"model"`
-	// Backend selects the verdict engine: "auto" (default: litmus
-	// programs go to the reads-from engine, the rest to SAT) or "sat"
-	// (the SAT reference path).
-	Backend string `json:"backend,omitempty"`
 	// SpecSource is "sat" (default: mine from the implementation) or
 	// "refset".
 	SpecSource string `json:"spec_source,omitempty"`
@@ -120,9 +115,6 @@ func (c *Check) Validate() error {
 	if _, err := memmodel.Parse(c.model()); err != nil {
 		return fmt.Errorf("job: %w", err)
 	}
-	if _, err := core.ParseBackend(c.backend()); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
 	if _, err := parseSpecSource(c.SpecSource); err != nil {
 		return err
 	}
@@ -150,13 +142,6 @@ func (c *Check) model() string {
 	return c.Model
 }
 
-func (c *Check) backend() string {
-	if c.Backend == "" {
-		return "auto"
-	}
-	return c.Backend
-}
-
 func parseSpecSource(s string) (core.SpecSource, error) {
 	switch s {
 	case "", "sat":
@@ -173,12 +158,10 @@ func (c *Check) Options() (core.Options, error) {
 		return core.Options{}, err
 	}
 	model, _ := memmodel.Parse(c.model())
-	backend, _ := core.ParseBackend(c.backend())
 	src, _ := parseSpecSource(c.SpecSource)
 	sweep, _ := core.ParseSweepMode(c.Sweep)
 	opts := core.Options{
 		Model:                model,
-		Backend:              backend,
 		SpecSource:           src,
 		DisableRangeAnalysis: c.NoRangeAnalysis,
 		MaxMineIterations:    c.MaxMineIterations,
@@ -268,9 +251,6 @@ func FromOptions(implName, testName string, o core.Options) Check {
 		Timeout:           Duration(o.Deadline),
 		ConflictBudget:    o.ConflictBudget,
 		MemBudgetMB:       o.MemBudgetMB,
-	}
-	if o.Backend != core.BackendAuto {
-		c.Backend = o.Backend.String()
 	}
 	if o.SpecSource == core.SpecRef {
 		c.SpecSource = "refset"

@@ -16,7 +16,6 @@ func TestRoundTrip(t *testing.T) {
 		Program:           Program{Name: "msn"},
 		Test:              "T0",
 		Model:             "tso",
-		Backend:           "sat",
 		SpecSource:        "refset",
 		Bounds:            map[string]int{"L0": 2},
 		MaxMineIterations: 100,
@@ -71,7 +70,6 @@ func TestOptionsMapping(t *testing.T) {
 		Program:        Program{Name: "msn"},
 		Test:           "T0",
 		Model:          "pso",
-		Backend:        "sat",
 		SpecSource:     "refset",
 		Sweep:          "off",
 		NoValidate:     true,
@@ -85,9 +83,6 @@ func TestOptionsMapping(t *testing.T) {
 	}
 	if opts.Model != memmodel.PSO {
 		t.Errorf("model = %v", opts.Model)
-	}
-	if opts.Backend != core.BackendSAT {
-		t.Errorf("backend = %v", opts.Backend)
 	}
 	if opts.SpecSource != core.SpecRef {
 		t.Errorf("spec source = %v", opts.SpecSource)
@@ -112,7 +107,6 @@ func TestOptionsMapping(t *testing.T) {
 func TestFromOptionsInverts(t *testing.T) {
 	orig := core.Options{
 		Model:         memmodel.TSO,
-		Backend:       core.BackendSAT,
 		SpecSource:    core.SpecRef,
 		Sweep:         core.SweepOff,
 		NoValidate:    true,
@@ -124,7 +118,7 @@ func TestFromOptionsInverts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Model != orig.Model || got.Backend != orig.Backend ||
+	if got.Model != orig.Model ||
 		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
 		got.NoValidate != orig.NoValidate ||
 		got.Deadline != orig.Deadline {
@@ -144,7 +138,6 @@ func TestValidateErrors(t *testing.T) {
 		{"no program", Check{Test: "T0"}, "program.name"},
 		{"no test", Check{Program: Program{Name: "msn"}}, "test is required"},
 		{"bad model", Check{Program: Program{Name: "msn"}, Test: "T0", Model: "ppc"}, "ppc"},
-		{"bad backend", Check{Program: Program{Name: "msn"}, Test: "T0", Backend: "z3"}, "z3"},
 		{"bad spec source", Check{Program: Program{Name: "msn"}, Test: "T0", SpecSource: "oracle"}, "spec source"},
 		{"bad sweep", Check{Program: Program{Name: "msn"}, Test: "T0", Sweep: "sideways"}, "sideways"},
 		{"negative timeout", Check{Program: Program{Name: "msn"}, Test: "T0", Timeout: Duration(-1)}, "negative timeout"},

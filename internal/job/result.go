@@ -34,8 +34,6 @@ type Budget struct {
 
 // Stats is the wire subset of core.Stats.
 type Stats struct {
-	Backend        string `json:"backend,omitempty"`
-	RouterDecision string `json:"router_decision,omitempty"`
 	ObsSetSize     int    `json:"obs_set_size,omitempty"`
 	MineIterations int    `json:"mine_iterations,omitempty"`
 	CNFVars        int    `json:"cnf_vars,omitempty"`
@@ -69,8 +67,6 @@ func NewResult(j core.Job, res *core.Result, err error) Result {
 	}
 	st := res.Stats
 	r.Stats = &Stats{
-		Backend:        st.Backend,
-		RouterDecision: st.RouterDecision,
 		ObsSetSize:     st.ObsSetSize,
 		MineIterations: st.MineIterations,
 		CNFVars:        st.CNFVars,

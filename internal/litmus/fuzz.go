@@ -246,7 +246,7 @@ func RunDifferential(data []byte) error {
 		}
 	}
 
-	// Stage 1b: the polynomial reads-from backend. Every generated
+	// Stage 1b: the polynomial reads-from oracle. Every generated
 	// program lies inside its fragment, so Scan must accept, and its
 	// Serial enumeration must reproduce the interpreter set.
 	rfProg, err := rf.Scan(p.Threads)
@@ -294,7 +294,7 @@ func RunDifferential(data []byte) error {
 		}
 		fail[model] = verdicts[0]
 
-		// The rf backend on the same model: its full observation set must
+		// The rf oracle on the same model: its full observation set must
 		// be bit-identical to SAT blocking-clause mining, its inclusion
 		// verdict must match, and its witness trace must survive the same
 		// validation pipeline as the SAT counterexamples.

@@ -69,7 +69,7 @@ func TestDifferentialSeeds(t *testing.T) {
 }
 
 // TestDifferentialRandom drives the full differential pipeline —
-// which now pits the rf backend's enumeration against the interpreter
+// which pits the rf oracle's enumeration against the interpreter
 // and SAT mining on every model — over a deterministic random sample
 // of the generator's program space.
 func TestDifferentialRandom(t *testing.T) {

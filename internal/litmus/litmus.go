@@ -204,7 +204,7 @@ func (t Test) Observable(model memmodel.Model) (bool, error) {
 }
 
 // ObservableRF answers the same question through the polynomial
-// reads-from backend: it enumerates the model's complete observation
+// reads-from oracle: it enumerates the model's complete observation
 // set over the outcome registers and tests membership. The test suite
 // asserts agreement with the SAT answer on every model.
 func (t Test) ObservableRF(model memmodel.Model) (bool, error) {

@@ -8,7 +8,7 @@ import (
 
 // TestRFLitmusTable runs every classic litmus shape (SB, MP, LB, IRIW,
 // CoRR, and their fenced variants) through the polynomial reads-from
-// backend on all five models and checks the verdict against both the
+// oracle on all five models and checks the verdict against both the
 // hand-written ground truth and the SAT encoder's answer.
 func TestRFLitmusTable(t *testing.T) {
 	for _, test := range Tests() {

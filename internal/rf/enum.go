@@ -7,19 +7,18 @@ import (
 	"checkfence/internal/trace"
 )
 
-// EnumStats reports enumeration work for the Stats counters.
+// EnumStats reports enumeration work (the benchmark module's rf.*
+// layer metrics read it).
 type EnumStats struct {
-	Steps      int // candidate reads-from extensions attempted
-	Execs      int // complete candidate assignments reaching a leaf
-	Consistent int // distinct consistent executions found
-	Splits     int // case splits spent across all consistency decisions
+	Steps  int // candidate reads-from extensions attempted
+	Execs  int // complete candidate assignments reaching a leaf
+	Splits int // case splits spent across all consistency decisions
 }
 
 // Add folds another enumeration's counters in.
 func (s *EnumStats) Add(o EnumStats) {
 	s.Steps += o.Steps
 	s.Execs += o.Execs
-	s.Consistent += o.Consistent
 	s.Splits += o.Splits
 }
 
@@ -77,7 +76,6 @@ func (p *Program) forEach(model memmodel.Model, b Budget,
 			if w == nil {
 				return false, nil
 			}
-			st.Consistent++
 			return visit(w, classEvents, loadSrc)
 		}
 		l := p.Loads[i]
@@ -105,8 +103,8 @@ func (p *Program) forEach(model memmodel.Model, b Budget,
 }
 
 // Observations enumerates the complete observation set of p under
-// model — the rf backend's replacement for SAT-based mining (Serial)
-// and for the blocking-clause observation sweep (weak models).
+// model — the oracle for SAT-based mining (Serial) and for the
+// blocking-clause observation sweep (weak models).
 func (p *Program) Observations(model memmodel.Model, entries []spec.Entry, b Budget) (*spec.Set, EnumStats, error) {
 	bindings, err := p.resolveEntries(entries)
 	if err != nil {
@@ -126,7 +124,7 @@ func (p *Program) Observations(model memmodel.Model, entries []spec.Entry, b Bud
 // CheckInclusion searches for a consistent execution of p under model
 // whose observation lies outside set, returning its decoded trace (nil
 // when every execution's observation is included — the check passes).
-// Fragment programs cannot raise runtime errors, so the SAT backend's
+// Fragment programs cannot raise runtime errors, so the SAT check's
 // error phase is vacuous here; verdicts still agree because the
 // encoder's error conditions are all gated on constructs the scan
 // rejects.
@@ -153,7 +151,7 @@ func (p *Program) CheckInclusion(model memmodel.Model, entries []spec.Entry, set
 }
 
 // buildTrace renders a witness execution in the decoded-counterexample
-// format shared with the SAT backend, so downstream validation
+// format shared with the SAT check, so downstream validation
 // (internal/validate) and reporting apply unchanged.
 func (p *Program) buildTrace(model memmodel.Model, order []int, loadSrc map[int]int,
 	obs spec.Observation, entries []spec.Entry, names map[int64]string) *trace.Trace {

@@ -1,8 +1,9 @@
-// Package rf is the polynomial reads-from fast-path backend: a
-// saturation-based consistency engine for candidate executions of
-// litmus-scale programs that decides, without SAT, whether a given
-// reads-from assignment can be extended to a memory order satisfying
-// the model's axioms (cf. "Optimal Reads-From Consistency Checking
+// Package rf is the polynomial reads-from engine, a test oracle for
+// the SAT pipeline (no check runs on it): a saturation-based
+// consistency engine for candidate executions of litmus-scale
+// programs that decides, without SAT, whether a given reads-from
+// assignment can be extended to a memory order satisfying the model's
+// axioms (cf. "Optimal Reads-From Consistency Checking
 // for C11-Style Memory Models", arXiv 2304.03714, and the
 // tractability map of "How Hard is Weak-Memory Testing?",
 // arXiv 2311.04302).
@@ -49,13 +50,10 @@ import (
 	"checkfence/internal/memmodel"
 )
 
-// ErrNotApplicable marks a program outside the fast-path fragment;
-// the caller must fall back to the SAT backend.
+// ErrNotApplicable marks a program outside the reads-from fragment.
 var ErrNotApplicable = errors.New("rf: program outside the reads-from fragment")
 
-// ErrBudget marks an exhausted enumeration or case-split budget; the
-// caller must fall back to the SAT backend (rf degrades to SAT, never
-// the reverse).
+// ErrBudget marks an exhausted enumeration or case-split budget.
 var ErrBudget = errors.New("rf: budget exhausted")
 
 // Event is one memory access of the scanned program. Events are
@@ -82,8 +80,7 @@ type FenceEv struct {
 	Kind    lsl.FenceKind
 }
 
-// Budget bounds the enumeration. Exhaustion returns ErrBudget so the
-// router can degrade to SAT.
+// Budget bounds the enumeration. Exhaustion returns ErrBudget.
 type Budget struct {
 	// MaxSteps caps the total DFS work: every candidate reads-from
 	// extension attempted counts one step.

@@ -47,8 +47,11 @@ func TestScanRejects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fragment rejected: %v", err)
 	}
-	if p.NumEvents() != 2 || len(p.Fences) != 1 || p.Candidates() != 2 {
-		t.Fatalf("scan shape: events=%d fences=%d candidates=%d", p.NumEvents(), len(p.Fences), p.Candidates())
+	if len(p.Events) != 2 || len(p.Fences) != 1 || len(p.Loads) != 1 {
+		t.Fatalf("scan shape: events=%d fences=%d loads=%d", len(p.Events), len(p.Fences), len(p.Loads))
+	}
+	if srcs := len(p.stores[p.Events[p.Loads[0]].Loc]); srcs != 1 {
+		t.Fatalf("scan shape: load has %d same-address stores, want 1", srcs)
 	}
 }
 

@@ -31,7 +31,6 @@ type Program struct {
 	ThreadNames []string
 	envs        []map[lsl.Reg]binding
 	stores      map[lsl.Loc][]int // same-address store candidates per location
-	nLocs       int
 }
 
 type scanner struct {
@@ -40,7 +39,7 @@ type scanner struct {
 	numGroups int
 }
 
-// Scan decides applicability of the fast path and builds the Program.
+// Scan decides whether the program is in the fragment and builds it.
 // threads must be the same slice handed to encode.Encoder.Encode
 // (thread 0 the initialization pseudo-thread). Any construct the
 // engine cannot model exactly — loops, data-dependent control flow,
@@ -71,11 +70,6 @@ func Scan(threads []encode.Thread) (*Program, error) {
 		sc.p.ThreadNames = append(sc.p.ThreadNames, name)
 		sc.p.envs = append(sc.p.envs, env)
 	}
-	locs := map[lsl.Loc]bool{}
-	for i := range sc.p.Events {
-		locs[sc.p.Events[i].Loc] = true
-	}
-	sc.p.nLocs = len(locs)
 	return sc.p, nil
 }
 
@@ -220,26 +214,6 @@ func deadWalk(list []lsl.Stmt, progIdx *int) {
 			deadWalk(s.Body, progIdx)
 		}
 	}
-}
-
-// NumEvents, NumLocs and Candidates feed the router's cost model.
-func (p *Program) NumEvents() int { return len(p.Events) }
-func (p *Program) NumLocs() int   { return p.nLocs }
-
-// Candidates is the saturating product over loads of their reads-from
-// source counts (same-location stores plus the initial memory) — the
-// size of the enumeration space before pruning.
-func (p *Program) Candidates() int {
-	const limit = 1 << 30
-	n := 1
-	for _, li := range p.Loads {
-		k := 1 + len(p.stores[p.Events[li].Loc])
-		if n > limit/k {
-			return limit
-		}
-		n *= k
-	}
-	return n
 }
 
 // resolveEntries maps the observation entries to scanned bindings.
