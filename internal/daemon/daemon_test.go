@@ -204,16 +204,14 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 // "share_clauses", "cube"), the removed fleet cube fields ("assume",
 // "cube_of", "cube_index"), the removed ablation switches
 // ("simplify_level", "no_preprocess", "no_inprocess",
-// "no_order_reduce"), the removed bound-round cap ("max_bound_rounds")
-// or the removed verdict-engine choice ("backend", sent as "rf" and as
-// "sat"). The decoder ignores unknown fields, so the batch is accepted
-// and every verdict equals that of the same batch without them. An
-// ignored cube restriction widens the check to the whole formula,
-// which is sound; the ablation switches never change a verdict
-// (TestOrderReduceAblation, TestMinimizationDifferential); a cap of 1
-// would have failed any check whose bounds grow, and the fixed cap
-// only ever lets such a check finish; every check runs on SAT,
-// whatever backend it names.
+// "no_order_reduce") or the removed bound-round cap
+// ("max_bound_rounds"). The decoder ignores unknown fields, so the
+// batch is accepted and every verdict equals that of the same batch
+// without them. An ignored cube restriction widens the check to the
+// whole formula, which is sound; the ablation switches never change a
+// verdict (TestOrderReduceAblation, TestMinimizationDifferential); a cap
+// of 1 would have failed any check whose bounds grow, and the fixed
+// cap only ever lets such a check finish.
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
@@ -235,19 +233,16 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 		return out
 	}
 	plain := verdicts("")
+	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
+		"assume": [3, -7], "cube_of": "x", "cube_index": 1,
+		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
+		"max_bound_rounds": 1`)
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
 	}
-	for _, backend := range []string{"rf", "sat"} {
-		legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
-			"assume": [3, -7], "cube_of": "x", "cube_index": 1,
-			"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
-			"max_bound_rounds": 1, "backend": "` + backend + `"`)
-		for m, v := range plain {
-			if legacy[m] != v {
-				t.Errorf("%s: legacy-field batch (backend %s) verdict %q, plain batch %q",
-					m, backend, legacy[m], v)
-			}
+	for m, v := range plain {
+		if legacy[m] != v {
+			t.Errorf("%s: legacy-field batch verdict %q, plain batch %q", m, legacy[m], v)
 		}
 	}
 }
@@ -546,6 +541,43 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("%s: %s, want 400", tc.name, resp.Status)
 			}
 		})
+	}
+}
+
+// TestBackendFieldIgnored: a job may still send the removed
+// verdict-engine choice ("backend", as "rf" or as "sat"). The decoder
+// ignores it, so the batch is accepted and every check runs on SAT with
+// the verdict of the same batch without the field.
+func TestBackendFieldIgnored(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{Parallelism: 2}))
+	defer ts.Close()
+
+	verdicts := func(extra string) map[string]string {
+		_, results, done := postBatch(t, ts, `{"jobs": [{"program": {"name": "msn-nofence"},
+			"test": "T0", "models": ["sc", "relaxed"]`+extra+`}]}`)
+		if done.Errors != 0 || len(results) != 2 {
+			t.Fatalf("batch%s: %d results, %d errors", extra, len(results), done.Errors)
+		}
+		out := map[string]string{}
+		for _, r := range results {
+			if r.Error != "" {
+				t.Fatalf("batch%s: %s errored: %s", extra, r.Model, r.Error)
+			}
+			out[r.Model] = r.Verdict
+		}
+		return out
+	}
+	plain := verdicts("")
+	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
+		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
+	}
+	for _, backend := range []string{"rf", "sat"} {
+		named := verdicts(`, "backend": "` + backend + `"`)
+		for m, v := range plain {
+			if named[m] != v {
+				t.Errorf("%s: backend %s verdict %q, plain batch %q", m, backend, named[m], v)
+			}
+		}
 	}
 }
 
