@@ -40,6 +40,7 @@ import (
 
 	"checkfence/internal/core"
 	"checkfence/internal/harness"
+	"checkfence/internal/job"
 	"checkfence/internal/memmodel"
 	"checkfence/internal/spec"
 	"checkfence/internal/trace"
@@ -198,34 +199,21 @@ func CheckSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 	return core.RunSuite(jobs, opts)
 }
 
-// Operation describes one operation of a custom data type.
-type Operation struct {
-	// Mnemonic is the single- or double-letter shorthand used in test
-	// notation (e.g. "e", "d").
-	Mnemonic string
-	// Func is the C function name. Its first parameter must be a
-	// pointer to the shared object; NumArgs value parameters follow;
-	// an out-parameter pointer comes last when HasOut is set.
-	Func    string
-	NumArgs int
-	HasRet  bool
-	HasOut  bool
-}
+// Operation describes one operation of a custom data type: the
+// mnemonic used in test notation (e.g. "e", "d") and the C function it
+// calls. The function's first parameter must be a pointer to the
+// shared object; NumArgs value parameters follow; an out-parameter
+// pointer comes last when HasOut is set.
+type Operation = job.Op
 
 // DataType describes a custom implementation to check: complete C
 // source (the bundled sync primitives cas/dcas/lock/unlock can be
 // included with SyncSource), the initialization function, the global
-// object passed to every operation, and the operation signatures.
-type DataType struct {
-	Name     string
-	Source   string
-	InitFunc string
-	Object   string
-	Ops      []Operation
-	// Kind optionally names a built-in reference semantics ("queue",
-	// "set", "deque") enabling SpecRef mining.
-	Kind string
-}
+// object passed to every operation, the operation signatures, and
+// optionally a built-in reference Kind ("queue", "set", "deque")
+// enabling SpecRef mining. It is the inline program of the daemon's
+// wire format.
+type DataType = job.Program
 
 // SyncSource returns the C source of the bundled synchronization
 // library (cas, dcas, lock, unlock and the lock_t type), for
@@ -250,17 +238,7 @@ func CheckDataType(dt DataType, testNotation string, opts Options) (*Result, err
 	if len(dt.Ops) == 0 {
 		return nil, fmt.Errorf("checkfence: data type %q has no operations", dt.Name)
 	}
-	ops := make([]harness.OpSig, len(dt.Ops))
-	for i, op := range dt.Ops {
-		ops[i] = harness.OpSig{
-			Mnemonic: op.Mnemonic, Func: op.Func,
-			NumArgs: op.NumArgs, HasRet: op.HasRet, HasOut: op.HasOut,
-		}
-	}
-	impl := &harness.Impl{
-		Name: dt.Name, Kind: dt.Kind, Source: dt.Source,
-		InitFunc: dt.InitFunc, Obj: dt.Object, Ops: ops,
-	}
+	impl := dt.Impl()
 	test, err := harness.ParseTest("custom", testNotation, impl)
 	if err != nil {
 		return nil, err

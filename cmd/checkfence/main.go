@@ -40,9 +40,9 @@ import (
 	"strings"
 
 	"checkfence/internal/core"
+	"checkfence/internal/daemon"
 	"checkfence/internal/harness"
 	"checkfence/internal/job"
-	"checkfence/internal/memmodel"
 )
 
 // The exit-code contract. Violation and budget exhaustion are
@@ -69,29 +69,6 @@ func severity(code int) int {
 	return 0
 }
 
-// modelList collects repeated -model flags.
-type modelList []memmodel.Model
-
-func (m *modelList) String() string {
-	parts := make([]string, len(*m))
-	for i, mm := range *m {
-		parts[i] = mm.String()
-	}
-	return strings.Join(parts, ",")
-}
-
-func (m *modelList) Set(s string) error {
-	// Accept comma-separated values too: -model sc,tso,pso,relaxed.
-	for _, part := range strings.Split(s, ",") {
-		mm, err := memmodel.Parse(strings.TrimSpace(part))
-		if err != nil {
-			return err
-		}
-		*m = append(*m, mm)
-	}
-	return nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -101,11 +78,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("checkfence", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var models modelList
 	var (
 		implName  = fs.String("impl", "", "implementation to check (see -list)")
 		testName  = fs.String("test", "", "symbolic test name or Fig. 8 notation")
-		specSrc   = fs.String("spec", "sat", "specification source: sat (mine from implementation) or refset")
+		specSrc   = fs.String("spec", "sat", "specification source: sat (mine from implementation) or refset (alias ref)")
 		noRanges  = fs.Bool("no-range-analysis", false, "disable the range analysis of paper §3.4")
 		jobs      = fs.Int("j", 1, "number of checks run concurrently (0 = GOMAXPROCS)")
 		maxMine   = fs.Int("max-mine-iterations", 0, "cap mining enumeration iterations (0 = default)")
@@ -120,7 +96,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		validate  = fs.Bool("validate", true, "independently re-check counterexamples (axiom re-verification + interpreter replay)")
 		remote    = fs.String("remote", "", "submit the checks to a checkfenced daemon at this base URL (resilient client: retries with backoff, honors Retry-After, falls back to polling on a broken stream)")
 	)
-	fs.Var(&models, "model", "memory model: sc, tso, pso, relaxed, serial (repeatable)")
+	// -model values are checked when the batch is expanded, as the
+	// daemon checks them.
+	var models []string
+	fs.Func("model", "memory model: sc, tso, pso, relaxed, serial (repeatable)", func(s string) error {
+		// Accept comma-separated values too: -model sc,tso,pso,relaxed.
+		for _, part := range strings.Split(s, ",") {
+			models = append(models, strings.TrimSpace(part))
+		}
+		return nil
+	})
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: checkfence -impl <name> -test <name> [-model sc|tso|pso|relaxed]... [-j N]")
 		fmt.Fprintln(stderr, "       checkfence -list")
@@ -140,25 +125,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return exitError
 	}
-	if len(models) == 0 {
-		models = modelList{memmodel.Relaxed}
-	}
-	sweep, err := core.ParseSweepMode(*sweepFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "checkfence:", err)
-		return exitError
-	}
-
-	base := core.Options{
-		DisableRangeAnalysis: *noRanges,
-		MaxMineIterations:    *maxMine,
-		NoValidate:           !*validate,
-		Sweep:                sweep,
-		ConflictBudget:       *conflicts,
-		MemBudgetMB:          *memMB,
-	}
-	if *specSrc == "refset" {
-		base.SpecSource = core.SpecRef
+	// The one check description, in the form the daemon takes: local
+	// runs expand it through the same code the daemon runs.
+	req := daemon.BatchRequest{
+		Jobs: []daemon.BatchJob{{
+			Check: job.Check{
+				Program:           job.Program{Name: *implName},
+				Test:              *testName,
+				SpecSource:        *specSrc,
+				MaxMineIterations: *maxMine,
+				NoRangeAnalysis:   *noRanges,
+				NoValidate:        !*validate,
+				Sweep:             *sweepFlag,
+				ConflictBudget:    *conflicts,
+				MemBudgetMB:       *memMB,
+			},
+			Models: models,
+		}},
+		Timeout: job.Duration(*timeout),
 	}
 
 	if *remote != "" {
@@ -168,23 +152,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "checkfence: -show-spec and -stats need a local run; they cannot be combined with -remote")
 			return exitError
 		}
-		// The daemon expands the model list itself and applies -timeout
-		// as the batch deadline.
-		opts := base
-		opts.Model = models[0]
-		return runRemote(*remote, *implName, *testName, models, opts, *timeout, stdout, stderr)
+		return runRemote(*remote, &req, stdout, stderr)
 	}
 
-	suite := make([]core.Job, len(models))
-	for i, model := range models {
-		opts := base
-		opts.Model, opts.Deadline = model, *timeout
-		suite[i] = core.Job{Impl: *implName, Test: *testName, Opts: opts}
+	suite, err := req.Expand(0, 0, 0)
+	if err != nil {
+		fmt.Fprintln(stderr, "checkfence:", err)
+		return exitError
 	}
-
 	results := core.RunSuite(suite, core.SuiteOptions{
-		Parallelism:  *jobs,
-		SpecCacheDir: *cacheDir,
+		Parallelism: *jobs,
+		SpecCache:   core.NewSpecCache(*cacheDir),
 	})
 
 	p := printer{stdout: stdout, stderr: stderr}

@@ -27,6 +27,7 @@ func TestExitCodes(t *testing.T) {
 		want    int
 		wantOut string // substring of stdout, "" = don't care
 		wantErr string // substring of stderr, "" = don't care
+		errs    int    // number of stderr lines, 0 = don't care
 	}{
 		{
 			name: "usage error",
@@ -37,6 +38,18 @@ func TestExitCodes(t *testing.T) {
 			name: "unknown implementation",
 			args: []string{"-impl", "no-such-impl", "-test", "T0"},
 			want: exitError, wantErr: "no-such-impl",
+		},
+		{
+			// One description, validated once: the error is the
+			// job's, and four models do not repeat it.
+			name: "unknown implementation, four models",
+			args: []string{"-impl", "no-such-impl", "-test", "T0", "-model", "sc,tso,pso,relaxed"},
+			want: exitError, wantErr: "no-such-impl", errs: 1,
+		},
+		{
+			name: "unknown spec source",
+			args: []string{"-impl", "ms2", "-test", "T0", "-spec", "bogus"},
+			want: exitError, wantErr: `unknown spec source "bogus"`,
 		},
 		{
 			name: "unknown flag",
@@ -52,6 +65,11 @@ func TestExitCodes(t *testing.T) {
 			name: "pass",
 			args: []string{"-impl", "ms2", "-test", "T0", "-model", "sc"},
 			want: exitPass, wantOut: "PASS: ms2 / T0 on sc",
+		},
+		{
+			name: "raw test notation",
+			args: []string{"-impl", "ms2", "-test", "( e | d )", "-model", "sc"},
+			want: exitPass, wantOut: "PASS: ms2 / custom on sc",
 		},
 		{
 			name: "violation",
@@ -89,6 +107,9 @@ func TestExitCodes(t *testing.T) {
 			}
 			if tc.wantErr != "" && !strings.Contains(stderr.String(), tc.wantErr) {
 				t.Errorf("stderr missing %q:\n%s", tc.wantErr, stderr.String())
+			}
+			if n := strings.Count(stderr.String(), "\n"); tc.errs > 0 && n != tc.errs {
+				t.Errorf("stderr has %d lines, want %d:\n%s", n, tc.errs, stderr.String())
 			}
 		})
 	}
@@ -153,6 +174,33 @@ func TestStatsReportsMemory(t *testing.T) {
 	}
 	if mb, err := strconv.ParseFloat(m[1], 64); err != nil || mb <= 0 {
 		t.Errorf("memory line reports %q MB, want a positive number", m[1])
+	}
+}
+
+// TestSpecRefAlias: -spec ref names the refset source, as on the
+// wire: the same observation set as -spec refset, enumerated from the
+// reference implementation without a single mining iteration.
+func TestSpecRefAlias(t *testing.T) {
+	outs := map[string]string{}
+	for _, src := range []string{"ref", "refset"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-impl", "msn", "-test", "T0", "-model", "sc", "-spec", src, "-show-spec", "-stats"}
+		if got := run(args, &stdout, &stderr); got != exitPass {
+			t.Fatalf("-spec %s: exit = %d, want %d\nstderr: %s", src, got, exitPass, stderr.String())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "(mined in 0 iterations)") {
+			t.Errorf("-spec %s mined with SAT:\n%s", src, out)
+		}
+		// -show-spec prints the set ahead of the statistics.
+		set, _, _ := strings.Cut(out, "unrolled:")
+		if !strings.HasPrefix(set, "observation set (") {
+			t.Fatalf("-spec %s: no observation set in:\n%s", src, out)
+		}
+		outs[src] = set
+	}
+	if outs["ref"] != outs["refset"] {
+		t.Errorf("observation sets differ\nref:\n%s\nrefset:\n%s", outs["ref"], outs["refset"])
 	}
 }
 

@@ -28,10 +28,7 @@ import (
 	"strings"
 	"time"
 
-	"checkfence/internal/core"
 	"checkfence/internal/daemon"
-	"checkfence/internal/job"
-	"checkfence/internal/memmodel"
 )
 
 // remoteRunner holds the wiring of one remote submission.
@@ -42,25 +39,9 @@ type remoteRunner struct {
 	out    printer
 }
 
-// runRemote submits one batch (impl/test across the given models) to
-// the daemon and reports each verdict, returning the process exit
-// code. opts is the per-model-independent option set; model selection
-// rides the batch entry's Models list.
-func runRemote(base string, implName, testName string, models []memmodel.Model,
-	opts core.Options, timeout time.Duration, stdout, stderr io.Writer) int {
-
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.String()
-	}
-	req := daemon.BatchRequest{
-		Jobs: []daemon.BatchJob{{
-			Check:  job.FromOptions(implName, testName, opts),
-			Models: names,
-		}},
-		Timeout: job.Duration(timeout),
-	}
-
+// runRemote submits the batch to the daemon unchanged and reports
+// each verdict, returning the process exit code.
+func runRemote(base string, req *daemon.BatchRequest, stdout, stderr io.Writer) int {
 	r := &remoteRunner{
 		base: strings.TrimRight(base, "/"),
 		client: &http.Client{
@@ -71,7 +52,7 @@ func runRemote(base string, implName, testName string, models []memmodel.Model,
 		},
 		out: printer{stdout: stdout, stderr: stderr},
 	}
-	exit, err := r.run(context.Background(), &req)
+	exit, err := r.run(context.Background(), req)
 	if err != nil {
 		fmt.Fprintln(stderr, "checkfence:", err)
 		return exitError

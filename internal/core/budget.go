@@ -105,13 +105,13 @@ func checkModels(impl *harness.Impl, test *harness.Test, models []memmodel.Model
 	return results, nil
 }
 
-// cancelled reports whether Options.Cancel has been closed.
+// cancelled reports whether Options.cancel has been closed.
 func (o Options) cancelled() bool {
-	if o.Cancel == nil {
+	if o.cancel == nil {
 		return false
 	}
 	select {
-	case <-o.Cancel:
+	case <-o.cancel:
 		return true
 	default:
 		return false

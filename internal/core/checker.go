@@ -63,10 +63,11 @@ type Options struct {
 	// MaxMineIterations caps the mining enumeration (0 = the spec
 	// package default).
 	MaxMineIterations int
-	// Cancel, when non-nil and closed, aborts the check: SAT solves
+	// cancel, when non-nil and closed, aborts the check: SAT solves
 	// stop at their next check point and the check returns an error
-	// wrapping spec.ErrSolverUnknown. RunSuite wires its context here.
-	Cancel <-chan struct{}
+	// wrapping spec.ErrSolverUnknown. Only RunSuite sets it, from
+	// SuiteOptions.Context.
+	cancel <-chan struct{}
 	// Encode, when non-nil, replaces the encoder's default
 	// minimization configuration (encode.DefaultConfig). It is for
 	// ablation tests and internal/bench only; the check still sets the
@@ -647,13 +648,13 @@ func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolle
 }
 
 // applyLimits wires the check's resource governance into an encoder:
-// Options.Cancel becomes the solver's stop predicate (long solves
+// Options.cancel becomes the solver's stop predicate (long solves
 // abort promptly on suite cancellation), the deadline and the
 // conflict/memory budgets arm the solver's typed-budget machinery,
 // and both cancellation and the deadline also abort the encoding
 // phase itself, which can dominate a short deadline on big harnesses.
 func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
-	cancel := opts.Cancel
+	cancel := opts.cancel
 	if cancel != nil {
 		e.S.SetStop(func() bool {
 			select {

@@ -348,14 +348,14 @@ func TestChaosSweep(t *testing.T) {
 				dir := t.TempDir()
 				// Prime the disk mirror so CacheCorrupt has entries to
 				// damage on the chaos pass.
-				prime := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir})
+				prime := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCache: NewSpecCache(dir)})
 				requireAllRan(t, prime)
 
 				script := faultinject.NewScript(seed, 1, site)
 				results := RunSuite(jobs, SuiteOptions{
-					Parallelism:  2,
-					SpecCacheDir: dir,
-					Faults:       script,
+					Parallelism: 2,
+					SpecCache:   NewSpecCache(dir),
+					Faults:      script,
 				})
 				budget := site == faultinject.SolverBudget
 				exact := faultinject.Recoverable(site) || budget

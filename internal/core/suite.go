@@ -74,11 +74,9 @@ type SuiteOptions struct {
 	Context context.Context
 	// SpecCache shares mined observation sets across the suite's
 	// jobs (and, if the caller reuses it, across suites). When nil, a
-	// fresh cache is created per suite, rooted at SpecCacheDir.
+	// fresh in-memory cache is created per suite; NewSpecCache with a
+	// directory gives one with an on-disk mirror.
 	SpecCache *SpecCache
-	// SpecCacheDir enables the on-disk observation-set mirror of the
-	// implicitly created cache. Ignored when SpecCache is non-nil.
-	SpecCacheDir string
 	// OnResult, when non-nil, is invoked as each job finishes, with
 	// the job's index. Calls are serialized but arrive in completion
 	// order, not job order.
@@ -140,7 +138,7 @@ func RunSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 	}
 	cache := opts.SpecCache
 	if cache == nil {
-		cache = NewSpecCache(opts.SpecCacheDir)
+		cache = NewSpecCache("")
 	}
 	if opts.Faults != nil {
 		cache.SetFaults(opts.Faults)
@@ -153,9 +151,7 @@ func RunSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 		if jopts.SpecCache == nil {
 			jopts.SpecCache = cache
 		}
-		if jopts.Cancel == nil {
-			jopts.Cancel = ctx.Done()
-		}
+		jopts.cancel = ctx.Done()
 		if jopts.Faults == nil {
 			jopts.Faults = opts.Faults
 		}

@@ -240,7 +240,7 @@ func TestSpecCacheDisk(t *testing.T) {
 	dir := t.TempDir()
 	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
 
-	first := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir})
+	first := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCache: NewSpecCache(dir)})
 	requireAllRan(t, first)
 	files, err := filepath.Glob(filepath.Join(dir, "*.obs"))
 	if err != nil || len(files) != 1 {
@@ -249,7 +249,7 @@ func TestSpecCacheDisk(t *testing.T) {
 
 	// A fresh cache over the same dir must serve the set without
 	// mining: every job reports a hit, none a miss.
-	second := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCacheDir: dir})
+	second := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCache: NewSpecCache(dir)})
 	requireAllRan(t, second)
 	hits, misses := 0, 0
 	for _, r := range second {
@@ -273,7 +273,7 @@ func TestSpecCacheDisk(t *testing.T) {
 func TestSpecCacheForeignKeyDiskFile(t *testing.T) {
 	dir := t.TempDir()
 	jobs := modelSweep("ms2", "T0")[:1]
-	requireAllRan(t, RunSuite(jobs, SuiteOptions{SpecCacheDir: dir}))
+	requireAllRan(t, RunSuite(jobs, SuiteOptions{SpecCache: NewSpecCache(dir)}))
 	files, _ := filepath.Glob(filepath.Join(dir, "*.obs"))
 	if len(files) != 1 {
 		t.Fatalf("files = %v", files)
@@ -292,7 +292,7 @@ func TestSpecCacheForeignKeyDiskFile(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	results := RunSuite(jobs, SuiteOptions{SpecCacheDir: dir})
+	results := RunSuite(jobs, SuiteOptions{SpecCache: NewSpecCache(dir)})
 	requireAllRan(t, results)
 	if results[0].Res.Stats.SpecCacheMisses != 1 {
 		t.Errorf("foreign-key file should be a miss; stats = %+v", results[0].Res.Stats)
@@ -309,7 +309,7 @@ func TestSpecCacheForeignKeyDiskFile(t *testing.T) {
 func TestSpecCacheCorruptDiskFile(t *testing.T) {
 	dir := t.TempDir()
 	jobs := modelSweep("ms2", "T0")[:1]
-	requireAllRan(t, RunSuite(jobs, SuiteOptions{SpecCacheDir: dir}))
+	requireAllRan(t, RunSuite(jobs, SuiteOptions{SpecCache: NewSpecCache(dir)}))
 	files, _ := filepath.Glob(filepath.Join(dir, "*.obs"))
 	if len(files) != 1 {
 		t.Fatalf("files = %v", files)
@@ -317,7 +317,7 @@ func TestSpecCacheCorruptDiskFile(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("not an observation set\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	results := RunSuite(jobs, SuiteOptions{SpecCacheDir: dir})
+	results := RunSuite(jobs, SuiteOptions{SpecCache: NewSpecCache(dir)})
 	requireAllRan(t, results)
 	if results[0].Res.Stats.SpecCacheMisses != 1 {
 		t.Errorf("corrupt file should be a miss; stats = %+v", results[0].Res.Stats)

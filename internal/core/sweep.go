@@ -72,10 +72,10 @@ func sweepEligible(o Options) bool {
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ra=%t src=%d spec=%p mmi=%d "+
-		"enc=%p noval=%t dl=%d cb=%d mem=%d cache=%p cancel=%p",
+		"enc=%p noval=%t dl=%d cb=%d mem=%d cache=%p",
 		o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxMineIterations,
 		o.Encode, o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
-		o.SpecCache, o.Cancel)
+		o.SpecCache)
 	keys := make([]string, 0, len(o.InitialBounds))
 	for k := range o.InitialBounds {
 		keys = append(keys, k)

@@ -117,6 +117,11 @@ type JobStatus struct {
 	Result *ResultLine `json:"result,omitempty"`
 }
 
+// maxFinishedRecords bounds the finished jobs kept for the poll
+// endpoint: past it the oldest is evicted, and polling its ID answers
+// 404. Running jobs are always kept.
+var maxFinishedRecords = 4096
+
 // Server is the checkfenced HTTP handler. Create with NewServer,
 // serve with net/http, stop with Shutdown.
 type Server struct {
@@ -134,6 +139,7 @@ type Server struct {
 	mu       sync.Mutex
 	nextID   int64
 	records  map[string]*JobStatus
+	finished []string // IDs of finished records, oldest first
 	inflight int64
 	batches  int64
 	verdicts map[string]int64 // verdict string -> count
@@ -200,11 +206,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// expand validates a batch and renders it as core jobs plus their
-// wire IDs.
-func (s *Server) expand(req *BatchRequest, batchID string) ([]core.Job, []string, error) {
+// Expand validates the batch and renders it as core suite jobs, one
+// per (entry, model), in request order. A job without its own timeout
+// takes the request's Timeout, else defaultTimeout; maxTimeout > 0
+// clamps every deadline (an unbounded one included); maxJobs > 0 caps
+// the expanded batch. The daemon passes its Config, the checkfence CLI
+// zeros: both run a check description through this one path.
+func (req *BatchRequest) Expand(defaultTimeout, maxTimeout time.Duration, maxJobs int) ([]core.Job, error) {
 	var jobs []core.Job
-	var ids []string
 	for bi := range req.Jobs {
 		entry := &req.Jobs[bi]
 		models := entry.Models
@@ -218,29 +227,28 @@ func (s *Server) expand(req *BatchRequest, batchID string) ([]core.Job, []string
 				if req.Timeout != 0 {
 					c.Timeout = req.Timeout
 				} else {
-					c.Timeout = job.Duration(s.cfg.DefaultTimeout)
+					c.Timeout = job.Duration(defaultTimeout)
 				}
 			}
-			if max := s.cfg.MaxTimeout; max > 0 {
-				if time.Duration(c.Timeout) <= 0 || time.Duration(c.Timeout) > max {
-					c.Timeout = job.Duration(max)
+			if maxTimeout > 0 {
+				if time.Duration(c.Timeout) <= 0 || time.Duration(c.Timeout) > maxTimeout {
+					c.Timeout = job.Duration(maxTimeout)
 				}
 			}
 			cj, err := c.CoreJob()
 			if err != nil {
-				return nil, nil, fmt.Errorf("jobs[%d] model %q: %w", bi, m, err)
+				return nil, fmt.Errorf("jobs[%d]: %w", bi, err)
 			}
 			jobs = append(jobs, cj)
-			ids = append(ids, fmt.Sprintf("%s-%d", batchID, len(ids)))
 		}
 	}
 	if len(jobs) == 0 {
-		return nil, nil, fmt.Errorf("empty batch")
+		return nil, fmt.Errorf("empty batch")
 	}
-	if len(jobs) > s.cfg.maxBatchJobs() {
-		return nil, nil, fmt.Errorf("batch of %d jobs exceeds limit %d", len(jobs), s.cfg.maxBatchJobs())
+	if maxJobs > 0 && len(jobs) > maxJobs {
+		return nil, fmt.Errorf("batch of %d jobs exceeds limit %d", len(jobs), maxJobs)
 	}
-	return jobs, ids, nil
+	return jobs, nil
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -259,12 +267,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	s.nextID++
-	batchID := fmt.Sprintf("b%d", s.nextID)
-	s.mu.Unlock()
-
-	jobs, ids, err := s.expand(&req, batchID)
+	jobs, err := req.Expand(s.cfg.DefaultTimeout, s.cfg.MaxTimeout, s.cfg.maxBatchJobs())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -291,10 +294,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.wg.Add(1)
+	s.nextID++
+	batchID := fmt.Sprintf("b%d", s.nextID)
 	s.batches++
 	s.inflight += int64(len(jobs))
-	for _, id := range ids {
-		s.records[id] = &JobStatus{ID: id, State: "running"}
+	ids := make([]string, len(jobs))
+	for i := range jobs {
+		ids[i] = fmt.Sprintf("%s-%d", batchID, i)
+		s.records[ids[i]] = &JobStatus{ID: ids[i], State: "running"}
 	}
 	s.mu.Unlock()
 	defer s.wg.Done()
@@ -339,7 +346,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeLine(done)
 }
 
-// record stores a finished check for the poll endpoint and folds it
+// record stores a finished check for the poll endpoint, evicting the
+// oldest finished record past maxFinishedRecords, and folds it
 // into the verdict and sweep counters.
 func (s *Server) record(line *ResultLine) {
 	s.mu.Lock()
@@ -348,6 +356,11 @@ func (s *Server) record(line *ResultLine) {
 	if rec, ok := s.records[line.ID]; ok {
 		rec.State = "done"
 		rec.Result = line
+		s.finished = append(s.finished, line.ID)
+		if len(s.finished) > maxFinishedRecords {
+			delete(s.records, s.finished[0])
+			s.finished = s.finished[1:]
+		}
 	}
 	if line.Error != "" {
 		s.errors++

@@ -326,6 +326,36 @@ func TestPollPath(t *testing.T) {
 	}
 }
 
+// TestPollRecordsBounded: the poll endpoint keeps only the newest
+// maxFinishedRecords finished jobs. Past the cap the oldest ID answers
+// 404 and the newest is still served.
+func TestPollRecordsBounded(t *testing.T) {
+	defer func(n int) { maxFinishedRecords = n }(maxFinishedRecords)
+	maxFinishedRecords = 2
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+
+	var ids []string
+	for i := 0; i < 3; i++ {
+		batch, _, _ := postBatch(t, ts, `{"jobs": [{"program": {"name": "ms2"}, "test": "T0", "model": "sc"}]}`)
+		ids = append(ids, batch.Jobs...)
+	}
+	status := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := status(ids[0]); got != http.StatusNotFound {
+		t.Errorf("oldest job %s: status %d, want 404 after eviction", ids[0], got)
+	}
+	if got := status(ids[2]); got != http.StatusOK {
+		t.Errorf("newest job %s: status %d, want 200", ids[2], got)
+	}
+}
+
 // TestInlineProgram: a program shipped in the request body (not the
 // registry) verifies like its bundled twin.
 func TestInlineProgram(t *testing.T) {

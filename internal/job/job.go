@@ -45,8 +45,11 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Op describes one operation of an inline program (mirrors
-// harness.OpSig).
+// Op describes one operation of a program: the Fig. 8 mnemonic used
+// in test notation ("e", "d") and the C function it calls. The
+// function's first parameter must be a pointer to the shared object;
+// NumArgs value parameters follow; an out-parameter pointer comes last
+// when HasOut is set.
 type Op struct {
 	Mnemonic string `json:"mnemonic"`
 	Func     string `json:"func"`
@@ -58,8 +61,12 @@ type Op struct {
 // Program names the implementation under check. With only Name set it
 // refers to a bundled registry implementation ("msn", "lazylist-bug",
 // ...). With Source set it carries a complete inline C implementation
-// — the daemon form of the library's CheckDataType — and Name merely
-// labels results.
+// (the bundled sync primitives can be included with the library's
+// SyncSource), the initialization function, the global object passed
+// to every operation and the operation signatures, and Name merely
+// labels results. Kind optionally names a built-in reference semantics
+// ("queue", "set", "deque"), enabling refset mining. The library's
+// CheckDataType takes the same description.
 type Program struct {
 	Name     string `json:"name"`
 	Source   string `json:"source,omitempty"`
@@ -71,6 +78,18 @@ type Program struct {
 
 // Inline reports whether the program carries its own source.
 func (p Program) Inline() bool { return p.Source != "" }
+
+// Impl builds the harness implementation of an inline program.
+func (p Program) Impl() *harness.Impl {
+	ops := make([]harness.OpSig, len(p.Ops))
+	for i, op := range p.Ops {
+		ops[i] = harness.OpSig(op)
+	}
+	return &harness.Impl{
+		Name: p.Name, Kind: p.Kind, Source: p.Source,
+		InitFunc: p.InitFunc, Obj: p.Object, Ops: ops,
+	}
+}
 
 // Check is one serializable verification job. The zero value of every
 // optional field selects the library default, so a minimal description
@@ -103,38 +122,6 @@ type Check struct {
 	MemBudgetMB    int      `json:"mem_budget_mb,omitempty"`
 }
 
-// Validate checks the description without resolving the program:
-// every enumerated field must parse and the program must be named.
-func (c *Check) Validate() error {
-	if c.Program.Name == "" {
-		return fmt.Errorf("job: program.name is required")
-	}
-	if c.Test == "" {
-		return fmt.Errorf("job: test is required")
-	}
-	if _, err := memmodel.Parse(c.model()); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
-	if _, err := parseSpecSource(c.SpecSource); err != nil {
-		return err
-	}
-	if _, err := core.ParseSweepMode(c.Sweep); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
-	if c.Timeout < 0 {
-		return fmt.Errorf("job: negative timeout %v", time.Duration(c.Timeout))
-	}
-	if c.Program.Inline() {
-		if len(c.Program.Ops) == 0 {
-			return fmt.Errorf("job: inline program %q has no operations", c.Program.Name)
-		}
-		if c.Program.InitFunc == "" || c.Program.Object == "" {
-			return fmt.Errorf("job: inline program %q needs init_func and object", c.Program.Name)
-		}
-	}
-	return nil
-}
-
 func (c *Check) model() string {
 	if c.Model == "" {
 		return "relaxed"
@@ -152,14 +139,39 @@ func parseSpecSource(s string) (core.SpecSource, error) {
 	return 0, fmt.Errorf("job: unknown spec source %q (want sat or refset)", s)
 }
 
-// Options maps the description onto the core check options.
-func (c *Check) Options() (core.Options, error) {
-	if err := c.Validate(); err != nil {
+// options validates the description without resolving the program
+// (every enumerated field must parse and the program must be named)
+// and maps it onto the core check options.
+func (c *Check) options() (core.Options, error) {
+	if c.Program.Name == "" {
+		return core.Options{}, fmt.Errorf("job: program.name is required")
+	}
+	if c.Test == "" {
+		return core.Options{}, fmt.Errorf("job: test is required")
+	}
+	if c.Program.Inline() {
+		if len(c.Program.Ops) == 0 {
+			return core.Options{}, fmt.Errorf("job: inline program %q has no operations", c.Program.Name)
+		}
+		if c.Program.InitFunc == "" || c.Program.Object == "" {
+			return core.Options{}, fmt.Errorf("job: inline program %q needs init_func and object", c.Program.Name)
+		}
+	}
+	model, err := memmodel.Parse(c.model())
+	if err != nil {
+		return core.Options{}, fmt.Errorf("job: %w", err)
+	}
+	src, err := parseSpecSource(c.SpecSource)
+	if err != nil {
 		return core.Options{}, err
 	}
-	model, _ := memmodel.Parse(c.model())
-	src, _ := parseSpecSource(c.SpecSource)
-	sweep, _ := core.ParseSweepMode(c.Sweep)
+	sweep, err := core.ParseSweepMode(c.Sweep)
+	if err != nil {
+		return core.Options{}, fmt.Errorf("job: %w", err)
+	}
+	if c.Timeout < 0 {
+		return core.Options{}, fmt.Errorf("job: negative timeout %v", time.Duration(c.Timeout))
+	}
 	opts := core.Options{
 		Model:                model,
 		SpecSource:           src,
@@ -180,89 +192,31 @@ func (c *Check) Options() (core.Options, error) {
 	return opts, nil
 }
 
-// Resolve produces the implementation and test structures the
-// description names: the harness registry for bundled programs, a
-// freshly built harness.Impl for inline source.
-func (c *Check) Resolve() (*harness.Impl, *harness.Test, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
+// CoreJob validates the description once and renders it as a core
+// suite job: options mapped, program and test resolved — the harness
+// registry for bundled programs, Program.Impl for inline source.
+// Inline programs ride the Job's resolved references, so RunSuite's
+// scheduler (sweep grouping included) treats them exactly like bundled
+// ones.
+func (c *Check) CoreJob() (core.Job, error) {
+	opts, err := c.options()
+	if err != nil {
+		return core.Job{}, err
 	}
-	if !c.Program.Inline() {
-		impl, err := harness.Get(c.Program.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		test, err := harness.GetTest(impl, c.Test)
-		if err != nil {
-			return nil, nil, err
-		}
-		return impl, test, nil
-	}
-	ops := make([]harness.OpSig, len(c.Program.Ops))
-	for i, op := range c.Program.Ops {
-		ops[i] = harness.OpSig{
-			Mnemonic: op.Mnemonic, Func: op.Func,
-			NumArgs: op.NumArgs, HasRet: op.HasRet, HasOut: op.HasOut,
-		}
-	}
-	impl := &harness.Impl{
-		Name: c.Program.Name, Kind: c.Program.Kind, Source: c.Program.Source,
-		InitFunc: c.Program.InitFunc, Obj: c.Program.Object, Ops: ops,
+	var impl *harness.Impl
+	if c.Program.Inline() {
+		impl = c.Program.Impl()
+	} else if impl, err = harness.Get(c.Program.Name); err != nil {
+		return core.Job{}, err
 	}
 	test, err := harness.GetTest(impl, c.Test)
 	if err != nil {
-		return nil, nil, err
-	}
-	return impl, test, nil
-}
-
-// CoreJob renders the description as a core suite job: options mapped,
-// program and test resolved (inline programs ride the Job's resolved
-// references, so RunSuite's scheduler — sweep grouping included —
-// treats them exactly like bundled ones).
-func (c *Check) CoreJob() (core.Job, error) {
-	opts, err := c.Options()
-	if err != nil {
 		return core.Job{}, err
 	}
-	impl, test, err := c.Resolve()
-	if err != nil {
-		return core.Job{}, err
+	if !c.Program.Inline() {
+		// The test as named: raw notation parses to a test labelled
+		// "custom", which the registry cannot look up again.
+		return core.Job{Impl: impl.Name, Test: c.Test, Opts: opts}, nil
 	}
-	j := core.Job{Impl: impl.Name, Test: test.Name, Opts: opts}
-	if c.Program.Inline() {
-		j.ImplRef = impl
-		j.TestRef = test
-	}
-	return j, nil
-}
-
-// FromOptions renders a (bundled implementation, test, options) triple
-// as a description, inverting Options. Used to mirror CLI invocations
-// onto the wire format.
-func FromOptions(implName, testName string, o core.Options) Check {
-	c := Check{
-		Program:           Program{Name: implName},
-		Test:              testName,
-		Model:             o.Model.String(),
-		NoRangeAnalysis:   o.DisableRangeAnalysis,
-		MaxMineIterations: o.MaxMineIterations,
-		NoValidate:        o.NoValidate,
-		Timeout:           Duration(o.Deadline),
-		ConflictBudget:    o.ConflictBudget,
-		MemBudgetMB:       o.MemBudgetMB,
-	}
-	if o.SpecSource == core.SpecRef {
-		c.SpecSource = "refset"
-	}
-	if o.Sweep == core.SweepOff {
-		c.Sweep = "off"
-	}
-	if len(o.InitialBounds) > 0 {
-		c.Bounds = make(map[string]int, len(o.InitialBounds))
-		for k, v := range o.InitialBounds {
-			c.Bounds[k] = v
-		}
-	}
-	return c
+	return core.Job{Impl: impl.Name, Test: test.Name, ImplRef: impl, TestRef: test, Opts: opts}, nil
 }

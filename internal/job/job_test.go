@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"checkfence/internal/core"
+	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
 )
 
@@ -77,10 +78,11 @@ func TestOptionsMapping(t *testing.T) {
 		ConflictBudget: 777,
 		Bounds:         map[string]int{"L1": 3},
 	}
-	opts, err := c.Options()
+	j, err := c.CoreJob()
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := j.Opts
 	if opts.Model != memmodel.PSO {
 		t.Errorf("model = %v", opts.Model)
 	}
@@ -104,31 +106,6 @@ func TestOptionsMapping(t *testing.T) {
 	}
 }
 
-func TestFromOptionsInverts(t *testing.T) {
-	orig := core.Options{
-		Model:         memmodel.TSO,
-		SpecSource:    core.SpecRef,
-		Sweep:         core.SweepOff,
-		NoValidate:    true,
-		Deadline:      time.Minute,
-		InitialBounds: map[string]int{"L0": 4},
-	}
-	c := FromOptions("ms2", "Tr1", orig)
-	got, err := c.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Model != orig.Model ||
-		got.SpecSource != orig.SpecSource || got.Sweep != orig.Sweep ||
-		got.NoValidate != orig.NoValidate ||
-		got.Deadline != orig.Deadline {
-		t.Errorf("FromOptions . Options != identity:\norig %+v\ngot  %+v", orig, got)
-	}
-	if got.InitialBounds["L0"] != 4 {
-		t.Errorf("bounds lost: %v", got.InitialBounds)
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -145,9 +122,9 @@ func TestValidateErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.c.Validate()
+			_, err := tc.c.CoreJob()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Validate() = %v, want error containing %q", err, tc.want)
+				t.Errorf("CoreJob() = %v, want error containing %q", err, tc.want)
 			}
 		})
 	}
@@ -155,12 +132,16 @@ func TestValidateErrors(t *testing.T) {
 
 func TestResolveRegistryAndInline(t *testing.T) {
 	reg := Check{Program: Program{Name: "msn"}, Test: "T0"}
-	impl, test, err := reg.Resolve()
+	rj, err := reg.CoreJob()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if impl.Name != "msn" || test == nil {
-		t.Errorf("registry resolve: %v %v", impl, test)
+	if rj.Impl != "msn" || rj.Test != "T0" || rj.ImplRef != nil {
+		t.Errorf("registry CoreJob = %+v, want msn/T0 without refs", rj)
+	}
+	impl, err := harness.Get("msn")
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Inline program cloned from a bundled one must resolve and check
@@ -181,21 +162,17 @@ func TestResolveRegistryAndInline(t *testing.T) {
 			NumArgs: op.NumArgs, HasRet: op.HasRet, HasOut: op.HasOut,
 		})
 	}
-	iimpl, itest, err := inline.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iimpl.Name != "inline-msn" || itest.Name != test.Name {
-		t.Errorf("inline resolve: %v %v", iimpl.Name, itest.Name)
-	}
 	j, err := inline.CoreJob()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.ImplRef == nil || j.TestRef == nil {
-		t.Error("inline CoreJob should carry resolved refs")
+		t.Fatal("inline CoreJob should carry resolved refs")
 	}
-	if rj, err := reg.CoreJob(); err != nil || rj.ImplRef != nil {
-		t.Errorf("registry CoreJob should not carry refs: %v %v", rj.ImplRef, err)
+	if j.Impl != "inline-msn" || j.TestRef.Name != "T0" {
+		t.Errorf("inline CoreJob = %s/%s", j.Impl, j.TestRef.Name)
+	}
+	if !reflect.DeepEqual(j.ImplRef.Ops, impl.Ops) {
+		t.Errorf("inline ops %+v, registry ops %+v", j.ImplRef.Ops, impl.Ops)
 	}
 }
