@@ -146,24 +146,6 @@ type SuiteResult = core.SuiteResult
 // context, spec cache sharing, completion callback).
 type SuiteOptions = core.SuiteOptions
 
-// SweepMode controls model-sweep grouping in CheckSuite, per job
-// (Options.Sweep): under SweepAuto (the default) jobs identical in
-// everything but Model are checked on one shared selector-guarded
-// encoding, solved per model under assumption literals with learned
-// clauses carried across the sweep; SweepOff checks the job on its
-// own. Verdicts and observation sets are identical either way.
-type SweepMode = core.SweepMode
-
-// The sweep modes.
-const (
-	SweepAuto = core.SweepAuto
-	SweepOff  = core.SweepOff
-)
-
-// ParseSweepMode converts a -sweep flag value ("auto", "on", "off")
-// to a SweepMode.
-func ParseSweepMode(s string) (SweepMode, error) { return core.ParseSweepMode(s) }
-
 // SpecCache memoizes mined observation sets across checks. The
 // specification is model-independent (paper §3.2), so a suite checking
 // one (implementation, test) pair under several memory models mines
@@ -193,8 +175,13 @@ func NewGate(n int) Gate { return core.NewGate(n) }
 // .Parallelism, default GOMAXPROCS) and returns their results in job
 // order, independent of completion order. Observation sets are mined
 // at most once per (implementation, test, bounds, spec source) via a
-// shared cache. Verdicts and observation sets are identical to running
-// the same jobs serially.
+// shared cache. Jobs identical in everything but Model (Serial and
+// fault-injected jobs aside) are checked as one model-sweep group: one
+// shared selector-guarded encoding, solved per model under assumption
+// literals with learned clauses carried across the sweep. Verdicts and
+// observation sets are identical to running each job alone with Check;
+// a check that needs separate budgets per model runs each model as its
+// own suite.
 func CheckSuite(jobs []Job, opts SuiteOptions) []SuiteResult {
 	return core.RunSuite(jobs, opts)
 }

@@ -12,11 +12,12 @@
 // -model may be repeated to check several memory models in one run;
 // with -j N the checks run on a worker pool of N workers sharing one
 // observation-set cache (the specification is model-independent, so it
-// is mined once). Repeated models are by default checked as one model
-// sweep: a single selector-guarded encoding solved once per model
+// is mined once). Repeated models (Serial aside) are checked as one
+// model sweep: a single selector-guarded encoding solved once per model
 // under assumption literals, with mining, preprocessing, and learned
-// clauses shared across the sweep (-sweep off restores independent
-// checks; verdicts are identical either way).
+// clauses shared across the sweep. Verdicts are identical to checking
+// each model on its own; a run that needs a separate budget per model
+// runs checkfence once per model.
 //
 // Resource governance: -timeout, -conflicts, and -mem-mb budget each
 // check's wall clock, SAT conflicts per solve, and learned-clause
@@ -84,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specSrc   = fs.String("spec", "sat", "specification source: sat (mine from implementation) or refset (alias ref)")
 		noRanges  = fs.Bool("no-range-analysis", false, "disable the range analysis of paper §3.4")
 		jobs      = fs.Int("j", 1, "number of checks run concurrently (0 = GOMAXPROCS)")
-		maxMine   = fs.Int("max-mine-iterations", 0, "cap mining enumeration iterations (0 = default)")
 		cacheDir  = fs.String("spec-cache-dir", "", "persist mined observation sets in this directory")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget per check; an exhausted check reports UNKNOWN, exit 3 (0 = none)")
 		conflicts = fs.Int64("conflicts", 0, "SAT conflict budget per solve (0 = none)")
@@ -92,8 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list implementations and tests")
 		showSpec  = fs.Bool("show-spec", false, "print the mined observation set (local runs only)")
 		stats     = fs.Bool("stats", false, "print Fig. 10-style statistics (local runs only)")
-		sweepFlag = fs.String("sweep", "auto", "model-sweep grouping across repeated -model values: auto (one shared encoding solved per model under assumptions) or off (independent checks)")
-		validate  = fs.Bool("validate", true, "independently re-check counterexamples (axiom re-verification + interpreter replay)")
 		remote    = fs.String("remote", "", "submit the checks to a checkfenced daemon at this base URL (resilient client: retries with backoff, honors Retry-After, falls back to polling on a broken stream)")
 	)
 	// -model values are checked when the batch is expanded, as the
@@ -130,15 +128,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	req := daemon.BatchRequest{
 		Jobs: []daemon.BatchJob{{
 			Check: job.Check{
-				Program:           job.Program{Name: *implName},
-				Test:              *testName,
-				SpecSource:        *specSrc,
-				MaxMineIterations: *maxMine,
-				NoRangeAnalysis:   *noRanges,
-				NoValidate:        !*validate,
-				Sweep:             *sweepFlag,
-				ConflictBudget:    *conflicts,
-				MemBudgetMB:       *memMB,
+				Program:         job.Program{Name: *implName},
+				Test:            *testName,
+				SpecSource:      *specSrc,
+				NoRangeAnalysis: *noRanges,
+				ConflictBudget:  *conflicts,
+				MemBudgetMB:     *memMB,
 			},
 			Models: models,
 		}},

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -55,6 +53,24 @@ func TestExitCodes(t *testing.T) {
 			name: "unknown flag",
 			args: []string{"-definitely-not-a-flag"},
 			want: exitError,
+		},
+		{
+			// A multi-model run always sweeps: there is no switch.
+			name: "no sweep flag",
+			args: []string{"-impl", "ms2", "-test", "T0", "-sweep", "off"},
+			want: exitError, wantErr: "flag provided but not defined: -sweep",
+		},
+		{
+			// Every counterexample is validated: there is no switch.
+			name: "no validate flag",
+			args: []string{"-impl", "ms2", "-test", "T0", "-validate=false"},
+			want: exitError, wantErr: "flag provided but not defined: -validate",
+		},
+		{
+			// Mining is capped by a constant of the spec package.
+			name: "no mining cap flag",
+			args: []string{"-impl", "ms2", "-test", "T0", "-max-mine-iterations", "5"},
+			want: exitError, wantErr: "flag provided but not defined: -max-mine-iterations",
 		},
 		{
 			name: "list",
@@ -236,31 +252,6 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		if !slices.Equal(blocks(lout.String()), blocks(rout.String())) {
 			t.Errorf("%v: outputs differ\nlocal:\n%s\nremote:\n%s", tc.args, lout.String(), rout.String())
 		}
-	}
-}
-
-// TestRemoteCarriesSweep: -sweep off must reach the daemon in the
-// submitted batch, not only the local scheduler.
-func TestRemoteCarriesSweep(t *testing.T) {
-	var got daemon.BatchRequest
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		io.WriteString(w, `{"type":"batch","id":"b1","jobs":["b1-0"]}`+"\n"+
-			`{"type":"result","id":"b1-0","index":0,"impl":"ms2","test":"T0","model":"sc","verdict":"pass","pass":true}`+"\n"+
-			`{"type":"done","pass":1,"fail":0,"unknown":0,"errors":0,"elapsed":"1ms"}`+"\n")
-	}))
-	defer ts.Close()
-
-	var stdout, stderr bytes.Buffer
-	args := []string{"-remote", ts.URL, "-impl", "ms2", "-test", "T0", "-model", "sc,tso", "-sweep", "off"}
-	if code := run(args, &stdout, &stderr); code != exitPass {
-		t.Fatalf("exit = %d, want %d\nstderr: %s", code, exitPass, stderr.String())
-	}
-	if len(got.Jobs) != 1 || got.Jobs[0].Sweep != "off" {
-		t.Fatalf("posted batch %+v, want one job with sweep off", got)
 	}
 }
 

@@ -42,7 +42,7 @@ func run(args []string) int {
 	timeout := fs.Duration("timeout", 0, "default per-job deadline for jobs without one (0 = none)")
 	maxTimeout := fs.Duration("max-timeout", 0, "clamp on per-job deadlines (0 = unclamped)")
 	maxBatch := fs.Int("max-batch", 0, "max jobs per batch after model expansion (0 = 256)")
-	maxInflight := fs.Int("max-inflight", 0, "max admitted-but-unfinished jobs; excess batches get 503 + Retry-After (0 = unlimited)")
+	maxInflight := fs.Int("max-inflight", 0, "max admitted-but-unfinished jobs; a batch that would exceed it gets 503 + Retry-After, one larger than it 400 (0 = unlimited)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain window before cancelling in-flight work")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"checkfence/internal/core"
 	"checkfence/internal/daemon"
 )
 
@@ -154,7 +153,7 @@ func (r *Runner) DaemonReport(jsonPath string) error {
 			if err != nil {
 				return err
 			}
-			direct, directSec, err := runSweepSuite(pair.impl, pair.test, core.SweepAuto)
+			direct, directSec, err := runSweepSuite(pair.impl, pair.test, true)
 			if err != nil {
 				return err
 			}

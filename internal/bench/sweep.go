@@ -1,10 +1,10 @@
 package bench
 
 // This file measures model-sweep grouping: the same model-matrix suite
-// runs with sweep grouping on (one selector-guarded encoding per
-// (impl, test), solved per model under assumptions) and off (every job
-// its own pipeline), both on a single worker so wall-clock time
-// compares work, not scheduling. Every row first asserts per-job
+// runs as one sweep group (one selector-guarded encoding per
+// (impl, test), solved per model under assumptions) and as one
+// single-model suite per model (every job its own pipeline), both on a
+// single worker so wall-clock time compares work, not scheduling. Every row first asserts per-job
 // verdict and observation-set agreement — a sweep that wins by
 // answering differently is a soundness bug, not a speedup. The result
 // is the BENCH_sweep.json artifact.
@@ -79,14 +79,26 @@ type SweepArtifact struct {
 }
 
 // runSweepSuite runs the model matrix for one pair on a single worker
-// and returns the results plus the wall time.
-func runSweepSuite(impl, test string, mode core.SweepMode) ([]core.SuiteResult, float64, error) {
+// and returns the results plus the wall time. The swept arm is one
+// suite, whose jobs form one sweep group; the independent arm is one
+// single-model suite per model over one shared spec cache, so it too
+// mines once.
+func runSweepSuite(impl, test string, swept bool) ([]core.SuiteResult, float64, error) {
 	jobs := make([]core.Job, len(sweepModels))
 	for i, m := range sweepModels {
-		jobs[i] = core.Job{Impl: impl, Test: test, Opts: core.Options{Model: m, Sweep: mode}}
+		jobs[i] = core.Job{Impl: impl, Test: test, Opts: core.Options{Model: m}}
 	}
 	start := time.Now()
-	results := core.RunSuite(jobs, core.SuiteOptions{Parallelism: 1})
+	var results []core.SuiteResult
+	if swept {
+		results = core.RunSuite(jobs, core.SuiteOptions{Parallelism: 1})
+	} else {
+		cache := core.NewSpecCache("")
+		for _, j := range jobs {
+			results = append(results, core.RunSuite([]core.Job{j},
+				core.SuiteOptions{Parallelism: 1, SpecCache: cache})...)
+		}
+	}
 	wall := time.Since(start).Seconds()
 	for i, r := range results {
 		if r.Err != nil {
@@ -123,11 +135,11 @@ func (r *Runner) SweepReport(jsonPath string) error {
 			row.Models = append(row.Models, m.String())
 		}
 		for rep := 0; rep < reps; rep++ {
-			swept, sweepSec, err := runSweepSuite(pair.impl, pair.test, core.SweepAuto)
+			swept, sweepSec, err := runSweepSuite(pair.impl, pair.test, true)
 			if err != nil {
 				return err
 			}
-			indep, indepSec, err := runSweepSuite(pair.impl, pair.test, core.SweepOff)
+			indep, indepSec, err := runSweepSuite(pair.impl, pair.test, false)
 			if err != nil {
 				return err
 			}

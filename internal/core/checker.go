@@ -60,9 +60,6 @@ type Options struct {
 	// mines once per key. RunSuite installs a shared cache
 	// automatically.
 	SpecCache *SpecCache
-	// MaxMineIterations caps the mining enumeration (0 = the spec
-	// package default).
-	MaxMineIterations int
 	// cancel, when non-nil and closed, aborts the check: SAT solves
 	// stop at their next check point and the check returns an error
 	// wrapping spec.ErrSolverUnknown. Only RunSuite sets it, from
@@ -74,12 +71,6 @@ type Options struct {
 	// configuration's Faults itself and polls its Abort, when set,
 	// before its own cancellation and deadline checks.
 	Encode *encode.Config
-	// NoValidate skips the independent re-validation of every decoded
-	// counterexample (internal/validate), which otherwise re-checks the
-	// memory-model axioms over the concrete event list and replays each
-	// thread through the reference interpreter. A validation failure is
-	// a hard internal error, never a verdict.
-	NoValidate bool
 	// Deadline bounds the wall-clock time of the whole check (0 =
 	// none). A check that exhausts it returns VerdictUnknown with a
 	// BudgetReport rather than an error.
@@ -91,18 +82,9 @@ type Options struct {
 	// declaring the budget exhausted.
 	MemBudgetMB int
 	// Faults arms deterministic fault injection at the solver,
-	// encoder, and mining hook points (tests and chaos runs only).
+	// encoder, and mining hook points (tests and chaos runs only). A
+	// job with faults armed never joins a model-sweep group.
 	Faults faultinject.Faults
-	// Sweep controls whether this job may join a model-sweep group
-	// when checked through RunSuite: jobs identical in everything but
-	// Model are checked as one unit on a shared selector-guarded
-	// encoding, each model's verdict solved under assumption literals,
-	// with the specification mined once and bound probing shared
-	// (SweepAuto, the default). SweepOff checks the job on its own.
-	// Direct Check/CheckImpl calls ignore the field: a sweep needs at
-	// least two models. A group makes one attempt under one Deadline
-	// window, so the whole unit stays within the configured budget.
-	Sweep SweepMode
 }
 
 // encodeConfig returns the encoder configuration of the check: a
@@ -436,7 +418,7 @@ func (a *attempt) satRound(pending []*Result) error {
 	if seqTrace != nil {
 		// A sequential bug is model-independent: every pending model
 		// fails with the same serial trace, validated once.
-		if err := validateCex(seqTrace, a.built, a.u.Unrolled, a.opts); err != nil {
+		if err := validateCex(seqTrace, a.built, a.u.Unrolled); err != nil {
 			return err
 		}
 		for _, res := range pending {
@@ -530,7 +512,7 @@ func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
 		}
 		t := trace.Build(enc, a.built, a.u.Unrolled, cex)
 		t.Model = res.Model
-		if err := validateCex(t, a.built, a.u.Unrolled, a.opts); err != nil {
+		if err := validateCex(t, a.built, a.u.Unrolled); err != nil {
 			return nil, err
 		}
 		traces = append(traces, t)
@@ -591,11 +573,8 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 				return nil, 0, err
 			}
 			serialEnc.AssertNoOverflow()
-			strat := spec.Strategy{
-				MaxMineIterations: opts.MaxMineIterations,
-				Faults:            opts.Faults,
-			}
-			mined, stats, err := spec.MineWith(serialEnc, a.built.Entries, strat)
+			mined, stats, err := spec.MineWith(serialEnc, a.built.Entries,
+				spec.Strategy{Faults: opts.Faults})
 			return mined, stats.Iterations, err
 		}
 	}
@@ -632,15 +611,11 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 }
 
 // validateCex independently re-checks a decoded counterexample (axiom
-// re-verification plus interpreter replay). A failure means CheckFence
-// itself decoded or encoded wrongly — an internal error carrying the
-// first violated axiom and the suspect trace, never a verdict.
-func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolled,
-	opts Options) error {
-
-	if opts.NoValidate {
-		return nil
-	}
+// re-verification over the concrete event list plus interpreter replay
+// of each thread). A failure means CheckFence itself decoded or encoded
+// wrongly — an internal error carrying the first violated axiom and the
+// suspect trace, never a verdict.
+func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolled) error {
 	if err := validate.Check(t, unrolled.Threads, built.Unit.Prog); err != nil {
 		return fmt.Errorf("core: internal error: counterexample failed validation: %w\nsuspect trace:\n%s", err, t)
 	}

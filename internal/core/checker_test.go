@@ -70,11 +70,6 @@ func TestCexValidatesUnderAllConfigs(t *testing.T) {
 	if res.Pass || !res.SeqBug || res.Cex == nil {
 		t.Error("lazylist-bug must yield a validated sequential-bug trace")
 	}
-	// NoValidate still returns the raw counterexample.
-	res = check(t, "msn-nofence", "T0", Options{Model: memmodel.Relaxed, NoValidate: true})
-	if res.Pass || res.Cex == nil {
-		t.Error("NoValidate: expected a counterexample")
-	}
 }
 
 // TestMSNRefsetMatchesSATSpec: the SAT mine over the Serial formula

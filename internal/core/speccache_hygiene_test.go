@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"checkfence/internal/memmodel"
 	"checkfence/internal/spec"
 )
 
@@ -137,9 +138,14 @@ func (g *countingGate) Release() {
 // TestGateBoundsAcrossSuites: two concurrent RunSuite calls sharing
 // one single-slot Gate never run two units at once — the admission
 // control the checkfenced daemon relies on to bound concurrent batches.
+// The jobs share a model but not a pair, so each is a unit of its own.
 func TestGateBoundsAcrossSuites(t *testing.T) {
 	gate := &countingGate{inner: NewGate(1)}
-	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
+	var jobs []Job
+	for _, p := range [][2]string{{"ms2", "T0"}, {"ms2", "T1"}, {"msn", "T0"}, {"ms2-nofence", "T0"}} {
+		jobs = append(jobs, Job{Impl: p[0], Test: p[1],
+			Opts: Options{Model: memmodel.SequentialConsistency}})
+	}
 	var wg sync.WaitGroup
 	resCh := make(chan []SuiteResult, 2)
 	for i := 0; i < 2; i++ {

@@ -60,10 +60,10 @@ type SuiteResult struct {
 }
 
 // SuiteOptions configures RunSuite: the pool, cancellation, the
-// shared spec cache and admission control. Model-sweep grouping is
-// per job (Options.Sweep): jobs identical in everything but Model are
-// checked as one unit on a shared selector-guarded encoding (see
-// sweep.go).
+// shared spec cache and admission control. Jobs identical in
+// everything but Model are always checked as one unit on a shared
+// selector-guarded encoding, except Serial and fault-injected jobs
+// (see sweep.go).
 type SuiteOptions struct {
 	// Parallelism bounds the number of concurrently running checks;
 	// <= 0 means GOMAXPROCS.

@@ -80,17 +80,15 @@ func TestRunSuiteMatchesSerial(t *testing.T) {
 // TestRunSuiteMinesOnce asserts the memoization contract for
 // independent jobs: a suite checking the same (implementation, test,
 // bounds) under several models mines the observation set exactly once,
-// and every other job reports a cache hit. Sweep grouping is off —
-// a sweep group mines once for the whole group and touches the cache
-// once, which is a different (stronger) sharing contract.
+// and every other job reports a cache hit. Each job runs as its own
+// concurrent one-model suite over the shared cache — a sweep group
+// mines once for the whole group and touches the cache once, which is
+// a different (stronger) sharing contract.
 func TestRunSuiteMinesOnce(t *testing.T) {
-	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
+	jobs := fourModelJobs("ms2", "T0", Options{})
 	var mined atomic.Int64
 	cache := NewSpecCache("")
-	results := RunSuite(jobs, SuiteOptions{
-		Parallelism: 4,
-		SpecCache:   cache,
-	})
+	results := runEach(jobs, SuiteOptions{SpecCache: cache})
 	requireAllRan(t, results)
 	hits, misses := 0, 0
 	for _, r := range results {
@@ -234,13 +232,14 @@ func TestTotalTimeOnAllPaths(t *testing.T) {
 }
 
 // TestSpecCacheDisk: a second cache rooted at the same directory loads
-// the mined set from disk instead of re-mining. Independent jobs only
-// (Sweep off) — the per-job hit/miss counts are the subject here.
+// the mined set from disk instead of re-mining. Each job runs as its
+// own one-model suite over the shared cache — the per-job hit/miss
+// counts are the subject here.
 func TestSpecCacheDisk(t *testing.T) {
 	dir := t.TempDir()
-	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
+	jobs := fourModelJobs("ms2", "T0", Options{})
 
-	first := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCache: NewSpecCache(dir)})
+	first := runEach(jobs, SuiteOptions{SpecCache: NewSpecCache(dir)})
 	requireAllRan(t, first)
 	files, err := filepath.Glob(filepath.Join(dir, "*.obs"))
 	if err != nil || len(files) != 1 {
@@ -249,7 +248,7 @@ func TestSpecCacheDisk(t *testing.T) {
 
 	// A fresh cache over the same dir must serve the set without
 	// mining: every job reports a hit, none a miss.
-	second := RunSuite(jobs, SuiteOptions{Parallelism: 2, SpecCache: NewSpecCache(dir)})
+	second := runEach(jobs, SuiteOptions{SpecCache: NewSpecCache(dir)})
 	requireAllRan(t, second)
 	hits, misses := 0, 0
 	for _, r := range second {

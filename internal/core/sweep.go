@@ -27,41 +27,12 @@ import (
 	"checkfence/internal/validate"
 )
 
-// SweepMode controls model-sweep grouping.
-type SweepMode int
-
-const (
-	// SweepAuto (the zero value) lets a job join a sweep group when
-	// a compatible group exists.
-	SweepAuto SweepMode = iota
-	// SweepOff always checks the job independently.
-	SweepOff
-)
-
-func (m SweepMode) String() string {
-	if m == SweepOff {
-		return "off"
-	}
-	return "auto"
-}
-
-// ParseSweepMode converts a CLI flag value to a SweepMode.
-func ParseSweepMode(s string) (SweepMode, error) {
-	switch s {
-	case "", "auto", "on":
-		return SweepAuto, nil
-	case "off":
-		return SweepOff, nil
-	}
-	return 0, fmt.Errorf("core: unknown sweep mode %q (want auto, on, or off)", s)
-}
-
 // sweepEligible reports whether a job may join a sweep group at all.
 // Serial is excluded structurally (its seriality axioms and operation
 // merge classes reshape the encoding); fault injection is per-check
 // machinery the shared pipeline must not multiplex.
 func sweepEligible(o Options) bool {
-	return o.Sweep != SweepOff && o.Model != memmodel.Serial && o.Faults == nil
+	return o.Model != memmodel.Serial && o.Faults == nil
 }
 
 // sweepFingerprint renders every Options field except Model into a
@@ -71,11 +42,9 @@ func sweepEligible(o Options) bool {
 // and therefore always sound.
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ra=%t src=%d spec=%p mmi=%d "+
-		"enc=%p noval=%t dl=%d cb=%d mem=%d cache=%p",
-		o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.MaxMineIterations,
-		o.Encode, o.NoValidate, o.Deadline, o.ConflictBudget, o.MemBudgetMB,
-		o.SpecCache)
+	fmt.Fprintf(&b, "ra=%t src=%d spec=%p enc=%p dl=%d cb=%d mem=%d cache=%p",
+		o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.Encode, o.Deadline,
+		o.ConflictBudget, o.MemBudgetMB, o.SpecCache)
 	keys := make([]string, 0, len(o.InitialBounds))
 	for k := range o.InitialBounds {
 		keys = append(keys, k)
@@ -145,7 +114,7 @@ func planUnits(jobs []Job, eff []Options) []*unit {
 // candidate weaker-model execution, and the independent validator is
 // the judge. The first trace that validates is returned as a shallow
 // copy relabeled to m; nil means m must be solved. Validation here is
-// the verdict source, so it runs regardless of Options.NoValidate.
+// the verdict source.
 func replayUnder(m memmodel.Model, traces []*trace.Trace,
 	built *harness.Built, unrolled *harness.Unrolled) *trace.Trace {
 	for _, t := range traces {

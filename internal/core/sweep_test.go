@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"checkfence/internal/encode"
+	"checkfence/internal/faultinject"
 	"checkfence/internal/harness"
 	"checkfence/internal/memmodel"
 	"checkfence/internal/sat"
@@ -22,6 +24,23 @@ func fourModelJobs(impl, test string, opts Options) []Job {
 		jobs[i] = Job{Impl: impl, Test: test, Opts: o}
 	}
 	return jobs
+}
+
+// runEach runs every job as its own one-model suite, all concurrently,
+// under so: the independent counterpart of a sweep group, each job a
+// separate unit. Share so.SpecCache to share the mined sets.
+func runEach(jobs []Job, so SuiteOptions) []SuiteResult {
+	results := make([]SuiteResult, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = RunSuite([]Job{j}, so)[0]
+		}()
+	}
+	wg.Wait()
+	return results
 }
 
 // TestSweepEarlyExit: when a stronger model's counterexample replays
@@ -72,13 +91,8 @@ func TestSweepLitmusOnRF(t *testing.T) {
 	for i := range jobs {
 		jobs[i].ImplRef, jobs[i].TestRef = impl, test
 	}
-	off := make([]Job, len(jobs))
-	for i, j := range jobs {
-		j.Opts.Sweep = SweepOff
-		off[i] = j
-	}
 	swept := RunSuite(jobs, SuiteOptions{Parallelism: 1})
-	indep := RunSuite(off, SuiteOptions{Parallelism: 1})
+	indep := runEach(jobs, SuiteOptions{Parallelism: 1})
 	requireAllRan(t, swept)
 	requireAllRan(t, indep)
 	fails := []bool{false, true, true, true}
@@ -103,10 +117,10 @@ func TestSweepLitmusOnRF(t *testing.T) {
 }
 
 // TestSweepFallbackIndependent: jobs that cannot sweep — a Serial
-// member, an explicit opt-out — run independently and still produce
-// correct results.
+// member, jobs with fault injection armed (here with no site to fire)
+// — run independently and still produce correct results.
 func TestSweepFallbackIndependent(t *testing.T) {
-	jobs := fourModelJobs("ms2", "T0", Options{Sweep: SweepOff})
+	jobs := fourModelJobs("ms2", "T0", Options{Faults: &faultinject.Always{}})
 	jobs = append(jobs, Job{Impl: "ms2", Test: "T0", Opts: Options{Model: memmodel.Serial}})
 	results := RunSuite(jobs, SuiteOptions{Parallelism: 2})
 	requireAllRan(t, results)
@@ -115,7 +129,7 @@ func TestSweepFallbackIndependent(t *testing.T) {
 			t.Errorf("job %d must pass", i)
 		}
 		if r.Res.Stats.SweepGroups != 0 {
-			t.Errorf("job %d joined a group despite opting out", i)
+			t.Errorf("job %d joined a sweep group", i)
 		}
 	}
 }

@@ -46,15 +46,23 @@ type Config struct {
 	Faults faultinject.Faults
 	// MaxInflight caps admitted-but-unfinished jobs across all batches;
 	// a batch that would exceed it is refused with 503 and a
-	// Retry-After hint instead of queueing unboundedly (0 = unlimited).
+	// Retry-After hint instead of queueing unboundedly, and a batch
+	// larger than the cap itself, which no wait would admit, with 400
+	// (0 = unlimited).
 	MaxInflight int
 }
 
+// maxBatchJobs is the largest batch the daemon can ever admit:
+// MaxBatchJobs, lowered to MaxInflight when that is smaller.
 func (c Config) maxBatchJobs() int {
-	if c.MaxBatchJobs <= 0 {
-		return 256
+	n := c.MaxBatchJobs
+	if n <= 0 {
+		n = 256
 	}
-	return c.MaxBatchJobs
+	if c.MaxInflight > 0 && c.MaxInflight < n {
+		n = c.MaxInflight
+	}
+	return n
 }
 
 func (c Config) maxBodyBytes() int64 {
@@ -67,8 +75,9 @@ func (c Config) maxBodyBytes() int64 {
 // BatchRequest is the body of POST /v1/check.
 type BatchRequest struct {
 	// Jobs are the checks to run. Each may name several models; a
-	// k-model entry expands into k jobs that the scheduler solves on
-	// one shared sweep encoding when eligible.
+	// k-model entry expands into k jobs that share one resolved
+	// program and test, bundled or inline, so the scheduler solves
+	// them on one shared sweep encoding (Serial aside).
 	Jobs []BatchJob `json:"jobs"`
 	// Timeout is the default per-job deadline for jobs without one.
 	Timeout job.Duration `json:"timeout,omitempty"`
@@ -216,31 +225,24 @@ func (req *BatchRequest) Expand(defaultTimeout, maxTimeout time.Duration, maxJob
 	var jobs []core.Job
 	for bi := range req.Jobs {
 		entry := &req.Jobs[bi]
-		models := entry.Models
-		if len(models) == 0 {
-			models = []string{entry.Check.Model}
+		c := entry.Check
+		if c.Timeout == 0 {
+			if req.Timeout != 0 {
+				c.Timeout = req.Timeout
+			} else {
+				c.Timeout = job.Duration(defaultTimeout)
+			}
 		}
-		for _, m := range models {
-			c := entry.Check
-			c.Model = m
-			if c.Timeout == 0 {
-				if req.Timeout != 0 {
-					c.Timeout = req.Timeout
-				} else {
-					c.Timeout = job.Duration(defaultTimeout)
-				}
+		if maxTimeout > 0 {
+			if time.Duration(c.Timeout) <= 0 || time.Duration(c.Timeout) > maxTimeout {
+				c.Timeout = job.Duration(maxTimeout)
 			}
-			if maxTimeout > 0 {
-				if time.Duration(c.Timeout) <= 0 || time.Duration(c.Timeout) > maxTimeout {
-					c.Timeout = job.Duration(maxTimeout)
-				}
-			}
-			cj, err := c.CoreJob()
-			if err != nil {
-				return nil, fmt.Errorf("jobs[%d]: %w", bi, err)
-			}
-			jobs = append(jobs, cj)
 		}
+		cjs, err := c.CoreJobs(entry.Models)
+		if err != nil {
+			return nil, fmt.Errorf("jobs[%d]: %w", bi, err)
+		}
+		jobs = append(jobs, cjs...)
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("empty batch")

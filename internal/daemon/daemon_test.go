@@ -164,19 +164,29 @@ func TestBatchMatchesDirect(t *testing.T) {
 
 // TestSweepChecksMetric: checkfenced_sweep_checks_total counts the
 // checks a model-sweep group decided, one per member result, so one
-// 4-model batch entry adds 4.
+// 4-model batch entry adds 4 — a bundled program's and an inline
+// one's alike, since every model of an entry shares one resolved
+// program and test.
 func TestSweepChecksMetric(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	_, results, done := postBatch(t, ts, `{"jobs": [{"program": {"name": "ms2"},
-		"test": "T0", "models": ["sc", "tso", "pso", "relaxed"]}]}`)
-	if done.Errors != 0 || len(results) != 4 {
-		t.Fatalf("%d results, %d errors; want 4 and 0", len(results), done.Errors)
+	inline, err := coreImpl("ms2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := scrapeMetric(t, ts, "checkfenced_sweep_checks_total"); got != 4 {
-		t.Errorf("sweep_checks_total = %d after one 4-model sweep; want 4", got)
+	for i, program := range []any{map[string]string{"name": "ms2"}, inline} {
+		body, _ := json.Marshal(map[string]any{"jobs": []map[string]any{{
+			"program": program, "test": "T0", "models": []string{"sc", "tso", "pso", "relaxed"},
+		}}})
+		_, results, done := postBatch(t, ts, string(body))
+		if done.Errors != 0 || len(results) != 4 {
+			t.Fatalf("entry %d: %d results, %d errors; want 4 and 0", i, len(results), done.Errors)
+		}
+		if got, want := scrapeMetric(t, ts, "checkfenced_sweep_checks_total"), int64(4*(i+1)); got != want {
+			t.Errorf("sweep_checks_total = %d after %d 4-model entries; want %d", got, i+1, want)
+		}
 	}
 }
 
@@ -204,14 +214,17 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 // "share_clauses", "cube"), the removed fleet cube fields ("assume",
 // "cube_of", "cube_index"), the removed ablation switches
 // ("simplify_level", "no_preprocess", "no_inprocess",
-// "no_order_reduce") or the removed bound-round cap
-// ("max_bound_rounds"). The decoder ignores unknown fields, so the
-// batch is accepted and every verdict equals that of the same batch
-// without them. An ignored cube restriction widens the check to the
-// whole formula, which is sound; the ablation switches never change a
-// verdict (TestOrderReduceAblation, TestMinimizationDifferential); a cap
-// of 1 would have failed any check whose bounds grow, and the fixed
-// cap only ever lets such a check finish.
+// "no_order_reduce", "sweep", "no_validate") or the removed caps
+// ("max_bound_rounds", "max_mine_iterations"). The decoder ignores
+// unknown fields, so the batch is accepted and every verdict equals
+// that of the same batch without them. An ignored cube restriction
+// widens the check to the whole formula, which is sound; the ablation
+// switches never change a verdict (TestOrderReduceAblation,
+// TestMinimizationDifferential, TestSweepAblation), and validation only
+// ever turns a wrong counterexample into an error; a cap of 1 would
+// have failed any check whose bounds grow or whose mining takes more
+// than one iteration, and the fixed caps only ever let such a check
+// finish.
 func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	srv := NewServer(Config{Parallelism: 2})
 	ts := httptest.NewServer(srv)
@@ -232,11 +245,13 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 		}
 		return out
 	}
-	plain := verdicts("")
+	// The legacy batch goes first: the daemon's spec cache would
+	// otherwise serve it the plain batch's set, and it would not mine.
 	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
 		"assume": [3, -7], "cube_of": "x", "cube_index": 1,
 		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
-		"max_bound_rounds": 1`)
+		"max_bound_rounds": 1, "sweep": "off", "no_validate": true, "max_mine_iterations": 1`)
+	plain := verdicts("")
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)
 	}
@@ -629,24 +644,47 @@ func TestDeadlineClamp(t *testing.T) {
 }
 
 // TestMaxInflightShedsLoad: a saturated admission gate must refuse the
-// batch with 503 and a Retry-After hint, not queue it unboundedly.
+// batch with 503 and a Retry-After hint, not queue it unboundedly; a
+// batch larger than the cap itself gets 400, since retrying is futile.
 func TestMaxInflightShedsLoad(t *testing.T) {
-	srv := NewServer(Config{MaxInflight: 1})
+	srv := NewServer(Config{MaxInflight: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
-
-	// A 2-job batch exceeds the 1-job admission cap outright.
-	resp, err := http.Post(ts.URL+"/v1/check", "application/json",
-		strings.NewReader(`{"jobs": [{"program": {"name": "ms2"}, "test": "T0", "models": ["sc", "tso"]}]}`))
-	if err != nil {
-		t.Fatal(err)
+	post := func(models string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/check", "application/json",
+			strings.NewReader(`{"jobs": [{"program": {"name": "ms2"}, "test": "T0", "models": [`+models+`]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
 	}
-	defer resp.Body.Close()
+
+	// A 3-job batch exceeds the 2-job cap outright: no wait would
+	// admit it, so it is a bad request, with no hint to retry.
+	resp := post(`"sc", "tso", "pso"`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized batch: status = %d, want 400", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("oversized batch told to retry after %s", ra)
+	}
+
+	// With one job in flight, a 2-job batch fits the cap but not the
+	// room left: shed with a backoff hint.
+	srv.mu.Lock()
+	srv.inflight = 1
+	srv.mu.Unlock()
+	resp = post(`"sc", "tso"`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
+		t.Fatalf("saturated: status = %d, want 503", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("503 without a Retry-After hint")
 	}
+	srv.mu.Lock()
+	srv.inflight = 0
+	srv.mu.Unlock()
 }

@@ -54,7 +54,9 @@ func TestResultLineWire(t *testing.T) {
 		`{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc"}]}`,
 		`{"jobs":[{"program":{"name":"msn-nofence"},"test":"T0","model":"relaxed"}]}`,
 		`{"jobs":[{"program":{"name":"lazylist-bug"},"test":"Sac","model":"sc"}]}`,
-		`{"jobs":[{"program":{"name":"ms2"},"test":"T0","model":"sc","max_mine_iterations":1}]}`,
+		`{"jobs":[{"program":{"name":"broken","source":"int f( {","init_func":"init","object":"q","kind":"queue",` +
+			`"ops":[{"mnemonic":"e","func":"f","num_args":1},{"mnemonic":"d","func":"g","has_ret":true}]},` +
+			`"test":"T0","model":"sc"}]}`,
 	} {
 		lines := resultLines(t, body)
 		if len(lines) != 1 {

@@ -2,6 +2,8 @@ package encode_test
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"checkfence/internal/core"
@@ -33,30 +35,38 @@ func TestOrderTheoryMatchesEager(t *testing.T) {
 	sweepModels := []memmodel.Model{memmodel.SequentialConsistency,
 		memmodel.TSO, memmodel.PSO, memmodel.Relaxed}
 
-	var jobs []core.Job
-	add := func(impl, test string, opts core.Options) {
-		jobs = append(jobs, core.Job{Impl: impl, Test: test, Opts: opts})
-	}
+	// Every single-model job is a suite of its own, so it never joins a
+	// sweep; the four sweep jobs share one suite.
+	var suites [][]core.Job
 	for _, p := range pairs {
 		for _, m := range models {
-			add(p[0], p[1], core.Options{Model: m, Sweep: core.SweepOff})
+			suites = append(suites, []core.Job{{Impl: p[0], Test: p[1], Opts: core.Options{Model: m}}})
 		}
 	}
 	for _, p := range large {
-		add(p[0], p[1], core.Options{Model: memmodel.Relaxed, Sweep: core.SweepOff})
+		suites = append(suites, []core.Job{{Impl: p[0], Test: p[1], Opts: core.Options{Model: memmodel.Relaxed}}})
 	}
+	var sweep []core.Job
 	for _, m := range sweepModels {
-		add("msn-nofence", "Ti2", core.Options{Model: m})
+		sweep = append(sweep, core.Job{Impl: "msn-nofence", Test: "Ti2", Opts: core.Options{Model: m}})
 	}
+	suites = append(suites, sweep)
+	jobs := slices.Concat(suites...)
 	run := func() []core.SuiteResult {
 		// A fresh cache per run: each run mines every pair itself, once.
-		cache := core.NewSpecCache("")
-		js := make([]core.Job, len(jobs))
-		for i, j := range jobs {
-			j.Opts.SpecCache = cache
-			js[i] = j
+		// A two-slot gate runs two units at a time across the suites.
+		so := core.SuiteOptions{SpecCache: core.NewSpecCache(""), Gate: core.NewGate(2)}
+		results := make([][]core.SuiteResult, len(suites))
+		var wg sync.WaitGroup
+		for i, js := range suites {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i] = core.RunSuite(js, so)
+			}()
 		}
-		return core.RunSuite(js, core.SuiteOptions{Parallelism: 2})
+		wg.Wait()
+		return slices.Concat(results...)
 	}
 	theory := run()
 	encode.EagerTransitivity(t)

@@ -108,12 +108,8 @@ type Check struct {
 	// Bounds seeds the per-loop unrolling bounds.
 	Bounds map[string]int `json:"bounds,omitempty"`
 
-	// Solver strategy.
-	MaxMineIterations int  `json:"max_mine_iterations,omitempty"`
-	NoRangeAnalysis   bool `json:"no_range_analysis,omitempty"`
-	NoValidate        bool `json:"no_validate,omitempty"`
-	// Sweep is "auto" (default: join model-sweep groups) or "off".
-	Sweep string `json:"sweep,omitempty"`
+	// NoRangeAnalysis turns the range analysis (§3.4) off.
+	NoRangeAnalysis bool `json:"no_range_analysis,omitempty"`
 
 	// Budgets. A job exhausting them reports verdict "unknown" with a
 	// budget report rather than erroring.
@@ -165,10 +161,6 @@ func (c *Check) options() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	sweep, err := core.ParseSweepMode(c.Sweep)
-	if err != nil {
-		return core.Options{}, fmt.Errorf("job: %w", err)
-	}
 	if c.Timeout < 0 {
 		return core.Options{}, fmt.Errorf("job: negative timeout %v", time.Duration(c.Timeout))
 	}
@@ -176,12 +168,9 @@ func (c *Check) options() (core.Options, error) {
 		Model:                model,
 		SpecSource:           src,
 		DisableRangeAnalysis: c.NoRangeAnalysis,
-		MaxMineIterations:    c.MaxMineIterations,
-		NoValidate:           c.NoValidate,
 		Deadline:             time.Duration(c.Timeout),
 		ConflictBudget:       c.ConflictBudget,
 		MemBudgetMB:          c.MemBudgetMB,
-		Sweep:                sweep,
 	}
 	if len(c.Bounds) > 0 {
 		opts.InitialBounds = make(map[string]int, len(c.Bounds))
@@ -192,31 +181,47 @@ func (c *Check) options() (core.Options, error) {
 	return opts, nil
 }
 
-// CoreJob validates the description once and renders it as a core
-// suite job: options mapped, program and test resolved — the harness
-// registry for bundled programs, Program.Impl for inline source.
-// Inline programs ride the Job's resolved references, so RunSuite's
-// scheduler (sweep grouping included) treats them exactly like bundled
-// ones.
-func (c *Check) CoreJob() (core.Job, error) {
-	opts, err := c.options()
-	if err != nil {
-		return core.Job{}, err
+// CoreJobs validates the description and renders it as core suite
+// jobs, one per model in order (Check.Model alone when models is
+// empty): options mapped, program and test resolved once — the harness
+// registry for bundled programs, Program.Impl for inline source — and
+// shared by every model's job. Inline programs ride the jobs' resolved
+// references, so RunSuite's scheduler groups an inline entry's models
+// into one model sweep exactly as it groups a bundled program's.
+func (c Check) CoreJobs(models []string) ([]core.Job, error) {
+	if len(models) == 0 {
+		models = []string{c.Model}
+	}
+	jobs := make([]core.Job, len(models))
+	for i, m := range models {
+		c.Model = m
+		opts, err := c.options()
+		if err != nil {
+			return nil, err
+		}
+		jobs[i].Opts = opts
 	}
 	var impl *harness.Impl
+	var err error
 	if c.Program.Inline() {
 		impl = c.Program.Impl()
 	} else if impl, err = harness.Get(c.Program.Name); err != nil {
-		return core.Job{}, err
+		return nil, err
 	}
 	test, err := harness.GetTest(impl, c.Test)
 	if err != nil {
-		return core.Job{}, err
+		return nil, err
 	}
-	if !c.Program.Inline() {
-		// The test as named: raw notation parses to a test labelled
-		// "custom", which the registry cannot look up again.
-		return core.Job{Impl: impl.Name, Test: c.Test, Opts: opts}, nil
+	for i := range jobs {
+		jobs[i].Impl = impl.Name
+		if c.Program.Inline() {
+			jobs[i].Test, jobs[i].ImplRef, jobs[i].TestRef = test.Name, impl, test
+		} else {
+			// The test as named: raw notation parses to a test
+			// labelled "custom", which the registry cannot look up
+			// again.
+			jobs[i].Test = c.Test
+		}
 	}
-	return core.Job{Impl: impl.Name, Test: test.Name, ImplRef: impl, TestRef: test, Opts: opts}, nil
+	return jobs, nil
 }

@@ -14,18 +14,15 @@ import (
 
 func TestRoundTrip(t *testing.T) {
 	c := Check{
-		Program:           Program{Name: "msn"},
-		Test:              "T0",
-		Model:             "tso",
-		SpecSource:        "refset",
-		Bounds:            map[string]int{"L0": 2},
-		MaxMineIterations: 100,
-		NoRangeAnalysis:   true,
-		NoValidate:        true,
-		Sweep:             "off",
-		Timeout:           Duration(90 * time.Second),
-		ConflictBudget:    1 << 20,
-		MemBudgetMB:       256,
+		Program:         Program{Name: "msn"},
+		Test:            "T0",
+		Model:           "tso",
+		SpecSource:      "refset",
+		Bounds:          map[string]int{"L0": 2},
+		NoRangeAnalysis: true,
+		Timeout:         Duration(90 * time.Second),
+		ConflictBudget:  1 << 20,
+		MemBudgetMB:     256,
 	}
 	data, err := json.Marshal(&c)
 	if err != nil {
@@ -68,32 +65,28 @@ func TestDurationForms(t *testing.T) {
 
 func TestOptionsMapping(t *testing.T) {
 	c := Check{
-		Program:        Program{Name: "msn"},
-		Test:           "T0",
-		Model:          "pso",
-		SpecSource:     "refset",
-		Sweep:          "off",
-		NoValidate:     true,
-		Timeout:        Duration(2 * time.Second),
-		ConflictBudget: 777,
-		Bounds:         map[string]int{"L1": 3},
+		Program:         Program{Name: "msn"},
+		Test:            "T0",
+		Model:           "pso",
+		SpecSource:      "refset",
+		NoRangeAnalysis: true,
+		Timeout:         Duration(2 * time.Second),
+		ConflictBudget:  777,
+		Bounds:          map[string]int{"L1": 3},
 	}
-	j, err := c.CoreJob()
+	js, err := c.CoreJobs(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := j.Opts
+	opts := js[0].Opts
 	if opts.Model != memmodel.PSO {
 		t.Errorf("model = %v", opts.Model)
 	}
 	if opts.SpecSource != core.SpecRef {
 		t.Errorf("spec source = %v", opts.SpecSource)
 	}
-	if opts.Sweep != core.SweepOff {
-		t.Errorf("sweep = %v", opts.Sweep)
-	}
-	if !opts.NoValidate {
-		t.Error("validation not disabled")
+	if !opts.DisableRangeAnalysis {
+		t.Error("range analysis not disabled")
 	}
 	if opts.Deadline != 2*time.Second {
 		t.Errorf("deadline = %v", opts.Deadline)
@@ -116,15 +109,14 @@ func TestValidateErrors(t *testing.T) {
 		{"no test", Check{Program: Program{Name: "msn"}}, "test is required"},
 		{"bad model", Check{Program: Program{Name: "msn"}, Test: "T0", Model: "ppc"}, "ppc"},
 		{"bad spec source", Check{Program: Program{Name: "msn"}, Test: "T0", SpecSource: "oracle"}, "spec source"},
-		{"bad sweep", Check{Program: Program{Name: "msn"}, Test: "T0", Sweep: "sideways"}, "sideways"},
 		{"negative timeout", Check{Program: Program{Name: "msn"}, Test: "T0", Timeout: Duration(-1)}, "negative timeout"},
 		{"inline no ops", Check{Program: Program{Name: "x", Source: "int x;"}, Test: "T0"}, "no operations"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.c.CoreJob()
+			_, err := tc.c.CoreJobs(nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("CoreJob() = %v, want error containing %q", err, tc.want)
+				t.Errorf("CoreJobs() = %v, want error containing %q", err, tc.want)
 			}
 		})
 	}
@@ -132,12 +124,12 @@ func TestValidateErrors(t *testing.T) {
 
 func TestResolveRegistryAndInline(t *testing.T) {
 	reg := Check{Program: Program{Name: "msn"}, Test: "T0"}
-	rj, err := reg.CoreJob()
+	rjs, err := reg.CoreJobs(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rj.Impl != "msn" || rj.Test != "T0" || rj.ImplRef != nil {
-		t.Errorf("registry CoreJob = %+v, want msn/T0 without refs", rj)
+	if rj := rjs[0]; rj.Impl != "msn" || rj.Test != "T0" || rj.ImplRef != nil {
+		t.Errorf("registry CoreJobs = %+v, want msn/T0 without refs", rj)
 	}
 	impl, err := harness.Get("msn")
 	if err != nil {
@@ -162,15 +154,24 @@ func TestResolveRegistryAndInline(t *testing.T) {
 			NumArgs: op.NumArgs, HasRet: op.HasRet, HasOut: op.HasOut,
 		})
 	}
-	j, err := inline.CoreJob()
+	js, err := inline.CoreJobs([]string{"sc", "relaxed"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := js[0]
 	if j.ImplRef == nil || j.TestRef == nil {
-		t.Fatal("inline CoreJob should carry resolved refs")
+		t.Fatal("inline CoreJobs should carry resolved refs")
 	}
 	if j.Impl != "inline-msn" || j.TestRef.Name != "T0" {
-		t.Errorf("inline CoreJob = %s/%s", j.Impl, j.TestRef.Name)
+		t.Errorf("inline CoreJobs = %s/%s", j.Impl, j.TestRef.Name)
+	}
+	// Every model of an entry shares the one resolution, so the
+	// scheduler can group the models into a sweep.
+	if js[1].ImplRef != j.ImplRef || js[1].TestRef != j.TestRef {
+		t.Error("inline models resolved separately: they cannot sweep together")
+	}
+	if j.Opts.Model != memmodel.SequentialConsistency || js[1].Opts.Model != memmodel.Relaxed {
+		t.Errorf("models = %v, %v; want sc, relaxed", j.Opts.Model, js[1].Opts.Model)
 	}
 	if !reflect.DeepEqual(j.ImplRef.Ops, impl.Ops) {
 		t.Errorf("inline ops %+v, registry ops %+v", j.ImplRef.Ops, impl.Ops)

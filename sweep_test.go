@@ -1,8 +1,8 @@
 package checkfence_test
 
-// TestSweepAblation is the public-API sweep ablation: the same suite
-// runs with model-sweep grouping on and off, and must produce
-// identical verdicts, identical observation sets, and (on failures)
+// TestSweepAblation is the public-API sweep ablation: the same jobs
+// run as one suite, which groups them into model sweeps, and one by one
+// through Check, and must produce identical verdicts, identical observation sets, and (on failures)
 // counterexample traces that the independent validator accepted —
 // the sweep is a pure performance transformation. The matrix covers a
 // passing and a failing implementation under all five models.
@@ -37,14 +37,11 @@ func runSweepAblation(t *testing.T, jobs []checkfence.Job, parallelism int) {
 	swept := checkfence.CheckSuite(jobs, checkfence.SuiteOptions{
 		Parallelism: parallelism,
 	})
-	off := make([]checkfence.Job, len(jobs))
+	indep := make([]checkfence.SuiteResult, len(jobs))
 	for i, j := range jobs {
-		j.Opts.Sweep = checkfence.SweepOff
-		off[i] = j
+		res, err := checkfence.Check(j.Impl, j.Test, j.Opts)
+		indep[i] = checkfence.SuiteResult{Job: j, Res: res, Err: err}
 	}
-	indep := checkfence.CheckSuite(off, checkfence.SuiteOptions{
-		Parallelism: parallelism,
-	})
 	groups := 0
 	for i := range jobs {
 		s, n := swept[i], indep[i]
@@ -63,10 +60,10 @@ func runSweepAblation(t *testing.T, jobs []checkfence.Job, parallelism int) {
 				i, jobs[i].Impl, jobs[i].Test, jobs[i].Opts.Model,
 				s.Res.Spec.Len(), n.Res.Spec.Len())
 		}
-		// Traces are validated inside the pipeline (validation is on
-		// unless Options.NoValidate is set, and a sweep early-exit
-		// replay is validated by construction); here it suffices that
-		// every failure carries one.
+		// Traces are validated inside the pipeline (every decoded
+		// counterexample is, and a sweep early-exit replay is validated
+		// by construction); here it suffices that every failure carries
+		// one.
 		if !s.Res.Pass && s.Res.Cex == nil {
 			t.Errorf("job %d: sweep failure without a counterexample", i)
 		}
