@@ -36,7 +36,6 @@ package checkfence
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"checkfence/internal/core"
 	"checkfence/internal/harness"
@@ -205,19 +204,7 @@ type DataType = job.Program
 // SyncSource returns the C source of the bundled synchronization
 // library (cas, dcas, lock, unlock and the lock_t type), for
 // inclusion in custom data type sources.
-func SyncSource() string {
-	impls := harness.Implementations()
-	// The sync library is embedded in every bundled source; recover
-	// it from the registry by construction instead of re-reading.
-	msn := impls["msn"]
-	// The msn source is sync.c + msn.c; find the queue typedef that
-	// starts the msn part.
-	const marker = "typedef int value_t;"
-	if i := strings.Index(msn.Source, marker); i >= 0 {
-		return msn.Source[:i]
-	}
-	return ""
-}
+func SyncSource() string { return harness.SyncSource() }
 
 // CheckDataType verifies a custom data type against a test given in
 // Fig. 8 notation (e.g. "( e | d )" with the data type's mnemonics).

@@ -267,9 +267,8 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 			fmt.Fprintf(w, "order reduction: %d vars fixed, %d merged\n", s.OrderVarsFixed, s.OrderVarsMerged)
 		}
 		if s.PreCNFClauses != s.CNFClauses || s.PreCNFVars != s.CNFVars {
-			fmt.Fprintf(w, "preprocessing: %d -> %d clauses in %v (%d vars eliminated, %d subsumed, %d strengthened)\n",
-				s.PreCNFClauses, s.CNFClauses, s.PreprocessTime, s.SolverStats.VarsEliminated,
-				s.SolverStats.ClausesSubsumed, s.SolverStats.ClausesStrengthened)
+			fmt.Fprintf(w, "preprocessing: %d -> %d clauses in %v (%d vars eliminated)\n",
+				s.PreCNFClauses, s.CNFClauses, s.PreprocessTime, s.SolverStats.VarsEliminated)
 		}
 		fmt.Fprintf(w, "observation set: %d (mined in %d iterations)\n", s.ObsSetSize, s.MineIterations)
 		if s.SpecCacheHits+s.SpecCacheMisses > 0 {

@@ -87,7 +87,6 @@ type Builder struct {
 	pols    []uint8 // gate index -> polarity bits already encoded
 
 	minimize bool // false = hash/consts only and full two-polarity Tseitin
-	rewrites int64
 
 	// Scratch buffers: materialize's work stack and emit list, and
 	// AssertOr's clause (AddClause copies it).
@@ -136,10 +135,6 @@ func (b *Builder) SetMinimize(on bool) { b.minimize = on }
 // and variables included).
 func (b *Builder) NumGates() int { return len(b.gates) }
 
-// Rewrites returns how many And constructions were answered by a
-// structural rewriting rule instead of a new gate.
-func (b *Builder) Rewrites() int64 { return b.rewrites }
-
 // Var introduces a fresh free boolean variable node.
 func (b *Builder) Var() Node {
 	return Node(b.addGate(gate{isVar: true}) << 1)
@@ -184,7 +179,6 @@ func (b *Builder) and(x, y Node, depth int) Node {
 	}
 	if b.minimize && depth < maxRewriteDepth {
 		if n, ok := b.rewriteAnd(x, y, depth+1); ok {
-			b.rewrites++
 			return n
 		}
 	}
@@ -479,14 +473,6 @@ func (b *Builder) litOfOperand(n Node) sat.Lit {
 		return sat.MkLit(b.constVar(), n.negated())
 	}
 	return sat.MkLit(b.satVars[idx], n.negated())
-}
-
-// SatVar returns the SAT variable backing node n, if it has been
-// materialized (the encoder uses it to freeze the memory-order
-// variables against preprocessing).
-func (b *Builder) SatVar(n Node) (int, bool) {
-	v := b.satVars[n.index()]
-	return v, v >= 0
 }
 
 // Assert adds the clause requiring the node to be true. The node

@@ -239,8 +239,8 @@ func TestSpecCacheQuarantine(t *testing.T) {
 			if !out.Corrupt || out.Hit {
 				t.Errorf("outcome = %+v, want corrupt miss", out)
 			}
-			if cache.CorruptCount() != 1 {
-				t.Errorf("CorruptCount = %d", cache.CorruptCount())
+			if n := cache.Stats().Corrupt; n != 1 {
+				t.Errorf("Stats().Corrupt = %d", n)
 			}
 			if !set.Equal(want) {
 				t.Errorf("re-mined set differs")

@@ -19,9 +19,9 @@ func TestSearchPinned(t *testing.T) {
 		conflicts, propagations, decisions int64
 		clauses                            int
 	}{
-		{"ms2", "T1", 56, 4482, 149, 905},
-		{"msn", "T0", 27, 4090, 121, 1947},
-		{"snark", "D0", 163, 72607, 701, 10071},
+		{"ms2", "T1", 105, 9788, 353, 1510},
+		{"msn", "T0", 36, 6745, 91, 2528},
+		{"snark", "D0", 143, 73076, 752, 12638},
 	}
 	for _, r := range rows {
 		res := check(t, r.impl, r.test, Options{Model: memmodel.Relaxed})

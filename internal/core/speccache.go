@@ -115,14 +115,6 @@ func (c *SpecCache) getFaults() faultinject.Faults {
 	return c.faults
 }
 
-// CorruptCount returns how many corrupt disk files the cache has
-// quarantined over its lifetime.
-func (c *SpecCache) CorruptCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.corrupt
-}
-
 // CacheStats is a snapshot of a cache's cumulative traffic, across
 // every check and suite that shared it. The per-check Stats fields
 // report the same events scoped to one check; these totals back
@@ -218,13 +210,6 @@ func (c *SpecCache) getOrMine(key string, mine MineFunc) (set *spec.Set, iterati
 	close(e.done)
 	c.storeDisk(key, set)
 	return set, iterations, out, nil
-}
-
-// Len returns the number of cached sets (for tests and stats).
-func (c *SpecCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 func (c *SpecCache) diskPath(key string) string {

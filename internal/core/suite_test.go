@@ -104,8 +104,8 @@ func TestRunSuiteMinesOnce(t *testing.T) {
 	if misses != 1 || hits != len(jobs)-1 {
 		t.Errorf("cache traffic: %d misses, %d hits; want 1 and %d", misses, hits, len(jobs)-1)
 	}
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d sets, want 1", cache.Len())
+	if n := cache.Stats().Entries; n != 1 {
+		t.Errorf("cache holds %d sets, want 1", n)
 	}
 
 	// The counting variant: route the same key through GetOrMine
@@ -337,8 +337,8 @@ func TestSpecCacheErrorNotCached(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("failed mining left %d entries", cache.Len())
+	if n := cache.Stats().Entries; n != 0 {
+		t.Fatalf("failed mining left %d entries", n)
 	}
 	want := spec.NewSet()
 	set, _, out, err := cache.GetOrMine("k", func() (*spec.Set, int, error) {

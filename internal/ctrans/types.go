@@ -29,16 +29,6 @@ type StructLayout struct {
 	Index  map[string]int
 }
 
-// FieldNames returns the field names in offset order (used by traces
-// to render addresses symbolically).
-func (l *StructLayout) FieldNames() []string {
-	names := make([]string, len(l.Fields))
-	for i, f := range l.Fields {
-		names[i] = f.Name
-	}
-	return names
-}
-
 // TypeEnv collects the type-level information the translator needs:
 // typedefs, struct layouts, and enum constants.
 type TypeEnv struct {

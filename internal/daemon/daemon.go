@@ -39,8 +39,6 @@ type Config struct {
 	// MaxBatchJobs caps jobs per /v1/check request after model
 	// expansion (0 = 256).
 	MaxBatchJobs int
-	// MaxBodyBytes caps request bodies (0 = 8 MiB).
-	MaxBodyBytes int64
 	// Faults arms deterministic fault injection on every batch (chaos
 	// tests only).
 	Faults faultinject.Faults
@@ -65,12 +63,8 @@ func (c Config) maxBatchJobs() int {
 	return n
 }
 
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return 8 << 20
-	}
-	return c.MaxBodyBytes
-}
+// maxBodyBytes caps /v1/check request bodies.
+const maxBodyBytes = 8 << 20
 
 // BatchRequest is the body of POST /v1/check.
 type BatchRequest struct {
@@ -263,7 +257,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return

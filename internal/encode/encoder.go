@@ -73,9 +73,9 @@ type Config struct {
 	// polarity-aware CNF encoding instead of full two-polarity Tseitin.
 	Minimize bool
 	// Preprocess marks a formula that is preprocessed before its first
-	// solve: PreprocessCNF runs SatELite-style CNF preprocessing
-	// (bounded variable elimination, subsumption, self-subsuming
-	// resolution), and the solver loads the clauses in bulk, unwatched
+	// solve: PreprocessCNF runs CNF preprocessing (root-unit
+	// simplification and SatELite-style bounded variable
+	// elimination), and the solver loads the clauses in bulk, unwatched
 	// (sat.Solver.BulkLoad), since preprocessing rebuilds the database
 	// anyway. Leave it off for a formula solved as encoded (the bound
 	// probes, the Serial mine): it then loads one clause at a time,

@@ -174,13 +174,6 @@ func (s *Script) Fired(site Site) int {
 	return s.fired[site]
 }
 
-// Seen returns how many occurrences of the site have been observed.
-func (s *Script) Seen(site Site) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seen[site]
-}
-
 // Always fires the given sites on every occurrence (never disarms).
 // Useful for exercising a hook point unconditionally.
 type Always struct {

@@ -70,6 +70,11 @@ func mustRead(name string) string {
 	return string(b)
 }
 
+// SyncSource returns the embedded synchronization library (cas, dcas,
+// lock, unlock and the lock_t type) that most bundled sources begin
+// with.
+func SyncSource() string { return mustRead("sync.c") }
+
 var queueOps = []OpSig{
 	{Mnemonic: "e", Func: "enqueue", NumArgs: 1},
 	{Mnemonic: "d", Func: "dequeue", HasRet: true, HasOut: true},
@@ -122,7 +127,7 @@ func Implementations() map[string]*Impl {
 }
 
 func buildImplementations() map[string]*Impl {
-	syncSrc := mustRead("sync.c")
+	syncSrc := SyncSource()
 	m := map[string]*Impl{}
 
 	add := func(im *Impl) { m[im.Name] = im }

@@ -51,18 +51,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Arity returns the number of register arguments the operation takes.
-func (o Op) Arity() int {
-	switch o {
-	case OpNeg, OpNot, OpBool, OpIdent, OpField:
-		return 1
-	case OpSelect:
-		return 3
-	default:
-		return 2
-	}
-}
-
 // FenceKind identifies one of the four memory ordering fences of the
 // SPARC RMO style used by the paper: an X-Y fence orders all accesses
 // of type X preceding it before all accesses of type Y following it.

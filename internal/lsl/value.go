@@ -104,14 +104,6 @@ func (v Value) IsTruthy() (truthy, ok bool) {
 	}
 }
 
-// Depth returns the number of pointer components, or 0 for non-pointers.
-func (v Value) Depth() int {
-	if v.Kind != KindPtr {
-		return 0
-	}
-	return len(v.Ptr)
-}
-
 // Field returns v extended with one more offset component. It is the
 // dynamic semantics of the OpField/OpIndex primitives.
 func (v Value) Field(offset int64) (Value, error) {

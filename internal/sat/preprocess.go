@@ -2,9 +2,11 @@ package sat
 
 // This file implements SatELite-style CNF preprocessing (Eén &
 // Biere, "Effective Preprocessing in SAT through Variable and Clause
-// Elimination", SAT 2005): backward subsumption, self-subsuming
-// resolution, and bounded variable elimination over the root-level
-// clause database.
+// Elimination", SAT 2005), reduced to its variable half: root-unit
+// simplification and bounded variable elimination over the root-level
+// clause database. Backward subsumption and self-subsuming resolution
+// are not run: on CheckFence's inclusion formulas elimination does the
+// reduction that matters (DESIGN.md, "Formula minimization").
 //
 // Preprocess is designed to run once, after the formula is loaded and
 // before the first Solve, and to stay compatible with CheckFence's
@@ -63,21 +65,20 @@ func (s *Solver) Preprocess() bool {
 	s.preStats.preClauses = len(s.clauses)
 
 	p := newPrep(s)
-	if !p.conflict && p.applyUnits() && p.subsumePass() {
+	if !p.conflict && p.applyUnits() {
 		// Round 0 tries every variable; later rounds only revisit
 		// variables whose occurrence lists shrank (clause killed or
-		// strengthened), where new elimination chances can appear.
+		// strengthened by a unit), where new elimination chances can
+		// appear.
 		vars := make([]int, 0, len(s.assigns))
 		for v := range s.assigns {
 			vars = append(vars, v)
 		}
-		for round := 0; round < bveRounds; round++ {
-			changed := p.bvePass(vars)
-			if !p.applyUnits() || !p.subsumePass() {
+		for round := 0; round < bveRounds && !p.conflict; round++ {
+			if !p.bvePass(vars) {
 				break
 			}
-			vars = p.takeTouched()
-			if !changed || len(vars) == 0 {
+			if vars = p.takeTouched(); len(vars) == 0 {
 				break
 			}
 		}
@@ -97,24 +98,19 @@ func (s *Solver) Preprocess() bool {
 
 // prep is the preprocessing working set. It holds no pointers: every
 // clause is a span of one flat literal buffer (sorted; a set bit in
-// dead marks it removed), sig holds the variable-set signatures of the
-// subsumption filter, and the per-literal occurrence lists are spans
-// of one flat int32 region (lazily filtered, so they may contain stale
-// entries).
+// dead marks it removed), and the per-literal occurrence lists are
+// spans of one flat int32 region (lazily filtered, so they may contain
+// stale entries).
 type prep struct {
 	s        *Solver
 	lits     []Lit
 	cls      []span
 	dead     []uint64
-	sig      []uint64
 	occs     []int32
 	occ      []occSpan
 	units    []Lit
 	conflict bool
 
-	// dirty queues clause indices pending (re-)subsumption: every new
-	// clause plus every strengthened one.
-	dirty []int
 	// touchMark/touchList collect variables whose occurrence lists
 	// shrank, i.e. fresh bounded-variable-elimination candidates.
 	touchMark []bool
@@ -151,8 +147,6 @@ func newPrep(s *Solver) *prep {
 		s:         s,
 		cls:       make([]span, 0, 2*nc),
 		dead:      make([]uint64, 0, (2*nc+63)/64),
-		sig:       make([]uint64, 0, 2*nc),
-		dirty:     make([]int, 0, nc),
 		occ:       make([]occSpan, 2*nv),
 		touchMark: make([]bool, nv),
 		stale:     make([]bool, 2*nv),
@@ -227,14 +221,6 @@ func sortLits(lits []Lit) {
 	}
 }
 
-func signature(lits []Lit) uint64 {
-	var sig uint64
-	for _, l := range lits {
-		sig |= 1 << uint(l.Var()&63)
-	}
-	return sig
-}
-
 // clause returns the literals of clause i.
 func (p *prep) clause(i int) []Lit {
 	c := p.cls[i]
@@ -307,17 +293,15 @@ func (p *prep) addClause(start int) {
 	sortLits(lits)
 	i := len(p.cls)
 	if i == cap(p.cls) {
-		p.cls, p.sig = growCap(p.cls, 2*i), growCap(p.sig, 2*i)
+		p.cls = growCap(p.cls, 2*i)
 	}
 	if i>>6 == len(p.dead) {
 		p.dead = append(p.dead, 0)
 	}
 	p.cls = append(p.cls, span{uint32(start), uint32(len(lits))})
-	p.sig = append(p.sig, signature(lits))
 	for _, l := range lits {
 		p.addOcc(l, int32(i))
 	}
-	p.dirty = append(p.dirty, i)
 }
 
 // kill removes clause i and records its variables as elimination
@@ -410,9 +394,9 @@ func (p *prep) applyUnits() bool {
 	return true
 }
 
-// strengthen removes literal l from clause i (self-subsuming
-// resolution or unit simplification), demoting it to the unit queue
-// or conflict flag when it shrinks below two literals.
+// strengthen removes the falsified literal l from clause i, demoting
+// the clause to the unit queue or conflict flag when it shrinks below
+// two literals.
 func (p *prep) strengthen(i int, l Lit) {
 	lits := p.clause(i)
 	out := lits[:0]
@@ -432,99 +416,7 @@ func (p *prep) strengthen(i int, l Lit) {
 		p.dead[i>>6] |= 1 << (i & 63)
 	default:
 		p.cls[i].n = uint32(len(out))
-		p.sig[i] = signature(out)
-		p.dirty = append(p.dirty, i)
 	}
-}
-
-// subsumeCheck tests whether clause c subsumes d modulo at most one
-// flipped literal. It returns (-1, true) for plain subsumption
-// (c ⊆ d), (l, true) when exactly one literal of c occurs flipped in
-// d as l — resolving c and d on it yields d \ {l}, so d may be
-// strengthened by removing l — and (0, false) otherwise. Both clauses
-// must be sorted.
-func subsumeCheck(c, d []Lit) (Lit, bool) {
-	var flipped Lit = -1
-	j := 0
-	for _, l := range c {
-		v := l.Var()
-		for j < len(d) && d[j].Var() < v {
-			j++
-		}
-		if j == len(d) || d[j].Var() != v {
-			return 0, false
-		}
-		if d[j] != l {
-			if flipped >= 0 {
-				return 0, false
-			}
-			flipped = d[j]
-		}
-		j++
-	}
-	return flipped, true
-}
-
-// subsumePass performs backward subsumption and self-subsuming
-// resolution over the dirty queue (new and strengthened clauses) to a
-// fixpoint. Returns false on conflict.
-func (p *prep) subsumePass() bool {
-	for len(p.dirty) > 0 {
-		i := p.dirty[len(p.dirty)-1]
-		p.dirty = p.dirty[:len(p.dirty)-1]
-		if !p.alive(i) {
-			continue
-		}
-		// Clause i is neither strengthened nor killed below (only
-		// candidates j != i are), so c and its signature stay valid.
-		c, sigI := p.clause(i), p.sig[i]
-		// Candidates must contain some literal of c (possibly flipped
-		// on one position), so every candidate appears in occ[l] or
-		// occ[l.Not()] for any single l in c (a flip elsewhere leaves
-		// l itself in the candidate). Pick the l minimizing the
-		// combined scan.
-		best := c[0]
-		bestCost := p.occ[best].n + p.occ[best.Not()].n
-		for _, l := range c[1:] {
-			if cost := p.occ[l].n + p.occ[l.Not()].n; cost < bestCost {
-				best, bestCost = l, cost
-			}
-		}
-		for pass := 0; pass < 2; pass++ {
-			lit := best
-			if pass == 1 {
-				lit = best.Not()
-			}
-			for _, j32 := range p.liveOcc(lit) {
-				j := int(j32)
-				// The signature filter first: it rejects most
-				// candidates without touching clause j.
-				if sigI&^p.sig[j] != 0 || j == i || !p.alive(j) || int(p.cls[j].n) < len(c) {
-					continue
-				}
-				rem, ok := subsumeCheck(c, p.clause(j))
-				if !ok {
-					continue
-				}
-				if rem < 0 {
-					p.kill(j)
-					p.s.preStats.clausesSubsumed++
-					continue
-				}
-				// strengthen re-queues j itself (it may subsume others
-				// now) and records the removed variable as touched.
-				p.strengthen(j, rem)
-				p.s.preStats.clausesStrengthened++
-				if p.conflict {
-					return false
-				}
-			}
-		}
-		if len(p.units) > 0 && !p.applyUnits() {
-			return false
-		}
-	}
-	return true
 }
 
 // resolve appends the resolvent of a and b on variable v to out,

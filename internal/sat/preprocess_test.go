@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -13,55 +14,6 @@ func newVars(s *Solver, n int) []int {
 		vs[i] = s.NewVar()
 	}
 	return vs
-}
-
-func TestPreprocessSubsumption(t *testing.T) {
-	s := New()
-	v := newVars(s, 3)
-	s.AddClause(Pos(v[0]), Pos(v[1]))
-	s.AddClause(Pos(v[0]), Pos(v[1]), Pos(v[2]))
-	for _, x := range v {
-		s.Freeze(x)
-	}
-	if !s.Preprocess() {
-		t.Fatal("preprocess reported unsat")
-	}
-	st := s.Stats()
-	if st.ClausesSubsumed != 1 {
-		t.Errorf("ClausesSubsumed = %d, want 1", st.ClausesSubsumed)
-	}
-	if s.NumClauses() != 1 {
-		t.Errorf("NumClauses = %d, want 1", s.NumClauses())
-	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("Solve = %v, want Sat", got)
-	}
-}
-
-func TestPreprocessSelfSubsumingResolution(t *testing.T) {
-	s := New()
-	v := newVars(s, 3)
-	// (a ∨ b) and (¬a ∨ b ∨ c): resolving on a strengthens the second
-	// clause to (b ∨ c).
-	s.AddClause(Pos(v[0]), Pos(v[1]))
-	s.AddClause(Neg(v[0]), Pos(v[1]), Pos(v[2]))
-	for _, x := range v {
-		s.Freeze(x)
-	}
-	if !s.Preprocess() {
-		t.Fatal("preprocess reported unsat")
-	}
-	if st := s.Stats(); st.ClausesStrengthened != 1 {
-		t.Errorf("ClausesStrengthened = %d, want 1", st.ClausesStrengthened)
-	}
-	// b=false, c=false must now force a conflict with a=false (the
-	// strengthened clause (b ∨ c) is falsified).
-	if got := s.Solve(Neg(v[1]), Neg(v[2])); got != Unsat {
-		t.Errorf("Solve(¬b,¬c) = %v, want Unsat", got)
-	}
-	if got := s.Solve(Pos(v[1])); got != Sat {
-		t.Errorf("Solve(b) = %v, want Sat", got)
-	}
 }
 
 func TestPreprocessEliminatesChain(t *testing.T) {
@@ -276,9 +228,8 @@ func TestAddClauseEliminatedPanics(t *testing.T) {
 }
 
 // pinnedCNF generates a seeded random CNF over n variables, one
-// clause in eight binary and the rest 3..5 wide, so short clauses
-// subsume and strengthen longer ones and sparse variables are
-// eliminable.
+// clause in eight binary and the rest 3..5 wide, so sparse variables
+// are eliminable.
 func pinnedCNF(seed int64, n, m int) [][]Lit {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]Lit, m)
@@ -296,11 +247,11 @@ func pinnedCNF(seed int64, n, m int) [][]Lit {
 	return out
 }
 
-// structuredCNF is built so that every preprocessing technique fires:
-// root units, a clause subsumed by a shorter one, a pair that
-// self-subsumes, a pair whose strengthening derives the unit 24 during
-// preprocessing, and a chain of equivalences whose interior variables
-// are eliminable.
+// structuredCNF is built so that every preprocessing step fires: root
+// units that shorten clauses, a chain of equivalences whose interior
+// variables are eliminable, and a variable (25) whose elimination
+// derives the unit 24, which then kills one clause and strengthens
+// (¬24 ∨ 26 ∨ 27) to (26 ∨ 27) during preprocessing.
 func structuredCNF() (n int, cnf [][]Lit, frozen []int) {
 	n = 28
 	cnf = [][]Lit{
@@ -316,7 +267,7 @@ func structuredCNF() (n int, cnf [][]Lit, frozen []int) {
 	cnf = append(cnf, []Lit{Pos(12), Pos(2), Neg(9)}, []Lit{Neg(23), Pos(6), Pos(10)},
 		[]Lit{Pos(24), Pos(25)}, []Lit{Pos(24), Neg(25)},
 		[]Lit{Neg(24), Pos(26), Pos(27)}, []Lit{Pos(24), Pos(26), Pos(3)})
-	return n, cnf, []int{2, 3, 6, 9, 10, 12, 23, 24, 25, 26, 27}
+	return n, cnf, []int{2, 3, 6, 9, 10, 12, 23, 24, 26, 27}
 }
 
 // preprocessDigest runs Preprocess on cnf and hashes the resulting
@@ -368,31 +319,28 @@ func intakeDigest(t *testing.T, n int, cnf [][]Lit, frozen []int, bulk bool) (ui
 		word(e.v)
 		clauseList(e.clauses)
 	}
-	st := s.Stats()
-	word(st.VarsEliminated)
-	word(st.ClausesSubsumed)
-	word(st.ClausesStrengthened)
+	word(s.Stats().VarsEliminated)
 	return h.Sum64(), s
 }
 
 // TestPreprocessPinned pins the preprocessed formula itself: the
 // surviving clauses in order with their literal order, the
-// elimination stack, and the counters. Storage changes to the
-// preprocessor (working-set layout, occurrence lists, the elimination
-// stack) must reproduce it exactly, because subsumption's pivot choice
-// and elimination's candidate order read raw occurrence-list lengths.
+// elimination stack, and the elimination count. Storage changes to
+// the preprocessor (working-set layout, occurrence lists, the
+// elimination stack) must reproduce it exactly, because elimination's
+// candidate order reads raw occurrence-list lengths.
 func TestPreprocessPinned(t *testing.T) {
 	for _, tc := range []struct {
 		seed   int64
 		n, m   int
 		digest uint64
 	}{
-		{1, 40, 100, 0xe90190a26e78d944},
-		{2, 60, 150, 0x64b73c42b60e6cb8},
-		{3, 80, 240, 0x993dcfa55bc5dcde},
-		{4, 120, 300, 0x4ba72e661ebf6fab},
-		{5, 200, 600, 0xc0b4f20fdb949a12},
-		{6, 300, 1000, 0x0ff27d5ffc005c6b},
+		{1, 40, 100, 0x90e70cee0435e745},
+		{2, 60, 150, 0xc8deaf3db95a4880},
+		{3, 80, 240, 0xbe694a186232b839},
+		{4, 120, 300, 0x91694047a898641f},
+		{5, 200, 600, 0x6df7193702be34b7},
+		{6, 300, 1000, 0x3b3895757a63ff85},
 	} {
 		var frozen []int
 		for v := 0; v < tc.n; v += 7 {
@@ -406,12 +354,14 @@ func TestPreprocessPinned(t *testing.T) {
 
 	n, cnf, frozen := structuredCNF()
 	got, s := preprocessDigest(t, n, cnf, frozen)
-	st := s.Stats()
-	if st.VarsEliminated == 0 || st.ClausesSubsumed == 0 || st.ClausesStrengthened == 0 || !s.FixedAtRoot(24) {
-		t.Fatalf("structured CNF: eliminated/subsumed/strengthened = %d/%d/%d, unit 24 derived %v; want every technique to fire",
-			st.VarsEliminated, st.ClausesSubsumed, st.ClausesStrengthened, s.FixedAtRoot(24))
+	strengthened := slices.ContainsFunc(storeClauses(s), func(cl []Lit) bool {
+		return slices.Equal(cl, []Lit{Pos(26), Pos(27)})
+	})
+	if st := s.Stats(); st.VarsEliminated == 0 || !s.Eliminated(25) || !s.FixedAtRoot(24) || !strengthened {
+		t.Fatalf("structured CNF: %d eliminated (25: %v), unit 24 derived %v, (26 ∨ 27) kept %v; want every step to fire",
+			st.VarsEliminated, s.Eliminated(25), s.FixedAtRoot(24), strengthened)
 	}
-	if want := uint64(0x77810d11ea0783db); got != want {
+	if want := uint64(0xd7b63a00ade71d3c); got != want {
 		t.Errorf("structured CNF: preprocess digest %#x, want %#x", got, want)
 	}
 }

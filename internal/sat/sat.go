@@ -209,12 +209,10 @@ type Stats struct {
 	Restarts     int64
 
 	// Preprocessing counters (see Preprocess).
-	PreVars             int
-	PreClauses          int
-	VarsEliminated      int
-	ClausesSubsumed     int
-	ClausesStrengthened int
-	PreprocessTime      time.Duration
+	PreVars        int
+	PreClauses     int
+	VarsEliminated int
+	PreprocessTime time.Duration
 
 	// Learnt-database counters (see learnts.go): ChronoBacktracks
 	// counts conflicts resolved by a chronological (one-level)
@@ -330,12 +328,10 @@ type elimEntry struct {
 }
 
 type preStats struct {
-	preVars             int
-	preClauses          int
-	varsEliminated      int
-	clausesSubsumed     int
-	clausesStrengthened int
-	preprocessTime      time.Duration
+	preVars        int
+	preClauses     int
+	varsEliminated int
+	preprocessTime time.Duration
 }
 
 // New returns an empty solver.
@@ -447,9 +443,6 @@ func (s *Solver) Freeze(v int) { s.frozen[v] = true }
 // appear in new clauses or assumptions.
 func (s *Solver) Eliminated(v int) bool { return s.eliminated[v] }
 
-// NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
-
 // NumClauses returns the number of problem clauses added (after
 // level-0 simplification of units).
 func (s *Solver) NumClauses() int { return s.stats.Clauses }
@@ -471,8 +464,6 @@ func (s *Solver) Stats() Stats {
 	st.PreVars = s.preStats.preVars
 	st.PreClauses = s.preStats.preClauses
 	st.VarsEliminated = s.preStats.varsEliminated
-	st.ClausesSubsumed = s.preStats.clausesSubsumed
-	st.ClausesStrengthened = s.preStats.clausesStrengthened
 	st.PreprocessTime = s.preStats.preprocessTime
 	return st
 }

@@ -193,7 +193,6 @@ func TestSolverStoreHasNoPointers(t *testing.T) {
 		"prep literal":     reflect.TypeOf(p.lits).Elem(),
 		"prep clause":      reflect.TypeOf(p.cls).Elem(),
 		"prep dead set":    reflect.TypeOf(p.dead).Elem(),
-		"prep signature":   reflect.TypeOf(p.sig).Elem(),
 		"occurrence":       reflect.TypeOf(p.occs).Elem(),
 		"occurrence list":  reflect.TypeOf(p.occ).Elem(),
 		"elim entry":       reflect.TypeOf(s.elimStack).Elem(),
