@@ -99,13 +99,32 @@ type Builder struct {
 // solver. Minimization defaults to fully on: two-level AIG rewriting
 // and polarity-aware encoding.
 func NewBuilder(s *sat.Solver) *Builder {
-	b := &Builder{
+	b := &Builder{solver: s}
+	b.Reset()
+	return b
+}
+
+// Reset empties the builder for a new circuit over the same solver, as
+// NewBuilder leaves it: only the constant node, minimization on. The
+// per-gate arrays and the scratch buffers keep their capacity, so a
+// circuit of similar size grows none of them again. The structural hash
+// starts as a fresh map: clearing the old one would keep its buckets,
+// sized for the largest circuit built so far, alive through every
+// smaller one. Reset the solver along with it (sat.Solver.Reset): the
+// new circuit materializes its variables from scratch.
+func (b *Builder) Reset() {
+	*b = Builder{
+		gates:    b.gates[:0],
 		hash:     make(map[[2]Node]Node),
-		solver:   s,
+		solver:   b.solver,
+		satVars:  b.satVars[:0],
+		pols:     b.pols[:0],
 		minimize: true,
+		stack:    b.stack[:0],
+		emit:     b.emit[:0],
+		orTmp:    b.orTmp[:0],
 	}
 	b.addGate(gate{}) // gate 0 is the constant true
-	return b
 }
 
 // addGate appends a gate with unmaterialized per-gate state and returns

@@ -80,20 +80,28 @@ func Check(implName, testName string, model memmodel.Model) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	failed, err := runCommitCheck(res, built, u, model)
+	// Each formula is dead before the next is built, so each one is
+	// built on the solver and circuit builder of the one before it
+	// (encode.NewReusing). Converge asks for a probe only once it has
+	// read the answer of the previous one.
+	failed, enc, err := runCommitCheck(res, built, u, model, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !failed {
 		grew, err := u.Converge(model, func(m memmodel.Model) (*encode.Encoder, error) {
-			probe := encode.NewWithConfig(m, u.Info, solvedAsEncoded())
+			probe, err := encode.NewReusing(enc, []memmodel.Model{m}, u.Info, solvedAsEncoded())
+			if err != nil {
+				return nil, err
+			}
+			enc = probe
 			return probe, probe.Encode(u.Threads)
 		})
 		if err != nil {
 			return nil, err
 		}
 		if grew {
-			if _, err := runCommitCheck(res, built, u, model); err != nil {
+			if _, _, err := runCommitCheck(res, built, u, model, enc); err != nil {
 				return nil, err
 			}
 		}
@@ -113,20 +121,24 @@ func solvedAsEncoded() encode.Config {
 }
 
 // runCommitCheck encodes and solves the commit-point condition at the
-// current bounds, filling res. It reports whether a violation was
-// found.
+// current bounds, on the storage of prev when that is non-nil (see
+// encode.NewReusing), filling res. It reports whether a violation was
+// found, and returns its encoder, which nothing reads afterwards.
 func runCommitCheck(res *Result, built *harness.Built, u *harness.Unrolling,
-	model memmodel.Model) (bool, error) {
+	model memmodel.Model, prev *encode.Encoder) (bool, *encode.Encoder, error) {
 
 	encStart := time.Now()
-	enc := encode.NewWithConfig(model, u.Info, solvedAsEncoded())
+	enc, err := encode.NewReusing(prev, []memmodel.Model{model}, u.Info, solvedAsEncoded())
+	if err != nil {
+		return false, nil, err
+	}
 	if err := enc.Encode(u.Threads); err != nil {
-		return false, err
+		return false, nil, err
 	}
 	enc.AssertNoOverflow()
 	bad, err := buildSpecCircuit(enc, built)
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	enc.B.Assert(enc.B.Or(bad, enc.ErrorNode()))
 	res.Stats.EncodeTime += time.Since(encStart)
@@ -142,12 +154,12 @@ func runCommitCheck(res *Result, built *harness.Built, u *harness.Unrolling,
 	case sat.Sat:
 		res.Pass = false
 		res.Desc = "operation result differs from commit-order replay"
-		return true, nil
+		return true, enc, nil
 	case sat.Unsat:
 		res.Pass = true
-		return false, nil
+		return false, enc, nil
 	default:
-		return false, fmt.Errorf("commit: solver returned %v", st)
+		return false, nil, fmt.Errorf("commit: solver returned %v", st)
 	}
 }
 

@@ -308,6 +308,8 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 	if err != nil {
 		return results, err
 	}
+	a.recycle(a.lastProbe)
+	a.lastProbe = nil
 	if grew {
 		if pending, err = a.round(pending); err != nil {
 			return results, err
@@ -321,8 +323,19 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 }
 
 // attempt is the state of one checkAttempt pass: the check, its
-// strategy and deadline, and the model-independent front end at the
-// current loop bounds.
+// strategy and deadline, the model-independent front end at the
+// current loop bounds, and the encoder its formulas recycle.
+//
+// The formulas of an attempt (the Serial mine, the inclusion check,
+// the bound probes) are built one after another, and each is dead
+// before the next is built, so they share one solver and one circuit
+// builder: spare is the last encoder nothing reads any more, and
+// encode builds the next formula on its storage. An encoder becomes
+// spare only where its last reader is done with it — the Serial miner
+// once mineSpec returns (the sequential-bug trace is decoded inside
+// it), a probe once Converge has read its answer, and the inclusion
+// encoder once satRound returns (trace.Build copies the values of a
+// counterexample out) — and never when its Encode failed.
 type attempt struct {
 	impl     *harness.Impl
 	test     *harness.Test
@@ -331,6 +344,9 @@ type attempt struct {
 
 	built *harness.Built
 	u     *harness.Unrolling
+
+	spare     *encode.Encoder
+	lastProbe *encode.Encoder
 }
 
 // start builds the harness and unrolls it at the initial bounds.
@@ -354,14 +370,10 @@ func (a *attempt) start() error {
 func (a *attempt) encode(models []memmodel.Model, preprocess bool) (*encode.Encoder, error) {
 	cfg := a.opts.encodeConfig()
 	cfg.Preprocess = cfg.Preprocess && preprocess
-	var enc *encode.Encoder
-	if len(models) == 1 {
-		enc = encode.NewWithConfig(models[0], a.u.Info, cfg)
-	} else {
-		var err error
-		if enc, err = encode.NewSweepWithConfig(models, a.u.Info, cfg); err != nil {
-			return nil, err
-		}
+	enc, err := encode.NewReusing(a.spare, models, a.u.Info, cfg)
+	a.spare = nil
+	if err != nil {
+		return nil, err
 	}
 	applyLimits(enc, a.opts, a.deadline)
 	if err := enc.Encode(a.u.Threads); err != nil {
@@ -370,10 +382,24 @@ func (a *attempt) encode(models []memmodel.Model, preprocess bool) (*encode.Enco
 	return enc, nil
 }
 
+// recycle makes enc, which nothing reads any more, the encoder the
+// next formula is built on (nil leaves the spare as it is).
+func (a *attempt) recycle(enc *encode.Encoder) {
+	if enc != nil {
+		a.spare = enc
+	}
+}
+
 // probe builds the bound-probe formula of the current unrolling under
 // model m, with the check's encoder configuration and resource limits.
+// Converge asks for a probe only once it has read the answer of the
+// one before, so that one is recycled here; checkAttempt recycles the
+// last one when Converge returns.
 func (a *attempt) probe(m memmodel.Model) (*encode.Encoder, error) {
-	return a.encode([]memmodel.Model{m}, false)
+	a.recycle(a.lastProbe)
+	enc, err := a.encode([]memmodel.Model{m}, false)
+	a.lastProbe = enc
+	return enc, err
 }
 
 // round decides the pending models (strongest first) at the current
@@ -387,9 +413,11 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 		st.BoundRounds = a.u.Rounds
 		st.Backend = "sat"
 	}
-	if err := a.satRound(pending); err != nil {
+	enc, err := a.satRound(pending)
+	if err != nil {
 		return nil, err
 	}
+	a.recycle(enc)
 	var passed []*Result
 	for _, res := range pending {
 		if res.Verdict == VerdictUnknown {
@@ -403,8 +431,10 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 // the given models (strongest first) on one encoding shared by all of
 // them, deciding each failing model in place. Costs the round shares —
 // mining, encoding, preprocessing, solver counters — land on its leader
-// (pending[0]); each model's own solves land on its own result.
-func (a *attempt) satRound(pending []*Result) error {
+// (pending[0]); each model's own solves land on its own result. It
+// returns the inclusion encoder, which nothing reads afterwards, or nil
+// when a sequential bug decided the round without one.
+func (a *attempt) satRound(pending []*Result) (*encode.Encoder, error) {
 	lead := pending[0]
 
 	// Specification: mined once for every pending model (the
@@ -413,19 +443,19 @@ func (a *attempt) satRound(pending []*Result) error {
 	set, seqTrace, err := a.mineSpec(lead)
 	lead.Stats.MineTime += time.Since(mineStart)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if seqTrace != nil {
 		// A sequential bug is model-independent: every pending model
 		// fails with the same serial trace, validated once.
 		if err := validateCex(seqTrace, a.built, a.u.Unrolled); err != nil {
-			return err
+			return nil, err
 		}
 		for _, res := range pending {
 			res.SeqBug = true
 			res.fail(seqTrace)
 		}
-		return nil
+		return nil, nil
 	}
 
 	// Inclusion check. The formula is encoded and preprocessed once for
@@ -439,7 +469,7 @@ func (a *attempt) satRound(pending []*Result) error {
 	encodeStart := time.Now()
 	enc, err := a.encode(models, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	enc.AssertNoOverflow()
 	lead.Stats.EncodeTime += time.Since(encodeStart)
@@ -457,7 +487,7 @@ func (a *attempt) satRound(pending []*Result) error {
 	sc, err := spec.NewSweepCheck(enc, a.built.Entries)
 	lead.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Phase 1 for every pending model before any exclusion clause
 	// exists (see spec.SweepCheck), then phase 2 for the rest.
@@ -465,23 +495,23 @@ func (a *attempt) satRound(pending []*Result) error {
 		return sc.ErrorCheck(m)
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(open) > 0 {
 		beginStart := time.Now()
 		err := sc.BeginInclusion(set)
 		lead.Stats.RefuteTime += time.Since(beginStart)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := a.solvePhase(open, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
 			return sc.Inclusion(m)
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	lead.Stats.recordFormula(enc)
-	return nil
+	return enc, nil
 }
 
 // solvePhase runs one inclusion phase for each model, strongest first,
@@ -602,10 +632,13 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 		if seqBug, ok := err.(*spec.SeqBugError); ok && serialEnc != nil {
 			cex := &spec.Counterexample{Obs: seqBug.Obs, IsErr: true,
 				Err: "runtime error in serial execution"}
-			return nil, trace.Build(serialEnc, a.built, a.u.Unrolled, cex), nil
+			t := trace.Build(serialEnc, a.built, a.u.Unrolled, cex)
+			a.recycle(serialEnc)
+			return nil, t, nil
 		}
 		return nil, nil, err
 	}
+	a.recycle(serialEnc)
 	res.Stats.MineIterations = iterations
 	return mined, nil, nil
 }

@@ -163,29 +163,7 @@ func New(model memmodel.Model, info *ranges.Info) *Encoder {
 // NewWithConfig creates an encoder over a fresh solver with an
 // explicit minimization configuration.
 func NewWithConfig(model memmodel.Model, info *ranges.Info, cfg Config) *Encoder {
-	s := sat.New()
-	if cfg.Preprocess {
-		s.BulkLoad()
-	}
-	b := bitvec.NewBuilder(s)
-	b.SetMinimize(cfg.Minimize)
-	if cfg.Faults != nil {
-		s.SetFaults(cfg.Faults)
-	}
-	e := &Encoder{
-		S:        s,
-		B:        b,
-		Model:    model,
-		Info:     info,
-		Cfg:      cfg,
-		W:        info.IntWidth,
-		D:        info.MaxPtrDepth,
-		Overflow: map[int]bitvec.Node{},
-	}
-	if e.D < 1 {
-		e.D = 1
-	}
-	return e
+	return build(nil, model, nil, info, cfg)
 }
 
 // NewSweepWithConfig creates a model-sweep encoder: one formula that
@@ -199,6 +177,34 @@ func NewWithConfig(model memmodel.Model, info *ranges.Info, cfg Config) *Encoder
 // order constraints, so it cannot share an encoding with the hardware
 // models.
 func NewSweepWithConfig(models []memmodel.Model, info *ranges.Info, cfg Config) (*Encoder, error) {
+	sweep, err := checkSweep(models)
+	if err != nil {
+		return nil, err
+	}
+	return build(nil, memmodel.Weakest(sweep), sweep, info, cfg), nil
+}
+
+// NewReusing creates the encoder for models — a single-model encoder
+// (as NewWithConfig) for one, a sweep encoder (as NewSweepWithConfig)
+// for several — on the solver and circuit builder of prev, so the new
+// formula grows none of the per-variable and per-gate arrays the
+// previous one already grew. prev must be an encoder nothing reads any
+// more, whose Encode succeeded: NewReusing resets its solver and
+// builder, and prev itself is emptied, so a stale read fails loudly.
+// A nil prev allocates a fresh solver and builder.
+func NewReusing(prev *Encoder, models []memmodel.Model, info *ranges.Info, cfg Config) (*Encoder, error) {
+	if len(models) == 1 {
+		return build(prev, models[0], nil, info, cfg), nil
+	}
+	sweep, err := checkSweep(models)
+	if err != nil {
+		return nil, err
+	}
+	return build(prev, memmodel.Weakest(sweep), sweep, info, cfg), nil
+}
+
+// checkSweep validates the models of a sweep encoder.
+func checkSweep(models []memmodel.Model) ([]memmodel.Model, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("encode: sweep needs at least one model")
 	}
@@ -214,9 +220,48 @@ func NewSweepWithConfig(models []memmodel.Model, info *ranges.Info, cfg Config) 
 		seen[m] = true
 		sweep = append(sweep, m)
 	}
-	e := NewWithConfig(memmodel.Weakest(sweep), info, cfg)
-	e.sweep = sweep
-	return e, nil
+	return sweep, nil
+}
+
+// build is the one construction path of an encoder: over model, swept
+// over sweep when that is non-nil, on a fresh solver and builder when
+// prev is nil and on prev's, reset, otherwise.
+func build(prev *Encoder, model memmodel.Model, sweep []memmodel.Model, info *ranges.Info, cfg Config) *Encoder {
+	var (
+		s *sat.Solver
+		b *bitvec.Builder
+	)
+	if prev != nil {
+		s, b = prev.S, prev.B
+		*prev = Encoder{}
+		s.Reset()
+		b.Reset()
+	} else {
+		s = sat.New()
+		b = bitvec.NewBuilder(s)
+	}
+	if cfg.Preprocess {
+		s.BulkLoad()
+	}
+	b.SetMinimize(cfg.Minimize)
+	if cfg.Faults != nil {
+		s.SetFaults(cfg.Faults)
+	}
+	e := &Encoder{
+		S:        s,
+		B:        b,
+		Model:    model,
+		Info:     info,
+		Cfg:      cfg,
+		W:        info.IntWidth,
+		D:        info.MaxPtrDepth,
+		Overflow: map[int]bitvec.Node{},
+		sweep:    sweep,
+	}
+	if e.D < 1 {
+		e.D = 1
+	}
+	return e
 }
 
 // SweepModels returns the swept models (nil on single-model encoders).

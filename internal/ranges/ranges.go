@@ -15,6 +15,8 @@
 package ranges
 
 import (
+	"slices"
+
 	"checkfence/internal/lsl"
 )
 
@@ -98,6 +100,11 @@ type Info struct {
 	// Precise is false if any set widened to Top, in which case
 	// IntWidth/alias information use worst-case defaults.
 	Precise bool
+
+	// aliasLocs holds, for every register whose set is known and holds
+	// a pointer, the sorted locations of those pointers. A register
+	// missing here may point anywhere (MayAlias).
+	aliasLocs map[lsl.Reg][]lsl.Loc
 }
 
 // DefaultIntWidth is used when the analysis is disabled or imprecise.
@@ -379,6 +386,17 @@ func (info *Info) finalize() {
 		scan(s)
 	}
 	info.MaxPtrDepth = depth
+	info.aliasLocs = make(map[lsl.Reg][]lsl.Loc, len(info.Regs))
+	for r := range info.Regs {
+		if addrs := info.AddrSet(r); addrs != nil {
+			locs := make([]lsl.Loc, len(addrs))
+			for i, a := range addrs {
+				locs[i] = lsl.LocOf(a)
+			}
+			slices.Sort(locs)
+			info.aliasLocs[r] = slices.Compact(locs)
+		}
+	}
 	if info.Precise {
 		// One extra bit for the sign in two's complement.
 		w := 1
@@ -410,19 +428,22 @@ func (info *Info) AddrSet(r lsl.Reg) []lsl.Value {
 
 // MayAlias reports whether two accesses may target the same location,
 // based on their address registers. Unknown sets conservatively alias.
+// It walks the two sorted location sets computed by the analysis and
+// allocates nothing: the encoder asks it for every pair of accesses.
 func (info *Info) MayAlias(a, b lsl.Reg) bool {
-	sa := info.AddrSet(a)
-	sb := info.AddrSet(b)
-	if sa == nil || sb == nil {
+	la, oka := info.aliasLocs[a]
+	lb, okb := info.aliasLocs[b]
+	if !oka || !okb {
 		return true
 	}
-	seen := make(map[lsl.Loc]bool, len(sa))
-	for _, v := range sa {
-		seen[lsl.LocOf(v)] = true
-	}
-	for _, v := range sb {
-		if seen[lsl.LocOf(v)] {
+	for i, j := 0, 0; i < len(la) && j < len(lb); {
+		switch {
+		case la[i] == lb[j]:
 			return true
+		case la[i] < lb[j]:
+			i++
+		default:
+			j++
 		}
 	}
 	return false

@@ -82,6 +82,61 @@ func TestAnalyzeAliasPruning(t *testing.T) {
 	}
 }
 
+// TestMayAliasPrecomputed: MayAlias answers from the location sets the
+// analysis computed once, as the pairwise set intersection of AddrSet
+// would, and allocates nothing per call — the encoder asks it for
+// every pair of accesses of every formula.
+func TestMayAliasPrecomputed(t *testing.T) {
+	body := []lsl.Stmt{
+		&lsl.HavocStmt{Dst: "h", Bits: 1},
+		&lsl.ConstStmt{Dst: "p0", Val: lsl.Ptr(0)},
+		&lsl.ConstStmt{Dst: "p1", Val: lsl.Ptr(1)},
+		&lsl.ConstStmt{Dst: "p2", Val: lsl.Ptr(2, 1)},
+		&lsl.ConstStmt{Dst: "n", Val: lsl.Int(3)},
+		&lsl.OpStmt{Dst: "s01", Op: lsl.OpSelect, Args: []lsl.Reg{"h", "p0", "p1"}},
+		&lsl.OpStmt{Dst: "s12", Op: lsl.OpSelect, Args: []lsl.Reg{"h", "p1", "p2"}},
+		&lsl.OpStmt{Dst: "s2n", Op: lsl.OpSelect, Args: []lsl.Reg{"h", "p2", "n"}},
+		&lsl.LoadStmt{Dst: "top", Addr: "unknown"},
+		&lsl.StoreStmt{Addr: "s01", Src: "n"},
+	}
+	info := Analyze([][]lsl.Stmt{body})
+	info.Regs["unknown"] = &ValueSet{Top: true}
+	info.finalize()
+	// The reference: MayAlias as the pairwise intersection of AddrSet.
+	want := func(a, b lsl.Reg) bool {
+		sa, sb := info.AddrSet(a), info.AddrSet(b)
+		if sa == nil || sb == nil {
+			return true
+		}
+		for _, x := range sa {
+			for _, y := range sb {
+				if lsl.LocOf(x) == lsl.LocOf(y) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	regs := []lsl.Reg{"p0", "p1", "p2", "n", "s01", "s12", "s2n", "unknown", "absent"}
+	for _, a := range regs {
+		for _, b := range regs {
+			if got := info.MayAlias(a, b); got != want(a, b) {
+				t.Errorf("MayAlias(%s, %s) = %v, want %v", a, b, got, want(a, b))
+			}
+		}
+	}
+	if info.MayAlias("s01", "s2n") || !info.MayAlias("s01", "s12") {
+		t.Error("location sets must intersect exactly where they share a location")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		info.MayAlias("s01", "s12")
+		info.MayAlias("p0", "p2")
+		info.MayAlias("p0", "absent")
+	}); n != 0 {
+		t.Errorf("MayAlias allocates %v times per run, want 0", n)
+	}
+}
+
 func TestAnalyzeHavocAndSelect(t *testing.T) {
 	body := []lsl.Stmt{
 		&lsl.HavocStmt{Dst: "h", Bits: 1},

@@ -14,7 +14,10 @@ import (
 // learnt-database cap of 1 to 4, so reduceDB runs after almost every
 // conflict and the clause region fills with dead clauses; bit 3 puts
 // every learnt clause in the local tier, so reductions drop half of
-// them; bit 0x40 loads the clauses in bulk (BulkLoad) until the
+// them; bit 0x10 first runs a throwaway script on the solver, read
+// from the next byte%32 bytes (with its own count and set-up bytes),
+// and then resets it (Reset), so the script proper runs on reused
+// storage; bit 0x40 loads the clauses in bulk (BulkLoad) until the
 // first Preprocess or Solve; and bit 0x80 installs an order theory
 // (SetOrder) over 3 to 5 nodes, one more byte each for the node count
 // and every entry: a constant, or a literal over the script's
@@ -38,6 +41,10 @@ func FuzzSolverScript(f *testing.F) {
 	// Bulk intake, an order over 3 nodes, a side clause, Preprocess,
 	// then solves under assumptions and with blocking clauses.
 	f.Add([]byte("\x0b\xc0\x00\x02\x13\x2a\x00\x02\x08\x0b\x11\x04\x05\x01\x03\x07\x06\x02\x04\x05\x07"))
+	// A throwaway script (bulk intake, an order theory, Preprocess,
+	// solves and a relocation) and a Reset, then a script with
+	// chronological backtracking and a learnt cap of 2.
+	f.Add([]byte("\x09\x13\x13\x0b\xc0\x01\x12\x2b\x00\x02\x08\x0b\x04\x05\x01\x03\x07\x08\x06\x02\x04\x05\x07\x00\x0e\x00\x05\x07\x07\x01\x13\x07\x06\x02\x03\x07"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runSolverScript(t, data)
 	})
@@ -55,11 +62,27 @@ func (r *scriptReader) next() int {
 	return int(b)
 }
 
+// take hands out the next k bytes (fewer at the end of the input).
+func (r *scriptReader) take(k int) []byte {
+	k = min(k, len(r.data))
+	out := r.data[:k]
+	r.data = r.data[k:]
+	return out
+}
+
 func runSolverScript(t *testing.T, data []byte) {
-	r := &scriptReader{data}
+	runScript(t, New(), &scriptReader{data})
+}
+
+// runScript reads one script from r and runs it on s, checking every
+// answer.
+func runScript(t *testing.T, s *Solver, r *scriptReader) {
 	n := 1 + r.next()%12
 	setup := r.next()
-	s := New()
+	if setup&0x10 != 0 {
+		runScript(t, s, &scriptReader{r.take(r.next() % 32)})
+		s.Reset()
+	}
 	if setup&1 != 0 {
 		s.search.chrono = 1
 	}

@@ -65,6 +65,7 @@ func (s *Solver) Preprocess() bool {
 	s.preStats.preClauses = len(s.clauses)
 
 	p := newPrep(s)
+	s.dropDatabase()
 	if !p.conflict && p.applyUnits() {
 		// Round 0 tries every variable; later rounds only revisit
 		// variables whose occurrence lists shrank (clause killed or
@@ -88,12 +89,24 @@ func (s *Solver) Preprocess() bool {
 		s.ok = false
 		return false
 	}
-	// rebuild empties every watch list, so the learnts go unwatched.
-	// They stay listed on the conflict path above, where the watch
-	// lists still name them.
-	s.learnts = s.learnts[:0]
 	p.rebuild()
 	return true
+}
+
+// dropDatabase lets go of the clause region once the working set holds
+// every clause: the problem and learnt lists and the watch lists, all
+// of which name the region, go with it, and so does every reason (only
+// root-level assignments remain, and none of them needs one). The
+// garbage collector may then reclaim the old database while
+// elimination runs, and a Preprocess that derives a conflict leaves an
+// empty, consistent database behind.
+func (s *Solver) dropDatabase() {
+	s.ca = region{}
+	s.clauses, s.learnts = nil, nil
+	clear(s.watches)
+	for v := range s.reasons {
+		s.reasons[v] = crefUndef
+	}
 }
 
 // prep is the preprocessing working set. It holds no pointers: every
@@ -574,12 +587,11 @@ func (p *prep) saveElim() {
 	}
 }
 
-// rebuild replaces the solver's clause region and clause list with
-// the surviving working set, in working-set order, and empties the
-// watch lists: the solver is back in bulk mode (see BulkLoad), so the
-// next Solve attaches the survivors and any clause added meanwhile in
-// one pass. Every reason is cleared: the root-level assignments that
-// held one named clauses of the old region.
+// rebuild fills the empty clause region and clause list (see
+// dropDatabase) with the surviving working set, in working-set order,
+// and leaves the watch lists empty: the solver is back in bulk mode
+// (see BulkLoad), so the next Solve attaches the survivors and any
+// clause added meanwhile in one pass.
 func (p *prep) rebuild() {
 	s := p.s
 	n, words := 0, 0
@@ -596,10 +608,6 @@ func (p *prep) rebuild() {
 			clauses = append(clauses, s.ca.alloc(p.clause(i), false))
 		}
 	}
-	for v := range s.reasons {
-		s.reasons[v] = crefUndef
-	}
-	clear(s.watches)
 	s.bulk = true
 	s.clauses = clauses
 	s.stats.Clauses = len(clauses)

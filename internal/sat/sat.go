@@ -8,8 +8,9 @@
 // the specification-mining loop uses for blocking clauses and the lazy
 // loop-bound probes for their overflow clause. Solving under
 // assumptions is what the model sweep's per-model selectors use. Each
-// check runs one solver on one encoding; parallelism lives above a
-// check (suite workers, the daemon).
+// encoding runs on one solver, and the encodings of a check take turns
+// on the same one (Reset); parallelism lives above a check (suite
+// workers, the daemon).
 //
 // Techniques: two-watched-literal propagation, first-UIP conflict
 // analysis with recursive clause minimization, VSIDS variable activity
@@ -336,13 +337,58 @@ type preStats struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{
+	s := new(Solver)
+	s.Reset()
+	return s
+}
+
+// Reset returns the solver to the state New gives: no variables, no
+// clauses, no order theory, default search settings, and no budget,
+// deadline, stop predicate or fault hook. The per-variable arrays and
+// the scratch buffers keep their capacity, so a solver reused for a
+// formula of similar size grows none of them again; every per-literal
+// watch list and the clause region are dropped, to be rebuilt for the
+// next formula (DESIGN.md, "Solver memory layout").
+func (s *Solver) Reset() {
+	// Drop the watch lists and stamps the reused arrays would
+	// otherwise keep reachable, or compare equal, beyond their length.
+	clear(s.watches)
+	clear(s.lbdStamp)
+	*s = Solver{
 		ok:           true,
 		varInc:       1.0,
 		claInc:       1.0,
 		maxLearnts:   4000,
 		learntGrowth: 1.3,
 		search:       defaultSearch(),
+
+		clauses:    s.clauses[:0],
+		learnts:    s.learnts[:0],
+		watches:    s.watches[:0],
+		assigns:    s.assigns[:0],
+		phase:      s.phase[:0],
+		levels:     s.levels[:0],
+		reasons:    s.reasons[:0],
+		trail:      s.trail[:0],
+		trailLim:   s.trailLim[:0],
+		seen:       s.seen[:0],
+		frozen:     s.frozen[:0],
+		eliminated: s.eliminated[:0],
+		extVals:    s.extVals[:0],
+		order: varOrder{
+			heap:     s.order.heap[:0],
+			indices:  s.order.indices[:0],
+			activity: s.order.activity[:0],
+		},
+		lbdStamp:  s.lbdStamp,
+		analyzeT:  s.analyzeT[:0],
+		learntTmp: s.learntTmp[:0],
+		redStack:  s.redStack[:0],
+		redUndo:   s.redUndo[:0],
+		reduceTmp: s.reduceTmp[:0],
+		addTmp:    s.addTmp[:0],
+		elimStack: s.elimStack[:0],
+		elimLits:  s.elimLits[:0],
 	}
 }
 
