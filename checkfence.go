@@ -87,9 +87,9 @@ const (
 
 // Options configures a check. The zero value checks under sequential
 // consistency with SAT-mined specifications and the range analysis
-// enabled. Deadline, ConflictBudget, and MemBudgetMB bound the check's
-// resources; a budgeted check that cannot finish reports
-// VerdictUnknown instead of hanging.
+// enabled. Deadline and ConflictBudget bound the check's resources; a
+// budgeted check that cannot finish reports VerdictUnknown instead of
+// hanging.
 type Options = core.Options
 
 // Result is the outcome of a check. Verdict is three-valued: pass,

@@ -19,10 +19,9 @@
 // each model on its own; a run that needs a separate budget per model
 // runs checkfence once per model.
 //
-// Resource governance: -timeout, -conflicts, and -mem-mb budget each
-// check's wall clock, SAT conflicts per solve, and learned-clause
-// memory. A check that exhausts a budget reports UNKNOWN rather than
-// hanging or crashing.
+// Resource governance: -timeout and -conflicts budget each check's
+// wall clock and SAT conflicts per solve. A check that exhausts a
+// budget reports UNKNOWN rather than hanging or crashing.
 //
 // Exit codes (worst result wins, in the order listed):
 //
@@ -88,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheDir  = fs.String("spec-cache-dir", "", "persist mined observation sets in this directory")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget per check; an exhausted check reports UNKNOWN, exit 3 (0 = none)")
 		conflicts = fs.Int64("conflicts", 0, "SAT conflict budget per solve (0 = none)")
-		memMB     = fs.Int("mem-mb", 0, "approximate learned-clause memory budget per solver, in MiB (0 = none)")
 		list      = fs.Bool("list", false, "list implementations and tests")
 		showSpec  = fs.Bool("show-spec", false, "print the mined observation set (local runs only)")
 		stats     = fs.Bool("stats", false, "print Fig. 10-style statistics (local runs only)")
@@ -133,7 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				SpecSource:      *specSrc,
 				NoRangeAnalysis: *noRanges,
 				ConflictBudget:  *conflicts,
-				MemBudgetMB:     *memMB,
 			},
 			Models: models,
 		}},
@@ -223,9 +220,6 @@ func (p *printer) print(r job.Result, details func(io.Writer)) {
 		if b.ConflictBudget > 0 {
 			limits = append(limits, fmt.Sprintf("conflicts %d", b.ConflictBudget))
 		}
-		if b.MemBudgetMB > 0 {
-			limits = append(limits, fmt.Sprintf("mem %d MiB", b.MemBudgetMB))
-		}
 		if len(limits) > 0 {
 			fmt.Fprintf(w, "  budgets: %s\n", strings.Join(limits, ", "))
 		}
@@ -287,7 +281,8 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 			s.ProbeTime, s.MineTime, s.EncodeTime, s.RefuteTime, s.TotalTime)
 		fmt.Fprintf(w, "bound rounds: %d\n", s.BoundRounds)
 		if s.AllocBytes > 0 {
-			// A sweep counts its shared allocation on its first model.
+			// A sweep counts its shared allocation on its first model;
+			// a check that ran beside another has no figure.
 			fmt.Fprintf(w, "memory: %.1f MB allocated\n", float64(s.AllocBytes)/1e6)
 		}
 	}

@@ -178,6 +178,20 @@ func TestBackendRFRejected(t *testing.T) {
 	}
 }
 
+// TestMemBudgetFlagRejected: a check is bounded by time and conflicts
+// alone, so -mem-mb is no flag at all: naming it is a usage error
+// (exit 2).
+func TestMemBudgetFlagRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	got := run([]string{"-impl", "ms2", "-test", "T0", "-model", "sc", "-mem-mb", "1"}, &stdout, &stderr)
+	if got != exitError {
+		t.Fatalf("-mem-mb 1: exit = %d, want %d\nstdout: %s", got, exitError, stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "flag provided but not defined: -mem-mb") {
+		t.Errorf("-mem-mb 1: stderr %q does not reject the flag", msg)
+	}
+}
+
 // TestStatsReportsMemory: -stats prints the check's heap allocation.
 func TestStatsReportsMemory(t *testing.T) {
 	var stdout, stderr bytes.Buffer

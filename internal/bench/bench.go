@@ -187,10 +187,14 @@ func (r *Runner) Fig10b() error {
 			continue
 		}
 		s := row.Res.Stats
-		r.printf("%-9s %-7s %9d %12.3f %12d %12d %14.1f\n",
+		// A check that ran beside another has no allocation figure.
+		alloc := "-"
+		if s.AllocBytes > 0 {
+			alloc = fmt.Sprintf("%.1f", float64(s.AllocBytes)/1e6)
+		}
+		r.printf("%-9s %-7s %9d %12.3f %12d %12d %14s\n",
 			row.Impl, row.Test, s.Loads+s.Stores,
-			s.RefuteTime.Seconds(), s.CNFClauses, s.TransitivityClauses,
-			float64(s.AllocBytes)/1e6)
+			s.RefuteTime.Seconds(), s.CNFClauses, s.TransitivityClauses, alloc)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package core
 
 // This file implements the resource-governance layer of the driver:
-// per-unit budgets (wall clock, conflicts, memory). A unit — a single
+// per-unit budgets (wall clock, conflicts). A unit — a single
 // check or a sweep group — makes one attempt under its deadline and
 // budgets; the models that attempt leaves undecided when a budget runs
 // out end in a structured VerdictUnknown.
@@ -50,7 +50,6 @@ func (v Verdict) String() string {
 type BudgetReport struct {
 	Deadline       time.Duration
 	ConflictBudget int64
-	MemBudgetMB    int
 	// Cause is the exhausted budget axis ("deadline", "conflicts",
 	// ...), or the error text when the attempt stopped for another
 	// reason (a solver-internal Unknown).
@@ -94,7 +93,6 @@ func checkModels(impl *harness.Impl, test *harness.Test, models []memmodel.Model
 			Budget: &BudgetReport{
 				Deadline:       opts.Deadline,
 				ConflictBudget: opts.ConflictBudget,
-				MemBudgetMB:    opts.MemBudgetMB,
 				Cause:          cause,
 				Elapsed:        elapsed,
 			},

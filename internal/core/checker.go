@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"checkfence/internal/encode"
@@ -77,10 +78,6 @@ type Options struct {
 	Deadline time.Duration
 	// ConflictBudget caps the conflicts of each SAT solve (0 = none).
 	ConflictBudget int64
-	// MemBudgetMB approximately caps each solver's learned-clause
-	// memory, in MiB (0 = none). The solver sheds clauses before
-	// declaring the budget exhausted.
-	MemBudgetMB int
 	// Faults arms deterministic fault injection at the solver,
 	// encoder, and mining hook points (tests and chaos runs only). A
 	// job with faults armed never joins a model-sweep group.
@@ -187,7 +184,11 @@ type Stats struct {
 	SolverStats sat.Stats
 
 	// AllocBytes is the total heap allocation of the check, the
-	// memory proxy for the Fig. 10b chart.
+	// memory proxy for the Fig. 10b chart. The Go runtime counts
+	// allocation per process, not per goroutine, so it is recorded
+	// only for a check that no other check of the process overlapped
+	// in time. A check that ran beside another (RunSuite with
+	// Parallelism > 1, concurrent daemon jobs) reports 0: unknown.
 	AllocBytes uint64
 }
 
@@ -238,6 +239,32 @@ func CheckImpl(impl *harness.Impl, test *harness.Test, opts Options) (*Result, e
 	return results[0], nil
 }
 
+// attempts tracks the checkAttempt calls of the process, so that an
+// attempt can tell whether its allocation delta is its own.
+var attempts struct {
+	sync.Mutex
+	running int    // attempts in progress
+	started uint64 // attempts ever started
+}
+
+// beginAttempt registers an attempt. The returned function unregisters
+// it and reports whether it ran alone: no attempt was in progress when
+// it began and none began before it ended. Call it after the last
+// allocation reading.
+func beginAttempt() (ranAlone func() bool) {
+	attempts.Lock()
+	attempts.running++
+	attempts.started++
+	alone, started := attempts.running == 1, attempts.started
+	attempts.Unlock()
+	return func() bool {
+		attempts.Lock()
+		defer attempts.Unlock()
+		attempts.running--
+		return alone && attempts.started == started
+	}
+}
+
 // checkAttempt is the one attempt loop of the pipeline: it decides the
 // given models (strongest first) — one for a single check or several
 // for a sweep group.
@@ -261,6 +288,7 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 	opts Options, deadline time.Time) (results []*Result, err error) {
 
 	start := time.Now()
+	ranAlone := beginAttempt()
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	results = make([]*Result, len(models))
@@ -284,9 +312,9 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 			}
 			res.Stats.TotalTime = total
 		}
-		if results[0] != nil {
-			var memAfter runtime.MemStats
-			runtime.ReadMemStats(&memAfter)
+		var memAfter runtime.MemStats
+		runtime.ReadMemStats(&memAfter)
+		if ranAlone() && results[0] != nil {
 			results[0].Stats.AllocBytes = memAfter.TotalAlloc - memBefore.TotalAlloc
 		}
 	}()
@@ -658,7 +686,7 @@ func validateCex(t *trace.Trace, built *harness.Built, unrolled *harness.Unrolle
 // applyLimits wires the check's resource governance into an encoder:
 // Options.cancel becomes the solver's stop predicate (long solves
 // abort promptly on suite cancellation), the deadline and the
-// conflict/memory budgets arm the solver's typed-budget machinery,
+// conflict budget arm the solver's typed-budget machinery,
 // and both cancellation and the deadline also abort the encoding
 // phase itself, which can dominate a short deadline on big harnesses.
 func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
@@ -678,9 +706,6 @@ func applyLimits(e *encode.Encoder, opts Options, deadline time.Time) {
 	}
 	if opts.ConflictBudget > 0 {
 		e.S.SetBudget(opts.ConflictBudget)
-	}
-	if opts.MemBudgetMB > 0 {
-		e.S.SetMemBudget(int64(opts.MemBudgetMB) << 20)
 	}
 	if cancel != nil || !deadline.IsZero() {
 		abort := e.Cfg.Abort

@@ -3,17 +3,16 @@ package core
 // This file implements model-sweep grouping: RunSuite jobs that are
 // identical in everything but Model form one unit, which checkModels
 // decides like a single check — one checkAttempt over all its models —
-// whose rounds share one selector-guarded encoding
-// (encode.NewSweepWithConfig + spec.SweepCheck) instead of encoding
-// per model. Everything
-// model-independent is paid once per group — harness build, loop
-// unrolling, range analysis, specification mining, circuit
-// construction, CNF translation and preprocessing, bound probing —
-// and each model's verdict is a pair of solves under assumption
-// literals on the shared solver, with learned clauses carried across
-// the whole sweep. Verdict semantics are identical to independent
-// checks; the differential guarantees are enforced by TestSweepAblation
-// and the sweep bench harness.
+// whose rounds share one selector-guarded encoding (encode.NewReusing
+// given several models, then spec.SweepCheck) instead of encoding per
+// model. Everything model-independent is paid once per group —
+// harness build, loop unrolling, range analysis, specification
+// mining, circuit construction, CNF translation and preprocessing,
+// bound probing — and each model's verdict is a pair of solves under
+// assumption literals on the shared solver, with learned clauses
+// carried across the whole sweep. Verdict semantics are identical to
+// independent checks; the differential guarantees are enforced by
+// TestSweepAblation and the sweep bench harness.
 
 import (
 	"fmt"
@@ -42,9 +41,9 @@ func sweepEligible(o Options) bool {
 // and therefore always sound.
 func sweepFingerprint(o Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ra=%t src=%d spec=%p enc=%p dl=%d cb=%d mem=%d cache=%p",
+	fmt.Fprintf(&b, "ra=%t src=%d spec=%p enc=%p dl=%d cb=%d cache=%p",
 		o.DisableRangeAnalysis, o.SpecSource, o.Spec, o.Encode, o.Deadline,
-		o.ConflictBudget, o.MemBudgetMB, o.SpecCache)
+		o.ConflictBudget, o.SpecCache)
 	keys := make([]string, 0, len(o.InitialBounds))
 	for k := range o.InitialBounds {
 		keys = append(keys, k)

@@ -215,7 +215,8 @@ func TestFailVerdictCarriesTrace(t *testing.T) {
 // "cube_of", "cube_index"), the removed ablation switches
 // ("simplify_level", "no_preprocess", "no_inprocess",
 // "no_order_reduce", "sweep", "no_validate") or the removed caps
-// ("max_bound_rounds", "max_mine_iterations"). The decoder ignores
+// ("max_bound_rounds", "max_mine_iterations") and the removed
+// learned-clause memory budget ("mem_budget_mb"). The decoder ignores
 // unknown fields, so the batch is accepted and every verdict equals
 // that of the same batch without them. An ignored cube restriction
 // widens the check to the whole formula, which is sound; the ablation
@@ -250,7 +251,8 @@ func TestLegacyStrategyFieldsIgnored(t *testing.T) {
 	legacy := verdicts(`, "portfolio": 4, "share_clauses": true, "cube": 4,
 		"assume": [3, -7], "cube_of": "x", "cube_index": 1,
 		"simplify_level": -1, "no_preprocess": true, "no_inprocess": true, "no_order_reduce": true,
-		"max_bound_rounds": 1, "sweep": "off", "no_validate": true, "max_mine_iterations": 1`)
+		"max_bound_rounds": 1, "sweep": "off", "no_validate": true, "max_mine_iterations": 1,
+		"mem_budget_mb": 1`)
 	plain := verdicts("")
 	if plain["sc"] != "pass" || plain["relaxed"] != "fail" {
 		t.Fatalf("plain batch verdicts = %v, want sc pass and relaxed fail", plain)

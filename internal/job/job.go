@@ -115,7 +115,6 @@ type Check struct {
 	// budget report rather than erroring.
 	Timeout        Duration `json:"timeout,omitempty"`
 	ConflictBudget int64    `json:"conflict_budget,omitempty"`
-	MemBudgetMB    int      `json:"mem_budget_mb,omitempty"`
 }
 
 func (c *Check) model() string {
@@ -170,7 +169,6 @@ func (c *Check) options() (core.Options, error) {
 		DisableRangeAnalysis: c.NoRangeAnalysis,
 		Deadline:             time.Duration(c.Timeout),
 		ConflictBudget:       c.ConflictBudget,
-		MemBudgetMB:          c.MemBudgetMB,
 	}
 	if len(c.Bounds) > 0 {
 		opts.InitialBounds = make(map[string]int, len(c.Bounds))

@@ -22,7 +22,6 @@ func TestRoundTrip(t *testing.T) {
 		NoRangeAnalysis: true,
 		Timeout:         Duration(90 * time.Second),
 		ConflictBudget:  1 << 20,
-		MemBudgetMB:     256,
 	}
 	data, err := json.Marshal(&c)
 	if err != nil {

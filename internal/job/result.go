@@ -28,7 +28,6 @@ type Result struct {
 type Budget struct {
 	Deadline       string `json:"deadline,omitempty"`
 	ConflictBudget int64  `json:"conflict_budget,omitempty"`
-	MemBudgetMB    int    `json:"mem_budget_mb,omitempty"`
 	Cause          string `json:"cause,omitempty"`
 }
 
@@ -60,7 +59,7 @@ func NewResult(j core.Job, res *core.Result, err error) Result {
 		r.Cex = res.Cex.String()
 	}
 	if b := res.Budget; b != nil {
-		r.Budget = &Budget{ConflictBudget: b.ConflictBudget, MemBudgetMB: b.MemBudgetMB, Cause: b.Cause}
+		r.Budget = &Budget{ConflictBudget: b.ConflictBudget, Cause: b.Cause}
 		if b.Deadline > 0 {
 			r.Budget.Deadline = b.Deadline.String()
 		}

@@ -66,24 +66,6 @@ func TestDeadlineAlreadyPast(t *testing.T) {
 	}
 }
 
-func TestMemBudget(t *testing.T) {
-	s := New()
-	hardInstance(s)
-	// ~5 learnt clauses' worth: the forced reduction cannot get the
-	// database under this on a pigeonhole instance mid-search.
-	s.SetMemBudget(512)
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("status = %v, want Unknown", st)
-	}
-	be := s.BudgetErr()
-	if be == nil || be.Kind != BudgetMemory {
-		t.Fatalf("BudgetErr() = %v, want memory cause", be)
-	}
-	if be.Spent <= 512 {
-		t.Errorf("Spent = %d, want > budget", be.Spent)
-	}
-}
-
 // TestBudgetErrNilOnInterrupt: a solve stopped from another goroutine
 // (the stop predicate a context cancellation installs) is
 // cancellation, not exhaustion — BudgetErr must stay nil so callers

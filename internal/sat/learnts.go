@@ -60,20 +60,12 @@ func (s *Solver) tierFor(lbd int) int8 {
 	}
 }
 
-// reduceDB halves the learnt database, then reclaims the region's
-// dead words once they pass a fifth of it.
-func (s *Solver) reduceDB() {
-	s.reduceDBTiered()
-	if s.ca.wasted > len(s.ca.mem)/5 {
-		s.garbageCollect()
-	}
-}
-
-// reduceDBTiered is the tier-aware reduction. Core clauses are
+// reduceDB halves the learnt database by tier, then reclaims the
+// region's dead words once they pass a fifth of it. Core clauses are
 // untouchable; mid-tier clauses that took part in no conflict since
 // the last reduction are demoted to local; the local tier is sorted by
 // activity and its colder half dropped.
-func (s *Solver) reduceDBTiered() {
+func (s *Solver) reduceDB() {
 	ca := &s.ca
 	keep := s.learnts[:0]
 	local := s.reduceTmp[:0]
@@ -108,7 +100,9 @@ func (s *Solver) reduceDBTiered() {
 	}
 	s.reduceTmp = local[:0] // retain scratch capacity for the next round
 	s.learnts = keep
-	s.recountLearntLits()
+	if ca.wasted > len(ca.mem)/5 {
+		s.garbageCollect()
+	}
 }
 
 // sortClausesByActivity orders hottest-first: higher activity, then

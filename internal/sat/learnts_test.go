@@ -8,16 +8,14 @@ import (
 // addLearnt installs a learnt clause directly in the database, the way
 // record would, so the tier machinery can be unit-tested without
 // driving a full search to manufacture the exact clause.
-func addLearnt(s *Solver, tier int8, act float64, used bool, lits ...Lit) cref {
+func addLearnt(s *Solver, tier int8, act float64, used bool, lits ...Lit) {
 	c := s.ca.alloc(lits, true)
 	s.ca.setLBD(c, len(lits))
 	s.ca.setActivity(c, act)
 	s.ca.setTier(c, tier)
 	s.ca.setUsed(c, used)
 	s.learnts = append(s.learnts, c)
-	s.learntLits += int64(len(lits))
 	s.attach(c)
-	return c
 }
 
 func TestTierFor(t *testing.T) {
@@ -34,43 +32,49 @@ func TestTierFor(t *testing.T) {
 
 // TestReduceDBTiered: core clauses are kept unconditionally, mid
 // clauses survive only if used since the last reduction (and the mark
-// is consumed), and the local tier is halved by activity.
+// is consumed), and the local tier is halved by activity. The dropped
+// clauses push the region's waste past the collection threshold, so
+// the survivors are looked up by their first literal, not their cref.
 func TestReduceDBTiered(t *testing.T) {
 	s := New()
 	v := make([]int, 10)
 	for i := range v {
 		v[i] = s.NewVar()
 	}
-	core := addLearnt(s, tierCore, 0, false, Pos(v[0]), Pos(v[1]))
-	midUsed := addLearnt(s, tierMid, 0, true, Pos(v[2]), Pos(v[3]))
-	midIdle := addLearnt(s, tierMid, 5, false, Pos(v[4]), Pos(v[5]))
-	localHot := addLearnt(s, tierLocal, 10, false, Pos(v[6]), Pos(v[7]))
-	localCold := addLearnt(s, tierLocal, 1, false, Pos(v[8]), Pos(v[9]))
+	addLearnt(s, tierCore, 0, false, Pos(v[0]), Pos(v[1]))
+	addLearnt(s, tierMid, 0, true, Pos(v[2]), Pos(v[3]))
+	addLearnt(s, tierMid, 5, false, Pos(v[4]), Pos(v[5]))
+	addLearnt(s, tierLocal, 10, false, Pos(v[6]), Pos(v[7]))
+	addLearnt(s, tierLocal, 1, false, Pos(v[8]), Pos(v[9]))
 
-	s.reduceDBTiered()
+	s.reduceDB()
 
 	ca := &s.ca
-	if ca.deleted(core) || ca.deleted(midUsed) {
+	kept := map[Lit]cref{}
+	for _, c := range s.learnts {
+		if ca.deleted(c) {
+			t.Fatal("dropped clause still in the learnt list")
+		}
+		kept[ca.lits(c)[0]] = c
+	}
+	_, okCore := kept[Pos(v[0])]
+	midUsed, okMid := kept[Pos(v[2])]
+	if !okCore || !okMid {
 		t.Fatal("core or used-mid clause dropped by tiered reduction")
 	}
 	if ca.used(midUsed) {
 		t.Fatal("mid-tier usage mark not consumed by the reduction")
 	}
-	if ca.tier(midIdle) != tierLocal && !ca.deleted(midIdle) {
+	if midIdle, ok := kept[Pos(v[4])]; ok && ca.tier(midIdle) != tierLocal {
 		t.Fatalf("idle mid clause neither demoted nor dropped (tier %d)", ca.tier(midIdle))
 	}
 	// The local pool was {demoted midIdle(5), localHot(10), localCold(1)}:
 	// halving by activity keeps the hottest and drops the coldest.
-	if ca.deleted(localHot) {
+	if _, ok := kept[Pos(v[6])]; !ok {
 		t.Fatal("highest-activity local clause dropped")
 	}
-	if !ca.deleted(localCold) {
+	if _, ok := kept[Pos(v[8])]; ok {
 		t.Fatal("lowest-activity local clause kept over hotter ones")
-	}
-	for _, c := range s.learnts {
-		if ca.deleted(c) {
-			t.Fatal("dropped clause still in the learnt list")
-		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // resetScriptA uses every setting Reset must undo: an order theory,
-// conflict, deadline and memory budgets, a stop predicate, frozen and
+// conflict and deadline budgets, a stop predicate, frozen and
 // eliminated variables, learnt clauses, solves under assumptions and a
 // relocation of the region. It leaves the solver mid-way, with the
 // last Solve stopped by its conflict budget.
@@ -17,7 +17,6 @@ func resetScriptA(s *Solver, seed int64) {
 	newVars(s, 110)
 	s.SetOrder(in.n, in.lit)
 	s.SetDeadline(time.Now().Add(time.Hour))
-	s.SetMemBudget(1 << 30)
 	s.SetStop(func() bool { return false })
 	s.search.chrono = 1
 	s.BulkLoad()

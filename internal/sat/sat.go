@@ -259,17 +259,13 @@ type Solver struct {
 	redStack  []Lit
 	redUndo   []int
 
-	// Resource budgets beyond the conflict cap (see budget.go):
-	// wall-clock deadline and the approximate byte ceiling on the
-	// learned-clause database tracked via learntLits.
-	// budgetErr records why the last Solve returned Unknown when a
-	// budget was the cause; faults is the optional fault-injection
-	// hook.
-	deadline   time.Time
-	memBudget  int64
-	learntLits int64
-	budgetErr  *ErrBudget
-	faults     faultinject.Faults
+	// Resource budgets beyond the conflict cap (see budget.go): the
+	// wall-clock deadline. budgetErr records why the last Solve
+	// returned Unknown when a budget was the cause; faults is the
+	// optional fault-injection hook.
+	deadline  time.Time
+	budgetErr *ErrBudget
+	faults    faultinject.Faults
 
 	// lbdStamp/lbdGen implement the reusable stamp array of
 	// computeLBD: lbdStamp[level] == lbdGen marks a decision level as
@@ -981,7 +977,6 @@ func (s *Solver) record(lits []Lit) {
 	s.ca.setLBD(c, lbd)
 	s.ca.setTier(c, s.tierFor(lbd))
 	s.learnts = append(s.learnts, c)
-	s.learntLits += int64(len(lits))
 	s.attach(c)
 	s.bumpClause(c)
 	s.uncheckedEnqueue(lits[0], c)
@@ -1059,9 +1054,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	var ticks int64
 
 	for {
-		// Interruption check points: the external predicate, the slow
-		// budget axes (deadline, memory), and the fault
-		// hooks every 128 iterations.
+		// Interruption check points: the external predicate, the
+		// deadline, and the fault hooks every 128 iterations.
 		ticks++
 		if s.stop != nil && ticks&127 == 0 && s.stop() {
 			s.cancelUntil(0)

@@ -35,9 +35,9 @@ var ErrMineLimit = errors.New("spec: mining exceeded iteration limit")
 // exists for the equivalence test.
 var blockShrink = true
 
-// Strategy configures mining and the inclusion check: iteration cap
-// and fault hooks. The zero value behaves exactly like
-// Mine/CheckInclusion.
+// Strategy configures mining: iteration cap and fault hooks. The zero
+// value behaves exactly like Mine. CheckInclusionWith takes a Strategy
+// too but reads none of its fields.
 type Strategy struct {
 	// MaxMineIterations caps the mining enumeration (0 = default).
 	MaxMineIterations int
