@@ -28,7 +28,9 @@ import (
 // once), Solve under up to three assumptions, Solve followed by a
 // clause blocking the model and a re-solve, or a relocation of the
 // region. Every Sat answer's model, eliminated variables included,
-// must satisfy every clause added so far and the assumptions.
+// must satisfy every clause added so far and the assumptions, and
+// after every Solve each live learnt clause must be implied by the
+// clauses added so far (learntsImplied).
 func FuzzSolverScript(f *testing.F) {
 	f.Add([]byte("\x05\x01\x00\x06\x08\x0b\x01\x03\x05\x07\x07\x04\x05\x02\x01\x0e"))
 	f.Add([]byte("\x0b\x06\x01\x04\x02\x0c\x11\x02\x03\x00\x04\x13\x06\x07\x07\x07\x07"))
@@ -145,6 +147,9 @@ func runScript(t *testing.T, s *Solver, r *scriptReader) {
 				}
 			}
 		}
+		if bad := learntsImplied(s, n, clauses); bad != nil {
+			t.Fatalf("step %d: learnt clause %v is not implied by the clauses %v", step, bad, clauses)
+		}
 		return got
 	}
 
@@ -192,4 +197,34 @@ func runScript(t *testing.T, s *Solver, r *scriptReader) {
 			s.garbageCollect()
 		}
 	}
+}
+
+// learntsImplied returns a live learnt clause of s that some
+// assignment of the n variables satisfying every clause falsifies, or
+// nil when every learnt clause is implied. Conflict analysis derives
+// learnts by resolution from the clauses, the order theory's
+// transitivity clauses and preprocessing's resolvents, all implied by
+// the clauses added; no assumption enters them.
+func learntsImplied(s *Solver, n int, clauses [][]Lit) []Lit {
+	var models []int
+	for m := 0; m < 1<<n; m++ {
+		if !slices.ContainsFunc(clauses, func(cl []Lit) bool { return !satisfiedBy(m, cl) }) {
+			models = append(models, m)
+		}
+	}
+	for _, c := range s.learnts {
+		lits := s.ca.lits(c)
+		for _, m := range models {
+			if !satisfiedBy(m, lits) {
+				return slices.Clone(lits)
+			}
+		}
+	}
+	return nil
+}
+
+// satisfiedBy reports whether the assignment m, bit v the value of
+// variable v, satisfies the clause.
+func satisfiedBy(m int, cl []Lit) bool {
+	return slices.ContainsFunc(cl, func(l Lit) bool { return m>>l.Var()&1 == 1 != l.Sign() })
 }

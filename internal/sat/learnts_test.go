@@ -78,6 +78,27 @@ func TestReduceDBTiered(t *testing.T) {
 	}
 }
 
+// TestBumpClauseSkipsProblemClauses: only learnt clauses keep an
+// activity. A problem clause bumped past the rescale threshold would
+// otherwise divide claInc and every learnt activity by 1e20 at each
+// later bump, since the rescale walks the learnts alone.
+func TestBumpClauseSkipsProblemClauses(t *testing.T) {
+	s := New()
+	v := newVars(s, 5)
+	s.AddClause(Pos(v[0]), Pos(v[1]), Pos(v[2]))
+	addLearnt(s, tierLocal, 7, false, Pos(v[3]), Neg(v[4]))
+	s.claInc = 6e19
+	for range 3 {
+		s.bumpClause(s.clauses[0])
+	}
+	if s.claInc != 6e19 {
+		t.Errorf("claInc = %g after bumping a problem clause, want 6e19", s.claInc)
+	}
+	if a := s.ca.activity(s.learnts[0]); a != 7 {
+		t.Errorf("learnt activity = %g after bumping a problem clause, want 7", a)
+	}
+}
+
 // TestInprocessAgreesWithBaseline solves random instances with
 // chronological backtracking at every chance (chrono = 1) and demands
 // agreement with brute force and valid models.

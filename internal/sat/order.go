@@ -37,8 +37,8 @@ const (
 )
 
 // crefOrder is the reason of every literal the order theory implies,
-// and the conflict it reports; no clause of the region can have this
-// reference (alloc stops short of 2^32 words).
+// and the conflict it reports; no clause can have this reference (see
+// crefBin).
 const crefOrder cref = crefUndef - 1
 
 // orderTheory is the state of the order theory. Positions of the
@@ -299,14 +299,22 @@ func appendOrderClause(out []Lit, t, e1, e2 Lit) []Lit {
 	return out
 }
 
-// reasonLits returns the literals of clause c. For the order theory's
-// sentinel it returns the transitivity clause that implied p's
-// variable, with the variable's true literal first, or, for p < 0, the
-// clause of the last conflict; that slice is valid until the next
-// call.
+// reasonLits returns the literals of clause c, the reason of p's
+// variable, or for p < 0 the conflict. A problem binary's pair is
+// first put in the order a region clause has there: the implied
+// literal first for a reason, found by variable because litRedundant
+// passes the false literal of the variable, and for a conflict the
+// order propagate left, blocker first. For the order theory's sentinel
+// it returns the transitivity clause that implied p's variable, with
+// the variable's true literal first, or, for p < 0, the clause of the
+// last conflict; that slice is valid until the next call.
 func (s *Solver) reasonLits(c cref, p Lit) []Lit {
 	if c != crefOrder {
-		return s.ca.lits(c)
+		lits := s.clauseLits(c)
+		if !inRegion(c) && p >= 0 && lits[0].Var() != p.Var() {
+			lits[0], lits[1] = lits[1], lits[0]
+		}
+		return lits
 	}
 	o := s.ord
 	if p < 0 {

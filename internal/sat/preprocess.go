@@ -93,15 +93,15 @@ func (s *Solver) Preprocess() bool {
 	return true
 }
 
-// dropDatabase lets go of the clause region once the working set holds
-// every clause: the problem and learnt lists and the watch lists, all
-// of which name the region, go with it, and so does every reason (only
-// root-level assignments remain, and none of them needs one). The
-// garbage collector may then reclaim the old database while
-// elimination runs, and a Preprocess that derives a conflict leaves an
-// empty, consistent database behind.
+// dropDatabase lets go of the clause region and the binary pairs once
+// the working set holds every clause: the problem and learnt lists and
+// the watch lists, all of which name them, go with them, and so does
+// every reason (only root-level assignments remain, and none of them
+// needs one). The garbage collector may then reclaim the old database
+// while elimination runs, and a Preprocess that derives a conflict
+// leaves an empty, consistent database behind.
 func (s *Solver) dropDatabase() {
-	s.ca = region{}
+	s.ca, s.bins = region{}, nil
 	s.clauses, s.learnts = nil, nil
 	clear(s.watches)
 	for v := range s.reasons {
@@ -168,7 +168,7 @@ func newPrep(s *Solver) *prep {
 	// pass, so neither grows while the clauses are loaded.
 	total := 0
 	for _, c := range s.clauses {
-		lits := s.ca.lits(c)
+		lits := s.clauseLits(c)
 		if s.satisfied(lits) {
 			continue
 		}
@@ -192,7 +192,7 @@ func newPrep(s *Solver) *prep {
 	}
 	p.lits = make([]Lit, 0, total+spare)
 	for _, c := range s.clauses {
-		lits := s.ca.lits(c)
+		lits := s.clauseLits(c)
 		if s.satisfied(lits) {
 			continue
 		}
@@ -587,25 +587,36 @@ func (p *prep) saveElim() {
 	}
 }
 
-// rebuild fills the empty clause region and clause list (see
-// dropDatabase) with the surviving working set, in working-set order,
-// and leaves the watch lists empty: the solver is back in bulk mode
-// (see BulkLoad), so the next Solve attaches the survivors and any
-// clause added meanwhile in one pass.
+// rebuild fills the empty clause region, binary pairs and clause list
+// (see dropDatabase) with the surviving working set, in working-set
+// order, and leaves the watch lists empty: the solver is back in bulk
+// mode (see BulkLoad), so the next Solve attaches the survivors and
+// any clause added meanwhile in one pass.
 func (p *prep) rebuild() {
 	s := p.s
-	n, words := 0, 0
+	n, bins, words := 0, 0, 0
 	for i, c := range p.cls {
-		if p.alive(i) {
+		switch {
+		case !p.alive(i):
+		case c.n == 2:
+			n++
+			bins++
+		default:
 			n++
 			words += hdrWords + int(c.n)
 		}
 	}
 	s.ca = newRegion(words)
+	s.bins = make([]Lit, 0, 2*bins)
 	clauses := make([]cref, 0, n)
 	for i := range p.cls {
-		if p.alive(i) {
-			clauses = append(clauses, s.ca.alloc(p.clause(i), false))
+		if !p.alive(i) {
+			continue
+		}
+		if lits := p.clause(i); len(lits) == 2 {
+			clauses = append(clauses, s.addBin(lits[0], lits[1]))
+		} else {
+			clauses = append(clauses, s.ca.alloc(lits, false))
 		}
 	}
 	s.bulk = true

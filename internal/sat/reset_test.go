@@ -91,7 +91,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			s := New()
 			resetScriptA(s, seed+10)
 			s.Reset()
-			if s.BudgetErr() != nil || len(s.clauses) != 0 || len(s.ca.mem) != 0 || s.ord != nil {
+			if s.BudgetErr() != nil || len(s.clauses) != 0 || len(s.ca.mem) != 0 || len(s.bins) != 0 || s.ord != nil {
 				t.Fatalf("n=%d seed %d: Reset left state behind", n, seed)
 			}
 			ans, models, st := resetScriptB(s, n, seed)

@@ -21,8 +21,9 @@
 // memory order's cubically many transitivity clauses. SatELite-style
 // preprocessing (preprocess.go) simplifies the formula once before
 // search; a formula bound for it loads unwatched (BulkLoad) and gets
-// its watch lists in one pass at the first Solve. Clauses live in one flat, pointer-free region addressed
-// by 32-bit references (store.go).
+// its watch lists in one pass at the first Solve. Clauses live in one
+// flat, pointer-free region addressed by 32-bit references, problem
+// binaries as bare literal pairs beside it (store.go).
 package sat
 
 import (
@@ -227,9 +228,12 @@ type Stats struct {
 // Solver is an incremental CDCL SAT solver. The zero value is not
 // usable; construct with New.
 type Solver struct {
-	// ca holds every problem and learnt clause (see store.go); clauses
-	// and learnts list their references in insertion order.
+	// ca holds every learnt clause and every problem clause of three
+	// or more literals, bins the problem binaries as literal pairs (see
+	// store.go); clauses and learnts list their references in insertion
+	// order.
 	ca      region
+	bins    []Lit
 	clauses []cref
 	learnts []cref
 	watches [][]watcher // indexed by literal
@@ -343,8 +347,8 @@ func New() *Solver {
 // deadline, stop predicate or fault hook. The per-variable arrays and
 // the scratch buffers keep their capacity, so a solver reused for a
 // formula of similar size grows none of them again; every per-literal
-// watch list and the clause region are dropped, to be rebuilt for the
-// next formula (DESIGN.md, "Solver memory layout").
+// watch list, the clause region and the binary pairs are dropped, to be
+// rebuilt for the next formula (DESIGN.md, "Solver memory layout").
 func (s *Solver) Reset() {
 	// Drop the watch lists and stamps the reused arrays would
 	// otherwise keep reachable, or compare equal, beyond their length.
@@ -606,7 +610,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := s.ca.alloc(out, false)
+	var c cref
+	if len(out) == 2 {
+		c = s.addBin(out[0], out[1])
+	} else {
+		c = s.ca.alloc(out, false)
+	}
 	if len(s.clauses) == cap(s.clauses) {
 		// Double rather than let append grow a large slice by 1.25x.
 		s.clauses = growCap(s.clauses, max(2*len(s.clauses), minClauseList))
@@ -623,7 +632,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 const minClauseList = 32
 
 func (s *Solver) attach(c cref) {
-	lits := s.ca.lits(c)
+	lits := s.clauseLits(c)
 	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
@@ -639,7 +648,7 @@ func (s *Solver) attachAll(lists ...[]cref) {
 	total := 0
 	for _, cs := range lists {
 		for _, c := range cs {
-			lits := s.ca.lits(c)
+			lits := s.clauseLits(c)
 			counts[lits[0].Not()]++
 			counts[lits[1].Not()]++
 			total += 2
@@ -669,7 +678,8 @@ func (s *Solver) uncheckedEnqueue(l Lit, reason cref) {
 
 // propagate runs unit propagation, and the order theory's after each
 // literal's watch list, to a fixpoint and returns the conflicting
-// clause, or crefUndef.
+// clause, or crefUndef. The blocker of a problem binary's watcher is
+// its other literal, so the watcher alone decides the clause.
 func (s *Solver) propagate() cref {
 	// Propagation allocates no clause, so the region stays put.
 	mem := s.ca.mem
@@ -695,6 +705,25 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			c := w.c
+			if !inRegion(c) {
+				ws[j] = w
+				j++
+				if s.value(w.blocker) == lFalse {
+					// Leave the pair as a region clause's swap would:
+					// blocker first, the false literal ¬p second.
+					pair := s.clauseLits(c)
+					pair[0], pair[1] = w.blocker, p.Not()
+					for i++; i < len(ws); i++ {
+						ws[j] = ws[i]
+						j++
+					}
+					s.watches[p] = ws[:j]
+					s.qhead = len(s.trail)
+					return c
+				}
+				s.uncheckedEnqueue(w.blocker, c)
+				continue
+			}
 			base := int(c) + hdrWords
 			lits := mem[base : base+int(mem[c])]
 			// Ensure the false literal is at position 1.
@@ -780,7 +809,13 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
+// bumpClause raises a learnt clause's activity, rescaling every learnt
+// activity when it passes 1e20. A problem clause keeps none, as in
+// MiniSat: no reduction reads it, and the rescale walks only learnts.
 func (s *Solver) bumpClause(c cref) {
+	if !s.ca.learnt(c) {
+		return
+	}
 	a := s.ca.activity(c) + s.claInc
 	s.ca.setActivity(c, a)
 	if a > 1e20 {
@@ -801,7 +836,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 
 	for {
 		lits := s.reasonLits(confl, p)
-		if confl != crefOrder {
+		if inRegion(confl) {
 			s.bumpClause(confl)
 			if s.ca.learnt(confl) {
 				// Mark learnt antecedents used (tier retention) and
@@ -848,8 +883,9 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 		}
 		confl = s.reasons[p.Var()]
 		// Reason clauses store the implied literal first; skip it. The
-		// order theory's explanations are built that way.
-		if confl == crefOrder {
+		// order theory's explanations and problem binaries are put that
+		// way by reasonLits.
+		if !inRegion(confl) {
 			continue
 		}
 		if lits := s.ca.lits(confl); lits[0] != p {

@@ -2,11 +2,20 @@ package sat
 
 // This file implements the solver's clause store, after MiniSat's
 // clause allocator (Eén & Sörensson, "An Extensible SAT-solver",
-// SAT 2003): every problem and learnt clause lives in one flat region
-// of 32-bit words and is addressed by a cref, the offset of its
-// header. Watch lists, reasons and the clause lists therefore hold
-// plain integers, and the garbage collector never scans the solver's
-// clause database.
+// SAT 2003): every learnt clause, and every problem clause of three or
+// more literals, lives in one flat region of 32-bit words and is
+// addressed by a cref, the offset of its header. Watch lists, reasons
+// and the clause lists therefore hold plain integers, and the garbage
+// collector never scans the solver's clause database.
+//
+// Problem clauses of two literals, most of a Tseitin encoding, stay out
+// of the region (as Glucose's binary watches and CaDiCaL's implicit
+// binaries do): they are literal pairs in the solver's bins slice, and
+// their cref is crefBin|i for pair i. Such a clause needs no header,
+// since a problem clause has no learnt flag, tier, LBD or activity, and
+// propagation never reads it: the blocker of its watcher is its other
+// literal (see propagate). Learnt binaries stay in the region, where
+// reduction, tiers and activities treat them as every other learnt.
 //
 // A clause is a header of hdrWords words followed by its literals:
 //
@@ -27,11 +36,22 @@ package sat
 import "math"
 
 // cref is a clause reference: the offset of a clause's header in the
-// solver's clause region.
+// solver's clause region, below crefBin, or crefBin|i for the i-th
+// problem binary.
 type cref uint32
 
 // crefUndef is the null reference (no reason, no conflict).
 const crefUndef cref = math.MaxUint32
+
+// crefBin tags the reference of a problem binary. The region stops
+// short of 2^31 words, so no region reference carries the tag, and the
+// pairs stop short of the order theory's sentinel (crefOrder), so no
+// binary reference equals it or crefUndef.
+const crefBin cref = 1 << 31
+
+// inRegion reports whether c names a clause of the region: neither a
+// problem binary nor one of the sentinels.
+func inRegion(c cref) bool { return c < crefBin }
 
 // Header layout (see the file comment).
 const (
@@ -127,8 +147,8 @@ func (r *region) setActivity(c cref, a float64) {
 func (r *region) alloc(lits []Lit, learnt bool) cref {
 	c := len(r.mem)
 	n := hdrWords + len(lits)
-	if uint64(c+n) > math.MaxUint32 {
-		panic("sat: clause region exceeds 2^32 words")
+	if uint64(c+n) > uint64(crefBin) {
+		panic("sat: clause region exceeds 2^31 words")
 	}
 	if c+n > cap(r.mem) {
 		r.mem = growCap(r.mem, max(2*cap(r.mem), c+n, minRegion))
@@ -166,29 +186,58 @@ func (r *region) reloc(c cref, to *region) cref {
 // forward returns the new reference of a relocated clause.
 func (r *region) forward(c cref) cref { return cref(r.mem[c+hdrActLo]) }
 
-// garbageCollect moves every listed clause into a fresh region,
-// problem clauses first, then learnts, each in list order, and
+// clauseLits returns the literals of a problem or learnt clause: a
+// subslice of the region or of the binary pairs, valid until the next
+// clause is stored or the region is collected.
+func (s *Solver) clauseLits(c cref) []Lit {
+	if inRegion(c) {
+		return s.ca.lits(c)
+	}
+	i := 2 * int(c&^crefBin)
+	return s.bins[i : i+2 : i+2]
+}
+
+// addBin stores a problem binary and returns its reference. The pairs
+// double when full, like the region.
+func (s *Solver) addBin(a, b Lit) cref {
+	i := cref(len(s.bins) / 2)
+	if crefBin|i >= crefOrder {
+		panic("sat: more than 2^31-2 binary clauses")
+	}
+	if len(s.bins)+2 > cap(s.bins) {
+		s.bins = growCap(s.bins, max(2*len(s.bins), minRegion))
+	}
+	s.bins = append(s.bins, a, b)
+	return crefBin | i
+}
+
+// garbageCollect moves every listed clause of the region into a fresh
+// one, problem clauses first, then learnts, each in list order, and
 // rewrites the references held by the watch lists and reasons. A
 // reason that names an unlisted clause becomes crefUndef: only
 // root-level assignments keep such reasons, and no live clause may
-// compare equal to them. The order theory's sentinel reason names no
-// clause and stays.
+// compare equal to them. The problem binaries, like the order theory's
+// sentinel reason, are not in the region and keep their references.
 func (s *Solver) garbageCollect() {
 	from := &s.ca
 	to := newRegion(len(from.mem) - from.wasted)
 	for i, c := range s.clauses {
-		s.clauses[i] = from.reloc(c, &to)
+		if inRegion(c) {
+			s.clauses[i] = from.reloc(c, &to)
+		}
 	}
 	for i, c := range s.learnts {
 		s.learnts[i] = from.reloc(c, &to)
 	}
 	for _, ws := range s.watches {
 		for i := range ws {
-			ws[i].c = from.forward(ws[i].c)
+			if inRegion(ws[i].c) {
+				ws[i].c = from.forward(ws[i].c)
+			}
 		}
 	}
 	for v, c := range s.reasons {
-		if c == crefUndef || c == crefOrder {
+		if !inRegion(c) {
 			continue
 		}
 		if from.flag(c, flagReloc) {

@@ -32,7 +32,7 @@ func TestAddClauseCopiesInput(t *testing.T) {
 		t.Fatalf("clause counts differ: %d vs %d", len(fresh.clauses), len(reused.clauses))
 	}
 	for i := range fresh.clauses {
-		if a, b := fresh.ca.lits(fresh.clauses[i]), reused.ca.lits(reused.clauses[i]); !slices.Equal(a, b) {
+		if a, b := fresh.clauseLits(fresh.clauses[i]), reused.clauseLits(reused.clauses[i]); !slices.Equal(a, b) {
 			t.Fatalf("clause %d: %v vs %v", i, a, b)
 		}
 	}
@@ -124,7 +124,7 @@ type elimView struct {
 func storeClauses(s *Solver) [][]Lit {
 	out := make([][]Lit, len(s.clauses))
 	for i, c := range s.clauses {
-		out[i] = slices.Clone(s.ca.lits(c))
+		out[i] = slices.Clone(s.clauseLits(c))
 	}
 	return out
 }
@@ -186,6 +186,7 @@ func TestSolverStoreHasNoPointers(t *testing.T) {
 	for name, typ := range map[string]reflect.Type{
 		"watcher":          reflect.TypeOf(s.watches).Elem().Elem(),
 		"region word":      reflect.TypeOf(s.ca.mem).Elem(),
+		"binary pair word": reflect.TypeOf(s.bins).Elem(),
 		"reason":           reflect.TypeOf(s.reasons).Elem(),
 		"clause list":      reflect.TypeOf(s.clauses).Elem(),
 		"learnt list":      reflect.TypeOf(s.learnts).Elem(),
@@ -211,11 +212,14 @@ func TestSolverStoreHasNoPointers(t *testing.T) {
 }
 
 // dbSnapshot renders the clause database by content: the clause and
-// learnt lists with each clause's header fields, every watch list as
-// (clause, blocker) pairs, and every reason.
+// learnt lists with each region clause's header fields, every watch
+// list as (clause, blocker) pairs, and every reason.
 func dbSnapshot(s *Solver) string {
 	ca := &s.ca
 	show := func(c cref) string {
+		if !inRegion(c) {
+			return fmt.Sprintf("%v/bin", s.clauseLits(c))
+		}
 		return fmt.Sprintf("%v/l%v/t%d/u%v/d%v/a%v/lbd%d", ca.lits(c), ca.learnt(c),
 			ca.tier(c), ca.used(c), ca.deleted(c), ca.activity(c), ca.lbd(c))
 	}
@@ -228,12 +232,12 @@ func dbSnapshot(s *Solver) string {
 	}
 	for l, ws := range s.watches {
 		for _, w := range ws {
-			out += fmt.Sprintf("w%d %v %v\n", l, ca.lits(w.c), w.blocker)
+			out += fmt.Sprintf("w%d %v %v\n", l, s.clauseLits(w.c), w.blocker)
 		}
 	}
 	for v, r := range s.reasons {
 		if r != crefUndef {
-			out += fmt.Sprintf("r%d %v\n", v, ca.lits(r))
+			out += fmt.Sprintf("r%d %v\n", v, s.clauseLits(r))
 		}
 	}
 	return out
@@ -301,5 +305,98 @@ func TestGarbageCollectKeepsSearch(t *testing.T) {
 					seed, mode, status[never], stats[never], status[mode], stats[mode])
 			}
 		}
+	}
+}
+
+// checkStoreSplit fails unless every problem clause of two literals is
+// a pair outside the region and the region holds only learnts and
+// problem clauses of three or more literals.
+func checkStoreSplit(t *testing.T, stage string, s *Solver) {
+	t.Helper()
+	pairs := 0
+	for _, c := range s.clauses {
+		n := len(s.clauseLits(c))
+		if inRegion(c) == (n == 2) {
+			t.Fatalf("%s: problem clause %v in region %v", stage, s.clauseLits(c), inRegion(c))
+		}
+		if !inRegion(c) {
+			pairs++
+		}
+	}
+	if len(s.bins) != 2*pairs {
+		t.Fatalf("%s: %d pair words for %d problem binaries", stage, len(s.bins), pairs)
+	}
+	ca := &s.ca
+	for c := cref(0); int(c) < len(ca.mem); c += cref(hdrWords + ca.size(c)) {
+		if !ca.learnt(c) && ca.size(c) < 3 {
+			t.Fatalf("%s: region holds problem clause %v", stage, ca.lits(c))
+		}
+	}
+}
+
+// TestBinaryClausesOutsideRegion: problem binaries never enter the
+// clause region, after eager and bulk intake, Preprocess's rebuild, a
+// relocation of the region and Reset, while learnt binaries do; every
+// answer agrees with brute force.
+func TestBinaryClausesOutsideRegion(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	s := New()
+	learntBins := 0
+	for iter := 0; iter < 300; iter++ {
+		s.Reset()
+		if len(s.ca.mem) != 0 || len(s.bins) != 0 || len(s.clauses) != 0 {
+			t.Fatalf("iter %d: Reset kept %d region words, %d pair words, %d clauses",
+				iter, len(s.ca.mem), len(s.bins), len(s.clauses))
+		}
+		s.maxLearnts, s.learntGrowth = 2, 1 // reduce, and so collect, often
+		n := 4 + rng.Intn(9)
+		cnf := make([][]Lit, 3*n+rng.Intn(2*n))
+		for i := range cnf {
+			cnf[i] = make([]Lit, 1+rng.Intn(3)+rng.Intn(2))
+			for j := range cnf[i] {
+				cnf[i][j] = MkLit(rng.Intn(n), rng.Intn(2) == 0)
+			}
+		}
+		if iter%2 == 1 {
+			s.BulkLoad()
+		}
+		addCNF(s, n, cnf)
+		checkStoreSplit(t, fmt.Sprintf("iter %d intake", iter), s)
+		if iter%3 == 0 {
+			for v := 0; v < n; v += 2 {
+				s.Freeze(v) // so binaries survive elimination
+			}
+			s.Preprocess()
+			checkStoreSplit(t, fmt.Sprintf("iter %d preprocess", iter), s)
+		}
+		for round := 0; round < 4; round++ {
+			stage := fmt.Sprintf("iter %d round %d", iter, round)
+			got := s.Solve()
+			if want := bruteForce(n, cnf); (got == Sat) != want {
+				t.Fatalf("%s: Solve = %v, brute force sat=%v\nclauses %v", stage, got, want, cnf)
+			}
+			checkStoreSplit(t, stage+" solve", s)
+			for _, c := range s.learnts {
+				if s.ca.size(c) == 2 {
+					learntBins++
+				}
+			}
+			s.garbageCollect()
+			checkStoreSplit(t, stage+" collection", s)
+			if got != Sat {
+				break
+			}
+			var block []Lit
+			for v := 0; v < n; v++ {
+				if !s.Eliminated(v) {
+					block = append(block, MkLit(v, s.Value(v)))
+				}
+			}
+			cnf = append(cnf, block)
+			s.AddClause(block...)
+		}
+	}
+	if learntBins == 0 {
+		t.Fatal("no learnt binary in the region; the instances are too easy")
 	}
 }
