@@ -260,9 +260,12 @@ func printDetails(w io.Writer, res *core.Result, showSpec, stats bool) {
 		if s.OrderVarsFixed+s.OrderVarsMerged > 0 {
 			fmt.Fprintf(w, "order reduction: %d vars fixed, %d merged\n", s.OrderVarsFixed, s.OrderVarsMerged)
 		}
-		if s.PreCNFClauses != s.CNFClauses || s.PreCNFVars != s.CNFVars {
-			fmt.Fprintf(w, "preprocessing: %d -> %d clauses in %v (%d vars eliminated)\n",
-				s.PreCNFClauses, s.CNFClauses, s.PreprocessTime, s.SolverStats.VarsEliminated)
+		switch ss := s.SolverStats; {
+		case ss.Preprocessed:
+			fmt.Fprintf(w, "preprocessing after %d conflicts: %d -> %d clauses in %v (%d vars eliminated)\n",
+				ss.PreprocessConflicts, s.PreCNFClauses, s.CNFClauses, ss.PreprocessTime, ss.VarsEliminated)
+		case s.CNFVars > 0:
+			fmt.Fprintf(w, "preprocessing: not run (decided in %d conflicts)\n", ss.Conflicts)
 		}
 		fmt.Fprintf(w, "observation set: %d (mined in %d iterations)\n", s.ObsSetSize, s.MineIterations)
 		if s.SpecCacheHits+s.SpecCacheMisses > 0 {

@@ -113,8 +113,11 @@ type Stats struct {
 
 	// Formula-minimization measurements of the inclusion check: gate
 	// count of the circuit and CNF size before preprocessing. Pre*
-	// equal the final counts when preprocessing is disabled. What each
-	// preprocessing technique removed is in SolverStats.
+	// equal the final counts when the pass did not run: preprocessing
+	// is disabled, or the search decided the formula before reaching
+	// the pass's conflict threshold (SolverStats.Preprocessed). What
+	// preprocessing removed is in SolverStats; PreprocessTime adds up
+	// over the rounds of the check.
 	Gates          int
 	PreCNFVars     int
 	PreCNFClauses  int
@@ -392,9 +395,9 @@ func (a *attempt) start() error {
 // models — a single-model encoder for one, a selector-guarded sweep
 // encoder for several — under the check's resource limits. The caller
 // asserts the overflow condition it needs. preprocess says whether
-// the formula is preprocessed before its first solve: only the
-// inclusion formula is; the bound probes and the Serial mine are
-// solved as encoded (see encode.Config.Preprocess).
+// the formula is armed for preprocessing: only the inclusion formula
+// is; the bound probes and the Serial mine are solved as encoded (see
+// encode.Config.Preprocess).
 func (a *attempt) encode(models []memmodel.Model, preprocess bool) (*encode.Encoder, error) {
 	cfg := a.opts.encodeConfig()
 	cfg.Preprocess = cfg.Preprocess && preprocess
@@ -486,10 +489,10 @@ func (a *attempt) satRound(pending []*Result) (*encode.Encoder, error) {
 		return nil, nil
 	}
 
-	// Inclusion check. The formula is encoded and preprocessed once for
-	// every pending model and solved by one solver. On a sweep, every
-	// non-leader reuses the leader's encoding and the specification's
-	// exclusion clauses.
+	// Inclusion check. The formula is encoded, and armed for
+	// preprocessing, once for every pending model and solved by one
+	// solver. On a sweep, every non-leader reuses the leader's encoding
+	// and the specification's exclusion clauses.
 	models := make([]memmodel.Model, len(pending))
 	for i, res := range pending {
 		models[i] = res.Model
@@ -586,8 +589,8 @@ func (r *Result) fail(t *trace.Trace) {
 
 // recordFormula copies the inclusion formula's size and its solver's
 // counters into st. Sizes overwrite — a check reports its final
-// round's formula — while chronological backtracks add up across
-// rounds.
+// round's formula — while chronological backtracks and preprocessing
+// time add up across rounds.
 func (st *Stats) recordFormula(enc *encode.Encoder) {
 	s := enc.S.Stats()
 	st.SolverStats = s
@@ -595,12 +598,12 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 	st.TransitivityClauses = enc.TransitivityClauses()
 	st.Gates = enc.B.NumGates()
 	st.PreCNFVars, st.PreCNFClauses = s.PreVars, s.PreClauses
-	if s.PreClauses == 0 {
+	if !s.Preprocessed {
 		// Preprocessing did not run; pre-minimization size is the
 		// final size.
 		st.PreCNFVars, st.PreCNFClauses = s.Vars, s.Clauses
 	}
-	st.PreprocessTime = s.PreprocessTime
+	st.PreprocessTime += s.PreprocessTime
 	st.ChronoBacktracks += s.ChronoBacktracks
 	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
 }

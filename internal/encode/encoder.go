@@ -72,14 +72,16 @@ type Config struct {
 	// structural rewriting at gate construction and Plaisted–Greenbaum
 	// polarity-aware CNF encoding instead of full two-polarity Tseitin.
 	Minimize bool
-	// Preprocess marks a formula that is preprocessed before its first
-	// solve: PreprocessCNF runs CNF preprocessing (root-unit
-	// simplification and SatELite-style bounded variable
-	// elimination), and the solver loads the clauses in bulk, unwatched
-	// (sat.Solver.BulkLoad), since preprocessing rebuilds the database
-	// anyway. Leave it off for a formula solved as encoded (the bound
-	// probes, the Serial mine): it then loads one clause at a time,
-	// propagating units as they arrive, which keeps it smaller.
+	// Preprocess marks a formula armed for CNF preprocessing:
+	// PreprocessCNF arms its solver (sat.Solver.ArmPreprocess), which
+	// runs root-unit simplification and SatELite-style bounded variable
+	// elimination once the formula's search passes a fixed number of
+	// conflicts, and the solver loads the clauses in bulk, unwatched
+	// (sat.Solver.BulkLoad), attaching them all at the first solve.
+	// Only the inclusion formula is armed. Leave it off for a formula
+	// solved as encoded (the bound probes, the Serial mine): it then
+	// loads one clause at a time, propagating units as they arrive,
+	// which keeps it smaller.
 	Preprocess bool
 	// OrderReduce enables the model-aware reduction of the memory-order
 	// encoding: order variables forced by program order together with
@@ -289,12 +291,15 @@ func (e *Encoder) pollAbort() error {
 	return nil
 }
 
-// PreprocessCNF runs CNF preprocessing over the clauses emitted so
-// far, honoring the incremental contract: the given root literals
-// (error literal, observation bits — anything later clauses,
-// assumptions, or blocking clauses will mention) are frozen against
-// elimination, and so is every memory-order variable, by the order
-// theory that constrains it (sat.Solver.SetOrder). Callers must
+// PreprocessCNF arms CNF preprocessing over the clauses emitted so
+// far (sat.Solver.ArmPreprocess: the pass runs inside a later solve,
+// once the formula's search has passed a fixed number of conflicts),
+// honoring the incremental contract: the given root literals (error
+// literal, observation bits — anything later clauses, assumptions, or
+// blocking clauses will mention) are frozen against elimination, and
+// so is every memory-order variable, by the order theory that
+// constrains it (sat.Solver.SetOrder), and every variable created
+// from now on, such as the gates of exclusion clauses. Callers must
 // materialize those roots before calling this, and only add clauses
 // over frozen (or fresh) variables afterwards. A no-op unless
 // Cfg.Preprocess is set.
@@ -310,7 +315,7 @@ func (e *Encoder) PreprocessCNF(roots ...sat.Lit) {
 	for _, v := range e.SelectorSatVars() {
 		e.S.Freeze(v)
 	}
-	e.S.Preprocess()
+	e.S.ArmPreprocess()
 }
 
 // Encode compiles all threads and asserts the memory model axioms.

@@ -178,7 +178,8 @@ func (t Test) Observable(model memmodel.Model) (bool, error) {
 	bodies = append(bodies, t.threads...)
 	info := ranges.Analyze(bodies)
 	// The formula is solved as encoded, so it loads without the bulk
-	// intake of a preprocessed one (see encode.Config.Preprocess).
+	// intake of one armed for preprocessing (see
+	// encode.Config.Preprocess).
 	cfg := encode.DefaultConfig()
 	cfg.Preprocess = false
 	e := encode.NewWithConfig(model, info, cfg)

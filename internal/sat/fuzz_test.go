@@ -17,14 +17,17 @@ import (
 // them; bit 0x10 first runs a throwaway script on the solver, read
 // from the next byte%32 bytes (with its own count and set-up bytes),
 // and then resets it (Reset), so the script proper runs on reused
-// storage; bit 0x40 loads the clauses in bulk (BulkLoad) until the
-// first Preprocess or Solve; and bit 0x80 installs an order theory
-// (SetOrder) over 3 to 5 nodes, one more byte each for the node count
-// and every entry: a constant, or a literal over the script's
-// variables, so entries share variables. Its eager transitivity
-// clauses join the clauses the answers are checked against. Each
-// later byte is an operation:
-// AddClause, Freeze or NewVar (up to 12 variables), Preprocess (at most
+// storage; bit 0x20 makes the Preprocess step arm the pass instead
+// (arm, as ArmPreprocess does), with a threshold of 0 to 7 conflicts
+// read from the next byte, so it runs inside a later Solve, possibly
+// mid-search and under assumptions; bit 0x40 loads the clauses in
+// bulk (BulkLoad) until the first Preprocess or Solve; and bit 0x80
+// installs an order theory (SetOrder) over 3 to 5 nodes, one more
+// byte each for the node count and every entry: a constant, or a
+// literal over the script's variables, so entries share variables.
+// Its eager transitivity clauses join the clauses the answers are
+// checked against. Each later byte is an operation: AddClause, Freeze
+// or NewVar (up to 12 variables), Preprocess or its arming (at most
 // once), Solve under up to three assumptions, Solve followed by a
 // clause blocking the model and a re-solve, or a relocation of the
 // region. Every Sat answer's model, eliminated variables included,
@@ -169,8 +172,13 @@ func runScript(t *testing.T, s *Solver, r *scriptReader) {
 				s.Freeze(b % n)
 			}
 		case 4:
-			if !preprocessed {
-				preprocessed = true
+			if preprocessed {
+				continue
+			}
+			preprocessed = true
+			if setup&0x20 != 0 {
+				s.arm(int64(r.next() % 8))
+			} else {
 				s.Preprocess()
 			}
 		case 5, 6:

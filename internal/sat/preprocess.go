@@ -8,14 +8,19 @@ package sat
 // are not run: on CheckFence's inclusion formulas elimination does the
 // reduction that matters (DESIGN.md, "Formula minimization").
 //
-// Preprocess is designed to run once, after the formula is loaded and
-// before the first Solve, and to stay compatible with CheckFence's
-// incremental use of the solver afterwards. The contract is:
+// The pass runs once per formula: either at once (Preprocess), or,
+// once armed (ArmPreprocess), inside Solve when the formula's search
+// has resolved preprocessConflicts conflicts, so a formula that is
+// decided sooner never pays for it. Either way it stays compatible
+// with CheckFence's incremental use of the solver afterwards. The
+// contract is:
 //
 //   - Callers Freeze every variable that later clauses, assumptions,
 //     or model reads may mention (error literal, observation bits,
 //     memory-order variables). Frozen variables are never eliminated.
-//   - Clauses added after Preprocess (the mining loop's blocking
+//     While the solver is armed, every new variable and every
+//     assumption of a Solve is frozen as well.
+//   - Clauses added after the pass (the mining loop's blocking
 //     clauses, the inclusion check's exclusion clauses) may therefore
 //     only mention live variables; AddClause panics otherwise, which
 //     turns a contract violation into a loud failure instead of a
@@ -41,10 +46,38 @@ const (
 	bveRounds   = 3
 )
 
+// preprocessConflicts is the search effort after which an armed
+// solver runs the pass: the conflicts the formula has resolved since
+// ArmPreprocess, counted over all its solves. Most inclusion formulas
+// are decided in fewer, and for them the pass would cost more than the
+// whole search (DESIGN.md, "Formula minimization").
+const preprocessConflicts = 100
+
+// ArmPreprocess schedules Preprocess instead of running it: Solve runs
+// the pass at the root once the formula has resolved
+// preprocessConflicts conflicts since arming. Variables created from
+// now on, and the assumptions of every Solve until the pass, are
+// frozen, since later clauses and solves may mention them. Learnt
+// clauses are dropped at the pass: elimination keeps every clause
+// implied over the surviving variables, so the search stays sound.
+func (s *Solver) ArmPreprocess() { s.arm(preprocessConflicts) }
+
+// arm is ArmPreprocess with the threshold k as a parameter.
+func (s *Solver) arm(k int64) {
+	s.armed, s.armK, s.armedAt = true, k, s.stats.Conflicts
+}
+
+// passDue reports whether an armed solver has resolved enough
+// conflicts to run its pass. Solve asks at entry and after every
+// conflict it resolves.
+func (s *Solver) passDue() bool {
+	return s.armed && s.stats.Conflicts-s.armedAt >= s.armK
+}
+
 // Preprocess simplifies the root-level clause database in place.
 // It returns false when simplification derives unsatisfiability
-// (subsequent Solve calls return Unsat). Learned clauses are dropped:
-// preprocessing is meant to run before search. An installed order
+// (subsequent Solve calls return Unsat). Learned clauses are dropped,
+// and the solver is no longer armed (ArmPreprocess). An installed order
 // theory (SetOrder) constrains frozen variables only, so every
 // simplification stays sound with it; root units derived here reach
 // it at the next propagation.
@@ -54,6 +87,8 @@ func (s *Solver) Preprocess() bool {
 	}
 	start := time.Now()
 	defer func() { s.preStats.preprocessTime += time.Since(start) }()
+	s.armed = false
+	s.preStats.ran, s.preStats.conflicts = true, s.stats.Conflicts
 	s.cancelUntil(0)
 	s.attachPending()
 	if s.propagate() != crefUndef {

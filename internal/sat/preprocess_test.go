@@ -365,3 +365,61 @@ func TestPreprocessPinned(t *testing.T) {
 		t.Errorf("structured CNF: preprocess digest %#x, want %#x", got, want)
 	}
 }
+
+// TestArmPreprocess: an armed solver runs the pass inside Solve right
+// after the conflict that reaches preprocessConflicts, and a formula
+// decided sooner never runs it. Variables created while armed are
+// frozen; once the pass has run, new variables are not.
+func TestArmPreprocess(t *testing.T) {
+	easy := New()
+	vs := newVars(easy, 3)
+	easy.AddClause(Pos(vs[0]), Pos(vs[1]))
+	easy.AddClause(Neg(vs[1]), Pos(vs[2]))
+	easy.ArmPreprocess()
+	if v := easy.NewVar(); !easy.frozen[v] {
+		t.Error("a variable created while armed is not frozen")
+	}
+	if got := easy.Solve(); got != Sat {
+		t.Fatalf("easy formula: Solve = %v, want Sat", got)
+	}
+	if st := easy.Stats(); st.Preprocessed || st.PreClauses != 0 || st.VarsEliminated != 0 {
+		t.Errorf("easy formula ran the pass: %+v", st)
+	}
+
+	// Pigeonhole, 7 pigeons in 6 holes: more conflicts than the
+	// threshold.
+	hard := New()
+	const n = 6
+	var p [n + 1][n]int
+	for i := range p {
+		for j := range p[i] {
+			p[i][j] = hard.NewVar()
+		}
+	}
+	for i := range p {
+		lits := make([]Lit, n)
+		for j := range lits {
+			lits[j] = Pos(p[i][j])
+		}
+		hard.AddClause(lits...)
+	}
+	for j := 0; j < n; j++ {
+		for i1 := range p {
+			for i2 := i1 + 1; i2 < len(p); i2++ {
+				hard.AddClause(Neg(p[i1][j]), Neg(p[i2][j]))
+			}
+		}
+	}
+	hard.ArmPreprocess()
+	if got := hard.Solve(); got != Unsat {
+		t.Fatalf("pigeonhole: Solve = %v, want Unsat", got)
+	}
+	st := hard.Stats()
+	if !st.Preprocessed || st.PreprocessConflicts != preprocessConflicts || st.Conflicts <= preprocessConflicts {
+		t.Errorf("pigeonhole: pass ran = %v after %d of %d conflicts, want a pass after exactly %d",
+			st.Preprocessed, st.PreprocessConflicts, st.Conflicts, preprocessConflicts)
+	}
+	if v := hard.NewVar(); hard.frozen[v] {
+		t.Error("a variable created after the pass is frozen")
+	}
+}

@@ -19,11 +19,13 @@
 // (learnts.go). One theory is built in (order.go): a matrix of
 // literals is a strict total order, propagated in place of the
 // memory order's cubically many transitivity clauses. SatELite-style
-// preprocessing (preprocess.go) simplifies the formula once before
-// search; a formula bound for it loads unwatched (BulkLoad) and gets
-// its watch lists in one pass at the first Solve. Clauses live in one
-// flat, pointer-free region addressed by 32-bit references, problem
-// binaries as bare literal pairs beside it (store.go).
+// preprocessing (preprocess.go) simplifies a formula armed for it
+// once, inside its search, when that search has resolved a fixed
+// number of conflicts; an armed formula loads unwatched (BulkLoad)
+// and gets its watch lists in one pass at the first Solve. Clauses
+// live in one flat, pointer-free region addressed by 32-bit
+// references, problem binaries as bare literal pairs beside it
+// (store.go).
 package sat
 
 import (
@@ -196,7 +198,8 @@ func (o *varOrder) rebuild() {
 }
 
 // Stats reports solver work counters. The Pre* and preprocessing
-// fields are zero unless Preprocess ran. Clauses and PreClauses count
+// fields are zero unless the pass ran (Preprocess, or an armed
+// solver's Solve: see ArmPreprocess). Clauses and PreClauses count
 // stored problem clauses only: the order theory (SetOrder) stores none
 // of the transitivity clauses it stands for. After bulk intake
 // (BulkLoad) PreClauses is a little larger: units are not propagated
@@ -210,11 +213,15 @@ type Stats struct {
 	Propagations int64
 	Restarts     int64
 
-	// Preprocessing counters (see Preprocess).
-	PreVars        int
-	PreClauses     int
-	VarsEliminated int
-	PreprocessTime time.Duration
+	// Preprocessing counters (see Preprocess). Preprocessed says
+	// whether the pass ran, PreprocessConflicts how many conflicts the
+	// formula had resolved by then.
+	Preprocessed        bool
+	PreprocessConflicts int64
+	PreVars             int
+	PreClauses          int
+	VarsEliminated      int
+	PreprocessTime      time.Duration
 
 	// Learnt-database counters (see learnts.go): ChronoBacktracks
 	// counts conflicts resolved by a chronological (one-level)
@@ -317,6 +324,12 @@ type Solver struct {
 	elimLits   []Lit
 	extVals    []lbool
 	preStats   preStats
+
+	// armed is set from ArmPreprocess until the pass runs: Solve runs it
+	// once the conflict counter is armK past armedAt.
+	armed   bool
+	armK    int64
+	armedAt int64
 }
 
 // elimEntry records one eliminated variable together with the
@@ -329,6 +342,8 @@ type elimEntry struct {
 }
 
 type preStats struct {
+	ran            bool
+	conflicts      int64
 	preVars        int
 	preClauses     int
 	varsEliminated int
@@ -413,7 +428,7 @@ func (s *Solver) NewVar() int {
 	s.order.indices = append(s.order.indices, -1)
 	s.order.push(v)
 	s.seen = append(s.seen, false)
-	s.frozen = append(s.frozen, false)
+	s.frozen = append(s.frozen, s.armed)
 	s.eliminated = append(s.eliminated, false)
 	s.extVals = append(s.extVals, lUndef)
 	s.stats.Vars++
@@ -458,12 +473,13 @@ func growCap[T any](xs []T, n int) []T {
 // answers Unsat. Preprocess leaves the solver in bulk mode again, so
 // clauses added between it and the first Solve load the same way.
 //
-// Bulk intake suits a formula that Preprocess rebuilds anyway: it
-// ends with the same working set as one-by-one intake, without the
-// watch lists Preprocess would throw away. A formula solved as loaded
-// is better off without it: propagating each unit as it arrives drops
-// root-satisfied clauses and false literals from the clauses after
-// it, which keeps that formula smaller.
+// Bulk intake suits a formula armed for preprocessing
+// (ArmPreprocess): if the pass runs, it ends with the same working set
+// as one-by-one intake, and if it does not, every watch list is still
+// built in one pass instead of one append at a time. A formula solved
+// as loaded is better off without it: propagating each unit as it
+// arrives drops root-satisfied clauses and false literals from the
+// clauses after it, which keeps that formula smaller.
 func (s *Solver) BulkLoad() { s.bulk = true }
 
 // attachPending ends bulk mode: it builds every watch list over the
@@ -507,6 +523,8 @@ func (s *Solver) Stats() Stats {
 			st.TierLocal++
 		}
 	}
+	st.Preprocessed = s.preStats.ran
+	st.PreprocessConflicts = s.preStats.conflicts
 	st.PreVars = s.preStats.preVars
 	st.PreClauses = s.preStats.preClauses
 	st.VarsEliminated = s.preStats.varsEliminated
@@ -1077,8 +1095,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if s.eliminated[a.Var()] {
 			panic(fmt.Sprintf("sat: assumption %v references eliminated variable", a))
 		}
+		if s.armed {
+			s.frozen[a.Var()] = true
+		}
 	}
 	s.cancelUntil(0)
+	if s.passDue() && !s.Preprocess() {
+		return Unsat
+	}
 	s.attachPending()
 	if s.propagate() != crefUndef {
 		s.ok = false
@@ -1127,6 +1151,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.record(learnt)
 			s.varInc /= 0.95
 			s.claInc /= 0.999
+			if s.passDue() {
+				// The formula has shown it is not easy: run the armed
+				// pass (ArmPreprocess) and search on from the root.
+				if !s.Preprocess() {
+					return Unsat
+				}
+				s.attachPending()
+			}
 			continue
 		}
 

@@ -37,10 +37,12 @@ type SweepCheck struct {
 }
 
 // NewSweepCheck materializes the error literal and observation bits of
-// an encoder and preprocesses its CNF with them frozen (phase 2's
+// an encoder and arms CNF preprocessing with them frozen (phase 2's
 // exclusion clauses reference the bits in both polarities; a sweep's
-// selector variables are frozen by the encoder). The encoder must have
-// overflow excluded.
+// selector variables are frozen by the encoder): the pass runs inside
+// a later solve, and only once the check's search has passed a fixed
+// number of conflicts (encode.Encoder.PreprocessCNF). The encoder must
+// have overflow excluded.
 func NewSweepCheck(e *encode.Encoder, entries []Entry) (*SweepCheck, error) {
 	svs, err := obsVals(e, entries)
 	if err != nil {
