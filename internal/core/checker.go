@@ -116,12 +116,14 @@ type Stats struct {
 	// equal the final counts when the pass did not run: preprocessing
 	// is disabled, or the search decided the formula before reaching
 	// the pass's conflict threshold (SolverStats.Preprocessed). What
-	// preprocessing removed is in SolverStats; PreprocessTime adds up
-	// over the rounds of the check.
+	// preprocessing removed is in SolverStats. PreprocessTime adds up
+	// over the rounds of the check; in a sweep it lands on the model
+	// whose solve ran the pass, and it is part of that model's
+	// RefuteTime.
 	Gates          int
 	PreCNFVars     int
 	PreCNFClauses  int
-	PreprocessTime time.Duration // included in RefuteTime
+	PreprocessTime time.Duration
 
 	ObsSetSize     int
 	MineIterations int
@@ -165,10 +167,10 @@ type Stats struct {
 	// result shared rather than re-encoded. SweepEarlyExit is 1 when
 	// the verdict came from replaying a stronger model's
 	// counterexample under this model's axioms without solving. Shared
-	// group costs — mining, encoding, preprocessing, probe time,
-	// solver counters — are attributed to the leader (the strongest
-	// model); every group member reports the group's wall-clock time
-	// as its TotalTime.
+	// group costs — mining, encoding, probe time, solver counters — are
+	// attributed to the leader (the strongest model), preprocessing to
+	// the model whose solve ran the pass; every group member reports
+	// the group's wall-clock time as its TotalTime.
 	SweepGroups    int
 	SweepModels    int
 	SelectorVars   int
@@ -177,8 +179,13 @@ type Stats struct {
 	SeededObs      int
 	SweepEarlyExit int
 
-	ProbeTime  time.Duration // lazy loop bound probes and the re-unrollings they cause
-	MineTime   time.Duration // specification mining
+	// ProbeTime covers the lazy loop bound probes and the re-unrollings
+	// they cause. A probed unrolling's probe formula is also its Serial
+	// mine, so the one encoding of both is booked here, and MineTime
+	// holds the mining solves, the seriality clauses added to the probe
+	// formula, and the Serial encoding of an unrolling never probed.
+	ProbeTime  time.Duration
+	MineTime   time.Duration
 	EncodeTime time.Duration // building the inclusion formula
 	RefuteTime time.Duration // SAT solving of the inclusion check
 	TotalTime  time.Duration
@@ -270,16 +277,7 @@ func beginAttempt() (ranAlone func() bool) {
 
 // checkAttempt is the one attempt loop of the pipeline: it decides the
 // given models (strongest first) — one for a single check or several
-// for a sweep group.
-//
-// Lazy loop unrolling follows the paper's §3.3 order: a round runs at
-// the current bounds first, and a counterexample decides its model
-// whatever the loop bounds. Only if models pass does the bound loop
-// (harness.Unrolling.Converge, shared with the commit-point baseline)
-// probe for executions that exceed the bounds and grow them until the
-// probe is refuted; one more round then runs for the still-pending
-// models at the converged bounds (intermediate bound levels need no
-// round: they only add executions, which the final round covers).
+// for a sweep group — with attempt.run.
 //
 // Each model keeps one Result across rounds: sizes (unrolling,
 // formula, observation set) come from its final round, while times and
@@ -294,14 +292,7 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 	ranAlone := beginAttempt()
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	results = make([]*Result, len(models))
-	for i, m := range models {
-		res := &Result{Impl: impl.Name, Test: test.Name, Model: m, Verdict: VerdictUnknown}
-		if len(models) > 1 {
-			res.Stats.SweepGroups, res.Stats.SweepModels = 1, len(models)
-		}
-		results[i] = res
-	}
+	results = newResults(impl, test, models)
 	// TotalTime and AllocBytes are set here, once, so every return path
 	// (early counterexample, bounds already sufficient, converged
 	// re-check, error) reports them consistently. A result still
@@ -326,47 +317,104 @@ func checkAttempt(impl *harness.Impl, test *harness.Test, models []memmodel.Mode
 	if err := a.start(); err != nil {
 		return results, err
 	}
+	return results, a.run(results)
+}
+
+// newResults returns the undecided results of an attempt over models.
+func newResults(impl *harness.Impl, test *harness.Test, models []memmodel.Model) []*Result {
+	results := make([]*Result, len(models))
+	for i, m := range models {
+		res := &Result{Impl: impl.Name, Test: test.Name, Model: m, Verdict: VerdictUnknown}
+		if len(models) > 1 {
+			res.Stats.SweepGroups, res.Stats.SweepModels = 1, len(models)
+		}
+		results[i] = res
+	}
+	return results
+}
+
+// run decides results (strongest first) on the started attempt.
+//
+// Lazy loop unrolling follows the paper's §3.3 order: a round runs at
+// the current bounds first, and a counterexample decides its model
+// whatever the loop bounds. Only if models pass do the bounds grow, by
+// the bound loop harness.Unrolling.Converge shares with the
+// commit-point baseline, until the probe is refuted; one more round
+// then runs for the still-pending models at the converged bounds
+// (intermediate bound levels need no round: they only add executions,
+// which the final round covers).
+//
+// The probe of an unrolling encodes the program under SC, and a
+// round's Serial mine is the SC executions whose operations are
+// contiguous, so a round mines on the probe formula of its bounds
+// (encode.Encoder.RestrictToSerial) instead of encoding the program
+// again: the initial bounds are probed before their round, whose
+// counterexamples still decide before any bound grows, and the
+// converged bounds' round mines on the probe that refuted growth.
+// Every pending model probes under the same model (the probe maps
+// everything at or below SC to SC), so one probe sequence serves a
+// whole sweep.
+func (a *attempt) run(results []*Result) error {
+	model, probeTime := results[0].Model, &results[0].Stats.ProbeTime
+	var ids []int
+	err := timed(probeTime, func() (err error) {
+		ids, err = a.u.Probe(model, a.probe)
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	pending, err := a.round(results)
 	if err != nil || len(pending) == 0 {
-		return results, err
+		return err
 	}
-	// Every pending model probes under the same model (the probe maps
-	// everything at or below SC to SC), so one probe sequence serves a
-	// whole sweep.
-	probeStart := time.Now()
-	grew, err := a.u.Converge(pending[0].Model, a.probe)
-	results[0].Stats.ProbeTime += time.Since(probeStart)
-	if err != nil {
-		return results, err
-	}
-	a.recycle(a.lastProbe)
-	a.lastProbe = nil
-	if grew {
+	if len(ids) > 0 {
+		err := timed(probeTime, func() error {
+			if err := a.u.Grow(ids); err != nil {
+				return err
+			}
+			_, err := a.u.Converge(model, a.probe)
+			return err
+		})
+		if err != nil {
+			return err
+		}
 		if pending, err = a.round(pending); err != nil {
-			return results, err
+			return err
 		}
 	}
 	// Whatever is still pending passed at the converged bounds.
 	for _, res := range pending {
 		res.Pass, res.Verdict = true, VerdictPass
 	}
-	return results, nil
+	return nil
+}
+
+// timed runs f and adds its time to *d.
+func timed(d *time.Duration, f func() error) error {
+	start := time.Now()
+	err := f()
+	*d += time.Since(start)
+	return err
 }
 
 // attempt is the state of one checkAttempt pass: the check, its
 // strategy and deadline, the model-independent front end at the
 // current loop bounds, and the encoder its formulas recycle.
 //
-// The formulas of an attempt (the Serial mine, the inclusion check,
-// the bound probes) are built one after another, and each is dead
+// The formulas of an attempt (the bound probes, the Serial mine, the
+// inclusion check) are built one after another, and each is dead
 // before the next is built, so they share one solver and one circuit
 // builder: spare is the last encoder nothing reads any more, and
-// encode builds the next formula on its storage. An encoder becomes
-// spare only where its last reader is done with it — the Serial miner
-// once mineSpec returns (the sequential-bug trace is decoded inside
-// it), a probe once Converge has read its answer, and the inclusion
-// encoder once satRound returns (trace.Build copies the values of a
-// counterexample out) — and never when its Encode failed.
+// encode builds the next formula on its storage. probed is the probe
+// of the current unrolling until the round's mine takes it over
+// (serialFormula) or the round mines without it. An encoder becomes
+// spare only where its last reader is done with it — a probe that
+// Converge grew past once it asks for the next, the Serial miner once
+// mineSpec returns (the sequential-bug trace is decoded inside it), a
+// probe nothing mined on then too, and the inclusion encoder once
+// satRound returns (trace.Build copies the values of a counterexample
+// out) — and never when its Encode failed.
 type attempt struct {
 	impl     *harness.Impl
 	test     *harness.Test
@@ -376,8 +424,11 @@ type attempt struct {
 	built *harness.Built
 	u     *harness.Unrolling
 
-	spare     *encode.Encoder
-	lastProbe *encode.Encoder
+	spare  *encode.Encoder
+	probed *encode.Encoder
+
+	// formulas counts the formulas the attempt encoded, by kind.
+	formulas struct{ probe, serial, inclusion int }
 }
 
 // start builds the harness and unrolls it at the initial bounds.
@@ -423,13 +474,15 @@ func (a *attempt) recycle(enc *encode.Encoder) {
 
 // probe builds the bound-probe formula of the current unrolling under
 // model m, with the check's encoder configuration and resource limits.
-// Converge asks for a probe only once it has read the answer of the
-// one before, so that one is recycled here; checkAttempt recycles the
-// last one when Converge returns.
+// The bound loop asks for a probe only once it has read the answer of
+// the one before, at the bounds that answer grew, so that one is
+// recycled here; the last one stays the probe of the current
+// unrolling for its round to mine on.
 func (a *attempt) probe(m memmodel.Model) (*encode.Encoder, error) {
-	a.recycle(a.lastProbe)
+	a.recycle(a.probed)
+	a.formulas.probe++
 	enc, err := a.encode([]memmodel.Model{m}, false)
-	a.lastProbe = enc
+	a.probed = enc
 	return enc, err
 }
 
@@ -498,6 +551,7 @@ func (a *attempt) satRound(pending []*Result) (*encode.Encoder, error) {
 		models[i] = res.Model
 	}
 	encodeStart := time.Now()
+	a.formulas.inclusion++
 	enc, err := a.encode(models, true)
 	if err != nil {
 		return nil, err
@@ -561,9 +615,13 @@ func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
 			res.Stats.SweepEarlyExit = 1
 			continue
 		}
-		solveStart := time.Now()
+		// The armed preprocessing pass runs inside whichever solve
+		// reaches its conflict threshold, so its time is booked on the
+		// model of that solve, whose RefuteTime holds it.
+		solveStart, preBefore := time.Now(), enc.S.Stats().PreprocessTime
 		cex, err := solve(res.Model)
 		res.Stats.RefuteTime += time.Since(solveStart)
+		res.Stats.PreprocessTime += enc.S.Stats().PreprocessTime - preBefore
 		if err != nil {
 			return nil, err
 		}
@@ -589,8 +647,8 @@ func (r *Result) fail(t *trace.Trace) {
 
 // recordFormula copies the inclusion formula's size and its solver's
 // counters into st. Sizes overwrite — a check reports its final
-// round's formula — while chronological backtracks and preprocessing
-// time add up across rounds.
+// round's formula — while chronological backtracks add up across
+// rounds. Preprocessing time is booked by solvePhase instead.
 func (st *Stats) recordFormula(enc *encode.Encoder) {
 	s := enc.S.Stats()
 	st.SolverStats = s
@@ -603,7 +661,6 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 		// final size.
 		st.PreCNFVars, st.PreCNFClauses = s.Vars, s.Clauses
 	}
-	st.PreprocessTime += s.PreprocessTime
 	st.ChronoBacktracks += s.ChronoBacktracks
 	st.OrderVarsFixed, st.OrderVarsMerged = enc.OrderVarsFixed, enc.OrderVarsMerged
 }
@@ -616,8 +673,14 @@ func (st *Stats) recordFormula(enc *encode.Encoder) {
 // the cache never shares failures). Cache traffic and the iteration
 // count land in res.Stats. When a serial execution reaches a runtime
 // error, the decoded sequential-bug trace is returned instead of a
-// set; the caller owns its validation.
+// set; the caller owns its validation. The probe of the current
+// unrolling is spare when mineSpec returns, whether the mine took it
+// over or not.
 func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
+	defer func() {
+		a.recycle(a.probed)
+		a.probed = nil
+	}()
 	opts := a.opts
 	if opts.Spec != nil {
 		return opts.Spec, nil, nil
@@ -630,10 +693,9 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 			return set, 0, err
 		default:
 			var err error
-			if serialEnc, err = a.encode([]memmodel.Model{memmodel.Serial}, false); err != nil {
+			if serialEnc, err = a.serialFormula(); err != nil {
 				return nil, 0, err
 			}
-			serialEnc.AssertNoOverflow()
 			mined, stats, err := spec.MineWith(serialEnc, a.built.Entries,
 				spec.Strategy{Faults: opts.Faults})
 			return mined, stats.Iterations, err
@@ -672,6 +734,26 @@ func (a *attempt) mineSpec(res *Result) (*spec.Set, *trace.Trace, error) {
 	a.recycle(serialEnc)
 	res.Stats.MineIterations = iterations
 	return mined, nil, nil
+}
+
+// serialFormula returns the Serial mine of the current unrolling with
+// every loop kept within its bound: the unrolling's probe formula
+// restricted to serial executions when it was probed, which takes the
+// probe over, and a Serial encoding of its own otherwise (an unrolling
+// without a loop that can overflow is never probed).
+func (a *attempt) serialFormula() (*encode.Encoder, error) {
+	if enc := a.probed; enc != nil {
+		a.probed = nil
+		enc.RestrictToSerial()
+		return enc, nil
+	}
+	a.formulas.serial++
+	enc, err := a.encode([]memmodel.Model{memmodel.Serial}, false)
+	if err != nil {
+		return nil, err
+	}
+	enc.AssertNoOverflow()
+	return enc, nil
 }
 
 // validateCex independently re-checks a decoded counterexample (axiom

@@ -4,10 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"checkfence/internal/bitvec"
 	"checkfence/internal/encode"
 	"checkfence/internal/memmodel"
-	"checkfence/internal/sat"
 )
 
 // TestPreprocessPolicy pins when the inclusion formula's armed
@@ -61,39 +59,46 @@ func TestPreprocessPolicy(t *testing.T) {
 	}
 }
 
-// TestRecordFormulaAddsPreprocessTime: a check reports the sum of its
-// rounds' preprocessing times, as it does their refute times, which
-// include them; sizes are the final round's. Each round here is a
-// formula preprocessed on its own solver, as a bound round's inclusion
-// formula is.
-func TestRecordFormulaAddsPreprocessTime(t *testing.T) {
-	var st Stats
-	var sum, last time.Duration
-	for round := 0; round < 2; round++ {
-		s := sat.New()
-		n := 2000 + 1000*round
-		for i := 0; i < n; i++ {
-			s.NewVar()
-		}
-		// An implication chain: every inner variable is eliminable.
-		for v := 0; v+1 < n; v++ {
-			s.AddClause(sat.Neg(v), sat.Pos(v+1))
-		}
-		s.Freeze(0)
-		s.Freeze(n - 1)
-		if !s.Preprocess() {
-			t.Fatalf("round %d: the chain is satisfiable", round)
-		}
-		st.recordFormula(&encode.Encoder{S: s, B: bitvec.NewBuilder(s)})
-		last = s.Stats().PreprocessTime
-		sum += last
-		if st.PreCNFClauses != n-1 || st.CNFClauses >= st.PreCNFClauses {
-			t.Errorf("round %d: sizes %d -> %d, want the round's own %d -> fewer",
-				round, st.PreCNFClauses, st.CNFClauses, n-1)
-		}
+// TestPreprocessTimePerModel: in a sweep the armed pass runs inside
+// the solve of whichever model reaches its conflict threshold, and its
+// time is booked on that model, inside that model's RefuteTime; the
+// models' preprocessing times add up to the shared solver's. Both rows
+// are decided in one round, so the leader's solver record is the only
+// inclusion formula of the group. snark/D0's leader (SC) runs the pass;
+// ms2/T53's SC, TSO and PSO solves stay below the threshold, and
+// Relaxed's runs it.
+func TestPreprocessTimePerModel(t *testing.T) {
+	rows := []struct {
+		impl, test string
+		ran        memmodel.Model // the model whose solve runs the pass
+	}{
+		{"snark", "D0", memmodel.SequentialConsistency},
+		{"ms2", "T53", memmodel.Relaxed},
 	}
-	if st.PreprocessTime != sum || sum <= last {
-		t.Errorf("PreprocessTime = %v, want the sum %v of both rounds (final round alone %v)",
-			st.PreprocessTime, sum, last)
+	for _, row := range rows {
+		results := RunSuite(fourModelJobs(row.impl, row.test, Options{}), SuiteOptions{Parallelism: 1})
+		requireAllRan(t, results)
+		var sum time.Duration
+		for _, r := range results {
+			st, m := r.Res.Stats, r.Job.Opts.Model
+			if st.BoundRounds != 1 || st.SweepGroups != 1 {
+				t.Fatalf("%s/%s on %v: %d bound rounds, sweep groups %d; want one sweep round",
+					row.impl, row.test, m, st.BoundRounds, st.SweepGroups)
+			}
+			if st.PreprocessTime > st.RefuteTime {
+				t.Errorf("%s/%s on %v: preprocessing %v outside refute time %v",
+					row.impl, row.test, m, st.PreprocessTime, st.RefuteTime)
+			}
+			if (st.PreprocessTime > 0) != (m == row.ran) {
+				t.Errorf("%s/%s on %v: preprocessing %v, want time only on %v",
+					row.impl, row.test, m, st.PreprocessTime, row.ran)
+			}
+			sum += st.PreprocessTime
+		}
+		solver := results[0].Res.Stats.SolverStats
+		if !solver.Preprocessed || sum != solver.PreprocessTime {
+			t.Errorf("%s/%s: models' preprocessing times add up to %v; the solver's pass (ran: %v) took %v",
+				row.impl, row.test, sum, solver.Preprocessed, solver.PreprocessTime)
+		}
 	}
 }

@@ -149,6 +149,10 @@ type Encoder struct {
 	selectors     []bitvec.Node
 	SelectorUnits int
 
+	// probeAct is the activation literal of the clauses ProbeOverflows
+	// adds; the zero value, True, until the first probe allocates it.
+	probeAct bitvec.Node
+
 	// abortErr caches the first non-nil Cfg.Abort result; once set,
 	// every remaining encode loop bails without re-polling.
 	abortErr error
@@ -1098,8 +1102,8 @@ func (e *Encoder) ErrorNode() bitvec.Node {
 }
 
 // AssertNoOverflow constrains every loop to stay within its unrolling
-// bound (used for regular checking; the lazy-bound probe asserts the
-// opposite in a fresh encoder).
+// bound (used for regular checking; the lazy-bound probe asks for the
+// opposite, under an activation literal).
 func (e *Encoder) AssertNoOverflow() {
 	for _, id := range e.overflowIDs() {
 		e.B.Assert(e.Overflow[id].Not())
@@ -1125,6 +1129,12 @@ func (e *Encoder) AssertSomeOverflow() {
 // until that is refuted or every loop is flagged. The probe encoding is
 // never preprocessed, so each re-solve is incremental.
 //
+// Every clause the probe adds is guarded by one activation literal,
+// and each solve assumes it, so the probe leaves the formula itself
+// untouched: what the solver learns stays implied by the encoding,
+// and RestrictToSerial can turn the finished probe into the Serial
+// mine of the same unrolling.
+//
 // The status is Unsat when no loop can overflow (ids is empty), Sat
 // when ids lists, in ascending order, every loop that can, and Unknown
 // when a solve stopped (stop predicate, deadline or budget) before the
@@ -1134,14 +1144,21 @@ func (e *Encoder) AssertSomeOverflow() {
 func (e *Encoder) ProbeOverflows() ([]int, sat.Status) {
 	var ids []int
 	remaining := e.overflowIDs()
-	guards := make([]bitvec.Node, 0, len(remaining))
+	if len(remaining) == 0 {
+		return nil, sat.Unsat
+	}
+	if e.probeAct == bitvec.True {
+		e.probeAct = e.B.Var()
+	}
+	act := e.B.Lit(e.probeAct)
+	clause := make([]bitvec.Node, 0, len(remaining)+1)
 	for len(remaining) > 0 {
-		guards = guards[:0]
+		clause = append(clause[:0], e.probeAct.Not())
 		for _, id := range remaining {
-			guards = append(guards, e.Overflow[id])
+			clause = append(clause, e.Overflow[id])
 		}
-		e.B.AssertOr(guards...)
-		st := e.S.Solve()
+		e.B.AssertOr(clause...)
+		st := e.S.Solve(act)
 		if st == sat.Unsat {
 			break
 		}
@@ -1169,6 +1186,32 @@ func (e *Encoder) ProbeOverflows() ([]int, sat.Status) {
 	}
 	slices.Sort(ids)
 	return ids, sat.Sat
+}
+
+// RestrictToSerial turns a bound probe's formula into the Serial mine
+// of the same unrolling (paper §3.2): it retires the probe's clauses
+// (their activation literal becomes false), keeps every loop within
+// its bound (AssertNoOverflow), and, on an SC formula, adds the
+// seriality axiom over its memory order, so the formula's executions
+// are exactly the serial ones. The encoder reports Serial from then
+// on, so traces decoded from it are checked against the Serial axioms.
+// The formula keeps SC's order variables, where a Serial encoding
+// would merge an operation's accesses into one class; the seriality
+// clauses stand in for that merge. Panics on a sweep encoder or a
+// model other than SC and Serial, whose executions are not a superset
+// of the serial ones.
+func (e *Encoder) RestrictToSerial() {
+	if len(e.sweep) > 0 || (e.Model != memmodel.SequentialConsistency && e.Model != memmodel.Serial) {
+		panic(fmt.Sprintf("encode: cannot restrict a %s formula to serial executions", e.Model))
+	}
+	if e.probeAct != bitvec.True {
+		e.B.Assert(e.probeAct.Not())
+	}
+	e.AssertNoOverflow()
+	if e.Model != memmodel.Serial {
+		e.assertSeriality()
+		e.Model = memmodel.Serial
+	}
 }
 
 // overflowIDs returns the loop ids of Overflow in ascending order.

@@ -89,3 +89,26 @@ func TestProbeOverflowsStoppedMidCollection(t *testing.T) {
 		t.Fatalf("stop consulted %d times; want 2 (the first solve finished, the second stopped)", calls)
 	}
 }
+
+// TestProbeLeavesFormulaIntact: the probe's "some loop overflows"
+// clauses are guarded by its activation literal, so after a probe that
+// flagged both loops, RestrictToSerial still admits the execution that
+// overflows neither, and the encoder reports Serial.
+func TestProbeLeavesFormulaIntact(t *testing.T) {
+	e := encodeThreads(t, memmodel.SequentialConsistency, nil,
+		append(havocBit("h"), overflowIf("h", 1, "A")),
+		append(havocBit("g"), overflowIf("g", 2, "B")))
+	if ids, st := e.ProbeOverflows(); st != sat.Sat || len(ids) != 2 {
+		t.Fatalf("ProbeOverflows = %v, %v; want both loops, Sat", ids, st)
+	}
+	e.RestrictToSerial()
+	if e.Model != memmodel.Serial {
+		t.Fatalf("restricted formula reports %v, want serial", e.Model)
+	}
+	if st := e.S.Solve(); st != sat.Sat {
+		t.Fatalf("restricted formula: %v, want Sat (no loop overflows)", st)
+	}
+	if got := e.OverflowingLoops(); len(got) != 0 {
+		t.Fatalf("loops %v overflow in the restricted formula", got)
+	}
+}

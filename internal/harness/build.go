@@ -302,51 +302,76 @@ func (u *Unrolling) unroll() error {
 
 // Converge is the bound loop of §3.3, run once the check has passed at
 // the current bounds: probe the current unrolling for executions that
-// leave a loop bound (encode.Encoder.ProbeOverflows flags every such
-// loop in one probe), grow every flagged loop by one, re-unroll, and
-// repeat until the probe is refuted. It reports whether any bound
-// grew; the caller then re-checks at the converged bounds. probe
-// builds the probe formula of the current unrolling under the given
-// model, with the caller's encoder configuration and resource limits.
-// A probe the solver could not finish is an error, never a partial
-// growth taken as converged.
+// leave a loop bound (Probe), grow every flagged loop by one and
+// re-unroll (Grow), and repeat until the probe is refuted. It reports
+// whether any bound grew; the caller then re-checks at the converged
+// bounds. probe builds the probe formula of the current unrolling
+// under the given model, with the caller's encoder configuration and
+// resource limits; the last formula it built is the refuted probe of
+// the converged unrolling. A probe the solver could not finish is an
+// error, never a partial growth taken as converged.
 func (u *Unrolling) Converge(model memmodel.Model,
 	probe func(memmodel.Model) (*encode.Encoder, error)) (bool, error) {
 
-	if !u.hasMarkers() {
-		return false, nil
-	}
-	model = probeModel(model)
 	first := u.Rounds
 	for {
-		enc, err := probe(model)
+		ids, err := u.Probe(model, probe)
 		if err != nil {
 			return false, err
-		}
-		ids, st := enc.ProbeOverflows()
-		if st == sat.Unknown {
-			if be := enc.S.BudgetErr(); be != nil {
-				return false, fmt.Errorf("harness: bound probe: %w: %w", spec.ErrSolverUnknown, be)
-			}
-			return false, fmt.Errorf("harness: bound probe: %w", spec.ErrSolverUnknown)
 		}
 		if len(ids) == 0 {
 			return u.Rounds > first, nil
 		}
-		if u.Rounds >= MaxUnrollings {
-			return false, fmt.Errorf("harness: loop bounds did not converge after %d rounds", u.Rounds)
-		}
-		for _, id := range ids {
-			key, ok := u.LoopKey(id)
-			if !ok {
-				return false, fmt.Errorf("harness: unknown loop id %d", id)
-			}
-			u.Bounds[key] = u.BoundFor(id) + 1
-		}
-		if err := u.unroll(); err != nil {
+		if err := u.Grow(ids); err != nil {
 			return false, err
 		}
 	}
+}
+
+// Probe is one step of the bound loop: it builds the probe formula of
+// the current unrolling under the probe model of model (probeModel)
+// and returns, in ascending order, every loop that can leave its bound
+// (encode.Encoder.ProbeOverflows flags them all in one probe); nil
+// means the probe was refuted and the bounds suffice. An unrolling
+// without a loop that can overflow is not probed at all: probe is not
+// called and the ids are nil. A probe the solver could not finish
+// returns an error wrapping spec.ErrSolverUnknown and, when a budget
+// stopped it, the typed *sat.ErrBudget.
+func (u *Unrolling) Probe(model memmodel.Model,
+	probe func(memmodel.Model) (*encode.Encoder, error)) ([]int, error) {
+
+	if !u.hasMarkers() {
+		return nil, nil
+	}
+	enc, err := probe(probeModel(model))
+	if err != nil {
+		return nil, err
+	}
+	ids, st := enc.ProbeOverflows()
+	if st == sat.Unknown {
+		if be := enc.S.BudgetErr(); be != nil {
+			return nil, fmt.Errorf("harness: bound probe: %w: %w", spec.ErrSolverUnknown, be)
+		}
+		return nil, fmt.Errorf("harness: bound probe: %w", spec.ErrSolverUnknown)
+	}
+	return ids, nil
+}
+
+// Grow is the other step of the bound loop: it grows the bound of
+// every loop in ids (a Probe answer) by one and re-unrolls, failing
+// once the unrolling has reached MaxUnrollings.
+func (u *Unrolling) Grow(ids []int) error {
+	if u.Rounds >= MaxUnrollings {
+		return fmt.Errorf("harness: loop bounds did not converge after %d rounds", u.Rounds)
+	}
+	for _, id := range ids {
+		key, ok := u.LoopKey(id)
+		if !ok {
+			return fmt.Errorf("harness: unknown loop id %d", id)
+		}
+		u.Bounds[key] = u.BoundFor(id) + 1
+	}
+	return u.unroll()
 }
 
 // hasMarkers reports whether the unrolling has a loop that can
