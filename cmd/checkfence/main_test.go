@@ -209,8 +209,8 @@ func TestStatsReportsMemory(t *testing.T) {
 
 // TestStatsReportsPreprocessing: -stats says whether the inclusion
 // formula's armed preprocessing pass ran. ms2/T0 on Relaxed is decided
-// before the pass's conflict threshold; snark/D0 on Relaxed (a FAIL)
-// passes it, and its pass shrinks the formula.
+// before the pass's conflict threshold; ms2/T54 on Relaxed passes it,
+// and its pass shrinks the formula.
 func TestStatsReportsPreprocessing(t *testing.T) {
 	stats := func(impl, test string, want int) string {
 		t.Helper()
@@ -224,16 +224,16 @@ func TestStatsReportsPreprocessing(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^preprocessing: not run \(decided in [0-9]+ conflicts\)$`).MatchString(out) {
 		t.Errorf("ms2/T0: -stats output has no \"not run\" preprocessing line:\n%s", out)
 	}
-	out = stats("snark", "D0", exitViolation)
+	out = stats("ms2", "T54", exitPass)
 	m := regexp.MustCompile(`(?m)^preprocessing after ([0-9]+) conflicts: ([0-9]+) -> ([0-9]+) clauses in \S+ \([0-9]+ vars eliminated\)$`).FindStringSubmatch(out)
 	if m == nil {
-		t.Fatalf("snark/D0: -stats output has no preprocessing line:\n%s", out)
+		t.Fatalf("ms2/T54: -stats output has no preprocessing line:\n%s", out)
 	}
 	n, _ := strconv.Atoi(m[1])
 	before, _ := strconv.Atoi(m[2])
 	after, _ := strconv.Atoi(m[3])
 	if n == 0 || after >= before {
-		t.Errorf("snark/D0: pass after %d conflicts took %d clauses to %d, want a pass during search that shrinks the formula", n, before, after)
+		t.Errorf("ms2/T54: pass after %d conflicts took %d clauses to %d, want a pass during search that shrinks the formula", n, before, after)
 	}
 }
 

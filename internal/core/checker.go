@@ -511,7 +511,7 @@ func (a *attempt) round(pending []*Result) ([]*Result, error) {
 	return passed, nil
 }
 
-// satRound mines the specification and runs both inclusion phases for
+// satRound mines the specification and runs the inclusion check for
 // the given models (strongest first) on one encoding shared by all of
 // them, deciding each failing model in place. Costs the round shares —
 // mining, encoding, preprocessing, solver counters — land on its leader
@@ -569,46 +569,26 @@ func (a *attempt) satRound(pending []*Result) (*encode.Encoder, error) {
 	}
 
 	refuteStart := time.Now()
-	sc, err := spec.NewSweepCheck(enc, a.built.Entries)
+	sc, err := spec.NewSweepCheck(enc, a.built.Entries, set)
 	lead.Stats.RefuteTime += time.Since(refuteStart)
 	if err != nil {
 		return nil, err
 	}
-	// Phase 1 for every pending model before any exclusion clause
-	// exists (see spec.SweepCheck), then phase 2 for the rest.
-	open, err := a.solvePhase(pending, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
-		return sc.ErrorCheck(m)
-	})
-	if err != nil {
+	if err := a.solveModels(pending, sc); err != nil {
 		return nil, err
-	}
-	if len(open) > 0 {
-		beginStart := time.Now()
-		err := sc.BeginInclusion(set)
-		lead.Stats.RefuteTime += time.Since(beginStart)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := a.solvePhase(open, enc, func(m memmodel.Model) (*spec.Counterexample, error) {
-			return sc.Inclusion(m)
-		}); err != nil {
-			return nil, err
-		}
 	}
 	lead.Stats.recordFormula(enc)
 	return enc, nil
 }
 
-// solvePhase runs one inclusion phase for each model, strongest first,
-// and returns the models it left undecided. A counterexample of a
+// solveModels runs the inclusion query of each model, strongest
+// first, deciding the failing ones in place. A counterexample of a
 // stronger model that replays under a weaker model's axioms decides the
 // weaker model without touching the solver (the monotonic early exit
 // of a sweep).
-func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
-	solve func(memmodel.Model) (*spec.Counterexample, error)) ([]*Result, error) {
-
+func (a *attempt) solveModels(models []*Result, sc *spec.SweepCheck) error {
+	enc := sc.Encoder()
 	var traces []*trace.Trace
-	var open []*Result
 	for _, res := range models {
 		if t := replayUnder(res.Model, traces, a.built, a.u.Unrolled); t != nil {
 			res.fail(t)
@@ -619,25 +599,24 @@ func (a *attempt) solvePhase(models []*Result, enc *encode.Encoder,
 		// reaches its conflict threshold, so its time is booked on the
 		// model of that solve, whose RefuteTime holds it.
 		solveStart, preBefore := time.Now(), enc.S.Stats().PreprocessTime
-		cex, err := solve(res.Model)
+		cex, err := sc.Check(res.Model)
 		res.Stats.RefuteTime += time.Since(solveStart)
 		res.Stats.PreprocessTime += enc.S.Stats().PreprocessTime - preBefore
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cex == nil {
-			open = append(open, res)
 			continue
 		}
 		t := trace.Build(enc, a.built, a.u.Unrolled, cex)
 		t.Model = res.Model
 		if err := validateCex(t, a.built, a.u.Unrolled); err != nil {
-			return nil, err
+			return err
 		}
 		traces = append(traces, t)
 		res.fail(t)
 	}
-	return open, nil
+	return nil
 }
 
 // fail decides r as a failure with counterexample t.
@@ -648,7 +627,7 @@ func (r *Result) fail(t *trace.Trace) {
 // recordFormula copies the inclusion formula's size and its solver's
 // counters into st. Sizes overwrite — a check reports its final
 // round's formula — while chronological backtracks add up across
-// rounds. Preprocessing time is booked by solvePhase instead.
+// rounds. Preprocessing time is booked by solveModels instead.
 func (st *Stats) recordFormula(enc *encode.Encoder) {
 	s := enc.S.Stats()
 	st.SolverStats = s

@@ -11,7 +11,7 @@ import (
 // TestPreprocessPolicy pins when the inclusion formula's armed
 // preprocessing pass runs: only once its search has resolved 100
 // conflicts (the sat package's threshold). ms2/T0 on Relaxed is
-// decided sooner and never runs it; snark/D0 on Relaxed needs more and
+// decided sooner and never runs it; ms2/T54 on Relaxed needs more and
 // runs it during search. Either way the verdict and the observation
 // set are those of the same check solved without preprocessing.
 func TestPreprocessPolicy(t *testing.T) {
@@ -22,7 +22,7 @@ func TestPreprocessPolicy(t *testing.T) {
 		pass, preran bool
 	}{
 		{"ms2", "T0", true, false},
-		{"snark", "D0", false, true},
+		{"ms2", "T54", true, true},
 	}
 	for _, r := range rows {
 		name := r.impl + "/" + r.test
@@ -64,16 +64,16 @@ func TestPreprocessPolicy(t *testing.T) {
 // time is booked on that model, inside that model's RefuteTime; the
 // models' preprocessing times add up to the shared solver's. Both rows
 // are decided in one round, so the leader's solver record is the only
-// inclusion formula of the group. snark/D0's leader (SC) runs the pass;
-// ms2/T53's SC, TSO and PSO solves stay below the threshold, and
+// inclusion formula of the group. ms2/T54's leader (SC) runs the pass;
+// ms2/T1's SC, TSO and PSO solves stay below the threshold, and
 // Relaxed's runs it.
 func TestPreprocessTimePerModel(t *testing.T) {
 	rows := []struct {
 		impl, test string
 		ran        memmodel.Model // the model whose solve runs the pass
 	}{
-		{"snark", "D0", memmodel.SequentialConsistency},
-		{"ms2", "T53", memmodel.Relaxed},
+		{"ms2", "T54", memmodel.SequentialConsistency},
+		{"ms2", "T1", memmodel.Relaxed},
 	}
 	for _, row := range rows {
 		results := RunSuite(fourModelJobs(row.impl, row.test, Options{}), SuiteOptions{Parallelism: 1})

@@ -6,11 +6,11 @@ import (
 	"checkfence/internal/memmodel"
 )
 
-// TestSearchPinned pins the solver's search on three Relaxed rows:
+// TestSearchPinned pins the solver's search on four Relaxed rows:
 // the conflict, propagation and decision counters and the final CNF
-// clause count must match exactly. ms2/T1 and msn/T0 are decided
-// before the armed preprocessing pass would run; snark/D0 runs it
-// during its search. Changes to the solver's data layout
+// clause count must match exactly. ms2/T1, msn/T0 and snark/D0 are
+// decided before the armed preprocessing pass would run; ms2/T54 runs
+// it during its search. Changes to the solver's data layout
 // (clause storage, watch-list construction, scratch buffers) must not
 // alter a single clause, watcher order or decision, and this test is
 // what shows it. A change that is meant to alter the search updates
@@ -21,9 +21,10 @@ func TestSearchPinned(t *testing.T) {
 		conflicts, propagations, decisions int64
 		clauses                            int
 	}{
-		{"ms2", "T1", 85, 27554, 398, 3208},
-		{"msn", "T0", 33, 24196, 123, 9969},
-		{"snark", "D0", 259, 231415, 931, 12638},
+		{"ms2", "T1", 74, 24947, 499, 3208},
+		{"msn", "T0", 32, 22291, 95, 9969},
+		{"snark", "D0", 95, 138538, 2039, 26340},
+		{"ms2", "T54", 346, 66470, 1491, 2405},
 	}
 	for _, r := range rows {
 		res := check(t, r.impl, r.test, Options{Model: memmodel.Relaxed})

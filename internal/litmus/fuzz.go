@@ -16,8 +16,8 @@
 //     generated program, reproduce the interpreter's serial set, and
 //     match the SAT-mined observation set and inclusion verdict
 //     bit-identically on every model;
-//   - the selector-guarded sweep encoder, driven through the two-phase
-//     SweepCheck protocol, must reproduce every per-model verdict;
+//   - the selector-guarded sweep encoder, solved once per model by
+//     SweepCheck, must reproduce every per-model verdict;
 //   - every counterexample trace must survive the full validate
 //     pipeline (axiom re-check plus interpreter replay).
 package litmus
@@ -348,8 +348,8 @@ func RunDifferential(data []byte) error {
 	}
 
 	// Stage 3: the sweep encoder. One selector-guarded encoding over
-	// every non-Serial model, driven through the two-phase SweepCheck
-	// protocol, must reproduce the per-model inclusion verdicts of the
+	// every non-Serial model, solved once per model by SweepCheck,
+	// must reproduce the per-model inclusion verdicts of the
 	// independent encoders, and its counterexamples must validate.
 	sweepModels := make([]memmodel.Model, 0, len(models)-1)
 	for _, m := range models {
@@ -364,27 +364,18 @@ func RunDifferential(data []byte) error {
 	if err := se.Encode(p.Threads); err != nil {
 		return fmt.Errorf("sweep encode: %v\nprogram:\n%s", err, p.Desc())
 	}
-	sc, err := spec.NewSweepCheck(se, p.Entries)
+	sc, err := spec.NewSweepCheck(se, p.Entries, want)
 	if err != nil {
 		return fmt.Errorf("sweep check: %v\nprogram:\n%s", err, p.Desc())
 	}
 	for _, m := range sweepModels {
-		cex, err := sc.ErrorCheck(m)
+		cex, err := sc.Check(m)
 		if err != nil {
-			return fmt.Errorf("sweep error check %s: %v\nprogram:\n%s", m, err, p.Desc())
+			return fmt.Errorf("sweep check %s: %v\nprogram:\n%s", m, err, p.Desc())
 		}
-		if cex != nil {
-			return fmt.Errorf("divergence: sweep error check on %s found an error in an error-free program\nprogram:\n%s",
+		if cex != nil && cex.IsErr {
+			return fmt.Errorf("divergence: sweep check on %s found an error in an error-free program\nprogram:\n%s",
 				m, p.Desc())
-		}
-	}
-	if err := sc.BeginInclusion(want); err != nil {
-		return fmt.Errorf("sweep begin inclusion: %v\nprogram:\n%s", err, p.Desc())
-	}
-	for _, m := range sweepModels {
-		cex, err := sc.Inclusion(m)
-		if err != nil {
-			return fmt.Errorf("sweep inclusion %s: %v\nprogram:\n%s", m, err, p.Desc())
 		}
 		if (cex != nil) != fail[m] {
 			return fmt.Errorf("divergence: sweep verdict on %s (cex=%v) != independent verdict (cex=%v)\nprogram:\n%s",

@@ -1076,7 +1076,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	// Check the external stop predicate once at entry: a multi-solve
-	// procedure (mining, the two-phase inclusion check) whose
+	// procedure (mining, a sweep's per-model inclusion queries) whose
 	// individual solves are too short to reach the periodic in-loop
 	// checkpoint still observes a cancellation raised between solves.
 	if s.stop != nil && s.stop() {

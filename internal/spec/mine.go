@@ -175,20 +175,14 @@ func blockingClause(s *sat.Solver, lits []sat.Lit) []sat.Lit {
 	return block
 }
 
-// CheckInclusionWith is the one-model case of the SweepCheck protocol.
-// The inclusion check reads no Strategy field; the parameter keeps the
+// CheckInclusionWith is the one-model case of SweepCheck. The
+// inclusion check reads no Strategy field; the parameter keeps the
 // signature parallel to MineWith. On a counterexample the encoder's
 // solver is positioned at its model.
 func CheckInclusionWith(e *encode.Encoder, entries []Entry, set *Set, _ Strategy) (*Counterexample, error) {
-	c, err := NewSweepCheck(e, entries)
+	c, err := NewSweepCheck(e, entries, set)
 	if err != nil {
 		return nil, err
 	}
-	if cex, err := c.ErrorCheck(e.Model); cex != nil || err != nil {
-		return cex, err
-	}
-	if err := c.BeginInclusion(set); err != nil {
-		return nil, err
-	}
-	return c.Inclusion(e.Model)
+	return c.Check(e.Model)
 }

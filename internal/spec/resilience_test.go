@@ -60,14 +60,14 @@ func TestMineCancelMidEnumeration(t *testing.T) {
 	}
 }
 
-// TestInclusionCancelMidSolve: stopping the phase-2 solve returns a
+// TestInclusionCancelMidSolve: stopping the inclusion solve returns a
 // wrapped ErrSolverUnknown promptly and leaks no goroutines.
 func TestInclusionCancelMidSolve(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e, entries := buildWideMiningEncoder(t)
 	var calls atomic.Int64
-	e.S.SetStop(func() bool { return calls.Add(1) > 1 })
-	empty := NewSet() // empty spec: phase 2 would be Sat if it ran to completion
+	e.S.SetStop(func() bool { return calls.Add(1) > 0 })
+	empty := NewSet() // empty spec: the solve would be Sat if it ran to completion
 	start := time.Now()
 	_, err := CheckInclusionWith(e, entries, empty, Strategy{})
 	if !errors.Is(err, ErrSolverUnknown) {

@@ -187,13 +187,13 @@ func CheckInclusion(e *encode.Encoder, entries []Entry, set *Set) (*Counterexamp
 	return CheckInclusionWith(e, entries, set, Strategy{})
 }
 
-// assertNotObservation adds one clause stating that the observation
-// vector differs from o in at least one bit.
-func assertNotObservation(e *encode.Encoder, svs []encode.SymVal, o Observation) error {
+// assertNotObservation adds one clause stating that guard holds or the
+// observation vector differs from o in at least one bit.
+func assertNotObservation(e *encode.Encoder, svs []encode.SymVal, guard bitvec.Node, o Observation) error {
 	if len(o) != len(svs) {
 		return fmt.Errorf("spec: observation arity %d != %d entries", len(o), len(svs))
 	}
-	var clause []bitvec.Node
+	clause := []bitvec.Node{guard}
 	for i, v := range o {
 		want := e.ConstVal(v)
 		got := svs[i]

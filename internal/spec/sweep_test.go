@@ -88,8 +88,8 @@ func mineModel(t *testing.T, m memmodel.Model, strat Strategy) (*Set, MineStats)
 }
 
 // TestSweepCheckMatchesIndependent: the shared-formula SweepCheck must
-// reproduce the single-model CheckInclusionWith verdicts and
-// counterexample observations exactly.
+// reproduce the single-model CheckInclusionWith verdicts, and its
+// counterexample observations must lie outside the spec.
 func TestSweepCheckMatchesIndependent(t *testing.T) {
 	sweep := []memmodel.Model{
 		memmodel.SequentialConsistency, memmodel.TSO,
@@ -97,27 +97,14 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 	}
 	// The spec is the serial observation set, as in the real pipeline.
 	specSet, _ := mineModel(t, memmodel.Serial, Strategy{})
-	sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
+	sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries(), specSet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Phase 1 for every model, strongest-first, before any exclusion.
 	for _, m := range sweep {
-		cex, err := sc.ErrorCheck(m)
+		got, err := sc.Check(m)
 		if err != nil {
-			t.Fatalf("%v error check: %v", m, err)
-		}
-		if cex != nil {
-			t.Fatalf("%v: unexpected error-phase counterexample %v", m, cex.Obs)
-		}
-	}
-	if err := sc.BeginInclusion(specSet); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range sweep {
-		got, err := sc.Inclusion(m)
-		if err != nil {
-			t.Fatalf("%v inclusion: %v", m, err)
+			t.Fatalf("%v: %v", m, err)
 		}
 		want, err := CheckInclusionWith(encodeMP(t, m), mpEntries(), specSet, Strategy{})
 		if err != nil {
@@ -126,45 +113,25 @@ func TestSweepCheckMatchesIndependent(t *testing.T) {
 		if (got == nil) != (want == nil) {
 			t.Fatalf("%v: sweep cex %v, independent cex %v", m, got, want)
 		}
-		if got != nil && specSet.Has(got.Obs) {
-			t.Fatalf("%v: sweep counterexample %v is inside the spec", m, got.Obs)
+		if got != nil && (got.IsErr || specSet.Has(got.Obs)) {
+			t.Fatalf("%v: sweep counterexample %+v is an error or inside the spec", m, got)
 		}
 	}
 }
 
-// TestSweepCheckProtocol: a single-model encoder runs the protocol
-// unassumed, and misuse of the two-stage protocol is caught.
-func TestSweepCheckProtocol(t *testing.T) {
+// TestSweepCheckSingleModel: a single-model encoder has no selector
+// literals, and SweepCheck solves it unassumed.
+func TestSweepCheckSingleModel(t *testing.T) {
 	single := encodeMP(t, memmodel.Relaxed)
 	if lits := single.SelectorLits(memmodel.Relaxed); lits != nil {
 		t.Errorf("single-model encoder has selector literals %v", lits)
 	}
-	if _, err := NewSweepCheck(single, mpEntries()); err != nil {
-		t.Errorf("NewSweepCheck rejected a single-model encoder: %v", err)
-	}
-	sweep := []memmodel.Model{memmodel.SequentialConsistency, memmodel.Relaxed}
-	sc, err := NewSweepCheck(encodeMPSweep(t, sweep), mpEntries())
+	sc, err := NewSweepCheck(single, mpEntries(), NewSet())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("NewSweepCheck rejected a single-model encoder: %v", err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Inclusion before BeginInclusion did not panic")
-			}
-		}()
-		sc.Inclusion(memmodel.Relaxed)
-	}()
-	if err := sc.BeginInclusion(NewSet()); err != nil {
-		t.Fatal(err)
+	// The empty spec admits no observation, so any execution fails it.
+	if cex, err := sc.Check(memmodel.Relaxed); err != nil || cex == nil || cex.IsErr {
+		t.Fatalf("Check against the empty spec = %+v, %v; want an error-free counterexample", cex, err)
 	}
-	if err := sc.BeginInclusion(NewSet()); err == nil {
-		t.Error("second BeginInclusion accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ErrorCheck after BeginInclusion did not panic")
-		}
-	}()
-	sc.ErrorCheck(memmodel.Relaxed)
 }
